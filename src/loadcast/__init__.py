@@ -23,15 +23,16 @@ from .errors import (CompatibilityError, ConfigError, ContinuityError,
                      LoadcastError, ParseError, SchemaError, SizeError,
                      TapeError, TrainingError)
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
-                   bilstm_sequence, feedforward_relu, lstm_cell_step,
-                   lstm_sequence, zero_state)
+                   PackedCell, bilstm_sequence, feedforward_relu,
+                   lstm_cell_step, lstm_sequence, pack, zero_state)
 from .metrics import MetricReport, compute_metrics, relative_error
 from .model import (VARIANTS, Forecast, ModelConfig, ModelParams, decode,
                     encode, forward, init_params, predict)
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
 from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, backward,
-                     check_gradients, concat, hadamard, matmul, relu, reshape,
-                     scale, sigmoid, stable_softmax, sub, tanh, total)
+                     check_gradients, concat, fused_op, hadamard, matmul, relu,
+                     reshape, scale, segment, sigmoid, stable_softmax, sub,
+                     tanh, total)
 from .training import (AdamState, EpochRecord, EvaluationResult, TrainConfig,
                        TrainResult, adam_step, batch_gradients,
                        clip_global_norm, evaluate, mean_mse, mse_loss, train)

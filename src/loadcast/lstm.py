@@ -3,9 +3,14 @@
 Gate weights follow the convention that the input and recurrent
 contributions each carry their own bias, so a gate is
 sigma(W_x x + b_x + W_h h + b_h); the cell therefore has sixteen parameter
-blocks.  Sequence helpers run a cell left to right; the bidirectional
-variant runs a second cell over the reversed inputs and joins the per-step
-hidden states as [forward; backward].
+blocks, and that is how parameters are stored, optimized and checkpointed.
+For computing, `pack` lays the blocks of one direction out as a single
+(4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, plus
+one (4H,) bias holding each gate's two biases summed, so a cell step is one
+matmul and one tape op with a hand-derived backward.  Sequence helpers pack
+once and run the cell left to right; the bidirectional variant runs a
+second cell over the reversed inputs and joins the per-step hidden states
+as [forward; backward].
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, as_tensor, concat, matmul, relu, sigmoid, tanh
+from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tensor,
+                     concat, fused_op, matmul, relu, segment)
 
 
 @dataclass
@@ -119,34 +125,120 @@ def zero_state(hidden_size):
     return LstmState(Tensor(np.zeros(hidden_size)), Tensor(np.zeros(hidden_size)))
 
 
+GATES = ("i", "f", "g", "o")
+
+
+@dataclass
+class PackedCell:
+    """One direction's gates as a single affine map of [x; h].
+
+    `weights` is (4H, input + H): row blocks i, f, g, o, columns [input |
+    recurrent].  `bias` is (4H,), each gate's input and recurrent biases
+    summed.
+    """
+
+    weights: Tensor
+    bias: Tensor
+
+    @property
+    def hidden_size(self):
+        return self.bias.shape[0] // 4
+
+    @property
+    def input_size(self):
+        return self.weights.shape[1] - self.hidden_size
+
+
+def pack(params):
+    """Pack the sixteen blocks of `params` into a `PackedCell`.
+
+    Taped blocks give one tape node for the weights and one for the bias;
+    their gradients are sliced back into the named blocks.  A cell that is
+    already packed is returned as it is.
+    """
+    if isinstance(params, PackedCell):
+        return params
+    hidden, width = params.hidden_size, params.input_size
+    w_x = [as_tensor(getattr(params, f"w_{gate}x")) for gate in GATES]
+    w_h = [as_tensor(getattr(params, f"w_{gate}h")) for gate in GATES]
+    b_x = [as_tensor(getattr(params, f"b_{gate}x")) for gate in GATES]
+    b_h = [as_tensor(getattr(params, f"b_{gate}h")) for gate in GATES]
+    for blocks, shape in ((w_x, (hidden, width)), (w_h, (hidden, hidden)),
+                          (b_x, (hidden,)), (b_h, (hidden,))):
+        for block in blocks:
+            if block.shape != shape:
+                raise DimensionError(f"lstm block shape {block.shape} is not {shape}")
+    rows = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+
+    weights = np.empty((4 * hidden, width + hidden))
+    for k in range(4):
+        weights[rows[k], :width] = w_x[k].values
+        weights[rows[k], width:] = w_h[k].values
+
+    def weight_rule(g):
+        return tuple(part for k in range(4)
+                     for part in (g[rows[k], :width], g[rows[k], width:]))
+
+    bias = np.concatenate([bx.values + bh.values for bx, bh in zip(b_x, b_h)])
+
+    def bias_rule(g):
+        # The two biases of a gate get equal gradients, as distinct arrays.
+        return tuple(part for k in range(4) for part in (g[rows[k]], g[rows[k]].copy()))
+
+    return PackedCell(
+        weights=fused_op(weights, [w for pair in zip(w_x, w_h) for w in pair], weight_rule),
+        bias=fused_op(bias, [b for pair in zip(b_x, b_h) for b in pair], bias_rule))
+
+
 def lstm_cell_step(params, prev, x):
-    """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output."""
-    x = as_tensor(x)
-    width = params.w_ix.shape[1]
+    """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
+
+    `params` is a `PackedCell` or an `LstmParams`, which is packed first.
+    The step is one tape op producing [h; c], plus a view for each half.
+    """
+    cell = pack(params)
+    x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
+    hidden, width = cell.hidden_size, cell.input_size
     if x.shape != (width,):
         raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
+    if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
+        raise DimensionError(
+            f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match ({hidden},)")
+    w = cell.weights.values
+    z = np.concatenate((x.values, h_prev.values))
+    cand_rows = slice(2 * hidden, 3 * hidden)
+    pre = w @ z + cell.bias.values
+    act = _sigmoid_values(pre)
+    act[cand_rows] = np.tanh(pre[cand_rows])
+    i, f, cand, o = act[:hidden], act[hidden:2 * hidden], act[cand_rows], act[3 * hidden:]
+    c_prev_values = c_prev.values
+    c = f * c_prev_values + i * cand
+    tanh_c = np.tanh(c)
 
-    def pre(w_x, b_x, w_h, b_h):
-        return matmul(w_x, x) + b_x + matmul(w_h, prev.h) + b_h
+    def rule(grad):
+        dh = grad[:hidden]
+        dc = grad[hidden:] + _tanh_grad(tanh_c, dh * o)
+        d_act = np.concatenate((dc * cand, dc * c_prev_values, dc * i, dh * tanh_c))
+        d_pre = _sigmoid_grad(act, d_act)
+        d_pre[cand_rows] = _tanh_grad(cand, d_act[cand_rows])
+        dz = d_pre @ w
+        return np.outer(d_pre, z), d_pre, dz[:width], dz[width:], dc * f
 
-    i = sigmoid(pre(params.w_ix, params.b_ix, params.w_ih, params.b_ih))
-    f = sigmoid(pre(params.w_fx, params.b_fx, params.w_fh, params.b_fh))
-    g = tanh(pre(params.w_gx, params.b_gx, params.w_gh, params.b_gh))
-    o = sigmoid(pre(params.w_ox, params.b_ox, params.w_oh, params.b_oh))
-    c = f * prev.c + i * g
-    h = o * tanh(c)
-    return LstmState(h, c)
+    joined = fused_op(np.concatenate((o * tanh_c, c)),
+                      (cell.weights, cell.bias, x, h_prev, c_prev), rule)
+    return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
 def lstm_sequence(params, inputs, init):
     """Run one direction over `inputs`; returns per-step hidden tensors and
-    the terminal state."""
+    the terminal state.  The cell is packed once for the whole run."""
     if not inputs:
         raise DimensionError("cannot encode an empty sequence")
+    cell = pack(params)
     states = []
     state = init
     for x in inputs:
-        state = lstm_cell_step(params, state, x)
+        state = lstm_cell_step(cell, state, x)
         states.append(state)
     return [s.h for s in states], states[-1]
 

@@ -33,7 +33,7 @@ from .attention import (FeatureAttentionParams, TemporalAttentionParams,
 from .errors import ConfigError, DimensionError
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
                    bilstm_sequence, feedforward_relu, lstm_cell_step,
-                   lstm_sequence, zero_state)
+                   lstm_sequence, pack, zero_state)
 from .params import bind_constants
 from .tensor import Tensor, concat, reshape
 
@@ -192,12 +192,13 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
         inputs = []
         forward_states = []
         state = init_forward
+        cell = pack(params.encoder.forward)
         for t in range(steps):
             conditioning = concat([state.h, init_backward.h])
             weights, weighted = feature_attention(
                 params.feature_attn, conditioning, hist_features[t], hist_targets[t])
             step_input = concat([weighted, Tensor([hist_targets[t]])])
-            state = lstm_cell_step(params.encoder.forward, state, step_input)
+            state = lstm_cell_step(cell, state, step_input)
             inputs.append(step_input)
             forward_states.append(state)
             if collect_attention:
@@ -253,13 +254,14 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
         inputs = []
         forward_h = []
         state = encoding.terminal_forward
+        cell = pack(params.decoder.forward)
         for t in range(steps):
             conditioning = concat([state.h, back_init.h])
             hour_weights = temporal_attention(
                 params.temporal_attn, conditioning, future[t], config.day_len)
             context = context_vector(day_weights, hour_weights, encoding.states)
             step_input = concat([Tensor(future[t]), context])
-            state = lstm_cell_step(params.decoder.forward, state, step_input)
+            state = lstm_cell_step(cell, state, step_input)
             inputs.append(step_input)
             forward_h.append(state.h)
             if collect_attention:

@@ -164,12 +164,9 @@ def _emit(out_values, pairs):
     result is a constant.
     """
     taped = [(t, fn) for t, fn in pairs if t.tape is not None]
-    if not taped:
+    tape = _common_tape([t for t, _fn in taped])
+    if tape is None:
         return Tensor(out_values)
-    tape = taped[0][0].tape
-    for t, _fn in taped[1:]:
-        if t.tape is not tape:
-            raise TapeError("operands are recorded on different tapes")
     parents = tuple(t for t, _fn in taped)
     fns = tuple(fn for _t, fn in taped)
 
@@ -177,6 +174,38 @@ def _emit(out_values, pairs):
         return tuple(fn(g) for fn in fns)
 
     return tape._record(np.asarray(out_values, dtype=np.float64), parents, rule)
+
+
+def fused_op(out_values, operands, rule):
+    """Record `out_values` as one node whose gradients come from one closure.
+
+    `rule(g)` returns a gradient for every operand, in order, so work they
+    share is done once; the gradients of constant operands are dropped.  If
+    no operand is taped the result is a constant.
+    """
+    taped = [k for k, t in enumerate(operands) if t.tape is not None]
+    tape = _common_tape([operands[k] for k in taped])
+    if tape is None:
+        return Tensor(out_values)
+    parents = tuple(operands[k] for k in taped)
+    if len(taped) == len(operands):
+        kept = rule
+    else:
+        def kept(g):
+            grads = rule(g)
+            return tuple(grads[k] for k in taped)
+    return tape._record(np.asarray(out_values, dtype=np.float64), parents, kept)
+
+
+def _common_tape(taped):
+    """The tape shared by every tensor in `taped`, or None if it is empty."""
+    if not taped:
+        return None
+    tape = taped[0].tape
+    for t in taped[1:]:
+        if t.tape is not tape:
+            raise TapeError("operands are recorded on different tapes")
+    return tape
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +369,30 @@ def concat(parts, axis=0):
                 raise DimensionError(
                     f"concat parts differ off-axis: {first} vs {p.shape}")
     out = np.concatenate([p.values for p in parts], axis=axis)
-    offsets = list(np.cumsum([p.shape[axis] for p in parts])[:-1])
+    index = [slice(None)] * ndim
     pairs = []
-    for index, p in enumerate(parts):
-        def fn(g, index=index):
-            return np.split(g, offsets, axis=axis)[index]
-        pairs.append((p, fn))
+    start = 0
+    for p in parts:
+        stop = start + p.shape[axis]
+        index[axis] = slice(start, stop)
+        pairs.append((p, lambda g, key=tuple(index): g[key]))
+        start = stop
     return _emit(out, pairs)
+
+
+def segment(x, start, stop):
+    """Entries `start:stop` of a 1-D tensor; the gradient is zero elsewhere."""
+    x = as_tensor(x)
+    if x.values.ndim != 1 or not 0 <= start <= stop <= x.values.size:
+        raise DimensionError(f"segment {start}:{stop} out of range for shape {x.shape}")
+    size = x.values.size
+
+    def fn(g):
+        full = np.zeros(size)
+        full[start:stop] = g
+        return full
+
+    return _emit(x.values[start:stop], [(x, fn)])
 
 
 def reshape(x, shape):

@@ -9,9 +9,10 @@ import pytest
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            LstmState, bilstm_sequence, feedforward_relu,
-                           lstm_cell_step, lstm_sequence, zero_state)
-from loadcast.params import named_leaves
-from loadcast.tensor import Tape, Tensor, check_gradients, concat, total
+                           lstm_cell_step, lstm_sequence, pack, zero_state)
+from loadcast.params import bind, named_leaves
+from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard,
+                             matmul, sigmoid, tanh, total)
 
 
 def scalar_cell(params, h_prev, c_prev, x):
@@ -48,6 +49,41 @@ def random_case(rng, input_size, hidden_size):
     return params, state, x
 
 
+def composed_cell(params, prev, x):
+    """The cell as separate tape ops: eight matmuls, the bias adds,
+    sigmoid/tanh and hadamard products.  Reference for the fused step."""
+
+    def pre(w_x, b_x, w_h, b_h):
+        return matmul(w_x, x) + b_x + matmul(w_h, prev.h) + b_h
+
+    i = sigmoid(pre(params.w_ix, params.b_ix, params.w_ih, params.b_ih))
+    f = sigmoid(pre(params.w_fx, params.b_fx, params.w_fh, params.b_fh))
+    g = tanh(pre(params.w_gx, params.b_gx, params.w_gh, params.b_gh))
+    o = sigmoid(pre(params.w_ox, params.b_ox, params.w_oh, params.b_oh))
+    c = f * prev.c + i * g
+    return LstmState(o * tanh(c), c)
+
+
+def rel_diff(value, reference):
+    """Largest absolute difference relative to the reference's largest entry."""
+    scale = float(np.max(np.abs(reference)))
+    return float(np.max(np.abs(value - reference))) / max(scale, 1e-300)
+
+
+def taped_step(step, params, state, x, probe):
+    """Run `step` on a fresh tape; return h, c and the gradients of
+    probe . [h; c] for the sixteen blocks, x, h_prev and c_prev."""
+    tape = Tape()
+    leaves = bind(params, tape)
+    h_prev, c_prev = tape.leaf(state.h.values), tape.leaf(state.c.values)
+    x_leaf = tape.leaf(x)
+    out = step(leaves, LstmState(h_prev, c_prev), x_leaf)
+    tape.backward(total(hadamard(concat([out.h, out.c]), Tensor(probe))))
+    grads = {name: tape.grad(leaf) for name, leaf in named_leaves(leaves)}
+    grads.update(x=tape.grad(x_leaf), h_prev=tape.grad(h_prev), c_prev=tape.grad(c_prev))
+    return out.h.values, out.c.values, grads
+
+
 class TestCellStep:
     def test_zero_params_with_unit_cell_memory(self):
         params = LstmParams.zeros(3, 2)
@@ -81,6 +117,11 @@ class TestCellStep:
         params = LstmParams.zeros(3, 2)
         with pytest.raises(DimensionError):
             lstm_cell_step(params, zero_state(2), Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError):
+            lstm_cell_step(params, zero_state(3), Tensor(np.zeros(3)))
+        params.w_oh = np.zeros((2, 3))
+        with pytest.raises(DimensionError):
+            lstm_cell_step(params, zero_state(2), Tensor(np.zeros(3)))
 
     def test_dual_biases_are_distinct_parameters(self):
         params = LstmParams.zeros(2, 2)
@@ -97,6 +138,64 @@ class TestCellStep:
         # Both forget biases land in the same preactivation: sigma(1 + 1).
         npt.assert_allclose(out.c.values, [1.0 / (1.0 + math.exp(-2.0))],
                             atol=1e-15)
+
+
+class TestFusedCell:
+    def test_matches_composed_ops(self):
+        rng = np.random.default_rng(19)
+        shapes = [(1, 1), (1, 5), (5, 1)]
+        shapes += [(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(40)]
+        for width, hidden in shapes:
+            params, state, x = random_case(rng, width, hidden)
+            probe = rng.normal(size=2 * hidden)
+            h, c, grads = taped_step(lstm_cell_step, params, state, x, probe)
+            h_ref, c_ref, grads_ref = taped_step(composed_cell, params, state, x, probe)
+            assert rel_diff(h, h_ref) <= 1e-12
+            assert rel_diff(c, c_ref) <= 1e-12
+            assert len(grads) == 19 and grads.keys() == grads_ref.keys()
+            for name, grad in grads.items():
+                assert grad.shape == grads_ref[name].shape, name
+                assert rel_diff(grad, grads_ref[name]) <= 1e-12, (width, hidden, name)
+
+    def test_step_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(20)
+        params, state, x = random_case(rng, 3, 4)
+        probe = rng.normal(size=8)
+
+        def program(tape, leaves):
+            out = lstm_cell_step(params, LstmState(leaves["h_prev"], leaves["c_prev"]),
+                                 leaves["x"])
+            return total(hadamard(concat([out.h, out.c]), Tensor(probe)))
+
+        report = check_gradients(program, {"x": x, "h_prev": state.h.values,
+                                           "c_prev": state.c.values}, tolerance=1e-6)
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    def test_step_records_three_nodes_at_any_width(self):
+        counts = []
+        for hidden in (1, 8):
+            params, state, x = random_case(np.random.default_rng(21), 3, hidden)
+            tape = Tape()
+            leaves = bind(params, tape)
+            cell = pack(leaves)
+            # One node for the packed weights and one for the summed bias.
+            assert len(tape) == 16 + 2
+            x_leaf = tape.leaf(x)
+            before = len(tape)
+            lstm_cell_step(cell, state, x_leaf)
+            counts.append(len(tape) - before)
+        assert counts == [3, 3]
+
+    def test_packed_layout(self):
+        rng = np.random.default_rng(22)
+        params = LstmParams.random(rng, 2, 3, bound=1.0)
+        cell = pack(params)
+        assert pack(cell) is cell
+        assert (cell.input_size, cell.hidden_size) == (2, 3)
+        npt.assert_array_equal(cell.weights.values[6:9, :2], params.w_gx)
+        npt.assert_array_equal(cell.weights.values[9:12, 2:], params.w_oh)
+        npt.assert_array_equal(cell.bias.values[3:6], params.b_fx + params.b_fh)
+
 
 
 class TestSequences:

@@ -10,7 +10,9 @@ from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
 from loadcast.model import (VARIANTS, ModelConfig, forward, init_params,
                             predict)
-from loadcast.params import named_leaves
+from loadcast.params import bind, named_leaves
+from loadcast.tensor import Tape
+from loadcast.verify import tiny_model_case
 
 TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
                    feature_attn_size=2, temporal_attn_size=2, head_size=2)
@@ -283,3 +285,11 @@ class TestForward:
         sample = random_sample(TINY, seed=56)
         npt.assert_array_equal(forward(params, TINY, sample).values,
                                predict(params, TINY, sample).values)
+
+    def test_tiny_window_tape_size(self):
+        config, sample = tiny_model_case()
+        tape = Tape()
+        forward(bind(init_params(config), tape), config, sample)
+        # 890 before the cell became one op (29 nodes per step); each of the
+        # 24 steps now records 3, and each of the 4 directions 2 for packing.
+        assert len(tape) == 274

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from loadcast.errors import DimensionError, EvaluationError, TapeError
 from loadcast.tensor import (GradCheckReport, Tape, Tensor, add, as_tensor,
-                             backward, check_gradients, concat, hadamard,
-                             matmul, relu, reshape, scale, sigmoid,
-                             stable_softmax, sub, tanh, total)
+                             backward, check_gradients, concat, fused_op,
+                             hadamard, matmul, relu, reshape, scale, segment,
+                             sigmoid, stable_softmax, sub, tanh, total)
 
 
 def fd_check(program, params, tol=1e-6, h=1e-5):
@@ -140,6 +140,43 @@ class TestBackward:
         tape.backward(total(hadamard(concat([a, b]), Tensor([1.0, 2.0, 3.0]))))
         npt.assert_array_equal(tape.grad(a), [1.0, 2.0])
         npt.assert_array_equal(tape.grad(b), [3.0])
+
+        tape = Tape()
+        parts = [tape.leaf(np.zeros((2, width))) for width in (1, 3, 2)]
+        weights = np.arange(12.0).reshape(2, 6)
+        tape.backward(total(hadamard(concat(parts, axis=1), Tensor(weights))))
+        npt.assert_array_equal(tape.grad(parts[0]), weights[:, :1])
+        npt.assert_array_equal(tape.grad(parts[1]), weights[:, 1:4])
+        npt.assert_array_equal(tape.grad(parts[2]), weights[:, 4:])
+
+    def test_segment_gradient_is_zero_outside(self):
+        tape = Tape()
+        x = tape.leaf([1.0, 2.0, 3.0, 4.0])
+        part = segment(x, 1, 3)
+        npt.assert_array_equal(part.values, [2.0, 3.0])
+        tape.backward(total(hadamard(part, Tensor([5.0, 7.0]))))
+        npt.assert_array_equal(tape.grad(x), [0.0, 5.0, 7.0, 0.0])
+        with pytest.raises(DimensionError):
+            segment(x, 2, 5)
+
+    def test_fused_op_drops_constant_operands(self):
+        tape = Tape()
+        a = tape.leaf([2.0])
+        b = Tensor([3.0])
+        c = tape.leaf([4.0])
+        calls = []
+
+        def rule(g):
+            calls.append(1)
+            return g * 12.0, g * 8.0, g * 6.0
+
+        out = fused_op(a.values * b.values * c.values, (a, b, c), rule)
+        assert len(tape) == 3
+        tape.backward(total(out))
+        npt.assert_array_equal(tape.grad(a), [12.0])
+        npt.assert_array_equal(tape.grad(c), [6.0])
+        assert calls == [1]
+        assert fused_op(b.values, (b,), rule).tape is None
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
