@@ -53,7 +53,8 @@ class Checkpoint:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; validates format, version, names, and shapes."""
+    """Read a checkpoint back; validates format, version, entries, names, and
+    shapes, raising `ConfigError` that names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -68,10 +69,19 @@ def load_checkpoint(path):
     except (KeyError, TypeError) as err:
         raise ConfigError(f"{path}: bad config block: {err}") from err
 
+    entries = doc.get("params", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: params must be a list of entries, "
+                          f"got {type(entries).__name__}")
     stored = {}
-    for entry in doc.get("params", []):
-        stored[entry["name"]] = np.array(entry["values"],
-                                         dtype=np.float64).reshape(entry["shape"])
+    for index, entry in enumerate(entries):
+        try:
+            stored[entry["name"]] = np.array(entry["values"],
+                                             dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as err:
+            name = entry.get("name") if isinstance(entry, dict) else None
+            raise ConfigError(f"{path}: params entry {index} (name {name!r}) is malformed: "
+                              f"{type(err).__name__}: {err}") from err
     template = init_params(config)
     expected = {name: leaf.shape for name, leaf in named_leaves(template)}
     missing = sorted(set(expected) - set(stored))

@@ -58,7 +58,6 @@ def _parse_path(text):
 _SCHEMA = {
     "model.variant": _parse_variant,
     "model.days": _parse_int,
-    "model.day_len": _parse_int,
     "model.hidden_size": _parse_int,
     "model.feature_attn_size": _parse_int,
     "model.temporal_attn_size": _parse_int,
@@ -75,7 +74,6 @@ _SCHEMA = {
     "train.seed": _parse_int,
     "data.train_csv": _parse_path,
     "data.validation_csv": _parse_path,
-    "data.test_csv": _parse_path,
     "data.holidays": _parse_path,
     "data.stride_hours": _parse_int,
     "data.synthetic_days": _parse_int,
@@ -89,7 +87,6 @@ _SCHEMA = {
 _DEFAULTS = {
     "model.variant": "ANLF",
     "model.days": 7,
-    "model.day_len": 24,
     "model.hidden_size": 32,
     "model.feature_attn_size": 16,
     "model.temporal_attn_size": 16,
@@ -106,7 +103,6 @@ _DEFAULTS = {
     "train.seed": 1,
     "data.train_csv": None,
     "data.validation_csv": None,
-    "data.test_csv": None,
     "data.holidays": None,
     "data.stride_hours": None,
     "data.synthetic_days": 60,
@@ -126,7 +122,6 @@ class RunConfig:
     training: TrainConfig
     train_csv: Path | None
     validation_csv: Path | None
-    test_csv: Path | None
     holidays: Path | None
     stride_hours: int | None
     synthetic_days: int
@@ -171,7 +166,7 @@ def parse_run_config(path):
         raise ConfigError(f"{path}: missing required key output.dir")
 
     model = ModelConfig(days=values["model.days"],
-                        day_len=values["model.day_len"],
+                        day_len=24,  # the hour-of-day one-hot is 24 wide
                         n_features=FEATURE_WIDTH,
                         hidden_size=values["model.hidden_size"],
                         feature_attn_size=values["model.feature_attn_size"],
@@ -194,7 +189,6 @@ def parse_run_config(path):
                      training=training,
                      train_csv=values["data.train_csv"],
                      validation_csv=values["data.validation_csv"],
-                     test_csv=values["data.test_csv"],
                      holidays=values["data.holidays"],
                      stride_hours=values["data.stride_hours"],
                      synthetic_days=values["data.synthetic_days"],

@@ -42,8 +42,8 @@ class RawRecord:
 def ingest_csv(path):
     """Read and validate an hourly series with columns timestamp,load,temperature.
 
-    Timestamps must be ISO-8601 and advance by exactly one hour; loads must
-    be positive and finite.
+    Timestamps must be ISO-8601, all naive or all with a UTC offset, and
+    advance by exactly one hour; loads must be positive and finite.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -68,6 +68,13 @@ def ingest_csv(path):
                 raise ParseError(f"{path}: line {line}: non-finite value")
             if load <= 0.0:
                 raise ParseError(f"{path}: line {line}: load must be positive, got {load}")
+            aware = timestamp.utcoffset() is not None
+            if not records:
+                first_line, first_aware = line, aware
+            elif aware != first_aware:
+                raise ParseError(
+                    f"{path}: line {line}: timestamp {row[0].strip()!r} is "
+                    f"{'offset-aware' if aware else 'naive'} but line {first_line}'s is not")
             records.append(RawRecord(timestamp, load, temperature))
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp - prev.timestamp != HOUR:

@@ -8,9 +8,11 @@ For computing, `pack` lays the blocks of one direction out as a single
 (4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, plus
 one (4H,) bias holding each gate's two biases summed, so a cell step is one
 matmul and one tape op with a hand-derived backward.  Sequence helpers pack
-once and run the cell left to right; the bidirectional variant runs a
-second cell over the reversed inputs and joins the per-step hidden states
-as [forward; backward].
+once and run the cell left to right.  `bilstm_sequence` is the one
+bidirectional recurrence: it builds each forward step's input from the
+forward state before that step (which is where attention goes), runs a
+second cell over the same inputs reversed, and joins the per-step hidden
+states as [forward; backward].
 """
 
 from __future__ import annotations
@@ -106,11 +108,6 @@ class BiLstmParams:
     def random(cls, rng, input_size, hidden_size, bound):
         return cls(forward=LstmParams.random(rng, input_size, hidden_size, bound),
                    backward=LstmParams.random(rng, input_size, hidden_size, bound))
-
-    @classmethod
-    def zeros(cls, input_size, hidden_size):
-        return cls(forward=LstmParams.zeros(input_size, hidden_size),
-                   backward=LstmParams.zeros(input_size, hidden_size))
 
 
 @dataclass
@@ -243,19 +240,30 @@ def lstm_sequence(params, inputs, init):
     return [s.h for s in states], states[-1]
 
 
-def bilstm_sequence(params, inputs, init_forward, init_backward):
-    """Encode a sequence in both directions.
+def bilstm_sequence(params, steps, step_input, init_forward, init_backward):
+    """Run a sequence of `steps` inputs in both directions.
 
-    Step t's combined state is [forward h_t; backward h_t]; the returned
-    terminal pair holds each direction's own final state (the backward
-    terminal is the state after consuming the first input).
+    `step_input(t, state)` builds step t's input, where `state` is the
+    forward state before step t (`init_forward` at t = 0), so inputs can
+    depend on the forward recurrence (attention does).  The backward cell
+    then consumes the same inputs in reverse from `init_backward`.  Step t's
+    combined state is [forward h_t; backward h_t]; the returned terminal
+    pair holds each direction's own final state (the backward terminal is
+    the state after consuming the first input).
     """
-    forward_h, terminal_forward = lstm_sequence(params.forward, inputs, init_forward)
-    backward_rev, terminal_backward = lstm_sequence(
-        params.backward, list(inputs)[::-1], init_backward)
-    backward_h = backward_rev[::-1]
-    joined = [concat([hf, hb]) for hf, hb in zip(forward_h, backward_h)]
-    return joined, (terminal_forward, terminal_backward)
+    if steps < 1:
+        raise DimensionError("cannot encode an empty sequence")
+    cell = pack(params.forward)
+    inputs, forward_h = [], []
+    state = init_forward
+    for t in range(steps):
+        x = step_input(t, state)
+        state = lstm_cell_step(cell, state, x)
+        inputs.append(x)
+        forward_h.append(state.h)
+    backward_rev, terminal_backward = lstm_sequence(params.backward, inputs[::-1], init_backward)
+    joined = [concat([hf, hb]) for hf, hb in zip(forward_h, backward_rev[::-1])]
+    return joined, (state, terminal_backward)
 
 
 @dataclass
@@ -270,11 +278,6 @@ class FeedForwardParams:
     def random(cls, rng, input_width, head_size, output_width, bound):
         return cls(hidden=rng.uniform(-bound, bound, (head_size, input_width)),
                    out=rng.uniform(-bound, bound, (output_width, head_size)))
-
-    @classmethod
-    def zeros(cls, input_width, head_size, output_width):
-        return cls(hidden=np.zeros((head_size, input_width)),
-                   out=np.zeros((output_width, head_size)))
 
 
 def feedforward_relu(params, stacked):

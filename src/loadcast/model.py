@@ -13,12 +13,15 @@ share this code path:
 * ``EDLSTM``      no attention, unidirectional, with the cell width doubled
                   so every variant exposes the same state width to the head.
 
-Attention inside a bidirectional recurrence is computed during the forward
-sweep: the conditioning vector joins the previous forward hidden state with
-the backward direction's initial hidden state, and the backward sweep then
-consumes the same per-step inputs.  This keeps the weights well defined
-(the backward states do not exist yet when a step's weights are needed)
-while both directions still see the attention-processed inputs.
+Every bidirectional run, encoder or decoder, goes through
+`lstm.bilstm_sequence` with a small closure that builds each step's input.
+Attention is computed there, during the forward sweep: the conditioning
+vector joins the previous forward hidden state with the backward
+direction's initial hidden state, and the backward sweep then consumes the
+same per-step inputs.  This keeps the weights well defined (the backward
+states do not exist yet when a step's weights are needed) while both
+directions still see the attention-processed inputs.  The unidirectional
+EDLSTM knows its inputs up front and runs `lstm.lstm_sequence`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .attention import (FeatureAttentionParams, TemporalAttentionParams,
                         temporal_attention)
 from .errors import ConfigError, DimensionError
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
-                   bilstm_sequence, feedforward_relu, lstm_cell_step,
-                   lstm_sequence, pack, zero_state)
+                   bilstm_sequence, feedforward_relu, lstm_sequence, zero_state)
+from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 from .params import bind_constants
 from .tensor import Tensor, concat, reshape
 
@@ -158,10 +161,6 @@ class Encoding:
     feature_weights: np.ndarray | None
 
 
-def _step_inputs(features, targets):
-    return [Tensor(np.append(features[t], targets[t])) for t in range(len(targets))]
-
-
 def encode(params, config, hist_features, hist_targets, collect_attention=False):
     """Run the encoder over the history window.
 
@@ -179,42 +178,29 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
     if hist_targets.shape != (steps,):
         raise DimensionError(f"history targets {hist_targets.shape} do not match ({steps},)")
 
-    if not config.bidirectional:
-        inputs = _step_inputs(hist_features, hist_targets)
-        hidden, terminal = lstm_sequence(params.encoder, inputs, zero_state(config.state_width))
-        states = reshape(concat(hidden), (steps, config.state_width))
-        return Encoding(states, terminal, None, None)
-
-    init_forward = zero_state(config.hidden_size)
     init_backward = zero_state(config.hidden_size)
-    if config.encoder_attention:
-        weights_dump = [] if collect_attention else None
-        inputs = []
-        forward_states = []
-        state = init_forward
-        cell = pack(params.encoder.forward)
-        for t in range(steps):
-            conditioning = concat([state.h, init_backward.h])
-            weights, weighted = feature_attention(
-                params.feature_attn, conditioning, hist_features[t], hist_targets[t])
-            step_input = concat([weighted, Tensor([hist_targets[t]])])
-            state = lstm_cell_step(cell, state, step_input)
-            inputs.append(step_input)
-            forward_states.append(state)
-            if collect_attention:
-                weights_dump.append(np.array(weights.values))
-        backward_rev, terminal_backward = lstm_sequence(
-            params.encoder.backward, inputs[::-1], init_backward)
-        backward_h = backward_rev[::-1]
-        hidden = [concat([f.h, b]) for f, b in zip(forward_states, backward_h)]
-        terminal_forward = forward_states[-1]
-        feature_weights = np.array(weights_dump) if collect_attention else None
-    else:
-        inputs = _step_inputs(hist_features, hist_targets)
+    weights_dump = []
+
+    def step_input(t, state):
+        if not config.encoder_attention:
+            return Tensor(np.append(hist_features[t], hist_targets[t]))
+        conditioning = concat([state.h, init_backward.h])
+        weights, weighted = feature_attention(
+            params.feature_attn, conditioning, hist_features[t], hist_targets[t])
+        if collect_attention:
+            weights_dump.append(np.array(weights.values))
+        return concat([weighted, Tensor([hist_targets[t]])])
+
+    if config.bidirectional:
         hidden, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, inputs, init_forward, init_backward)
-        feature_weights = None
+            params.encoder, steps, step_input, zero_state(config.hidden_size), init_backward)
+    else:
+        inputs = [step_input(t, None) for t in range(steps)]
+        hidden, terminal_forward = lstm_sequence(
+            params.encoder, inputs, zero_state(config.state_width))
+        terminal_backward = None
     states = reshape(concat(hidden), (steps, config.state_width))
+    feature_weights = np.array(weights_dump) if weights_dump else None
     return Encoding(states, terminal_forward, terminal_backward, feature_weights)
 
 
@@ -241,43 +227,34 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
         raise DimensionError(
             f"future features {future.shape} do not match ({steps}, {config.n_features})")
 
-    day_weight_values = None
-    hour_dump = None
-    if not config.bidirectional:
-        inputs = [Tensor(future[t]) for t in range(steps)]
-        hidden, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
-    elif config.decoder_attention:
+    day_weights = None
+    if config.decoder_attention:
         day_weights = similar_day_weights(day_blocks, future)
-        day_weight_values = np.array(day_weights.weights)
-        hour_dump = [] if collect_attention else None
-        back_init = encoding.terminal_backward
-        inputs = []
-        forward_h = []
-        state = encoding.terminal_forward
-        cell = pack(params.decoder.forward)
-        for t in range(steps):
-            conditioning = concat([state.h, back_init.h])
-            hour_weights = temporal_attention(
-                params.temporal_attn, conditioning, future[t], config.day_len)
-            context = context_vector(day_weights, hour_weights, encoding.states)
-            step_input = concat([Tensor(future[t]), context])
-            state = lstm_cell_step(cell, state, step_input)
-            inputs.append(step_input)
-            forward_h.append(state.h)
-            if collect_attention:
-                hour_dump.append(np.array(hour_weights.values).reshape(-1))
-        backward_rev, _terminal = lstm_sequence(params.decoder.backward, inputs[::-1], back_init)
-        backward_h = backward_rev[::-1]
-        hidden = [concat([f, b]) for f, b in zip(forward_h, backward_h)]
-        hour_dump = np.array(hour_dump) if collect_attention else None
-    else:
-        inputs = [Tensor(future[t]) for t in range(steps)]
-        hidden, _terminals = bilstm_sequence(
-            params.decoder, inputs, encoding.terminal_forward, encoding.terminal_backward)
+    hour_dump = []
 
-    stacked = concat(hidden)
-    output = feedforward_relu(params.head, stacked)
-    return Decoding(output, day_weight_values, hour_dump)
+    def step_input(t, state):
+        if not config.decoder_attention:
+            return Tensor(future[t])
+        conditioning = concat([state.h, encoding.terminal_backward.h])
+        hour_weights = temporal_attention(
+            params.temporal_attn, conditioning, future[t], config.day_len)
+        if collect_attention:
+            hour_dump.append(np.array(hour_weights.values).reshape(-1))
+        context = context_vector(day_weights, hour_weights, encoding.states)
+        return concat([Tensor(future[t]), context])
+
+    if config.bidirectional:
+        hidden, _terminals = bilstm_sequence(
+            params.decoder, steps, step_input,
+            encoding.terminal_forward, encoding.terminal_backward)
+    else:
+        inputs = [step_input(t, None) for t in range(steps)]
+        hidden, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
+
+    output = feedforward_relu(params.head, concat(hidden))
+    return Decoding(output,
+                    None if day_weights is None else np.array(day_weights.weights),
+                    np.array(hour_dump) if hour_dump else None)
 
 
 @dataclass

@@ -134,3 +134,21 @@ class TestRejection:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["params"][0].pop("name"),
+        lambda doc: doc["params"][0]["values"].pop(),
+        lambda doc: doc["params"][0]["values"].__setitem__(0, "oops"),
+        lambda doc: doc.__setitem__("params", {"encoder": doc["params"]}),
+    ], ids=["missing-name", "values-do-not-fit-shape", "non-numeric-values",
+            "params-not-a-list"])
+    def test_malformed_params_block(self, tmp_path, corrupt):
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert "params" in str(exc.value)

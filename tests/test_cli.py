@@ -129,6 +129,16 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "data.train_csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
+        body = TINY_CONFIG + f"{key} = 24\n"
+        code = main(["train", "--config",
+                     str(write_config(tmp_path, tmp_path / "out", body)),
+                     "--synthetic"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+
     def test_mismatched_split_total(self, tmp_path, capsys):
         body = TINY_CONFIG.replace("data.test_days = 1", "data.test_days = 2")
         code = main(["train", "--config",
@@ -186,6 +196,17 @@ class TestForecast:
         code = main(["forecast", "--checkpoint", str(bad),
                      "--data", str(tmp_path / "data.csv")])
         assert code == EXIT_CONFIG
+
+    def test_malformed_checkpoint_entry_is_a_config_error(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        del doc["params"][0]["name"]
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["forecast", "--checkpoint", str(bad),
+                     "--data", str(tmp_path / "data.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "params entry 0" in err
 
     def test_bad_data_is_a_data_error(self, trained, tmp_path, capsys):
         data = tmp_path / "gap.csv"

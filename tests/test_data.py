@@ -101,6 +101,17 @@ class TestIngest:
             ingest_csv(path)
         assert "line 2" in str(exc.value)
 
+    def test_mixed_offset_awareness_rejected(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("timestamp,load,temperature\n"
+                        "2022-01-03T00:00:00+00:00,100.0,10.0\n"
+                        "2022-01-03T01:00:00+00:00,100.0,10.0\n"
+                        "2022-01-03T02:00:00,100.0,10.0\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert "line 4" in str(exc.value)
+        assert "line 2" in str(exc.value)
+
 
 class TestHolidayCalendar:
     def test_coverage_spans_listed_years(self):

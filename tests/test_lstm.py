@@ -227,7 +227,7 @@ class TestSequences:
         params = BiLstmParams(forward=LstmParams.random(rng, 2, 3, bound=0.5),
                               backward=LstmParams.random(rng, 2, 3, bound=0.5))
         inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-        joined, (term_f, term_b) = bilstm_sequence(params, inputs,
+        joined, (term_f, term_b) = bilstm_sequence(params, 4, lambda t, _: inputs[t],
                                                    zero_state(3), zero_state(3))
         assert len(joined) == 4
         assert joined[0].shape == (6,)
@@ -247,15 +247,44 @@ class TestSequences:
         a = LstmParams.random(rng, 2, 3, bound=0.5)
         b = LstmParams.random(rng, 2, 3, bound=0.5)
         inputs = [Tensor(rng.normal(size=2)) for _ in range(5)]
-        joined, _ = bilstm_sequence(BiLstmParams(a, b), inputs,
+        joined, _ = bilstm_sequence(BiLstmParams(a, b), 5, lambda t, _: inputs[t],
                                     zero_state(3), zero_state(3))
-        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), inputs[::-1],
+        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, lambda t, _: inputs[4 - t],
                                       zero_state(3), zero_state(3))
         for t in range(5):
             fwd, bwd = np.split(joined[t].values, 2)
             m_fwd, m_bwd = np.split(mirrored[4 - t].values, 2)
             npt.assert_array_equal(fwd, m_bwd)
             npt.assert_array_equal(bwd, m_fwd)
+
+    def test_bilstm_step_input_sees_previous_forward_state(self):
+        rng = np.random.default_rng(18)
+        params = BiLstmParams.random(rng, 2, 3, bound=0.5)
+        inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
+        init_forward = LstmState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
+        seen = []
+
+        def step_input(t, state):
+            seen.append((t, state))
+            return inputs[t]
+
+        joined, (term_f, _) = bilstm_sequence(params, 4, step_input,
+                                              init_forward, zero_state(3))
+        assert [t for t, _ in seen] == [0, 1, 2, 3]
+        assert seen[0][1] is init_forward
+        for t in range(1, 4):
+            npt.assert_array_equal(seen[t][1].h.values, joined[t - 1].values[:3])
+        manual = init_forward
+        for t, (_, state) in enumerate(seen):
+            npt.assert_array_equal(state.c.values, manual.c.values)
+            manual = lstm_cell_step(params.forward, manual, inputs[t])
+        npt.assert_array_equal(term_f.c.values, manual.c.values)
+
+    def test_bilstm_empty_sequence_rejected(self):
+        params = BiLstmParams.random(np.random.default_rng(19), 2, 2, bound=0.5)
+        with pytest.raises(DimensionError):
+            bilstm_sequence(params, 0, lambda t, _: Tensor(np.zeros(2)),
+                            zero_state(2), zero_state(2))
 
     def test_sequence_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)

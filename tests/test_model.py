@@ -287,9 +287,11 @@ class TestForward:
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        config, sample = tiny_model_case()
-        tape = Tape()
-        forward(bind(init_params(config), tape), config, sample)
-        # 890 before the cell became one op (29 nodes per step); each of the
-        # 24 steps now records 3, and each of the 4 directions 2 for packing.
-        assert len(tape) == 274
+        # Each cell step records 3 nodes and each direction 2 for packing.
+        expected = {"ANLF": 274, "eAttention": 228, "dAttention": 210,
+                    "EDBiLSTM": 164, "EDLSTM": 80}
+        for variant in VARIANTS:
+            config, sample = tiny_model_case(variant)
+            tape = Tape()
+            forward(bind(init_params(config), tape), config, sample)
+            assert len(tape) == expected[variant], variant
