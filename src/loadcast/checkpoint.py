@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import HolidayCalendar, StandardizationStats
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateStatsError
 from .model import ModelConfig, init_params
 from .params import map_leaves, named_leaves
 
@@ -53,8 +54,9 @@ class Checkpoint:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; validates format, version, entries, names, and
-    shapes, raising `ConfigError` that names the file."""
+    """Read a checkpoint back; validates format, version, entries, names,
+    shapes, and the standardization and holidays blocks, raising
+    `ConfigError` that names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -95,14 +97,35 @@ def load_checkpoint(path):
                               f"{stored[name].shape}, expected {shape}")
     params = map_leaves(template, lambda name, _leaf: stored[name])
 
-    stats = None
-    if doc.get("standardization") is not None:
-        try:
-            stats = StandardizationStats(**doc["standardization"])
-        except TypeError as err:
-            raise ConfigError(f"{path}: bad standardization block: {err}") from err
-    calendar = None
-    if doc.get("holidays"):
-        calendar = HolidayCalendar.from_dates(
-            date.fromisoformat(text) for text in doc["holidays"])
+    stats = _load_stats(path, doc.get("standardization"))
+    calendar = _load_calendar(path, doc.get("holidays"))
     return Checkpoint(config=config, params=params, stats=stats, calendar=calendar)
+
+
+def _load_stats(path, block):
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: bad standardization block: expected an object, "
+                          f"got {type(block).__name__}")
+    for key, value in block.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"{path}: bad standardization block: {key} is "
+                              f"{value!r}, not a finite number")
+    try:
+        return StandardizationStats(**block)
+    except (TypeError, DegenerateStatsError) as err:
+        raise ConfigError(f"{path}: bad standardization block: {err}") from err
+
+
+def _load_calendar(path, block):
+    if not block:
+        return None
+    if not isinstance(block, list):
+        raise ConfigError(f"{path}: bad holidays block: expected a list of ISO dates, "
+                          f"got {type(block).__name__}")
+    try:
+        return HolidayCalendar.from_dates(date.fromisoformat(text) for text in block)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: bad holidays block: {err}") from err

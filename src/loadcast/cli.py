@@ -85,7 +85,7 @@ def _prepare_from_csv(run):
                        ("data.holidays", run.holidays)):
         if value is None:
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
-        if not Path(value).exists():
+        if not Path(value).is_file():
             raise ConfigError(f"{key} points to a missing file: {value}")
     calendar = HolidayCalendar.from_file(run.holidays)
     train_frames = build_features(ingest_csv(run.train_csv), calendar)
@@ -158,10 +158,6 @@ def _write_forecast_csv(path, samples, result):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _weight_rows(label, width):
-    return [label, "step"] + [f"w{i}" for i in range(width)]
-
-
 def _write_attention_dumps(out, ck, samples):
     feature_rows, hour_rows, day_rows = [], [], []
     for index, sample in enumerate(samples):
@@ -193,6 +189,9 @@ def _cmd_forecast(args):
     if ck.stats is None:
         raise ConfigError(f"{args.checkpoint}: checkpoint lacks standardization "
                           f"statistics and cannot be applied to new data")
+    for flag, path in (("--data", args.data), ("--holidays", args.holidays)):
+        if path is not None and not path.is_file():
+            raise ConfigError(f"{flag} points to a missing file: {path}")
     if args.holidays is not None:
         calendar = HolidayCalendar.from_file(args.holidays)
     else:

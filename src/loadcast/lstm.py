@@ -7,12 +7,19 @@ blocks, and that is how parameters are stored, optimized and checkpointed.
 For computing, `pack` lays the blocks of one direction out as a single
 (4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, plus
 one (4H,) bias holding each gate's two biases summed, so a cell step is one
-matmul and one tape op with a hand-derived backward.  Sequence helpers pack
-once and run the cell left to right.  `bilstm_sequence` is the one
-bidirectional recurrence: it builds each forward step's input from the
-forward state before that step (which is where attention goes), runs a
-second cell over the same inputs reversed, and joins the per-step hidden
-states as [forward; backward].
+matmul and one tape op with a hand-derived backward.
+
+`lstm_sequence` runs one direction over inputs that are all known up front
+as a single tape op: the forward is a plain loop of the same per-step
+arithmetic, and the backward walks the steps in reverse only for the gate
+pre-activation gradients, then forms the weight, bias and input gradients
+with one product over the whole sequence each.  `bilstm_sequence` is the
+one bidirectional recurrence.  Given a list of inputs it runs both
+directions that way; given a builder, it builds each forward step's input
+from the forward state before that step (which is where attention goes)
+and steps the cell, then runs the backward direction over the same inputs
+reversed as one sequence op.  It returns the per-step hidden states as a
+(steps, 2H) matrix with rows [forward; backward].
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tensor,
-                     concat, fused_op, matmul, relu, segment)
+                     concat, fused_op, matmul, relu, reshape, segment)
 
 
 @dataclass
@@ -187,6 +194,15 @@ def pack(params):
         bias=fused_op(bias, [b for pair in zip(b_x, b_h) for b in pair], bias_rule))
 
 
+def _check_shapes(cell, inputs, h, c):
+    width, hidden = cell.input_size, cell.hidden_size
+    for x in inputs:
+        if x.shape != (width,):
+            raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
+    if h.shape != (hidden,) or c.shape != (hidden,):
+        raise DimensionError(f"cell state shapes {h.shape}, {c.shape} do not match ({hidden},)")
+
+
 def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
@@ -195,12 +211,8 @@ def lstm_cell_step(params, prev, x):
     """
     cell = pack(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
+    _check_shapes(cell, [x], h_prev, c_prev)
     hidden, width = cell.hidden_size, cell.input_size
-    if x.shape != (width,):
-        raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
-    if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
-        raise DimensionError(
-            f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match ({hidden},)")
     w = cell.weights.values
     z = np.concatenate((x.values, h_prev.values))
     cand_rows = slice(2 * hidden, 3 * hidden)
@@ -227,42 +239,103 @@ def lstm_cell_step(params, prev, x):
 
 
 def lstm_sequence(params, inputs, init):
-    """Run one direction over `inputs`; returns per-step hidden tensors and
-    the terminal state.  The cell is packed once for the whole run."""
+    """Run one direction over `inputs` from `init`; returns the hidden
+    states as a (steps, H) matrix and the terminal state.
+
+    One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
+    `lstm_cell_step`; the matrix and the terminal h and c are views of it.
+    """
     if not inputs:
         raise DimensionError("cannot encode an empty sequence")
     cell = pack(params)
-    states = []
-    state = init
-    for x in inputs:
-        state = lstm_cell_step(cell, state, x)
-        states.append(state)
-    return [s.h for s in states], states[-1]
+    xs = [as_tensor(x) for x in inputs]
+    h0, c0 = as_tensor(init.h), as_tensor(init.c)
+    _check_shapes(cell, xs, h0, c0)
+    hidden, width, steps = cell.hidden_size, cell.input_size, len(xs)
+    end = steps * hidden
+    w, bias = cell.weights.values, cell.bias.values
+    cand_rows = slice(2 * hidden, 3 * hidden)
+    # Row t of z is [x_t; h_{t-1}], the operand of step t's gate matmul.
+    z = np.empty((steps, width + hidden))
+    z[:, :width] = [x.values for x in xs]
+    z[0, width:] = h0.values
+    act = np.empty((steps, 4 * hidden))
+    c_seq = np.empty((steps + 1, hidden))
+    c_seq[0] = c0.values
+    tanh_c = np.empty((steps, hidden))
+    out = np.empty(end + hidden)
+    h_seq = out[:end].reshape(steps, hidden)
+    for t in range(steps):
+        pre = w @ z[t] + bias
+        a = _sigmoid_values(pre)
+        a[cand_rows] = np.tanh(pre[cand_rows])
+        c = a[hidden:2 * hidden] * c_seq[t] + a[:hidden] * a[cand_rows]
+        act[t], c_seq[t + 1], tanh_c[t] = a, c, np.tanh(c)
+        h_seq[t] = a[3 * hidden:] * tanh_c[t]
+        if t + 1 < steps:
+            z[t + 1, width:] = h_seq[t]
+    out[end:] = c_seq[steps]
+
+    def rule(grad):
+        grad_h = grad[:end].reshape(steps, hidden)
+        w_h = w[:, width:]
+        d_pre = np.empty((steps, 4 * hidden))
+        dh_next = np.zeros(hidden)
+        dc = grad[end:]
+        for t in range(steps - 1, -1, -1):
+            a = act[t]
+            i, f, cand, o = a[:hidden], a[hidden:2 * hidden], a[cand_rows], a[3 * hidden:]
+            dh = grad_h[t] + dh_next
+            dc = dc + _tanh_grad(tanh_c[t], dh * o)
+            d_act = np.concatenate((dc * cand, dc * c_seq[t], dc * i, dh * tanh_c[t]))
+            d_pre[t] = _sigmoid_grad(a, d_act)
+            d_pre[t, cand_rows] = _tanh_grad(cand, d_act[cand_rows])
+            dh_next = d_pre[t] @ w_h
+            dc = dc * f
+        d_x = d_pre @ w[:, :width]
+        return (d_pre.T @ z, d_pre.sum(axis=0), *d_x, dh_next, dc)
+
+    joined = fused_op(out, (cell.weights, cell.bias, *xs, h0, c0), rule)
+    states = reshape(segment(joined, 0, end), (steps, hidden))
+    return states, LstmState(segment(joined, end - hidden, end),
+                             segment(joined, end, end + hidden))
 
 
 def bilstm_sequence(params, steps, step_input, init_forward, init_backward):
     """Run a sequence of `steps` inputs in both directions.
 
-    `step_input(t, state)` builds step t's input, where `state` is the
-    forward state before step t (`init_forward` at t = 0), so inputs can
-    depend on the forward recurrence (attention does).  The backward cell
-    then consumes the same inputs in reverse from `init_backward`.  Step t's
-    combined state is [forward h_t; backward h_t]; the returned terminal
-    pair holds each direction's own final state (the backward terminal is
-    the state after consuming the first input).
+    `step_input` is either the list of step inputs or a builder
+    `step_input(t, state)`, where `state` is the forward state before step
+    t (`init_forward` at t = 0), so inputs can depend on the forward
+    recurrence (attention does).  A list runs the forward direction as one
+    `lstm_sequence`; a builder steps the forward cell one input at a time.
+    The backward direction then consumes the same inputs in reverse from
+    `init_backward` as one `lstm_sequence`.  Returns the (steps, 2H) matrix
+    whose row t is [forward h_t; backward h_t], and each direction's own
+    terminal state (the backward terminal is the state after consuming the
+    first input).
     """
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
-    cell = pack(params.forward)
-    inputs, forward_h = [], []
-    state = init_forward
-    for t in range(steps):
-        x = step_input(t, state)
-        state = lstm_cell_step(cell, state, x)
-        inputs.append(x)
-        forward_h.append(state.h)
-    backward_rev, terminal_backward = lstm_sequence(params.backward, inputs[::-1], init_backward)
-    joined = [concat([hf, hb]) for hf, hb in zip(forward_h, backward_rev[::-1])]
+    if callable(step_input):
+        cell = pack(params.forward)
+        inputs, forward_h = [], []
+        state = init_forward
+        for t in range(steps):
+            x = step_input(t, state)
+            state = lstm_cell_step(cell, state, x)
+            inputs.append(x)
+            forward_h.append(state.h)
+        forward = reshape(concat(forward_h), (steps, state.h.shape[0]))
+    else:
+        inputs = list(step_input)
+        if len(inputs) != steps:
+            raise DimensionError(f"got {len(inputs)} step inputs for {steps} steps")
+        forward, state = lstm_sequence(params.forward, inputs, init_forward)
+    backward, terminal_backward = lstm_sequence(params.backward, inputs[::-1], init_backward)
+    hidden = backward.shape[1]
+    joined = fused_op(np.concatenate((forward.values, backward.values[::-1]), axis=1),
+                      (forward, backward), lambda g: (g[:, :hidden], g[::-1, hidden:]))
     return joined, (state, terminal_backward)
 
 

@@ -14,14 +14,17 @@ share this code path:
                   so every variant exposes the same state width to the head.
 
 Every bidirectional run, encoder or decoder, goes through
-`lstm.bilstm_sequence` with a small closure that builds each step's input.
-Attention is computed there, during the forward sweep: the conditioning
-vector joins the previous forward hidden state with the backward
-direction's initial hidden state, and the backward sweep then consumes the
-same per-step inputs.  This keeps the weights well defined (the backward
-states do not exist yet when a step's weights are needed) while both
-directions still see the attention-processed inputs.  The unidirectional
-EDLSTM knows its inputs up front and runs `lstm.lstm_sequence`.
+`lstm.bilstm_sequence`.  Without attention on that side the step inputs
+are known up front and are passed as a list, so both directions run as
+whole-sequence ops.  With attention, a small closure builds each step's
+input during the forward sweep: the conditioning vector joins the previous
+forward hidden state with the backward direction's initial hidden state,
+and the backward sweep then consumes the same per-step inputs.  This keeps
+the weights well defined (the backward states do not exist yet when a
+step's weights are needed) while both directions still see the
+attention-processed inputs.  The unidirectional EDLSTM runs
+`lstm.lstm_sequence`.  Encoder states come back as one (history_len,
+state_width) matrix, and the decoder's matrix is flattened for the head.
 """
 
 from __future__ import annotations
@@ -181,9 +184,7 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
     init_backward = zero_state(config.hidden_size)
     weights_dump = []
 
-    def step_input(t, state):
-        if not config.encoder_attention:
-            return Tensor(np.append(hist_features[t], hist_targets[t]))
+    def attended_input(t, state):
         conditioning = concat([state.h, init_backward.h])
         weights, weighted = feature_attention(
             params.feature_attn, conditioning, hist_features[t], hist_targets[t])
@@ -191,15 +192,18 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
             weights_dump.append(np.array(weights.values))
         return concat([weighted, Tensor([hist_targets[t]])])
 
+    if config.encoder_attention:
+        step_input = attended_input
+    else:
+        step_input = [Tensor(np.append(hist_features[t], hist_targets[t]))
+                      for t in range(steps)]
     if config.bidirectional:
-        hidden, (terminal_forward, terminal_backward) = bilstm_sequence(
+        states, (terminal_forward, terminal_backward) = bilstm_sequence(
             params.encoder, steps, step_input, zero_state(config.hidden_size), init_backward)
     else:
-        inputs = [step_input(t, None) for t in range(steps)]
-        hidden, terminal_forward = lstm_sequence(
-            params.encoder, inputs, zero_state(config.state_width))
+        states, terminal_forward = lstm_sequence(
+            params.encoder, step_input, zero_state(config.state_width))
         terminal_backward = None
-    states = reshape(concat(hidden), (steps, config.state_width))
     feature_weights = np.array(weights_dump) if weights_dump else None
     return Encoding(states, terminal_forward, terminal_backward, feature_weights)
 
@@ -232,9 +236,7 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
         day_weights = similar_day_weights(day_blocks, future)
     hour_dump = []
 
-    def step_input(t, state):
-        if not config.decoder_attention:
-            return Tensor(future[t])
+    def attended_input(t, state):
         conditioning = concat([state.h, encoding.terminal_backward.h])
         hour_weights = temporal_attention(
             params.temporal_attn, conditioning, future[t], config.day_len)
@@ -243,15 +245,18 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
         context = context_vector(day_weights, hour_weights, encoding.states)
         return concat([Tensor(future[t]), context])
 
+    if config.decoder_attention:
+        step_input = attended_input
+    else:
+        step_input = [Tensor(future[t]) for t in range(steps)]
     if config.bidirectional:
-        hidden, _terminals = bilstm_sequence(
+        states, _terminals = bilstm_sequence(
             params.decoder, steps, step_input,
             encoding.terminal_forward, encoding.terminal_backward)
     else:
-        inputs = [step_input(t, None) for t in range(steps)]
-        hidden, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
+        states, _terminal = lstm_sequence(params.decoder, step_input, encoding.terminal_forward)
 
-    output = feedforward_relu(params.head, concat(hidden))
+    output = feedforward_relu(params.head, reshape(states, (steps * config.state_width,)))
     return Decoding(output,
                     None if day_weights is None else np.array(day_weights.weights),
                     np.array(hour_dump) if hour_dump else None)

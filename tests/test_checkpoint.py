@@ -152,3 +152,21 @@ class TestRejection:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
         assert "params" in str(exc.value)
+
+    @pytest.mark.parametrize("block, value", [
+        ("holidays", ["not-a-date"]),
+        ("holidays", 5),
+        ("standardization", {"load_mean": "1.0", "load_std": 1.0,
+                             "temperature_mean": 0.0, "temperature_std": 1.0}),
+    ], ids=["holiday-not-a-date", "holidays-not-a-list", "string-in-standardization"])
+    def test_malformed_pipeline_block(self, tmp_path, block, value):
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path, stats=StandardizationStats(1.0, 2.0, 3.0, 4.0),
+                   calendar=HolidayCalendar.from_dates([date(2022, 1, 1)]))
+        doc = json.loads(path.read_text())
+        doc[block] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert f"bad {block} block" in str(exc.value)

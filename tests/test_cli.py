@@ -129,6 +129,15 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "data.train_csv" in capsys.readouterr().err
 
+    def test_csv_path_that_is_a_directory(self, tmp_path, capsys):
+        body = TINY_CONFIG + "".join(f"{key} = {tmp_path}\n" for key in (
+            "data.train_csv", "data.validation_csv", "data.holidays"))
+        code = main(["train", "--config",
+                     str(write_config(tmp_path, tmp_path / "out", body))])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "data.train_csv" in err and str(tmp_path) in err
+
     @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
         body = TINY_CONFIG + f"{key} = 24\n"
@@ -207,6 +216,34 @@ class TestForecast:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "params entry 0" in err
+
+    def test_malformed_checkpoint_block_is_a_config_error(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["standardization"]["load_mean"] = "wide"
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "fc")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "bad standardization block" in err
+
+    @pytest.mark.parametrize("flag", ["--data", "--holidays"])
+    def test_missing_input_file_is_a_config_error(self, trained, tmp_path, capsys, flag):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(tmp_path / "holidays.txt")])
+        paths = {"--data": data, "--holidays": tmp_path / "holidays.txt"}
+        paths[flag] = tmp_path / "absent" / "file.txt"
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(paths["--data"]), "--holidays", str(paths["--holidays"]),
+                     "--out", str(tmp_path / "fc")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(paths[flag]) in err
+        assert not (tmp_path / "fc").exists()
 
     def test_bad_data_is_a_data_error(self, trained, tmp_path, capsys):
         data = tmp_path / "gap.csv"

@@ -12,7 +12,7 @@ from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            lstm_cell_step, lstm_sequence, pack, zero_state)
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard,
-                             matmul, sigmoid, tanh, total)
+                             matmul, reshape, sigmoid, tanh, total)
 
 
 def scalar_cell(params, h_prev, c_prev, x):
@@ -198,14 +198,144 @@ class TestFusedCell:
 
 
 
+def stepped_sequence(params, inputs, init):
+    """A direction as one `lstm_cell_step` per input.  Reference for the
+    whole-sequence op."""
+    cell = pack(params)
+    state, hs = init, []
+    for x in inputs:
+        state = lstm_cell_step(cell, state, x)
+        hs.append(state.h)
+    return reshape(concat(hs), (len(hs), state.h.shape[0])), state
+
+
+def random_sequence(rng, steps, width, hidden):
+    params = LstmParams.random(rng, width, hidden, bound=1.0)
+    init = LstmState(h=Tensor(rng.normal(size=hidden)), c=Tensor(rng.normal(size=hidden)))
+    return params, init, rng.normal(size=(steps, width))
+
+
+def taped_sequence(run, params, init, xs, probe):
+    """Run `run` on a fresh tape; return the hidden matrix, the terminal h
+    and c, and the gradients of probe . [states; h_T; c_T] for the sixteen
+    blocks, every input, h0 and c0."""
+    tape = Tape()
+    leaves = bind(params, tape)
+    h0, c0 = tape.leaf(init.h.values), tape.leaf(init.c.values)
+    inputs = [tape.leaf(x) for x in xs]
+    states, terminal = run(leaves, inputs, LstmState(h0, c0))
+    flat = concat([reshape(states, (states.values.size,)), terminal.h, terminal.c])
+    tape.backward(total(hadamard(flat, Tensor(probe))))
+    grads = {name: tape.grad(leaf) for name, leaf in named_leaves(leaves)}
+    grads.update({f"x{t}": tape.grad(x) for t, x in enumerate(inputs)})
+    grads.update(h0=tape.grad(h0), c0=tape.grad(c0))
+    return states.values, terminal.h.values, terminal.c.values, grads
+
+
+class TestSequenceOp:
+    def test_values_equal_stepped_cells(self):
+        rng = np.random.default_rng(23)
+        shapes = [(1, 1, 1), (1, 3, 2), (4, 1, 3), (4, 3, 1)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(30)]
+        for steps, width, hidden in shapes:
+            params, init, xs = random_sequence(rng, steps, width, hidden)
+            inputs = [Tensor(x) for x in xs]
+            states, terminal = lstm_sequence(params, inputs, init)
+            ref_states, ref_terminal = stepped_sequence(params, inputs, init)
+            assert states.shape == (steps, hidden)
+            npt.assert_array_equal(states.values, ref_states.values)
+            npt.assert_array_equal(terminal.h.values, ref_terminal.h.values)
+            npt.assert_array_equal(terminal.c.values, ref_terminal.c.values)
+
+    def test_gradients_match_stepped_cells(self):
+        rng = np.random.default_rng(24)
+        shapes = [(1, 1, 1), (1, 4, 3), (5, 1, 2), (5, 2, 1)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(30)]
+        for steps, width, hidden in shapes:
+            params, init, xs = random_sequence(rng, steps, width, hidden)
+            probe = rng.normal(size=(steps + 2) * hidden)
+            *values, grads = taped_sequence(lstm_sequence, params, init, xs, probe)
+            *ref_values, ref_grads = taped_sequence(stepped_sequence, params, init, xs, probe)
+            for value, ref in zip(values, ref_values):
+                npt.assert_array_equal(value, ref)
+            assert len(grads) == 16 + steps + 2 and grads.keys() == ref_grads.keys()
+            for name, grad in grads.items():
+                assert grad.shape == ref_grads[name].shape, name
+                assert rel_diff(grad, ref_grads[name]) <= 1e-12, (steps, width, hidden, name)
+
+    def test_gradients_in_inputs_and_state_match_finite_differences(self):
+        rng = np.random.default_rng(25)
+        params, init, xs = random_sequence(rng, 5, 3, 4)
+        probe = rng.normal(size=7 * 4)
+
+        def program(tape, leaves):
+            states, terminal = lstm_sequence(
+                params, [leaves[f"x{t}"] for t in range(5)],
+                LstmState(leaves["h0"], leaves["c0"]))
+            flat = concat([reshape(states, (20,)), terminal.h, terminal.c])
+            return total(hadamard(flat, Tensor(probe)))
+
+        arrays = {f"x{t}": x for t, x in enumerate(xs)}
+        arrays.update(h0=init.h.values, c0=init.c.values)
+        report = check_gradients(program, arrays, tolerance=1e-6)
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    def test_nodes_per_sequence_do_not_depend_on_steps(self):
+        counts = []
+        for steps in (1, 2, 7, 30):
+            params, init, xs = random_sequence(np.random.default_rng(26), steps, 3, 2)
+            tape = Tape()
+            cell = pack(bind(params, tape))
+            inputs = [tape.leaf(x) for x in xs]
+            before = len(tape)
+            lstm_sequence(cell, inputs, init)
+            counts.append(len(tape) - before)
+        # One op for the run, then views for the matrix (segment, reshape),
+        # the terminal h and the terminal c.
+        assert counts == [5, 5, 5, 5]
+
+    def test_shape_errors(self):
+        params = LstmParams.zeros(3, 2)
+        with pytest.raises(DimensionError):
+            lstm_sequence(params, [Tensor(np.zeros(3)), Tensor(np.zeros(4))], zero_state(2))
+        with pytest.raises(DimensionError):
+            lstm_sequence(params, [Tensor(np.zeros(3))], zero_state(3))
+        bi = BiLstmParams(forward=params, backward=params)
+        with pytest.raises(DimensionError):
+            bilstm_sequence(bi, 2, [Tensor(np.zeros(3))], zero_state(2), zero_state(2))
+
+    def test_bilstm_list_matches_builder(self):
+        rng = np.random.default_rng(27)
+        params = BiLstmParams.random(rng, 2, 3, bound=0.8)
+        xs = rng.normal(size=(6, 2))
+        probe = rng.normal(size=(6, 6))
+        results = []
+        for as_list in (True, False):
+            tape = Tape()
+            leaves = bind(params, tape)
+            inputs = [tape.leaf(x) for x in xs]
+            step_input = inputs if as_list else (lambda t, _state: inputs[t])
+            joined, (term_f, term_b) = bilstm_sequence(leaves, 6, step_input,
+                                                       zero_state(3), zero_state(3))
+            tape.backward(total(hadamard(joined, Tensor(probe))))
+            grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
+            grads += [tape.grad(x) for x in inputs]
+            results.append((joined.values, term_f.c.values, term_b.c.values, grads))
+        (*values, grads), (*ref_values, ref_grads) = results
+        for value, ref in zip(values, ref_values):
+            npt.assert_array_equal(value, ref)
+        for grad, ref in zip(grads, ref_grads):
+            assert rel_diff(grad, ref) <= 1e-12
+
+
 class TestSequences:
     def test_returns_one_state_per_step(self):
         rng = np.random.default_rng(13)
         params = LstmParams.random(rng, 3, 2, bound=0.5)
         inputs = [Tensor(rng.normal(size=3)) for _ in range(5)]
         states, terminal = lstm_sequence(params, inputs, zero_state(2))
-        assert len(states) == 5
-        npt.assert_array_equal(states[-1].values, terminal.h.values)
+        assert states.shape == (5, 2)
+        npt.assert_array_equal(states.values[-1], terminal.h.values)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
@@ -219,7 +349,7 @@ class TestSequences:
         manual = zero_state(3)
         for step, x in enumerate(inputs):
             manual = lstm_cell_step(params, manual, x)
-            npt.assert_array_equal(states[step].values, manual.h.values)
+            npt.assert_array_equal(states.values[step], manual.h.values)
         npt.assert_array_equal(terminal.c.values, manual.c.values)
 
     def test_bilstm_joins_directions_per_step(self):
@@ -229,16 +359,15 @@ class TestSequences:
         inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
         joined, (term_f, term_b) = bilstm_sequence(params, 4, lambda t, _: inputs[t],
                                                    zero_state(3), zero_state(3))
-        assert len(joined) == 4
-        assert joined[0].shape == (6,)
+        assert joined.shape == (4, 6)
 
         fwd_states, fwd_term = lstm_sequence(params.forward, inputs, zero_state(3))
         bwd_states, bwd_term = lstm_sequence(params.backward, inputs[::-1],
                                              zero_state(3))
         for t in range(4):
-            expect = np.concatenate([fwd_states[t].values,
-                                     bwd_states[3 - t].values])
-            npt.assert_array_equal(joined[t].values, expect)
+            expect = np.concatenate([fwd_states.values[t],
+                                     bwd_states.values[3 - t]])
+            npt.assert_array_equal(joined.values[t], expect)
         npt.assert_array_equal(term_f.h.values, fwd_term.h.values)
         npt.assert_array_equal(term_b.h.values, bwd_term.h.values)
 
@@ -252,8 +381,8 @@ class TestSequences:
         mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, lambda t, _: inputs[4 - t],
                                       zero_state(3), zero_state(3))
         for t in range(5):
-            fwd, bwd = np.split(joined[t].values, 2)
-            m_fwd, m_bwd = np.split(mirrored[4 - t].values, 2)
+            fwd, bwd = np.split(joined.values[t], 2)
+            m_fwd, m_bwd = np.split(mirrored.values[4 - t], 2)
             npt.assert_array_equal(fwd, m_bwd)
             npt.assert_array_equal(bwd, m_fwd)
 
@@ -273,7 +402,7 @@ class TestSequences:
         assert [t for t, _ in seen] == [0, 1, 2, 3]
         assert seen[0][1] is init_forward
         for t in range(1, 4):
-            npt.assert_array_equal(seen[t][1].h.values, joined[t - 1].values[:3])
+            npt.assert_array_equal(seen[t][1].h.values, joined.values[t - 1, :3])
         manual = init_forward
         for t, (_, state) in enumerate(seen):
             npt.assert_array_equal(state.c.values, manual.c.values)
@@ -297,7 +426,7 @@ class TestSequences:
             states, terminal = lstm_sequence(params,
                                              [Tensor(x) for x in xs],
                                              zero_state(3))
-            return total(concat([concat(states), terminal.c]))
+            return total(concat([reshape(states, (18,)), terminal.c]))
 
         report = check_gradients(program,
                                  dict(named_leaves(init)), tolerance=1e-5)

@@ -287,9 +287,10 @@ class TestForward:
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        # Each cell step records 3 nodes and each direction 2 for packing.
-        expected = {"ANLF": 274, "eAttention": 228, "dAttention": 210,
-                    "EDBiLSTM": 164, "EDLSTM": 80}
+        # A cell step driven by attention records 3 nodes, a whole direction
+        # run with known inputs 5, and each direction 2 for packing.
+        expected = {"ANLF": 240, "eAttention": 185, "dAttention": 155,
+                    "EDBiLSTM": 100, "EDLSTM": 52}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
