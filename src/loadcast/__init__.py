@@ -7,11 +7,11 @@ autodiff core.  See the README for the command line and file formats.
 
 __version__ = "0.1.0"
 
-from .attention import (FeatureAttentionParams, SimilarDayWeights,
-                        TemporalAttentionParams, context_vector,
+from .attention import (FeatureAttentionParams, FeatureSweep, SimilarDayWeights,
+                        TemporalAttentionParams, TemporalSweep, context_vector,
                         feature_attention, similar_day_weights,
                         temporal_attention)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
 from .data import (FEATURE_WIDTH, FeatureFrame, HolidayCalendar, RawRecord,
                    StandardizationStats, WindowSample, build_features,
                    build_windows, compute_stats, destandardize_load,
@@ -23,8 +23,9 @@ from .errors import (CompatibilityError, ConfigError, ContinuityError,
                      LoadcastError, ParseError, SchemaError, SizeError,
                      TapeError, TrainingError)
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
-                   PackedCell, bilstm_sequence, feedforward_relu,
-                   lstm_cell_step, lstm_sequence, pack, zero_state)
+                   PackedCell, attended_sequence, bilstm_sequence,
+                   feedforward_relu, lstm_cell_step, lstm_sequence, pack,
+                   zero_state)
 from .metrics import MetricReport, compute_metrics, relative_error
 from .model import (VARIANTS, Forecast, ModelConfig, ModelParams, decode,
                     encode, forward, init_params, predict)

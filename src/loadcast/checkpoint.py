@@ -5,7 +5,8 @@ parameter matrix as a named shaped array, and the pipeline state a later
 `forecast` run needs (standardization statistics and the holiday
 calendar).  Floats serialize through Python's shortest round-trip repr, so
 a save/load cycle reproduces every value bit for bit and identical models
-produce byte-identical files.
+produce byte-identical files.  Checkpoints and every other artifact the
+command line writes go through `write_atomic`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -26,6 +28,21 @@ from .params import map_leaves, named_leaves
 
 CHECKPOINT_FORMAT = "loadcast-checkpoint"
 CHECKPOINT_VERSION = 1
+
+
+def write_atomic(path, text):
+    """Write `text` to `path` through a temporary file in the same directory
+    and `os.replace`, so `path` holds either its previous content or all of
+    `text`; a failed write removes the temporary file."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, config, params, stats=None, calendar=None):
@@ -42,7 +59,7 @@ def save_checkpoint(path, config, params, stats=None, calendar=None):
                     "values": np.asarray(leaf, dtype=np.float64).reshape(-1).tolist()}
                    for name, leaf in named_leaves(params)],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 @dataclass

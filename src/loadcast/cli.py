@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import json
-import os
 import sys
 from datetime import timedelta
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import parse_run_config
 from .data import (FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
                    compute_stats, generate_synthetic, ingest_csv,
@@ -40,17 +40,17 @@ EXIT_VERIFY = 5
 
 @contextlib.contextmanager
 def _output_lock(out_dir):
-    lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"output directory {out_dir} is locked by another run "
-                          f"(remove {lock} if that run is dead)") from None
-    os.close(fd)
-    try:
+    """Hold an exclusive `flock` on `out_dir/.lock` while the body runs.
+
+    The lock belongs to the open file, so the OS drops it when the process
+    ends, however it ends; the file itself stays.
+    """
+    with open(out_dir / ".lock", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"output directory {out_dir} is locked by another run") from None
         yield
-    finally:
-        lock.unlink(missing_ok=True)
 
 
 def _sha256(path):
@@ -103,7 +103,7 @@ def _write_epoch_log(path, log):
     lines = ["epoch,train_mse,val_mse,seconds"]
     for record in log:
         lines.append(f"{record.epoch},{record.train_mse!r},{record.val_mse!r},0.0")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(path, run, config_file, fingerprint):
@@ -115,7 +115,7 @@ def _write_manifest(path, run, config_file, fingerprint):
         "artifacts": ["checkpoint.json", "epochs.csv", "validation.txt"],
         "package": {"name": "loadcast", "version": __version__},
     }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _cmd_train(args):
@@ -139,7 +139,7 @@ def _cmd_train(args):
                         stats, calendar)
         _write_epoch_log(out / "epochs.csv", result.log)
         report = evaluate(result.params, run.model, val_s, stats).report
-        (out / "validation.txt").write_text(report.as_text())
+        write_atomic(out / "validation.txt", report.as_text())
         _write_manifest(out / "manifest.json", run, args.config, fingerprint)
         print(f"validation mape: {report.mape:.3f}%")
         print(f"artifacts in {out}")
@@ -155,7 +155,7 @@ def _write_forecast_csv(path, samples, result):
             forecast_v = float(forecast[step])
             err = relative_error(actual_v, forecast_v)
             lines.append(f"{ts.isoformat()},{actual_v!r},{forecast_v!r},{err!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_attention_dumps(out, ck, samples):
@@ -173,15 +173,15 @@ def _write_attention_dumps(out, ck, samples):
     if feature_rows:
         header = ",".join(["sample", "step"] + [f"w{i}" for i in range(ck.config.n_features)])
         body = "\n".join(",".join(str(v) for v in row) for row in feature_rows)
-        (out / "attention_features.csv").write_text(header + "\n" + body + "\n")
+        write_atomic(out / "attention_features.csv", header + "\n" + body + "\n")
     if hour_rows:
         header = ",".join(["sample", "step"] + [f"w{i}" for i in range(ck.config.history_len)])
         body = "\n".join(",".join(str(v) for v in row) for row in hour_rows)
-        (out / "attention_hours.csv").write_text(header + "\n" + body + "\n")
+        write_atomic(out / "attention_hours.csv", header + "\n" + body + "\n")
     if day_rows:
         header = ",".join(["sample"] + [f"w{i}" for i in range(ck.config.days)])
         body = "\n".join(",".join(str(v) for v in row) for row in day_rows)
-        (out / "attention_days.csv").write_text(header + "\n" + body + "\n")
+        write_atomic(out / "attention_days.csv", header + "\n" + body + "\n")
 
 
 def _cmd_forecast(args):
@@ -208,9 +208,9 @@ def _cmd_forecast(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_forecast_csv(out / "forecast.csv", samples, result)
-    (out / "metrics.txt").write_text(result.report.as_text())
-    (out / "metrics.csv").write_text(
-        MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
+    write_atomic(out / "metrics.txt", result.report.as_text())
+    write_atomic(out / "metrics.csv",
+                 MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
     if args.dump_attention:
         _write_attention_dumps(out, ck, samples)
     print(f"{len(samples)} windows forecast")

@@ -9,17 +9,21 @@ For computing, `pack` lays the blocks of one direction out as a single
 one (4H,) bias holding each gate's two biases summed, so a cell step is one
 matmul and one tape op with a hand-derived backward.
 
-`lstm_sequence` runs one direction over inputs that are all known up front
-as a single tape op: the forward is a plain loop of the same per-step
-arithmetic, and the backward walks the steps in reverse only for the gate
-pre-activation gradients, then forms the weight, bias and input gradients
-with one product over the whole sequence each.  `bilstm_sequence` is the
-one bidirectional recurrence.  Given a list of inputs it runs both
-directions that way; given a builder, it builds each forward step's input
-from the forward state before that step (which is where attention goes)
-and steps the cell, then runs the backward direction over the same inputs
-reversed as one sequence op.  It returns the per-step hidden states as a
-(steps, 2H) matrix with rows [forward; backward].
+`lstm_sequence` runs one direction over a (steps, width) matrix of inputs
+that are all known up front as a single tape op: the forward is a plain
+loop of the same per-step arithmetic, and the backward walks the steps in
+reverse only for the gate pre-activation gradients, then forms the weight,
+bias and input gradients with one product over the whole sequence each.
+`attended_sequence` is the same op for a direction whose step inputs an
+attention sweep builds from the hidden state before each step: the sweep's
+numpy forward runs inside the loop, and its backward runs inside the
+reverse loop, turning each step's input gradient into a contribution to
+the previous hidden state's.  `bilstm_sequence` is the one bidirectional
+recurrence.  Given an input matrix it runs both directions with
+`lstm_sequence`; given a sweep, it runs the forward direction with
+`attended_sequence`, then the backward direction over the inputs the
+sweep built, reversed, with `lstm_sequence`.  It returns the per-step
+hidden states as a (steps, 2H) matrix with rows [forward; backward].
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tensor,
-                     concat, fused_op, matmul, relu, reshape, segment)
+                     fused_op, matmul, relu, reshape, segment)
 
 
 @dataclass
@@ -194,11 +198,10 @@ def pack(params):
         bias=fused_op(bias, [b for pair in zip(b_x, b_h) for b in pair], bias_rule))
 
 
-def _check_shapes(cell, inputs, h, c):
+def _check_shapes(cell, input_shape, h, c):
     width, hidden = cell.input_size, cell.hidden_size
-    for x in inputs:
-        if x.shape != (width,):
-            raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
+    if input_shape != (width,):
+        raise DimensionError(f"cell input shape {input_shape} does not match weights ({width},)")
     if h.shape != (hidden,) or c.shape != (hidden,):
         raise DimensionError(f"cell state shapes {h.shape}, {c.shape} do not match ({hidden},)")
 
@@ -211,7 +214,7 @@ def lstm_cell_step(params, prev, x):
     """
     cell = pack(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
-    _check_shapes(cell, [x], h_prev, c_prev)
+    _check_shapes(cell, x.shape, h_prev, c_prev)
     hidden, width = cell.hidden_size, cell.input_size
     w = cell.weights.values
     z = np.concatenate((x.values, h_prev.values))
@@ -238,34 +241,25 @@ def lstm_cell_step(params, prev, x):
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
-def lstm_sequence(params, inputs, init):
-    """Run one direction over `inputs` from `init`; returns the hidden
-    states as a (steps, H) matrix and the terminal state.
+def _run(cell, z, c0, h_seq, sweep=None):
+    """Step the cell over the rows of `z`, writing h_t into row t of `h_seq`.
 
-    One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
-    `lstm_cell_step`; the matrix and the terminal h and c are views of it.
+    Row t of z is [x_t; h_{t-1}], the operand of step t's gate matmul; the
+    caller fills row 0's h_0 and, without a sweep, every x_t.  With a
+    sweep, x_t is `sweep.forward(t, h_{t-1})`.  The arithmetic is that of
+    `lstm_cell_step`.  Returns the activations, c_0 .. c_T and tanh(c_t).
     """
-    if not inputs:
-        raise DimensionError("cannot encode an empty sequence")
-    cell = pack(params)
-    xs = [as_tensor(x) for x in inputs]
-    h0, c0 = as_tensor(init.h), as_tensor(init.c)
-    _check_shapes(cell, xs, h0, c0)
-    hidden, width, steps = cell.hidden_size, cell.input_size, len(xs)
-    end = steps * hidden
+    steps, hidden = h_seq.shape
+    width = z.shape[1] - hidden
     w, bias = cell.weights.values, cell.bias.values
     cand_rows = slice(2 * hidden, 3 * hidden)
-    # Row t of z is [x_t; h_{t-1}], the operand of step t's gate matmul.
-    z = np.empty((steps, width + hidden))
-    z[:, :width] = [x.values for x in xs]
-    z[0, width:] = h0.values
     act = np.empty((steps, 4 * hidden))
     c_seq = np.empty((steps + 1, hidden))
-    c_seq[0] = c0.values
+    c_seq[0] = c0
     tanh_c = np.empty((steps, hidden))
-    out = np.empty(end + hidden)
-    h_seq = out[:end].reshape(steps, hidden)
     for t in range(steps):
+        if sweep is not None:
+            z[t, :width] = sweep.forward(t, z[t, width:])
         pre = w @ z[t] + bias
         a = _sigmoid_values(pre)
         a[cand_rows] = np.tanh(pre[cand_rows])
@@ -274,65 +268,151 @@ def lstm_sequence(params, inputs, init):
         h_seq[t] = a[3 * hidden:] * tanh_c[t]
         if t + 1 < steps:
             z[t + 1, width:] = h_seq[t]
-    out[end:] = c_seq[steps]
+    return act, c_seq, tanh_c
 
-    def rule(grad):
-        grad_h = grad[:end].reshape(steps, hidden)
-        w_h = w[:, width:]
-        d_pre = np.empty((steps, 4 * hidden))
-        dh_next = np.zeros(hidden)
-        dc = grad[end:]
-        for t in range(steps - 1, -1, -1):
-            a = act[t]
-            i, f, cand, o = a[:hidden], a[hidden:2 * hidden], a[cand_rows], a[3 * hidden:]
-            dh = grad_h[t] + dh_next
-            dc = dc + _tanh_grad(tanh_c[t], dh * o)
-            d_act = np.concatenate((dc * cand, dc * c_seq[t], dc * i, dh * tanh_c[t]))
-            d_pre[t] = _sigmoid_grad(a, d_act)
-            d_pre[t, cand_rows] = _tanh_grad(cand, d_act[cand_rows])
+
+def _bptt(w, act, c_seq, tanh_c, grad_h, dc, sweep=None, grad_x=None):
+    """Walk the steps of `_run` in reverse for the gate pre-activation
+    gradients; returns them as a (steps, 4H) matrix with dh_0 and dc_0.
+
+    With a sweep, step t's input gradient (the gate part plus `grad_x[t]`,
+    what arrives on x_t from outside) goes through `sweep.backward`, whose
+    result joins the recurrent gradient for h_{t-1}.
+    """
+    steps, hidden = grad_h.shape
+    width = w.shape[1] - hidden
+    w_h = w[:, width:]
+    cand_rows = slice(2 * hidden, 3 * hidden)
+    d_pre = np.empty((steps, 4 * hidden))
+    dh_next = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        a = act[t]
+        i, f, cand, o = a[:hidden], a[hidden:2 * hidden], a[cand_rows], a[3 * hidden:]
+        dh = grad_h[t] + dh_next
+        dc = dc + _tanh_grad(tanh_c[t], dh * o)
+        d_act = np.concatenate((dc * cand, dc * c_seq[t], dc * i, dh * tanh_c[t]))
+        d_pre[t] = _sigmoid_grad(a, d_act)
+        d_pre[t, cand_rows] = _tanh_grad(cand, d_act[cand_rows])
+        if sweep is None:
             dh_next = d_pre[t] @ w_h
-            dc = dc * f
-        d_x = d_pre @ w[:, :width]
-        return (d_pre.T @ z, d_pre.sum(axis=0), *d_x, dh_next, dc)
+        else:
+            dz = d_pre[t] @ w
+            dh_next = dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
+        dc = dc * f
+    return d_pre, dh_next, dc
 
-    joined = fused_op(out, (cell.weights, cell.bias, *xs, h0, c0), rule)
+
+def _state_views(joined, steps, hidden):
+    """The (steps, H) hidden matrix and the terminal state of a run whose
+    output starts [h_1 .. h_T; c_T]."""
+    end = steps * hidden
     states = reshape(segment(joined, 0, end), (steps, hidden))
     return states, LstmState(segment(joined, end - hidden, end),
                              segment(joined, end, end + hidden))
 
 
-def bilstm_sequence(params, steps, step_input, init_forward, init_backward):
-    """Run a sequence of `steps` inputs in both directions.
+def lstm_sequence(params, inputs, init):
+    """Run one direction over the rows of the (steps, width) matrix
+    `inputs` from `init`; returns the hidden states as a (steps, H) matrix
+    and the terminal state.
 
-    `step_input` is either the list of step inputs or a builder
-    `step_input(t, state)`, where `state` is the forward state before step
-    t (`init_forward` at t = 0), so inputs can depend on the forward
-    recurrence (attention does).  A list runs the forward direction as one
-    `lstm_sequence`; a builder steps the forward cell one input at a time.
-    The backward direction then consumes the same inputs in reverse from
-    `init_backward` as one `lstm_sequence`.  Returns the (steps, 2H) matrix
-    whose row t is [forward h_t; backward h_t], and each direction's own
-    terminal state (the backward terminal is the state after consuming the
-    first input).
+    One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
+    `lstm_cell_step`; the matrix and the terminal h and c are views of it.
+    """
+    cell = pack(params)
+    inputs, h0, c0 = as_tensor(inputs), as_tensor(init.h), as_tensor(init.c)
+    if inputs.values.ndim != 2 or inputs.shape[0] < 1:
+        raise DimensionError(f"cannot encode {inputs.shape} as a nonempty (steps, width) matrix")
+    _check_shapes(cell, inputs.shape[1:], h0, c0)
+    steps, width = inputs.shape
+    hidden = cell.hidden_size
+    end = steps * hidden
+    w = cell.weights.values
+    z = np.empty((steps, width + hidden))
+    z[:, :width] = inputs.values
+    z[0, width:] = h0.values
+    out = np.empty(end + hidden)
+    act, c_seq, tanh_c = _run(cell, z, c0.values, out[:end].reshape(steps, hidden))
+    out[end:] = c_seq[steps]
+
+    def rule(grad):
+        d_pre, dh0, dc0 = _bptt(w, act, c_seq, tanh_c, grad[:end].reshape(steps, hidden),
+                                grad[end:])
+        return d_pre.T @ z, d_pre.sum(axis=0), d_pre @ w[:, :width], dh0, dc0
+
+    joined = fused_op(out, (cell.weights, cell.bias, inputs, h0, c0), rule)
+    return _state_views(joined, steps, hidden)
+
+
+def attended_sequence(params, steps, sweep, init):
+    """Run one direction whose step inputs an attention sweep builds from
+    the hidden state before each step (see `attention.FeatureSweep` and
+    `attention.TemporalSweep`).
+
+    One tape op computes [h_1 .. h_T; c_T; x_1 .. x_T] with the arithmetic
+    of `lstm_cell_step` and of the sweep's attention; its operands are the
+    cell, `init` and the sweep's operands.  Returns the (steps, H) hidden
+    matrix, the (steps, width) matrix of step inputs and the terminal
+    state, all views of that op.  Non-finite attention intermediates raise
+    `EvaluationError`, checked once after the run.
     """
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
-    if callable(step_input):
-        cell = pack(params.forward)
-        inputs, forward_h = [], []
-        state = init_forward
-        for t in range(steps):
-            x = step_input(t, state)
-            state = lstm_cell_step(cell, state, x)
-            inputs.append(x)
-            forward_h.append(state.h)
-        forward = reshape(concat(forward_h), (steps, state.h.shape[0]))
-    else:
-        inputs = list(step_input)
-        if len(inputs) != steps:
-            raise DimensionError(f"got {len(inputs)} step inputs for {steps} steps")
+    cell = pack(params)
+    h0, c0 = as_tensor(init.h), as_tensor(init.c)
+    _check_shapes(cell, (sweep.width,), h0, c0)
+    hidden, width = cell.hidden_size, cell.input_size
+    if (sweep.steps, sweep.hidden_size) != (steps, hidden):
+        raise DimensionError(f"sweep of {sweep.steps} steps over hidden width "
+                             f"{sweep.hidden_size} does not fit {steps} x {hidden}")
+    # The backward rule keeps the sweep, so the sweep must not keep the taped
+    # operands: through them it would keep the tape in a reference cycle.
+    operands, sweep.operands = sweep.operands, ()
+    end = steps * hidden
+    w = cell.weights.values
+    z = np.empty((steps, width + hidden))
+    z[0, width:] = h0.values
+    out = np.empty(end + hidden + steps * width)
+    act, c_seq, tanh_c = _run(cell, z, c0.values, out[:end].reshape(steps, hidden), sweep)
+    out[end:end + hidden] = c_seq[steps]
+    out[end + hidden:] = z[:, :width].reshape(-1)
+    sweep.check_finite()
+
+    def rule(grad):
+        d_pre, dh0, dc0 = _bptt(w, act, c_seq, tanh_c, grad[:end].reshape(steps, hidden),
+                                grad[end:end + hidden], sweep,
+                                grad[end + hidden:].reshape(steps, width))
+        return (d_pre.T @ z, d_pre.sum(axis=0), dh0, dc0, *sweep.grads())
+
+    joined = fused_op(out, (cell.weights, cell.bias, h0, c0, *operands), rule)
+    states, terminal = _state_views(joined, steps, hidden)
+    inputs = reshape(segment(joined, end + hidden, out.size), (steps, width))
+    return states, inputs, terminal
+
+
+def bilstm_sequence(params, steps, inputs, init_forward, init_backward):
+    """Run a sequence of `steps` inputs in both directions.
+
+    `inputs` is either the (steps, width) matrix of step inputs, and then
+    the forward direction is one `lstm_sequence`, or an attention sweep,
+    and then the forward direction is one `attended_sequence` whose inputs
+    depend on the forward state before each step.  The backward direction
+    consumes the same inputs in reverse from `init_backward` as one
+    `lstm_sequence`.  Returns the (steps, 2H) matrix whose row t is
+    [forward h_t; backward h_t], and each direction's own terminal state
+    (the backward terminal is the state after consuming the first input).
+    """
+    if steps < 1:
+        raise DimensionError("cannot encode an empty sequence")
+    if isinstance(inputs, (Tensor, np.ndarray)):
+        inputs = as_tensor(inputs)
+        if inputs.shape[:1] != (steps,):
+            raise DimensionError(f"got step inputs of shape {inputs.shape} for {steps} steps")
         forward, state = lstm_sequence(params.forward, inputs, init_forward)
-    backward, terminal_backward = lstm_sequence(params.backward, inputs[::-1], init_backward)
+    else:
+        forward, inputs, state = attended_sequence(params.forward, steps, inputs, init_forward)
+    reversed_inputs = fused_op(inputs.values[::-1], (inputs,), lambda g: (g[::-1],))
+    backward, terminal_backward = lstm_sequence(params.backward, reversed_inputs, init_backward)
     hidden = backward.shape[1]
     joined = fused_op(np.concatenate((forward.values, backward.values[::-1]), axis=1),
                       (forward, backward), lambda g: (g[:, :hidden], g[::-1, hidden:]))

@@ -15,16 +15,20 @@ share this code path:
 
 Every bidirectional run, encoder or decoder, goes through
 `lstm.bilstm_sequence`.  Without attention on that side the step inputs
-are known up front and are passed as a list, so both directions run as
-whole-sequence ops.  With attention, a small closure builds each step's
-input during the forward sweep: the conditioning vector joins the previous
-forward hidden state with the backward direction's initial hidden state,
-and the backward sweep then consumes the same per-step inputs.  This keeps
-the weights well defined (the backward states do not exist yet when a
-step's weights are needed) while both directions still see the
-attention-processed inputs.  The unidirectional EDLSTM runs
-`lstm.lstm_sequence`.  Encoder states come back as one (history_len,
-state_width) matrix, and the decoder's matrix is flattened for the head.
+are known up front and are passed as one (steps, width) matrix, so both
+directions run as whole-sequence ops.  With attention, the side passes an
+attention sweep (`attention.FeatureSweep` in the encoder,
+`attention.TemporalSweep` in the decoder) that builds each step's input
+inside the forward recurrence, which is then one op too: the conditioning
+vector joins the previous forward hidden state with the backward
+direction's initial hidden state, and the backward sweep then consumes the
+same per-step inputs.  This keeps the weights well defined (the backward
+states do not exist yet when a step's weights are needed) while both
+directions still see the attention-processed inputs.  The attention
+weights a caller asks for are the ones the sweep stored.  The
+unidirectional EDLSTM runs `lstm.lstm_sequence`.  Encoder states come back
+as one (history_len, state_width) matrix, and the decoder's matrix is
+flattened for the head.
 """
 
 from __future__ import annotations
@@ -33,15 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (FeatureAttentionParams, TemporalAttentionParams,
-                        context_vector, feature_attention, similar_day_weights,
-                        temporal_attention)
+from .attention import (FeatureAttentionParams, FeatureSweep, TemporalAttentionParams,
+                        TemporalSweep, similar_day_weights)
+# Unused here; perfbench/tracing.py patches these names on this module.
+from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
 from .errors import ConfigError, DimensionError
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
                    bilstm_sequence, feedforward_relu, lstm_sequence, zero_state)
 from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 from .params import bind_constants
-from .tensor import Tensor, concat, reshape
+from .tensor import Tensor, reshape
 
 VARIANTS = ("ANLF", "eAttention", "dAttention", "EDBiLSTM", "EDLSTM")
 
@@ -182,29 +187,20 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
         raise DimensionError(f"history targets {hist_targets.shape} do not match ({steps},)")
 
     init_backward = zero_state(config.hidden_size)
-    weights_dump = []
-
-    def attended_input(t, state):
-        conditioning = concat([state.h, init_backward.h])
-        weights, weighted = feature_attention(
-            params.feature_attn, conditioning, hist_features[t], hist_targets[t])
-        if collect_attention:
-            weights_dump.append(np.array(weights.values))
-        return concat([weighted, Tensor([hist_targets[t]])])
-
     if config.encoder_attention:
-        step_input = attended_input
+        inputs = FeatureSweep(params.feature_attn, init_backward.h, hist_features, hist_targets)
     else:
-        step_input = [Tensor(np.append(hist_features[t], hist_targets[t]))
-                      for t in range(steps)]
+        inputs = Tensor(np.column_stack((hist_features, hist_targets)))
     if config.bidirectional:
         states, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, steps, step_input, zero_state(config.hidden_size), init_backward)
+            params.encoder, steps, inputs, zero_state(config.hidden_size), init_backward)
     else:
         states, terminal_forward = lstm_sequence(
-            params.encoder, step_input, zero_state(config.state_width))
+            params.encoder, inputs, zero_state(config.state_width))
         terminal_backward = None
-    feature_weights = np.array(weights_dump) if weights_dump else None
+    feature_weights = None
+    if collect_attention and config.encoder_attention:
+        feature_weights = np.array(inputs.weights)
     return Encoding(states, terminal_forward, terminal_backward, feature_weights)
 
 
@@ -231,35 +227,26 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
         raise DimensionError(
             f"future features {future.shape} do not match ({steps}, {config.n_features})")
 
-    day_weights = None
+    day_weights = hour_weights = None
     if config.decoder_attention:
         day_weights = similar_day_weights(day_blocks, future)
-    hour_dump = []
-
-    def attended_input(t, state):
-        conditioning = concat([state.h, encoding.terminal_backward.h])
-        hour_weights = temporal_attention(
-            params.temporal_attn, conditioning, future[t], config.day_len)
-        if collect_attention:
-            hour_dump.append(np.array(hour_weights.values).reshape(-1))
-        context = context_vector(day_weights, hour_weights, encoding.states)
-        return concat([Tensor(future[t]), context])
-
-    if config.decoder_attention:
-        step_input = attended_input
+        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h, future,
+                               day_weights, encoding.states, config.day_len)
     else:
-        step_input = [Tensor(future[t]) for t in range(steps)]
+        inputs = Tensor(future)
     if config.bidirectional:
         states, _terminals = bilstm_sequence(
-            params.decoder, steps, step_input,
+            params.decoder, steps, inputs,
             encoding.terminal_forward, encoding.terminal_backward)
     else:
-        states, _terminal = lstm_sequence(params.decoder, step_input, encoding.terminal_forward)
+        states, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
 
     output = feedforward_relu(params.head, reshape(states, (steps * config.state_width,)))
+    if collect_attention and config.decoder_attention:
+        hour_weights = np.array(inputs.weights)
     return Decoding(output,
                     None if day_weights is None else np.array(day_weights.weights),
-                    np.array(hour_dump) if hour_dump else None)
+                    hour_weights)
 
 
 @dataclass

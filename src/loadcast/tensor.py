@@ -25,7 +25,7 @@ REL_ERROR_FLOOR = 1e-8
 
 
 def _finite_or_raise(values):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise EvaluationError("non-finite values in tensor")
 
 

@@ -5,12 +5,15 @@ import numpy.testing as npt
 import pytest
 
 from loadcast.attention import (DISTANCE_EPSILON, FeatureAttentionParams,
-                                RECIPROCAL_CAP, SimilarDayWeights,
-                                TemporalAttentionParams, context_vector,
-                                feature_attention, similar_day_weights,
-                                temporal_attention)
-from loadcast.errors import DimensionError
-from loadcast.tensor import Tensor, check_gradients, total
+                                FeatureSweep, RECIPROCAL_CAP, SimilarDayWeights,
+                                TemporalAttentionParams, TemporalSweep,
+                                context_vector, feature_attention,
+                                similar_day_weights, temporal_attention)
+from loadcast.errors import DimensionError, EvaluationError
+from loadcast.lstm import LstmParams, LstmState, attended_sequence, lstm_cell_step, pack
+from loadcast.params import bind, map_leaves, named_leaves
+from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard, reshape,
+                             total)
 
 
 def softmax(v):
@@ -235,3 +238,221 @@ class TestContextVector:
         report = check_gradients(program, {"hour": hour_grid, "states": states},
                                  tolerance=1e-6)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# Attention sweeps inside one recurrence, against the per-step taped path:
+# `feature_attention` (or `temporal_attention` and `context_vector`) and
+# `lstm_cell_step` once per step, the way the model ran them before the
+# sweeps existed.
+
+
+def feature_case(rng, steps, hidden, n, attn, bound=1.0):
+    return {"cell": LstmParams.random(rng, n + 1, hidden, bound),
+            "attn": FeatureAttentionParams.random(rng, 2 * hidden, n, attn, bound),
+            "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
+            "c0": rng.normal(size=hidden), "features": rng.normal(size=(steps, n)),
+            "targets": rng.normal(size=steps)}
+
+
+def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
+    history = days * day_len
+    return {"cell": LstmParams.random(rng, n + width, hidden, bound),
+            "attn": TemporalAttentionParams.random(rng, 2 * hidden, n, history, attn, bound),
+            "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
+            "c0": rng.normal(size=hidden), "states": rng.normal(size=(history, width)),
+            "day": SimilarDayWeights(softmax(rng.normal(size=days))), "day_len": day_len,
+            "features": rng.normal(size=(steps, n))}
+
+
+def make_sweep(case, attn, leaves):
+    if "states" in case:
+        return TemporalSweep(attn, leaves["tail"], case["features"], case["day"],
+                             leaves["states"], case["day_len"])
+    return FeatureSweep(attn, leaves["tail"], case["features"], case["targets"])
+
+
+def swept(case, cell, attn, leaves):
+    sweep = make_sweep(case, attn, leaves)
+    states, inputs, terminal = attended_sequence(
+        cell, len(case["features"]), sweep, LstmState(leaves["h0"], leaves["c0"]))
+    return states, inputs, terminal, sweep.weights
+
+
+def stepped(case, cell, attn, leaves):
+    """The reference: taped attention ops and one cell step per step."""
+    cell = pack(cell)
+    state = LstmState(leaves["h0"], leaves["c0"])
+    hs, xs, weights = [], [], []
+    for t, features in enumerate(case["features"]):
+        conditioning = concat([state.h, leaves["tail"]])
+        if "states" in case:
+            hours = temporal_attention(attn, conditioning, features, case["day_len"])
+            x = concat([Tensor(features),
+                        context_vector(case["day"], hours, leaves["states"])])
+            weights.append(hours.values.reshape(-1))
+        else:
+            alpha, weighted = feature_attention(attn, conditioning, features,
+                                                case["targets"][t])
+            x = concat([weighted, Tensor([case["targets"][t]])])
+            weights.append(alpha.values)
+        state = lstm_cell_step(cell, state, x)
+        hs.append(state.h)
+        xs.append(x)
+    steps = len(hs)
+    return (reshape(concat(hs), (steps, hs[0].shape[0])),
+            reshape(concat(xs), (steps, xs[0].shape[0])), state, np.array(weights))
+
+
+def leaf_names(case):
+    return ("tail", "h0", "c0") + (("states",) if "states" in case else ())
+
+
+def run_case(run, case, probe=None):
+    """Run on a fresh tape, or untaped without a probe; return the values
+    (hidden matrix, input matrix, terminal h and c, attention weights) and
+    the gradients of probe . [states; inputs; h_T; c_T] by operand."""
+    tape = Tape()
+    wrap = tape.leaf if probe is not None else Tensor
+    cell = map_leaves(case["cell"], lambda _name, leaf: wrap(leaf))
+    attn = map_leaves(case["attn"], lambda _name, leaf: wrap(leaf))
+    leaves = {name: wrap(case[name]) for name in leaf_names(case)}
+    states, inputs, terminal, weights = run(case, cell, attn, leaves)
+    values = (states.values, inputs.values, terminal.h.values, terminal.c.values, weights)
+    if probe is None:
+        return values, None
+    flat = concat([reshape(states, (states.values.size,)),
+                   reshape(inputs, (inputs.values.size,)), terminal.h, terminal.c])
+    tape.backward(total(hadamard(flat, Tensor(probe))))
+    grads = {f"cell.{name}": tape.grad(leaf) for name, leaf in named_leaves(cell)}
+    grads.update({f"attn.{name}": tape.grad(leaf) for name, leaf in named_leaves(attn)})
+    grads.update({name: tape.grad(leaf) for name, leaf in leaves.items()})
+    return values, grads
+
+
+def rel_diff(value, reference):
+    scale = float(np.max(np.abs(reference)))
+    return float(np.max(np.abs(value - reference))) / max(scale, 1e-300)
+
+
+def random_cases(rng, count):
+    """Feature and temporal cases over random shapes, starting with steps 1
+    and hidden 1."""
+    cases = [feature_case(rng, 1, 1, 1, 1), feature_case(rng, 1, 3, 2, 2),
+             feature_case(rng, 4, 1, 3, 2), temporal_case(rng, 1, 1, 1, 1, 1, 1, 1),
+             temporal_case(rng, 1, 3, 2, 2, 2, 3, 4), temporal_case(rng, 5, 1, 2, 3, 3, 2, 2)]
+    for _ in range(count):
+        steps, hidden, n, attn = (int(v) for v in rng.integers(1, 7, size=4))
+        cases.append(feature_case(rng, steps, hidden, n, attn))
+        days, day_len, width = (int(v) for v in rng.integers(1, 5, size=3))
+        cases.append(temporal_case(rng, steps, hidden, n, attn, days, day_len, width))
+    return cases
+
+
+def flat_size(case):
+    steps = len(case["features"])
+    hidden, width = case["cell"].hidden_size, case["cell"].input_size
+    return steps * (hidden + width) + 2 * hidden
+
+
+class TestAttendedSweeps:
+    def test_values_and_weights_equal_stepped_path(self):
+        rng = np.random.default_rng(34)
+        for case in random_cases(rng, 15):
+            probe = rng.normal(size=flat_size(case))
+            for taped in (probe, None):
+                values, _ = run_case(swept, case, taped)
+                ref_values, _ = run_case(stepped, case, taped)
+                for value, ref in zip(values, ref_values):
+                    assert value.shape == ref.shape
+                    npt.assert_array_equal(value, ref)
+
+    def test_gradients_match_stepped_path(self):
+        rng = np.random.default_rng(35)
+        for case in random_cases(rng, 15):
+            probe = rng.normal(size=flat_size(case))
+            _, grads = run_case(swept, case, probe)
+            _, ref_grads = run_case(stepped, case, probe)
+            assert grads.keys() == ref_grads.keys()
+            assert len(grads) == 16 + 2 + len(leaf_names(case))
+            for name, grad in grads.items():
+                assert grad.shape == ref_grads[name].shape, name
+                assert rel_diff(grad, ref_grads[name]) <= 1e-12, name
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(36)
+        for case in (feature_case(rng, 3, 2, 2, 2, bound=0.6),
+                     temporal_case(rng, 3, 2, 2, 2, 2, 2, 2, bound=0.6)):
+            probe = rng.normal(size=flat_size(case))
+
+            def program(_tape, leaves, case=case, probe=probe):
+                cell = map_leaves(case["cell"], lambda name, _l: leaves["cell." + name])
+                attn = map_leaves(case["attn"], lambda name, _l: leaves["attn." + name])
+                states, inputs, terminal, _ = swept(case, cell, attn, leaves)
+                flat = concat([reshape(states, (states.values.size,)),
+                               reshape(inputs, (inputs.values.size,)), terminal.h, terminal.c])
+                return total(hadamard(flat, Tensor(probe)))
+
+            arrays = {f"cell.{name}": a for name, a in named_leaves(case["cell"])}
+            arrays.update({f"attn.{name}": a for name, a in named_leaves(case["attn"])})
+            arrays.update({name: case[name] for name in leaf_names(case)})
+            report = check_gradients(program, arrays, tolerance=1e-6)
+            assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    def test_nodes_per_run_do_not_depend_on_steps(self):
+        counts = []
+        for steps in (1, 2, 7, 30):
+            rng = np.random.default_rng(37)
+            for case in (feature_case(rng, steps, 3, 2, 2),
+                         temporal_case(rng, steps, 3, 2, 2, 2, 3, 4)):
+                tape = Tape()
+                cell = pack(bind(case["cell"], tape))
+                attn = bind(case["attn"], tape)
+                leaves = {name: tape.leaf(case[name]) for name in leaf_names(case)}
+                before = len(tape)
+                swept(case, cell, attn, leaves)
+                counts.append(len(tape) - before)
+        # One op for the run, then views for the hidden matrix (segment,
+        # reshape), the terminal h, the terminal c and the input matrix
+        # (segment, reshape).
+        assert counts == [7] * 8
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_preactivation_raises(self):
+        rng = np.random.default_rng(38)
+        for case in (feature_case(rng, 3, 2, 2, 2), temporal_case(rng, 3, 2, 2, 2, 2, 2, 2)):
+            # Every joint entry is positive, so proj @ joint is +inf while
+            # tanh, the scores, the weights and the step inputs stay finite.
+            case["attn"].proj = np.full(case["attn"].proj.shape, 1e308)
+            for name in ("h0", "tail", "features", "targets", "states"):
+                if name in case:
+                    case[name] = np.abs(case[name]) + 1.0
+            with pytest.raises(EvaluationError):
+                run_case(swept, case)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(39)
+        case = feature_case(rng, 3, 2, 2, 2)
+        tail = Tensor(case["tail"])
+        init = LstmState(Tensor(case["h0"]), Tensor(case["c0"]))
+        with pytest.raises(DimensionError):
+            FeatureSweep(case["attn"], tail, case["features"], case["targets"][:2])
+        with pytest.raises(DimensionError):
+            FeatureSweep(case["attn"], tail, case["features"][:, :1], case["targets"])
+        sweep = FeatureSweep(case["attn"], tail, case["features"], case["targets"])
+        with pytest.raises(DimensionError):
+            attended_sequence(case["cell"], 2, sweep, init)
+        with pytest.raises(DimensionError):
+            attended_sequence(LstmParams.random(rng, 4, 2, 1.0), 3, sweep, init)
+        with pytest.raises(DimensionError):
+            attended_sequence(case["cell"], 0, sweep, init)
+        case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], tail, case["features"], case["day"],
+                          Tensor(case["states"]), 4)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], tail, case["features"], case["day"],
+                          Tensor(case["states"][1:]), 3)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], tail, case["features"],
+                          SimilarDayWeights(np.ones(3) / 3), Tensor(case["states"]), 3)

@@ -1,6 +1,7 @@
 """Command line behavior, exercised in process through `main`."""
 
 import csv
+import fcntl
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import loadcast.cli as cli
 import loadcast.tensor
+from loadcast.checkpoint import write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
 from loadcast.data import ingest_csv
 from loadcast.verify import CheckResult, _check_basic_gradients
@@ -74,7 +76,12 @@ class TestTrain:
         for name in ("checkpoint.json", "epochs.csv", "validation.txt",
                      "manifest.json"):
             assert (trained / name).exists(), name
-        assert not (trained / ".lock").exists()
+        # The lock file stays, but the lock on it went with the run, and no
+        # temporary file is left behind.
+        assert sorted(p.name for p in trained.iterdir()) == [
+            ".lock", "checkpoint.json", "epochs.csv", "manifest.json", "validation.txt"]
+        with open(trained / ".lock") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_epoch_log_shape(self, trained):
         rows = (trained / "epochs.csv").read_text().splitlines()
@@ -111,12 +118,26 @@ class TestTrain:
     def test_locked_output_dir_refused(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
+        # A lock held through another open file description, as another
+        # process's would be.
+        with open(out / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = main(["train", "--config", str(write_config(tmp_path, out)),
+                         "--synthetic"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "locked" in err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        # A run killed with SIGKILL leaves the file, but not the lock.
+        out = tmp_path / "run"
+        out.mkdir()
         (out / ".lock").touch()
         code = main(["train", "--config", str(write_config(tmp_path, out)),
                      "--synthetic"])
-        assert code == EXIT_CONFIG
-        assert "locked" in capsys.readouterr().err
-        assert not (out / "checkpoint.json").exists()
+        assert code == EXIT_OK
+        assert (out / "checkpoint.json").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.conf"),
@@ -157,6 +178,23 @@ class TestTrain:
         assert "synthetic_days" in capsys.readouterr().err
 
 
+class TestWriteAtomic:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        write_atomic(path, "previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "half written \ud800")
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def test_replaces_content(self, tmp_path):
+        path = tmp_path / "metrics.txt"
+        write_atomic(path, "a\n")
+        write_atomic(path, "b\n")
+        assert path.read_bytes() == b"b\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.txt"]
+
+
 class TestForecast:
     def test_end_to_end_metrics_and_csv(self, trained, tmp_path):
         data = tmp_path / "data.csv"
@@ -188,6 +226,9 @@ class TestForecast:
                      "--data", str(data), "--out", str(out),
                      "--dump-attention"])
         assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "attention_days.csv", "attention_features.csv", "attention_hours.csv",
+            "forecast.csv", "metrics.csv", "metrics.txt"]
         for name, id_cols in (("attention_features.csv", 2),
                               ("attention_hours.csv", 2),
                               ("attention_days.csv", 1)):

@@ -8,11 +8,12 @@ import pytest
 
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
-                           LstmState, bilstm_sequence, feedforward_relu,
-                           lstm_cell_step, lstm_sequence, pack, zero_state)
+                           LstmState, attended_sequence, bilstm_sequence,
+                           feedforward_relu, lstm_cell_step, lstm_sequence, pack,
+                           zero_state)
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard,
-                             matmul, reshape, sigmoid, tanh, total)
+                             matmul, reshape, segment, sigmoid, tanh, total)
 
 
 def scalar_cell(params, h_prev, c_prev, x):
@@ -199,14 +200,44 @@ class TestFusedCell:
 
 
 def stepped_sequence(params, inputs, init):
-    """A direction as one `lstm_cell_step` per input.  Reference for the
-    whole-sequence op."""
+    """A direction as one `lstm_cell_step` per row of the input matrix.
+    Reference for the whole-sequence op."""
     cell = pack(params)
+    steps, width = inputs.shape
+    flat = reshape(inputs, (steps * width,))
     state, hs = init, []
-    for x in inputs:
-        state = lstm_cell_step(cell, state, x)
+    for t in range(steps):
+        state = lstm_cell_step(cell, state, segment(flat, t * width, (t + 1) * width))
         hs.append(state.h)
-    return reshape(concat(hs), (len(hs), state.h.shape[0])), state
+    return reshape(concat(hs), (steps, state.h.shape[0])), state
+
+
+class FixedSweep:
+    """A sweep that ignores the hidden state: step t's input is row t of
+    `inputs`, whose gradient it passes through."""
+
+    def __init__(self, inputs, hidden_size, seen=None):
+        self.operands = (inputs,)
+        self.steps, self.width = inputs.shape
+        self.hidden_size = hidden_size
+        self._values = inputs.values
+        self._grad = np.zeros(inputs.shape)
+        self._seen = seen
+
+    def forward(self, t, h_prev):
+        if self._seen is not None:
+            self._seen.append((t, np.array(h_prev)))
+        return self._values[t]
+
+    def backward(self, t, dx):
+        self._grad[t] = dx
+        return np.zeros(self.hidden_size)
+
+    def grads(self):
+        return (self._grad,)
+
+    def check_finite(self):
+        pass
 
 
 def random_sequence(rng, steps, width, hidden):
@@ -218,17 +249,16 @@ def random_sequence(rng, steps, width, hidden):
 def taped_sequence(run, params, init, xs, probe):
     """Run `run` on a fresh tape; return the hidden matrix, the terminal h
     and c, and the gradients of probe . [states; h_T; c_T] for the sixteen
-    blocks, every input, h0 and c0."""
+    blocks, the input matrix, h0 and c0."""
     tape = Tape()
     leaves = bind(params, tape)
     h0, c0 = tape.leaf(init.h.values), tape.leaf(init.c.values)
-    inputs = [tape.leaf(x) for x in xs]
+    inputs = tape.leaf(xs)
     states, terminal = run(leaves, inputs, LstmState(h0, c0))
     flat = concat([reshape(states, (states.values.size,)), terminal.h, terminal.c])
     tape.backward(total(hadamard(flat, Tensor(probe))))
     grads = {name: tape.grad(leaf) for name, leaf in named_leaves(leaves)}
-    grads.update({f"x{t}": tape.grad(x) for t, x in enumerate(inputs)})
-    grads.update(h0=tape.grad(h0), c0=tape.grad(c0))
+    grads.update(x=tape.grad(inputs), h0=tape.grad(h0), c0=tape.grad(c0))
     return states.values, terminal.h.values, terminal.c.values, grads
 
 
@@ -239,7 +269,7 @@ class TestSequenceOp:
         shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(30)]
         for steps, width, hidden in shapes:
             params, init, xs = random_sequence(rng, steps, width, hidden)
-            inputs = [Tensor(x) for x in xs]
+            inputs = Tensor(xs)
             states, terminal = lstm_sequence(params, inputs, init)
             ref_states, ref_terminal = stepped_sequence(params, inputs, init)
             assert states.shape == (steps, hidden)
@@ -258,7 +288,7 @@ class TestSequenceOp:
             *ref_values, ref_grads = taped_sequence(stepped_sequence, params, init, xs, probe)
             for value, ref in zip(values, ref_values):
                 npt.assert_array_equal(value, ref)
-            assert len(grads) == 16 + steps + 2 and grads.keys() == ref_grads.keys()
+            assert len(grads) == 16 + 3 and grads.keys() == ref_grads.keys()
             for name, grad in grads.items():
                 assert grad.shape == ref_grads[name].shape, name
                 assert rel_diff(grad, ref_grads[name]) <= 1e-12, (steps, width, hidden, name)
@@ -270,13 +300,11 @@ class TestSequenceOp:
 
         def program(tape, leaves):
             states, terminal = lstm_sequence(
-                params, [leaves[f"x{t}"] for t in range(5)],
-                LstmState(leaves["h0"], leaves["c0"]))
+                params, leaves["x"], LstmState(leaves["h0"], leaves["c0"]))
             flat = concat([reshape(states, (20,)), terminal.h, terminal.c])
             return total(hadamard(flat, Tensor(probe)))
 
-        arrays = {f"x{t}": x for t, x in enumerate(xs)}
-        arrays.update(h0=init.h.values, c0=init.c.values)
+        arrays = {"x": xs, "h0": init.h.values, "c0": init.c.values}
         report = check_gradients(program, arrays, tolerance=1e-6)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
@@ -286,7 +314,7 @@ class TestSequenceOp:
             params, init, xs = random_sequence(np.random.default_rng(26), steps, 3, 2)
             tape = Tape()
             cell = pack(bind(params, tape))
-            inputs = [tape.leaf(x) for x in xs]
+            inputs = tape.leaf(xs)
             before = len(tape)
             lstm_sequence(cell, inputs, init)
             counts.append(len(tape) - before)
@@ -297,29 +325,31 @@ class TestSequenceOp:
     def test_shape_errors(self):
         params = LstmParams.zeros(3, 2)
         with pytest.raises(DimensionError):
-            lstm_sequence(params, [Tensor(np.zeros(3)), Tensor(np.zeros(4))], zero_state(2))
+            lstm_sequence(params, Tensor(np.zeros((2, 4))), zero_state(2))
         with pytest.raises(DimensionError):
-            lstm_sequence(params, [Tensor(np.zeros(3))], zero_state(3))
+            lstm_sequence(params, Tensor(np.zeros(3)), zero_state(2))
+        with pytest.raises(DimensionError):
+            lstm_sequence(params, Tensor(np.zeros((1, 3))), zero_state(3))
         bi = BiLstmParams(forward=params, backward=params)
         with pytest.raises(DimensionError):
-            bilstm_sequence(bi, 2, [Tensor(np.zeros(3))], zero_state(2), zero_state(2))
+            bilstm_sequence(bi, 2, Tensor(np.zeros((1, 3))), zero_state(2), zero_state(2))
 
-    def test_bilstm_list_matches_builder(self):
+    def test_bilstm_matrix_matches_sweep(self):
         rng = np.random.default_rng(27)
         params = BiLstmParams.random(rng, 2, 3, bound=0.8)
         xs = rng.normal(size=(6, 2))
         probe = rng.normal(size=(6, 6))
         results = []
-        for as_list in (True, False):
+        for as_matrix in (True, False):
             tape = Tape()
             leaves = bind(params, tape)
-            inputs = [tape.leaf(x) for x in xs]
-            step_input = inputs if as_list else (lambda t, _state: inputs[t])
-            joined, (term_f, term_b) = bilstm_sequence(leaves, 6, step_input,
+            inputs = tape.leaf(xs)
+            step_inputs = inputs if as_matrix else FixedSweep(inputs, 3)
+            joined, (term_f, term_b) = bilstm_sequence(leaves, 6, step_inputs,
                                                        zero_state(3), zero_state(3))
             tape.backward(total(hadamard(joined, Tensor(probe))))
             grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
-            grads += [tape.grad(x) for x in inputs]
+            grads.append(tape.grad(inputs))
             results.append((joined.values, term_f.c.values, term_b.c.values, grads))
         (*values, grads), (*ref_values, ref_grads) = results
         for value, ref in zip(values, ref_values):
@@ -332,23 +362,23 @@ class TestSequences:
     def test_returns_one_state_per_step(self):
         rng = np.random.default_rng(13)
         params = LstmParams.random(rng, 3, 2, bound=0.5)
-        inputs = [Tensor(rng.normal(size=3)) for _ in range(5)]
+        inputs = Tensor(rng.normal(size=(5, 3)))
         states, terminal = lstm_sequence(params, inputs, zero_state(2))
         assert states.shape == (5, 2)
         npt.assert_array_equal(states.values[-1], terminal.h.values)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
-            lstm_sequence(LstmParams.zeros(2, 2), [], zero_state(2))
+            lstm_sequence(LstmParams.zeros(2, 2), Tensor(np.zeros((0, 2))), zero_state(2))
 
     def test_sequence_matches_repeated_cell_steps(self):
         rng = np.random.default_rng(14)
         params = LstmParams.random(rng, 2, 3, bound=0.7)
-        inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-        states, terminal = lstm_sequence(params, inputs, zero_state(3))
+        inputs = rng.normal(size=(4, 2))
+        states, terminal = lstm_sequence(params, Tensor(inputs), zero_state(3))
         manual = zero_state(3)
         for step, x in enumerate(inputs):
-            manual = lstm_cell_step(params, manual, x)
+            manual = lstm_cell_step(params, manual, Tensor(x))
             npt.assert_array_equal(states.values[step], manual.h.values)
         npt.assert_array_equal(terminal.c.values, manual.c.values)
 
@@ -356,13 +386,13 @@ class TestSequences:
         rng = np.random.default_rng(15)
         params = BiLstmParams(forward=LstmParams.random(rng, 2, 3, bound=0.5),
                               backward=LstmParams.random(rng, 2, 3, bound=0.5))
-        inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-        joined, (term_f, term_b) = bilstm_sequence(params, 4, lambda t, _: inputs[t],
+        inputs = rng.normal(size=(4, 2))
+        joined, (term_f, term_b) = bilstm_sequence(params, 4, Tensor(inputs),
                                                    zero_state(3), zero_state(3))
         assert joined.shape == (4, 6)
 
-        fwd_states, fwd_term = lstm_sequence(params.forward, inputs, zero_state(3))
-        bwd_states, bwd_term = lstm_sequence(params.backward, inputs[::-1],
+        fwd_states, fwd_term = lstm_sequence(params.forward, Tensor(inputs), zero_state(3))
+        bwd_states, bwd_term = lstm_sequence(params.backward, Tensor(inputs[::-1]),
                                              zero_state(3))
         for t in range(4):
             expect = np.concatenate([fwd_states.values[t],
@@ -375,10 +405,10 @@ class TestSequences:
         rng = np.random.default_rng(16)
         a = LstmParams.random(rng, 2, 3, bound=0.5)
         b = LstmParams.random(rng, 2, 3, bound=0.5)
-        inputs = [Tensor(rng.normal(size=2)) for _ in range(5)]
-        joined, _ = bilstm_sequence(BiLstmParams(a, b), 5, lambda t, _: inputs[t],
+        inputs = rng.normal(size=(5, 2))
+        joined, _ = bilstm_sequence(BiLstmParams(a, b), 5, Tensor(inputs),
                                     zero_state(3), zero_state(3))
-        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, lambda t, _: inputs[4 - t],
+        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, Tensor(inputs[::-1]),
                                       zero_state(3), zero_state(3))
         for t in range(5):
             fwd, bwd = np.split(joined.values[t], 2)
@@ -386,33 +416,31 @@ class TestSequences:
             npt.assert_array_equal(fwd, m_bwd)
             npt.assert_array_equal(bwd, m_fwd)
 
-    def test_bilstm_step_input_sees_previous_forward_state(self):
+    def test_bilstm_sweep_sees_previous_forward_state(self):
         rng = np.random.default_rng(18)
         params = BiLstmParams.random(rng, 2, 3, bound=0.5)
-        inputs = [Tensor(rng.normal(size=2)) for _ in range(4)]
+        inputs = rng.normal(size=(4, 2))
         init_forward = LstmState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
         seen = []
-
-        def step_input(t, state):
-            seen.append((t, state))
-            return inputs[t]
-
-        joined, (term_f, _) = bilstm_sequence(params, 4, step_input,
+        joined, (term_f, _) = bilstm_sequence(params, 4, FixedSweep(Tensor(inputs), 3, seen),
                                               init_forward, zero_state(3))
         assert [t for t, _ in seen] == [0, 1, 2, 3]
-        assert seen[0][1] is init_forward
+        npt.assert_array_equal(seen[0][1], init_forward.h.values)
         for t in range(1, 4):
-            npt.assert_array_equal(seen[t][1].h.values, joined.values[t - 1, :3])
+            npt.assert_array_equal(seen[t][1], joined.values[t - 1, :3])
         manual = init_forward
-        for t, (_, state) in enumerate(seen):
-            npt.assert_array_equal(state.c.values, manual.c.values)
-            manual = lstm_cell_step(params.forward, manual, inputs[t])
+        for t in range(4):
+            manual = lstm_cell_step(params.forward, manual, Tensor(inputs[t]))
+        npt.assert_array_equal(term_f.h.values, manual.h.values)
         npt.assert_array_equal(term_f.c.values, manual.c.values)
 
     def test_bilstm_empty_sequence_rejected(self):
         params = BiLstmParams.random(np.random.default_rng(19), 2, 2, bound=0.5)
         with pytest.raises(DimensionError):
-            bilstm_sequence(params, 0, lambda t, _: Tensor(np.zeros(2)),
+            bilstm_sequence(params, 0, Tensor(np.zeros((0, 2))),
+                            zero_state(2), zero_state(2))
+        with pytest.raises(DimensionError):
+            bilstm_sequence(params, 0, FixedSweep(Tensor(np.zeros((0, 2))), 2),
                             zero_state(2), zero_state(2))
 
     def test_sequence_gradients_match_finite_differences(self):
@@ -423,9 +451,7 @@ class TestSequences:
         def program(tape, leaves):
             params = LstmParams(**{name: leaves[name]
                                    for name, _ in named_leaves(init)})
-            states, terminal = lstm_sequence(params,
-                                             [Tensor(x) for x in xs],
-                                             zero_state(3))
+            states, terminal = lstm_sequence(params, Tensor(xs), zero_state(3))
             return total(concat([reshape(states, (18,)), terminal.c]))
 
         report = check_gradients(program,

@@ -1,5 +1,7 @@
 """Model wiring: init, variants, and a straight-line numpy forward oracle."""
 
+import gc
+import weakref
 from datetime import datetime
 
 import numpy as np
@@ -12,6 +14,7 @@ from loadcast.model import (VARIANTS, ModelConfig, forward, init_params,
                             predict)
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import Tape
+from loadcast.training import mse_loss
 from loadcast.verify import tiny_model_case
 
 TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
@@ -287,12 +290,31 @@ class TestForward:
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        # A cell step driven by attention records 3 nodes, a whole direction
-        # run with known inputs 5, and each direction 2 for packing.
-        expected = {"ANLF": 240, "eAttention": 185, "dAttention": 155,
+        # A direction run with known inputs records 5 nodes, one driven by
+        # attention 7 plus 1 to reverse its inputs for the backward
+        # direction, and each direction 2 for packing.
+        expected = {"ANLF": 110, "eAttention": 105, "dAttention": 105,
                     "EDBiLSTM": 100, "EDLSTM": 52}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
             forward(bind(init_params(config), tape), config, sample)
             assert len(tape) == expected[variant], variant
+
+    def test_window_tape_is_freed_without_the_cycle_collector(self):
+        # Nothing a window records may hold the tape in a reference cycle;
+        # a backward rule that kept a taped operand would.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for variant in VARIANTS:
+                config, sample = tiny_model_case(variant)
+                tape = Tape()
+                fc = forward(bind(init_params(config), tape), config, sample)
+                tape.backward(mse_loss(fc.output, sample.y_future))
+                alive = weakref.ref(tape)
+                del tape, fc
+                assert alive() is None, variant
+        finally:
+            if enabled:
+                gc.enable()

@@ -219,6 +219,18 @@ class TestTrainLoop:
                        random_samples(TINY, 3, seed=84))
         npt.assert_allclose(got, best.val_mse, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_attention_preactivation_is_a_training_error(self, monkeypatch):
+        def overflowing(config):
+            params = init_params(config)
+            params.feature_attn.proj = np.full(params.feature_attn.proj.shape, 1e308)
+            return params
+
+        monkeypatch.setattr(training, "init_params", overflowing)
+        with pytest.raises(TrainingError, match="non-finite"):
+            train(TINY, random_samples(TINY, 2, seed=86), random_samples(TINY, 1, seed=87),
+                  TrainConfig(batch_size=2, epochs=1))
+
     def test_empty_split_rejected(self):
         with pytest.raises(TrainingError):
             train(TINY, [], random_samples(TINY, 2, seed=85), TrainConfig())
