@@ -21,7 +21,7 @@ def main():
     loss = total(tanh(matmul(w, x)))
     print(f"loss = {float(loss.values):.6f}")
 
-    # One reverse sweep fills a gradient per recorded node.
+    # One reverse sweep fills a gradient for every leaf.
     tape.backward(loss)
     grad = tape.grad(w)
     print("d loss / d w =")
@@ -44,8 +44,9 @@ def main():
     print(f"\nreuse accumulates: max |double - 2*single| = "
           f"{np.abs(doubled - 2.0 * single).max():.1e}")
 
-    # check_gradients rebuilds the program per perturbed point and compares
-    # the tape's output against central differences, scalar by scalar.
+    # check_gradients runs the program once on a tape for the gradient, then
+    # once per perturbed point on constants, and compares the tape's
+    # gradient against central differences, scalar by scalar.
     def program(probe, leaves):
         return total(tanh(matmul(leaves["w"], x)))
 

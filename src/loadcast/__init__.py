@@ -27,7 +27,7 @@ from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
                    feedforward_relu, lstm_cell_step, lstm_sequence, pack,
                    zero_state)
 from .metrics import MetricReport, compute_metrics, relative_error
-from .model import (VARIANTS, Forecast, ModelConfig, ModelParams, decode,
+from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, decode,
                     encode, forward, init_params, predict)
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
 from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, backward,

@@ -12,13 +12,15 @@ Three mechanisms:
   states with day weight times hour weight.
 
 `feature_attention`, `temporal_attention` and `context_vector` compute one
-step as tape ops.  The model runs a whole sequence's steps instead as a
-numpy sweep, `FeatureSweep` or `TemporalSweep`, inside one
-`lstm.attended_sequence` op: the sweep's `forward(t, h_prev)` builds step
-t's input with the same arithmetic, `backward(t, dx)` turns the gradient of
-that input into one for h_prev in the reverse loop, and `grads()` forms
-the parameter, tail and state gradients with one product each over the
-rows stored per step.
+step of one window as tape ops.  The model runs a whole sequence's steps
+for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
+`TemporalSweep`, inside one `lstm.attended_sequence` op: the sweep's
+`forward(t, h_prev)` builds step t's input, one column per window, with
+the same arithmetic (scores and softmax down each column, each window's
+context from its own encoder states and similar-day weights),
+`backward(t, dx)` turns the gradient of that input into one for h_prev in
+the reverse loop, and `grads()` forms the parameter, tail and state
+gradients with one product each over the rows stored per step and window.
 """
 
 from __future__ import annotations
@@ -162,57 +164,73 @@ def context_vector(day_weights, hour_weights, states):
 
 
 class _ScoredSweep:
-    """The additive scorer of both sweeps, stepped in numpy.
+    """The additive scorer of both sweeps, stepped in numpy for B windows.
 
-    Row t of the joint matrix is [h_{t-1}; tail; fixed_t], where `tail`
-    completes the conditioning vector and `fixed` holds the columns known
-    before the run.  Step t scores it as `feature_attention` and
-    `temporal_attention` do, score @ tanh(proj @ joint), and keeps every
-    row the backward pass needs; `weights` holds the softmax weights.
+    Step t's joint matrix is [h_{t-1}; tail; fixed_t], one column per
+    window, where `tail` completes the conditioning vector and `fixed`
+    holds the rows known before the run.  Step t scores it as
+    `feature_attention` and `temporal_attention` do, score @ tanh(proj @
+    joint), with a softmax down each column, and keeps everything the
+    backward pass needs; `weights` holds the (steps, n, B) softmax weights.
+    A sweep's `_weight_grad(t, dx)` turns the gradient of step t's input
+    into the gradient of its weights.
     """
 
     def __init__(self, params, tail, fixed):
         proj, score, tail = as_tensor(params.proj), as_tensor(params.score), as_tensor(tail)
         self.operands = (proj, score, tail)
         self._proj, self._score = proj.values, score.values
-        self.steps = fixed.shape[0]
+        if fixed.ndim != 3 or tail.values.ndim != 2 or tail.shape[1] != fixed.shape[2]:
+            raise DimensionError(f"tail {tail.shape} and step rows {fixed.shape} are not "
+                                 f"(rows, windows) and (steps, rows, windows)")
+        self.steps, _, self.windows = fixed.shape
         self.hidden_size = self._proj.shape[-1] - tail.shape[0] - fixed.shape[1]
-        if (self._proj.ndim != 2 or self._score.ndim != 2 or tail.values.ndim != 1
+        if (self._proj.ndim != 2 or self._score.ndim != 2
                 or self._score.shape[1] != self._proj.shape[0] or self.hidden_size < 1):
             raise DimensionError(
                 f"attention blocks {self._proj.shape}, {self._score.shape} do not fit a "
-                f"{tail.shape} tail and {fixed.shape[1]} step columns")
+                f"{tail.shape} tail and {fixed.shape[1]} step rows")
         self._tail = slice(self.hidden_size, self.hidden_size + tail.shape[0])
-        self._joint = np.empty((self.steps, self._proj.shape[1]))
+        self._joint = np.empty((self.steps, self._proj.shape[1], self.windows))
         self._joint[:, self._tail] = tail.values
         self._joint[:, self._tail.stop:] = fixed
-        self._proj_h = np.ascontiguousarray(self._proj[:, :self.hidden_size])
-        self._pre = np.empty((self.steps, self._proj.shape[0]))
+        self._proj_h_t = np.ascontiguousarray(self._proj[:, :self.hidden_size].T)
+        self._score_t = np.ascontiguousarray(self._score.T)
+        self._pre = np.empty((self.steps, self._proj.shape[0], self.windows))
         self._squashed = np.empty_like(self._pre)
-        self._scores = np.empty((self.steps, self._score.shape[0]))
+        self._scores = np.empty((self.steps, self._score.shape[0], self.windows))
         self.weights = np.empty_like(self._scores)
-        self._d_pre = np.empty_like(self._pre)
-        self._d_scores = np.empty_like(self._scores)
+        self._slope = None
 
     def _attend(self, t, h_prev):
         joint = self._joint[t]
         joint[:self.hidden_size] = h_prev
-        pre = self._pre[t] = self._proj @ joint
-        squashed = self._squashed[t] = np.tanh(pre)
-        scores = self._scores[t] = self._score @ squashed
-        weights = self.weights[t] = softmax_values(scores)
-        return weights
+        pre = np.matmul(self._proj, joint, out=self._pre[t])
+        squashed = np.tanh(pre, out=self._squashed[t])
+        scores = np.matmul(self._score, squashed, out=self._scores[t])
+        return softmax_values(scores, out=self.weights[t])
 
-    def _unattend(self, t, d_weights):
-        """Gradient for h_{t-1} from step t's weight gradient."""
-        d_scores = self._d_scores[t] = _softmax_grad(self.weights[t], d_weights)
-        d_pre = self._d_pre[t] = _tanh_grad(self._squashed[t], d_scores @ self._score)
-        return d_pre @ self._proj_h
+    def backward(self, t, dx):
+        """Gradient for h_{t-1} from the gradient of step t's input; steps
+        are visited in reverse."""
+        if self._slope is None:
+            self._begin_backward()
+        d_scores = self._d_scores[t] = _softmax_grad(self.weights[t], self._weight_grad(t, dx))
+        d_pre = np.multiply(self._score_t @ d_scores, self._slope[t], out=self._d_pre[t])
+        return self._proj_h_t @ d_pre
+
+    def _begin_backward(self):
+        """Room for the gradients the parameter products read, and the tanh
+        slope of every step at once."""
+        self._slope = _tanh_grad(self._squashed, 1.0)
+        self._d_pre = np.empty_like(self._pre)
+        self._d_scores = np.empty_like(self._scores)
 
     def _scorer_grads(self):
         """proj, score and tail gradients over every step of the run."""
-        return (self._d_pre.T @ self._joint, self._d_scores.T @ self._squashed,
-                self._d_pre.sum(axis=0) @ self._proj[:, self._tail])
+        return (_summed_outer(self._d_pre, self._joint),
+                _summed_outer(self._d_scores, self._squashed),
+                self._proj[:, self._tail].T @ self._d_pre.sum(axis=0))
 
     def _checked(self):
         return self._joint, self._pre, self._scores, self.weights
@@ -224,22 +242,31 @@ class _ScoredSweep:
                 raise EvaluationError("non-finite values in attention")
 
 
+def _summed_outer(a, b):
+    """Sum over steps t and windows k of outer(a[t, :, k], b[t, :, k])."""
+    return np.tensordot(a, b, axes=((0, 2), (0, 2)))
+
+
 class FeatureSweep(_ScoredSweep):
     """Feature attention for every encoder step, inside one recurrence.
 
     Step t conditions on [h_{t-1}; tail], reweights the features of hour t
     as `feature_attention` does and returns the step input
-    [weights * features; target].  `operands` are `proj`, `score` and
-    `tail`; `grads()` returns their gradients in that order.
+    [weights * features; target], one column per window.  `features` is
+    (steps, n, B), `targets` is (steps, B) and `tail` is (H, B).
+    `operands` are `proj`, `score` and `tail`; `grads()` returns their
+    gradients in that order.
     """
 
     def __init__(self, params, tail, features, targets):
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
-        if features.ndim != 2 or targets.shape != features.shape[:1]:
+        if features.ndim != 3 or targets.shape != (features.shape[0], features.shape[2]):
             raise DimensionError(
-                f"features {features.shape} and targets {targets.shape} are not per step")
-        super().__init__(params, tail, np.column_stack((features, targets)))
+                f"features {features.shape} and targets {targets.shape} are not per step "
+                f"and window")
+        super().__init__(params, tail,
+                         np.concatenate((features, targets[:, np.newaxis]), axis=1))
         if self._score.shape[0] != features.shape[1]:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
                                  f"{features.shape[1]} features")
@@ -248,12 +275,11 @@ class FeatureSweep(_ScoredSweep):
 
     def forward(self, t, h_prev):
         """Step t's input, from the hidden state before it."""
-        return np.append(self._attend(t, h_prev) * self._features[t], self._targets[t])
+        return np.concatenate((self._attend(t, h_prev) * self._features[t],
+                               self._targets[t][np.newaxis]))
 
-    def backward(self, t, dx):
-        """Gradient for h_{t-1} from the gradient of step t's input; steps
-        are visited in reverse."""
-        return self._unattend(t, dx[:-1] * self._features[t])
+    def _weight_grad(self, t, dx):
+        return dx[:-1] * self._features[t]
 
     def grads(self):
         return self._scorer_grads()
@@ -264,49 +290,62 @@ class TemporalSweep(_ScoredSweep):
     inside one recurrence.
 
     Step t conditions on [h_{t-1}; tail], weights every history hour as
-    `temporal_attention` does, mixes `states` with day weight times hour
-    weight as `context_vector` does and returns the step input [features;
-    context].  `weights` holds the flat hour weights, one row per step.
-    `operands` are `proj`, `score`, `tail` and `states`; `grads()` returns
-    their gradients in that order.
+    `temporal_attention` does, mixes each window's encoder states with day
+    weight times hour weight as `context_vector` does and returns the step
+    input [features; context], one column per window.  `features` is
+    (steps, n, B), `day_weights` is (days, B), `states` is (history, S, B)
+    and `tail` is (H, B).  `weights` holds the flat hour weights,
+    (steps, history, B).  `operands` are `proj`, `score`, `tail` and
+    `states`; `grads()` returns their gradients in that order.
     """
 
     def __init__(self, params, tail, features, day_weights, states, day_len):
         features = np.asarray(features, dtype=np.float64)
+        day_weights = np.asarray(day_weights, dtype=np.float64)
         states = as_tensor(states)
-        if features.ndim != 2:
-            raise DimensionError(f"features {features.shape} are not per step")
+        if features.ndim != 3:
+            raise DimensionError(f"features {features.shape} are not per step and window")
         super().__init__(params, tail, features)
         history_len = self._score.shape[0]
         if day_len < 1 or history_len % day_len != 0:
             raise DimensionError(
                 f"history length {history_len} is not divisible by day length {day_len}")
-        if day_weights.weights.shape != (history_len // day_len,):
-            raise DimensionError(f"day weights {day_weights.weights.shape} do not match "
-                                 f"{history_len // day_len} history days")
-        if len(states.shape) != 2 or states.shape[0] != history_len:
-            raise DimensionError(f"states {states.shape} do not cover {history_len} history hours")
+        if day_weights.shape != (history_len // day_len, self.windows):
+            raise DimensionError(f"day weights {day_weights.shape} do not match "
+                                 f"{history_len // day_len} history days of "
+                                 f"{self.windows} windows")
+        if (len(states.shape) != 3 or states.shape[0] != history_len
+                or states.shape[2] != self.windows):
+            raise DimensionError(f"states {states.shape} do not cover {history_len} history "
+                                 f"hours of {self.windows} windows")
         self.operands += (states,)
-        self._states = states.values
-        self._day = np.repeat(day_weights.weights, day_len)
+        # Window-major: `_states[k]` is window k's (S, history) matrix, so
+        # the context of every window is one batched product.
+        self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
+        self._day = np.repeat(day_weights, day_len, axis=0)
         self._features = features
-        self._mix = np.empty((self.steps, history_len))
-        self._d_context = np.empty((self.steps, states.shape[1]))
+        self._mix = np.empty((self.steps, history_len, self.windows))
         self.width = features.shape[1] + states.shape[1]
 
     def forward(self, t, h_prev):
         """Step t's input, from the hidden state before it."""
-        mix = self._mix[t] = self._day * self._attend(t, h_prev)
-        return np.concatenate((self._features[t], mix @ self._states))
+        mix = np.multiply(self._day, self._attend(t, h_prev), out=self._mix[t])
+        context = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0]
+        return np.concatenate((self._features[t], context.T))
 
-    def backward(self, t, dx):
-        """Gradient for h_{t-1} from the gradient of step t's input; steps
-        are visited in reverse."""
+    def _begin_backward(self):
+        super()._begin_backward()
+        self._d_context = np.empty((self.steps, self._states.shape[1], self.windows))
+
+    def _weight_grad(self, t, dx):
         d_context = self._d_context[t] = dx[self._features.shape[1]:]
-        return self._unattend(t, (self._states @ d_context) * self._day)
+        d_mix = np.matmul(d_context.T[:, np.newaxis], self._states)[:, 0]
+        return d_mix.T * self._day
 
     def grads(self):
-        return (*self._scorer_grads(), self._mix.T @ self._d_context)
+        # Per window k: sum over steps of outer(mix, d_context), as (history, S, B).
+        d_states = np.matmul(self._mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
+        return (*self._scorer_grads(), d_states.transpose(1, 2, 0))
 
     def _checked(self):
         return (*super()._checked(), self._mix)

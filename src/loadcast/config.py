@@ -7,6 +7,7 @@ defaults.  Values are typed per key; `none` clears an optional value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,12 @@ def _parse_int(text):
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as err:
         raise ValueError(f"expected a number, got {text!r}") from err
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_optional_float(text):
@@ -137,8 +141,8 @@ def parse_run_config(path):
     """Parse and validate a run configuration file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
 
     values = dict(_DEFAULTS)

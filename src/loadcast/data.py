@@ -46,41 +46,52 @@ def ingest_csv(path):
     advance by exactly one hour; loads must be positive and finite.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, expected header {','.join(CSV_COLUMNS)}")
-        if tuple(column.strip() for column in header) != CSV_COLUMNS:
-            raise SchemaError(
-                f"{path}: expected columns {','.join(CSV_COLUMNS)}, got {','.join(header)}")
-        records = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                timestamp = datetime.fromisoformat(row[0].strip())
-                load = float(row[1])
-                temperature = float(row[2])
-            except (ValueError, IndexError) as err:
-                raise ParseError(f"{path}: line {line}: {err}") from err
-            if not (math.isfinite(load) and math.isfinite(temperature)):
-                raise ParseError(f"{path}: line {line}: non-finite value")
-            if load <= 0.0:
-                raise ParseError(f"{path}: line {line}: load must be positive, got {load}")
-            aware = timestamp.utcoffset() is not None
-            if not records:
-                first_line, first_aware = line, aware
-            elif aware != first_aware:
-                raise ParseError(
-                    f"{path}: line {line}: timestamp {row[0].strip()!r} is "
-                    f"{'offset-aware' if aware else 'naive'} but line {first_line}'s is not")
-            records.append(RawRecord(timestamp, load, temperature))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            records = _parse_rows(path, csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise ParseError(f"{path}: not a readable CSV file: {err}") from err
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp - prev.timestamp != HOUR:
             raise ContinuityError(
                 f"{path}: timestamps must advance by exactly one hour; "
                 f"first break at {cur.timestamp.isoformat()}")
+    return records
+
+
+def _parse_rows(path, reader):
+    """The records of a CSV reader's rows, header first; blank rows skipped."""
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header {','.join(CSV_COLUMNS)}")
+    if tuple(column.strip() for column in header) != CSV_COLUMNS:
+        raise SchemaError(
+            f"{path}: expected columns {','.join(CSV_COLUMNS)}, got {','.join(header)}")
+    records = []
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ParseError(f"{path}: line {line}: expected {len(CSV_COLUMNS)} fields "
+                             f"({','.join(CSV_COLUMNS)}), got {len(row)}")
+        try:
+            timestamp = datetime.fromisoformat(row[0].strip())
+            load = float(row[1])
+            temperature = float(row[2])
+        except ValueError as err:
+            raise ParseError(f"{path}: line {line}: {err}") from err
+        if not (math.isfinite(load) and math.isfinite(temperature)):
+            raise ParseError(f"{path}: line {line}: non-finite value")
+        if load <= 0.0:
+            raise ParseError(f"{path}: line {line}: load must be positive, got {load}")
+        aware = timestamp.utcoffset() is not None
+        if not records:
+            first_line, first_aware = line, aware
+        elif aware != first_aware:
+            raise ParseError(
+                f"{path}: line {line}: timestamp {row[0].strip()!r} is "
+                f"{'offset-aware' if aware else 'naive'} but line {first_line}'s is not")
+        records.append(RawRecord(timestamp, load, temperature))
     return records
 
 

@@ -9,21 +9,28 @@ For computing, `pack` lays the blocks of one direction out as a single
 one (4H,) bias holding each gate's two biases summed, so a cell step is one
 matmul and one tape op with a hand-derived backward.
 
-`lstm_sequence` runs one direction over a (steps, width) matrix of inputs
-that are all known up front as a single tape op: the forward is a plain
-loop of the same per-step arithmetic, and the backward walks the steps in
-reverse only for the gate pre-activation gradients, then forms the weight,
-bias and input gradients with one product over the whole sequence each.
-`attended_sequence` is the same op for a direction whose step inputs an
-attention sweep builds from the hidden state before each step: the sweep's
-numpy forward runs inside the loop, and its backward runs inside the
-reverse loop, turning each step's input gradient into a contribution to
-the previous hidden state's.  `bilstm_sequence` is the one bidirectional
-recurrence.  Given an input matrix it runs both directions with
-`lstm_sequence`; given a sweep, it runs the forward direction with
-`attended_sequence`, then the backward direction over the inputs the
-sweep built, reversed, with `lstm_sequence`.  It returns the per-step
-hidden states as a (steps, 2H) matrix with rows [forward; backward].
+The sequence runs carry a window axis: a batch of B windows runs as one
+recurrence whose step arrays hold one column per window, inputs
+(steps, width, B) and states (H, B), so a step's gate product is one
+matmul whatever B is, and a single window is B = 1.
+`lstm_sequence` runs one direction over inputs that are all known up front
+as a single tape op: the input part of every gate pre-activation is one
+product over all (steps * B) rows before the loop, the loop adds the
+recurrent part with the per-column arithmetic of the cell step, and the
+backward walks the steps in reverse only for the gate pre-activation
+gradients, then forms the weight, bias and input gradients with one
+product over every step of every window each.  `attended_sequence` is the
+same op for a direction whose step inputs an attention sweep builds from
+the hidden state before each step: the sweep's numpy forward runs inside
+the loop, and its backward runs inside the reverse loop, turning each
+step's input gradient into a contribution to the previous hidden state's.
+`bilstm_sequence` is the one bidirectional recurrence.  Given an input
+array it runs both directions with `lstm_sequence`; given a sweep, it runs
+the forward direction with `attended_sequence`, then the backward direction
+over the inputs the sweep built, reversed, with `lstm_sequence`.  It
+returns the per-step hidden states as a (steps, 2H, B) array whose step t
+is [forward; backward].  `lstm_cell_step` stays the one-window single-step
+API.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tensor,
-                     fused_op, matmul, relu, reshape, segment)
+                     fused_op, matmul, relu, segment)
 
 
 @dataclass
@@ -129,8 +136,11 @@ class LstmState:
     c: Tensor
 
 
-def zero_state(hidden_size):
-    return LstmState(Tensor(np.zeros(hidden_size)), Tensor(np.zeros(hidden_size)))
+def zero_state(hidden_size, windows=None):
+    """A zero state: (H,) vectors for one cell step, or (H, windows)
+    columns for a sequence run."""
+    shape = (hidden_size,) if windows is None else (hidden_size, windows)
+    return LstmState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
 
 GATES = ("i", "f", "g", "o")
@@ -241,126 +251,196 @@ def lstm_cell_step(params, prev, x):
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
-def _run(cell, z, c0, h_seq, sweep=None):
-    """Step the cell over the rows of `z`, writing h_t into row t of `h_seq`.
+def _run(cell, z, c0, sweep=None):
+    """Step the cell over `z`, writing h_t into `z[t + 1]`.
 
-    Row t of z is [x_t; h_{t-1}], the operand of step t's gate matmul; the
-    caller fills row 0's h_0 and, without a sweep, every x_t.  With a
-    sweep, x_t is `sweep.forward(t, h_{t-1})`.  The arithmetic is that of
-    `lstm_cell_step`.  Returns the activations, c_0 .. c_T and tanh(c_t).
+    `z` is (steps + 1, input + H, B), and `z[t]` is the matrix [x_t;
+    h_{t-1}] of step t, one column per window; the caller fills h_0 and,
+    without a sweep, every x_t, whose part of the gate pre-activations is
+    then one product over all (steps * B) columns before the loop.  With a
+    sweep, x_t is `sweep.forward(t, h_{t-1})`.  The per-column arithmetic
+    is that of `lstm_cell_step`.  Returns the (steps, 4H, B) activations
+    and c_0 .. c_T.
     """
-    steps, hidden = h_seq.shape
+    steps = z.shape[0] - 1
+    hidden, windows = c0.shape
     width = z.shape[1] - hidden
     w, bias = cell.weights.values, cell.bias.values
+    if sweep is None:
+        known = _rows(z[:steps, :width]) @ w[:, :width].T
+        known += bias
+        known = np.ascontiguousarray(
+            known.reshape(steps, windows, 4 * hidden).transpose(0, 2, 1))
+        w = np.ascontiguousarray(w[:, width:])
     cand_rows = slice(2 * hidden, 3 * hidden)
-    act = np.empty((steps, 4 * hidden))
-    c_seq = np.empty((steps + 1, hidden))
+    act = np.empty((steps, 4 * hidden, windows))
+    c_seq = np.empty((steps + 1, hidden, windows))
     c_seq[0] = c0
-    tanh_c = np.empty((steps, hidden))
+    tanh_c = np.empty((hidden, windows))
     for t in range(steps):
-        if sweep is not None:
-            z[t, :width] = sweep.forward(t, z[t, width:])
-        pre = w @ z[t] + bias
-        a = _sigmoid_values(pre)
-        a[cand_rows] = np.tanh(pre[cand_rows])
-        c = a[hidden:2 * hidden] * c_seq[t] + a[:hidden] * a[cand_rows]
-        act[t], c_seq[t + 1], tanh_c[t] = a, c, np.tanh(c)
-        h_seq[t] = a[3 * hidden:] * tanh_c[t]
-        if t + 1 < steps:
-            z[t + 1, width:] = h_seq[t]
-    return act, c_seq, tanh_c
-
-
-def _bptt(w, act, c_seq, tanh_c, grad_h, dc, sweep=None, grad_x=None):
-    """Walk the steps of `_run` in reverse for the gate pre-activation
-    gradients; returns them as a (steps, 4H) matrix with dh_0 and dc_0.
-
-    With a sweep, step t's input gradient (the gate part plus `grad_x[t]`,
-    what arrives on x_t from outside) goes through `sweep.backward`, whose
-    result joins the recurrent gradient for h_{t-1}.
-    """
-    steps, hidden = grad_h.shape
-    width = w.shape[1] - hidden
-    w_h = w[:, width:]
-    cand_rows = slice(2 * hidden, 3 * hidden)
-    d_pre = np.empty((steps, 4 * hidden))
-    dh_next = np.zeros(hidden)
-    for t in range(steps - 1, -1, -1):
-        a = act[t]
-        i, f, cand, o = a[:hidden], a[hidden:2 * hidden], a[cand_rows], a[3 * hidden:]
-        dh = grad_h[t] + dh_next
-        dc = dc + _tanh_grad(tanh_c[t], dh * o)
-        d_act = np.concatenate((dc * cand, dc * c_seq[t], dc * i, dh * tanh_c[t]))
-        d_pre[t] = _sigmoid_grad(a, d_act)
-        d_pre[t, cand_rows] = _tanh_grad(cand, d_act[cand_rows])
         if sweep is None:
-            dh_next = d_pre[t] @ w_h
+            pre = w @ z[t, width:]
+            pre += known[t]
+        else:
+            z[t, :width] = sweep.forward(t, z[t, width:])
+            pre = w @ z[t]
+            pre += bias[:, np.newaxis]
+        a = _sigmoid_values(pre, out=act[t])
+        np.tanh(pre[cand_rows], out=a[cand_rows])
+        c = np.multiply(a[hidden:2 * hidden], c_seq[t], out=c_seq[t + 1])
+        c += a[:hidden] * a[cand_rows]
+        np.multiply(a[3 * hidden:], np.tanh(c, out=tanh_c), out=z[t + 1, width:])
+    return act, c_seq
+
+
+def _rows(a):
+    """The (steps, n, B) array `a` as (steps * B, n) rows, one per step and
+    window, step-major: a copy unless B is 1."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(-1, a.shape[1])
+
+
+def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
+    """Walk the steps of `_run` in reverse for the gate pre-activation
+    gradients; returns them as (steps * B, 4H) rows, step-major, with dh_0
+    and dc_0.
+
+    The walk keeps one row per window, so every per-step array is
+    contiguous.  With a sweep, step t's input gradient (the gate part plus
+    `grad_x[t]`, what arrives on x_t from outside) goes through
+    `sweep.backward`, whose result joins the recurrent gradient for
+    h_{t-1}.
+    """
+    steps, hidden, windows = grad_h.shape
+    width = w.shape[1] - hidden
+    if sweep is None:
+        w = np.ascontiguousarray(w[:, width:])
+    i, f, cand, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(c_seq[1:])
+    # Everything but dh and dc, for all steps at once: d_pre starts as each
+    # gate's slope times the other factor of its product, so step t only
+    # scales it by dc (the i, f and g gates) or dh (the o gate).
+    d_pre = np.empty((steps, windows, 4 * hidden))
+    np.subtract(1.0, act.transpose(0, 2, 1), out=d_pre)
+    d_pre *= act.transpose(0, 2, 1)
+    gates = d_pre.reshape(steps, windows, 4, hidden)
+    np.subtract(1.0, np.square(cand.transpose(0, 2, 1)), out=gates[:, :, 2])
+    for k, factor in enumerate((cand, c_seq[:-1], i, tanh_c)):
+        gates[:, :, k] *= factor.transpose(0, 2, 1)
+    o_slope = _rows(_tanh_grad(tanh_c, o)).reshape(steps, windows, hidden)
+    f = _rows(f).reshape(steps, windows, hidden)
+    grad_h = _rows(grad_h).reshape(steps, windows, hidden)
+    if sweep is not None:
+        grad_x = _rows(grad_x).reshape(steps, windows, width)
+    dc = np.ascontiguousarray(dc.T)
+    dh_next = np.zeros((windows, hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = grad_h[t] + dh_next
+        dc = dc + dh * o_slope[t]
+        gates[t, :, :3] *= dc[:, np.newaxis]
+        gates[t, :, 3] *= dh
+        if sweep is None:
+            dh_next = d_pre[t] @ w
         else:
             dz = d_pre[t] @ w
-            dh_next = dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
-        dc = dc * f
-    return d_pre, dh_next, dc
+            dh_next = dz[:, width:] + sweep.backward(t, (dz[:, :width] + grad_x[t]).T).T
+        dc = dc * f[t]
+    return d_pre.reshape(steps * windows, 4 * hidden), dh_next.T, dc.T
 
 
-def _state_views(joined, steps, hidden):
-    """The (steps, H) hidden matrix and the terminal state of a run whose
-    output starts [h_1 .. h_T; c_T]."""
-    end = steps * hidden
-    states = reshape(segment(joined, 0, end), (steps, hidden))
-    return states, LstmState(segment(joined, end - hidden, end),
-                             segment(joined, end, end + hidden))
+def _view(joined, start, stop, shape):
+    """Entries `start:stop` of the flat output of a run, as an array of
+    `shape`; one tape node whose gradient is zero elsewhere."""
+    size = joined.values.size
+
+    def rule(g):
+        full = np.zeros(size)
+        full[start:stop] = g.reshape(-1)
+        return (full,)
+
+    return fused_op(joined.values[start:stop].reshape(shape), (joined,), rule)
+
+
+def _state_views(joined, steps, hidden, windows):
+    """The (steps, H, B) hidden states and the terminal state of a run
+    whose flat output starts [h_1 .. h_T; c_T]."""
+    end = steps * hidden * windows
+    block = hidden * windows
+    return (_view(joined, 0, end, (steps, hidden, windows)),
+            LstmState(_view(joined, end - block, end, (hidden, windows)),
+                      _view(joined, end, end + block, (hidden, windows))))
+
+
+def _check_run(cell, steps, width, windows, h0, c0):
+    if steps < 1:
+        raise DimensionError("cannot encode an empty sequence")
+    if width != cell.input_size:
+        raise DimensionError(f"step input width {width} does not match weights "
+                             f"({cell.input_size},)")
+    state = (cell.hidden_size, windows)
+    if h0.shape != state or c0.shape != state:
+        raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
+
+
+def _operands(h0, steps, width):
+    """Scratch for `_run`: (steps + 1, width + H, B), with h_0 filled in."""
+    hidden, windows = h0.shape
+    z = np.empty((steps + 1, width + hidden, windows))
+    z[0, width:] = h0
+    return z
 
 
 def lstm_sequence(params, inputs, init):
-    """Run one direction over the rows of the (steps, width) matrix
-    `inputs` from `init`; returns the hidden states as a (steps, H) matrix
-    and the terminal state.
+    """Run one direction over the (steps, width, B) array `inputs`, column b
+    of every step being window b's input, from the (H, B) state `init`;
+    returns the hidden states as a (steps, H, B) array and the terminal
+    state.
 
     One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
-    `lstm_cell_step`; the matrix and the terminal h and c are views of it.
+    `lstm_cell_step` per column, the input part of every gate
+    pre-activation as one product before the loop; the states and the
+    terminal h and c are views of it.
     """
     cell = pack(params)
     inputs, h0, c0 = as_tensor(inputs), as_tensor(init.h), as_tensor(init.c)
-    if inputs.values.ndim != 2 or inputs.shape[0] < 1:
-        raise DimensionError(f"cannot encode {inputs.shape} as a nonempty (steps, width) matrix")
-    _check_shapes(cell, inputs.shape[1:], h0, c0)
-    steps, width = inputs.shape
+    if inputs.values.ndim != 3:
+        raise DimensionError(f"cannot encode {inputs.shape} as (steps, width, windows) inputs")
+    steps, width, windows = inputs.shape
+    _check_run(cell, steps, width, windows, h0, c0)
     hidden = cell.hidden_size
-    end = steps * hidden
+    end = steps * hidden * windows
     w = cell.weights.values
-    z = np.empty((steps, width + hidden))
-    z[:, :width] = inputs.values
-    z[0, width:] = h0.values
-    out = np.empty(end + hidden)
-    act, c_seq, tanh_c = _run(cell, z, c0.values, out[:end].reshape(steps, hidden))
-    out[end:] = c_seq[steps]
+    z = _operands(h0.values, steps, width)
+    z[:steps, :width] = inputs.values
+    act, c_seq = _run(cell, z, c0.values)
+    out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1)))
 
     def rule(grad):
-        d_pre, dh0, dc0 = _bptt(w, act, c_seq, tanh_c, grad[:end].reshape(steps, hidden),
-                                grad[end:])
-        return d_pre.T @ z, d_pre.sum(axis=0), d_pre @ w[:, :width], dh0, dc0
+        d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
+                                grad[end:].reshape(hidden, windows))
+        d_inputs = (d_pre @ w[:, :width]).reshape(steps, windows, width).transpose(0, 2, 1)
+        return d_pre.T @ _rows(z[:steps]), d_pre.sum(axis=0), d_inputs, dh0, dc0
 
     joined = fused_op(out, (cell.weights, cell.bias, inputs, h0, c0), rule)
-    return _state_views(joined, steps, hidden)
+    return _state_views(joined, steps, hidden, windows)
 
 
 def attended_sequence(params, steps, sweep, init):
     """Run one direction whose step inputs an attention sweep builds from
     the hidden state before each step (see `attention.FeatureSweep` and
-    `attention.TemporalSweep`).
+    `attention.TemporalSweep`), for the sweep's B windows from the (H, B)
+    state `init`.
 
     One tape op computes [h_1 .. h_T; c_T; x_1 .. x_T] with the arithmetic
-    of `lstm_cell_step` and of the sweep's attention; its operands are the
-    cell, `init` and the sweep's operands.  Returns the (steps, H) hidden
-    matrix, the (steps, width) matrix of step inputs and the terminal
-    state, all views of that op.  Non-finite attention intermediates raise
-    `EvaluationError`, checked once after the run.
+    of `lstm_cell_step` and of the sweep's attention per column; its
+    operands are the cell, `init` and the sweep's operands.  Returns the
+    (steps, H, B) hidden states, the (steps, width, B) step inputs and the
+    terminal state, all views of that op.  Non-finite attention
+    intermediates raise `EvaluationError`, checked once after the run.
     """
-    if steps < 1:
-        raise DimensionError("cannot encode an empty sequence")
     cell = pack(params)
     h0, c0 = as_tensor(init.h), as_tensor(init.c)
-    _check_shapes(cell, (sweep.width,), h0, c0)
+    windows = sweep.windows
+    _check_run(cell, steps, sweep.width, windows, h0, c0)
     hidden, width = cell.hidden_size, cell.input_size
     if (sweep.steps, sweep.hidden_size) != (steps, hidden):
         raise DimensionError(f"sweep of {sweep.steps} steps over hidden width "
@@ -368,37 +448,36 @@ def attended_sequence(params, steps, sweep, init):
     # The backward rule keeps the sweep, so the sweep must not keep the taped
     # operands: through them it would keep the tape in a reference cycle.
     operands, sweep.operands = sweep.operands, ()
-    end = steps * hidden
+    end = steps * hidden * windows
+    states_end = end + hidden * windows
     w = cell.weights.values
-    z = np.empty((steps, width + hidden))
-    z[0, width:] = h0.values
-    out = np.empty(end + hidden + steps * width)
-    act, c_seq, tanh_c = _run(cell, z, c0.values, out[:end].reshape(steps, hidden), sweep)
-    out[end:end + hidden] = c_seq[steps]
-    out[end + hidden:] = z[:, :width].reshape(-1)
+    z = _operands(h0.values, steps, width)
+    act, c_seq = _run(cell, z, c0.values, sweep)
+    out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1),
+                          z[:steps, :width].reshape(-1)))
     sweep.check_finite()
 
     def rule(grad):
-        d_pre, dh0, dc0 = _bptt(w, act, c_seq, tanh_c, grad[:end].reshape(steps, hidden),
-                                grad[end:end + hidden], sweep,
-                                grad[end + hidden:].reshape(steps, width))
-        return (d_pre.T @ z, d_pre.sum(axis=0), dh0, dc0, *sweep.grads())
+        d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
+                                grad[end:states_end].reshape(hidden, windows), sweep,
+                                grad[states_end:].reshape(steps, width, windows))
+        return (d_pre.T @ _rows(z[:steps]), d_pre.sum(axis=0), dh0, dc0, *sweep.grads())
 
     joined = fused_op(out, (cell.weights, cell.bias, h0, c0, *operands), rule)
-    states, terminal = _state_views(joined, steps, hidden)
-    inputs = reshape(segment(joined, end + hidden, out.size), (steps, width))
+    states, terminal = _state_views(joined, steps, hidden, windows)
+    inputs = _view(joined, states_end, out.size, (steps, width, windows))
     return states, inputs, terminal
 
 
 def bilstm_sequence(params, steps, inputs, init_forward, init_backward):
-    """Run a sequence of `steps` inputs in both directions.
+    """Run a sequence of `steps` inputs in both directions for B windows.
 
-    `inputs` is either the (steps, width) matrix of step inputs, and then
+    `inputs` is either the (steps, width, B) array of step inputs, and then
     the forward direction is one `lstm_sequence`, or an attention sweep,
     and then the forward direction is one `attended_sequence` whose inputs
     depend on the forward state before each step.  The backward direction
     consumes the same inputs in reverse from `init_backward` as one
-    `lstm_sequence`.  Returns the (steps, 2H) matrix whose row t is
+    `lstm_sequence`.  Returns the (steps, 2H, B) array whose step t is
     [forward h_t; backward h_t], and each direction's own terminal state
     (the backward terminal is the state after consuming the first input).
     """
@@ -434,9 +513,11 @@ class FeedForwardParams:
 
 
 def feedforward_relu(params, stacked):
-    """Linear, ReLU, linear projection of the stacked decoder states."""
+    """Linear, ReLU, linear projection of the stacked decoder states: one
+    column per window in, one forecast column per window out."""
     stacked = as_tensor(stacked)
     width = params.hidden.shape[1]
-    if stacked.shape != (width,):
-        raise DimensionError(f"head input shape {stacked.shape} does not match weights ({width},)")
+    if stacked.values.ndim != 2 or stacked.shape[0] != width:
+        raise DimensionError(
+            f"head input shape {stacked.shape} does not match weights ({width}, windows)")
     return matmul(params.out, relu(matmul(params.hidden, stacked)))

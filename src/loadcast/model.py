@@ -13,9 +13,14 @@ share this code path:
 * ``EDLSTM``      no attention, unidirectional, with the cell width doubled
                   so every variant exposes the same state width to the head.
 
+`forward` runs a list of windows as one pass: every per-window array is
+stacked with the windows as its last axis, and every recurrence, sweep,
+the head and the loss carry that axis, one column per window.  `predict`
+is `forward` over one window.
+
 Every bidirectional run, encoder or decoder, goes through
 `lstm.bilstm_sequence`.  Without attention on that side the step inputs
-are known up front and are passed as one (steps, width) matrix, so both
+are known up front and are passed as one (steps, width, B) array, so both
 directions run as whole-sequence ops.  With attention, the side passes an
 attention sweep (`attention.FeatureSweep` in the encoder,
 `attention.TemporalSweep` in the decoder) that builds each step's input
@@ -27,8 +32,8 @@ states do not exist yet when a step's weights are needed) while both
 directions still see the attention-processed inputs.  The attention
 weights a caller asks for are the ones the sweep stored.  The
 unidirectional EDLSTM runs `lstm.lstm_sequence`.  Encoder states come back
-as one (history_len, state_width) matrix, and the decoder's matrix is
-flattened for the head.
+as one (history_len, state_width, B) array, and the decoder's states are
+flattened to one column per window for the head.
 """
 
 from __future__ import annotations
@@ -160,8 +165,9 @@ def init_params(config):
 
 @dataclass
 class Encoding:
-    """Encoder output: per-hour states stacked as (history_len, state_width),
-    terminal states for seeding the decoder, and optional feature weights."""
+    """Encoder output for B windows: per-hour states stacked as
+    (history_len, state_width, B), terminal (H, B) states for seeding the
+    decoder, and optional (history_len, n_features, B) feature weights."""
 
     states: Tensor
     terminal_forward: LstmState
@@ -170,43 +176,44 @@ class Encoding:
 
 
 def encode(params, config, hist_features, hist_targets, collect_attention=False):
-    """Run the encoder over the history window.
+    """Run the encoder over the history windows.
 
-    Each step consumes [features; observed load]; with feature attention the
-    feature part is reweighted first (see the module docstring for how the
-    weights are conditioned).
+    `hist_features` is (history_len, n_features, B) and `hist_targets` is
+    (history_len, B), window k in column k.  Each step consumes [features;
+    observed load]; with feature attention the feature part is reweighted
+    first (see the module docstring for how the weights are conditioned).
     """
-    hist_features = np.asarray(hist_features, dtype=np.float64)
-    hist_targets = np.asarray(hist_targets, dtype=np.float64)
-    steps = config.history_len
-    if hist_features.shape != (steps, config.n_features):
+    steps, windows = config.history_len, hist_targets.shape[-1]
+    if hist_features.shape != (steps, config.n_features, windows):
         raise DimensionError(
             f"history features {hist_features.shape} do not match "
-            f"({steps}, {config.n_features})")
-    if hist_targets.shape != (steps,):
-        raise DimensionError(f"history targets {hist_targets.shape} do not match ({steps},)")
+            f"({steps}, {config.n_features}, {windows})")
+    if hist_targets.shape != (steps, windows):
+        raise DimensionError(
+            f"history targets {hist_targets.shape} do not match ({steps}, {windows})")
 
-    init_backward = zero_state(config.hidden_size)
+    init_backward = zero_state(config.hidden_size, windows)
     if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, init_backward.h, hist_features, hist_targets)
     else:
-        inputs = Tensor(np.column_stack((hist_features, hist_targets)))
+        inputs = Tensor(np.concatenate((hist_features, hist_targets[:, np.newaxis]), axis=1))
     if config.bidirectional:
         states, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, steps, inputs, zero_state(config.hidden_size), init_backward)
+            params.encoder, steps, inputs, zero_state(config.hidden_size, windows),
+            init_backward)
     else:
         states, terminal_forward = lstm_sequence(
-            params.encoder, inputs, zero_state(config.state_width))
+            params.encoder, inputs, zero_state(config.state_width, windows))
         terminal_backward = None
     feature_weights = None
     if collect_attention and config.encoder_attention:
-        feature_weights = np.array(inputs.weights)
+        feature_weights = inputs.weights
     return Encoding(states, terminal_forward, terminal_backward, feature_weights)
 
 
 @dataclass
 class Decoding:
-    """Decoder output and optional attention traces."""
+    """Decoder output, (horizon, B), and optional attention traces."""
 
     output: Tensor
     day_weights: np.ndarray | None
@@ -214,26 +221,28 @@ class Decoding:
 
 
 def decode(params, config, encoding, future_features, day_blocks, collect_attention=False):
-    """Run the decoder over the forecast day and apply the output head.
+    """Run the decoder over the forecast days and apply the output head.
 
-    Each direction starts from its own orientation's encoder terminal
-    state.  With decoder attention the per-step context (similar-day times
-    temporal weights over the encoder states) is computed in the forward
+    `future_features` is (horizon, n_features, B) and `day_blocks` holds
+    each window's (days, day_len, n_features) history blocks.  Each
+    direction starts from its own orientation's encoder terminal state.
+    With decoder attention the per-step context (similar-day times temporal
+    weights over the window's encoder states) is computed in the forward
     sweep and both directions consume the same [features; context] inputs.
     """
-    future = np.asarray(future_features, dtype=np.float64)
-    steps = config.horizon
-    if future.shape != (steps, config.n_features):
-        raise DimensionError(
-            f"future features {future.shape} do not match ({steps}, {config.n_features})")
+    steps, windows = config.horizon, len(day_blocks)
+    if future_features.shape != (steps, config.n_features, windows):
+        raise DimensionError(f"future features {future_features.shape} do not match "
+                             f"({steps}, {config.n_features}, {windows})")
 
     day_weights = hour_weights = None
     if config.decoder_attention:
-        day_weights = similar_day_weights(day_blocks, future)
-        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h, future,
-                               day_weights, encoding.states, config.day_len)
+        day_weights = np.stack([similar_day_weights(blocks, future_features[:, :, k]).weights
+                                for k, blocks in enumerate(day_blocks)], axis=-1)
+        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
+                               future_features, day_weights, encoding.states, config.day_len)
     else:
-        inputs = Tensor(future)
+        inputs = Tensor(future_features)
     if config.bidirectional:
         states, _terminals = bilstm_sequence(
             params.decoder, steps, inputs,
@@ -241,45 +250,72 @@ def decode(params, config, encoding, future_features, day_blocks, collect_attent
     else:
         states, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
 
-    output = feedforward_relu(params.head, reshape(states, (steps * config.state_width,)))
+    output = feedforward_relu(params.head,
+                              reshape(states, (steps * config.state_width, windows)))
     if collect_attention and config.decoder_attention:
-        hour_weights = np.array(inputs.weights)
-    return Decoding(output,
-                    None if day_weights is None else np.array(day_weights.weights),
-                    hour_weights)
+        hour_weights = inputs.weights
+    return Decoding(output, day_weights, hour_weights)
 
 
 @dataclass
 class Forecast:
-    """Model output for one window, in standardized target units.
-
-    `output` is the taped tensor (for building a loss); the attention
-    fields are filled only when requested and supported by the variant.
-    """
+    """Model output for one window, in standardized target units; the
+    attention fields are filled only when requested and supported by the
+    variant."""
 
     values: np.ndarray
-    output: Tensor
     feature_weights: np.ndarray | None
     hour_weights: np.ndarray | None
     day_weights: np.ndarray | None
 
 
-def forward(params, config, sample, collect_attention=False):
-    """Encode the history, decode the forecast day, return the forecast.
+@dataclass
+class ForwardPass:
+    """Output of one pass over B windows: the (horizon, B) taped forecast
+    tensor for building a loss, and one `Forecast` per window."""
 
-    The observed future loads in `sample` are never read; only the history
-    and the future features drive the output.
+    output: Tensor
+    forecasts: list
+
+
+def _stacked(windows, field, shape):
+    """Field `field` of every window, stacked with windows as the last axis."""
+    arrays = [np.asarray(getattr(window, field), dtype=np.float64) for window in windows]
+    for k, arr in enumerate(arrays):
+        if arr.shape != shape:
+            raise DimensionError(f"window {k}: {field} {arr.shape} does not match {shape}")
+    return np.stack(arrays, axis=-1)
+
+
+def _column(weights, k):
+    return None if weights is None else np.array(weights[..., k])
+
+
+def forward(params, config, samples, collect_attention=False):
+    """Encode the histories of `samples`, a nonempty list of windows, decode
+    their forecast days, and return the forecasts as one pass.
+
+    The observed future loads in the samples are never read; only the
+    histories and the future features drive the output.
     """
-    encoding = encode(params, config, sample.x_hist, sample.y_hist, collect_attention)
-    decoding = decode(params, config, encoding, sample.x_future, sample.day_blocks,
-                      collect_attention)
-    return Forecast(values=np.array(decoding.output.values),
-                    output=decoding.output,
-                    feature_weights=encoding.feature_weights,
-                    hour_weights=decoding.hour_weights,
-                    day_weights=decoding.day_weights)
+    if not samples:
+        raise DimensionError("a forward pass needs at least one window")
+    steps, width = config.history_len, config.n_features
+    encoding = encode(params, config, _stacked(samples, "x_hist", (steps, width)),
+                      _stacked(samples, "y_hist", (steps,)), collect_attention)
+    decoding = decode(params, config, encoding,
+                      _stacked(samples, "x_future", (config.horizon, width)),
+                      [sample.day_blocks for sample in samples], collect_attention)
+    values = decoding.output.values
+    return ForwardPass(decoding.output, [
+        Forecast(values=np.array(values[:, k]),
+                 feature_weights=_column(encoding.feature_weights, k),
+                 hour_weights=_column(decoding.hour_weights, k),
+                 day_weights=_column(decoding.day_weights, k))
+        for k in range(len(samples))])
 
 
 def predict(params, config, sample, collect_attention=False):
-    """`forward` with parameters wrapped as constants (no tape, no gradients)."""
-    return forward(bind_constants(params), config, sample, collect_attention)
+    """The forecast for one window: `forward` over [sample] with parameters
+    wrapped as constants (no tape, no gradients)."""
+    return forward(bind_constants(params), config, [sample], collect_attention).forecasts[0]

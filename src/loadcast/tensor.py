@@ -111,12 +111,17 @@ class Tape:
 
         The sweep walks nodes in reverse recording order, which is a reverse
         topological order by construction; accumulation order is therefore
-        deterministic.
+        deterministic.  Each rule, and the gradient it consumed, is dropped
+        once it has run, so what the forward pass kept is freed as the
+        sweep goes; a tape therefore runs backward once, and only leaves
+        keep a gradient.
         """
         if loss.tape is not self:
             raise TapeError("loss is not recorded on this tape")
         if loss.values.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.values.shape}")
+        if self._grads is not None:
+            raise TapeError("backward has already run on this tape")
         grads = [None] * len(self._nodes)
         grads[loss.node] = np.ones((), dtype=np.float64)
         for node_id in range(loss.node, -1, -1):
@@ -124,9 +129,11 @@ class Tape:
             if g is None:
                 continue
             node = self._nodes[node_id]
-            if node.rule is None:
+            rule, node.rule = node.rule, None
+            if rule is None:
                 continue
-            for parent_id, parent_grad in zip(node.parents, node.rule(g)):
+            grads[node_id] = None
+            for parent_id, parent_grad in zip(node.parents, rule(g)):
                 if grads[parent_id] is None:
                     grads[parent_id] = parent_grad
                 else:
@@ -134,15 +141,17 @@ class Tape:
         self._grads = grads
 
     def grad(self, tensor):
-        """Gradient of the last `backward` loss with respect to `tensor`.
+        """Gradient of the `backward` loss with respect to the leaf `tensor`.
 
-        Nodes the loss does not depend on get a zero gradient of matching
+        Leaves the loss does not depend on get a zero gradient of matching
         shape.
         """
         if tensor.tape is not self:
             raise TapeError("tensor is not recorded on this tape")
         if self._grads is None:
             raise TapeError("backward has not been run on this tape")
+        if self._nodes[tensor.node].parents:
+            raise TapeError("only leaves keep a gradient")
         g = self._grads[tensor.node]
         if g is None:
             return np.zeros_like(tensor.values)
@@ -256,9 +265,9 @@ def _matmul_grad_right(g, av, bv):
 # the verification suite can demonstrate that a corrupted rule is caught.
 
 
-def _sigmoid_values(x):
+def _sigmoid_values(x, out=None):
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0.0, 1.0, e), 1.0 + e, out=out)
 
 
 def _sigmoid_grad(out, g):
@@ -330,15 +339,15 @@ def scale(x, factor):
 # softmax, concatenation, reshaping, reduction
 
 
-def softmax_values(v):
-    """Shift-stabilized softmax of a plain 1-D array."""
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+def softmax_values(v, out=None):
+    """Shift-stabilized softmax of a plain array down axis 0, so each
+    column of a matrix is its own distribution."""
+    e = np.exp(v - v.max(axis=0))
+    return np.divide(e, e.sum(axis=0), out=out)
 
 
 def _softmax_grad(out, g):
-    return out * (g - np.dot(g, out))
+    return out * (g - (g * out).sum(axis=0))
 
 
 def stable_softmax(v):
@@ -462,8 +471,9 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
     work = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
 
     def loss_at():
-        probe = Tape()
-        out = program(probe, {name: probe.leaf(arr) for name, arr in work.items()})
+        # Constants on an unused tape: only the value is read, so nothing
+        # is recorded.
+        out = program(Tape(), {name: Tensor(arr) for name, arr in work.items()})
         value = float(out.values)
         if not math.isfinite(value):
             raise EvaluationError("non-finite loss at a perturbed point")

@@ -1,9 +1,12 @@
 """MSE training with Adam, per-epoch logging, and best-validation selection.
 
-Batch gradients are the mean of per-sample gradients; each sample gets its
-own tape, so two runs with the same seeds replay bit-identical update
-trajectories.  Validation losses come from constant-bound forward passes
-and never touch gradient state.
+A batch of windows is one forward pass on one tape, with the windows as
+columns of every recurrence; its loss is the mean of the window MSEs, so
+its gradient is the mean of the per-window gradients.  The arithmetic
+depends only on the batch, so two runs with the same seeds replay
+bit-identical update trajectories.  Losses and evaluation forecasts come
+from constant-bound forward passes over chunks of `EVAL_CHUNK` windows and
+never touch gradient state.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .metrics import compute_metrics
 from .model import forward, init_params
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
 from .tensor import Tape, as_tensor, hadamard, scale, sub, total
+
+# Windows per untaped evaluation pass.  A pass's working set grows with
+# its width, so the chunk stays near a training batch's size.
+EVAL_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -52,12 +59,14 @@ class TrainConfig:
 
 
 def mse_loss(pred, target):
-    """Mean squared error between a prediction vector and its target."""
+    """Mean squared error between a prediction and its target: a vector, or
+    a (horizon, B) matrix with one window per column, whose loss is then
+    the mean of the window MSEs."""
     pred = as_tensor(pred)
     target = as_tensor(target)
-    if pred.values.ndim != 1 or pred.shape != target.shape:
+    if pred.values.ndim not in (1, 2) or pred.shape != target.shape:
         raise DimensionError(
-            f"loss needs equal-length vectors, got {pred.shape} and {target.shape}")
+            f"loss needs equal-shape vectors or matrices, got {pred.shape} and {target.shape}")
     diff = sub(pred, target)
     return scale(total(hadamard(diff, diff)), 1.0 / pred.values.size)
 
@@ -134,31 +143,31 @@ def _batches(order, batch_size):
         yield order[start:start + batch_size]
 
 
+def _targets(samples):
+    """The observed future loads of `samples`, one window per column."""
+    return np.stack([sample.y_future for sample in samples], axis=-1)
+
+
 def mean_mse(params, model_config, samples):
     """Average per-window MSE with constant-bound parameters (no tape)."""
     consts = bind_constants(params)
     losses = []
-    for sample in samples:
-        fc = forward(consts, model_config, sample)
-        losses.append(float(mse_loss(fc.output, sample.y_future).values))
-    return float(np.mean(losses))
+    for chunk in _batches(samples, EVAL_CHUNK):
+        errors = forward(consts, model_config, chunk).output.values - _targets(chunk)
+        losses.extend(np.mean(errors * errors, axis=0))
+    mean = float(np.mean(losses))
+    if not math.isfinite(mean):
+        raise EvaluationError("non-finite mean squared error")
+    return mean
 
 
 def batch_gradients(params, model_config, samples):
-    """Mean of per-sample gradients of the window MSE, name-keyed."""
-    grads = {name: np.zeros_like(arr) for name, arr in named_leaves(params)}
-    for sample in samples:
-        tape = Tape()
-        bound = bind(params, tape)
-        fc = forward(bound, model_config, sample)
-        loss = mse_loss(fc.output, sample.y_future)
-        tape.backward(loss)
-        for name, leaf in named_leaves(bound):
-            grads[name] += tape.grad(leaf)
-    inv = 1.0 / len(samples)
-    for name in grads:
-        grads[name] *= inv
-    return grads
+    """Gradients of the batch's mean window MSE, name-keyed: one tape and
+    one forward pass for the whole batch."""
+    tape = Tape()
+    bound = bind(params, tape)
+    tape.backward(mse_loss(forward(bound, model_config, samples).output, _targets(samples)))
+    return {name: np.array(tape.grad(leaf)) for name, leaf in named_leaves(bound)}
 
 
 def train(model_config, train_samples, validation_samples, config):
@@ -226,10 +235,9 @@ def evaluate(params, model_config, samples, stats):
         raise TrainingError("evaluation needs at least one sample")
     consts = bind_constants(params)
     forecasts = []
-    actuals = []
-    for sample in samples:
-        fc = forward(consts, model_config, sample)
-        forecasts.append(destandardize_load(fc.values, stats))
-        actuals.append(destandardize_load(sample.y_future, stats))
+    for chunk in _batches(samples, EVAL_CHUNK):
+        forecasts.extend(destandardize_load(fc.values, stats)
+                         for fc in forward(consts, model_config, chunk).forecasts)
+    actuals = [destandardize_load(sample.y_future, stats) for sample in samples]
     report = compute_metrics(np.concatenate(actuals), np.concatenate(forecasts))
     return EvaluationResult(report, forecasts, actuals)

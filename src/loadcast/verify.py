@@ -60,8 +60,8 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
 
     def program(_tape, leaves):
         bound = map_leaves(template, lambda name, _leaf: leaves[name])
-        fc = forward(bound, config, sample)
-        return mse_loss(fc.output, sample.y_future)
+        output = forward(bound, config, [sample]).output
+        return mse_loss(output, sample.y_future[:, np.newaxis])
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)
 

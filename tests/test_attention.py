@@ -266,17 +266,32 @@ def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
 
 
 def make_sweep(case, attn, leaves):
+    """The case's sweep over one window: per-window arrays as (.., 1)."""
+    tail = column(leaves["tail"])
     if "states" in case:
-        return TemporalSweep(attn, leaves["tail"], case["features"], case["day"],
-                             leaves["states"], case["day_len"])
-    return FeatureSweep(attn, leaves["tail"], case["features"], case["targets"])
+        return TemporalSweep(attn, tail, case["features"][..., np.newaxis],
+                             case["day"].weights[:, np.newaxis], column(leaves["states"]),
+                             case["day_len"])
+    return FeatureSweep(attn, tail, case["features"][..., np.newaxis],
+                        case["targets"][:, np.newaxis])
+
+
+def column(tensor):
+    """A per-window tensor as a one-window batch."""
+    return reshape(tensor, tensor.shape + (1,))
+
+
+def uncolumn(tensor):
+    return reshape(tensor, tensor.shape[:-1])
 
 
 def swept(case, cell, attn, leaves):
     sweep = make_sweep(case, attn, leaves)
     states, inputs, terminal = attended_sequence(
-        cell, len(case["features"]), sweep, LstmState(leaves["h0"], leaves["c0"]))
-    return states, inputs, terminal, sweep.weights
+        cell, len(case["features"]), sweep,
+        LstmState(column(leaves["h0"]), column(leaves["c0"])))
+    return (uncolumn(states), uncolumn(inputs),
+            LstmState(uncolumn(terminal.h), uncolumn(terminal.c)), sweep.weights[..., 0])
 
 
 def stepped(case, cell, attn, leaves):
@@ -357,6 +372,9 @@ def flat_size(case):
 
 class TestAttendedSweeps:
     def test_values_and_weights_equal_stepped_path(self):
+        # Windows are columns, and a window's context is a product with its
+        # states laid out window-major, so values agree with the stepped path
+        # to rounding rather than bitwise.
         rng = np.random.default_rng(34)
         for case in random_cases(rng, 15):
             probe = rng.normal(size=flat_size(case))
@@ -365,7 +383,7 @@ class TestAttendedSweeps:
                 ref_values, _ = run_case(stepped, case, taped)
                 for value, ref in zip(values, ref_values):
                     assert value.shape == ref.shape
-                    npt.assert_array_equal(value, ref)
+                    assert rel_diff(value, ref) <= 1e-12
 
     def test_gradients_match_stepped_path(self):
         rng = np.random.default_rng(35)
@@ -409,13 +427,14 @@ class TestAttendedSweeps:
                 cell = pack(bind(case["cell"], tape))
                 attn = bind(case["attn"], tape)
                 leaves = {name: tape.leaf(case[name]) for name in leaf_names(case)}
+                sweep = make_sweep(case, attn, leaves)
+                init = LstmState(tape.leaf(np.zeros((3, 1))), tape.leaf(np.zeros((3, 1))))
                 before = len(tape)
-                swept(case, cell, attn, leaves)
+                attended_sequence(cell, steps, sweep, init)
                 counts.append(len(tape) - before)
-        # One op for the run, then views for the hidden matrix (segment,
-        # reshape), the terminal h, the terminal c and the input matrix
-        # (segment, reshape).
-        assert counts == [7] * 8
+        # One op for the run, then a view each for the hidden states, the
+        # terminal h, the terminal c and the step inputs.
+        assert counts == [5] * 8
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_preactivation_raises(self):
@@ -433,26 +452,35 @@ class TestAttendedSweeps:
     def test_shape_errors(self):
         rng = np.random.default_rng(39)
         case = feature_case(rng, 3, 2, 2, 2)
-        tail = Tensor(case["tail"])
-        init = LstmState(Tensor(case["h0"]), Tensor(case["c0"]))
+        tail = Tensor(case["tail"][:, np.newaxis])
+        features, targets = case["features"][..., np.newaxis], case["targets"][:, np.newaxis]
+        init = LstmState(Tensor(case["h0"][:, np.newaxis]), Tensor(case["c0"][:, np.newaxis]))
         with pytest.raises(DimensionError):
-            FeatureSweep(case["attn"], tail, case["features"], case["targets"][:2])
+            FeatureSweep(case["attn"], tail, features, targets[:2])
         with pytest.raises(DimensionError):
-            FeatureSweep(case["attn"], tail, case["features"][:, :1], case["targets"])
-        sweep = FeatureSweep(case["attn"], tail, case["features"], case["targets"])
+            FeatureSweep(case["attn"], tail, features[:, :1], targets)
+        with pytest.raises(DimensionError):
+            FeatureSweep(case["attn"], tail, case["features"], case["targets"])
+        sweep = FeatureSweep(case["attn"], tail, features, targets)
         with pytest.raises(DimensionError):
             attended_sequence(case["cell"], 2, sweep, init)
         with pytest.raises(DimensionError):
             attended_sequence(LstmParams.random(rng, 4, 2, 1.0), 3, sweep, init)
         with pytest.raises(DimensionError):
             attended_sequence(case["cell"], 0, sweep, init)
+        with pytest.raises(DimensionError):
+            attended_sequence(case["cell"], 3, sweep,
+                              LstmState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))))
         case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
+        features = case["features"][..., np.newaxis]
+        day = case["day"].weights[:, np.newaxis]
+        states = Tensor(case["states"][..., np.newaxis])
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, case["features"], case["day"],
-                          Tensor(case["states"]), 4)
+            TemporalSweep(case["attn"], tail, features, day, states, 4)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, case["features"], case["day"],
-                          Tensor(case["states"][1:]), 3)
+            TemporalSweep(case["attn"], tail, features, day, Tensor(states.values[1:]), 3)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, case["features"],
-                          SimilarDayWeights(np.ones(3) / 3), Tensor(case["states"]), 3)
+            TemporalSweep(case["attn"], tail, features, np.ones((3, 1)) / 3, states, 3)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], tail, features, day,
+                          Tensor(np.repeat(states.values, 2, axis=2)), 3)

@@ -286,6 +286,19 @@ class TestForecast:
         assert err.startswith("config error:") and str(paths[flag]) in err
         assert not (tmp_path / "fc").exists()
 
+    def test_extra_csv_column_is_a_data_error(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        lines = data.read_text().splitlines()
+        lines[5] += ",junk"
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data), "--out", str(tmp_path / "fc")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 6" in err
+        assert not (tmp_path / "fc").exists()
+
     def test_bad_data_is_a_data_error(self, trained, tmp_path, capsys):
         data = tmp_path / "gap.csv"
         data.write_text("timestamp,load,temperature\n"

@@ -104,6 +104,19 @@ class TestErrors:
             parse_run_config(path)
         assert "ANLF" in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(
+                tmp_path, f"output.dir = out\ntrain.learning_rate = {value}\n"))
+        assert "line 2" in str(exc.value) and "finite" in str(exc.value)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"output.dir = \xff\n")
+        with pytest.raises(ConfigError):
+            parse_run_config(path)
+
     def test_missing_output_dir(self, tmp_path):
         path = write_config(tmp_path, "train.epochs = 2\n")
         with pytest.raises(ConfigError) as exc:

@@ -101,6 +101,23 @@ class TestIngest:
             ingest_csv(path)
         assert "line 2" in str(exc.value)
 
+    def test_extra_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("timestamp,load,temperature\n"
+                        "2022-01-01T00:00,900,5\n"
+                        "2022-01-01T01:00,900,5,junk\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert "line 3" in str(exc.value) and "got 4" in str(exc.value)
+
+    @pytest.mark.parametrize("body", [b"2022-01-03T00:00:00,100.0,\xff\n",
+                                      b"2022-01-03T00:00:00,100.0,1\x00\n"])
+    def test_unreadable_row_is_a_parse_error(self, tmp_path, body):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"timestamp,load,temperature\n" + body)
+        with pytest.raises(ParseError):
+            ingest_csv(path)
+
     def test_mixed_offset_awareness_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("timestamp,load,temperature\n"

@@ -200,8 +200,8 @@ class TestFusedCell:
 
 
 def stepped_sequence(params, inputs, init):
-    """A direction as one `lstm_cell_step` per row of the input matrix.
-    Reference for the whole-sequence op."""
+    """A direction as one `lstm_cell_step` per row of one window's
+    (steps, width) input matrix.  Reference for the whole-sequence op."""
     cell = pack(params)
     steps, width = inputs.shape
     flat = reshape(inputs, (steps * width,))
@@ -212,13 +212,26 @@ def stepped_sequence(params, inputs, init):
     return reshape(concat(hs), (steps, state.h.shape[0])), state
 
 
+def one_window(params, inputs, init):
+    """`lstm_sequence` on one window, in the per-window shapes of
+    `stepped_sequence`: the window axis is added to the (steps, width)
+    inputs and the (H,) state and taken off the results."""
+    steps, width = inputs.shape
+    hidden = init.h.shape[0]
+    states, terminal = lstm_sequence(
+        params, reshape(inputs, (steps, width, 1)),
+        LstmState(reshape(init.h, (hidden, 1)), reshape(init.c, (hidden, 1))))
+    return (reshape(states, (steps, hidden)),
+            LstmState(reshape(terminal.h, (hidden,)), reshape(terminal.c, (hidden,))))
+
+
 class FixedSweep:
-    """A sweep that ignores the hidden state: step t's input is row t of
-    `inputs`, whose gradient it passes through."""
+    """A sweep that ignores the hidden state: step t's input is
+    `inputs[t]`, (width, B), whose gradient it passes through."""
 
     def __init__(self, inputs, hidden_size, seen=None):
         self.operands = (inputs,)
-        self.steps, self.width = inputs.shape
+        self.steps, self.width, self.windows = inputs.shape
         self.hidden_size = hidden_size
         self._values = inputs.values
         self._grad = np.zeros(inputs.shape)
@@ -231,7 +244,7 @@ class FixedSweep:
 
     def backward(self, t, dx):
         self._grad[t] = dx
-        return np.zeros(self.hidden_size)
+        return np.zeros((self.hidden_size, self.windows))
 
     def grads(self):
         return (self._grad,)
@@ -262,7 +275,22 @@ def taped_sequence(run, params, init, xs, probe):
     return states.values, terminal.h.values, terminal.c.values, grads
 
 
+def columns(*arrays):
+    """Per-window arrays as one-window batches."""
+    return tuple(Tensor(np.asarray(a)[..., np.newaxis]) for a in arrays)
+
+
+def one_state(hidden, h=None, c=None):
+    """An (H, 1) state, zero unless given per-window vectors."""
+    h = np.zeros(hidden) if h is None else h
+    c = np.zeros(hidden) if c is None else c
+    return LstmState(*columns(h, c))
+
+
 class TestSequenceOp:
+    # The known-input gate pre-activations are one product over every step,
+    # so the op's values are not bitwise those of stepped cells: they agree
+    # to rounding, within 1e-12 relative.
     def test_values_equal_stepped_cells(self):
         rng = np.random.default_rng(23)
         shapes = [(1, 1, 1), (1, 3, 2), (4, 1, 3), (4, 3, 1)]
@@ -270,12 +298,12 @@ class TestSequenceOp:
         for steps, width, hidden in shapes:
             params, init, xs = random_sequence(rng, steps, width, hidden)
             inputs = Tensor(xs)
-            states, terminal = lstm_sequence(params, inputs, init)
+            states, terminal = one_window(params, inputs, init)
             ref_states, ref_terminal = stepped_sequence(params, inputs, init)
             assert states.shape == (steps, hidden)
-            npt.assert_array_equal(states.values, ref_states.values)
-            npt.assert_array_equal(terminal.h.values, ref_terminal.h.values)
-            npt.assert_array_equal(terminal.c.values, ref_terminal.c.values)
+            assert rel_diff(states.values, ref_states.values) <= 1e-12
+            assert rel_diff(terminal.h.values, ref_terminal.h.values) <= 1e-12
+            assert rel_diff(terminal.c.values, ref_terminal.c.values) <= 1e-12
 
     def test_gradients_match_stepped_cells(self):
         rng = np.random.default_rng(24)
@@ -284,10 +312,10 @@ class TestSequenceOp:
         for steps, width, hidden in shapes:
             params, init, xs = random_sequence(rng, steps, width, hidden)
             probe = rng.normal(size=(steps + 2) * hidden)
-            *values, grads = taped_sequence(lstm_sequence, params, init, xs, probe)
+            *values, grads = taped_sequence(one_window, params, init, xs, probe)
             *ref_values, ref_grads = taped_sequence(stepped_sequence, params, init, xs, probe)
             for value, ref in zip(values, ref_values):
-                npt.assert_array_equal(value, ref)
+                assert rel_diff(value, ref) <= 1e-12
             assert len(grads) == 16 + 3 and grads.keys() == ref_grads.keys()
             for name, grad in grads.items():
                 assert grad.shape == ref_grads[name].shape, name
@@ -299,7 +327,7 @@ class TestSequenceOp:
         probe = rng.normal(size=7 * 4)
 
         def program(tape, leaves):
-            states, terminal = lstm_sequence(
+            states, terminal = one_window(
                 params, leaves["x"], LstmState(leaves["h0"], leaves["c0"]))
             flat = concat([reshape(states, (20,)), terminal.h, terminal.c])
             return total(hadamard(flat, Tensor(probe)))
@@ -314,31 +342,33 @@ class TestSequenceOp:
             params, init, xs = random_sequence(np.random.default_rng(26), steps, 3, 2)
             tape = Tape()
             cell = pack(bind(params, tape))
-            inputs = tape.leaf(xs)
+            inputs = tape.leaf(xs[..., np.newaxis])
             before = len(tape)
-            lstm_sequence(cell, inputs, init)
+            lstm_sequence(cell, inputs, one_state(2))
             counts.append(len(tape) - before)
-        # One op for the run, then views for the matrix (segment, reshape),
-        # the terminal h and the terminal c.
-        assert counts == [5, 5, 5, 5]
+        # One op for the run, then a view each for the states, the terminal h
+        # and the terminal c.
+        assert counts == [4, 4, 4, 4]
 
     def test_shape_errors(self):
         params = LstmParams.zeros(3, 2)
         with pytest.raises(DimensionError):
-            lstm_sequence(params, Tensor(np.zeros((2, 4))), zero_state(2))
+            lstm_sequence(params, Tensor(np.zeros((2, 4, 1))), one_state(2))
         with pytest.raises(DimensionError):
-            lstm_sequence(params, Tensor(np.zeros(3)), zero_state(2))
+            lstm_sequence(params, Tensor(np.zeros((2, 3))), one_state(2))
         with pytest.raises(DimensionError):
-            lstm_sequence(params, Tensor(np.zeros((1, 3))), zero_state(3))
+            lstm_sequence(params, Tensor(np.zeros((1, 3, 1))), one_state(3))
+        with pytest.raises(DimensionError):
+            lstm_sequence(params, Tensor(np.zeros((1, 3, 2))), one_state(2))
         bi = BiLstmParams(forward=params, backward=params)
         with pytest.raises(DimensionError):
-            bilstm_sequence(bi, 2, Tensor(np.zeros((1, 3))), zero_state(2), zero_state(2))
+            bilstm_sequence(bi, 2, Tensor(np.zeros((1, 3, 1))), one_state(2), one_state(2))
 
     def test_bilstm_matrix_matches_sweep(self):
         rng = np.random.default_rng(27)
         params = BiLstmParams.random(rng, 2, 3, bound=0.8)
-        xs = rng.normal(size=(6, 2))
-        probe = rng.normal(size=(6, 6))
+        xs = rng.normal(size=(6, 2, 1))
+        probe = rng.normal(size=(6, 6, 1))
         results = []
         for as_matrix in (True, False):
             tape = Tape()
@@ -346,14 +376,14 @@ class TestSequenceOp:
             inputs = tape.leaf(xs)
             step_inputs = inputs if as_matrix else FixedSweep(inputs, 3)
             joined, (term_f, term_b) = bilstm_sequence(leaves, 6, step_inputs,
-                                                       zero_state(3), zero_state(3))
+                                                       one_state(3), one_state(3))
             tape.backward(total(hadamard(joined, Tensor(probe))))
             grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
             grads.append(tape.grad(inputs))
             results.append((joined.values, term_f.c.values, term_b.c.values, grads))
         (*values, grads), (*ref_values, ref_grads) = results
         for value, ref in zip(values, ref_values):
-            npt.assert_array_equal(value, ref)
+            assert rel_diff(value, ref) <= 1e-12
         for grad, ref in zip(grads, ref_grads):
             assert rel_diff(grad, ref) <= 1e-12
 
@@ -362,38 +392,38 @@ class TestSequences:
     def test_returns_one_state_per_step(self):
         rng = np.random.default_rng(13)
         params = LstmParams.random(rng, 3, 2, bound=0.5)
-        inputs = Tensor(rng.normal(size=(5, 3)))
-        states, terminal = lstm_sequence(params, inputs, zero_state(2))
-        assert states.shape == (5, 2)
+        inputs = Tensor(rng.normal(size=(5, 3, 2)))
+        states, terminal = lstm_sequence(params, inputs, zero_state(2, 2))
+        assert states.shape == (5, 2, 2)
         npt.assert_array_equal(states.values[-1], terminal.h.values)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
-            lstm_sequence(LstmParams.zeros(2, 2), Tensor(np.zeros((0, 2))), zero_state(2))
+            lstm_sequence(LstmParams.zeros(2, 2), Tensor(np.zeros((0, 2, 1))), one_state(2))
 
     def test_sequence_matches_repeated_cell_steps(self):
         rng = np.random.default_rng(14)
         params = LstmParams.random(rng, 2, 3, bound=0.7)
         inputs = rng.normal(size=(4, 2))
-        states, terminal = lstm_sequence(params, Tensor(inputs), zero_state(3))
+        states, terminal = lstm_sequence(params, *columns(inputs), one_state(3))
         manual = zero_state(3)
         for step, x in enumerate(inputs):
             manual = lstm_cell_step(params, manual, Tensor(x))
-            npt.assert_array_equal(states.values[step], manual.h.values)
-        npt.assert_array_equal(terminal.c.values, manual.c.values)
+            assert rel_diff(states.values[step, :, 0], manual.h.values) <= 1e-12
+        assert rel_diff(terminal.c.values[:, 0], manual.c.values) <= 1e-12
 
     def test_bilstm_joins_directions_per_step(self):
         rng = np.random.default_rng(15)
         params = BiLstmParams(forward=LstmParams.random(rng, 2, 3, bound=0.5),
                               backward=LstmParams.random(rng, 2, 3, bound=0.5))
-        inputs = rng.normal(size=(4, 2))
+        inputs = rng.normal(size=(4, 2, 1))
         joined, (term_f, term_b) = bilstm_sequence(params, 4, Tensor(inputs),
-                                                   zero_state(3), zero_state(3))
-        assert joined.shape == (4, 6)
+                                                   one_state(3), one_state(3))
+        assert joined.shape == (4, 6, 1)
 
-        fwd_states, fwd_term = lstm_sequence(params.forward, Tensor(inputs), zero_state(3))
+        fwd_states, fwd_term = lstm_sequence(params.forward, Tensor(inputs), one_state(3))
         bwd_states, bwd_term = lstm_sequence(params.backward, Tensor(inputs[::-1]),
-                                             zero_state(3))
+                                             one_state(3))
         for t in range(4):
             expect = np.concatenate([fwd_states.values[t],
                                      bwd_states.values[3 - t]])
@@ -405,11 +435,11 @@ class TestSequences:
         rng = np.random.default_rng(16)
         a = LstmParams.random(rng, 2, 3, bound=0.5)
         b = LstmParams.random(rng, 2, 3, bound=0.5)
-        inputs = rng.normal(size=(5, 2))
+        inputs = rng.normal(size=(5, 2, 1))
         joined, _ = bilstm_sequence(BiLstmParams(a, b), 5, Tensor(inputs),
-                                    zero_state(3), zero_state(3))
+                                    one_state(3), one_state(3))
         mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, Tensor(inputs[::-1]),
-                                      zero_state(3), zero_state(3))
+                                      one_state(3), one_state(3))
         for t in range(5):
             fwd, bwd = np.split(joined.values[t], 2)
             m_fwd, m_bwd = np.split(mirrored.values[4 - t], 2)
@@ -420,39 +450,39 @@ class TestSequences:
         rng = np.random.default_rng(18)
         params = BiLstmParams.random(rng, 2, 3, bound=0.5)
         inputs = rng.normal(size=(4, 2))
-        init_forward = LstmState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
+        h0, c0 = rng.normal(size=3), rng.normal(size=3)
         seen = []
-        joined, (term_f, _) = bilstm_sequence(params, 4, FixedSweep(Tensor(inputs), 3, seen),
-                                              init_forward, zero_state(3))
+        joined, (term_f, _) = bilstm_sequence(params, 4, FixedSweep(*columns(inputs), 3, seen),
+                                              one_state(3, h0, c0), one_state(3))
         assert [t for t, _ in seen] == [0, 1, 2, 3]
-        npt.assert_array_equal(seen[0][1], init_forward.h.values)
+        npt.assert_array_equal(seen[0][1][:, 0], h0)
         for t in range(1, 4):
             npt.assert_array_equal(seen[t][1], joined.values[t - 1, :3])
-        manual = init_forward
+        manual = LstmState(Tensor(h0), Tensor(c0))
         for t in range(4):
             manual = lstm_cell_step(params.forward, manual, Tensor(inputs[t]))
-        npt.assert_array_equal(term_f.h.values, manual.h.values)
-        npt.assert_array_equal(term_f.c.values, manual.c.values)
+        npt.assert_array_equal(term_f.h.values[:, 0], manual.h.values)
+        npt.assert_array_equal(term_f.c.values[:, 0], manual.c.values)
 
     def test_bilstm_empty_sequence_rejected(self):
         params = BiLstmParams.random(np.random.default_rng(19), 2, 2, bound=0.5)
         with pytest.raises(DimensionError):
-            bilstm_sequence(params, 0, Tensor(np.zeros((0, 2))),
-                            zero_state(2), zero_state(2))
+            bilstm_sequence(params, 0, Tensor(np.zeros((0, 2, 1))),
+                            one_state(2), one_state(2))
         with pytest.raises(DimensionError):
-            bilstm_sequence(params, 0, FixedSweep(Tensor(np.zeros((0, 2))), 2),
-                            zero_state(2), zero_state(2))
+            bilstm_sequence(params, 0, FixedSweep(Tensor(np.zeros((0, 2, 1))), 2),
+                            one_state(2), one_state(2))
 
     def test_sequence_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
         init = LstmParams.random(rng, 2, 3, bound=0.6)
-        xs = rng.normal(size=(6, 2))
+        xs = rng.normal(size=(6, 2, 1))
 
         def program(tape, leaves):
             params = LstmParams(**{name: leaves[name]
                                    for name, _ in named_leaves(init)})
-            states, terminal = lstm_sequence(params, Tensor(xs), zero_state(3))
-            return total(concat([reshape(states, (18,)), terminal.c]))
+            states, terminal = lstm_sequence(params, Tensor(xs), one_state(3))
+            return total(concat([reshape(states, (18,)), reshape(terminal.c, (3,))]))
 
         report = check_gradients(program,
                                  dict(named_leaves(init)), tolerance=1e-5)
@@ -462,18 +492,18 @@ class TestSequences:
 class TestFeedForwardHead:
     def test_hand_values(self):
         params = FeedForwardParams(hidden=np.array([[3.0]]), out=np.array([[2.0]]))
-        out = feedforward_relu(params, Tensor(np.array([1.0])))
-        npt.assert_array_equal(out.values, [6.0])
+        out = feedforward_relu(params, Tensor(np.array([[1.0]])))
+        npt.assert_array_equal(out.values, [[6.0]])
         # A negative preactivation is clamped to zero by the ReLU.
         negative = FeedForwardParams(hidden=np.array([[-3.0]]),
                                      out=np.array([[2.0]]))
         npt.assert_array_equal(
-            feedforward_relu(negative, Tensor(np.array([1.0]))).values, [0.0])
+            feedforward_relu(negative, Tensor(np.array([[1.0]]))).values, [[0.0]])
 
     def test_gradients(self):
         rng = np.random.default_rng(18)
         init = FeedForwardParams.random(rng, 6, 4, 3, bound=0.8)
-        stacked = rng.normal(size=6)
+        stacked = rng.normal(size=(6, 2))
 
         def program(tape, leaves):
             params = FeedForwardParams(hidden=leaves["hidden"], out=leaves["out"])

@@ -286,19 +286,19 @@ class TestForward:
     def test_forward_and_predict_agree(self):
         params = init_params(TINY)
         sample = random_sample(TINY, seed=56)
-        npt.assert_array_equal(forward(params, TINY, sample).values,
+        npt.assert_array_equal(forward(params, TINY, [sample]).forecasts[0].values,
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        # A direction run with known inputs records 5 nodes, one driven by
-        # attention 7 plus 1 to reverse its inputs for the backward
+        # A direction run with known inputs records 4 nodes, one driven by
+        # attention 5 plus 1 to reverse its inputs for the backward
         # direction, and each direction 2 for packing.
-        expected = {"ANLF": 110, "eAttention": 105, "dAttention": 105,
-                    "EDBiLSTM": 100, "EDLSTM": 52}
+        expected = {"ANLF": 104, "eAttention": 100, "dAttention": 100,
+                    "EDBiLSTM": 96, "EDLSTM": 50}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
-            forward(bind(init_params(config), tape), config, sample)
+            forward(bind(init_params(config), tape), config, [sample])
             assert len(tape) == expected[variant], variant
 
     def test_window_tape_is_freed_without_the_cycle_collector(self):
@@ -310,8 +310,8 @@ class TestForward:
             for variant in VARIANTS:
                 config, sample = tiny_model_case(variant)
                 tape = Tape()
-                fc = forward(bind(init_params(config), tape), config, sample)
-                tape.backward(mse_loss(fc.output, sample.y_future))
+                fc = forward(bind(init_params(config), tape), config, [sample])
+                tape.backward(mse_loss(fc.output, sample.y_future[:, np.newaxis]))
                 alive = weakref.ref(tape)
                 del tape, fc
                 assert alive() is None, variant

@@ -214,6 +214,18 @@ class TestBackward:
         first, second = run(), run()
         npt.assert_array_equal(first, second)
 
+    def test_backward_runs_once_and_keeps_leaf_gradients(self):
+        tape = Tape()
+        w = tape.leaf([1.0, 2.0])
+        square = hadamard(w, w)
+        loss = total(square)
+        tape.backward(loss)
+        npt.assert_array_equal(tape.grad(w), [2.0, 4.0])
+        with pytest.raises(TapeError):
+            tape.grad(square)
+        with pytest.raises(TapeError):
+            tape.backward(loss)
+
     def test_reused_operand_accumulates(self):
         tape = Tape()
         w = tape.leaf([2.0])
@@ -291,3 +303,60 @@ class TestCheckGradients:
 
         fd_check(program, {name: weights.normal(size=(4, 4))
                            for name in ("w1", "w2", "w3")})
+
+    def test_perturbed_points_record_nothing(self):
+        """Only the first evaluation of the program is taped; every perturbed
+        point is evaluated on constants, so its tape stays empty, and the
+        report is the one a recording probe gives."""
+        from loadcast.lstm import LstmParams, LstmState, lstm_sequence
+        from loadcast.params import named_leaves
+
+        rng = np.random.default_rng(8)
+        template = LstmParams.random(rng, 2, 2, bound=0.8)
+        xs = Tensor(rng.normal(size=(3, 2, 2)))
+        init = LstmState(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))))
+        weights = Tensor(rng.normal(size=(3, 2, 2)))
+        recorded = []
+
+        def program(tape, leaves):
+            states, _ = lstm_sequence(LstmParams(**leaves), xs, init)
+            loss = total(hadamard(tanh(states), weights))
+            recorded.append(len(tape))
+            return loss
+
+        arrays = dict(named_leaves(template))
+        report = check_gradients(program, arrays)
+        scalars = sum(arr.size for arr in arrays.values())
+        assert len(recorded) == 1 + 2 * scalars
+        assert recorded[0] > 0 and recorded[1:] == [0] * (2 * scalars)
+        assert report == taped_probe_report(program, arrays)
+
+
+def taped_probe_report(program, params, h=1e-5, tolerance=1e-6):
+    """`check_gradients` with every perturbed point recorded on a fresh tape
+    whose leaves are watched, as it ran before the perturbed points were
+    evaluated on constants.  Reference for the untaped probes."""
+    tape = Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+    tape.backward(program(tape, leaves))
+    analytic = {name: tape.grad(t) for name, t in leaves.items()}
+    work = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
+
+    def loss_at():
+        probe = Tape()
+        return float(program(probe, {name: probe.leaf(arr) for name, arr in work.items()}).values)
+
+    per_param = {}
+    for name, arr in work.items():
+        flat, ad_flat, worst = arr.reshape(-1), analytic[name].reshape(-1), 0.0
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + h
+            f_plus = loss_at()
+            flat[i] = saved - h
+            f_minus = loss_at()
+            flat[i] = saved
+            fd = (f_plus - f_minus) / (2.0 * h)
+            worst = max(worst, abs(ad_flat[i] - fd) / max(abs(ad_flat[i]), abs(fd), 1e-8))
+        per_param[name] = worst
+    return GradCheckReport(max(per_param.values()), per_param, tolerance, h)

@@ -1,6 +1,7 @@
 """Loss, optimizer, and training loop behavior on small fixed cases."""
 
 from datetime import datetime
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -271,8 +272,8 @@ class TestEvaluate:
             def __init__(self, values):
                 self.values = np.array(values)
 
-        monkeypatch.setattr(training, "forward",
-                            lambda params, cfg, sample: Perfect(sample.y_future))
+        monkeypatch.setattr(training, "forward", lambda params, cfg, chunk: SimpleNamespace(
+            forecasts=[Perfect(sample.y_future) for sample in chunk]))
         result = evaluate(init_params(config), config, samples, stats)
         assert result.report.mae == 0.0
         assert result.report.mape == 0.0
