@@ -58,13 +58,14 @@ def main():
         print(f"  {name:16s} {block.sum():.4f} over {block.size} features")
 
     # With all-zero scorer parameters the softmax input is zero, so the
-    # weights are exactly uniform, not just approximately.
+    # weights are exactly uniform, not just approximately.  The encoder's
+    # scorer conditions on the previous forward hidden state alone.
     rng = np.random.default_rng(0)
     alpha, _ = feature_attention(
-        FeatureAttentionParams.zeros(2 * config.hidden_size,
+        FeatureAttentionParams.zeros(config.hidden_size,
                                      config.n_features,
                                      config.feature_attn_size),
-        Tensor(rng.normal(size=2 * config.hidden_size)),
+        Tensor(rng.normal(size=config.hidden_size)),
         Tensor(rng.normal(size=config.n_features)),
         0.3)
     uniform = np.full(config.n_features, 1.0 / config.n_features)

@@ -19,8 +19,9 @@ for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
 the same arithmetic (scores and softmax down each column, each window's
 context from its own encoder states and similar-day weights),
 `backward(t, dx)` turns the gradient of that input into one for h_prev in
-the reverse loop, and `grads()` forms the parameter, tail and state
-gradients with one product each over the rows stored per step and window.
+the reverse loop, and `grads()` forms the parameter gradients (for the
+temporal sweep also those of its conditioning tail and encoder states)
+with one product each over the rows stored per step and window.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class FeatureAttentionParams:
     """Additive scorer over [recurrent state; features; target].
 
     `proj` is (attn_size, state_width + n_features + 1) and `score` is
-    (n_features, attn_size); there is no bias term.
+    (n_features, attn_size); there is no bias term.  The model's state is
+    the encoder's previous forward hidden state, so state_width is H.
     """
 
     proj: np.ndarray
@@ -166,9 +168,8 @@ def context_vector(day_weights, hour_weights, states):
 class _ScoredSweep:
     """The additive scorer of both sweeps, stepped in numpy for B windows.
 
-    Step t's joint matrix is [h_{t-1}; tail; fixed_t], one column per
-    window, where `tail` completes the conditioning vector and `fixed`
-    holds the rows known before the run.  Step t scores it as
+    Step t's joint matrix is [h_{t-1}; fixed_t], one column per window,
+    where `fixed` holds the rows known before the run.  Step t scores it as
     `feature_attention` and `temporal_attention` do, score @ tanh(proj @
     joint), with a softmax down each column, and keeps everything the
     backward pass needs; `weights` holds the (steps, n, B) softmax weights.
@@ -176,24 +177,21 @@ class _ScoredSweep:
     into the gradient of its weights.
     """
 
-    def __init__(self, params, tail, fixed):
-        proj, score, tail = as_tensor(params.proj), as_tensor(params.score), as_tensor(tail)
-        self.operands = (proj, score, tail)
+    def __init__(self, params, fixed):
+        proj, score = as_tensor(params.proj), as_tensor(params.score)
+        self.operands = (proj, score)
         self._proj, self._score = proj.values, score.values
-        if fixed.ndim != 3 or tail.values.ndim != 2 or tail.shape[1] != fixed.shape[2]:
-            raise DimensionError(f"tail {tail.shape} and step rows {fixed.shape} are not "
-                                 f"(rows, windows) and (steps, rows, windows)")
+        if fixed.ndim != 3:
+            raise DimensionError(f"step rows {fixed.shape} are not (steps, rows, windows)")
         self.steps, _, self.windows = fixed.shape
-        self.hidden_size = self._proj.shape[-1] - tail.shape[0] - fixed.shape[1]
+        self.hidden_size = self._proj.shape[-1] - fixed.shape[1]
         if (self._proj.ndim != 2 or self._score.ndim != 2
                 or self._score.shape[1] != self._proj.shape[0] or self.hidden_size < 1):
             raise DimensionError(
-                f"attention blocks {self._proj.shape}, {self._score.shape} do not fit a "
-                f"{tail.shape} tail and {fixed.shape[1]} step rows")
-        self._tail = slice(self.hidden_size, self.hidden_size + tail.shape[0])
+                f"attention blocks {self._proj.shape}, {self._score.shape} do not fit "
+                f"{fixed.shape[1]} step rows")
         self._joint = np.empty((self.steps, self._proj.shape[1], self.windows))
-        self._joint[:, self._tail] = tail.values
-        self._joint[:, self._tail.stop:] = fixed
+        self._joint[:, self.hidden_size:] = fixed
         self._proj_h_t = np.ascontiguousarray(self._proj[:, :self.hidden_size].T)
         self._score_t = np.ascontiguousarray(self._score.T)
         self._pre = np.empty((self.steps, self._proj.shape[0], self.windows))
@@ -226,11 +224,10 @@ class _ScoredSweep:
         self._d_pre = np.empty_like(self._pre)
         self._d_scores = np.empty_like(self._scores)
 
-    def _scorer_grads(self):
-        """proj, score and tail gradients over every step of the run."""
+    def grads(self):
+        """proj and score gradients over every step of the run."""
         return (_summed_outer(self._d_pre, self._joint),
-                _summed_outer(self._d_scores, self._squashed),
-                self._proj[:, self._tail].T @ self._d_pre.sum(axis=0))
+                _summed_outer(self._d_scores, self._squashed))
 
     def _checked(self):
         return self._joint, self._pre, self._scores, self.weights
@@ -250,23 +247,21 @@ def _summed_outer(a, b):
 class FeatureSweep(_ScoredSweep):
     """Feature attention for every encoder step, inside one recurrence.
 
-    Step t conditions on [h_{t-1}; tail], reweights the features of hour t
-    as `feature_attention` does and returns the step input
-    [weights * features; target], one column per window.  `features` is
-    (steps, n, B), `targets` is (steps, B) and `tail` is (H, B).
-    `operands` are `proj`, `score` and `tail`; `grads()` returns their
-    gradients in that order.
+    Step t conditions on h_{t-1} alone, reweights the features of hour t as
+    `feature_attention` does and returns the step input [weights *
+    features; target], one column per window.  `features` is (steps, n, B)
+    and `targets` is (steps, B).  `operands` are `proj` and `score`;
+    `grads()` returns their gradients in that order.
     """
 
-    def __init__(self, params, tail, features, targets):
+    def __init__(self, params, features, targets):
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if features.ndim != 3 or targets.shape != (features.shape[0], features.shape[2]):
             raise DimensionError(
                 f"features {features.shape} and targets {targets.shape} are not per step "
                 f"and window")
-        super().__init__(params, tail,
-                         np.concatenate((features, targets[:, np.newaxis]), axis=1))
+        super().__init__(params, np.concatenate((features, targets[:, np.newaxis]), axis=1))
         if self._score.shape[0] != features.shape[1]:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
                                  f"{features.shape[1]} features")
@@ -281,31 +276,33 @@ class FeatureSweep(_ScoredSweep):
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
 
-    def grads(self):
-        return self._scorer_grads()
-
 
 class TemporalSweep(_ScoredSweep):
     """Temporal attention and the context vector for every decoder step,
     inside one recurrence.
 
-    Step t conditions on [h_{t-1}; tail], weights every history hour as
+    Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
+    same for every step, weights every history hour as
     `temporal_attention` does, mixes each window's encoder states with day
     weight times hour weight as `context_vector` does and returns the step
     input [features; context], one column per window.  `features` is
-    (steps, n, B), `day_weights` is (days, B), `states` is (history, S, B)
-    and `tail` is (H, B).  `weights` holds the flat hour weights,
-    (steps, history, B).  `operands` are `proj`, `score`, `tail` and
-    `states`; `grads()` returns their gradients in that order.
+    (steps, n, B), `day_weights` is (days, B) and `states` is (history,
+    S, B).  `weights` holds the flat hour weights, (steps, history, B).
+    `operands` are `proj`, `score`, `tail` and `states`; `grads()` returns
+    their gradients in that order.
     """
 
     def __init__(self, params, tail, features, day_weights, states, day_len):
         features = np.asarray(features, dtype=np.float64)
         day_weights = np.asarray(day_weights, dtype=np.float64)
-        states = as_tensor(states)
-        if features.ndim != 3:
-            raise DimensionError(f"features {features.shape} are not per step and window")
-        super().__init__(params, tail, features)
+        tail, states = as_tensor(tail), as_tensor(states)
+        if (features.ndim != 3 or tail.values.ndim != 2
+                or tail.shape[1] != features.shape[2]):
+            raise DimensionError(f"tail {tail.shape} and features {features.shape} are not "
+                                 f"(rows, windows) and (steps, n, windows)")
+        tails = np.broadcast_to(tail.values, (features.shape[0],) + tail.shape)
+        super().__init__(params, np.concatenate((tails, features), axis=1))
+        self._tail = slice(self.hidden_size, self.hidden_size + tail.shape[0])
         history_len = self._score.shape[0]
         if day_len < 1 or history_len % day_len != 0:
             raise DimensionError(
@@ -318,7 +315,7 @@ class TemporalSweep(_ScoredSweep):
                 or states.shape[2] != self.windows):
             raise DimensionError(f"states {states.shape} do not cover {history_len} history "
                                  f"hours of {self.windows} windows")
-        self.operands += (states,)
+        self.operands += (tail, states)
         # Window-major: `_states[k]` is window k's (S, history) matrix, so
         # the context of every window is one batched product.
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
@@ -343,9 +340,10 @@ class TemporalSweep(_ScoredSweep):
         return d_mix.T * self._day
 
     def grads(self):
+        d_tail = self._proj[:, self._tail].T @ self._d_pre.sum(axis=0)
         # Per window k: sum over steps of outer(mix, d_context), as (history, S, B).
         d_states = np.matmul(self._mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
-        return (*self._scorer_grads(), d_states.transpose(1, 2, 0))
+        return (*super().grads(), d_tail, d_states.transpose(1, 2, 0))
 
     def _checked(self):
         return (*super()._checked(), self._mix)

@@ -1,12 +1,20 @@
 """Versioned text checkpoints.
 
 A checkpoint is a JSON document holding the model configuration, every
-parameter matrix as a named shaped array, and the pipeline state a later
+parameter array as a named shaped array, and the pipeline state a later
 `forecast` run needs (standardization statistics and the holiday
 calendar).  Floats serialize through Python's shortest round-trip repr, so
 a save/load cycle reproduces every value bit for bit and identical models
-produce byte-identical files.  Checkpoints and every other artifact the
-command line writes go through `write_atomic`.
+produce byte-identical files.  Each parameter entry is one compact line.
+Checkpoints and every other artifact the command line writes go through
+`write_atomic`.
+
+Version 2 stores the arrays the model computes with: per LSTM direction
+`weights` (4H, input + H) with row blocks i, f, g, o and columns [x | h],
+`b_x` and `b_h` (4H,).  Version 1 stored sixteen named blocks per
+direction (`w_ix` .. `w_oh`, `b_ix` .. `b_oh`) and a feature-attention
+`proj` with H more columns, which multiplied an always-zero state; it is
+still read, through `_upgrade_v1`.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from .model import ModelConfig, init_params
 from .params import map_leaves, named_leaves
 
 CHECKPOINT_FORMAT = "loadcast-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+GATES = "ifgo"
 
 
 def write_atomic(path, text):
@@ -47,19 +56,20 @@ def write_atomic(path, text):
 
 def save_checkpoint(path, config, params, stats=None, calendar=None):
     """Write `params` for `config`, with optional pipeline state."""
-    doc = {
+    head = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(config),
         "standardization": dataclasses.asdict(stats) if stats is not None else None,
         "holidays": (sorted(d.isoformat() for d in calendar.dates)
                      if calendar is not None else None),
-        "params": [{"name": name,
-                    "shape": list(leaf.shape),
-                    "values": np.asarray(leaf, dtype=np.float64).reshape(-1).tolist()}
-                   for name, leaf in named_leaves(params)],
     }
-    write_atomic(path, json.dumps(doc, indent=1) + "\n")
+    entries = [json.dumps({"name": name, "shape": list(leaf.shape),
+                           "values": np.asarray(leaf, dtype=np.float64).reshape(-1).tolist()})
+               for name, leaf in named_leaves(params)]
+    lines = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in head.items()]
+    write_atomic(path, "{\n" + "\n".join(lines) + '\n "params": [\n  '
+                 + ",\n  ".join(entries) + "\n ]\n}\n")
 
 
 @dataclass
@@ -81,8 +91,9 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: not a readable checkpoint: {err}") from err
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         config = ModelConfig(**doc["config"])
     except (KeyError, TypeError) as err:
@@ -95,6 +106,8 @@ def load_checkpoint(path):
     stored = {}
     for index, entry in enumerate(entries):
         try:
+            if not isinstance(entry["name"], str):
+                raise TypeError("the name is not a string")
             stored[entry["name"]] = np.array(entry["values"],
                                              dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as err:
@@ -102,6 +115,8 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: params entry {index} (name {name!r}) is malformed: "
                               f"{type(err).__name__}: {err}") from err
     template = init_params(config)
+    if version == 1:
+        _upgrade_v1(path, config, template, stored)
     expected = {name: leaf.shape for name, leaf in named_leaves(template)}
     missing = sorted(set(expected) - set(stored))
     extra = sorted(set(stored) - set(expected))
@@ -117,6 +132,47 @@ def load_checkpoint(path):
     stats = _load_stats(path, doc.get("standardization"))
     calendar = _load_calendar(path, doc.get("holidays"))
     return Checkpoint(config=config, params=params, stats=stats, calendar=calendar)
+
+
+def _upgrade_v1(path, config, template, stored):
+    """Rewrite the name-keyed version-1 arrays `stored` in place into the
+    version-2 layout, freeing each version-1 block as it is consumed.
+
+    Each LSTM direction's sixteen named blocks become `weights`, `b_x` and
+    `b_h`, and the `feature_attn.proj` columns that faced the encoder's
+    always-zero backward state are dropped, which leaves every forecast
+    unchanged.  Other names pass through to the caller's checks; a missing
+    or misshapen block, or a version-2 name, is a `ConfigError`.
+    """
+    def take(name, shape):
+        block = stored.pop(name, None)
+        if block is None or block.shape != shape:
+            found = "missing" if block is None else f"of shape {block.shape}"
+            raise ConfigError(f"{path}: version-1 parameter {name} is {found}, "
+                              f"expected shape {shape}")
+        return block
+
+    packed = {}
+    for name, leaf in named_leaves(template):
+        if name.endswith(".weights"):
+            prefix = name[:-len("weights")]
+            hidden = leaf.shape[0] // 4
+            shapes = {"x": (hidden, leaf.shape[1] - hidden), "h": (hidden, hidden)}
+            packed[name] = np.concatenate(
+                [np.concatenate([take(f"{prefix}w_{gate}{source}", shapes[source])
+                                 for source in "xh"], axis=1) for gate in GATES])
+            for source in "xh":
+                packed[f"{prefix}b_{source}"] = np.concatenate(
+                    [take(f"{prefix}b_{gate}{source}", (hidden,)) for gate in GATES])
+    if template.feature_attn is not None:
+        hidden = config.hidden_size
+        attn, columns = template.feature_attn.proj.shape
+        proj = take("feature_attn.proj", (attn, columns + hidden))
+        packed["feature_attn.proj"] = np.delete(proj, np.s_[hidden:2 * hidden], axis=1)
+    clash = sorted(packed.keys() & stored.keys())
+    if clash:
+        raise ConfigError(f"{path}: version-1 document holds version-2 parameters {clash}")
+    stored.update(packed)
 
 
 def _load_stats(path, block):

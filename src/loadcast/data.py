@@ -42,7 +42,8 @@ class RawRecord:
 def ingest_csv(path):
     """Read and validate an hourly series with columns timestamp,load,temperature.
 
-    Timestamps must be ISO-8601, all naive or all with a UTC offset, and
+    Timestamps must be ISO-8601, all naive or all with the same UTC offset
+    (a daylight-saving change would make a 23- or 25-hour local day), and
     advance by exactly one hour; loads must be positive and finite.
     """
     path = Path(path)
@@ -84,13 +85,18 @@ def _parse_rows(path, reader):
             raise ParseError(f"{path}: line {line}: non-finite value")
         if load <= 0.0:
             raise ParseError(f"{path}: line {line}: load must be positive, got {load}")
-        aware = timestamp.utcoffset() is not None
+        offset = timestamp.utcoffset()
         if not records:
-            first_line, first_aware = line, aware
-        elif aware != first_aware:
+            first_line, first_text, first_offset = line, row[0].strip(), offset
+        elif (offset is None) != (first_offset is None):
             raise ParseError(
                 f"{path}: line {line}: timestamp {row[0].strip()!r} is "
-                f"{'offset-aware' if aware else 'naive'} but line {first_line}'s is not")
+                f"{'naive' if offset is None else 'offset-aware'} but line {first_line}'s is not")
+        elif offset != first_offset:
+            raise ParseError(
+                f"{path}: line {line}: timestamp {row[0].strip()!r} has another UTC offset "
+                f"than line {first_line}'s {first_text!r}; a series must use one fixed offset "
+                f"(convert a daylight-saving series to standard time)")
         records.append(RawRecord(timestamp, load, temperature))
     return records
 

@@ -1,12 +1,11 @@
 """LSTM cell, directional sequence runs, and the linear-ReLU-linear head.
 
-Gate weights follow the convention that the input and recurrent
-contributions each carry their own bias, so a gate is
-sigma(W_x x + b_x + W_h h + b_h); the cell therefore has sixteen parameter
-blocks, and that is how parameters are stored, optimized and checkpointed.
-For computing, `pack` lays the blocks of one direction out as a single
-(4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, plus
-one (4H,) bias holding each gate's two biases summed, so a cell step is one
+A direction's gates are stored the way the cell computes them: one
+(4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, and
+two (4H,) biases, `b_x` for the input contribution and `b_h` for the
+recurrent one, so a gate is sigma(W_x x + b_x + W_h h + b_h).  Those three
+arrays are what is optimized and checkpointed.  Each op adds the two
+biases once and returns the bias gradient to both, so a cell step is one
 matmul and one tape op with a hand-derived backward.
 
 The sequence runs carry a window axis: a batch of B windows runs as one
@@ -48,67 +47,35 @@ from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tens
 class LstmParams:
     """Parameters for one LSTM direction.
 
-    Blocks are named by gate (i, f, g, o) and source (x for input, h for
-    recurrent): w_?x is (hidden, input), w_?h is (hidden, hidden), and the
-    two bias vectors b_?x, b_?h are kept distinct.
+    `weights` is (4H, input + H): row blocks i, f, g, o, columns [input |
+    recurrent].  `b_x` and `b_h` are the (4H,) input and recurrent biases,
+    row blocks i, f, g, o; they are kept distinct.
     """
 
-    w_ix: np.ndarray
-    w_fx: np.ndarray
-    w_gx: np.ndarray
-    w_ox: np.ndarray
-    w_ih: np.ndarray
-    w_fh: np.ndarray
-    w_gh: np.ndarray
-    w_oh: np.ndarray
-    b_ix: np.ndarray
-    b_fx: np.ndarray
-    b_gx: np.ndarray
-    b_ox: np.ndarray
-    b_ih: np.ndarray
-    b_fh: np.ndarray
-    b_gh: np.ndarray
-    b_oh: np.ndarray
+    weights: np.ndarray
+    b_x: np.ndarray
+    b_h: np.ndarray
 
     @property
     def hidden_size(self):
-        return self.w_ix.shape[0]
+        return self.b_x.shape[0] // 4
 
     @property
     def input_size(self):
-        return self.w_ix.shape[1]
+        return self.weights.shape[1] - self.hidden_size
 
     @classmethod
     def random(cls, rng, input_size, hidden_size, bound):
-        def w_x():
-            return rng.uniform(-bound, bound, (hidden_size, input_size))
-
-        def w_h():
-            return rng.uniform(-bound, bound, (hidden_size, hidden_size))
-
-        def b():
-            return rng.uniform(-bound, bound, hidden_size)
-
-        return cls(w_ix=w_x(), w_fx=w_x(), w_gx=w_x(), w_ox=w_x(),
-                   w_ih=w_h(), w_fh=w_h(), w_gh=w_h(), w_oh=w_h(),
-                   b_ix=b(), b_fx=b(), b_gx=b(), b_ox=b(),
-                   b_ih=b(), b_fh=b(), b_gh=b(), b_oh=b())
+        rows = 4 * hidden_size
+        return cls(weights=rng.uniform(-bound, bound, (rows, input_size + hidden_size)),
+                   b_x=rng.uniform(-bound, bound, rows),
+                   b_h=rng.uniform(-bound, bound, rows))
 
     @classmethod
     def zeros(cls, input_size, hidden_size):
-        def w_x():
-            return np.zeros((hidden_size, input_size))
-
-        def w_h():
-            return np.zeros((hidden_size, hidden_size))
-
-        def b():
-            return np.zeros(hidden_size)
-
-        return cls(w_ix=w_x(), w_fx=w_x(), w_gx=w_x(), w_ox=w_x(),
-                   w_ih=w_h(), w_fh=w_h(), w_gh=w_h(), w_oh=w_h(),
-                   b_ix=b(), b_fx=b(), b_gx=b(), b_ox=b(),
-                   b_ih=b(), b_fh=b(), b_gh=b(), b_oh=b())
+        rows = 4 * hidden_size
+        return cls(weights=np.zeros((rows, input_size + hidden_size)),
+                   b_x=np.zeros(rows), b_h=np.zeros(rows))
 
 
 @dataclass
@@ -143,73 +110,20 @@ def zero_state(hidden_size, windows=None):
     return LstmState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
 
-GATES = ("i", "f", "g", "o")
+def _cell(params):
+    """The weights, b_x and b_h of `params` as tensors, checked to be
+    (4H, input + H), (4H,) and (4H,)."""
+    weights, b_x, b_h = as_tensor(params.weights), as_tensor(params.b_x), as_tensor(params.b_h)
+    rows = b_x.shape[0] if len(b_x.shape) == 1 else 0
+    if (rows < 4 or rows % 4 or b_h.shape != b_x.shape or len(weights.shape) != 2
+            or weights.shape[0] != rows or weights.shape[1] <= rows // 4):
+        raise DimensionError(f"lstm blocks {weights.shape}, {b_x.shape}, {b_h.shape} are not "
+                             f"(4H, input + H), (4H,), (4H,)")
+    return weights, b_x, b_h
 
 
-@dataclass
-class PackedCell:
-    """One direction's gates as a single affine map of [x; h].
-
-    `weights` is (4H, input + H): row blocks i, f, g, o, columns [input |
-    recurrent].  `bias` is (4H,), each gate's input and recurrent biases
-    summed.
-    """
-
-    weights: Tensor
-    bias: Tensor
-
-    @property
-    def hidden_size(self):
-        return self.bias.shape[0] // 4
-
-    @property
-    def input_size(self):
-        return self.weights.shape[1] - self.hidden_size
-
-
-def pack(params):
-    """Pack the sixteen blocks of `params` into a `PackedCell`.
-
-    Taped blocks give one tape node for the weights and one for the bias;
-    their gradients are sliced back into the named blocks.  A cell that is
-    already packed is returned as it is.
-    """
-    if isinstance(params, PackedCell):
-        return params
-    hidden, width = params.hidden_size, params.input_size
-    w_x = [as_tensor(getattr(params, f"w_{gate}x")) for gate in GATES]
-    w_h = [as_tensor(getattr(params, f"w_{gate}h")) for gate in GATES]
-    b_x = [as_tensor(getattr(params, f"b_{gate}x")) for gate in GATES]
-    b_h = [as_tensor(getattr(params, f"b_{gate}h")) for gate in GATES]
-    for blocks, shape in ((w_x, (hidden, width)), (w_h, (hidden, hidden)),
-                          (b_x, (hidden,)), (b_h, (hidden,))):
-        for block in blocks:
-            if block.shape != shape:
-                raise DimensionError(f"lstm block shape {block.shape} is not {shape}")
-    rows = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
-
-    weights = np.empty((4 * hidden, width + hidden))
-    for k in range(4):
-        weights[rows[k], :width] = w_x[k].values
-        weights[rows[k], width:] = w_h[k].values
-
-    def weight_rule(g):
-        return tuple(part for k in range(4)
-                     for part in (g[rows[k], :width], g[rows[k], width:]))
-
-    bias = np.concatenate([bx.values + bh.values for bx, bh in zip(b_x, b_h)])
-
-    def bias_rule(g):
-        # The two biases of a gate get equal gradients, as distinct arrays.
-        return tuple(part for k in range(4) for part in (g[rows[k]], g[rows[k]].copy()))
-
-    return PackedCell(
-        weights=fused_op(weights, [w for pair in zip(w_x, w_h) for w in pair], weight_rule),
-        bias=fused_op(bias, [b for pair in zip(b_x, b_h) for b in pair], bias_rule))
-
-
-def _check_shapes(cell, input_shape, h, c):
-    width, hidden = cell.input_size, cell.hidden_size
+def _check_shapes(params, input_shape, h, c):
+    width, hidden = params.input_size, params.hidden_size
     if input_shape != (width,):
         raise DimensionError(f"cell input shape {input_shape} does not match weights ({width},)")
     if h.shape != (hidden,) or c.shape != (hidden,):
@@ -219,17 +133,16 @@ def _check_shapes(cell, input_shape, h, c):
 def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
-    `params` is a `PackedCell` or an `LstmParams`, which is packed first.
     The step is one tape op producing [h; c], plus a view for each half.
     """
-    cell = pack(params)
+    weights, b_x, b_h = _cell(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
-    _check_shapes(cell, x.shape, h_prev, c_prev)
-    hidden, width = cell.hidden_size, cell.input_size
-    w = cell.weights.values
+    _check_shapes(params, x.shape, h_prev, c_prev)
+    hidden, width = params.hidden_size, params.input_size
+    w = weights.values
     z = np.concatenate((x.values, h_prev.values))
     cand_rows = slice(2 * hidden, 3 * hidden)
-    pre = w @ z + cell.bias.values
+    pre = w @ z + (b_x.values + b_h.values)
     act = _sigmoid_values(pre)
     act[cand_rows] = np.tanh(pre[cand_rows])
     i, f, cand, o = act[:hidden], act[hidden:2 * hidden], act[cand_rows], act[3 * hidden:]
@@ -244,15 +157,16 @@ def lstm_cell_step(params, prev, x):
         d_pre = _sigmoid_grad(act, d_act)
         d_pre[cand_rows] = _tanh_grad(cand, d_act[cand_rows])
         dz = d_pre @ w
-        return np.outer(d_pre, z), d_pre, dz[:width], dz[width:], dc * f
+        return np.outer(d_pre, z), d_pre, d_pre.copy(), dz[:width], dz[width:], dc * f
 
     joined = fused_op(np.concatenate((o * tanh_c, c)),
-                      (cell.weights, cell.bias, x, h_prev, c_prev), rule)
+                      (weights, b_x, b_h, x, h_prev, c_prev), rule)
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
-def _run(cell, z, c0, sweep=None):
-    """Step the cell over `z`, writing h_t into `z[t + 1]`.
+def _run(w, bias, z, c0, sweep=None):
+    """Step the cell with weights `w` and summed bias `bias` over `z`,
+    writing h_t into `z[t + 1]`.
 
     `z` is (steps + 1, input + H, B), and `z[t]` is the matrix [x_t;
     h_{t-1}] of step t, one column per window; the caller fills h_0 and,
@@ -265,7 +179,6 @@ def _run(cell, z, c0, sweep=None):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    w, bias = cell.weights.values, cell.bias.values
     if sweep is None:
         known = _rows(z[:steps, :width]) @ w[:, :width].T
         known += bias
@@ -370,13 +283,13 @@ def _state_views(joined, steps, hidden, windows):
                       _view(joined, end, end + block, (hidden, windows))))
 
 
-def _check_run(cell, steps, width, windows, h0, c0):
+def _check_run(params, steps, width, windows, h0, c0):
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
-    if width != cell.input_size:
+    if width != params.input_size:
         raise DimensionError(f"step input width {width} does not match weights "
-                             f"({cell.input_size},)")
-    state = (cell.hidden_size, windows)
+                             f"({params.input_size},)")
+    state = (params.hidden_size, windows)
     if h0.shape != state or c0.shape != state:
         raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
 
@@ -400,27 +313,28 @@ def lstm_sequence(params, inputs, init):
     pre-activation as one product before the loop; the states and the
     terminal h and c are views of it.
     """
-    cell = pack(params)
+    weights, b_x, b_h = _cell(params)
     inputs, h0, c0 = as_tensor(inputs), as_tensor(init.h), as_tensor(init.c)
     if inputs.values.ndim != 3:
         raise DimensionError(f"cannot encode {inputs.shape} as (steps, width, windows) inputs")
     steps, width, windows = inputs.shape
-    _check_run(cell, steps, width, windows, h0, c0)
-    hidden = cell.hidden_size
+    _check_run(params, steps, width, windows, h0, c0)
+    hidden = params.hidden_size
     end = steps * hidden * windows
-    w = cell.weights.values
+    w = weights.values
     z = _operands(h0.values, steps, width)
     z[:steps, :width] = inputs.values
-    act, c_seq = _run(cell, z, c0.values)
+    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values)
     out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1)))
 
     def rule(grad):
         d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
                                 grad[end:].reshape(hidden, windows))
         d_inputs = (d_pre @ w[:, :width]).reshape(steps, windows, width).transpose(0, 2, 1)
-        return d_pre.T @ _rows(z[:steps]), d_pre.sum(axis=0), d_inputs, dh0, dc0
+        d_bias = d_pre.sum(axis=0)
+        return d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), d_inputs, dh0, dc0
 
-    joined = fused_op(out, (cell.weights, cell.bias, inputs, h0, c0), rule)
+    joined = fused_op(out, (weights, b_x, b_h, inputs, h0, c0), rule)
     return _state_views(joined, steps, hidden, windows)
 
 
@@ -432,16 +346,17 @@ def attended_sequence(params, steps, sweep, init):
 
     One tape op computes [h_1 .. h_T; c_T; x_1 .. x_T] with the arithmetic
     of `lstm_cell_step` and of the sweep's attention per column; its
-    operands are the cell, `init` and the sweep's operands.  Returns the
-    (steps, H, B) hidden states, the (steps, width, B) step inputs and the
-    terminal state, all views of that op.  Non-finite attention
-    intermediates raise `EvaluationError`, checked once after the run.
+    operands are the weights, both biases, `init` and the sweep's
+    operands.  Returns the (steps, H, B) hidden states, the (steps, width,
+    B) step inputs and the terminal state, all views of that op.
+    Non-finite attention intermediates raise `EvaluationError`, checked
+    once after the run.
     """
-    cell = pack(params)
+    weights, b_x, b_h = _cell(params)
     h0, c0 = as_tensor(init.h), as_tensor(init.c)
     windows = sweep.windows
-    _check_run(cell, steps, sweep.width, windows, h0, c0)
-    hidden, width = cell.hidden_size, cell.input_size
+    _check_run(params, steps, sweep.width, windows, h0, c0)
+    hidden, width = params.hidden_size, params.input_size
     if (sweep.steps, sweep.hidden_size) != (steps, hidden):
         raise DimensionError(f"sweep of {sweep.steps} steps over hidden width "
                              f"{sweep.hidden_size} does not fit {steps} x {hidden}")
@@ -450,9 +365,9 @@ def attended_sequence(params, steps, sweep, init):
     operands, sweep.operands = sweep.operands, ()
     end = steps * hidden * windows
     states_end = end + hidden * windows
-    w = cell.weights.values
+    w = weights.values
     z = _operands(h0.values, steps, width)
-    act, c_seq = _run(cell, z, c0.values, sweep)
+    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, sweep)
     out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1),
                           z[:steps, :width].reshape(-1)))
     sweep.check_finite()
@@ -461,9 +376,10 @@ def attended_sequence(params, steps, sweep, init):
         d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
                                 grad[end:states_end].reshape(hidden, windows), sweep,
                                 grad[states_end:].reshape(steps, width, windows))
-        return (d_pre.T @ _rows(z[:steps]), d_pre.sum(axis=0), dh0, dc0, *sweep.grads())
+        d_bias = d_pre.sum(axis=0)
+        return (d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), dh0, dc0, *sweep.grads())
 
-    joined = fused_op(out, (cell.weights, cell.bias, h0, c0, *operands), rule)
+    joined = fused_op(out, (weights, b_x, b_h, h0, c0, *operands), rule)
     states, terminal = _state_views(joined, steps, hidden, windows)
     inputs = _view(joined, states_end, out.size, (steps, width, windows))
     return states, inputs, terminal

@@ -24,16 +24,20 @@ are known up front and are passed as one (steps, width, B) array, so both
 directions run as whole-sequence ops.  With attention, the side passes an
 attention sweep (`attention.FeatureSweep` in the encoder,
 `attention.TemporalSweep` in the decoder) that builds each step's input
-inside the forward recurrence, which is then one op too: the conditioning
-vector joins the previous forward hidden state with the backward
-direction's initial hidden state, and the backward sweep then consumes the
-same per-step inputs.  This keeps the weights well defined (the backward
-states do not exist yet when a step's weights are needed) while both
-directions still see the attention-processed inputs.  The attention
+inside the forward recurrence, which is then one op too, and the backward
+direction then consumes the same per-step inputs.  The attention
 weights a caller asks for are the ones the sweep stored.  The
 unidirectional EDLSTM runs `lstm.lstm_sequence`.  Encoder states come back
 as one (history_len, state_width, B) array, and the decoder's states are
 flattened to one column per window for the head.
+
+A step's attention conditions only on states that exist before its weights
+are needed (the backward states do not exist yet), while both directions
+still see the attention-processed inputs.  The encoder's feature attention
+conditions on the previous forward hidden state h_{t-1} only, since the
+backward direction starts from zero there.  The decoder's temporal
+attention conditions on h_{t-1} joined with the backward direction's
+initial state, the encoder's terminal backward hidden state.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def init_params(config):
     feature_attn = None
     if config.encoder_attention:
         feature_attn = FeatureAttentionParams.random(
-            rng, width, config.n_features, config.feature_attn_size, bound)
+            rng, config.hidden_size, config.n_features, config.feature_attn_size, bound)
     if config.bidirectional:
         encoder = BiLstmParams.random(rng, config.encoder_input_width,
                                       config.hidden_size, bound)
@@ -192,15 +196,14 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
         raise DimensionError(
             f"history targets {hist_targets.shape} do not match ({steps}, {windows})")
 
-    init_backward = zero_state(config.hidden_size, windows)
     if config.encoder_attention:
-        inputs = FeatureSweep(params.feature_attn, init_backward.h, hist_features, hist_targets)
+        inputs = FeatureSweep(params.feature_attn, hist_features, hist_targets)
     else:
         inputs = Tensor(np.concatenate((hist_features, hist_targets[:, np.newaxis]), axis=1))
     if config.bidirectional:
         states, (terminal_forward, terminal_backward) = bilstm_sequence(
             params.encoder, steps, inputs, zero_state(config.hidden_size, windows),
-            init_backward)
+            zero_state(config.hidden_size, windows))
     else:
         states, terminal_forward = lstm_sequence(
             params.encoder, inputs, zero_state(config.state_width, windows))

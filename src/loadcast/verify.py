@@ -2,8 +2,8 @@
 
 Each check exercises one contract against an oracle that does not share
 code with the implementation it checks: central finite differences for
-gradients, a plain-Python scalar loop for the LSTM cell, closed-form hand
-values for the metrics.  The `verify` subcommand prints one line per check
+gradients, a plain-Python scalar loop for the LSTM cell that reads the
+stored weights by index, closed-form hand values for the metrics.  The `verify` subcommand prints one line per check
 and fails if any check fails.
 """
 
@@ -74,24 +74,30 @@ def _sig(x):
 
 
 def scalar_lstm_step(params, h_prev, c_prev, x):
-    """Independent LSTM oracle: explicit loops and `math` only."""
-    hidden = len(params.b_ix)
+    """Independent LSTM oracle: explicit loops and `math` only.
+
+    Gate k (i, f, g, o) of hidden unit `row` reads row k * H + row of
+    `weights`, its first len(x) columns against x and the rest against
+    h_prev, plus the same row of `b_x` and `b_h`.
+    """
+    hidden = len(params.b_x) // 4
     width = len(x)
 
-    def affine(w_x, b_x, w_h, b_h, row):
-        s = b_x[row] + b_h[row]
+    def affine(gate, row):
+        r = gate * hidden + row
+        s = params.b_x[r] + params.b_h[r]
         for col in range(width):
-            s += w_x[row][col] * x[col]
+            s += params.weights[r][col] * x[col]
         for col in range(hidden):
-            s += w_h[row][col] * h_prev[col]
+            s += params.weights[r][width + col] * h_prev[col]
         return s
 
     h_out, c_out = [], []
     for row in range(hidden):
-        i = _sig(affine(params.w_ix, params.b_ix, params.w_ih, params.b_ih, row))
-        f = _sig(affine(params.w_fx, params.b_fx, params.w_fh, params.b_fh, row))
-        g = math.tanh(affine(params.w_gx, params.b_gx, params.w_gh, params.b_gh, row))
-        o = _sig(affine(params.w_ox, params.b_ox, params.w_oh, params.b_oh, row))
+        i = _sig(affine(0, row))
+        f = _sig(affine(1, row))
+        g = math.tanh(affine(2, row))
+        o = _sig(affine(3, row))
         c = f * c_prev[row] + i * g
         h_out.append(o * math.tanh(c))
         c_out.append(c)

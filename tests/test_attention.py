@@ -10,7 +10,7 @@ from loadcast.attention import (DISTANCE_EPSILON, FeatureAttentionParams,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
-from loadcast.lstm import LstmParams, LstmState, attended_sequence, lstm_cell_step, pack
+from loadcast.lstm import LstmParams, LstmState, attended_sequence, lstm_cell_step
 from loadcast.params import bind, map_leaves, named_leaves
 from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard, reshape,
                              total)
@@ -249,10 +249,9 @@ class TestContextVector:
 
 def feature_case(rng, steps, hidden, n, attn, bound=1.0):
     return {"cell": LstmParams.random(rng, n + 1, hidden, bound),
-            "attn": FeatureAttentionParams.random(rng, 2 * hidden, n, attn, bound),
-            "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
-            "c0": rng.normal(size=hidden), "features": rng.normal(size=(steps, n)),
-            "targets": rng.normal(size=steps)}
+            "attn": FeatureAttentionParams.random(rng, hidden, n, attn, bound),
+            "h0": rng.normal(size=hidden), "c0": rng.normal(size=hidden),
+            "features": rng.normal(size=(steps, n)), "targets": rng.normal(size=steps)}
 
 
 def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
@@ -267,13 +266,11 @@ def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
 
 def make_sweep(case, attn, leaves):
     """The case's sweep over one window: per-window arrays as (.., 1)."""
-    tail = column(leaves["tail"])
     if "states" in case:
-        return TemporalSweep(attn, tail, case["features"][..., np.newaxis],
+        return TemporalSweep(attn, column(leaves["tail"]), case["features"][..., np.newaxis],
                              case["day"].weights[:, np.newaxis], column(leaves["states"]),
                              case["day_len"])
-    return FeatureSweep(attn, tail, case["features"][..., np.newaxis],
-                        case["targets"][:, np.newaxis])
+    return FeatureSweep(attn, case["features"][..., np.newaxis], case["targets"][:, np.newaxis])
 
 
 def column(tensor):
@@ -295,20 +292,20 @@ def swept(case, cell, attn, leaves):
 
 
 def stepped(case, cell, attn, leaves):
-    """The reference: taped attention ops and one cell step per step."""
-    cell = pack(cell)
+    """The reference: taped attention ops and one cell step per step.
+    Temporal attention conditions on [h_{t-1}; tail], feature attention on
+    h_{t-1} alone."""
     state = LstmState(leaves["h0"], leaves["c0"])
     hs, xs, weights = [], [], []
     for t, features in enumerate(case["features"]):
-        conditioning = concat([state.h, leaves["tail"]])
         if "states" in case:
-            hours = temporal_attention(attn, conditioning, features, case["day_len"])
+            hours = temporal_attention(attn, concat([state.h, leaves["tail"]]), features,
+                                       case["day_len"])
             x = concat([Tensor(features),
                         context_vector(case["day"], hours, leaves["states"])])
             weights.append(hours.values.reshape(-1))
         else:
-            alpha, weighted = feature_attention(attn, conditioning, features,
-                                                case["targets"][t])
+            alpha, weighted = feature_attention(attn, state.h, features, case["targets"][t])
             x = concat([weighted, Tensor([case["targets"][t]])])
             weights.append(alpha.values)
         state = lstm_cell_step(cell, state, x)
@@ -320,7 +317,7 @@ def stepped(case, cell, attn, leaves):
 
 
 def leaf_names(case):
-    return ("tail", "h0", "c0") + (("states",) if "states" in case else ())
+    return ("h0", "c0") + (("tail", "states") if "states" in case else ())
 
 
 def run_case(run, case, probe=None):
@@ -392,7 +389,7 @@ class TestAttendedSweeps:
             _, grads = run_case(swept, case, probe)
             _, ref_grads = run_case(stepped, case, probe)
             assert grads.keys() == ref_grads.keys()
-            assert len(grads) == 16 + 2 + len(leaf_names(case))
+            assert len(grads) == 3 + 2 + len(leaf_names(case))
             for name, grad in grads.items():
                 assert grad.shape == ref_grads[name].shape, name
                 assert rel_diff(grad, ref_grads[name]) <= 1e-12, name
@@ -424,7 +421,7 @@ class TestAttendedSweeps:
             for case in (feature_case(rng, steps, 3, 2, 2),
                          temporal_case(rng, steps, 3, 2, 2, 2, 3, 4)):
                 tape = Tape()
-                cell = pack(bind(case["cell"], tape))
+                cell = bind(case["cell"], tape)
                 attn = bind(case["attn"], tape)
                 leaves = {name: tape.leaf(case[name]) for name in leaf_names(case)}
                 sweep = make_sweep(case, attn, leaves)
@@ -452,16 +449,15 @@ class TestAttendedSweeps:
     def test_shape_errors(self):
         rng = np.random.default_rng(39)
         case = feature_case(rng, 3, 2, 2, 2)
-        tail = Tensor(case["tail"][:, np.newaxis])
         features, targets = case["features"][..., np.newaxis], case["targets"][:, np.newaxis]
         init = LstmState(Tensor(case["h0"][:, np.newaxis]), Tensor(case["c0"][:, np.newaxis]))
         with pytest.raises(DimensionError):
-            FeatureSweep(case["attn"], tail, features, targets[:2])
+            FeatureSweep(case["attn"], features, targets[:2])
         with pytest.raises(DimensionError):
-            FeatureSweep(case["attn"], tail, features[:, :1], targets)
+            FeatureSweep(case["attn"], features[:, :1], targets)
         with pytest.raises(DimensionError):
-            FeatureSweep(case["attn"], tail, case["features"], case["targets"])
-        sweep = FeatureSweep(case["attn"], tail, features, targets)
+            FeatureSweep(case["attn"], case["features"], case["targets"])
+        sweep = FeatureSweep(case["attn"], features, targets)
         with pytest.raises(DimensionError):
             attended_sequence(case["cell"], 2, sweep, init)
         with pytest.raises(DimensionError):
@@ -472,11 +468,14 @@ class TestAttendedSweeps:
             attended_sequence(case["cell"], 3, sweep,
                               LstmState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))))
         case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
+        tail = Tensor(case["tail"][:, np.newaxis])
         features = case["features"][..., np.newaxis]
         day = case["day"].weights[:, np.newaxis]
         states = Tensor(case["states"][..., np.newaxis])
         with pytest.raises(DimensionError):
             TemporalSweep(case["attn"], tail, features, day, states, 4)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], Tensor(np.zeros((2, 2))), features, day, states, 3)
         with pytest.raises(DimensionError):
             TemporalSweep(case["attn"], tail, features, day, Tensor(states.values[1:]), 3)
         with pytest.raises(DimensionError):

@@ -18,7 +18,7 @@ from loadcast.attention import (context_vector, feature_attention, similar_day_w
                                 temporal_attention)
 from loadcast.data import StandardizationStats, WindowSample, destandardize_load
 from loadcast.errors import DimensionError
-from loadcast.lstm import LstmState, lstm_cell_step, pack
+from loadcast.lstm import LstmState, lstm_cell_step
 from loadcast.metrics import compute_metrics
 from loadcast.model import VARIANTS, ModelConfig, forward, init_params, predict
 from loadcast.params import bind, bind_constants, named_leaves
@@ -71,15 +71,15 @@ def stepped_forward(params, config, sample):
     hidden, width, bi = config.hidden_size, config.state_width, config.bidirectional
     cell_width = hidden if bi else width
 
-    # Encoder: the forward direction sees the attention-weighted inputs,
-    # the backward direction the same inputs in reverse.
-    cell = pack(params.encoder.forward if bi else params.encoder)
+    # Encoder: the forward direction sees the inputs weighted by attention
+    # on its previous state, the backward direction the same inputs in
+    # reverse.
+    cell = params.encoder.forward if bi else params.encoder
     state = LstmState(zeros(cell_width), zeros(cell_width))
     inputs, forward_states, feature_weights = [], [], []
     for t in range(config.history_len):
         if config.encoder_attention:
-            alpha, weighted = feature_attention(params.feature_attn,
-                                                concat([state.h, zeros(hidden)]),
+            alpha, weighted = feature_attention(params.feature_attn, state.h,
                                                 sample.x_hist[t], sample.y_hist[t])
             x = concat([weighted, Tensor([sample.y_hist[t]])])
             feature_weights.append(alpha.values)
@@ -92,12 +92,12 @@ def stepped_forward(params, config, sample):
     states = forward_states
     if bi:
         states, encoder_backward = backward_direction(
-            pack(params.encoder.backward), inputs, LstmState(zeros(hidden), zeros(hidden)),
+            params.encoder.backward, inputs, LstmState(zeros(hidden), zeros(hidden)),
             forward_states)
     history = reshape(concat(states), (config.history_len, width))
 
     # Decoder: temporal attention over the encoder states before each step.
-    cell = pack(params.decoder.forward if bi else params.decoder)
+    cell = params.decoder.forward if bi else params.decoder
     state = encoder_forward
     day = hour_weights = None
     if config.decoder_attention:
@@ -117,7 +117,7 @@ def stepped_forward(params, config, sample):
         forward_states.append(state.h)
     states = forward_states
     if bi:
-        states, _ = backward_direction(pack(params.decoder.backward), inputs,
+        states, _ = backward_direction(params.decoder.backward, inputs,
                                        encoder_backward, forward_states)
     output = matmul(params.head.out, relu(matmul(params.head.hidden, concat(states))))
     return (output,

@@ -1,5 +1,7 @@
-"""Checkpoint serialization: exact round trips and rejection paths."""
+"""Checkpoint serialization: exact round trips, the version-1 upgrade and
+rejection paths."""
 
+import dataclasses
 import json
 from datetime import date
 
@@ -11,8 +13,9 @@ from loadcast.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                  load_checkpoint, save_checkpoint)
 from loadcast.data import HolidayCalendar, StandardizationStats
 from loadcast.errors import ConfigError
-from loadcast.model import ModelConfig, init_params
+from loadcast.model import VARIANTS, ModelConfig, init_params, predict
 from loadcast.params import named_leaves
+from loadcast.verify import tiny_model_case
 
 TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
                    feature_attn_size=2, temporal_attn_size=2, head_size=2)
@@ -21,6 +24,46 @@ TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
 def write_tiny(path, **extras):
     params = init_params(TINY)
     save_checkpoint(path, TINY, params, **extras)
+    return params
+
+
+def v1_document(config, params, dead):
+    """A version-1 document for `params`, built by hand: each LSTM
+    direction as sixteen named blocks (w_ix .. w_oh, then b_ix .. b_oh),
+    and `dead` as the feature-attention columns that faced the encoder's
+    zero backward state."""
+    entries = []
+
+    def add(name, arr):
+        entries.append({"name": name, "shape": list(arr.shape), "values": arr.reshape(-1).tolist()})
+
+    for name, arr in named_leaves(params):
+        prefix, field = name.rsplit(".", 1)
+        if field in ("weights", "b_x", "b_h"):
+            hidden = arr.shape[0] // 4
+            gates = {gate: arr[k * hidden:(k + 1) * hidden] for k, gate in enumerate("ifgo")}
+            if field == "weights":
+                width = arr.shape[1] - hidden
+                for gate, rows in gates.items():
+                    add(f"{prefix}.w_{gate}x", rows[:, :width])
+                for gate, rows in gates.items():
+                    add(f"{prefix}.w_{gate}h", rows[:, width:])
+            else:
+                for gate, rows in gates.items():
+                    add(f"{prefix}.b_{gate}{field[-1]}", rows)
+        elif name == "feature_attn.proj":
+            hidden = config.hidden_size
+            add(name, np.concatenate((arr[:, :hidden], dead, arr[:, hidden:]), axis=1))
+        else:
+            add(name, arr)
+    return {"format": CHECKPOINT_FORMAT, "version": 1, "config": dataclasses.asdict(config),
+            "standardization": None, "holidays": None, "params": entries}
+
+
+def write_v1(path, config):
+    params = init_params(config)
+    dead = np.random.default_rng(5).normal(size=(config.feature_attn_size, config.hidden_size))
+    path.write_text(json.dumps(v1_document(config, params, dead)))
     return params
 
 
@@ -59,12 +102,76 @@ class TestRoundTrip:
         assert loaded.stats == stats
         assert loaded.calendar.dates == cal.dates
 
+    def test_parameter_entries_are_one_line_each(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        params = write_tiny(path)
+        lines = path.read_text().splitlines()
+        names = [name for name, _ in named_leaves(params)]
+        entries = [json.loads(line.strip().rstrip(",")) for line in lines
+                   if line.lstrip().startswith('{"name"')]
+        assert [entry["name"] for entry in entries] == names
+        assert json.loads(path.read_text())["version"] == CHECKPOINT_VERSION == 2
+
     def test_optional_state_defaults_to_none(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)
         loaded = load_checkpoint(path)
         assert loaded.stats is None
         assert loaded.calendar is None
+
+
+class TestVersion1:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_named_blocks_load_as_the_packed_layout(self, tmp_path, variant):
+        config, sample = tiny_model_case(variant)
+        path = tmp_path / "v1.json"
+        params = write_v1(path, config)
+        loaded = load_checkpoint(path)
+        stored = dict(named_leaves(loaded.params))
+        assert stored.keys() == dict(named_leaves(params)).keys()
+        for name, arr in named_leaves(params):
+            npt.assert_array_equal(stored[name], arr)
+        npt.assert_array_equal(predict(loaded.params, config, sample).values,
+                               predict(params, config, sample).values)
+
+    def test_upgraded_checkpoint_saves_as_version_2(self, tmp_path):
+        write_v1(tmp_path / "v1.json", TINY)
+        loaded = load_checkpoint(tmp_path / "v1.json")
+        save_checkpoint(tmp_path / "v2.json", loaded.config, loaded.params)
+        write_tiny(tmp_path / "fresh.json")
+        assert (tmp_path / "v2.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda doc: doc["params"].pop(_index(doc, "encoder.forward.w_gh")),
+         "encoder.forward.w_gh"),
+        (lambda doc: _entry(doc, "decoder.backward.b_oh").update(shape=[2, 2]),
+         "decoder.backward.b_oh"),
+        (lambda doc: _entry(doc, "feature_attn.proj").update(
+            shape=[2, 8], values=_entry(doc, "feature_attn.proj")["values"][:16]),
+         "feature_attn.proj"),
+        (lambda doc: doc["params"].append({"name": "encoder.forward.weights", "shape": [1],
+                                           "values": [0.0]}),
+         "encoder.forward.weights"),
+    ], ids=["missing-block", "misshapen-block", "proj-without-dead-columns",
+            "version-2-name"])
+    def test_malformed_version_1_document(self, tmp_path, corrupt, named):
+        path = tmp_path / "v1.json"
+        write_v1(path, TINY)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert named in str(exc.value)
+
+
+def _entry(doc, name):
+    return doc["params"][_index(doc, name)]
+
+
+def _index(doc, name):
+    return [entry["name"] for entry in doc["params"]].index(name)
 
 
 class TestRejection:
@@ -140,8 +247,9 @@ class TestRejection:
         lambda doc: doc["params"][0]["values"].pop(),
         lambda doc: doc["params"][0]["values"].__setitem__(0, "oops"),
         lambda doc: doc.__setitem__("params", {"encoder": doc["params"]}),
+        lambda doc: doc["params"][0].__setitem__("name", 5),
     ], ids=["missing-name", "values-do-not-fit-shape", "non-numeric-values",
-            "params-not-a-list"])
+            "params-not-a-list", "name-not-a-string"])
     def test_malformed_params_block(self, tmp_path, corrupt):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)

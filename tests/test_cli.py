@@ -286,6 +286,22 @@ class TestForecast:
         assert err.startswith("config error:") and str(paths[flag]) in err
         assert not (tmp_path / "fc").exists()
 
+    def test_daylight_saving_series_is_a_data_error(self, trained, tmp_path, capsys):
+        # America/New_York springs forward from 01:00-05:00 to 03:00-04:00,
+        # one hour later in UTC.
+        data = tmp_path / "data.csv"
+        data.write_text("timestamp,load,temperature\n"
+                        "2022-03-13T00:00:00-05:00,900.0,5.0\n"
+                        "2022-03-13T01:00:00-05:00,900.0,5.0\n"
+                        "2022-03-13T03:00:00-04:00,900.0,5.0\n")
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data), "--out", str(tmp_path / "fc")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 4" in err
+        assert "2022-03-13T03:00:00-04:00" in err
+        assert not (tmp_path / "fc").exists()
+
     def test_extra_csv_column_is_a_data_error(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])

@@ -1,6 +1,6 @@
 """Ingestion, feature layout, windowing, splits, and the synthetic series."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import numpy.testing as npt
@@ -128,6 +128,33 @@ class TestIngest:
             ingest_csv(path)
         assert "line 4" in str(exc.value)
         assert "line 2" in str(exc.value)
+
+    def test_utc_offset_change_is_a_parse_error(self, tmp_path):
+        # America/New_York across its 2022-03-13 spring-forward: the series
+        # advances by one hour in UTC, but the local day of the change has
+        # 23 hours.  The first -04:00 hour, 07:00 UTC, is on line 28.
+        path = tmp_path / "dst.csv"
+        lines = ["timestamp,load,temperature"]
+        lines += [f"{stamp},900.0,5.0" for stamp in new_york_hours(datetime(2022, 3, 12, 5), 48)]
+        path.write_text("\n".join(lines) + "\n")
+        assert "T01:00:00-05:00" in lines[26] and "T03:00:00-04:00" in lines[27]
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert "line 28" in str(exc.value) and "line 2's" in str(exc.value)
+        assert "2022-03-13T03:00:00-04:00" in str(exc.value)
+
+
+def new_york_hours(start_utc, count):
+    """ISO timestamps of `count` hours from the naive UTC `start_utc`, in
+    America/New_York local time for March 2022 (UTC-4 from 2022-03-13
+    07:00 UTC, UTC-5 before)."""
+    stamps = []
+    for k in range(count):
+        utc = start_utc + timedelta(hours=k)
+        hours = -4 if utc >= datetime(2022, 3, 13, 7) else -5
+        zone = timezone(timedelta(hours=hours))
+        stamps.append((utc + timedelta(hours=hours)).replace(tzinfo=zone).isoformat())
+    return stamps
 
 
 class TestHolidayCalendar:

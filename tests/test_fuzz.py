@@ -24,7 +24,8 @@ PLAIN = st.text(st.characters(blacklist_categories=("Cs",),
                               blacklist_characters=',"\r\n\x00'), max_size=12)
 FIELD = st.one_of(
     st.sampled_from(["2022-01-03T00:00:00", "2022-01-03T01:00:00", "2022-01-03T02:00",
-                     "2022-01-03T01:00:00+00:00", "100.0", "1e3", "0", "-3", "nan", "inf",
+                     "2022-01-03T01:00:00+00:00", "2022-01-03T02:00:00+01:00", "100.0", "1e3",
+                     "0", "-3", "nan", "inf",
                      "1e999", "", " ", "junk"]),
     PLAIN)
 ROW = st.lists(FIELD, max_size=5)
@@ -68,6 +69,7 @@ class TestIngestFuzz:
         if isinstance(result, list):
             assert not any(malformed_row(row) for row in rows)
             assert all(record.load > 0.0 for record in result)
+            assert len({record.timestamp.utcoffset() for record in result}) <= 1
             for prev, cur in zip(result, result[1:]):
                 assert cur.timestamp - prev.timestamp == HOUR
 

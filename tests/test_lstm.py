@@ -9,33 +9,39 @@ import pytest
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            LstmState, attended_sequence, bilstm_sequence,
-                           feedforward_relu, lstm_cell_step, lstm_sequence, pack,
+                           feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
-from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard,
+from loadcast.tensor import (Tape, Tensor, check_gradients, concat, fused_op, hadamard,
                              matmul, reshape, segment, sigmoid, tanh, total)
 
 
 def scalar_cell(params, h_prev, c_prev, x):
-    """Step one LSTM cell with plain python loops; no numpy linear algebra."""
+    """Step one LSTM cell with plain python loops; no numpy linear algebra.
+
+    Gate k of unit `row` reads row k * H + row of the weights, x against
+    its first len(x) columns and h_prev against the rest, and the same row
+    of both biases.
+    """
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    def gate(w_x, b_x, w_h, b_h, squash, row):
-        pre = b_x[row] + b_h[row]
+    def gate(k, squash, row):
+        r = k * len(h_prev) + row
+        pre = params.b_x[r] + params.b_h[r]
         for j, xj in enumerate(x):
-            pre += w_x[row][j] * xj
+            pre += params.weights[r][j] * xj
         for j, hj in enumerate(h_prev):
-            pre += w_h[row][j] * hj
+            pre += params.weights[r][len(x) + j] * hj
         return squash(pre)
 
     h_new, c_new = [], []
     for row in range(len(h_prev)):
-        i = gate(params.w_ix, params.b_ix, params.w_ih, params.b_ih, sig, row)
-        f = gate(params.w_fx, params.b_fx, params.w_fh, params.b_fh, sig, row)
-        g = gate(params.w_gx, params.b_gx, params.w_gh, params.b_gh, math.tanh, row)
-        o = gate(params.w_ox, params.b_ox, params.w_oh, params.b_oh, sig, row)
+        i = gate(0, sig, row)
+        f = gate(1, sig, row)
+        g = gate(2, math.tanh, row)
+        o = gate(3, sig, row)
         c = f * c_prev[row] + i * g
         c_new.append(c)
         h_new.append(o * math.tanh(c))
@@ -50,17 +56,35 @@ def random_case(rng, input_size, hidden_size):
     return params, state, x
 
 
+def block(tensor, index):
+    """`tensor.values[index]` as one tape op whose gradient is zero
+    outside the block."""
+
+    def rule(g):
+        full = np.zeros(tensor.shape)
+        full[index] = g
+        return (full,)
+
+    return fused_op(tensor.values[index], (tensor,), rule)
+
+
 def composed_cell(params, prev, x):
-    """The cell as separate tape ops: eight matmuls, the bias adds,
-    sigmoid/tanh and hadamard products.  Reference for the fused step."""
+    """The cell as separate tape ops: gate blocks sliced out of the weights
+    and biases by index, eight matmuls, the bias adds, sigmoid/tanh and
+    hadamard products.  Reference for the fused step."""
+    hidden, width = prev.h.shape[0], x.shape[0]
 
-    def pre(w_x, b_x, w_h, b_h):
-        return matmul(w_x, x) + b_x + matmul(w_h, prev.h) + b_h
+    def pre(k):
+        rows = slice(k * hidden, (k + 1) * hidden)
+        return (matmul(block(params.weights, (rows, slice(0, width))), x)
+                + block(params.b_x, rows)
+                + matmul(block(params.weights, (rows, slice(width, None))), prev.h)
+                + block(params.b_h, rows))
 
-    i = sigmoid(pre(params.w_ix, params.b_ix, params.w_ih, params.b_ih))
-    f = sigmoid(pre(params.w_fx, params.b_fx, params.w_fh, params.b_fh))
-    g = tanh(pre(params.w_gx, params.b_gx, params.w_gh, params.b_gh))
-    o = sigmoid(pre(params.w_ox, params.b_ox, params.w_oh, params.b_oh))
+    i = sigmoid(pre(0))
+    f = sigmoid(pre(1))
+    g = tanh(pre(2))
+    o = sigmoid(pre(3))
     c = f * prev.c + i * g
     return LstmState(o * tanh(c), c)
 
@@ -73,7 +97,7 @@ def rel_diff(value, reference):
 
 def taped_step(step, params, state, x, probe):
     """Run `step` on a fresh tape; return h, c and the gradients of
-    probe . [h; c] for the sixteen blocks, x, h_prev and c_prev."""
+    probe . [h; c] for the weights, both biases, x, h_prev and c_prev."""
     tape = Tape()
     leaves = bind(params, tape)
     h_prev, c_prev = tape.leaf(state.h.values), tape.leaf(state.c.values)
@@ -120,20 +144,21 @@ class TestCellStep:
             lstm_cell_step(params, zero_state(2), Tensor(np.zeros(4)))
         with pytest.raises(DimensionError):
             lstm_cell_step(params, zero_state(3), Tensor(np.zeros(3)))
-        params.w_oh = np.zeros((2, 3))
+        params.b_h = np.zeros(12)
         with pytest.raises(DimensionError):
             lstm_cell_step(params, zero_state(2), Tensor(np.zeros(3)))
 
     def test_dual_biases_are_distinct_parameters(self):
         params = LstmParams.zeros(2, 2)
         names = [name for name, _ in named_leaves(params)]
-        assert len(names) == 16
-        assert "b_ix" in names and "b_ih" in names
+        assert len(names) == 3
+        assert "b_x" in names and "b_h" in names
 
     def test_bias_pair_adds_into_one_preactivation(self):
         lifted = LstmParams.zeros(1, 1)
-        lifted.b_fx = np.array([1.0])
-        lifted.b_fh = np.array([1.0])
+        # Row 1 is the forget gate of the only unit (row blocks i, f, g, o).
+        lifted.b_x[1] = 1.0
+        lifted.b_h[1] = 1.0
         state = LstmState(h=Tensor(np.zeros(1)), c=Tensor(np.ones(1)))
         out = lstm_cell_step(lifted, state, Tensor(np.zeros(1)))
         # Both forget biases land in the same preactivation: sigma(1 + 1).
@@ -153,7 +178,7 @@ class TestFusedCell:
             h_ref, c_ref, grads_ref = taped_step(composed_cell, params, state, x, probe)
             assert rel_diff(h, h_ref) <= 1e-12
             assert rel_diff(c, c_ref) <= 1e-12
-            assert len(grads) == 19 and grads.keys() == grads_ref.keys()
+            assert len(grads) == 6 and grads.keys() == grads_ref.keys()
             for name, grad in grads.items():
                 assert grad.shape == grads_ref[name].shape, name
                 assert rel_diff(grad, grads_ref[name]) <= 1e-12, (width, hidden, name)
@@ -178,36 +203,46 @@ class TestFusedCell:
             params, state, x = random_case(np.random.default_rng(21), 3, hidden)
             tape = Tape()
             leaves = bind(params, tape)
-            cell = pack(leaves)
-            # One node for the packed weights and one for the summed bias.
-            assert len(tape) == 16 + 2
+            # One leaf each for the weights and the two biases.
+            assert len(tape) == 3
             x_leaf = tape.leaf(x)
             before = len(tape)
-            lstm_cell_step(cell, state, x_leaf)
+            lstm_cell_step(leaves, state, x_leaf)
             counts.append(len(tape) - before)
         assert counts == [3, 3]
 
     def test_packed_layout(self):
         rng = np.random.default_rng(22)
         params = LstmParams.random(rng, 2, 3, bound=1.0)
-        cell = pack(params)
-        assert pack(cell) is cell
-        assert (cell.input_size, cell.hidden_size) == (2, 3)
-        npt.assert_array_equal(cell.weights.values[6:9, :2], params.w_gx)
-        npt.assert_array_equal(cell.weights.values[9:12, 2:], params.w_oh)
-        npt.assert_array_equal(cell.bias.values[3:6], params.b_fx + params.b_fh)
+        assert (params.input_size, params.hidden_size) == (2, 3)
+        assert params.weights.shape == (12, 5)
+        assert params.b_x.shape == params.b_h.shape == (12,)
+        # Only the g gate's input columns and the o gate's recurrent columns
+        # are live, and only the f gate's biases: each block acts where the
+        # layout puts it.
+        probe = LstmParams.zeros(2, 3)
+        probe.weights[6:9, :2] = params.weights[6:9, :2]
+        probe.weights[9:12, 2:] = params.weights[9:12, 2:]
+        probe.b_x[3:6], probe.b_h[3:6] = params.b_x[3:6], params.b_h[3:6]
+        h, c, x = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
+        out = lstm_cell_step(probe, LstmState(Tensor(h), Tensor(c)), Tensor(x))
+        forget = 1.0 / (1.0 + np.exp(-(params.b_x[3:6] + params.b_h[3:6])))
+        cand = np.tanh(params.weights[6:9, :2] @ x)
+        c_new = forget * c + 0.5 * cand
+        npt.assert_allclose(out.c.values, c_new, rtol=0, atol=1e-15)
+        gate_o = 1.0 / (1.0 + np.exp(-(params.weights[9:12, 2:] @ h)))
+        npt.assert_allclose(out.h.values, gate_o * np.tanh(c_new), rtol=0, atol=1e-15)
 
 
 
 def stepped_sequence(params, inputs, init):
     """A direction as one `lstm_cell_step` per row of one window's
     (steps, width) input matrix.  Reference for the whole-sequence op."""
-    cell = pack(params)
     steps, width = inputs.shape
     flat = reshape(inputs, (steps * width,))
     state, hs = init, []
     for t in range(steps):
-        state = lstm_cell_step(cell, state, segment(flat, t * width, (t + 1) * width))
+        state = lstm_cell_step(params, state, segment(flat, t * width, (t + 1) * width))
         hs.append(state.h)
     return reshape(concat(hs), (steps, state.h.shape[0])), state
 
@@ -261,8 +296,8 @@ def random_sequence(rng, steps, width, hidden):
 
 def taped_sequence(run, params, init, xs, probe):
     """Run `run` on a fresh tape; return the hidden matrix, the terminal h
-    and c, and the gradients of probe . [states; h_T; c_T] for the sixteen
-    blocks, the input matrix, h0 and c0."""
+    and c, and the gradients of probe . [states; h_T; c_T] for the weights,
+    both biases, the input matrix, h0 and c0."""
     tape = Tape()
     leaves = bind(params, tape)
     h0, c0 = tape.leaf(init.h.values), tape.leaf(init.c.values)
@@ -316,7 +351,7 @@ class TestSequenceOp:
             *ref_values, ref_grads = taped_sequence(stepped_sequence, params, init, xs, probe)
             for value, ref in zip(values, ref_values):
                 assert rel_diff(value, ref) <= 1e-12
-            assert len(grads) == 16 + 3 and grads.keys() == ref_grads.keys()
+            assert len(grads) == 3 + 3 and grads.keys() == ref_grads.keys()
             for name, grad in grads.items():
                 assert grad.shape == ref_grads[name].shape, name
                 assert rel_diff(grad, ref_grads[name]) <= 1e-12, (steps, width, hidden, name)
@@ -341,7 +376,7 @@ class TestSequenceOp:
         for steps in (1, 2, 7, 30):
             params, init, xs = random_sequence(np.random.default_rng(26), steps, 3, 2)
             tape = Tape()
-            cell = pack(bind(params, tape))
+            cell = bind(params, tape)
             inputs = tape.leaf(xs[..., np.newaxis])
             before = len(tape)
             lstm_sequence(cell, inputs, one_state(2))

@@ -48,10 +48,19 @@ def numpy_forward(params, config, sample):
         return e / e.sum()
 
     def cell(p, h, c, x):
-        i = sig(p.w_ix @ x + p.b_ix + p.w_ih @ h + p.b_ih)
-        f = sig(p.w_fx @ x + p.b_fx + p.w_fh @ h + p.b_fh)
-        g = np.tanh(p.w_gx @ x + p.b_gx + p.w_gh @ h + p.b_gh)
-        o = sig(p.w_ox @ x + p.b_ox + p.w_oh @ h + p.b_oh)
+        # Gate k is row block k of the weights, [x | h] columns, and of
+        # both biases.
+        n, width = len(h), len(x)
+
+        def pre(k):
+            rows = slice(k * n, (k + 1) * n)
+            return (p.weights[rows, :width] @ x + p.b_x[rows]
+                    + p.weights[rows, width:] @ h + p.b_h[rows])
+
+        i = sig(pre(0))
+        f = sig(pre(1))
+        g = np.tanh(pre(2))
+        o = sig(pre(3))
         c_new = f * c + i * g
         return o * np.tanh(c_new), c_new
 
@@ -59,14 +68,13 @@ def numpy_forward(params, config, sample):
     t_h = config.history_len
     day_len = config.day_len
 
-    # Encoder: forward sweep with feature attention, then the backward sweep
-    # over the same reweighted inputs.
+    # Encoder: forward sweep with feature attention conditioned on the
+    # previous forward state, then the backward sweep over the same
+    # reweighted inputs.
     h_f, c_f = np.zeros(hs), np.zeros(hs)
     inputs, forward_h = [], []
     for t in range(t_h):
-        conditioning = np.concatenate([h_f, np.zeros(hs)])
-        joined = np.concatenate([conditioning, sample.x_hist[t],
-                                 [sample.y_hist[t]]])
+        joined = np.concatenate([h_f, sample.x_hist[t], [sample.y_hist[t]]])
         alpha = softmax(params.feature_attn.score
                         @ np.tanh(params.feature_attn.proj @ joined))
         step = np.append(alpha * sample.x_hist[t], sample.y_hist[t])
@@ -169,13 +177,13 @@ class TestInit:
         attn = TINY.feature_attn_size
         lstm = 4 * (hs * (TINY.encoder_input_width + hs) + 2 * hs)
         dec_lstm = 4 * (hs * (TINY.decoder_input_width + hs) + 2 * hs)
-        expect = (attn * (width + n + 1) + n * attn          # feature attention
+        expect = (attn * (hs + n + 1) + n * attn             # feature attention
                   + 2 * lstm                                 # encoder BiLSTM
                   + attn * (width + n) + days * day_len * attn  # temporal
                   + 2 * dec_lstm                             # decoder BiLSTM
                   + TINY.head_size * day_len * width         # head hidden
                   + day_len * TINY.head_size)                # head out
-        assert expect == 1004
+        assert expect == 996
         total = sum(arr.size for _, arr in named_leaves(init_params(TINY)))
         assert total == expect
 
@@ -292,9 +300,9 @@ class TestForward:
     def test_tiny_window_tape_size(self):
         # A direction run with known inputs records 4 nodes, one driven by
         # attention 5 plus 1 to reverse its inputs for the backward
-        # direction, and each direction 2 for packing.
-        expected = {"ANLF": 104, "eAttention": 100, "dAttention": 100,
-                    "EDBiLSTM": 96, "EDLSTM": 50}
+        # direction; every parameter array is one leaf.
+        expected = {"ANLF": 44, "eAttention": 40, "dAttention": 40,
+                    "EDBiLSTM": 36, "EDLSTM": 20}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
