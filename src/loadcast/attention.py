@@ -5,8 +5,9 @@ Three mechanisms:
 * feature attention reweights each of the n input features once per encoder
   step, scored by a two-layer additive network over the recurrent state,
   the feature vector, and the step's target value;
-* similar-day weights rank the history days by reciprocal feature distance
-  to the forecast day (no trainable parameters, held constant in backprop);
+* similar-day weights rank each window's history days by reciprocal
+  feature distance to its forecast day (no trainable parameters, held
+  constant in backprop);
 * temporal attention spreads a softmax over every hour of the history
   window once per decoder step, and the context vector mixes the encoder
   states with day weight times hour weight.
@@ -74,33 +75,32 @@ def feature_attention(params, state, features, target):
     return weights, hadamard(weights, features)
 
 
-@dataclass(frozen=True)
-class SimilarDayWeights:
-    """Softmax over history days of clamped reciprocal feature distance."""
-
-    weights: np.ndarray
-
-
 def similar_day_weights(day_blocks, target_block):
-    """Rank history days by closeness to the forecast day's features.
+    """Rank each window's history days by closeness to its forecast day.
 
-    The distance for a day is the sum over features of the Euclidean norm
-    of that feature's hourly difference column.  Weights are the softmax of
+    `day_blocks` is (days, day_len, n_features, B), `target_block`
+    (day_len, n_features, B) and the result (days, B), window k in column
+    k.  A day's distance is the sum over features of the Euclidean norm of
+    that feature's hourly difference column.  Weights are the softmax of
     1 / (distance + 1e-8), with the reciprocal clamped at 1e8 so an exact
     feature match stays finite.
     """
     days = np.asarray(day_blocks, dtype=np.float64)
     target = np.asarray(target_block, dtype=np.float64)
-    if days.ndim != 3 or days.shape[0] < 1:
-        raise DimensionError(f"expected (days, hours, features) blocks, got {days.shape}")
+    if days.ndim != 4 or days.shape[0] < 1:
+        raise DimensionError(
+            f"expected (days, hours, features, windows) blocks, got {days.shape}")
     if target.shape != days.shape[1:]:
         raise DimensionError(
             f"target block {target.shape} incompatible with day blocks {days.shape}")
-    diff = days - target[np.newaxis]
-    per_feature = np.sqrt(np.sum(diff * diff, axis=1))
-    distance = per_feature.sum(axis=1)
+    # Window-major copies, so every window's sums run over the same memory
+    # layout, and in the same order, as a lone window's.
+    diff = (np.ascontiguousarray(np.moveaxis(days, -1, 0))
+            - np.ascontiguousarray(np.moveaxis(target, -1, 0))[:, np.newaxis])
+    per_feature = np.sqrt(np.sum(diff * diff, axis=2))
+    distance = per_feature.sum(axis=2)
     reciprocal = np.minimum(1.0 / (distance + DISTANCE_EPSILON), RECIPROCAL_CAP)
-    return SimilarDayWeights(softmax_values(reciprocal))
+    return softmax_values(reciprocal.T)
 
 
 @dataclass
@@ -145,7 +145,8 @@ def temporal_attention(params, state, features, day_len):
 def context_vector(day_weights, hour_weights, states):
     """Mix encoder states with day weight times hour weight per history hour.
 
-    `states` is the (history_len, state_width) stack of encoder states; the
+    `day_weights` is the (days,) array of one window's similar-day weights
+    and `states` the (history_len, state_width) stack of encoder states; the
     result is a state-width vector whose max-abs entry never exceeds the
     max-abs entry of the states, since the combined weights are a convex
     combination scaled by day weights that sum to one.
@@ -153,13 +154,13 @@ def context_vector(day_weights, hour_weights, states):
     if len(hour_weights.shape) != 2:
         raise DimensionError(f"hour weights must be (days, day_len), got {hour_weights.shape}")
     days, day_len = hour_weights.shape
-    if day_weights.weights.shape != (days,):
+    if day_weights.shape != (days,):
         raise DimensionError(
-            f"day weights {day_weights.weights.shape} do not match hour weights {hour_weights.shape}")
+            f"day weights {day_weights.shape} do not match hour weights {hour_weights.shape}")
     if len(states.shape) != 2 or states.shape[0] != days * day_len:
         raise DimensionError(
             f"states {states.shape} do not cover {days} x {day_len} history hours")
-    day_grid = np.repeat(day_weights.weights[:, np.newaxis], day_len, axis=1)
+    day_grid = np.repeat(day_weights[:, np.newaxis], day_len, axis=1)
     combined = hadamard(Tensor(day_grid), hour_weights)
     flat = reshape(combined, (days * day_len,))
     return matmul(flat, states)
@@ -287,12 +288,12 @@ class TemporalSweep(_ScoredSweep):
     weight times hour weight as `context_vector` does and returns the step
     input [features; context], one column per window.  `features` is
     (steps, n, B), `day_weights` is (days, B) and `states` is (history,
-    S, B).  `weights` holds the flat hour weights, (steps, history, B).
-    `operands` are `proj`, `score`, `tail` and `states`; `grads()` returns
-    their gradients in that order.
+    S, B), so a day is history / days hours.  `weights` holds the flat
+    hour weights, (steps, history, B).  `operands` are `proj`, `score`,
+    `tail` and `states`; `grads()` returns their gradients in that order.
     """
 
-    def __init__(self, params, tail, features, day_weights, states, day_len):
+    def __init__(self, params, tail, features, day_weights, states):
         features = np.asarray(features, dtype=np.float64)
         day_weights = np.asarray(day_weights, dtype=np.float64)
         tail, states = as_tensor(tail), as_tensor(states)
@@ -304,12 +305,10 @@ class TemporalSweep(_ScoredSweep):
         super().__init__(params, np.concatenate((tails, features), axis=1))
         self._tail = slice(self.hidden_size, self.hidden_size + tail.shape[0])
         history_len = self._score.shape[0]
-        if day_len < 1 or history_len % day_len != 0:
-            raise DimensionError(
-                f"history length {history_len} is not divisible by day length {day_len}")
-        if day_weights.shape != (history_len // day_len, self.windows):
-            raise DimensionError(f"day weights {day_weights.shape} do not match "
-                                 f"{history_len // day_len} history days of "
+        days = day_weights.shape[0] if day_weights.ndim == 2 else 0
+        if days < 1 or history_len % days or day_weights.shape != (days, self.windows):
+            raise DimensionError(f"day weights {day_weights.shape} do not split "
+                                 f"{history_len} history hours into whole days of "
                                  f"{self.windows} windows")
         if (len(states.shape) != 3 or states.shape[0] != history_len
                 or states.shape[2] != self.windows):
@@ -319,7 +318,7 @@ class TemporalSweep(_ScoredSweep):
         # Window-major: `_states[k]` is window k's (S, history) matrix, so
         # the context of every window is one batched product.
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self._day = np.repeat(day_weights, day_len, axis=0)
+        self._day = np.repeat(day_weights, history_len // days, axis=0)
         self._features = features
         self._mix = np.empty((self.steps, history_len, self.windows))
         self.width = features.shape[1] + states.shape[1]

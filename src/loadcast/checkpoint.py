@@ -6,8 +6,8 @@ parameter array as a named shaped array, and the pipeline state a later
 calendar).  Floats serialize through Python's shortest round-trip repr, so
 a save/load cycle reproduces every value bit for bit and identical models
 produce byte-identical files.  Each parameter entry is one compact line.
-Checkpoints and every other artifact the command line writes go through
-`write_atomic`.
+Checkpoints and every other artifact the command line writes replace
+their file all or nothing, through a temporary file (`write_atomic`).
 
 Version 2 stores the arrays the model computes with: per LSTM direction
 `weights` (4H, input + H) with row blocks i, f, g, o and columns [x | h],
@@ -19,6 +19,7 @@ still read, through `_upgrade_v1`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -39,23 +40,33 @@ CHECKPOINT_VERSION = 2
 GATES = "ifgo"
 
 
-def write_atomic(path, text):
-    """Write `text` to `path` through a temporary file in the same directory
-    and `os.replace`, so `path` holds either its previous content or all of
-    `text`; a failed write removes the temporary file."""
+# A save holds the text of this many values at a time, not of a file.
+VALUES_PER_WRITE = 4096
+
+
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A file to write that replaces `path` all or nothing when the body
+    ends, through `os.replace`; a failed write removes the temporary file."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
+def write_atomic(path, text):
+    """Replace `path` with `text` all or nothing (see `_atomic_file`)."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def save_checkpoint(path, config, params, stats=None, calendar=None):
-    """Write `params` for `config`, with optional pipeline state."""
+    """Stream `params` for `config`, with optional pipeline state, to disk."""
     head = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -64,12 +75,19 @@ def save_checkpoint(path, config, params, stats=None, calendar=None):
         "holidays": (sorted(d.isoformat() for d in calendar.dates)
                      if calendar is not None else None),
     }
-    entries = [json.dumps({"name": name, "shape": list(leaf.shape),
-                           "values": np.asarray(leaf, dtype=np.float64).reshape(-1).tolist()})
-               for name, leaf in named_leaves(params)]
     lines = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in head.items()]
-    write_atomic(path, "{\n" + "\n".join(lines) + '\n "params": [\n  '
-                 + ",\n  ".join(entries) + "\n ]\n}\n")
+    with _atomic_file(path) as fh:
+        fh.write("{\n" + "\n".join(lines) + '\n "params": [')
+        for index, (name, leaf) in enumerate(named_leaves(params)):
+            flat = np.asarray(leaf, dtype=np.float64).reshape(-1)
+            fh.write(f'{"," if index else ""}\n  {{"name": {json.dumps(name)}, '
+                     f'"shape": {json.dumps(list(leaf.shape))}, "values": [')
+            for start in range(0, flat.size, VALUES_PER_WRITE):
+                # A list dumps as "[v, v, ...]"; one pair of brackets holds all pieces.
+                piece = json.dumps(flat[start:start + VALUES_PER_WRITE].tolist())[1:-1]
+                fh.write(", " + piece if start else piece)
+            fh.write("]}")
+        fh.write("\n ]\n}\n")
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .data import (FEATURE_WIDTH, HolidayCalendar, build_features, build_windows
                    write_records_csv)
 from .errors import CompatibilityError, ConfigError, DataError, TrainingError
 from .metrics import MetricReport, relative_error
-from .model import predict
 from .training import evaluate, train
 from .verify import run_all_checks
 
@@ -62,11 +61,11 @@ def _sha256(path):
 
 
 def _prepare_synthetic(run):
-    needed = run.train_days + run.validation_days + run.test_days
-    if run.synthetic_days != needed:
-        raise ConfigError(f"data.synthetic_days ({run.synthetic_days}) must equal "
-                          f"train+validation+test days ({needed})")
-    records = generate_synthetic(run.synthetic_days, run.synthetic_seed)
+    days = run.train_days + run.validation_days + run.test_days
+    try:
+        records = generate_synthetic(days, run.synthetic_seed)
+    except ValueError as err:
+        raise ConfigError(f"data.train_days + validation_days + test_days: {err}") from None
     calendar = synthetic_calendar(records)
     frames = build_features(records, calendar)
     stats = compute_stats(frames[:run.train_days * 24])
@@ -75,7 +74,7 @@ def _prepare_synthetic(run):
     train_s, val_s, _test_s = split_by_forecast_day(
         windows, records[0].timestamp.date(),
         run.train_days, run.validation_days, run.test_days)
-    fingerprint = {"synthetic": {"days": run.synthetic_days, "seed": run.synthetic_seed}}
+    fingerprint = {"synthetic": {"days": days, "seed": run.synthetic_seed}}
     return train_s, val_s, stats, calendar, fingerprint
 
 
@@ -158,30 +157,23 @@ def _write_forecast_csv(path, samples, result):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_attention_dumps(out, ck, samples):
-    feature_rows, hour_rows, day_rows = [], [], []
-    for index, sample in enumerate(samples):
-        fc = predict(ck.params, ck.config, sample, collect_attention=True)
-        if fc.feature_weights is not None:
-            for step, row in enumerate(fc.feature_weights):
-                feature_rows.append([index, step] + [repr(float(v)) for v in row])
-        if fc.hour_weights is not None:
-            for step, row in enumerate(fc.hour_weights):
-                hour_rows.append([index, step] + [repr(float(v)) for v in row])
-        if fc.day_weights is not None:
-            day_rows.append([index] + [repr(float(v)) for v in fc.day_weights])
-    if feature_rows:
-        header = ",".join(["sample", "step"] + [f"w{i}" for i in range(ck.config.n_features)])
-        body = "\n".join(",".join(str(v) for v in row) for row in feature_rows)
-        write_atomic(out / "attention_features.csv", header + "\n" + body + "\n")
-    if hour_rows:
-        header = ",".join(["sample", "step"] + [f"w{i}" for i in range(ck.config.history_len)])
-        body = "\n".join(",".join(str(v) for v in row) for row in hour_rows)
-        write_atomic(out / "attention_hours.csv", header + "\n" + body + "\n")
-    if day_rows:
-        header = ",".join(["sample"] + [f"w{i}" for i in range(ck.config.days)])
-        body = "\n".join(",".join(str(v) for v in row) for row in day_rows)
-        write_atomic(out / "attention_days.csv", header + "\n" + body + "\n")
+def _write_attention_dumps(out, traces):
+    """One CSV per attention stage the variant has, from the `Forecast`s
+    that gave the forecasts: a row per window and step (or window)."""
+    for field, name in (("feature_weights", "attention_features.csv"),
+                        ("hour_weights", "attention_hours.csv"),
+                        ("day_weights", "attention_days.csv")):
+        first = getattr(traces[0], field)
+        if first is None:
+            continue
+        keys = ["sample", "step"][:first.ndim]
+        lines = [",".join(keys + [f"w{i}" for i in range(first.shape[-1])])]
+        for index, fc in enumerate(traces):
+            rows = getattr(fc, field).reshape(-1, first.shape[-1])
+            lines.extend(",".join([str(index), str(step)][:len(keys)]
+                                  + [repr(float(v)) for v in row])
+                         for step, row in enumerate(rows))
+        write_atomic(out / name, "\n".join(lines) + "\n")
 
 
 def _cmd_forecast(args):
@@ -204,7 +196,7 @@ def _cmd_forecast(args):
             f"pipeline produces {FEATURE_WIDTH}-wide frames")
     frames = standardize(build_features(ingest_csv(args.data), calendar), ck.stats)
     samples = build_windows(frames, ck.config)
-    result = evaluate(ck.params, ck.config, samples, ck.stats)
+    result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_forecast_csv(out / "forecast.csv", samples, result)
@@ -212,7 +204,7 @@ def _cmd_forecast(args):
     write_atomic(out / "metrics.csv",
                  MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
     if args.dump_attention:
-        _write_attention_dumps(out, ck, samples)
+        _write_attention_dumps(out, result.traces)
     print(f"{len(samples)} windows forecast")
     print(result.report.as_text(), end="")
     print(f"artifacts in {out}")

@@ -80,7 +80,6 @@ _SCHEMA = {
     "data.validation_csv": _parse_path,
     "data.holidays": _parse_path,
     "data.stride_hours": _parse_int,
-    "data.synthetic_days": _parse_int,
     "data.synthetic_seed": _parse_int,
     "data.train_days": _parse_int,
     "data.validation_days": _parse_int,
@@ -109,7 +108,6 @@ _DEFAULTS = {
     "data.validation_csv": None,
     "data.holidays": None,
     "data.stride_hours": None,
-    "data.synthetic_days": 60,
     "data.synthetic_seed": 7,
     "data.train_days": 45,
     "data.validation_days": 7,
@@ -128,7 +126,6 @@ class RunConfig:
     validation_csv: Path | None
     holidays: Path | None
     stride_hours: int | None
-    synthetic_days: int
     synthetic_seed: int
     train_days: int
     validation_days: int
@@ -195,7 +192,6 @@ def parse_run_config(path):
                      validation_csv=values["data.validation_csv"],
                      holidays=values["data.holidays"],
                      stride_hours=values["data.stride_hours"],
-                     synthetic_days=values["data.synthetic_days"],
                      synthetic_seed=values["data.synthetic_seed"],
                      train_days=values["data.train_days"],
                      validation_days=values["data.validation_days"],

@@ -231,10 +231,6 @@ def standardize(frames, stats):
     return out
 
 
-def standardize_load(values, stats):
-    return (np.asarray(values, dtype=np.float64) - stats.load_mean) / stats.load_std
-
-
 def destandardize_load(values, stats):
     """Inverse transform from standardized target units back to load units."""
     return np.asarray(values, dtype=np.float64) * stats.load_std + stats.load_mean
@@ -245,15 +241,14 @@ class WindowSample:
     """One forecast instance: a day-aligned history window and the following
     calendar day.
 
-    `day_blocks` is `x_hist` reshaped to (days, day_len, n_features) and
-    shares its memory; `start` is the first forecast hour.
+    The history is given once, as `x_hist` rows, whose consecutive day_len
+    blocks are the history days; `start` is the first forecast hour.
     """
 
     x_hist: np.ndarray
     y_hist: np.ndarray
     x_future: np.ndarray
     y_future: np.ndarray
-    day_blocks: np.ndarray
     start: datetime
 
 
@@ -289,13 +284,11 @@ def build_windows(frames, config, stride=None):
     targets = np.array([f.target for f in frames])
     samples = []
     while cut + horizon <= len(frames):
-        x_hist = features[cut - history_len:cut]
         samples.append(WindowSample(
-            x_hist=x_hist,
+            x_hist=features[cut - history_len:cut],
             y_hist=targets[cut - history_len:cut],
             x_future=features[cut:cut + horizon],
             y_future=targets[cut:cut + horizon],
-            day_blocks=x_hist.reshape(config.days, config.day_len, width),
             start=frames[cut].timestamp))
         cut += stride
     if not samples:

@@ -338,11 +338,11 @@ def lstm_sequence(params, inputs, init):
     return _state_views(joined, steps, hidden, windows)
 
 
-def attended_sequence(params, steps, sweep, init):
+def attended_sequence(params, sweep, init):
     """Run one direction whose step inputs an attention sweep builds from
     the hidden state before each step (see `attention.FeatureSweep` and
-    `attention.TemporalSweep`), for the sweep's B windows from the (H, B)
-    state `init`.
+    `attention.TemporalSweep`), over the sweep's steps and B windows from
+    the (H, B) state `init`.
 
     One tape op computes [h_1 .. h_T; c_T; x_1 .. x_T] with the arithmetic
     of `lstm_cell_step` and of the sweep's attention per column; its
@@ -354,12 +354,12 @@ def attended_sequence(params, steps, sweep, init):
     """
     weights, b_x, b_h = _cell(params)
     h0, c0 = as_tensor(init.h), as_tensor(init.c)
-    windows = sweep.windows
+    steps, windows = sweep.steps, sweep.windows
     _check_run(params, steps, sweep.width, windows, h0, c0)
     hidden, width = params.hidden_size, params.input_size
-    if (sweep.steps, sweep.hidden_size) != (steps, hidden):
-        raise DimensionError(f"sweep of {sweep.steps} steps over hidden width "
-                             f"{sweep.hidden_size} does not fit {steps} x {hidden}")
+    if sweep.hidden_size != hidden:
+        raise DimensionError(f"sweep over hidden width {sweep.hidden_size} does not fit "
+                             f"hidden width {hidden}")
     # The backward rule keeps the sweep, so the sweep must not keep the taped
     # operands: through them it would keep the tape in a reference cycle.
     operands, sweep.operands = sweep.operands, ()
@@ -385,8 +385,8 @@ def attended_sequence(params, steps, sweep, init):
     return states, inputs, terminal
 
 
-def bilstm_sequence(params, steps, inputs, init_forward, init_backward):
-    """Run a sequence of `steps` inputs in both directions for B windows.
+def bilstm_sequence(params, inputs, init_forward, init_backward):
+    """Run a sequence of inputs in both directions for B windows.
 
     `inputs` is either the (steps, width, B) array of step inputs, and then
     the forward direction is one `lstm_sequence`, or an attention sweep,
@@ -397,15 +397,11 @@ def bilstm_sequence(params, steps, inputs, init_forward, init_backward):
     [forward h_t; backward h_t], and each direction's own terminal state
     (the backward terminal is the state after consuming the first input).
     """
-    if steps < 1:
-        raise DimensionError("cannot encode an empty sequence")
     if isinstance(inputs, (Tensor, np.ndarray)):
         inputs = as_tensor(inputs)
-        if inputs.shape[:1] != (steps,):
-            raise DimensionError(f"got step inputs of shape {inputs.shape} for {steps} steps")
         forward, state = lstm_sequence(params.forward, inputs, init_forward)
     else:
-        forward, inputs, state = attended_sequence(params.forward, steps, inputs, init_forward)
+        forward, inputs, state = attended_sequence(params.forward, inputs, init_forward)
     reversed_inputs = fused_op(inputs.values[::-1], (inputs,), lambda g: (g[::-1],))
     backward, terminal_backward = lstm_sequence(params.backward, reversed_inputs, init_backward)
     hidden = backward.shape[1]

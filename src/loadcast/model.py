@@ -202,7 +202,7 @@ def encode(params, config, hist_features, hist_targets, collect_attention=False)
         inputs = Tensor(np.concatenate((hist_features, hist_targets[:, np.newaxis]), axis=1))
     if config.bidirectional:
         states, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, steps, inputs, zero_state(config.hidden_size, windows),
+            params.encoder, inputs, zero_state(config.hidden_size, windows),
             zero_state(config.hidden_size, windows))
     else:
         states, terminal_forward = lstm_sequence(
@@ -223,33 +223,37 @@ class Decoding:
     hour_weights: np.ndarray | None
 
 
-def decode(params, config, encoding, future_features, day_blocks, collect_attention=False):
+def decode(params, config, encoding, hist_features, future_features, collect_attention=False):
     """Run the decoder over the forecast days and apply the output head.
 
-    `future_features` is (horizon, n_features, B) and `day_blocks` holds
-    each window's (days, day_len, n_features) history blocks.  Each
+    `hist_features` is the (history_len, n_features, B) array the encoder
+    ran over and `future_features` is (horizon, n_features, B).  Each
     direction starts from its own orientation's encoder terminal state.
-    With decoder attention the per-step context (similar-day times temporal
+    With decoder attention, the similar-day weights compare each window's
+    history days, `day_len`-row blocks of its history, with its forecast
+    day; the per-step context (similar-day times temporal
     weights over the window's encoder states) is computed in the forward
     sweep and both directions consume the same [features; context] inputs.
     """
-    steps, windows = config.horizon, len(day_blocks)
-    if future_features.shape != (steps, config.n_features, windows):
-        raise DimensionError(f"future features {future_features.shape} do not match "
-                             f"({steps}, {config.n_features}, {windows})")
+    steps, windows = config.horizon, encoding.states.shape[-1]
+    for name, features, rows in (("history", hist_features, config.history_len),
+                                 ("future", future_features, steps)):
+        if features.shape != (rows, config.n_features, windows):
+            raise DimensionError(f"{name} features {features.shape} do not match "
+                                 f"({rows}, {config.n_features}, {windows})")
 
     day_weights = hour_weights = None
     if config.decoder_attention:
-        day_weights = np.stack([similar_day_weights(blocks, future_features[:, :, k]).weights
-                                for k, blocks in enumerate(day_blocks)], axis=-1)
+        day_weights = similar_day_weights(
+            hist_features.reshape(config.days, config.day_len, config.n_features, windows),
+            future_features)
         inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
-                               future_features, day_weights, encoding.states, config.day_len)
+                               future_features, day_weights, encoding.states)
     else:
         inputs = Tensor(future_features)
     if config.bidirectional:
         states, _terminals = bilstm_sequence(
-            params.decoder, steps, inputs,
-            encoding.terminal_forward, encoding.terminal_backward)
+            params.decoder, inputs, encoding.terminal_forward, encoding.terminal_backward)
     else:
         states, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
 
@@ -304,11 +308,12 @@ def forward(params, config, samples, collect_attention=False):
     if not samples:
         raise DimensionError("a forward pass needs at least one window")
     steps, width = config.history_len, config.n_features
-    encoding = encode(params, config, _stacked(samples, "x_hist", (steps, width)),
-                      _stacked(samples, "y_hist", (steps,)), collect_attention)
-    decoding = decode(params, config, encoding,
+    hist_features = _stacked(samples, "x_hist", (steps, width))
+    encoding = encode(params, config, hist_features, _stacked(samples, "y_hist", (steps,)),
+                      collect_attention)
+    decoding = decode(params, config, encoding, hist_features,
                       _stacked(samples, "x_future", (config.horizon, width)),
-                      [sample.day_blocks for sample in samples], collect_attention)
+                      collect_attention)
     values = decoding.output.values
     return ForwardPass(decoding.output, [
         Forecast(values=np.array(values[:, k]),

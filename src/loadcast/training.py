@@ -222,22 +222,24 @@ def train(model_config, train_samples, validation_samples, config):
 
 @dataclass
 class EvaluationResult:
-    """Metrics plus per-window forecast and actual vectors in load units."""
+    """Metrics plus per-window forecast and actual vectors in load units,
+    and the standardized `Forecast`s they came from."""
 
     report: object
     forecasts: list
     actuals: list
+    traces: list
 
 
-def evaluate(params, model_config, samples, stats):
+def evaluate(params, model_config, samples, stats, collect_attention=False):
     """Forecast every sample, map back to load units, and score."""
     if not samples:
         raise TrainingError("evaluation needs at least one sample")
     consts = bind_constants(params)
-    forecasts = []
+    traces = []
     for chunk in _batches(samples, EVAL_CHUNK):
-        forecasts.extend(destandardize_load(fc.values, stats)
-                         for fc in forward(consts, model_config, chunk).forecasts)
+        traces.extend(forward(consts, model_config, chunk, collect_attention).forecasts)
+    forecasts = [destandardize_load(fc.values, stats) for fc in traces]
     actuals = [destandardize_load(sample.y_future, stats) for sample in samples]
     report = compute_metrics(np.concatenate(actuals), np.concatenate(forecasts))
-    return EvaluationResult(report, forecasts, actuals)
+    return EvaluationResult(report, forecasts, actuals, traces)

@@ -46,10 +46,7 @@ def tiny_model_case(variant="ANLF", seed=8):
     x_future = rng.normal(0.0, 1.0, (config.horizon, config.n_features))
     y_future = rng.normal(0.0, 1.0, config.horizon)
     sample = WindowSample(x_hist=x_hist, y_hist=y_hist, x_future=x_future,
-                          y_future=y_future,
-                          day_blocks=x_hist.reshape(config.days, config.day_len,
-                                                    config.n_features),
-                          start=datetime(2022, 1, 5))
+                          y_future=y_future, start=datetime(2022, 1, 5))
     return config, sample
 
 

@@ -97,6 +97,19 @@ def test_criterion_4_structural_ablations():
                               Tensor(rng.normal(size=3)), day_len=4)
     npt.assert_array_equal(beta.values, np.full((2, 4), 1.0 / 8.0))
 
+    # The same through the path the model runs: the attention sweeps.
+    config, sample = tiny_model_case()
+    params = init_params(config)
+    params.feature_attn = FeatureAttentionParams.zeros(
+        config.hidden_size, config.n_features, config.feature_attn_size)
+    params.temporal_attn = TemporalAttentionParams.zeros(
+        config.state_width, config.n_features, config.history_len, config.temporal_attn_size)
+    traced = predict(params, config, sample, collect_attention=True)
+    npt.assert_array_equal(traced.feature_weights,
+                           np.full((config.history_len, config.n_features), 1.0 / 3.0))
+    npt.assert_array_equal(traced.hour_weights,
+                           np.full((config.horizon, config.history_len), 1.0 / 8.0))
+
     config, sample = tiny_model_case(variant="EDBiLSTM")
     params = init_params(config)
     base = predict(params, config, sample).values
@@ -104,8 +117,9 @@ def test_criterion_4_structural_ablations():
     params.feature_attn = donor.feature_attn
     params.temporal_attn = donor.temporal_attn
     npt.assert_array_equal(predict(params, config, sample).values, base)
-    announce(4, "zeroed attention gives exactly uniform weights; EDBiLSTM "
-                "output invariant to injected attention parameters")
+    announce(4, "zeroed attention gives exactly uniform weights, per step and in "
+                "the model's sweeps; EDBiLSTM output invariant to injected "
+                "attention parameters")
 
 
 def test_criterion_5_synthetic_learning():
@@ -194,7 +208,6 @@ model.head_size = 4
 train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
-data.synthetic_days = 9
 data.synthetic_seed = 7
 data.train_days = 6
 data.validation_days = 2

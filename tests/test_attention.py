@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from loadcast.attention import (DISTANCE_EPSILON, FeatureAttentionParams,
-                                FeatureSweep, RECIPROCAL_CAP, SimilarDayWeights,
+                                FeatureSweep, RECIPROCAL_CAP,
                                 TemporalAttentionParams, TemporalSweep,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
@@ -84,49 +84,69 @@ class TestFeatureAttention:
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
 
+def window_axis(*arrays):
+    """Per-window arrays as a one-window batch."""
+    return tuple(a[..., np.newaxis] for a in arrays)
+
+
 class TestSimilarDayWeights:
     def test_loop_oracle(self):
         rng = np.random.default_rng(25)
-        days, day_len, n = 4, 6, 3
-        blocks = rng.normal(size=(days, day_len, n))
-        target = rng.normal(size=(day_len, n))
+        days, day_len, n, windows = 4, 6, 3, 3
+        blocks = rng.normal(size=(days, day_len, n, windows))
+        target = rng.normal(size=(day_len, n, windows))
         result = similar_day_weights(blocks, target)
+        assert result.shape == (days, windows)
 
-        distances = []
-        for day in range(days):
-            dist = 0.0
-            for feat in range(n):
-                ssq = 0.0
-                for hour in range(day_len):
-                    diff = blocks[day, hour, feat] - target[hour, feat]
-                    ssq += diff * diff
-                dist += ssq ** 0.5
-            distances.append(dist)
-        scores = [min(1.0 / (d + DISTANCE_EPSILON), RECIPROCAL_CAP)
-                  for d in distances]
-        npt.assert_allclose(result.weights, softmax(np.array(scores)),
-                            rtol=0, atol=1e-12)
+        for k in range(windows):
+            distances = []
+            for day in range(days):
+                dist = 0.0
+                for feat in range(n):
+                    ssq = 0.0
+                    for hour in range(day_len):
+                        diff = blocks[day, hour, feat, k] - target[hour, feat, k]
+                        ssq += diff * diff
+                    dist += ssq ** 0.5
+                distances.append(dist)
+            scores = [min(1.0 / (d + DISTANCE_EPSILON), RECIPROCAL_CAP)
+                      for d in distances]
+            npt.assert_allclose(result[:, k], softmax(np.array(scores)),
+                                rtol=0, atol=1e-12)
+
+    def test_batch_columns_equal_lone_windows(self):
+        # Each window's sums run in the order of a lone window's, so a batch
+        # column is bitwise that window's weights.
+        rng = np.random.default_rng(24)
+        for days, day_len, n in ((7, 24, 45), (10, 8, 9), (2, 4, 3)):
+            blocks = rng.normal(size=(days, day_len, n, 6))
+            target = rng.normal(size=(day_len, n, 6))
+            batch = similar_day_weights(blocks, target)
+            for k in range(6):
+                npt.assert_array_equal(
+                    batch[:, k], similar_day_weights(*window_axis(blocks[..., k],
+                                                                  target[..., k]))[:, 0])
 
     def test_sum_and_positivity(self):
         rng = np.random.default_rng(26)
         for _ in range(50):
-            blocks = rng.normal(size=(3, 4, 2))
-            target = rng.normal(size=(4, 2))
-            w = similar_day_weights(blocks, target).weights
-            assert abs(w.sum() - 1.0) <= 1e-12
+            blocks = rng.normal(size=(3, 4, 2, 2))
+            target = rng.normal(size=(4, 2, 2))
+            w = similar_day_weights(blocks, target)
+            npt.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
             assert np.all(w > 0.0)
 
     def test_equidistant_days_share_weight_exactly(self):
         block = np.ones((4, 2))
         blocks = np.stack([block + 1.0, block - 1.0])
-        w = similar_day_weights(blocks, block).weights
-        npt.assert_array_equal(w, [0.5, 0.5])
+        w = similar_day_weights(*window_axis(blocks, block))
+        npt.assert_array_equal(w, [[0.5], [0.5]])
 
     def test_identical_day_dominates(self):
         rng = np.random.default_rng(27)
         target = rng.normal(size=(6, 3))
         far = target + 5.0
-        w = similar_day_weights(np.stack([target, far]), target).weights
+        w = similar_day_weights(*window_axis(np.stack([target, far]), target))[:, 0]
         # An exact match drives the reciprocal into the cap, which saturates
         # the softmax completely at float64 precision.
         assert w[0] > 1.0 - 1e-12
@@ -134,16 +154,20 @@ class TestSimilarDayWeights:
 
     def test_day_permutation_permutes_weights(self):
         rng = np.random.default_rng(28)
-        blocks = rng.normal(size=(5, 4, 2))
-        target = rng.normal(size=(4, 2))
+        blocks = rng.normal(size=(5, 4, 2, 1))
+        target = rng.normal(size=(4, 2, 1))
         order = np.array([3, 0, 4, 1, 2])
-        base = similar_day_weights(blocks, target).weights
-        permuted = similar_day_weights(blocks[order], target).weights
+        base = similar_day_weights(blocks, target)
+        permuted = similar_day_weights(blocks[order], target)
         npt.assert_allclose(permuted, base[order], rtol=0, atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            similar_day_weights(np.zeros((2, 4, 3)), np.zeros((4, 2)))
+            similar_day_weights(np.zeros((2, 4, 3, 1)), np.zeros((4, 2, 1)))
+        with pytest.raises(DimensionError):
+            similar_day_weights(np.zeros((2, 4, 3, 2)), np.zeros((4, 3, 1)))
+        with pytest.raises(DimensionError):
+            similar_day_weights(np.zeros((2, 4, 3)), np.zeros((4, 3)))
 
 
 class TestTemporalAttention:
@@ -193,7 +217,7 @@ class TestContextVector:
     def test_loop_oracle(self):
         rng = np.random.default_rng(31)
         days, day_len, width = 3, 4, 5
-        day_w = SimilarDayWeights(weights=softmax(rng.normal(size=days)))
+        day_w = softmax(rng.normal(size=days))
         hour_grid = rng.random(size=(days, day_len))
         hour_grid /= hour_grid.sum()
         states = rng.normal(size=(days * day_len, width))
@@ -204,12 +228,12 @@ class TestContextVector:
         for day in range(days):
             for hour in range(day_len):
                 step = day * day_len + hour
-                expect += day_w.weights[day] * hour_grid[day, hour] * states[step]
+                expect += day_w[day] * hour_grid[day, hour] * states[step]
         npt.assert_allclose(context.values, expect, rtol=0, atol=1e-12)
 
     def test_context_stays_within_state_envelope(self):
         rng = np.random.default_rng(32)
-        day_w = SimilarDayWeights(weights=softmax(rng.normal(size=2)))
+        day_w = softmax(rng.normal(size=2))
         hour_grid = rng.random(size=(2, 3))
         hour_grid /= hour_grid.sum()
         states = rng.normal(size=(6, 4))
@@ -220,7 +244,7 @@ class TestContextVector:
 
     def test_pointmass_weights_select_one_state(self):
         states = np.arange(12.0).reshape(4, 3)
-        day_w = SimilarDayWeights(weights=np.array([0.0, 1.0]))
+        day_w = np.array([0.0, 1.0])
         hour_grid = np.array([[0.0, 0.0], [1.0, 0.0]])
         context = context_vector(day_w, Tensor(hour_grid), Tensor(states))
         npt.assert_array_equal(context.values, states[2])
@@ -228,7 +252,7 @@ class TestContextVector:
     def test_day_weights_are_constant_in_backprop(self):
         """Only the hour grid and states carry gradients; day weights do not."""
         rng = np.random.default_rng(33)
-        day_w = SimilarDayWeights(weights=softmax(rng.normal(size=2)))
+        day_w = softmax(rng.normal(size=2))
         hour_grid = rng.random(size=(2, 3))
         states = rng.normal(size=(6, 4))
 
@@ -260,7 +284,7 @@ def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
             "attn": TemporalAttentionParams.random(rng, 2 * hidden, n, history, attn, bound),
             "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
             "c0": rng.normal(size=hidden), "states": rng.normal(size=(history, width)),
-            "day": SimilarDayWeights(softmax(rng.normal(size=days))), "day_len": day_len,
+            "day": softmax(rng.normal(size=days)), "day_len": day_len,
             "features": rng.normal(size=(steps, n))}
 
 
@@ -268,8 +292,7 @@ def make_sweep(case, attn, leaves):
     """The case's sweep over one window: per-window arrays as (.., 1)."""
     if "states" in case:
         return TemporalSweep(attn, column(leaves["tail"]), case["features"][..., np.newaxis],
-                             case["day"].weights[:, np.newaxis], column(leaves["states"]),
-                             case["day_len"])
+                             case["day"][:, np.newaxis], column(leaves["states"]))
     return FeatureSweep(attn, case["features"][..., np.newaxis], case["targets"][:, np.newaxis])
 
 
@@ -285,8 +308,7 @@ def uncolumn(tensor):
 def swept(case, cell, attn, leaves):
     sweep = make_sweep(case, attn, leaves)
     states, inputs, terminal = attended_sequence(
-        cell, len(case["features"]), sweep,
-        LstmState(column(leaves["h0"]), column(leaves["c0"])))
+        cell, sweep, LstmState(column(leaves["h0"]), column(leaves["c0"])))
     return (uncolumn(states), uncolumn(inputs),
             LstmState(uncolumn(terminal.h), uncolumn(terminal.c)), sweep.weights[..., 0])
 
@@ -427,7 +449,7 @@ class TestAttendedSweeps:
                 sweep = make_sweep(case, attn, leaves)
                 init = LstmState(tape.leaf(np.zeros((3, 1))), tape.leaf(np.zeros((3, 1))))
                 before = len(tape)
-                attended_sequence(cell, steps, sweep, init)
+                attended_sequence(cell, sweep, init)
                 counts.append(len(tape) - before)
         # One op for the run, then a view each for the hidden states, the
         # terminal h, the terminal c and the step inputs.
@@ -459,27 +481,31 @@ class TestAttendedSweeps:
             FeatureSweep(case["attn"], case["features"], case["targets"])
         sweep = FeatureSweep(case["attn"], features, targets)
         with pytest.raises(DimensionError):
-            attended_sequence(case["cell"], 2, sweep, init)
+            attended_sequence(LstmParams.random(rng, 4, 2, 1.0), sweep, init)
         with pytest.raises(DimensionError):
-            attended_sequence(LstmParams.random(rng, 4, 2, 1.0), 3, sweep, init)
+            attended_sequence(LstmParams.random(rng, 3, 3, 1.0), sweep,
+                              LstmState(Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 1)))))
         with pytest.raises(DimensionError):
-            attended_sequence(case["cell"], 0, sweep, init)
+            attended_sequence(case["cell"], FeatureSweep(case["attn"], features[:0], targets[:0]),
+                              init)
         with pytest.raises(DimensionError):
-            attended_sequence(case["cell"], 3, sweep,
+            attended_sequence(case["cell"], sweep,
                               LstmState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))))
         case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
         tail = Tensor(case["tail"][:, np.newaxis])
         features = case["features"][..., np.newaxis]
-        day = case["day"].weights[:, np.newaxis]
+        day = case["day"][:, np.newaxis]
         states = Tensor(case["states"][..., np.newaxis])
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, day, states, 4)
+            TemporalSweep(case["attn"], tail, features, np.ones((4, 1)) / 4, states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], Tensor(np.zeros((2, 2))), features, day, states, 3)
+            TemporalSweep(case["attn"], tail, features, case["day"], states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, day, Tensor(states.values[1:]), 3)
+            TemporalSweep(case["attn"], tail, features, np.repeat(day, 2, axis=1), states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, np.ones((3, 1)) / 3, states, 3)
+            TemporalSweep(case["attn"], Tensor(np.zeros((2, 2))), features, day, states)
+        with pytest.raises(DimensionError):
+            TemporalSweep(case["attn"], tail, features, day, Tensor(states.values[1:]))
         with pytest.raises(DimensionError):
             TemporalSweep(case["attn"], tail, features, day,
-                          Tensor(np.repeat(states.values, 2, axis=2)), 3)
+                          Tensor(np.repeat(states.values, 2, axis=2)))

@@ -40,12 +40,11 @@ def random_windows(config, count, seed):
     rng = np.random.default_rng(seed)
     windows = []
     for _ in range(count):
-        x_hist = rng.normal(size=(config.history_len, config.n_features))
         windows.append(WindowSample(
-            x_hist=x_hist, y_hist=rng.normal(size=config.history_len),
+            x_hist=rng.normal(size=(config.history_len, config.n_features)),
+            y_hist=rng.normal(size=config.history_len),
             x_future=rng.normal(size=(config.horizon, config.n_features)),
             y_future=rng.normal(size=config.horizon),
-            day_blocks=x_hist.reshape(config.days, config.day_len, config.n_features),
             start=datetime(2022, 1, 5)))
     return windows
 
@@ -101,7 +100,9 @@ def stepped_forward(params, config, sample):
     state = encoder_forward
     day = hour_weights = None
     if config.decoder_attention:
-        day, hour_weights = similar_day_weights(sample.day_blocks, sample.x_future), []
+        blocks = sample.x_hist.reshape(config.days, config.day_len, config.n_features)
+        day = similar_day_weights(blocks[..., np.newaxis], sample.x_future[..., np.newaxis])[:, 0]
+        hour_weights = []
     inputs, forward_states = [], []
     for t in range(config.horizon):
         if config.decoder_attention:
@@ -123,7 +124,7 @@ def stepped_forward(params, config, sample):
     return (output,
             np.array(feature_weights) if config.encoder_attention else None,
             None if hour_weights is None else np.array(hour_weights),
-            None if day is None else day.weights)
+            day)
 
 
 def window_reference(params, config, sample):
@@ -219,7 +220,7 @@ class TestBatchAxis:
                     counts.add(len(tape))
             assert len(counts) == 1, (variant, counts)
 
-    @pytest.mark.parametrize("field", ["x_hist", "y_hist", "x_future", "day_blocks"])
+    @pytest.mark.parametrize("field", ["x_hist", "y_hist", "x_future"])
     def test_window_dimension_mismatch_in_a_batch(self, field):
         config = config_at("tiny", "ANLF")
         params = init_params(config)
@@ -227,7 +228,7 @@ class TestBatchAxis:
         bad = windows[1]
         value = getattr(bad, field)
         fields = {name: getattr(bad, name)
-                  for name in ("x_hist", "y_hist", "x_future", "y_future", "day_blocks", "start")}
+                  for name in ("x_hist", "y_hist", "x_future", "y_future", "start")}
         fields[field] = value[..., :-1] if value.ndim > 1 else value[:-1]
         windows[1] = WindowSample(**fields)
         with pytest.raises(DimensionError):

@@ -70,9 +70,7 @@ def test_benchmark_checkpoint_loads_and_serves_its_reference(tmp_path):
         x_future = rng.normal(size=(config.horizon, config.n_features))
         sample = WindowSample(
             x_hist=x_hist, y_hist=y_hist, x_future=x_future,
-            y_future=np.zeros(config.horizon),
-            day_blocks=x_hist.reshape(config.days, config.day_len, config.n_features),
-            start=datetime(2022, 1, 5))
+            y_future=np.zeros(config.horizon), start=datetime(2022, 1, 5))
         served = predict(ck.params, config, sample).values
         expect = reference.anlf_forecast(params, x_hist, y_hist, x_future)
         assert float(np.max(np.abs(served - expect))) <= 1e-9

@@ -3,6 +3,7 @@ rejection paths."""
 
 import dataclasses
 import json
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -118,6 +119,42 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.stats is None
         assert loaded.calendar is None
+
+
+class TestStreaming:
+    def test_save_holds_pieces_of_an_entry_not_the_file(self, tmp_path):
+        # At the default size the head's hidden block holds 49,152 values,
+        # so entries span many writes.
+        config = ModelConfig(days=7, day_len=24, n_features=45, hidden_size=32,
+                             feature_attn_size=16, temporal_attn_size=16, head_size=32)
+        params = init_params(config)
+        texts = [json.dumps({"name": name, "shape": list(leaf.shape),
+                             "values": leaf.reshape(-1).tolist()})
+                 for name, leaf in named_leaves(params)]
+        largest = max(len(text) for text in texts)
+        path = tmp_path / "checkpoint.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, config, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = [line.strip().rstrip(",") for line in path.read_text().splitlines()
+                 if line.lstrip().startswith('{"name"')]
+        assert lines == texts
+        assert peak < 2 * largest
+        assert peak < path.stat().st_size / 2
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        before = path.read_bytes()
+        params = init_params(TINY)
+        params.head.out = np.array([["not a number"]])
+        with pytest.raises(ValueError):
+            save_checkpoint(path, TINY, params)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
 
 class TestVersion1:

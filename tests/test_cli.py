@@ -3,15 +3,19 @@
 import csv
 import fcntl
 import json
+import math
 
 import numpy as np
 import pytest
 
 import loadcast.cli as cli
+import loadcast.model
 import loadcast.tensor
+import loadcast.training
 from loadcast.checkpoint import write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
 from loadcast.data import ingest_csv
+from loadcast.training import EVAL_CHUNK
 from loadcast.verify import CheckResult, _check_basic_gradients
 
 TINY_CONFIG = """
@@ -23,7 +27,6 @@ model.head_size = 4
 train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
-data.synthetic_days = 9
 data.synthetic_seed = 7
 data.train_days = 6
 data.validation_days = 2
@@ -159,7 +162,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data.train_csv" in err and str(tmp_path) in err
 
-    @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len"])
+    @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len", "data.synthetic_days"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
         body = TINY_CONFIG + f"{key} = 24\n"
         code = main(["train", "--config",
@@ -169,13 +172,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
 
-    def test_mismatched_split_total(self, tmp_path, capsys):
-        body = TINY_CONFIG.replace("data.test_days = 1", "data.test_days = 2")
+    def test_split_total_too_short_for_a_window(self, tmp_path, capsys):
+        body = TINY_CONFIG.replace("data.train_days = 6", "data.train_days = 5")
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
         assert code == EXIT_CONFIG
-        assert "synthetic_days" in capsys.readouterr().err
+        assert "data.train_days" in capsys.readouterr().err
 
 
 class TestWriteAtomic:
@@ -239,6 +242,29 @@ class TestForecast:
                 weights = np.array([float(v) for v in row[id_cols:]])
                 assert abs(weights.sum() - 1.0) <= 1e-12
                 assert np.all(weights > 0.0)
+
+    def test_attention_dumps_come_from_the_forecast_pass(self, trained, tmp_path,
+                                                         monkeypatch):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        passes = []
+        original = loadcast.model.forward
+
+        def counted(params, config, samples, *args, **kwargs):
+            passes.append(len(samples))
+            return original(params, config, samples, *args, **kwargs)
+
+        monkeypatch.setattr(loadcast.model, "forward", counted)
+        monkeypatch.setattr(loadcast.training, "forward", counted)
+        out = tmp_path / "fc"
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data), "--out", str(out), "--dump-attention"])
+        assert code == EXIT_OK
+        windows = 7
+        assert sum(passes) == windows
+        assert len(passes) == math.ceil(windows / EVAL_CHUNK)
+        rows = (out / "attention_days.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["sample"] + [str(k) for k in range(windows)]
 
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         bad = tmp_path / "checkpoint.json"

@@ -26,7 +26,6 @@ class TestHappyPath:
         assert run.training.batch_size == 4
         assert run.training.epochs == 5
         assert run.training.clip_norm == 5.0
-        assert run.synthetic_days == 60
         assert (run.train_days, run.validation_days, run.test_days) == (45, 7, 8)
         assert run.train_csv is None
 
@@ -58,7 +57,8 @@ output.dir = runs/ablation
         assert run.raw["model.seed"] == 9
         assert run.raw["output.dir"] == "out"
         assert set(run.raw) >= {"model.variant", "train.epochs",
-                                "data.synthetic_days"}
+                                "data.synthetic_seed"}
+        assert len(run.raw) == 25
 
 
 class TestErrors:

@@ -12,8 +12,7 @@ from loadcast.data import (FEATURE_WIDTH, HOLIDAY_INDEX, HOUR_OFFSET,
                            build_features, build_windows, compute_stats,
                            destandardize_load, generate_synthetic, ingest_csv,
                            split_by_forecast_day, standardize,
-                           standardize_load, synthetic_calendar,
-                           write_records_csv)
+                           synthetic_calendar, write_records_csv)
 from loadcast.errors import (ContinuityError, CoverageError,
                              DegenerateStatsError, DimensionError, ParseError,
                              SchemaError, SizeError)
@@ -250,9 +249,8 @@ class TestStandardization:
         frames = frames_for(9)
         stats = compute_stats(frames)
         loads = np.array([f.target for f in frames])
-        npt.assert_allclose(destandardize_load(standardize_load(loads, stats),
-                                               stats),
-                            loads, rtol=1e-12)
+        scaled = np.array([f.target for f in standardize(frames, stats)])
+        npt.assert_allclose(destandardize_load(scaled, stats), loads, rtol=1e-12)
 
     def test_constant_series_rejected(self):
         records = [RawRecord(SYNTHETIC_START + timedelta(hours=i), 100.0, 10.0)
@@ -288,12 +286,7 @@ class TestWindows:
         npt.assert_array_equal(sample.y_future,
                                [f.target for f in frames[168:192]])
         npt.assert_array_equal(sample.x_hist[0], frames[0].features)
-
-    def test_day_blocks_partition_history(self):
-        sample = build_windows(frames_for(9), CONFIG)[0]
-        npt.assert_array_equal(sample.day_blocks.reshape(168, FEATURE_WIDTH),
-                               sample.x_hist)
-        assert sample.day_blocks.shape == (7, 24, FEATURE_WIDTH)
+        assert sample.x_hist.shape == (168, FEATURE_WIDTH)
 
     def test_default_cut_aligns_to_midnight(self):
         # Drop the first 5 hours; the first usable cut then moves to the

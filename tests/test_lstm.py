@@ -397,7 +397,7 @@ class TestSequenceOp:
             lstm_sequence(params, Tensor(np.zeros((1, 3, 2))), one_state(2))
         bi = BiLstmParams(forward=params, backward=params)
         with pytest.raises(DimensionError):
-            bilstm_sequence(bi, 2, Tensor(np.zeros((1, 3, 1))), one_state(2), one_state(2))
+            bilstm_sequence(bi, Tensor(np.zeros((1, 4, 1))), one_state(2), one_state(2))
 
     def test_bilstm_matrix_matches_sweep(self):
         rng = np.random.default_rng(27)
@@ -410,7 +410,7 @@ class TestSequenceOp:
             leaves = bind(params, tape)
             inputs = tape.leaf(xs)
             step_inputs = inputs if as_matrix else FixedSweep(inputs, 3)
-            joined, (term_f, term_b) = bilstm_sequence(leaves, 6, step_inputs,
+            joined, (term_f, term_b) = bilstm_sequence(leaves, step_inputs,
                                                        one_state(3), one_state(3))
             tape.backward(total(hadamard(joined, Tensor(probe))))
             grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
@@ -452,7 +452,7 @@ class TestSequences:
         params = BiLstmParams(forward=LstmParams.random(rng, 2, 3, bound=0.5),
                               backward=LstmParams.random(rng, 2, 3, bound=0.5))
         inputs = rng.normal(size=(4, 2, 1))
-        joined, (term_f, term_b) = bilstm_sequence(params, 4, Tensor(inputs),
+        joined, (term_f, term_b) = bilstm_sequence(params, Tensor(inputs),
                                                    one_state(3), one_state(3))
         assert joined.shape == (4, 6, 1)
 
@@ -471,9 +471,9 @@ class TestSequences:
         a = LstmParams.random(rng, 2, 3, bound=0.5)
         b = LstmParams.random(rng, 2, 3, bound=0.5)
         inputs = rng.normal(size=(5, 2, 1))
-        joined, _ = bilstm_sequence(BiLstmParams(a, b), 5, Tensor(inputs),
+        joined, _ = bilstm_sequence(BiLstmParams(a, b), Tensor(inputs),
                                     one_state(3), one_state(3))
-        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), 5, Tensor(inputs[::-1]),
+        mirrored, _ = bilstm_sequence(BiLstmParams(b, a), Tensor(inputs[::-1]),
                                       one_state(3), one_state(3))
         for t in range(5):
             fwd, bwd = np.split(joined.values[t], 2)
@@ -487,7 +487,7 @@ class TestSequences:
         inputs = rng.normal(size=(4, 2))
         h0, c0 = rng.normal(size=3), rng.normal(size=3)
         seen = []
-        joined, (term_f, _) = bilstm_sequence(params, 4, FixedSweep(*columns(inputs), 3, seen),
+        joined, (term_f, _) = bilstm_sequence(params, FixedSweep(*columns(inputs), 3, seen),
                                               one_state(3, h0, c0), one_state(3))
         assert [t for t, _ in seen] == [0, 1, 2, 3]
         npt.assert_array_equal(seen[0][1][:, 0], h0)
@@ -502,10 +502,9 @@ class TestSequences:
     def test_bilstm_empty_sequence_rejected(self):
         params = BiLstmParams.random(np.random.default_rng(19), 2, 2, bound=0.5)
         with pytest.raises(DimensionError):
-            bilstm_sequence(params, 0, Tensor(np.zeros((0, 2, 1))),
-                            one_state(2), one_state(2))
+            bilstm_sequence(params, Tensor(np.zeros((0, 2, 1))), one_state(2), one_state(2))
         with pytest.raises(DimensionError):
-            bilstm_sequence(params, 0, FixedSweep(Tensor(np.zeros((0, 2, 1))), 2),
+            bilstm_sequence(params, FixedSweep(Tensor(np.zeros((0, 2, 1))), 2),
                             one_state(2), one_state(2))
 
     def test_sequence_gradients_match_finite_differences(self):

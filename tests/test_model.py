@@ -1,5 +1,6 @@
 """Model wiring: init, variants, and a straight-line numpy forward oracle."""
 
+import dataclasses
 import gc
 import weakref
 from datetime import datetime
@@ -8,11 +9,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
 from loadcast.model import (VARIANTS, ModelConfig, forward, init_params,
                             predict)
-from loadcast.params import bind, named_leaves
+from loadcast.params import bind, bind_constants, named_leaves
 from loadcast.tensor import Tape
 from loadcast.training import mse_loss
 from loadcast.verify import tiny_model_case
@@ -23,13 +25,11 @@ TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
 
 def random_sample(config, seed):
     rng = np.random.default_rng(seed)
-    x_hist = rng.normal(size=(config.history_len, config.n_features))
     return WindowSample(
-        x_hist=x_hist,
+        x_hist=rng.normal(size=(config.history_len, config.n_features)),
         y_hist=rng.normal(size=config.history_len),
         x_future=rng.normal(size=(config.horizon, config.n_features)),
         y_future=rng.normal(size=config.horizon),
-        day_blocks=x_hist.reshape(config.days, config.day_len, config.n_features),
         start=datetime(2022, 1, 5))
 
 
@@ -91,9 +91,10 @@ def numpy_forward(params, config, sample):
     enc_term_f = (h_f, c_f)
     enc_term_b = (h_b, c_b)
 
-    # Similar-day weights over the raw history day blocks.
+    # Similar-day weights over the raw history, cut into days.
+    day_blocks = sample.x_hist.reshape(config.days, day_len, config.n_features)
     distances = np.array([
-        sum(np.sqrt(((sample.day_blocks[d, :, k] - sample.x_future[:, k]) ** 2).sum())
+        sum(np.sqrt(((day_blocks[d, :, k] - sample.x_future[:, k]) ** 2).sum())
             for k in range(config.n_features))
         for d in range(config.days)])
     gamma = softmax(np.minimum(1.0 / (distances + 1e-8), 1e8))
@@ -228,7 +229,6 @@ class TestForward:
         tampered = WindowSample(x_hist=sample.x_hist, y_hist=sample.y_hist,
                                 x_future=sample.x_future,
                                 y_future=sample.y_future + 1000.0,
-                                day_blocks=sample.day_blocks,
                                 start=sample.start)
         npt.assert_array_equal(predict(params, TINY, sample).values,
                                predict(params, TINY, tampered).values)
@@ -246,6 +246,31 @@ class TestForward:
         npt.assert_allclose(traced.hour_weights.sum(axis=1), 1.0, atol=1e-12)
         npt.assert_allclose(traced.day_weights.sum(), 1.0, atol=1e-12)
         npt.assert_array_equal(traced.values, bare.values)
+
+    def test_day_weights_come_from_the_window_history(self):
+        # A window gives its history once: the served day weights are those
+        # of its own x_hist cut into days, alone or in a batch, and follow a
+        # change to one history day.
+        config, sample = tiny_model_case()
+        params = init_params(config)
+
+        def own_weights(window):
+            blocks = window.x_hist.reshape(config.days, config.day_len, config.n_features)
+            return similar_day_weights(blocks[..., np.newaxis],
+                                       window.x_future[..., np.newaxis])[:, 0]
+
+        x_hist = sample.x_hist.copy()
+        x_hist[:config.day_len] += 1.0
+        changed = dataclasses.replace(sample, x_hist=x_hist)
+        served = [predict(params, config, window, collect_attention=True).day_weights
+                  for window in (sample, changed)]
+        for window, weights in zip((sample, changed), served):
+            npt.assert_array_equal(weights, own_weights(window))
+        assert not np.array_equal(served[0], served[1])
+        batch = forward(bind_constants(params), config, [sample, changed],
+                        collect_attention=True).forecasts
+        for fc, weights in zip(batch, served):
+            npt.assert_array_equal(fc.day_weights, weights)
 
     def test_attention_free_variants_ignore_injected_attention_params(self):
         config = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
@@ -278,7 +303,6 @@ class TestForward:
                               y_hist=3.0 * sample.y_hist,
                               x_future=sample.x_future,
                               y_future=sample.y_future,
-                              day_blocks=3.0 * sample.day_blocks,
                               start=sample.start)
         assert not np.array_equal(predict(params, config, scaled).values, base)
 
@@ -287,7 +311,7 @@ class TestForward:
         sample = random_sample(TINY, seed=55)
         bad = WindowSample(x_hist=sample.x_hist[:, :2], y_hist=sample.y_hist,
                            x_future=sample.x_future, y_future=sample.y_future,
-                           day_blocks=sample.day_blocks, start=sample.start)
+                           start=sample.start)
         with pytest.raises(DimensionError):
             predict(params, TINY, bad)
 

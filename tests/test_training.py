@@ -27,14 +27,11 @@ def random_samples(config, count, seed):
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(count):
-        x_hist = rng.normal(size=(config.history_len, config.n_features))
         samples.append(WindowSample(
-            x_hist=x_hist,
+            x_hist=rng.normal(size=(config.history_len, config.n_features)),
             y_hist=rng.normal(size=config.history_len),
             x_future=rng.normal(size=(config.horizon, config.n_features)),
             y_future=rng.normal(size=config.horizon),
-            day_blocks=x_hist.reshape(config.days, config.day_len,
-                                      config.n_features),
             start=datetime(2022, 1, 5)))
     return samples
 
@@ -272,8 +269,9 @@ class TestEvaluate:
             def __init__(self, values):
                 self.values = np.array(values)
 
-        monkeypatch.setattr(training, "forward", lambda params, cfg, chunk: SimpleNamespace(
-            forecasts=[Perfect(sample.y_future) for sample in chunk]))
+        monkeypatch.setattr(training, "forward",
+                            lambda params, cfg, chunk, collect_attention=False: SimpleNamespace(
+                                forecasts=[Perfect(sample.y_future) for sample in chunk]))
         result = evaluate(init_params(config), config, samples, stats)
         assert result.report.mae == 0.0
         assert result.report.mape == 0.0
