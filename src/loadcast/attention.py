@@ -15,14 +15,16 @@ Three mechanisms:
 `feature_attention`, `temporal_attention` and `context_vector` compute one
 step of one window as tape ops.  The model runs a whole sequence's steps
 for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
-`TemporalSweep`, inside one `lstm.attended_sequence` op: the sweep's
-`forward(t, h_prev)` builds step t's input, one column per window, with
-the same arithmetic (scores and softmax down each column, each window's
-context from its own encoder states and similar-day weights),
-`backward(t, dx)` turns the gradient of that input into one for h_prev in
-the reverse loop, and `grads()` forms the parameter gradients (for the
-temporal sweep also those of its conditioning tail and encoder states)
-with one product each over the rows stored per step and window.
+`TemporalSweep`, inside one `lstm.attended_sequence` op.  A sweep's
+`forward(t, h_prev, out)` writes step t's input, one column per window,
+into the (width, B) array `out`, which is the input rows of the
+recurrence's own [x_t; h_{t-1}] scratch, with the same arithmetic (scores
+and softmax down each column, each window's context from its own encoder
+states and similar-day weights); `backward(t, dx)` turns the gradient of
+that input into one for h_prev in the reverse loop, and `grads()` forms
+the parameter gradients (for the temporal sweep also those of its
+conditioning tail and encoder states) with one product each over the rows
+stored per step and window.
 """
 
 from __future__ import annotations
@@ -249,10 +251,11 @@ class FeatureSweep(_ScoredSweep):
     """Feature attention for every encoder step, inside one recurrence.
 
     Step t conditions on h_{t-1} alone, reweights the features of hour t as
-    `feature_attention` does and returns the step input [weights *
-    features; target], one column per window.  `features` is (steps, n, B)
-    and `targets` is (steps, B).  `operands` are `proj` and `score`;
-    `grads()` returns their gradients in that order.
+    `feature_attention` does and `forward(t, h_prev, out)` writes the step
+    input [weights * features; target] into `out`, (n + 1, B), one column
+    per window.  `features` is (steps, n, B) and `targets` is (steps, B).
+    `operands` are `proj` and `score`; `grads()` returns their gradients
+    in that order.
     """
 
     def __init__(self, params, features, targets):
@@ -269,10 +272,10 @@ class FeatureSweep(_ScoredSweep):
         self._features, self._targets = features, targets
         self.width = features.shape[1] + 1
 
-    def forward(self, t, h_prev):
-        """Step t's input, from the hidden state before it."""
-        return np.concatenate((self._attend(t, h_prev) * self._features[t],
-                               self._targets[t][np.newaxis]))
+    def forward(self, t, h_prev, out):
+        """Write step t's input into `out`, from the hidden state before it."""
+        np.multiply(self._attend(t, h_prev), self._features[t], out=out[:-1])
+        out[-1] = self._targets[t]
 
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
@@ -285,8 +288,9 @@ class TemporalSweep(_ScoredSweep):
     Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
     same for every step, weights every history hour as
     `temporal_attention` does, mixes each window's encoder states with day
-    weight times hour weight as `context_vector` does and returns the step
-    input [features; context], one column per window.  `features` is
+    weight times hour weight as `context_vector` does and
+    `forward(t, h_prev, out)` writes the step input [features; context]
+    into `out`, (n + S, B), one column per window.  `features` is
     (steps, n, B), `day_weights` is (days, B) and `states` is (history,
     S, B), so a day is history / days hours.  `weights` holds the flat
     hour weights, (steps, history, B).  `operands` are `proj`, `score`,
@@ -323,11 +327,12 @@ class TemporalSweep(_ScoredSweep):
         self._mix = np.empty((self.steps, history_len, self.windows))
         self.width = features.shape[1] + states.shape[1]
 
-    def forward(self, t, h_prev):
-        """Step t's input, from the hidden state before it."""
+    def forward(self, t, h_prev, out):
+        """Write step t's input into `out`, from the hidden state before it."""
         mix = np.multiply(self._day, self._attend(t, h_prev), out=self._mix[t])
-        context = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0]
-        return np.concatenate((self._features[t], context.T))
+        n = self._features.shape[1]
+        out[:n] = self._features[t]
+        out[n:] = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0].T
 
     def _begin_backward(self):
         super()._begin_backward()

@@ -116,6 +116,15 @@ _DEFAULTS = {
 }
 
 
+# Lower bounds of the integer keys that split and stride the series.
+_AT_LEAST = {
+    "data.train_days": 1,
+    "data.validation_days": 1,
+    "data.test_days": 0,
+    "data.stride_hours": 1,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a `train` invocation needs, after defaults and typing."""
@@ -165,6 +174,9 @@ def parse_run_config(path):
 
     if values["output.dir"] is None:
         raise ConfigError(f"{path}: missing required key output.dir")
+    for key, least in _AT_LEAST.items():
+        if values[key] is not None and values[key] < least:
+            raise ConfigError(f"{path}: {key} must be at least {least}, got {values[key]}")
 
     model = ModelConfig(days=values["model.days"],
                         day_len=24,  # the hour-of-day one-hot is 24 wide

@@ -8,6 +8,13 @@ arrays are what is optimized and checkpointed.  Each op adds the two
 biases once and returns the bias gradient to both, so a cell step is one
 matmul and one tape op with a hand-derived backward.
 
+The four gates are one tanh: with sigma(x) = 1/2 + tanh(x/2)/2, the
+weights and summed bias are scaled once per run by 1/2 on the i, f and o
+rows and 1 on the g rows (exact, as halving is), and each step maps its
+pre-activations as tanh, times that scale, plus 1/2 on the i, f and o rows
+(`_gate_form`, `_activate`).  The activations are the same gate values to
+rounding, so the backward passes, which read only them, are unchanged.
+
 The sequence runs carry a window axis: a batch of B windows runs as one
 recurrence whose step arrays hold one column per window, inputs
 (steps, width, B) and states (H, B), so a step's gate product is one
@@ -21,8 +28,10 @@ gradients, then forms the weight, bias and input gradients with one
 product over every step of every window each.  `attended_sequence` is the
 same op for a direction whose step inputs an attention sweep builds from
 the hidden state before each step: the sweep's numpy forward runs inside
-the loop, and its backward runs inside the reverse loop, turning each
-step's input gradient into a contribution to the previous hidden state's.
+the loop and writes the step's input in place into the run's [x_t;
+h_{t-1}] scratch, and its backward runs inside the reverse loop, turning
+each step's input gradient into a contribution to the previous hidden
+state's.
 `bilstm_sequence` is the one bidirectional recurrence.  Given an input
 array it runs both directions with `lstm_sequence`; given a sweep, it runs
 the forward direction with `attended_sequence`, then the backward direction
@@ -39,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Tensor, _sigmoid_grad, _sigmoid_values, _tanh_grad, as_tensor,
-                     fused_op, matmul, relu, segment)
+from .tensor import (Tensor, _sigmoid_grad, _tanh_grad, as_tensor, fused_op, matmul, relu,
+                     segment)
 
 
 @dataclass
@@ -142,9 +151,9 @@ def lstm_cell_step(params, prev, x):
     w = weights.values
     z = np.concatenate((x.values, h_prev.values))
     cand_rows = slice(2 * hidden, 3 * hidden)
-    pre = w @ z + (b_x.values + b_h.values)
-    act = _sigmoid_values(pre)
-    act[cand_rows] = np.tanh(pre[cand_rows])
+    scale, shift = _gate_form(hidden)
+    pre = (w * scale[:, np.newaxis]) @ z + (b_x.values + b_h.values) * scale
+    act = _activate(pre, scale, shift, pre)
     i, f, cand, o = act[:hidden], act[hidden:2 * hidden], act[cand_rows], act[3 * hidden:]
     c_prev_values = c_prev.values
     c = f * c_prev_values + i * cand
@@ -164,6 +173,30 @@ def lstm_cell_step(params, prev, x):
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
+def _gate_form(hidden):
+    """The (4H,) row factors of the one-tanh gate form, (scale, shift):
+    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows.
+
+    With weights and summed bias multiplied by `scale`, the pre-activations
+    are x/2 on the sigmoid rows and x on the g rows, and `_activate` maps
+    them through sigma(x) = 1/2 + tanh(x/2)/2 and tanh(x) in one pass.
+    Halving is exact, so the scaled pre-activations are exactly half of
+    the unscaled ones.
+    """
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden:3 * hidden] = 1.0
+    return scale, 1.0 - scale
+
+
+def _activate(pre, scale, shift, out):
+    """The four gate activations from pre-activations already scaled by
+    `scale`: tanh into `out`, times `scale`, plus `shift`."""
+    np.tanh(pre, out=out)
+    out *= scale
+    out += shift
+    return out
+
+
 def _run(w, bias, z, c0, sweep=None):
     """Step the cell with weights `w` and summed bias `bias` over `z`,
     writing h_t into `z[t + 1]`.
@@ -172,20 +205,27 @@ def _run(w, bias, z, c0, sweep=None):
     h_{t-1}] of step t, one column per window; the caller fills h_0 and,
     without a sweep, every x_t, whose part of the gate pre-activations is
     then one product over all (steps * B) columns before the loop.  With a
-    sweep, x_t is `sweep.forward(t, h_{t-1})`.  The per-column arithmetic
-    is that of `lstm_cell_step`.  Returns the (steps, 4H, B) activations
-    and c_0 .. c_T.
+    sweep, `sweep.forward(t, h_{t-1}, z[t, :input])` writes x_t in place.
+    The weights and bias are scaled once per run by `_gate_form`, so each
+    step's four gates are one tanh; the per-column arithmetic is that of
+    `lstm_cell_step`.  Returns the (steps, 4H, B) activations and
+    c_0 .. c_T.
     """
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
+    scale, shift = _gate_form(hidden)
+    w = w * scale[:, np.newaxis]
+    bias = bias * scale
     if sweep is None:
         known = _rows(z[:steps, :width]) @ w[:, :width].T
         known += bias
         known = np.ascontiguousarray(
             known.reshape(steps, windows, 4 * hidden).transpose(0, 2, 1))
         w = np.ascontiguousarray(w[:, width:])
-    cand_rows = slice(2 * hidden, 3 * hidden)
+    else:
+        bias = bias[:, np.newaxis]
+    scale, shift = scale[:, np.newaxis], shift[:, np.newaxis]
     act = np.empty((steps, 4 * hidden, windows))
     c_seq = np.empty((steps + 1, hidden, windows))
     c_seq[0] = c0
@@ -195,13 +235,12 @@ def _run(w, bias, z, c0, sweep=None):
             pre = w @ z[t, width:]
             pre += known[t]
         else:
-            z[t, :width] = sweep.forward(t, z[t, width:])
+            sweep.forward(t, z[t, width:], z[t, :width])
             pre = w @ z[t]
-            pre += bias[:, np.newaxis]
-        a = _sigmoid_values(pre, out=act[t])
-        np.tanh(pre[cand_rows], out=a[cand_rows])
+            pre += bias
+        a = _activate(pre, scale, shift, act[t])
         c = np.multiply(a[hidden:2 * hidden], c_seq[t], out=c_seq[t + 1])
-        c += a[:hidden] * a[cand_rows]
+        c += a[:hidden] * a[2 * hidden:3 * hidden]
         np.multiply(a[3 * hidden:], np.tanh(c, out=tanh_c), out=z[t + 1, width:])
     return act, c_seq
 

@@ -265,9 +265,9 @@ def _matmul_grad_right(g, av, bv):
 # the verification suite can demonstrate that a corrupted rule is caught.
 
 
-def _sigmoid_values(x, out=None):
+def _sigmoid_values(x):
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0.0, 1.0, e), 1.0 + e, out=out)
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_grad(out, g):

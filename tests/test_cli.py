@@ -4,6 +4,10 @@ import csv
 import fcntl
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,18 @@ class TestSynth:
         main(["synth", "--days", "9", "--seed", "5", "--out", str(a)])
         main(["synth", "--days", "9", "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_runs_as_a_module_from_a_checkout(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        out = tmp_path / "series.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "loadcast", "synth", "--days", "9", "--seed", "1",
+             "--out", str(out)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(ingest_csv(out)) == 9 * 24
 
     def test_too_few_days_is_a_config_error(self, tmp_path, capsys):
         code = main(["synth", "--days", "3", "--seed", "0",
@@ -179,6 +195,28 @@ class TestTrain:
                      "--synthetic"])
         assert code == EXIT_CONFIG
         assert "data.train_days" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("data.test_days", -1), ("data.train_days", -3), ("data.train_days", 0),
+        ("data.validation_days", 0), ("data.stride_hours", 0)])
+    def test_split_or_stride_out_of_range_is_a_config_error(self, tmp_path, capsys,
+                                                           key, value):
+        body = TINY_CONFIG.replace(f"{key} = ", f"# {key} = ") + f"{key} = {value}\n"
+        code = main(["train", "--config",
+                     str(write_config(tmp_path, tmp_path / "out", body)),
+                     "--synthetic"])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_test_days_trains(self, tmp_path):
+        body = (TINY_CONFIG.replace("data.test_days = 1", "data.test_days = 0")
+                .replace("data.train_days = 6", "data.train_days = 7"))
+        code = main(["train", "--config",
+                     str(write_config(tmp_path, tmp_path / "out", body)),
+                     "--synthetic"])
+        assert code == EXIT_OK
 
 
 class TestWriteAtomic:

@@ -8,12 +8,13 @@ import pytest
 
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
-                           LstmState, attended_sequence, bilstm_sequence,
-                           feedforward_relu, lstm_cell_step, lstm_sequence,
+                           LstmState, _activate, _gate_form, attended_sequence,
+                           bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
-from loadcast.tensor import (Tape, Tensor, check_gradients, concat, fused_op, hadamard,
-                             matmul, reshape, segment, sigmoid, tanh, total)
+from loadcast.tensor import (Tape, Tensor, _sigmoid_values, check_gradients, concat, fused_op,
+                             hadamard, matmul, reshape, segment, sigmoid, tanh, total)
+from loadcast.verify import scalar_lstm_step
 
 
 def scalar_cell(params, h_prev, c_prev, x):
@@ -166,6 +167,45 @@ class TestCellStep:
                             atol=1e-15)
 
 
+class TestGateForm:
+    # The sigmoid rows use sigma(x) = 1/2 + tanh(x/2)/2, so they differ from
+    # the exp form by rounding only; the g rows are tanh itself.
+    MAGNITUDES = (1e-300, 1e-8, 0.5, 1.0, 2.0, 5.0, 20.0, 36.0, 40.0, 50.0, 709.0, 745.0, 1e6)
+
+    def grid(self):
+        dense = np.linspace(-60.0, 60.0, 4801)
+        return np.concatenate(([0.0], self.MAGNITUDES, np.negative(self.MAGNITUDES), dense))
+
+    def test_one_tanh_gives_sigmoid_and_tanh_rows(self):
+        x = self.grid()
+        hidden = 3
+        scale, shift = _gate_form(hidden)
+        pre = scale[:, np.newaxis] * x
+        act = _activate(pre, scale[:, np.newaxis], shift[:, np.newaxis], np.empty_like(pre))
+        gates = act.reshape(4, hidden, x.size)
+        for k in (0, 1, 3):
+            assert np.abs(gates[k] - _sigmoid_values(x)).max() <= 2.3e-16
+            assert gates[k].min() >= 0.0 and gates[k].max() <= 1.0
+        npt.assert_array_equal(gates[2], np.broadcast_to(np.tanh(x), (hidden, x.size)))
+
+    def test_saturated_cell_matches_scalar_oracle(self):
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            params, state, x = random_case(rng, 4, 3)
+            z = np.concatenate((x, state.h.values))
+            reach = np.abs(params.weights @ z + params.b_x + params.b_h).max()
+            params = LstmParams(weights=params.weights * (50.0 / reach),
+                                b_x=params.b_x * (50.0 / reach),
+                                b_h=params.b_h * (50.0 / reach))
+            pre = params.weights @ z + params.b_x + params.b_h
+            assert np.isclose(np.abs(pre).max(), 50.0)
+            stepped = lstm_cell_step(params, state, Tensor(x))
+            oracle_h, oracle_c = scalar_lstm_step(params, state.h.values.tolist(),
+                                                  state.c.values.tolist(), x.tolist())
+            npt.assert_allclose(stepped.h.values, oracle_h, rtol=0, atol=1e-12)
+            npt.assert_allclose(stepped.c.values, oracle_c, rtol=0, atol=1e-12)
+
+
 class TestFusedCell:
     def test_matches_composed_ops(self):
         rng = np.random.default_rng(19)
@@ -261,8 +301,8 @@ def one_window(params, inputs, init):
 
 
 class FixedSweep:
-    """A sweep that ignores the hidden state: step t's input is
-    `inputs[t]`, (width, B), whose gradient it passes through."""
+    """A sweep that ignores the hidden state: it writes `inputs[t]`,
+    (width, B), as step t's input and passes its gradient through."""
 
     def __init__(self, inputs, hidden_size, seen=None):
         self.operands = (inputs,)
@@ -272,10 +312,10 @@ class FixedSweep:
         self._grad = np.zeros(inputs.shape)
         self._seen = seen
 
-    def forward(self, t, h_prev):
+    def forward(self, t, h_prev, out):
         if self._seen is not None:
             self._seen.append((t, np.array(h_prev)))
-        return self._values[t]
+        out[...] = self._values[t]
 
     def backward(self, t, dx):
         self._grad[t] = dx
