@@ -44,10 +44,11 @@ def main():
     print(f"\nreuse accumulates: max |double - 2*single| = "
           f"{np.abs(doubled - 2.0 * single).max():.1e}")
 
-    # check_gradients runs the program once on a tape for the gradient, then
-    # once per perturbed point on constants, and compares the tape's
-    # gradient against central differences, scalar by scalar.
-    def program(probe, leaves):
+    # check_gradients runs program(leaves) once on watched leaves for the
+    # gradient, then once per perturbed point on constant leaves, and
+    # compares the tape's gradient against central differences, scalar by
+    # scalar.
+    def program(leaves):
         return total(tanh(matmul(leaves["w"], x)))
 
     report = check_gradients(program, {"w": w_values}, h=1e-5, tolerance=1e-6)

@@ -28,10 +28,9 @@ from .metrics import MetricReport, compute_metrics, relative_error
 from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, decode,
                     encode, forward, init_params, predict)
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
-from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, backward,
-                     check_gradients, concat, fused_op, hadamard, matmul, relu,
-                     reshape, scale, segment, sigmoid, stable_softmax, sub,
-                     tanh, total)
+from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, check_gradients,
+                     concat, fused_op, hadamard, matmul, relu, reshape, scale,
+                     segment, sigmoid, stable_softmax, sub, tanh, total)
 from .training import (AdamState, EpochRecord, EvaluationResult, TrainConfig,
                        TrainResult, adam_step, batch_gradients,
                        clip_global_norm, evaluate, mean_mse, mse_loss, train)

@@ -100,8 +100,8 @@ class Checkpoint:
 
 def load_checkpoint(path):
     """Read a checkpoint back; validates format, version, entries, names,
-    shapes, and the standardization and holidays blocks, raising
-    `ConfigError` that names the file."""
+    shapes, finite values, and the standardization and holidays blocks,
+    raising `ConfigError` that names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -126,8 +126,10 @@ def load_checkpoint(path):
         try:
             if not isinstance(entry["name"], str):
                 raise TypeError("the name is not a string")
-            stored[entry["name"]] = np.array(entry["values"],
-                                             dtype=np.float64).reshape(entry["shape"])
+            values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            if not np.isfinite(values).all():
+                raise ValueError("it holds a non-finite value")
+            stored[entry["name"]] = values
         except (KeyError, TypeError, ValueError) as err:
             name = entry.get("name") if isinstance(entry, dict) else None
             raise ConfigError(f"{path}: params entry {index} (name {name!r}) is malformed: "

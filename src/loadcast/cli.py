@@ -25,7 +25,7 @@ from .data import (FEATURE_WIDTH, HolidayCalendar, build_features, build_windows
                    compute_stats, generate_synthetic, ingest_csv,
                    split_by_forecast_day, standardize, synthetic_calendar,
                    write_records_csv)
-from .errors import CompatibilityError, ConfigError, DataError, TrainingError
+from .errors import CompatibilityError, ConfigError, DataError, EvaluationError, TrainingError
 from .metrics import MetricReport, relative_error
 from .training import evaluate, train
 from .verify import run_all_checks
@@ -196,7 +196,10 @@ def _cmd_forecast(args):
             f"pipeline produces {FEATURE_WIDTH}-wide frames")
     frames = standardize(build_features(ingest_csv(args.data), calendar), ck.stats)
     samples = build_windows(frames, ck.config)
-    result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
+    try:
+        result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
+    except EvaluationError as err:
+        raise ConfigError(f"{args.checkpoint} does not evaluate on {args.data}: {err}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_forecast_csv(out / "forecast.csv", samples, result)

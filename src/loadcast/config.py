@@ -8,7 +8,7 @@ defaults.  Values are typed per key; `none` clears an optional value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import FEATURE_WIDTH
@@ -95,15 +95,7 @@ _DEFAULTS = {
     "model.temporal_attn_size": 16,
     "model.head_size": 32,
     "model.seed": 1,
-    "train.batch_size": 4,
-    "train.epochs": 5,
-    "train.learning_rate": 3e-3,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.epsilon": 1e-8,
-    "train.clip_norm": 5.0,
-    "train.shuffle": True,
-    "train.seed": 1,
+    **{f"train.{field.name}": field.default for field in fields(TrainConfig)},
     "data.train_csv": None,
     "data.validation_csv": None,
     "data.holidays": None,
@@ -114,6 +106,10 @@ _DEFAULTS = {
     "data.test_days": 8,
     "output.dir": None,
 }
+
+# `TrainConfig` holds the training defaults; `_SCHEMA` must parse each field.
+assert {key for key in _SCHEMA if key.startswith("train.")} == \
+    {f"train.{field.name}" for field in fields(TrainConfig)}
 
 
 # Lower bounds of the integer keys that split and stride the series.
@@ -187,15 +183,8 @@ def parse_run_config(path):
                         head_size=values["model.head_size"],
                         variant=values["model.variant"],
                         seed=values["model.seed"])
-    training = TrainConfig(batch_size=values["train.batch_size"],
-                           epochs=values["train.epochs"],
-                           learning_rate=values["train.learning_rate"],
-                           beta1=values["train.beta1"],
-                           beta2=values["train.beta2"],
-                           epsilon=values["train.epsilon"],
-                           clip_norm=values["train.clip_norm"],
-                           shuffle=values["train.shuffle"],
-                           seed=values["train.seed"])
+    training = TrainConfig(**{field.name: values[f"train.{field.name}"]
+                              for field in fields(TrainConfig)})
     echo = {key: (str(v) if isinstance(v, Path) else v)
             for key, v in sorted(values.items())}
     return RunConfig(model=model,

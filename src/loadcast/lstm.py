@@ -299,27 +299,14 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     return d_pre.reshape(steps * windows, 4 * hidden), dh_next.T, dc.T
 
 
-def _view(joined, start, stop, shape):
-    """Entries `start:stop` of the flat output of a run, as an array of
-    `shape`; one tape node whose gradient is zero elsewhere."""
-    size = joined.values.size
-
-    def rule(g):
-        full = np.zeros(size)
-        full[start:stop] = g.reshape(-1)
-        return (full,)
-
-    return fused_op(joined.values[start:stop].reshape(shape), (joined,), rule)
-
-
 def _state_views(joined, steps, hidden, windows):
     """The (steps, H, B) hidden states and the terminal state of a run
     whose flat output starts [h_1 .. h_T; c_T]."""
     end = steps * hidden * windows
     block = hidden * windows
-    return (_view(joined, 0, end, (steps, hidden, windows)),
-            LstmState(_view(joined, end - block, end, (hidden, windows)),
-                      _view(joined, end, end + block, (hidden, windows))))
+    return (segment(joined, 0, end, (steps, hidden, windows)),
+            LstmState(segment(joined, end - block, end, (hidden, windows)),
+                      segment(joined, end, end + block, (hidden, windows))))
 
 
 def _check_run(params, steps, width, windows, h0, c0):
@@ -420,7 +407,7 @@ def attended_sequence(params, sweep, init):
 
     joined = fused_op(out, (weights, b_x, b_h, h0, c0, *operands), rule)
     states, terminal = _state_views(joined, steps, hidden, windows)
-    inputs = _view(joined, states_end, out.size, (steps, width, windows))
+    inputs = segment(joined, states_end, out.size, (steps, width, windows))
     return states, inputs, terminal
 
 

@@ -7,6 +7,12 @@ operation touching a watched tensor is recorded so that `Tape.backward`
 can accumulate gradients for all leaves in a single reverse sweep over the
 recording order.  That fixed order makes repeated passes bit-identical.
 
+Every op records through `fused_op`: one node per output, whose one rule
+returns a gradient for each operand.  Parts of a flat output, such as the
+states of a sequence run, are taken with `segment`, which also gives the
+part its shape.  `check_gradients` runs `program(leaves)` once on watched
+leaves and then on constants at every perturbed point.
+
 A tape is meant to live for exactly one forward/backward pass and is
 rebuilt from scratch for the next one.  Tensors themselves are safe to
 share across threads as long as each thread records on its own tape.
@@ -24,11 +30,6 @@ from .errors import DimensionError, EvaluationError, TapeError
 REL_ERROR_FLOOR = 1e-8
 
 
-def _finite_or_raise(values):
-    if not np.isfinite(values).all():
-        raise EvaluationError("non-finite values in tensor")
-
-
 class Tensor:
     """A shape-tagged float64 array, optionally recorded on a tape."""
 
@@ -36,7 +37,8 @@ class Tensor:
 
     def __init__(self, values, tape=None, node=None):
         arr = np.asarray(values, dtype=np.float64)
-        _finite_or_raise(arr)
+        if not np.isfinite(arr).all():
+            raise EvaluationError("non-finite values in tensor")
         self.values = arr
         self.tape = tape
         self.node = node
@@ -96,15 +98,14 @@ class Tape:
 
     def leaf(self, values):
         """Register a watched input (typically a parameter) and return it."""
-        arr = np.asarray(values, dtype=np.float64)
-        _finite_or_raise(arr)
-        return self._record(arr, (), None)
+        return self._record(values, (), None)
 
     def _record(self, values, parents, rule):
-        node = len(self._nodes)
-        ids = tuple(p.node for p in parents)
-        self._nodes.append(_Node(ids, rule))
-        return Tensor(values, tape=self, node=node)
+        # The tensor is built (and its values checked) before the node is
+        # appended, so rejected values leave the tape unchanged.
+        out = Tensor(values, tape=self, node=len(self._nodes))
+        self._nodes.append(_Node(tuple(p.node for p in parents), rule))
+        return out
 
     def backward(self, loss):
         """Accumulate d(loss)/d(node) for every node reachable from `loss`.
@@ -158,33 +159,6 @@ class Tape:
         return np.asarray(g, dtype=np.float64)
 
 
-def backward(loss):
-    """Run the reverse sweep for `loss` on the tape it was recorded on."""
-    if loss.tape is None:
-        raise TapeError("loss is a constant; nothing to differentiate")
-    loss.tape.backward(loss)
-
-
-def _emit(out_values, pairs):
-    """Record `out_values` with one gradient closure per taped operand.
-
-    `pairs` is a sequence of (tensor, grad_fn) where grad_fn(g) returns the
-    gradient contribution for that operand.  If no operand is taped the
-    result is a constant.
-    """
-    taped = [(t, fn) for t, fn in pairs if t.tape is not None]
-    tape = _common_tape([t for t, _fn in taped])
-    if tape is None:
-        return Tensor(out_values)
-    parents = tuple(t for t, _fn in taped)
-    fns = tuple(fn for _t, fn in taped)
-
-    def rule(g):
-        return tuple(fn(g) for fn in fns)
-
-    return tape._record(np.asarray(out_values, dtype=np.float64), parents, rule)
-
-
 def fused_op(out_values, operands, rule):
     """Record `out_values` as one node whose gradients come from one closure.
 
@@ -203,7 +177,7 @@ def fused_op(out_values, operands, rule):
         def kept(g):
             grads = rule(g)
             return tuple(grads[k] for k in taped)
-    return tape._record(np.asarray(out_values, dtype=np.float64), parents, kept)
+    return tape._record(out_values, parents, kept)
 
 
 def _common_tape(taped):
@@ -235,9 +209,8 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    out = av @ bv
-    return _emit(out, [(a, lambda g: _matmul_grad_left(g, av, bv)),
-                       (b, lambda g: _matmul_grad_right(g, av, bv))])
+    return fused_op(av @ bv, (a, b), lambda g: (_matmul_grad_left(g, av, bv),
+                                                _matmul_grad_right(g, av, bv)))
 
 
 def _matmul_grad_left(g, av, bv):
@@ -287,20 +260,19 @@ def sigmoid(x):
     """Logistic function, computed without overflow for large magnitudes."""
     x = as_tensor(x)
     out = _sigmoid_values(x.values)
-    return _emit(out, [(x, lambda g: _sigmoid_grad(out, g))])
+    return fused_op(out, (x,), lambda g: (_sigmoid_grad(out, g),))
 
 
 def tanh(x):
     x = as_tensor(x)
     out = np.tanh(x.values)
-    return _emit(out, [(x, lambda g: _tanh_grad(out, g))])
+    return fused_op(out, (x,), lambda g: (_tanh_grad(out, g),))
 
 
 def relu(x):
     x = as_tensor(x)
     xv = x.values
-    out = np.maximum(xv, 0.0)
-    return _emit(out, [(x, lambda g: _relu_grad(xv, g))])
+    return fused_op(np.maximum(xv, 0.0), (x,), lambda g: (_relu_grad(xv, g),))
 
 
 def _require_same_shape(op, a, b):
@@ -311,13 +283,13 @@ def _require_same_shape(op, a, b):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape("add", a, b)
-    return _emit(a.values + b.values, [(a, lambda g: g), (b, lambda g: g)])
+    return fused_op(a.values + b.values, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape("sub", a, b)
-    return _emit(a.values - b.values, [(a, lambda g: g), (b, lambda g: -g)])
+    return fused_op(a.values - b.values, (a, b), lambda g: (g, -g))
 
 
 def hadamard(a, b):
@@ -325,14 +297,14 @@ def hadamard(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape("hadamard", a, b)
     av, bv = a.values, b.values
-    return _emit(av * bv, [(a, lambda g: g * bv), (b, lambda g: g * av)])
+    return fused_op(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(x, factor):
     """Multiply every entry by a plain Python scalar."""
     x = as_tensor(x)
     c = float(factor)
-    return _emit(x.values * c, [(x, lambda g: g * c)])
+    return fused_op(x.values * c, (x,), lambda g: (g * c,))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +314,8 @@ def scale(x, factor):
 def softmax_values(v, out=None):
     """Shift-stabilized softmax of a plain array down axis 0, so each
     column of a matrix is its own distribution."""
-    e = np.exp(v - v.max(axis=0))
-    return np.divide(e, e.sum(axis=0), out=out)
+    e = np.exp(v - np.maximum.reduce(v, axis=0))
+    return np.divide(e, np.add.reduce(e, axis=0), out=out)
 
 
 def _softmax_grad(out, g):
@@ -356,7 +328,7 @@ def stable_softmax(v):
     if v.values.ndim != 1 or v.values.size == 0:
         raise DimensionError(f"softmax expects a nonempty 1-D tensor, got shape {v.shape}")
     out = softmax_values(v.values)
-    return _emit(out, [(v, lambda g: _softmax_grad(out, g))])
+    return fused_op(out, (v,), lambda g: (_softmax_grad(out, g),))
 
 
 def concat(parts, axis=0):
@@ -379,29 +351,35 @@ def concat(parts, axis=0):
                     f"concat parts differ off-axis: {first} vs {p.shape}")
     out = np.concatenate([p.values for p in parts], axis=axis)
     index = [slice(None)] * ndim
-    pairs = []
+    keys = []
     start = 0
     for p in parts:
         stop = start + p.shape[axis]
         index[axis] = slice(start, stop)
-        pairs.append((p, lambda g, key=tuple(index): g[key]))
+        keys.append(tuple(index))
         start = stop
-    return _emit(out, pairs)
+    return fused_op(out, parts, lambda g: tuple(g[key] for key in keys))
 
 
-def segment(x, start, stop):
-    """Entries `start:stop` of a 1-D tensor; the gradient is zero elsewhere."""
+def segment(x, start, stop, shape=None):
+    """Entries `start:stop` of a 1-D tensor, as an array of `shape` (1-D if
+    omitted); the gradient is zero elsewhere."""
     x = as_tensor(x)
     if x.values.ndim != 1 or not 0 <= start <= stop <= x.values.size:
         raise DimensionError(f"segment {start}:{stop} out of range for shape {x.shape}")
+    part = x.values[start:stop]
+    if shape is not None:
+        if math.prod(shape) != part.size:
+            raise DimensionError(f"cannot view segment {start}:{stop} as {tuple(shape)}")
+        part = part.reshape(shape)
     size = x.values.size
 
-    def fn(g):
+    def rule(g):
         full = np.zeros(size)
-        full[start:stop] = g
-        return full
+        full[start:stop] = g.reshape(-1)
+        return (full,)
 
-    return _emit(x.values[start:stop], [(x, fn)])
+    return fused_op(part, (x,), rule)
 
 
 def reshape(x, shape):
@@ -411,15 +389,14 @@ def reshape(x, shape):
     if math.prod(shape) != x.values.size:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}")
     orig = x.values.shape
-    return _emit(x.values.reshape(shape), [(x, lambda g: g.reshape(orig))])
+    return fused_op(x.values.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
 
 def total(x):
     """Sum of all entries as a scalar tensor."""
     x = as_tensor(x)
     shape = x.values.shape
-    out = np.asarray(x.values.sum(), dtype=np.float64)
-    return _emit(out, [(x, lambda g: np.full(shape, g))])
+    return fused_op(x.values.sum(), (x,), lambda g: (np.full(shape, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +425,7 @@ class GradCheckReport:
 def check_gradients(program, params, h=1e-5, tolerance=1e-6):
     """Compare the tape's gradients of `program` with central differences.
 
-    `program(tape, leaves)` must build and return a scalar loss tensor from
+    `program(leaves)` must build and return a scalar loss tensor from
     `leaves`, a dict mapping parameter names to watched tensors; `params`
     maps the same names to arrays.  Each scalar is perturbed by +-h and the
     relative error is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8).  A program
@@ -458,7 +435,7 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
         raise ValueError("finite-difference step must be positive")
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in params.items()}
-    loss = program(tape, leaves)
+    loss = program(leaves)
     if loss.values.shape != ():
         raise TapeError(f"program returned a non-scalar loss of shape {loss.values.shape}")
     if not leaves:
@@ -471,9 +448,8 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
     work = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
 
     def loss_at():
-        # Constants on an unused tape: only the value is read, so nothing
-        # is recorded.
-        out = program(Tape(), {name: Tensor(arr) for name, arr in work.items()})
+        # Constants: only the value is read, so nothing is recorded.
+        out = program({name: Tensor(arr) for name, arr in work.items()})
         value = float(out.values)
         if not math.isfinite(value):
             raise EvaluationError("non-finite loss at a perturbed point")

@@ -31,17 +31,18 @@ EVAL_CHUNK = 4
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings."""
+    """Optimizer and loop settings.  The defaults are the run config's
+    `train.*` defaults."""
 
-    batch_size: int = 32
+    batch_size: int = 4
     epochs: int = 5
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     clip_norm: float | None = 5.0
     shuffle: bool = True
-    seed: int = 0
+    seed: int = 1
 
     def __post_init__(self):
         if not isinstance(self.batch_size, int) or self.batch_size < 1:

@@ -55,7 +55,7 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
 
-    def program(_tape, leaves):
+    def program(leaves):
         bound = map_leaves(template, lambda name, _leaf: leaves[name])
         output = forward(bound, config, [sample]).output
         return mse_loss(output, sample.y_future[:, np.newaxis])
@@ -110,7 +110,7 @@ def _check_basic_gradients():
         "u": rng.normal(0.0, 1.0, 6) + np.where(rng.normal(size=6) > 0, 2.0, -2.0),
     }
 
-    def program(_tape, leaves):
+    def program(leaves):
         prod = matmul(leaves["a"], leaves["b"])
         mixed = hadamard(sigmoid(leaves["v"]), tanh(leaves["v"]))
         rect = relu(leaves["u"])
@@ -132,7 +132,7 @@ def _check_softmax():
             return CheckResult("softmax normalization", False, "non-positive entry")
     arrays = {"v": rng.normal(0.0, 2.0, 5)}
 
-    def program(_tape, leaves):
+    def program(leaves):
         weights = stable_softmax(leaves["v"])
         return total(hadamard(weights, weights))
 
@@ -143,7 +143,11 @@ def _check_softmax():
 
 
 def _check_lstm_oracle(instances=1000, tolerance=1e-12):
-    from .lstm import LstmParams, LstmState, lstm_cell_step
+    """`lstm_cell_step` on `instances` random cells, then `lstm_sequence`, the
+    engine the model runs, on 50 random batches of 1-3 windows over 1-4
+    steps: every h_t and the terminal c against the oracle stepped per
+    window."""
+    from .lstm import LstmParams, LstmState, lstm_cell_step, lstm_sequence
     from .tensor import Tensor
 
     rng = np.random.default_rng(3)
@@ -161,8 +165,26 @@ def _check_lstm_oracle(instances=1000, tolerance=1e-12):
         worst = max(worst,
                     float(np.max(np.abs(state.h.values - h_ref))),
                     float(np.max(np.abs(state.c.values - c_ref))))
-    return CheckResult(f"lstm cell vs scalar-loop oracle ({instances} instances)",
-                       worst <= tolerance, f"max abs diff {worst:.1e}")
+    sequence_worst = 0.0
+    for _ in range(50):
+        steps, windows, width, hidden = (int(n) for n in rng.integers(1, (5, 4, 6, 6)))
+        params = LstmParams.random(rng, width, hidden, 1.0)
+        xs = rng.normal(0.0, 1.0, (steps, width, windows))
+        h0 = rng.normal(0.0, 1.0, (hidden, windows))
+        c0 = rng.normal(0.0, 1.0, (hidden, windows))
+        states, terminal = lstm_sequence(params, Tensor(xs),
+                                         LstmState(Tensor(h0), Tensor(c0)))
+        for b in range(windows):
+            h_ref, c_ref = h0[:, b], c0[:, b]
+            for t in range(steps):
+                h_ref, c_ref = scalar_lstm_step(params, h_ref, c_ref, xs[t, :, b])
+                sequence_worst = max(sequence_worst,
+                                     float(np.max(np.abs(states.values[t, :, b] - h_ref))))
+            sequence_worst = max(sequence_worst,
+                                 float(np.max(np.abs(terminal.c.values[:, b] - c_ref))))
+    return CheckResult(f"lstm cell and sequence vs scalar-loop oracle ({instances} cells, "
+                       "50 sequences)", max(worst, sequence_worst) <= tolerance,
+                       f"max abs diff {worst:.1e} (cell), {sequence_worst:.1e} (sequence)")
 
 
 def _check_model_gradients():

@@ -72,7 +72,7 @@ class TestFeatureAttention:
         init, state, features, target = make_feature_case(rng, n=4,
                                                           state_width=3, attn=2)
 
-        def program(tape, leaves):
+        def program(leaves):
             params = FeatureAttentionParams(proj=leaves["proj"],
                                             score=leaves["score"])
             _, weighted = feature_attention(params, Tensor(state.values),
@@ -256,7 +256,7 @@ class TestContextVector:
         hour_grid = rng.random(size=(2, 3))
         states = rng.normal(size=(6, 4))
 
-        def program(tape, leaves):
+        def program(leaves):
             return total(context_vector(day_w, leaves["hour"], leaves["states"]))
 
         report = check_gradients(program, {"hour": hour_grid, "states": states},
@@ -422,7 +422,7 @@ class TestAttendedSweeps:
                      temporal_case(rng, 3, 2, 2, 2, 2, 2, 2, bound=0.6)):
             probe = rng.normal(size=flat_size(case))
 
-            def program(_tape, leaves, case=case, probe=probe):
+            def program(leaves, case=case, probe=probe):
                 cell = map_leaves(case["cell"], lambda name, _l: leaves["cell." + name])
                 attn = map_leaves(case["attn"], lambda name, _l: leaves["attn." + name])
                 states, inputs, terminal, _ = swept(case, cell, attn, leaves)

@@ -2,7 +2,8 @@
 attributes; every attribute it replaces must exist, or its traced and
 sampled runs fail.  Its forecast workload serves a version-1 checkpoint it
 writes itself and checks every forecast against its own numpy forward.
-This checks both without running the benchmark."""
+This checks both without running the benchmark, and that no module imports
+a name it never uses other than for the tracer to patch."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ from loadcast.model import predict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+SOURCES = PERFBENCH.parent / "src" / "loadcast"
 
 # The attributes `perfbench/run.py` wraps so that long operations get kernel
 # samples.  Copied rather than imported: importing run.py pins the BLAS
@@ -37,6 +39,32 @@ def span_sites():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_SITES"]:
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/tracing.py defines no SPAN_SITES")
+
+
+def unused_imports(path):
+    """Names that `path` binds by an import statement and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # `model.py` imports some names only so that the tracer can patch them
+    # there; once a span site goes, its import shows up here as unused.
+    patched = {attr for module, attr, _span in span_sites() if module == "model"}
+    found = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = unused_imports(path) - (patched if path.name == "model.py" else set())
+        if unused:
+            found[path.name] = sorted(unused)
+    assert not found, f"unused imports: {found}"
 
 
 def test_every_hook_site_resolves():

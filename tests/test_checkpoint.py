@@ -270,6 +270,18 @@ class TestRejection:
             load_checkpoint(path)
         assert entry["name"] in str(exc.value)
 
+    def test_non_finite_parameter_value(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        _entry(doc, "head.out")["values"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert "head.out" in str(exc.value) and "non-finite" in str(exc.value)
+
     def test_bad_config_block(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)

@@ -335,6 +335,23 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "config error" in err and "bad standardization block" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_checkpoint_is_a_config_error(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        entry = next(e for e in doc["params"] if e["name"] == "head.hidden")
+        entry["values"] = [1e308] * len(entry["values"])
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "fc"
+        code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err and str(data) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--data", "--holidays"])
     def test_missing_input_file_is_a_config_error(self, trained, tmp_path, capsys, flag):
         data = tmp_path / "data.csv"

@@ -6,6 +6,7 @@ import pytest
 
 from loadcast.config import parse_run_config
 from loadcast.errors import ConfigError
+from loadcast.training import TrainConfig
 
 
 def write_config(tmp_path, body):
@@ -26,6 +27,7 @@ class TestHappyPath:
         assert run.training.batch_size == 4
         assert run.training.epochs == 5
         assert run.training.clip_norm == 5.0
+        assert run.training == TrainConfig()
         assert (run.train_days, run.validation_days, run.test_days) == (45, 7, 8)
         assert run.train_csv is None
 

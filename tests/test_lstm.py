@@ -228,7 +228,7 @@ class TestFusedCell:
         params, state, x = random_case(rng, 3, 4)
         probe = rng.normal(size=8)
 
-        def program(tape, leaves):
+        def program(leaves):
             out = lstm_cell_step(params, LstmState(leaves["h_prev"], leaves["c_prev"]),
                                  leaves["x"])
             return total(hadamard(concat([out.h, out.c]), Tensor(probe)))
@@ -401,7 +401,7 @@ class TestSequenceOp:
         params, init, xs = random_sequence(rng, 5, 3, 4)
         probe = rng.normal(size=7 * 4)
 
-        def program(tape, leaves):
+        def program(leaves):
             states, terminal = one_window(
                 params, leaves["x"], LstmState(leaves["h0"], leaves["c0"]))
             flat = concat([reshape(states, (20,)), terminal.h, terminal.c])
@@ -552,7 +552,7 @@ class TestSequences:
         init = LstmParams.random(rng, 2, 3, bound=0.6)
         xs = rng.normal(size=(6, 2, 1))
 
-        def program(tape, leaves):
+        def program(leaves):
             params = LstmParams(**{name: leaves[name]
                                    for name, _ in named_leaves(init)})
             states, terminal = lstm_sequence(params, Tensor(xs), one_state(3))
@@ -579,7 +579,7 @@ class TestFeedForwardHead:
         init = FeedForwardParams.random(rng, 6, 4, 3, bound=0.8)
         stacked = rng.normal(size=(6, 2))
 
-        def program(tape, leaves):
+        def program(leaves):
             params = FeedForwardParams(hidden=leaves["hidden"], out=leaves["out"])
             return total(feedforward_relu(params, Tensor(stacked)))
 
