@@ -18,13 +18,14 @@ import sys
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import parse_run_config
 from .data import (FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
-                   compute_stats, generate_synthetic, ingest_csv,
-                   split_by_forecast_day, standardize, synthetic_calendar,
-                   write_records_csv)
+                   compute_stats, generate_synthetic, ingest_csv, standardize,
+                   synthetic_calendar, write_records_csv)
 from .errors import CompatibilityError, ConfigError, DataError, EvaluationError, TrainingError
 from .metrics import MetricReport, relative_error
 from .training import evaluate, train
@@ -61,21 +62,19 @@ def _sha256(path):
 
 
 def _prepare_synthetic(run):
-    days = run.train_days + run.validation_days + run.test_days
+    """The generated training frames, and the validation frames with the
+    `model.days` training days before them as history."""
+    days = run.train_days + run.validation_days
     try:
         records = generate_synthetic(days, run.synthetic_seed)
     except ValueError as err:
-        raise ConfigError(f"data.train_days + validation_days + test_days: {err}") from None
+        raise ConfigError(f"data.train_days + validation_days: {err}") from None
     calendar = synthetic_calendar(records)
     frames = build_features(records, calendar)
-    stats = compute_stats(frames[:run.train_days * 24])
-    standardized = standardize(frames, stats)
-    windows = build_windows(standardized, run.model, run.stride_hours)
-    train_s, val_s, _test_s = split_by_forecast_day(
-        windows, records[0].timestamp.date(),
-        run.train_days, run.validation_days, run.test_days)
+    split = run.train_days * 24
     fingerprint = {"synthetic": {"days": days, "seed": run.synthetic_seed}}
-    return train_s, val_s, stats, calendar, fingerprint
+    return (frames[:split], frames[max(split - run.model.history_len, 0):],
+            calendar, fingerprint)
 
 
 def _prepare_from_csv(run):
@@ -87,15 +86,12 @@ def _prepare_from_csv(run):
         if not Path(value).is_file():
             raise ConfigError(f"{key} points to a missing file: {value}")
     calendar = HolidayCalendar.from_file(run.holidays)
-    train_frames = build_features(ingest_csv(run.train_csv), calendar)
-    stats = compute_stats(train_frames)
-    train_s = build_windows(standardize(train_frames, stats), run.model, run.stride_hours)
-    val_frames = build_features(ingest_csv(run.validation_csv), calendar)
-    val_s = build_windows(standardize(val_frames, stats), run.model)
     fingerprint = {"train_csv": _sha256(run.train_csv),
                    "validation_csv": _sha256(run.validation_csv),
                    "holidays": _sha256(run.holidays)}
-    return train_s, val_s, stats, calendar, fingerprint
+    return (build_features(ingest_csv(run.train_csv), calendar),
+            build_features(ingest_csv(run.validation_csv), calendar),
+            calendar, fingerprint)
 
 
 def _write_epoch_log(path, log):
@@ -122,11 +118,12 @@ def _cmd_train(args):
     out = run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with _output_lock(out):
-        if args.synthetic:
-            data = _prepare_synthetic(run)
-        else:
-            data = _prepare_from_csv(run)
-        train_s, val_s, stats, calendar, fingerprint = data
+        prepare = _prepare_synthetic if args.synthetic else _prepare_from_csv
+        train_frames, val_frames, calendar, fingerprint = prepare(run)
+        stats = compute_stats(train_frames)
+        train_s = build_windows(standardize(train_frames, stats), run.model,
+                                run.stride_hours)
+        val_s = build_windows(standardize(val_frames, stats), run.model)
         print(f"training {run.model.variant}: {len(train_s)} train / "
               f"{len(val_s)} validation windows")
         result = train(run.model, train_s, val_s, run.training)
@@ -197,8 +194,10 @@ def _cmd_forecast(args):
     frames = standardize(build_features(ingest_csv(args.data), calendar), ck.stats)
     samples = build_windows(frames, ck.config)
     try:
-        result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
-    except EvaluationError as err:
+        # Underflow stays quiet: softmax tails underflow by design.
+        with np.errstate(over="raise", invalid="raise"):
+            result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
+    except (EvaluationError, FloatingPointError) as err:
         raise ConfigError(f"{args.checkpoint} does not evaluate on {args.data}: {err}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

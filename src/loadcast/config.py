@@ -83,7 +83,6 @@ _SCHEMA = {
     "data.synthetic_seed": _parse_int,
     "data.train_days": _parse_int,
     "data.validation_days": _parse_int,
-    "data.test_days": _parse_int,
     "output.dir": _parse_path,
 }
 
@@ -103,7 +102,6 @@ _DEFAULTS = {
     "data.synthetic_seed": 7,
     "data.train_days": 45,
     "data.validation_days": 7,
-    "data.test_days": 8,
     "output.dir": None,
 }
 
@@ -116,7 +114,6 @@ assert {key for key in _SCHEMA if key.startswith("train.")} == \
 _AT_LEAST = {
     "data.train_days": 1,
     "data.validation_days": 1,
-    "data.test_days": 0,
     "data.stride_hours": 1,
 }
 
@@ -127,6 +124,9 @@ class RunConfig:
 
     model: ModelConfig
     training: TrainConfig
+    output_dir: Path
+    raw: dict
+    # One field per `data.*` key, by the key's name.
     train_csv: Path | None
     validation_csv: Path | None
     holidays: Path | None
@@ -134,9 +134,6 @@ class RunConfig:
     synthetic_seed: int
     train_days: int
     validation_days: int
-    test_days: int
-    output_dir: Path
-    raw: dict
 
 
 def parse_run_config(path):
@@ -187,15 +184,7 @@ def parse_run_config(path):
                               for field in fields(TrainConfig)})
     echo = {key: (str(v) if isinstance(v, Path) else v)
             for key, v in sorted(values.items())}
-    return RunConfig(model=model,
-                     training=training,
-                     train_csv=values["data.train_csv"],
-                     validation_csv=values["data.validation_csv"],
-                     holidays=values["data.holidays"],
-                     stride_hours=values["data.stride_hours"],
-                     synthetic_seed=values["data.synthetic_seed"],
-                     train_days=values["data.train_days"],
-                     validation_days=values["data.validation_days"],
-                     test_days=values["data.test_days"],
-                     output_dir=values["output.dir"],
-                     raw=echo)
+    return RunConfig(model=model, training=training, output_dir=values["output.dir"],
+                     raw=echo, **{key.removeprefix("data."): value
+                                  for key, value in values.items()
+                                  if key.startswith("data.")})

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +126,11 @@ class HolidayCalendar:
         if not self.dates:
             raise SchemaError("holiday calendar lists no dates")
 
-    @property
+    @cached_property
     def first_year(self):
         return min(d.year for d in self.dates)
 
-    @property
+    @cached_property
     def last_year(self):
         return max(d.year for d in self.dates)
 

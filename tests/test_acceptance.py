@@ -210,9 +210,8 @@ train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
 data.synthetic_seed = 7
-data.train_days = 6
+data.train_days = 7
 data.validation_days = 2
-data.test_days = 1
 """
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import loadcast.tensor
 import loadcast.training
 from loadcast.checkpoint import write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
-from loadcast.data import ingest_csv
+from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
+                           write_records_csv)
 from loadcast.training import EVAL_CHUNK
 from loadcast.verify import CheckResult, _check_basic_gradients
 
@@ -32,9 +34,8 @@ train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
 data.synthetic_seed = 7
-data.train_days = 6
+data.train_days = 7
 data.validation_days = 2
-data.test_days = 1
 """
 
 
@@ -178,7 +179,8 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data.train_csv" in err and str(tmp_path) in err
 
-    @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len", "data.synthetic_days"])
+    @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len", "data.synthetic_days",
+                                     "data.test_days"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
         body = TINY_CONFIG + f"{key} = 24\n"
         code = main(["train", "--config",
@@ -189,7 +191,7 @@ class TestTrain:
         assert "unknown key" in err and key in err
 
     def test_split_total_too_short_for_a_window(self, tmp_path, capsys):
-        body = TINY_CONFIG.replace("data.train_days = 6", "data.train_days = 5")
+        body = TINY_CONFIG.replace("data.train_days = 7", "data.train_days = 6")
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
@@ -198,7 +200,7 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("key, value", [
-        ("data.test_days", -1), ("data.train_days", -3), ("data.train_days", 0),
+        ("data.train_days", -3), ("data.train_days", 0),
         ("data.validation_days", 0), ("data.stride_hours", 0)])
     def test_split_or_stride_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                            key, value):
@@ -210,13 +212,42 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_zero_test_days_trains(self, tmp_path):
-        body = (TINY_CONFIG.replace("data.test_days = 1", "data.test_days = 0")
-                .replace("data.train_days = 6", "data.train_days = 7"))
+    def test_training_split_too_short_for_a_window_is_a_data_error(self, tmp_path, capsys):
+        # Two training days cannot hold a two-day history plus a forecast day.
+        body = (TINY_CONFIG.replace("data.train_days = 7", "data.train_days = 2")
+                .replace("data.validation_days = 2", "data.validation_days = 7"))
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
-        assert code == EXIT_OK
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "72" in err and "got 48" in err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("stride", [None, 5])
+    def test_csv_and_synthetic_sources_train_alike(self, tmp_path, stride):
+        """The same days through either source give the same run: the
+        stride cuts training windows only, and validation windows are
+        day-aligned and reach into the training days only for history."""
+        days, train_days, history_days = 9, 7, 2
+        records = generate_synthetic(days, 7)
+        write_records_csv(records[:train_days * 24], tmp_path / "train.csv")
+        write_records_csv(records[(train_days - history_days) * 24:], tmp_path / "val.csv")
+        synthetic_calendar(records).to_file(tmp_path / "holidays.txt")
+        body = TINY_CONFIG + ("" if stride is None else f"data.stride_hours = {stride}\n")
+        csv_body = body + "".join(f"{key} = {tmp_path / name}\n" for key, name in (
+            ("data.train_csv", "train.csv"), ("data.validation_csv", "val.csv"),
+            ("data.holidays", "holidays.txt")))
+        runs = {}
+        for mode, run_body, flags in (("csv", csv_body, []),
+                                      ("synthetic", body, ["--synthetic"])):
+            runs[mode] = tmp_path / mode
+            config = tmp_path / f"{mode}.conf"
+            config.write_text(run_body + f"output.dir = {runs[mode]}\n")
+            assert main(["train", "--config", str(config), *flags]) == EXIT_OK
+        for name in ("checkpoint.json", "epochs.csv"):
+            assert ((runs["csv"] / name).read_bytes()
+                    == (runs["synthetic"] / name).read_bytes()), name
 
 
 class TestWriteAtomic:
@@ -335,22 +366,30 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "config error" in err and "bad standardization block" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_checkpoint_is_a_config_error(self, trained, tmp_path, capsys):
+        # The head overflows to a non-finite forecast; the encoder's gate
+        # pre-activations overflow into tanh, which would map them to finite
+        # gates and garbage forecasts.
         data = tmp_path / "data.csv"
         main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
-        doc = json.loads((trained / "checkpoint.json").read_text())
-        entry = next(e for e in doc["params"] if e["name"] == "head.hidden")
-        entry["values"] = [1e308] * len(entry["values"])
-        bad = tmp_path / "checkpoint.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "fc"
-        code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(bad) in err and str(data) in err
-        assert not out.exists()
+        for block in ("head.hidden", "encoder.forward.weights"):
+            doc = json.loads((trained / "checkpoint.json").read_text())
+            entry = next(e for e in doc["params"] if e["name"] == block)
+            entry["values"] = [1e308] * len(entry["values"])
+            bad = tmp_path / block / "checkpoint.json"
+            bad.parent.mkdir()
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / block / "fc"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
+                             "--out", str(out)])
+            assert code == EXIT_CONFIG, block
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], block
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1, block
+            assert str(bad) in err and str(data) in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "--holidays"])
     def test_missing_input_file_is_a_config_error(self, trained, tmp_path, capsys, flag):

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from loadcast.config import parse_run_config
+from loadcast.config import _DEFAULTS, _SCHEMA, parse_run_config
 from loadcast.errors import ConfigError
+from loadcast.model import VARIANTS
 from loadcast.training import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, body):
@@ -28,7 +31,8 @@ class TestHappyPath:
         assert run.training.epochs == 5
         assert run.training.clip_norm == 5.0
         assert run.training == TrainConfig()
-        assert (run.train_days, run.validation_days, run.test_days) == (45, 7, 8)
+        assert (run.train_days, run.validation_days) == (45, 7)
+        assert not hasattr(run, "test_days")
         assert run.train_csv is None
 
     def test_overrides_and_comments(self, tmp_path):
@@ -60,7 +64,7 @@ output.dir = runs/ablation
         assert run.raw["output.dir"] == "out"
         assert set(run.raw) >= {"model.variant", "train.epochs",
                                 "data.synthetic_seed"}
-        assert len(run.raw) == 25
+        assert len(run.raw) == 24
 
 
 class TestErrors:
@@ -130,3 +134,51 @@ class TestErrors:
                             "output.dir = out\nmodel.hidden_size = 0\n")
         with pytest.raises(ConfigError):
             parse_run_config(path)
+
+
+def readme_config_rows():
+    """(keys, default cell) for each row of the README's run-configuration
+    table; a shorthand key such as `validation_days` takes the prefix of its
+    row's first key."""
+    section = README.read_text(encoding="utf-8").split("## Run configuration\n", 1)[1]
+    rows = []
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        names = [name.strip().strip("`") for name in cells[0].split(" / ")]
+        prefix = names[0].split(".")[0]
+        rows.append(([name if "." in name else f"{prefix}.{name}" for name in names],
+                     cells[1]))
+    return rows
+
+
+def plain_literal(cell):
+    """(True, value) for a number, `true`/`false` or a variant name;
+    (False, None) for prose such as `unset`."""
+    text = cell.strip("`")
+    if text in ("true", "false"):
+        return True, text == "true"
+    if text in VARIANTS:
+        return True, text
+    try:
+        return True, float(text)
+    except ValueError:
+        return False, None
+
+
+class TestReadmeTable:
+    def test_keys_match_the_schema(self):
+        keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
+        assert sorted(keys) == sorted(_SCHEMA)
+
+    def test_literal_defaults_match(self):
+        """Every set default is shown as a plain literal equal to it; an
+        unset one is described in words."""
+        for keys, cell in readme_config_rows():
+            parts = cell.split(" / ")
+            for key, part in zip(keys, parts if len(parts) == len(keys) else [cell] * len(keys)):
+                is_literal, value = plain_literal(part)
+                assert is_literal == (_DEFAULTS[key] is not None), (key, cell)
+                if is_literal:
+                    assert value == _DEFAULTS[key], (key, cell)
