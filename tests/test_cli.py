@@ -24,12 +24,14 @@ from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
 from loadcast.training import EVAL_CHUNK
 from loadcast.verify import CheckResult, _check_basic_gradients
 
+# Seed 4 draws a model whose ReLU head stays live, so the epochs differ.
 TINY_CONFIG = """
 model.days = 2
 model.hidden_size = 4
 model.feature_attn_size = 2
 model.temporal_attn_size = 2
 model.head_size = 4
+model.seed = 4
 train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
@@ -43,6 +45,27 @@ def write_config(directory, out_dir, body=TINY_CONFIG):
     path = directory / "run.conf"
     path.write_text(body + f"output.dir = {out_dir}\n")
     return path
+
+
+def module_env():
+    """The environment for `python -m loadcast` from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def assert_live(run_dir, tmp_path):
+    """The run's model trains: epoch 2 moves past epoch 1, and the
+    checkpoint's forecasts are not one constant."""
+    rows = (run_dir / "epochs.csv").read_text().splitlines()
+    assert rows[2].split(",")[1:] != rows[3].split(",")[1:]
+    data = tmp_path / "live.csv"
+    assert main(["synth", "--days", "9", "--seed", "7", "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "live"
+    assert main(["forecast", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--data", str(data), "--out", str(out)]) == EXIT_OK
+    with open(out / "forecast.csv", newline="") as fh:
+        assert len({row["forecast"] for row in csv.DictReader(fh)}) > 1
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +96,11 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_runs_as_a_module_from_a_checkout(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         out = tmp_path / "series.csv"
         result = subprocess.run(
             [sys.executable, "-m", "loadcast", "synth", "--days", "9", "--seed", "1",
              "--out", str(out)],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-            capture_output=True, text=True, timeout=120)
+            cwd=tmp_path, env=module_env(), capture_output=True, text=True, timeout=120)
         assert result.returncode == EXIT_OK, result.stderr
         assert len(ingest_csv(out)) == 9 * 24
 
@@ -134,6 +154,22 @@ class TestTrain:
                 == (second / "checkpoint.json").read_bytes())
         assert ((first / "epochs.csv").read_bytes()
                 == (second / "epochs.csv").read_bytes())
+        assert_live(first, tmp_path)
+
+    def test_closed_stdout_does_not_stop_the_run(self, tmp_path):
+        """`loadcast train ... | head -1`: once the reader has gone, the
+        progress lines stop, and the run still writes every artifact."""
+        out = tmp_path / "run"
+        with open(tmp_path / "stderr.txt", "w") as err, subprocess.Popen(
+                [sys.executable, "-m", "loadcast", "train", "--config",
+                 str(write_config(tmp_path, out)), "--synthetic"],
+                cwd=tmp_path, env=module_env(), stdout=subprocess.PIPE, stderr=err) as proc:
+            assert proc.stdout.readline().startswith(b"training ANLF")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_OK
+        assert (tmp_path / "stderr.txt").read_text() == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            ".lock", "checkpoint.json", "epochs.csv", "manifest.json", "validation.txt"]
 
     def test_locked_output_dir_refused(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -180,7 +216,8 @@ class TestTrain:
         assert "data.train_csv" in err and str(tmp_path) in err
 
     @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len", "data.synthetic_days",
-                                     "data.test_days"])
+                                     "data.test_days", "train.beta1", "train.beta2",
+                                     "train.epsilon", "train.shuffle"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
         body = TINY_CONFIG + f"{key} = 24\n"
         code = main(["train", "--config",

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from loadcast.config import _DEFAULTS, _SCHEMA, parse_run_config
+from loadcast.config import _KEYS, parse_run_config
 from loadcast.errors import ConfigError
 from loadcast.model import VARIANTS
 from loadcast.training import TrainConfig
@@ -42,7 +42,7 @@ model.variant = EDLSTM
 model.hidden_size = 8   # small on purpose
 train.epochs = 2
 train.learning_rate = 0.01
-train.shuffle = off
+train.seed = 3
 train.clip_norm = none
 data.train_csv = data/train.csv
 output.dir = runs/ablation
@@ -51,7 +51,7 @@ output.dir = runs/ablation
         assert run.model.hidden_size == 8
         assert run.training.epochs == 2
         assert run.training.learning_rate == 0.01
-        assert run.training.shuffle is False
+        assert run.training.seed == 3
         assert run.training.clip_norm is None
         assert run.train_csv == Path("data/train.csv")
         assert run.output_dir == Path("runs/ablation")
@@ -64,7 +64,7 @@ output.dir = runs/ablation
         assert run.raw["output.dir"] == "out"
         assert set(run.raw) >= {"model.variant", "train.epochs",
                                 "data.synthetic_seed"}
-        assert len(run.raw) == 24
+        assert len(run.raw) == 20
 
 
 class TestErrors:
@@ -129,6 +129,14 @@ class TestErrors:
             parse_run_config(path)
         assert "output.dir" in str(exc.value)
 
+    @pytest.mark.parametrize("key", [key for key, spec in _KEYS.items()
+                                     if spec.at_least is not None])
+    def test_value_below_its_bound_names_the_key(self, tmp_path, key):
+        least = _KEYS[key].at_least
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(tmp_path, f"output.dir = out\n{key} = {least - 1}\n"))
+        assert f"{key} must be at least {least}" in str(exc.value)
+
     def test_model_validation_still_applies(self, tmp_path):
         path = write_config(tmp_path,
                             "output.dir = out\nmodel.hidden_size = 0\n")
@@ -170,7 +178,7 @@ def plain_literal(cell):
 class TestReadmeTable:
     def test_keys_match_the_schema(self):
         keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
-        assert sorted(keys) == sorted(_SCHEMA)
+        assert sorted(keys) == sorted(_KEYS)
 
     def test_literal_defaults_match(self):
         """Every set default is shown as a plain literal equal to it; an
@@ -179,6 +187,13 @@ class TestReadmeTable:
             parts = cell.split(" / ")
             for key, part in zip(keys, parts if len(parts) == len(keys) else [cell] * len(keys)):
                 is_literal, value = plain_literal(part)
-                assert is_literal == (_DEFAULTS[key] is not None), (key, cell)
+                assert is_literal == (_KEYS[key].default is not None), (key, cell)
                 if is_literal:
-                    assert value == _DEFAULTS[key], (key, cell)
+                    assert value == _KEYS[key].default, (key, cell)
+
+    def test_full_data_recipe_parses(self, tmp_path):
+        """The recipe's keys and values are ones the config accepts."""
+        section = README.read_text(encoding="utf-8").split("## Full-data recipe\n", 1)[1]
+        recipe = section.split("```\n", 2)[1]
+        run = parse_run_config(write_config(tmp_path, recipe + "output.dir = out\n"))
+        assert run.model.hidden_size == 256 and run.training.batch_size == 128

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadcast.cli import EXIT_CONFIG, EXIT_DATA
-from loadcast.config import _SCHEMA, RunConfig, parse_run_config
+from loadcast.config import _KEYS, RunConfig, parse_run_config
 from loadcast.data import CSV_COLUMNS, HOUR, ingest_csv
 from loadcast.errors import ConfigError, DataError, LoadcastError, ParseError
 
@@ -94,7 +94,7 @@ class TestIngestFuzz:
         assert isinstance(result, list) or result == EXIT_DATA
 
 
-KEY = st.one_of(st.sampled_from(sorted(_SCHEMA)), PLAIN)
+KEY = st.one_of(st.sampled_from(sorted(_KEYS)), PLAIN)
 VALUE = st.one_of(
     st.sampled_from(["1", "0", "-1", "4", "0.5", "1e-3", "nan", "inf", "none", "true", "off",
                      "ANLF", "EDLSTM", "out", ""]),
