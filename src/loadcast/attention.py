@@ -24,7 +24,9 @@ states and similar-day weights); `backward(t, dx)` turns the gradient of
 that input into one for h_prev in the reverse loop, and `grads()` forms
 the parameter gradients (for the temporal sweep also those of its
 conditioning tail and encoder states) with one product each over the rows
-stored per step and window.
+stored per step and window.  A run without a backward pass calls
+`drop_store()` once it is over, which frees that store and keeps the
+weights.
 """
 
 from __future__ import annotations
@@ -241,6 +243,11 @@ class _ScoredSweep:
             if not np.isfinite(values).all():
                 raise EvaluationError("non-finite values in attention")
 
+    def drop_store(self):
+        """Free the per-step store of a run that has no backward pass;
+        `weights` stays."""
+        self._joint = self._pre = self._squashed = self._scores = None
+
 
 def _summed_outer(a, b):
     """Sum over steps t and windows k of outer(a[t, :, k], b[t, :, k])."""
@@ -351,3 +358,7 @@ class TemporalSweep(_ScoredSweep):
 
     def _checked(self):
         return (*super()._checked(), self._mix)
+
+    def drop_store(self):
+        super().drop_store()
+        self._mix = self._states = None

@@ -20,18 +20,20 @@ recurrence whose step arrays hold one column per window, inputs
 (steps, width, B) and states (H, B), so a step's gate product is one
 matmul whatever B is, and a single window is B = 1.
 `lstm_sequence` runs one direction over inputs that are all known up front
-as a single tape op: the input part of every gate pre-activation is one
-product over all (steps * B) rows before the loop, the loop adds the
-recurrent part with the per-column arithmetic of the cell step, and the
-backward walks the steps in reverse only for the gate pre-activation
-gradients, then forms the weight, bias and input gradients with one
-product over every step of every window each.  `attended_sequence` is the
-same op for a direction whose step inputs an attention sweep builds from
-the hidden state before each step: the sweep's numpy forward runs inside
-the loop and writes the step's input in place into the run's [x_t;
-h_{t-1}] scratch, and its backward runs inside the reverse loop, turning
-each step's input gradient into a contribution to the previous hidden
-state's.
+as a single tape op: each step's gate pre-activations are one product of
+the packed weights with [x_t; h_{t-1}], with the per-column arithmetic of
+the cell step, and the backward walks the steps in reverse only for the
+gate pre-activation gradients, then forms the weight, bias and input
+gradients with one product over every step of every window each.
+`attended_sequence` is the same op for a direction whose step inputs an
+attention sweep builds from the hidden state before each step: the
+sweep's numpy forward runs inside the loop and writes the step's input in
+place into the run's [x_t; h_{t-1}] scratch, and its backward runs inside
+the reverse loop, turning each step's input gradient into a contribution
+to the previous hidden state's.  A run none of whose operands is taped
+has no backward, so it keeps only what the next step reads: the latest
+step's gate activations and cell state, and of the sweep's store only
+the attention weights.
 `bilstm_sequence` is the one bidirectional recurrence.  Given an input
 array it runs both directions with `lstm_sequence`; given a sweep, it runs
 the forward direction with `attended_sequence`, then the backward direction
@@ -197,49 +199,42 @@ def _activate(pre, scale, shift, out):
     return out
 
 
-def _run(w, bias, z, c0, sweep=None):
+def _run(w, bias, z, c0, sweep=None, history=True):
     """Step the cell with weights `w` and summed bias `bias` over `z`,
     writing h_t into `z[t + 1]`.
 
     `z` is (steps + 1, input + H, B), and `z[t]` is the matrix [x_t;
-    h_{t-1}] of step t, one column per window; the caller fills h_0 and,
-    without a sweep, every x_t, whose part of the gate pre-activations is
-    then one product over all (steps * B) columns before the loop.  With a
-    sweep, `sweep.forward(t, h_{t-1}, z[t, :input])` writes x_t in place.
-    The weights and bias are scaled once per run by `_gate_form`, so each
-    step's four gates are one tanh; the per-column arithmetic is that of
-    `lstm_cell_step`.  Returns the (steps, 4H, B) activations and
-    c_0 .. c_T.
+    h_{t-1}] of step t, one column per window, whose gate pre-activations
+    are one product with `w`; the caller fills h_0 and, without a sweep,
+    every x_t.  With a sweep, `sweep.forward(t, h_{t-1}, z[t, :input])`
+    writes x_t in place.  The weights and bias are scaled once per run by
+    `_gate_form`, so each step's four gates are one tanh; the per-column
+    arithmetic is that of `lstm_cell_step`.  Returns the activations and
+    the cell states: with `history`, all (steps, 4H, B) activations and
+    c_0 .. c_T, which `_bptt` reads; without, one activation slot and two
+    cell slots, reused as the steps go.  Either way c_T is
+    `c[steps % len(c)]`.
     """
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
     scale, shift = _gate_form(hidden)
     w = w * scale[:, np.newaxis]
-    bias = bias * scale
-    if sweep is None:
-        known = _rows(z[:steps, :width]) @ w[:, :width].T
-        known += bias
-        known = np.ascontiguousarray(
-            known.reshape(steps, windows, 4 * hidden).transpose(0, 2, 1))
-        w = np.ascontiguousarray(w[:, width:])
-    else:
-        bias = bias[:, np.newaxis]
+    bias = (bias * scale)[:, np.newaxis]
     scale, shift = scale[:, np.newaxis], shift[:, np.newaxis]
-    act = np.empty((steps, 4 * hidden, windows))
-    c_seq = np.empty((steps + 1, hidden, windows))
+    slots = steps if history else 1
+    act = np.empty((slots, 4 * hidden, windows))
+    c_seq = np.empty((slots + 1, hidden, windows))
     c_seq[0] = c0
     tanh_c = np.empty((hidden, windows))
     for t in range(steps):
-        if sweep is None:
-            pre = w @ z[t, width:]
-            pre += known[t]
-        else:
+        if sweep is not None:
             sweep.forward(t, z[t, width:], z[t, :width])
-            pre = w @ z[t]
-            pre += bias
-        a = _activate(pre, scale, shift, act[t])
-        c = np.multiply(a[hidden:2 * hidden], c_seq[t], out=c_seq[t + 1])
+        a = np.matmul(w, z[t], out=act[t % slots])
+        a += bias
+        _activate(a, scale, shift, a)
+        c = np.multiply(a[hidden:2 * hidden], c_seq[t % (slots + 1)],
+                        out=c_seq[(t + 1) % (slots + 1)])
         c += a[:hidden] * a[2 * hidden:3 * hidden]
         np.multiply(a[3 * hidden:], np.tanh(c, out=tanh_c), out=z[t + 1, width:])
     return act, c_seq
@@ -320,6 +315,21 @@ def _check_run(params, steps, width, windows, h0, c0):
         raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
 
 
+def _taped(tensors):
+    return any(t.tape is not None for t in tensors)
+
+
+def _joined(parts):
+    """The arrays `parts`, each flattened, one after another in one new
+    array: one copy of each."""
+    out = np.empty(sum(part.size for part in parts))
+    start = 0
+    for part in parts:
+        out[start:start + part.size].reshape(part.shape)[...] = part
+        start += part.size
+    return out
+
+
 def _operands(h0, steps, width):
     """Scratch for `_run`: (steps + 1, width + H, B), with h_0 filled in."""
     hidden, windows = h0.shape
@@ -335,9 +345,8 @@ def lstm_sequence(params, inputs, init):
     state.
 
     One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
-    `lstm_cell_step` per column, the input part of every gate
-    pre-activation as one product before the loop; the states and the
-    terminal h and c are views of it.
+    `lstm_cell_step` per column; the states and the terminal h and c are
+    views of it.
     """
     weights, b_x, b_h = _cell(params)
     inputs, h0, c0 = as_tensor(inputs), as_tensor(init.h), as_tensor(init.c)
@@ -350,8 +359,9 @@ def lstm_sequence(params, inputs, init):
     w = weights.values
     z = _operands(h0.values, steps, width)
     z[:steps, :width] = inputs.values
-    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values)
-    out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1)))
+    operands = (weights, b_x, b_h, inputs, h0, c0)
+    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, history=_taped(operands))
+    out = _joined((z[1:, width:], c_seq[steps % len(c_seq)]))
 
     def rule(grad):
         d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
@@ -360,7 +370,7 @@ def lstm_sequence(params, inputs, init):
         d_bias = d_pre.sum(axis=0)
         return d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), d_inputs, dh0, dc0
 
-    joined = fused_op(out, (weights, b_x, b_h, inputs, h0, c0), rule)
+    joined = fused_op(out, operands, rule)
     return _state_views(joined, steps, hidden, windows)
 
 
@@ -376,7 +386,8 @@ def attended_sequence(params, sweep, init):
     operands.  Returns the (steps, H, B) hidden states, the (steps, width,
     B) step inputs and the terminal state, all views of that op.
     Non-finite attention intermediates raise `EvaluationError`, checked
-    once after the run.
+    once after the run; an untaped run then drops the sweep's store except
+    its `weights`.
     """
     weights, b_x, b_h = _cell(params)
     h0, c0 = as_tensor(init.h), as_tensor(init.c)
@@ -388,15 +399,18 @@ def attended_sequence(params, sweep, init):
                              f"hidden width {hidden}")
     # The backward rule keeps the sweep, so the sweep must not keep the taped
     # operands: through them it would keep the tape in a reference cycle.
-    operands, sweep.operands = sweep.operands, ()
+    operands = (weights, b_x, b_h, h0, c0, *sweep.operands)
+    sweep.operands = ()
+    taped = _taped(operands)
     end = steps * hidden * windows
     states_end = end + hidden * windows
     w = weights.values
     z = _operands(h0.values, steps, width)
-    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, sweep)
-    out = np.concatenate((z[1:, width:].reshape(-1), c_seq[steps].reshape(-1),
-                          z[:steps, :width].reshape(-1)))
+    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, sweep, history=taped)
     sweep.check_finite()
+    if not taped:
+        sweep.drop_store()
+    out = _joined((z[1:, width:], c_seq[steps % len(c_seq)], z[:steps, :width]))
 
     def rule(grad):
         d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
@@ -405,7 +419,7 @@ def attended_sequence(params, sweep, init):
         d_bias = d_pre.sum(axis=0)
         return (d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), dh0, dc0, *sweep.grads())
 
-    joined = fused_op(out, (weights, b_x, b_h, h0, c0, *operands), rule)
+    joined = fused_op(out, operands, rule)
     states, terminal = _state_views(joined, steps, hidden, windows)
     inputs = segment(joined, states_end, out.size, (steps, width, windows))
     return states, inputs, terminal

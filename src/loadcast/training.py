@@ -5,8 +5,10 @@ columns of every recurrence; its loss is the mean of the window MSEs, so
 its gradient is the mean of the per-window gradients.  The arithmetic
 depends only on the batch, so two runs with the same seeds replay
 bit-identical update trajectories.  Losses and evaluation forecasts come
-from constant-bound forward passes over chunks of `EVAL_CHUNK` windows and
-never touch gradient state.
+from constant-bound forward passes of `WINDOWS_PER_PASS` windows, which
+keep no backward state and never touch gradient state; each epoch's
+training and validation losses come from one run of such passes over both
+splits.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from .model import forward, init_params
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
 from .tensor import Tape, as_tensor, hadamard, scale, sub, total
 
-# Windows per untaped evaluation pass.  A pass's working set grows with
-# its width, so the chunk stays near a training batch's size.
-EVAL_CHUNK = 4
+# Windows per untaped forward pass.  Wider passes cost less per window, but
+# a pass's working set grows with its width: at 8 an untaped pass peaks no
+# higher than a taped 4-window training batch, and at 12 or 16 the process
+# peak rises.
+WINDOWS_PER_PASS = 8
 
 # Adam's moment decays and denominator floor, at the usual values.
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -145,23 +149,33 @@ def _targets(samples):
 
 
 def _untaped_passes(params, model_config, samples, collect_attention=False):
-    """(chunk, `ForwardPass`) per chunk of `EVAL_CHUNK` windows of
-    `samples`, with constant-bound parameters (no tape)."""
+    """(chunk, `ForwardPass`) per chunk of `WINDOWS_PER_PASS` windows of
+    `samples`, in order, with constant-bound parameters: no tape, so each
+    pass holds only what its next step reads."""
     consts = bind_constants(params)
-    for chunk in _batches(samples, EVAL_CHUNK):
+    for chunk in _batches(samples, WINDOWS_PER_PASS):
         yield chunk, forward(consts, model_config, chunk, collect_attention)
 
 
-def mean_mse(params, model_config, samples):
-    """Average per-window MSE with constant-bound parameters (no tape)."""
+def _window_mses(params, model_config, samples):
+    """The MSE of every window of `samples`, in order, from untaped passes."""
     losses = []
     for chunk, result in _untaped_passes(params, model_config, samples):
         errors = result.output.values - _targets(chunk)
         losses.extend(np.mean(errors * errors, axis=0))
+    return losses
+
+
+def _finite_mean(losses):
     mean = float(np.mean(losses))
     if not math.isfinite(mean):
         raise EvaluationError("non-finite mean squared error")
     return mean
+
+
+def mean_mse(params, model_config, samples):
+    """Average per-window MSE with constant-bound parameters (no tape)."""
+    return _finite_mean(_window_mses(params, model_config, samples))
 
 
 def batch_gradients(params, model_config, samples):
@@ -186,11 +200,13 @@ def train(model_config, train_samples, validation_samples, config):
     flat = dict(named_leaves(params))
     adam = AdamState.for_params(flat)
     rng = np.random.default_rng(config.seed)
+    scored = [*train_samples, *validation_samples]
+    split = len(train_samples)
 
     def losses(epoch):
         try:
-            return (mean_mse(params, model_config, train_samples),
-                    mean_mse(params, model_config, validation_samples))
+            mses = _window_mses(params, model_config, scored)
+            return _finite_mean(mses[:split]), _finite_mean(mses[split:])
         except EvaluationError as err:
             raise TrainingError(f"divergence while evaluating epoch {epoch}: {err}") from err
 

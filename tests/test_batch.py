@@ -23,7 +23,7 @@ from loadcast.metrics import compute_metrics
 from loadcast.model import VARIANTS, ModelConfig, forward, init_params, predict
 from loadcast.params import bind, bind_constants, named_leaves
 from loadcast.tensor import Tape, Tensor, concat, matmul, relu, reshape
-from loadcast.training import EVAL_CHUNK, batch_gradients, evaluate, mean_mse, mse_loss
+from loadcast.training import WINDOWS_PER_PASS, batch_gradients, evaluate, mean_mse, mse_loss
 from loadcast.verify import tiny_model_case
 
 BATCH_SIZES = (1, 2, 3, 5)
@@ -177,6 +177,22 @@ class TestBatchAxis:
                     assert grad.shape == expect.shape, name
                     assert rel_diff(grad, expect) <= 1e-12, (variant, count, name)
 
+    @pytest.mark.parametrize("size", ["tiny", "hidden32"])
+    def test_taped_and_untaped_passes_match_bitwise(self, size):
+        """Untaped runs keep only the latest step's state; the arithmetic
+        must be that of taped runs, which keep every step."""
+        for variant in VARIANTS:
+            config = config_at(size, variant)
+            params = init_params(config)
+            windows = random_windows(config, WINDOWS_PER_PASS, seed=94)
+            for count in (1, 4, WINDOWS_PER_PASS):
+                taped, untaped = (forward(bound, config, windows[:count], collect_attention=True)
+                                  for bound in (bind(params, Tape()), bind_constants(params)))
+                npt.assert_array_equal(taped.output.values, untaped.output.values)
+                for a, b in zip(taped.forecasts, untaped.forecasts):
+                    for got, expect in zip(attention(a), attention(b)):
+                        assert (got is None and expect is None) or np.array_equal(got, expect)
+
     def test_one_window_is_predict(self):
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
@@ -191,7 +207,7 @@ class TestBatchAxis:
     def test_chunked_evaluation_matches_per_window(self):
         config = config_at("tiny", "ANLF")
         params = init_params(config)
-        windows = random_windows(config, 2 * EVAL_CHUNK + 1, seed=91)
+        windows = random_windows(config, 2 * WINDOWS_PER_PASS + 1, seed=91)
         refs = [window_reference(params, config, w) for w in windows]
         assert rel_diff(mean_mse(params, config, windows),
                         np.mean([ref[2] for ref in refs])) <= 1e-12

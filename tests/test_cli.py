@@ -21,7 +21,7 @@ from loadcast.checkpoint import write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
 from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
                            write_records_csv)
-from loadcast.training import EVAL_CHUNK
+from loadcast.training import WINDOWS_PER_PASS
 from loadcast.verify import CheckResult, _check_basic_gradients
 
 # Seed 4 draws a model whose ReLU head stays live, so the epochs differ.
@@ -368,7 +368,7 @@ class TestForecast:
         assert code == EXIT_OK
         windows = 7
         assert sum(passes) == windows
-        assert len(passes) == math.ceil(windows / EVAL_CHUNK)
+        assert len(passes) == math.ceil(windows / WINDOWS_PER_PASS)
         rows = (out / "attention_days.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["sample"] + [str(k) for k in range(windows)]
 

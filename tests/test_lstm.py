@@ -327,6 +327,9 @@ class FixedSweep:
     def check_finite(self):
         pass
 
+    def drop_store(self):
+        pass
+
 
 def random_sequence(rng, steps, width, hidden):
     params = LstmParams.random(rng, width, hidden, bound=1.0)

@@ -1,5 +1,7 @@
 """Loss, optimizer, and training loop behavior on small fixed cases."""
 
+import math
+import tracemalloc
 from datetime import datetime
 from types import SimpleNamespace
 
@@ -8,14 +10,14 @@ import numpy.testing as npt
 import pytest
 
 import loadcast.training as training
-from loadcast.data import (StandardizationStats, WindowSample, build_features,
+from loadcast.data import (FEATURE_WIDTH, StandardizationStats, WindowSample, build_features,
                            build_windows, compute_stats, destandardize_load,
                            generate_synthetic, split_by_forecast_day,
                            standardize, synthetic_calendar)
 from loadcast.errors import ConfigError, DimensionError, TrainingError
 from loadcast.model import ModelConfig, forward, init_params
-from loadcast.params import named_leaves
-from loadcast.training import (AdamState, TrainConfig, adam_step,
+from loadcast.params import map_leaves, named_leaves
+from loadcast.training import (WINDOWS_PER_PASS, AdamState, TrainConfig, adam_step,
                                batch_gradients, clip_global_norm, evaluate,
                                mean_mse, mse_loss, train)
 
@@ -159,6 +161,56 @@ class TestBatchGradients:
         grads = batch_gradients(params, TINY, random_samples(TINY, 4, seed=74))
         nonzero = sum(int(np.any(g != 0.0)) for g in grads.values())
         assert nonzero >= 0.9 * len(grads)
+
+
+class TestUntapedPasses:
+    def test_a_pass_peaks_no_higher_than_a_taped_batch(self):
+        """An untaped pass keeps only what its next step reads, so a pass of
+        `WINDOWS_PER_PASS` windows needs no more memory than a taped
+        4-window training batch."""
+        config = ModelConfig(days=7, day_len=24, n_features=FEATURE_WIDTH, hidden_size=32,
+                             feature_attn_size=16, temporal_attn_size=16, head_size=32)
+        params = init_params(config)
+        samples = random_samples(config, WINDOWS_PER_PASS, seed=88)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scored = peak(lambda: mean_mse(params, config, samples))
+        taped = peak(lambda: batch_gradients(params, config, samples[:4]))
+        assert scored <= taped, (scored, taped)
+
+    def test_each_epoch_is_scored_in_one_run_of_passes(self, monkeypatch):
+        # Scored split by split, these sizes would take one pass more.
+        train_set = random_samples(TINY, 12, seed=89)
+        val_set = random_samples(TINY, 3, seed=90)
+        passes = math.ceil((len(train_set) + len(val_set)) / WINDOWS_PER_PASS)
+        untaped, scored_params = [], []
+        original = training.forward
+
+        def counted(params, config, samples, *args, **kwargs):
+            if params.head.out.tape is None:
+                if len(untaped) % passes == 0:
+                    scored_params.append(map_leaves(params, lambda _name, leaf:
+                                                    np.array(leaf.values)))
+                untaped.append(len(samples))
+            return original(params, config, samples, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counted)
+        result = train(TINY, train_set, val_set,
+                       TrainConfig(batch_size=4, epochs=3, learning_rate=3e-3))
+        monkeypatch.undo()
+        assert len(untaped) == passes * len(result.log)
+        assert sum(untaped) == (len(train_set) + len(val_set)) * len(result.log)
+        for record, params in zip(result.log, scored_params):
+            for logged, split in ((record.train_mse, train_set), (record.val_mse, val_set)):
+                expect = mean_mse(params, TINY, split)
+                assert abs(logged - expect) <= 1e-15 * expect, (record.epoch, logged, expect)
 
 
 class TestTrainLoop:
