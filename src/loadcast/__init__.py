@@ -22,7 +22,7 @@ from .errors import (CompatibilityError, ConfigError, ContinuityError,
                      LoadcastError, ParseError, SchemaError, SizeError,
                      TapeError, TrainingError)
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
-                   attended_sequence, bilstm_sequence, feedforward_relu,
+                   bilstm_sequence, feedforward_relu,
                    lstm_cell_step, lstm_sequence, zero_state)
 from .metrics import MetricReport, compute_metrics, relative_error
 from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, decode,

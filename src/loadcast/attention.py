@@ -15,7 +15,9 @@ Three mechanisms:
 `feature_attention`, `temporal_attention` and `context_vector` compute one
 step of one window as tape ops.  The model runs a whole sequence's steps
 for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
-`TemporalSweep`, inside one `lstm.attended_sequence` op.  A sweep's
+`TemporalSweep`, inside the forward direction of one
+`lstm.bilstm_sequence` op, whose backward direction reads the same step
+inputs reversed.  A sweep's
 `forward(t, h_prev, out)` writes step t's input, one column per window,
 into the (width, B) array `out`, which is the input rows of the
 recurrence's own [x_t; h_{t-1}] scratch, with the same arithmetic (scores

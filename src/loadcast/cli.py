@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import parse_run_config
-from .data import (FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
+from .data import (DAY_HOURS, FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
                    compute_stats, generate_synthetic, ingest_csv, standardize,
                    synthetic_calendar, write_records_csv)
 from .errors import CompatibilityError, ConfigError, DataError, EvaluationError, TrainingError
@@ -82,7 +82,7 @@ def _prepare_synthetic(run):
         raise ConfigError(f"data.train_days + validation_days: {err}") from None
     calendar = synthetic_calendar(records)
     frames = build_features(records, calendar)
-    split = run.train_days * 24
+    split = run.train_days * DAY_HOURS
     fingerprint = {"synthetic": {"days": days, "seed": run.synthetic_seed}}
     return (frames[:split], frames[max(split - run.model.history_len, 0):],
             calendar, fingerprint)
@@ -195,6 +195,10 @@ def _cmd_forecast(args):
         raise CompatibilityError(
             f"checkpoint expects n_features={ck.config.n_features} but the data "
             f"pipeline produces {FEATURE_WIDTH}-wide frames")
+    if ck.config.day_len != DAY_HOURS:
+        raise CompatibilityError(
+            f"checkpoint expects day_len={ck.config.day_len} but the data "
+            f"pipeline forecasts {DAY_HOURS}-hour days")
     frames = standardize(build_features(ingest_csv(args.data), calendar), ck.stats)
     samples = build_windows(frames, ck.config)
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import FEATURE_WIDTH
+from .data import DAY_HOURS, FEATURE_WIDTH
 from .errors import ConfigError
 from .model import VARIANTS, ModelConfig
 from .training import TrainConfig
@@ -144,8 +144,7 @@ def parse_run_config(path):
         if least is not None and value is not None and value < least:
             raise ConfigError(f"{path}: {key} must be at least {least}, got {value}")
 
-    # The hour-of-day one-hot is 24 wide.
-    model = ModelConfig(day_len=24, n_features=FEATURE_WIDTH, **_section(values, "model."))
+    model = ModelConfig(day_len=DAY_HOURS, n_features=FEATURE_WIDTH, **_section(values, "model."))
     echo = {key: (str(v) if isinstance(v, Path) else v)
             for key, v in sorted(values.items())}
     return RunConfig(model=model, training=TrainConfig(**_section(values, "train.")),

@@ -28,6 +28,8 @@ HOUR_OFFSET = 2
 WEEKDAY_OFFSET = 26
 MONTH_OFFSET = 33
 FEATURE_WIDTH = 45
+# Hours in a day: the hour-of-day one-hot's width and every model's day_len.
+DAY_HOURS = 24
 HOUR = timedelta(hours=1)
 
 
@@ -333,9 +335,9 @@ def generate_synthetic(days, seed, start=SYNTHETIC_START):
         raise ValueError("need at least 9 days (a history window plus one forecast day)")
     rng = np.random.default_rng(seed)
     records = []
-    for hour_index in range(days * 24):
+    for hour_index in range(days * DAY_HOURS):
         ts = start + hour_index * HOUR
-        hour_frac = ts.hour / 24.0
+        hour_frac = ts.hour / DAY_HOURS
         year_frac = (ts.timetuple().tm_yday - 1) / 365.0
         temperature = (11.0
                        - 13.0 * math.cos(2.0 * math.pi * year_frac)

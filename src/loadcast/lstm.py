@@ -1,4 +1,4 @@
-"""LSTM cell, directional sequence runs, and the linear-ReLU-linear head.
+"""LSTM cell, sequence runs in one or both directions, and the head.
 
 A direction's gates are stored the way the cell computes them: one
 (4H, input + H) weight matrix over [x; h] with row blocks i, f, g, o, and
@@ -18,28 +18,25 @@ rounding, so the backward passes, which read only them, are unchanged.
 The sequence runs carry a window axis: a batch of B windows runs as one
 recurrence whose step arrays hold one column per window, inputs
 (steps, width, B) and states (H, B), so a step's gate product is one
-matmul whatever B is, and a single window is B = 1.
-`lstm_sequence` runs one direction over inputs that are all known up front
-as a single tape op: each step's gate pre-activations are one product of
-the packed weights with [x_t; h_{t-1}], with the per-column arithmetic of
-the cell step, and the backward walks the steps in reverse only for the
-gate pre-activation gradients, then forms the weight, bias and input
-gradients with one product over every step of every window each.
-`attended_sequence` is the same op for a direction whose step inputs an
-attention sweep builds from the hidden state before each step: the
-sweep's numpy forward runs inside the loop and writes the step's input in
-place into the run's [x_t; h_{t-1}] scratch, and its backward runs inside
-the reverse loop, turning each step's input gradient into a contribution
-to the previous hidden state's.  A run none of whose operands is taped
-has no backward, so it keeps only what the next step reads: the latest
-step's gate activations and cell state, and of the sweep's store only
-the attention weights.
-`bilstm_sequence` is the one bidirectional recurrence.  Given an input
-array it runs both directions with `lstm_sequence`; given a sweep, it runs
-the forward direction with `attended_sequence`, then the backward direction
-over the inputs the sweep built, reversed, with `lstm_sequence`.  It
-returns the per-step hidden states as a (steps, 2H, B) array whose step t
-is [forward; backward].  `lstm_cell_step` stays the one-window single-step
+matmul whatever B is, and a single window is B = 1.  `lstm_sequence` runs
+one direction over known inputs and `bilstm_sequence` both, each as one
+tape op whose output holds the states and each direction's c_T; the
+states and the terminal h and c are views of it.  A direction's step t is
+one product of the packed weights with [x_t; h_{t-1}] and the per-column
+arithmetic of the cell step (`_run`); its backward walks the steps in
+reverse only for the gate pre-activation gradients, then forms the
+weight, bias and input gradients with one product over every step of
+every window each (`_bptt`, `_walk`).  The forward direction of a
+bidirectional run may take its inputs from an attention sweep, whose
+numpy forward runs inside the loop and writes step t's input in place
+into the run's [x_t; h_{t-1}] scratch.  The backward direction reads the
+same inputs reversed; the op's backward walks it first, and its input
+gradient, reversed, is what arrives on the forward direction's inputs,
+which the sweep's backward, inside the reverse loop, turns into a
+contribution to the previous hidden state's.  A run none of whose
+operands is taped keeps only what the next step reads: the latest step's
+gate activations and cell state, and of the sweep's store only the
+attention weights.  `lstm_cell_step` stays the one-window single-step
 API.
 """
 
@@ -294,17 +291,12 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     return d_pre.reshape(steps * windows, 4 * hidden), dh_next.T, dc.T
 
 
-def _state_views(joined, steps, hidden, windows):
-    """The (steps, H, B) hidden states and the terminal state of a run
-    whose flat output starts [h_1 .. h_T; c_T]."""
-    end = steps * hidden * windows
-    block = hidden * windows
-    return (segment(joined, 0, end, (steps, hidden, windows)),
-            LstmState(segment(joined, end - block, end, (hidden, windows)),
-                      segment(joined, end, end + block, (hidden, windows))))
-
-
-def _check_run(params, steps, width, windows, h0, c0):
+def _direction(params, init, shape):
+    """One direction's operands, weights, b_x, b_h, h_0 and c_0, checked
+    against step inputs of `shape`, (steps, width, B)."""
+    weights, b_x, b_h = _cell(params)
+    h0, c0 = as_tensor(init.h), as_tensor(init.c)
+    steps, width, windows = shape
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
     if width != params.input_size:
@@ -313,141 +305,146 @@ def _check_run(params, steps, width, windows, h0, c0):
     state = (params.hidden_size, windows)
     if h0.shape != state or c0.shape != state:
         raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
+    return weights, b_x, b_h, h0, c0
 
 
-def _taped(tensors):
-    return any(t.tape is not None for t in tensors)
+def _parts(flat, steps, hidden, windows, directions):
+    """A flat [states; c_T of each direction] array as its (steps,
+    directions * H, B) states and (directions, H, B) terminal cells."""
+    end = steps * directions * hidden * windows
+    return (flat[:end].reshape(steps, directions * hidden, windows),
+            flat[end:].reshape(directions, hidden, windows))
 
 
-def _joined(parts):
-    """The arrays `parts`, each flattened, one after another in one new
-    array: one copy of each."""
-    out = np.empty(sum(part.size for part in parts))
-    start = 0
-    for part in parts:
-        out[start:start + part.size].reshape(part.shape)[...] = part
-        start += part.size
-    return out
+def _start(operands, z, sweep=None, history=True):
+    """Run one direction over the `_run` scratch `z`, whose x_t the caller
+    or `sweep` fills; returns what `_walk` reads, and c_T."""
+    weights, b_x, b_h, h0, c0 = operands
+    z[0, z.shape[1] - h0.shape[0]:] = h0.values
+    act, c_seq = _run(weights.values, b_x.values + b_h.values, z, c0.values, sweep, history)
+    return (weights.values, z, act, c_seq), c_seq[(z.shape[0] - 1) % len(c_seq)]
 
 
-def _operands(h0, steps, width):
-    """Scratch for `_run`: (steps + 1, width + H, B), with h_0 filled in."""
-    hidden, windows = h0.shape
-    z = np.empty((steps + 1, width + hidden, windows))
-    z[0, width:] = h0
-    return z
+def _walk(run, grad_h, dc, d_x, sweep=None):
+    """The gradients of a `_start` run's weights, b_x, b_h, h_0 and c_0
+    from those of its states and c_T.  Without a sweep, the gradient of its
+    (steps, width, B) inputs is added into `d_x` unless that is None; with
+    one, `d_x` is what arrives on the inputs from outside."""
+    w, z, act, c_seq = run
+    d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, dc, sweep, d_x)
+    if sweep is None and d_x is not None:
+        steps, hidden, windows = grad_h.shape
+        width = w.shape[1] - hidden
+        d_x += (d_pre @ w[:, :width]).reshape(steps, windows, width).transpose(0, 2, 1)
+    d_bias = d_pre.sum(axis=0)
+    return d_pre.T @ _rows(z[:-1]), d_bias, d_bias.copy(), dh0, dc0
+
+
+def _views(joined, steps, hidden, windows, directions):
+    """The states of a `_parts` output and each direction's terminal state,
+    as views: the forward h_T is the last step's first block, the backward
+    one the first step's second block."""
+    block = hidden * windows
+    end = steps * directions * block
+    starts = ((end - directions * block, end), (block, end + block))[:directions]
+    states = segment(joined, 0, end, (steps, directions * hidden, windows))
+    return states, [LstmState(segment(joined, h, h + block, (hidden, windows)),
+                              segment(joined, c, c + block, (hidden, windows))) for h, c in starts]
 
 
 def lstm_sequence(params, inputs, init):
     """Run one direction over the (steps, width, B) array `inputs`, column b
     of every step being window b's input, from the (H, B) state `init`;
     returns the hidden states as a (steps, H, B) array and the terminal
-    state.
-
-    One tape op computes [h_1 .. h_T; c_T] with the arithmetic of
-    `lstm_cell_step` per column; the states and the terminal h and c are
-    views of it.
+    state, views of one tape op that computes [h_1 .. h_T; c_T] with the
+    arithmetic of `lstm_cell_step` per column.
     """
-    weights, b_x, b_h = _cell(params)
-    inputs, h0, c0 = as_tensor(inputs), as_tensor(init.h), as_tensor(init.c)
-    if inputs.values.ndim != 3:
-        raise DimensionError(f"cannot encode {inputs.shape} as (steps, width, windows) inputs")
-    steps, width, windows = inputs.shape
-    _check_run(params, steps, width, windows, h0, c0)
-    hidden = params.hidden_size
-    end = steps * hidden * windows
-    w = weights.values
-    z = _operands(h0.values, steps, width)
-    z[:steps, :width] = inputs.values
-    operands = (weights, b_x, b_h, inputs, h0, c0)
-    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, history=_taped(operands))
-    out = _joined((z[1:, width:], c_seq[steps % len(c_seq)]))
-
-    def rule(grad):
-        d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
-                                grad[end:].reshape(hidden, windows))
-        d_inputs = (d_pre @ w[:, :width]).reshape(steps, windows, width).transpose(0, 2, 1)
-        d_bias = d_pre.sum(axis=0)
-        return d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), d_inputs, dh0, dc0
-
-    joined = fused_op(out, operands, rule)
-    return _state_views(joined, steps, hidden, windows)
-
-
-def attended_sequence(params, sweep, init):
-    """Run one direction whose step inputs an attention sweep builds from
-    the hidden state before each step (see `attention.FeatureSweep` and
-    `attention.TemporalSweep`), over the sweep's steps and B windows from
-    the (H, B) state `init`.
-
-    One tape op computes [h_1 .. h_T; c_T; x_1 .. x_T] with the arithmetic
-    of `lstm_cell_step` and of the sweep's attention per column; its
-    operands are the weights, both biases, `init` and the sweep's
-    operands.  Returns the (steps, H, B) hidden states, the (steps, width,
-    B) step inputs and the terminal state, all views of that op.
-    Non-finite attention intermediates raise `EvaluationError`, checked
-    once after the run; an untaped run then drops the sweep's store except
-    its `weights`.
-    """
-    weights, b_x, b_h = _cell(params)
-    h0, c0 = as_tensor(init.h), as_tensor(init.c)
-    steps, windows = sweep.steps, sweep.windows
-    _check_run(params, steps, sweep.width, windows, h0, c0)
-    hidden, width = params.hidden_size, params.input_size
-    if sweep.hidden_size != hidden:
-        raise DimensionError(f"sweep over hidden width {sweep.hidden_size} does not fit "
-                             f"hidden width {hidden}")
-    # The backward rule keeps the sweep, so the sweep must not keep the taped
-    # operands: through them it would keep the tape in a reference cycle.
-    operands = (weights, b_x, b_h, h0, c0, *sweep.operands)
-    sweep.operands = ()
-    taped = _taped(operands)
-    end = steps * hidden * windows
-    states_end = end + hidden * windows
-    w = weights.values
-    z = _operands(h0.values, steps, width)
-    act, c_seq = _run(w, b_x.values + b_h.values, z, c0.values, sweep, history=taped)
-    sweep.check_finite()
-    if not taped:
-        sweep.drop_store()
-    out = _joined((z[1:, width:], c_seq[steps % len(c_seq)], z[:steps, :width]))
-
-    def rule(grad):
-        d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad[:end].reshape(steps, hidden, windows),
-                                grad[end:states_end].reshape(hidden, windows), sweep,
-                                grad[states_end:].reshape(steps, width, windows))
-        d_bias = d_pre.sum(axis=0)
-        return (d_pre.T @ _rows(z[:steps]), d_bias, d_bias.copy(), dh0, dc0, *sweep.grads())
-
-    joined = fused_op(out, operands, rule)
-    states, terminal = _state_views(joined, steps, hidden, windows)
-    inputs = segment(joined, states_end, out.size, (steps, width, windows))
-    return states, inputs, terminal
+    states, (terminal,) = _sequence((params,), as_tensor(inputs), (init,))
+    return states, terminal
 
 
 def bilstm_sequence(params, inputs, init_forward, init_backward):
     """Run a sequence of inputs in both directions for B windows.
 
-    `inputs` is either the (steps, width, B) array of step inputs, and then
-    the forward direction is one `lstm_sequence`, or an attention sweep,
-    and then the forward direction is one `attended_sequence` whose inputs
-    depend on the forward state before each step.  The backward direction
-    consumes the same inputs in reverse from `init_backward` as one
-    `lstm_sequence`.  Returns the (steps, 2H, B) array whose step t is
-    [forward h_t; backward h_t], and each direction's own terminal state
-    (the backward terminal is the state after consuming the first input).
+    `inputs` is either the (steps, width, B) array of step inputs or an
+    attention sweep (`attention.FeatureSweep`, `attention.TemporalSweep`)
+    that builds step t's input, one column per window, from the forward
+    h_{t-1}.  The backward direction consumes the same inputs in reverse
+    from `init_backward`.  Returns the (steps, 2H, B) states, whose step t
+    is [forward h_t; backward h_t], and each direction's own terminal state
+    (the backward one is the state after consuming the first input), all
+    views of one tape op that computes [states; forward c_T; backward c_T]
+    with the arithmetic of `lstm_cell_step` and of the sweep's attention
+    per column.  Non-finite attention intermediates raise
+    `EvaluationError`, checked once after the forward direction; an
+    untaped run then drops the sweep's store except its `weights`.
     """
-    if isinstance(inputs, (Tensor, np.ndarray)):
+    states, terminals = _sequence((params.forward, params.backward), inputs,
+                                  (init_forward, init_backward))
+    return states, tuple(terminals)
+
+
+def _sequence(cells, inputs, inits):
+    """The op of both sequence runs: the forward direction, then, given a
+    second cell, the backward one over the same inputs reversed.  Its
+    operands are each direction's weights, biases and initial state, and
+    the inputs or, after the forward direction's, the sweep's operands."""
+    sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
+    if sweep is None:
         inputs = as_tensor(inputs)
-        forward, state = lstm_sequence(params.forward, inputs, init_forward)
+        if inputs.values.ndim != 3:
+            raise DimensionError(f"cannot encode {inputs.shape} as (steps, width, windows) inputs")
+    shape = inputs.shape if sweep is None else (sweep.steps, sweep.width, sweep.windows)
+    steps, width, windows = shape
+    directions = [_direction(cell, init, shape) for cell, init in zip(cells, inits)]
+    hidden, count = cells[0].hidden_size, len(cells)
+    for name, other in (("backward cell", cells[-1]), ("sweep", sweep)):
+        if other is not None and other.hidden_size != hidden:
+            raise DimensionError(f"{name} over hidden width {other.hidden_size} does not fit "
+                                 f"hidden width {hidden}")
+    if sweep is None:
+        operands = sum(directions, ()) + (inputs,)
     else:
-        forward, inputs, state = attended_sequence(params.forward, inputs, init_forward)
-    reversed_inputs = fused_op(inputs.values[::-1], (inputs,), lambda g: (g[::-1],))
-    backward, terminal_backward = lstm_sequence(params.backward, reversed_inputs, init_backward)
-    hidden = backward.shape[1]
-    joined = fused_op(np.concatenate((forward.values, backward.values[::-1]), axis=1),
-                      (forward, backward), lambda g: (g[:, :hidden], g[::-1, hidden:]))
-    return joined, (state, terminal_backward)
+        # The rule keeps the sweep, so the sweep must not keep the taped
+        # operands: through them it would keep the tape in a reference cycle.
+        operands = directions[0] + sweep.operands + sum(directions[1:], ())
+        sweep.operands = ()
+    taped = any(t.tape is not None for t in operands)
+    z = np.empty((steps + 1, width + hidden, windows))
+    if sweep is None:
+        z[:steps, :width] = inputs.values
+    run, c_last = _start(directions[0], z, sweep, taped)
+    runs = [run]
+    if sweep is not None:
+        sweep.check_finite()
+        if not taped:
+            sweep.drop_store()
+    out = np.empty((steps + 1) * count * hidden * windows)
+    states, c_end = _parts(out, steps, hidden, windows, count)
+    states[:, :hidden], c_end[0] = z[1:, width:], c_last
+    if count == 2:
+        # An untaped run keeps nothing of the forward scratch but its
+        # inputs, so the backward direction reuses it.
+        z_back = np.empty_like(z) if taped else z
+        z_back[:steps, :width] = (inputs.values if sweep is None else z)[:steps, :width][::-1]
+        run, c_end[1] = _start(directions[1], z_back, history=taped)
+        runs.append(run)
+        states[::-1, hidden:] = z_back[1:, width:]
+    reads_x = sweep is not None or inputs.tape is not None
+
+    def rule(grad):
+        grad_h, dc = _parts(grad, steps, hidden, windows, count)
+        d_x = np.zeros(shape) if reads_x else None
+        # The backward direction first, so that its store is gone before the
+        # forward walk; its input gradient, reversed, arrives on x_t.
+        grads_back = () if count == 1 else _walk(
+            runs.pop(), grad_h[::-1, hidden:], dc[1], None if d_x is None else d_x[::-1])
+        grads = _walk(runs.pop(), grad_h[:, :hidden], dc[0], d_x, sweep)
+        if sweep is None:
+            return grads + grads_back + (d_x,)
+        return grads + sweep.grads() + grads_back
+
+    return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
 
 
 @dataclass

@@ -18,18 +18,17 @@ stacked with the windows as its last axis, and every recurrence, sweep,
 the head and the loss carry that axis, one column per window.  `predict`
 is `forward` over one window.
 
-Every bidirectional run, encoder or decoder, goes through
-`lstm.bilstm_sequence`.  Without attention on that side the step inputs
-are known up front and are passed as one (steps, width, B) array, so both
-directions run as whole-sequence ops.  With attention, the side passes an
-attention sweep (`attention.FeatureSweep` in the encoder,
-`attention.TemporalSweep` in the decoder) that builds each step's input
-inside the forward recurrence, which is then one op too, and the backward
-direction then consumes the same per-step inputs.  The attention
-weights a caller asks for are the ones the sweep stored.  The
-unidirectional EDLSTM runs `lstm.lstm_sequence`.  Encoder states come back
-as one (history_len, state_width, B) array, and the decoder's states are
-flattened to one column per window for the head.
+Every bidirectional run, encoder or decoder, is one `lstm.bilstm_sequence`
+op over both directions.  Without attention on that side the step inputs
+are known up front and are passed as one (steps, width, B) array.  With
+attention, the side passes an attention sweep (`attention.FeatureSweep` in
+the encoder, `attention.TemporalSweep` in the decoder) that builds each
+step's input inside the forward recurrence, and the backward direction
+consumes the same per-step inputs.  The attention weights a caller asks
+for are the ones the sweep stored.  The unidirectional EDLSTM runs
+`lstm.lstm_sequence`.  Encoder states come back as one (history_len,
+state_width, B) array, and the decoder's states are flattened to one
+column per window for the head.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -82,10 +81,11 @@ class ModelConfig:
         for name in ("days", "day_len", "n_features", "hidden_size",
                      "feature_attn_size", "temporal_attn_size", "head_size"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # `type`, since a bool is an int too.
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; choose one of {', '.join(VARIANTS)}")

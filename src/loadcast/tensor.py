@@ -139,6 +139,7 @@ class Tape:
                     grads[parent_id] = parent_grad
                 else:
                     grads[parent_id] = grads[parent_id] + parent_grad
+            del parent_grad  # not kept alive while the next rule runs
         self._grads = grads
 
     def grad(self, tensor):

@@ -48,10 +48,13 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        # `type`, since a bool is an int too.
+        if type(self.batch_size) is not int or self.batch_size < 1:
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
+        if type(self.epochs) is not int or self.epochs < 1:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
         if self.clip_norm is not None and self.clip_norm <= 0.0:

@@ -10,7 +10,7 @@ from loadcast.attention import (DISTANCE_EPSILON, FeatureAttentionParams,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
-from loadcast.lstm import LstmParams, LstmState, attended_sequence, lstm_cell_step
+from loadcast.lstm import BiLstmParams, LstmParams, LstmState, bilstm_sequence, lstm_cell_step
 from loadcast.params import bind, map_leaves, named_leaves
 from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard, reshape,
                              total)
@@ -265,27 +265,40 @@ class TestContextVector:
 
 
 # ---------------------------------------------------------------------------
-# Attention sweeps inside one recurrence, against the per-step taped path:
-# `feature_attention` (or `temporal_attention` and `context_vector`) and
-# `lstm_cell_step` once per step, the way the model ran them before the
-# sweeps existed.
+# Attention sweeps inside one bidirectional run, against the per-step taped
+# path: `feature_attention` (or `temporal_attention` and `context_vector`)
+# and `lstm_cell_step` once per step, the way the model ran them before the
+# sweeps existed, then the backward cell stepped over the same inputs in
+# reverse.
+
+
+def with_backward(rng, case, bound):
+    """`case` with a backward cell beside its forward one, and the backward
+    direction's initial state."""
+    forward = case["cell"]
+    case["cell"] = BiLstmParams(forward, LstmParams.random(rng, forward.input_size,
+                                                           forward.hidden_size, bound))
+    case["hb0"], case["cb0"] = rng.normal(size=(2, forward.hidden_size))
+    return case
 
 
 def feature_case(rng, steps, hidden, n, attn, bound=1.0):
-    return {"cell": LstmParams.random(rng, n + 1, hidden, bound),
-            "attn": FeatureAttentionParams.random(rng, hidden, n, attn, bound),
-            "h0": rng.normal(size=hidden), "c0": rng.normal(size=hidden),
-            "features": rng.normal(size=(steps, n)), "targets": rng.normal(size=steps)}
+    return with_backward(rng, {
+        "cell": LstmParams.random(rng, n + 1, hidden, bound),
+        "attn": FeatureAttentionParams.random(rng, hidden, n, attn, bound),
+        "h0": rng.normal(size=hidden), "c0": rng.normal(size=hidden),
+        "features": rng.normal(size=(steps, n)), "targets": rng.normal(size=steps)}, bound)
 
 
 def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
     history = days * day_len
-    return {"cell": LstmParams.random(rng, n + width, hidden, bound),
-            "attn": TemporalAttentionParams.random(rng, 2 * hidden, n, history, attn, bound),
-            "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
-            "c0": rng.normal(size=hidden), "states": rng.normal(size=(history, width)),
-            "day": softmax(rng.normal(size=days)), "day_len": day_len,
-            "features": rng.normal(size=(steps, n))}
+    return with_backward(rng, {
+        "cell": LstmParams.random(rng, n + width, hidden, bound),
+        "attn": TemporalAttentionParams.random(rng, 2 * hidden, n, history, attn, bound),
+        "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
+        "c0": rng.normal(size=hidden), "states": rng.normal(size=(history, width)),
+        "day": softmax(rng.normal(size=days)), "day_len": day_len,
+        "features": rng.normal(size=(steps, n))}, bound)
 
 
 def make_sweep(case, attn, leaves):
@@ -305,16 +318,21 @@ def uncolumn(tensor):
     return reshape(tensor, tensor.shape[:-1])
 
 
+def column_state(leaves, h, c):
+    return LstmState(column(leaves[h]), column(leaves[c]))
+
+
 def swept(case, cell, attn, leaves):
     sweep = make_sweep(case, attn, leaves)
-    states, inputs, terminal = attended_sequence(
-        cell, sweep, LstmState(column(leaves["h0"]), column(leaves["c0"])))
-    return (uncolumn(states), uncolumn(inputs),
-            LstmState(uncolumn(terminal.h), uncolumn(terminal.c)), sweep.weights[..., 0])
+    states, terminals = bilstm_sequence(cell, sweep, column_state(leaves, "h0", "c0"),
+                                        column_state(leaves, "hb0", "cb0"))
+    return (uncolumn(states), [LstmState(uncolumn(t.h), uncolumn(t.c)) for t in terminals],
+            sweep.weights[..., 0])
 
 
 def stepped(case, cell, attn, leaves):
-    """The reference: taped attention ops and one cell step per step.
+    """The reference: taped attention ops and one forward cell step per
+    step, then one backward cell step per input, last input first.
     Temporal attention conditions on [h_{t-1}; tail], feature attention on
     h_{t-1} alone."""
     state = LstmState(leaves["h0"], leaves["c0"])
@@ -330,34 +348,44 @@ def stepped(case, cell, attn, leaves):
             alpha, weighted = feature_attention(attn, state.h, features, case["targets"][t])
             x = concat([weighted, Tensor([case["targets"][t]])])
             weights.append(alpha.values)
-        state = lstm_cell_step(cell, state, x)
+        state = lstm_cell_step(cell.forward, state, x)
         hs.append(state.h)
         xs.append(x)
-    steps = len(hs)
-    return (reshape(concat(hs), (steps, hs[0].shape[0])),
-            reshape(concat(xs), (steps, xs[0].shape[0])), state, np.array(weights))
+    back, backs = LstmState(leaves["hb0"], leaves["cb0"]), []
+    for x in reversed(xs):
+        back = lstm_cell_step(cell.backward, back, x)
+        backs.append(back.h)
+    joined = [concat([h, b]) for h, b in zip(hs, reversed(backs))]
+    return (reshape(concat(joined), (len(hs), 2 * hs[0].shape[0])), [state, back],
+            np.array(weights))
 
 
 def leaf_names(case):
-    return ("h0", "c0") + (("tail", "states") if "states" in case else ())
+    return ("h0", "c0", "hb0", "cb0") + (("tail", "states") if "states" in case else ())
+
+
+def probed(states, terminals, probe):
+    """probe . [states; each direction's terminal h and c]."""
+    ends = [part for terminal in terminals for part in (terminal.h, terminal.c)]
+    return total(hadamard(concat([reshape(states, (states.values.size,)), *ends]),
+                          Tensor(probe)))
 
 
 def run_case(run, case, probe=None):
     """Run on a fresh tape, or untaped without a probe; return the values
-    (hidden matrix, input matrix, terminal h and c, attention weights) and
-    the gradients of probe . [states; inputs; h_T; c_T] by operand."""
+    (forward states, backward states, each direction's terminal h and c,
+    attention weights) and the gradients of `probed` by operand."""
     tape = Tape()
     wrap = tape.leaf if probe is not None else Tensor
     cell = map_leaves(case["cell"], lambda _name, leaf: wrap(leaf))
     attn = map_leaves(case["attn"], lambda _name, leaf: wrap(leaf))
     leaves = {name: wrap(case[name]) for name in leaf_names(case)}
-    states, inputs, terminal, weights = run(case, cell, attn, leaves)
-    values = (states.values, inputs.values, terminal.h.values, terminal.c.values, weights)
+    states, terminals, weights = run(case, cell, attn, leaves)
+    values = (*np.split(states.values, 2, axis=1),
+              *(part.values for t in terminals for part in (t.h, t.c)), weights)
     if probe is None:
         return values, None
-    flat = concat([reshape(states, (states.values.size,)),
-                   reshape(inputs, (inputs.values.size,)), terminal.h, terminal.c])
-    tape.backward(total(hadamard(flat, Tensor(probe))))
+    tape.backward(probed(states, terminals, probe))
     grads = {f"cell.{name}": tape.grad(leaf) for name, leaf in named_leaves(cell)}
     grads.update({f"attn.{name}": tape.grad(leaf) for name, leaf in named_leaves(attn)})
     grads.update({name: tape.grad(leaf) for name, leaf in leaves.items()})
@@ -384,9 +412,8 @@ def random_cases(rng, count):
 
 
 def flat_size(case):
-    steps = len(case["features"])
-    hidden, width = case["cell"].hidden_size, case["cell"].input_size
-    return steps * (hidden + width) + 2 * hidden
+    steps, hidden = len(case["features"]), case["cell"].hidden_size
+    return 2 * steps * hidden + 4 * hidden
 
 
 class TestAttendedSweeps:
@@ -400,6 +427,7 @@ class TestAttendedSweeps:
             for taped in (probe, None):
                 values, _ = run_case(swept, case, taped)
                 ref_values, _ = run_case(stepped, case, taped)
+                assert len(values) == len(ref_values) == 7
                 for value, ref in zip(values, ref_values):
                     assert value.shape == ref.shape
                     assert rel_diff(value, ref) <= 1e-12
@@ -411,7 +439,7 @@ class TestAttendedSweeps:
             _, grads = run_case(swept, case, probe)
             _, ref_grads = run_case(stepped, case, probe)
             assert grads.keys() == ref_grads.keys()
-            assert len(grads) == 3 + 2 + len(leaf_names(case))
+            assert len(grads) == 6 + 2 + len(leaf_names(case))
             for name, grad in grads.items():
                 assert grad.shape == ref_grads[name].shape, name
                 assert rel_diff(grad, ref_grads[name]) <= 1e-12, name
@@ -425,10 +453,8 @@ class TestAttendedSweeps:
             def program(leaves, case=case, probe=probe):
                 cell = map_leaves(case["cell"], lambda name, _l: leaves["cell." + name])
                 attn = map_leaves(case["attn"], lambda name, _l: leaves["attn." + name])
-                states, inputs, terminal, _ = swept(case, cell, attn, leaves)
-                flat = concat([reshape(states, (states.values.size,)),
-                               reshape(inputs, (inputs.values.size,)), terminal.h, terminal.c])
-                return total(hadamard(flat, Tensor(probe)))
+                states, terminals, _ = swept(case, cell, attn, leaves)
+                return probed(states, terminals, probe)
 
             arrays = {f"cell.{name}": a for name, a in named_leaves(case["cell"])}
             arrays.update({f"attn.{name}": a for name, a in named_leaves(case["attn"])})
@@ -449,11 +475,11 @@ class TestAttendedSweeps:
                 sweep = make_sweep(case, attn, leaves)
                 init = LstmState(tape.leaf(np.zeros((3, 1))), tape.leaf(np.zeros((3, 1))))
                 before = len(tape)
-                attended_sequence(cell, sweep, init)
+                bilstm_sequence(cell, sweep, init, init)
                 counts.append(len(tape) - before)
-        # One op for the run, then a view each for the hidden states, the
-        # terminal h, the terminal c and the step inputs.
-        assert counts == [5] * 8
+        # One op for the run, then a view each for the states and each
+        # direction's terminal h and c.
+        assert counts == [6] * 8
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_preactivation_raises(self):
@@ -473,6 +499,7 @@ class TestAttendedSweeps:
         case = feature_case(rng, 3, 2, 2, 2)
         features, targets = case["features"][..., np.newaxis], case["targets"][:, np.newaxis]
         init = LstmState(Tensor(case["h0"][:, np.newaxis]), Tensor(case["c0"][:, np.newaxis]))
+        wide = LstmState(Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 1))))
         with pytest.raises(DimensionError):
             FeatureSweep(case["attn"], features, targets[:2])
         with pytest.raises(DimensionError):
@@ -481,16 +508,20 @@ class TestAttendedSweeps:
             FeatureSweep(case["attn"], case["features"], case["targets"])
         sweep = FeatureSweep(case["attn"], features, targets)
         with pytest.raises(DimensionError):
-            attended_sequence(LstmParams.random(rng, 4, 2, 1.0), sweep, init)
+            bilstm_sequence(BiLstmParams.random(rng, 4, 2, 1.0), sweep, init, init)
         with pytest.raises(DimensionError):
-            attended_sequence(LstmParams.random(rng, 3, 3, 1.0), sweep,
-                              LstmState(Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 1)))))
+            bilstm_sequence(BiLstmParams.random(rng, 3, 3, 1.0), sweep, wide, wide)
         with pytest.raises(DimensionError):
-            attended_sequence(case["cell"], FeatureSweep(case["attn"], features[:0], targets[:0]),
-                              init)
+            bilstm_sequence(BiLstmParams(case["cell"].forward, LstmParams.random(rng, 3, 3, 1.0)),
+                            sweep, init, wide)
         with pytest.raises(DimensionError):
-            attended_sequence(case["cell"], sweep,
-                              LstmState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))))
+            bilstm_sequence(case["cell"], FeatureSweep(case["attn"], features[:0], targets[:0]),
+                            init, init)
+        bad = LstmState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
+        with pytest.raises(DimensionError):
+            bilstm_sequence(case["cell"], sweep, bad, init)
+        with pytest.raises(DimensionError):
+            bilstm_sequence(case["cell"], sweep, init, bad)
         case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
         tail = Tensor(case["tail"][:, np.newaxis])
         features = case["features"][..., np.newaxis]

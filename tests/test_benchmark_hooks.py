@@ -2,8 +2,9 @@
 attributes; every attribute it replaces must exist, or its traced and
 sampled runs fail.  Its forecast workload serves a version-1 checkpoint it
 writes itself and checks every forecast against its own numpy forward.
-This checks both without running the benchmark, and that no module imports
-a name it never uses other than for the tracer to patch."""
+This checks both without running the benchmark, that no module imports a
+name it never uses other than for the tracer to patch, and that every name
+a module defines is read somewhere."""
 
 import ast
 import importlib
@@ -65,6 +66,40 @@ def test_no_module_imports_a_name_it_does_not_use():
         if unused:
             found[path.name] = sorted(unused)
     assert not found, f"unused imports: {found}"
+
+
+def defined_names(path):
+    """Names the body of `path` defines: functions, classes and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def read_names(path):
+    """Names `path` reads, as a name or as an attribute."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+def test_every_module_level_name_is_read():
+    # A name that only `__init__.py` re-exports is one nothing reaches: not
+    # the package, its tests, the demos or the benchmark.
+    read = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (SOURCES.parent.parent / folder).rglob("*.py"):
+            if path != SOURCES / "__init__.py":
+                read |= read_names(path)
+    unread = {path.name: sorted(defined_names(path) - read)
+              for path in sorted(SOURCES.glob("*.py")) if path.name != "__init__.py"}
+    unread = {name: names for name, names in unread.items() if names}
+    assert not unread, f"defined but never read: {unread}"
 
 
 def test_every_hook_site_resolves():

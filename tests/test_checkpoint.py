@@ -286,6 +286,19 @@ class TestRejection:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [("seed", True), ("hidden_size", True),
+                                            ("seed", -1)])
+    def test_bad_integer_in_config_block(self, tmp_path, key, value):
+        # A bool is an int to Python, and numpy cannot seed from -1.
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert key in str(exc.value) and repr(value) in str(exc.value)
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["params"][0].pop("name"),
         lambda doc: doc["params"][0]["values"].pop(),

@@ -1,6 +1,7 @@
 """Command line behavior, exercised in process through `main`."""
 
 import csv
+import dataclasses
 import fcntl
 import json
 import math
@@ -17,10 +18,11 @@ import loadcast.cli as cli
 import loadcast.model
 import loadcast.tensor
 import loadcast.training
-from loadcast.checkpoint import write_atomic
+from loadcast.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
 from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
                            write_records_csv)
+from loadcast.model import init_params
 from loadcast.training import WINDOWS_PER_PASS
 from loadcast.verify import CheckResult, _check_basic_gradients
 
@@ -378,6 +380,22 @@ class TestForecast:
         code = main(["forecast", "--checkpoint", str(bad),
                      "--data", str(tmp_path / "data.csv")])
         assert code == EXIT_CONFIG
+
+    def test_checkpoint_for_other_day_lengths_is_refused(self, trained, tmp_path, capsys):
+        # The pipeline cuts 24-hour days; a checkpoint with 45 features and
+        # 4-hour days would otherwise forecast 4-hour "days" from them.
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        ck = load_checkpoint(trained / "checkpoint.json")
+        config = dataclasses.replace(ck.config, day_len=4)
+        bad = tmp_path / "checkpoint.json"
+        save_checkpoint(bad, config, init_params(config), ck.stats, ck.calendar)
+        code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "fc")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "day_len=4" in err
+        assert not (tmp_path / "fc").exists()
 
     def test_malformed_checkpoint_entry_is_a_config_error(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "checkpoint.json").read_text())

@@ -1,6 +1,7 @@
 """LSTM cell and sequence runners against a pure-python scalar oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,7 @@ import pytest
 
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
-                           LstmState, _activate, _gate_form, attended_sequence,
+                           LstmState, _activate, _gate_form,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
@@ -427,6 +428,75 @@ class TestSequenceOp:
         # One op for the run, then a view each for the states, the terminal h
         # and the terminal c.
         assert counts == [4, 4, 4, 4]
+
+    def test_nodes_per_bilstm_call_do_not_depend_on_inputs(self):
+        counts = []
+        for steps in (1, 2, 7, 30):
+            params = BiLstmParams.random(np.random.default_rng(26), 3, 2, bound=1.0)
+            xs = np.random.default_rng(27).normal(size=(steps, 3, 1))
+            tape = Tape()
+            cell = bind(params, tape)
+            for inputs in (tape.leaf(xs), Tensor(xs), FixedSweep(tape.leaf(xs), 2)):
+                before = len(tape)
+                bilstm_sequence(cell, inputs, one_state(2), one_state(2))
+                counts.append(len(tape) - before)
+        # One op for both directions, then a view each for the states and
+        # each direction's terminal h and c.
+        assert counts == [6] * 12
+
+    def test_bilstm_gradients_equal_tape_composition_bitwise(self):
+        # The composition the op replaces: each direction one
+        # `lstm_sequence`, the inputs reversed for the backward one, and
+        # the states joined per step, each a tape op of its own.
+        def composed(params, inputs, init_forward, init_backward):
+            forward, terminal_forward = lstm_sequence(params.forward, inputs, init_forward)
+            flipped = fused_op(inputs.values[::-1], (inputs,), lambda g: (g[::-1],))
+            backward, terminal_backward = lstm_sequence(params.backward, flipped, init_backward)
+            hidden = forward.shape[1]
+            joined = fused_op(np.concatenate((forward.values, backward.values[::-1]), axis=1),
+                              (forward, backward), lambda g: (g[:, :hidden], g[::-1, hidden:]))
+            return joined, (terminal_forward, terminal_backward)
+
+        rng = np.random.default_rng(28)
+        for steps, width, hidden, windows in ((1, 1, 1, 1), (5, 3, 2, 4), (9, 4, 3, 2)):
+            params = BiLstmParams.random(rng, width, hidden, bound=1.0)
+            xs = rng.normal(size=(steps, width, windows))
+            h0, c0, hb0, cb0 = rng.normal(size=(4, hidden, windows))
+            probe = rng.normal(size=(steps + 2) * 2 * hidden * windows)
+            results = []
+            for run in (bilstm_sequence, composed):
+                tape = Tape()
+                cell = bind(params, tape)
+                leaves = [tape.leaf(a) for a in (xs, h0, c0, hb0, cb0)]
+                states, terminals = run(cell, leaves[0], LstmState(*leaves[1:3]),
+                                        LstmState(*leaves[3:]))
+                parts = [states] + [part for t in terminals for part in (t.h, t.c)]
+                flat = concat([reshape(part, (part.values.size,)) for part in parts])
+                tape.backward(total(hadamard(flat, Tensor(probe))))
+                results.append([flat.values] + [tape.grad(leaf) for leaf in leaves]
+                               + [tape.grad(leaf) for _name, leaf in named_leaves(cell)])
+            for got, expect in zip(*results):
+                assert np.array_equal(got, expect)
+
+    def test_untaped_bilstm_retains_only_its_output(self):
+        rng = np.random.default_rng(29)
+        steps, width, hidden, windows = 60, 24, 8, 3
+        params = BiLstmParams.random(rng, width, hidden, bound=1.0)
+        xs = Tensor(rng.normal(size=(steps, width, windows)))
+        init = zero_state(hidden, windows)
+        output = (steps + 1) * 2 * hidden * windows * 8
+        scratch = (steps + 1) * (width + hidden) * windows * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = bilstm_sequence(params, xs, init, init)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Room for the Python objects around the views, well under the
+        # scratch a leftover run would keep.
+        assert kept[0].shape == (steps, 2 * hidden, windows)
+        assert retained <= output + scratch // 4
 
     def test_shape_errors(self):
         params = LstmParams.zeros(3, 2)

@@ -154,6 +154,9 @@ class TestConfig:
             ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
                         feature_attn_size=2, temporal_attn_size=2, head_size=2,
                         variant="GRU")
+        for key in ("days", "seed"):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(TINY, **{key: True})
 
 
 class TestInit:
@@ -322,11 +325,11 @@ class TestForward:
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        # A direction run with known inputs records 4 nodes, one driven by
-        # attention 5 plus 1 to reverse its inputs for the backward
-        # direction; every parameter array is one leaf.
-        expected = {"ANLF": 44, "eAttention": 40, "dAttention": 40,
-                    "EDBiLSTM": 36, "EDLSTM": 20}
+        # A sequence run records one op and a view for the states and for
+        # each direction's terminal h and c, 4 nodes for one direction and 6
+        # for two, whatever its inputs are; every parameter array is one leaf.
+        expected = {"ANLF": 34, "eAttention": 32, "dAttention": 32,
+                    "EDBiLSTM": 30, "EDLSTM": 20}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()

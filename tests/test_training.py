@@ -60,6 +60,11 @@ class TestTrainConfig:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             TrainConfig(clip_norm=0.0)
+        for key in ("batch_size", "epochs", "seed"):
+            with pytest.raises(ConfigError):
+                TrainConfig(**{key: True})
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
 
     def test_clip_norm_may_be_disabled(self):
         assert TrainConfig(clip_norm=None).clip_norm is None
