@@ -101,8 +101,8 @@ def similar_day_weights(day_blocks, target_block):
             f"target block {target.shape} incompatible with day blocks {days.shape}")
     # Window-major copies, so every window's sums run over the same memory
     # layout, and in the same order, as a lone window's.
-    diff = (np.ascontiguousarray(np.moveaxis(days, -1, 0))
-            - np.ascontiguousarray(np.moveaxis(target, -1, 0))[:, np.newaxis])
+    diff = (np.ascontiguousarray(days.transpose(3, 0, 1, 2))
+            - np.ascontiguousarray(target.transpose(2, 0, 1))[:, np.newaxis])
     per_feature = np.sqrt(np.sum(diff * diff, axis=2))
     distance = per_feature.sum(axis=2)
     reciprocal = np.minimum(1.0 / (distance + DISTANCE_EPSILON), RECIPROCAL_CAP)
@@ -242,7 +242,7 @@ class _ScoredSweep:
     def check_finite(self):
         """Raise `EvaluationError` if a stored intermediate is not finite."""
         for values in self._checked():
-            if not np.isfinite(values).all():
+            if not np.logical_and.reduce(np.isfinite(values), axis=None):
                 raise EvaluationError("non-finite values in attention")
 
     def drop_store(self):

@@ -42,6 +42,7 @@ API.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,11 @@ class LstmState:
 
 def zero_state(hidden_size, windows=None):
     """A zero state: (H,) vectors for one cell step, or (H, windows)
-    columns for a sequence run."""
+    columns for a sequence run; h and c are one constant, whose zeros need
+    no scan."""
     shape = (hidden_size,) if windows is None else (hidden_size, windows)
-    return LstmState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
+    zeros = Tensor(np.zeros(shape), scanned=True)
+    return LstmState(zeros, zeros)
 
 
 def _cell(params):
@@ -172,9 +175,11 @@ def lstm_cell_step(params, prev, x):
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
+@functools.cache
 def _gate_form(hidden):
     """The (4H,) row factors of the one-tanh gate form, (scale, shift):
-    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows.
+    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows, read-only
+    and built once per hidden width.
 
     With weights and summed bias multiplied by `scale`, the pre-activations
     are x/2 on the sigmoid rows and x on the g rows, and `_activate` maps
@@ -184,7 +189,9 @@ def _gate_form(hidden):
     """
     scale = np.full(4 * hidden, 0.5)
     scale[2 * hidden:3 * hidden] = 1.0
-    return scale, 1.0 - scale
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def _activate(pre, scale, shift, out):

@@ -30,20 +30,21 @@ def named_leaves(params, prefix=""):
 
 
 def map_leaves(params, fn, prefix=""):
-    """Return a structural copy with every leaf replaced by fn(name, leaf)."""
-    updates = {}
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        name = prefix + f.name
+    """Return a structural copy with every leaf replaced by fn(name, leaf),
+    each container rebuilt by its own constructor."""
+    fields = {}
+    for field in params.__dataclass_fields__:
+        value = getattr(params, field)
+        name = prefix + field
         if value is None:
-            updates[f.name] = None
+            fields[field] = None
         elif isinstance(value, (np.ndarray, Tensor)):
-            updates[f.name] = fn(name, value)
+            fields[field] = fn(name, value)
         elif dataclasses.is_dataclass(value):
-            updates[f.name] = map_leaves(value, fn, name + ".")
+            fields[field] = map_leaves(value, fn, name + ".")
         else:
             raise TypeError(f"unsupported parameter field {name!r}: {type(value).__name__}")
-    return dataclasses.replace(params, **updates)
+    return type(params)(**fields)
 
 
 def leaf_values(leaf):

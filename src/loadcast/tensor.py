@@ -10,8 +10,14 @@ recording order.  That fixed order makes repeated passes bit-identical.
 Every op records through `fused_op`: one node per output, whose one rule
 returns a gradient for each operand.  Parts of a flat output, such as the
 states of a sequence run, are taken with `segment`, which also gives the
-part its shape.  `check_gradients` runs `program(leaves)` once on watched
-leaves and then on constants at every perturbed point.
+part its shape; the gradients of the parts of one output add into one
+buffer.  `check_gradients` runs `program(leaves)` once on watched leaves
+and then on constants at every perturbed point.
+
+Every array a tensor is built from, and every array an op computes, is
+scanned once for non-finite entries, which raise `EvaluationError`.  Only
+views of an already-scanned array (`segment`, `reshape`) and known zeros
+skip a second scan.
 
 A tape is meant to live for exactly one forward/backward pass and is
 rebuilt from scratch for the next one.  Tensors themselves are safe to
@@ -31,13 +37,14 @@ REL_ERROR_FLOOR = 1e-8
 
 
 class Tensor:
-    """A shape-tagged float64 array, optionally recorded on a tape."""
+    """A shape-tagged float64 array, optionally recorded on a tape; its
+    values are scanned for non-finite entries unless `scanned` is true."""
 
     __slots__ = ("values", "tape", "node")
 
-    def __init__(self, values, tape=None, node=None):
+    def __init__(self, values, tape=None, node=None, scanned=False):
         arr = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not (scanned or np.logical_and.reduce(np.isfinite(arr), axis=None)):
             raise EvaluationError("non-finite values in tensor")
         self.values = arr
         self.tape = tape
@@ -100,10 +107,10 @@ class Tape:
         """Register a watched input (typically a parameter) and return it."""
         return self._record(values, (), None)
 
-    def _record(self, values, parents, rule):
+    def _record(self, values, parents, rule, scanned=False):
         # The tensor is built (and its values checked) before the node is
         # appended, so rejected values leave the tape unchanged.
-        out = Tensor(values, tape=self, node=len(self._nodes))
+        out = Tensor(values, tape=self, node=len(self._nodes), scanned=scanned)
         self._nodes.append(_Node(tuple(p.node for p in parents), rule))
         return out
 
@@ -115,7 +122,9 @@ class Tape:
         deterministic.  Each rule, and the gradient it consumed, is dropped
         once it has run, so what the forward pass kept is freed as the
         sweep goes; a tape therefore runs backward once, and only leaves
-        keep a gradient.
+        keep a gradient.  A rule may give a parent's gradient as a part,
+        (size, slice, values), as `segment` does: the parts of one parent
+        add into one zero buffer of that size, which the sweep owns.
         """
         if loss.tape is not self:
             raise TapeError("loss is not recorded on this tape")
@@ -124,6 +133,7 @@ class Tape:
         if self._grads is not None:
             raise TapeError("backward has already run on this tape")
         grads = [None] * len(self._nodes)
+        owned = set()  # parents whose gradient is a buffer made by this sweep
         grads[loss.node] = np.ones((), dtype=np.float64)
         for node_id in range(loss.node, -1, -1):
             g = grads[node_id]
@@ -135,7 +145,14 @@ class Tape:
                 continue
             grads[node_id] = None
             for parent_id, parent_grad in zip(node.parents, rule(g)):
-                if grads[parent_id] is None:
+                if isinstance(parent_grad, tuple):
+                    size, key, parent_grad = parent_grad
+                    if parent_id not in owned:
+                        owned.add(parent_id)  # a held gradient may be shared: copy it
+                        grads[parent_id] = (np.zeros(size) if grads[parent_id] is None
+                                            else grads[parent_id] + 0.0)
+                    grads[parent_id][key] += parent_grad
+                elif grads[parent_id] is None:
                     grads[parent_id] = parent_grad
                 else:
                     grads[parent_id] = grads[parent_id] + parent_grad
@@ -160,36 +177,29 @@ class Tape:
         return np.asarray(g, dtype=np.float64)
 
 
-def fused_op(out_values, operands, rule):
+def fused_op(out_values, operands, rule, scanned=False):
     """Record `out_values` as one node whose gradients come from one closure.
 
     `rule(g)` returns a gradient for every operand, in order, so work they
     share is done once; the gradients of constant operands are dropped.  If
-    no operand is taped the result is a constant.
+    no operand is taped the result is a constant.  `out_values` is scanned
+    for non-finite entries unless `scanned` says it is a view of an
+    operand's already-scanned values.
     """
     taped = [k for k, t in enumerate(operands) if t.tape is not None]
-    tape = _common_tape([operands[k] for k in taped])
-    if tape is None:
-        return Tensor(out_values)
+    if not taped:
+        return Tensor(out_values, scanned=scanned)
     parents = tuple(operands[k] for k in taped)
+    tape = parents[0].tape
+    if any(p.tape is not tape for p in parents):
+        raise TapeError("operands are recorded on different tapes")
     if len(taped) == len(operands):
         kept = rule
     else:
         def kept(g):
             grads = rule(g)
             return tuple(grads[k] for k in taped)
-    return tape._record(out_values, parents, kept)
-
-
-def _common_tape(taped):
-    """The tape shared by every tensor in `taped`, or None if it is empty."""
-    if not taped:
-        return None
-    tape = taped[0].tape
-    for t in taped[1:]:
-        if t.tape is not tape:
-            raise TapeError("operands are recorded on different tapes")
-    return tape
+    return tape._record(out_values, parents, kept, scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,7 @@ def softmax_values(v, out=None):
 
 
 def _softmax_grad(out, g):
-    return out * (g - (g * out).sum(axis=0))
+    return out * (g - np.add.reduce(g * out, axis=0))
 
 
 def stable_softmax(v):
@@ -373,14 +383,8 @@ def segment(x, start, stop, shape=None):
         if math.prod(shape) != part.size:
             raise DimensionError(f"cannot view segment {start}:{stop} as {tuple(shape)}")
         part = part.reshape(shape)
-    size = x.values.size
-
-    def rule(g):
-        full = np.zeros(size)
-        full[start:stop] = g.reshape(-1)
-        return (full,)
-
-    return fused_op(part, (x,), rule)
+    size, key = x.values.size, slice(start, stop)
+    return fused_op(part, (x,), lambda g: ((size, key, g.reshape(-1)),), scanned=True)
 
 
 def reshape(x, shape):
@@ -390,7 +394,7 @@ def reshape(x, shape):
     if math.prod(shape) != x.values.size:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}")
     orig = x.values.shape
-    return fused_op(x.values.reshape(shape), (x,), lambda g: (g.reshape(orig),))
+    return fused_op(x.values.reshape(shape), (x,), lambda g: (g.reshape(orig),), scanned=True)
 
 
 def total(x):

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from loadcast import lstm
 from loadcast.errors import DimensionError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            LstmState, _activate, _gate_form,
@@ -188,6 +189,13 @@ class TestGateForm:
             assert np.abs(gates[k] - _sigmoid_values(x)).max() <= 2.3e-16
             assert gates[k].min() >= 0.0 and gates[k].max() <= 1.0
         npt.assert_array_equal(gates[2], np.broadcast_to(np.tanh(x), (hidden, x.size)))
+
+    def test_built_once_per_width_and_read_only(self):
+        scale, shift = _gate_form(5)
+        assert _gate_form(5)[0] is scale and _gate_form(5)[1] is shift
+        for arr in (scale, shift):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_saturated_cell_matches_scalar_oracle(self):
         rng = np.random.default_rng(28)
@@ -534,6 +542,81 @@ class TestSequenceOp:
             assert rel_diff(value, ref) <= 1e-12
         for grad, ref in zip(grads, ref_grads):
             assert rel_diff(grad, ref) <= 1e-12
+
+
+def dense_segment(x, start, stop, shape=None):
+    """`segment` whose rule returns a zero gradient the size of the whole
+    parent with its own entries filled in, for the tape to sum."""
+    size = x.values.size
+
+    def rule(g):
+        full = np.zeros(size)
+        full[start:stop] = g.reshape(-1)
+        return (full,)
+
+    part = x.values[start:stop]
+    return fused_op(part if shape is None else part.reshape(shape), (x,), rule)
+
+
+class TestViewGradients:
+    # A bidirectional run at the benchmark's EDBiLSTM size: hidden 32, 168
+    # steps, 4 windows, whose five views (states and each direction's
+    # terminal h and c) cover its output once; the terminal h's lie inside
+    # the states block.
+    HIDDEN, STEPS, WIDTH, WINDOWS = 32, 168, 14, 4
+
+    def views_loss(self, views, rng):
+        loss = None
+        for view in views:
+            term = total(hadamard(view, Tensor(rng.normal(size=view.shape))))
+            loss = term if loss is None else loss + term
+        return loss
+
+    def run_gradients(self):
+        rng = np.random.default_rng(41)
+        params = BiLstmParams.random(rng, self.WIDTH, self.HIDDEN, bound=0.3)
+        tape = Tape()
+        leaves = bind(params, tape)
+        inputs = tape.leaf(rng.normal(size=(self.STEPS, self.WIDTH, self.WINDOWS)))
+        init = zero_state(self.HIDDEN, self.WINDOWS)
+        states, terminals = bilstm_sequence(leaves, inputs, init, init)
+        tape.backward(self.views_loss([states] + [t for s in terminals for t in (s.h, s.c)],
+                                      rng))
+        return [tape.grad(leaf) for _name, leaf in named_leaves(leaves)] + [tape.grad(inputs)]
+
+    def views_peak(self):
+        """Traced peak of the backward pass over the views of a run's
+        output alone, with a leaf standing in for the op."""
+        tape = Tape()
+        size = (self.STEPS + 1) * 2 * self.HIDDEN * self.WINDOWS
+        joined = tape.leaf(np.ones(size))
+        states, terminals = lstm._views(joined, self.STEPS, self.HIDDEN, self.WINDOWS, 2)
+        loss = None
+        for view in [states] + [t for s in terminals for t in (s.h, s.c)]:
+            loss = total(view) if loss is None else loss + total(view)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, tape.grad(joined), joined.values.nbytes
+
+    def test_gradients_equal_full_size_parts_bitwise(self, monkeypatch):
+        grads = self.run_gradients()
+        monkeypatch.setattr(lstm, "segment", dense_segment)
+        for got, expect in zip(grads, self.run_gradients()):
+            assert np.array_equal(got, expect)
+
+    def test_views_add_into_one_buffer(self, monkeypatch):
+        # The states view's own gradient and one buffer are all the
+        # full-size arrays; a full-size zero array per view, summed by the
+        # tape, doubles the peak.
+        peak, grad, full = self.views_peak()
+        monkeypatch.setattr(lstm, "segment", dense_segment)
+        dense_peak, dense_grad, _ = self.views_peak()
+        assert np.array_equal(grad, dense_grad)
+        assert peak < 2.2 * full < dense_peak
 
 
 class TestSequences:

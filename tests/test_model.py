@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from loadcast import verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
@@ -335,6 +336,22 @@ class TestForward:
             tape = Tape()
             forward(bind(init_params(config), tape), config, [sample])
             assert len(tape) == expected[variant], variant
+
+    def test_gradient_check_runs_two_passes_per_parameter_scalar(self, monkeypatch):
+        # The gate's finite-difference check probes every scalar: one taped
+        # pass for the analytic gradients, then +h and -h for each of the
+        # tiny model's 996 parameters.
+        config, sample = tiny_model_case()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "forward", counted)
+        verify.model_gradient_report(config, sample)
+        assert sum(leaf.size for _name, leaf in named_leaves(init_params(config))) == 996
+        assert len(calls) == 1 + 2 * 996
 
     def test_window_tape_is_freed_without_the_cycle_collector(self):
         # Nothing a window records may hold the tape in a reference cycle;

@@ -103,6 +103,17 @@ class TestForwardValues:
             hadamard(big, big)
         assert len(tape) == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_constant_op_outputs_are_scanned(self):
+        # Only views of scanned values skip the scan; an op whose operands
+        # are all constants still checks what it computed.
+        big = Tensor([[1e308]])
+        with pytest.raises(EvaluationError):
+            hadamard(big, big)
+        with pytest.raises(EvaluationError):
+            matmul(big, big)
+
     @given(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=8),
            st.floats(-100.0, 100.0))
     @settings(max_examples=60, deadline=None)
@@ -167,6 +178,22 @@ class TestBackward:
             segment(x, 2, 5)
         with pytest.raises(DimensionError):
             segment(x, 0, 4, (3,))
+
+    def test_segment_parts_add_into_a_buffer_of_their_own(self):
+        # x gets, in backward order: add's gradient, which y shares, then a
+        # part, a whole gradient and a part.  The parts must not write into
+        # the array y holds.
+        tape = Tape()
+        x, y = tape.leaf([1.0, 2.0, 3.0, 4.0]), tape.leaf(np.zeros(4))
+        head = segment(x, 0, 3)
+        mid = scale(x, 3.0)
+        tail = segment(x, 2, 4)
+        both = add(x, y)
+        loss = add(add(total(hadamard(head, Tensor([1.0, 2.0, 3.0]))), total(mid)),
+                   add(total(hadamard(tail, Tensor([10.0, 20.0]))), total(both)))
+        tape.backward(loss)
+        npt.assert_array_equal(tape.grad(x), [5.0, 6.0, 17.0, 24.0])
+        npt.assert_array_equal(tape.grad(y), np.ones(4))
 
     def test_segment_takes_the_view_shape(self):
         tape = Tape()
