@@ -298,19 +298,21 @@ def _column(weights, k):
     return None if weights is None else np.array(weights[..., k])
 
 
-def forward(params, config, samples, collect_attention=False):
+def forward(params, config, samples, collect_attention=False, encoding=None):
     """Encode the histories of `samples`, a nonempty list of windows, decode
     their forecast days, and return the forecasts as one pass.
 
     The observed future loads in the samples are never read; only the
-    histories and the future features drive the output.
+    histories and the future features drive the output.  A given `encoding`
+    replaces the encoder run and must be what `encode` gives these inputs.
     """
     if not samples:
         raise DimensionError("a forward pass needs at least one window")
     steps, width = config.history_len, config.n_features
     hist_features = _stacked(samples, "x_hist", (steps, width))
-    encoding = encode(params, config, hist_features, _stacked(samples, "y_hist", (steps,)),
-                      collect_attention)
+    if encoding is None:
+        encoding = encode(params, config, hist_features,
+                          _stacked(samples, "y_hist", (steps,)), collect_attention)
     decoding = decode(params, config, encoding, hist_features,
                       _stacked(samples, "x_future", (config.horizon, width)),
                       collect_attention)

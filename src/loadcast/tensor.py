@@ -433,8 +433,8 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
     `program(leaves)` must build and return a scalar loss tensor from
     `leaves`, a dict mapping parameter names to watched tensors; `params`
     maps the same names to arrays.  Each scalar is perturbed by +-h and the
-    relative error is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8).  A program
-    with no parameters passes vacuously.
+    relative error is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8), inf if g_ad
+    is not finite.  A program with no parameters passes vacuously.
     """
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
@@ -474,7 +474,9 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
             f_minus = loss_at()
             flat[i] = saved
             fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(ad_flat[i] - fd) / max(abs(ad_flat[i]), abs(fd), REL_ERROR_FLOOR)
+            ad = ad_flat[i]
+            rel = (abs(ad - fd) / max(abs(ad), abs(fd), REL_ERROR_FLOOR)
+                   if math.isfinite(ad) else math.inf)
             if rel > param_worst:
                 param_worst = rel
         per_param[name] = param_worst

@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import WindowSample
 from .metrics import compute_metrics
-from .model import ModelConfig, forward, init_params, predict
+from .errors import LoadcastError
+from .model import ModelConfig, encode, forward, init_params, predict
 from .params import map_leaves, named_leaves
 from .tensor import (check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
@@ -51,13 +52,29 @@ def tiny_model_case(variant="ANLF", seed=8):
 
 
 def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
-    """Finite-difference check of the full window MSE against every parameter."""
+    """Finite-difference check of the full window MSE against every parameter.
+
+    A constant probe whose `feature_attn` and `encoder` leaves are byte for
+    byte the previous constant probe's reuses its `Encoding`, as the probes
+    of the temporal attention, decoder and head scalars do.  `encode` is a
+    pure function of those leaves, the window and the config, so every loss
+    is bitwise that of a fresh encoder run.  The taped pass always encodes.
+    """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
+    encoder_side = [name for name in arrays if name.startswith(("feature_attn.", "encoder."))]
+    history = sample.x_hist[..., np.newaxis], sample.y_hist[:, np.newaxis]
+    last = {}  # the previous constant probe's encoder leaf bytes and `Encoding`
 
     def program(leaves):
         bound = map_leaves(template, lambda name, _leaf: leaves[name])
-        output = forward(bound, config, [sample]).output
+        encoding = None
+        if leaves[encoder_side[0]].tape is None:
+            key = b"".join(leaves[name].values.tobytes() for name in encoder_side)
+            if last.get("key") != key:
+                last.update(key=key, encoding=encode(bound, config, *history))
+            encoding = last["encoding"]
+        output = forward(bound, config, [sample], encoding=encoding).output
         return mse_loss(output, sample.y_future[:, np.newaxis])
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)
@@ -223,12 +240,15 @@ def _check_metric_values():
 
 
 def run_all_checks():
-    """Run every verification check; returns a list of CheckResult."""
-    return [
-        _check_basic_gradients(),
-        _check_softmax(),
-        _check_lstm_oracle(),
-        _check_model_gradients(),
-        _check_attention_normalization(),
-        _check_metric_values(),
-    ]
+    """Run every verification check; returns a list of CheckResult.  A check
+    that raises a `LoadcastError` fails with the error's text."""
+    results = []
+    for check in (_check_basic_gradients, _check_softmax, _check_lstm_oracle,
+                  _check_model_gradients, _check_attention_normalization,
+                  _check_metric_values):
+        try:
+            results.append(check())
+        except LoadcastError as err:
+            name = check.__name__.removeprefix("_check_").replace("_", " ")
+            results.append(CheckResult(name, False, f"{type(err).__name__}: {err}"))
+    return results

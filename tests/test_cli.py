@@ -14,17 +14,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loadcast.attention
 import loadcast.cli as cli
+import loadcast.lstm
 import loadcast.model
 import loadcast.tensor
 import loadcast.training
+import loadcast.verify
 from loadcast.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
 from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
                            write_records_csv)
+from loadcast.errors import EvaluationError
 from loadcast.model import init_params
 from loadcast.training import WINDOWS_PER_PASS
-from loadcast.verify import CheckResult, _check_basic_gradients
+from loadcast.verify import CheckResult, _check_basic_gradients, _check_model_gradients
 
 # Seed 4 draws a model whose ReLU head stays live, so the epochs differ.
 TINY_CONFIG = """
@@ -528,3 +532,25 @@ class TestVerify:
 
     def test_passes_unfaulted(self):
         assert _check_basic_gradients().passed
+
+    def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
+        # A NaN analytic gradient must fail the check, not compare false
+        # against the tolerance and pass.
+        for module in (loadcast.tensor, loadcast.lstm, loadcast.attention):
+            monkeypatch.setattr(module, "_tanh_grad", lambda out, g: np.full_like(out, np.nan))
+        assert not _check_basic_gradients().passed
+        report = _check_model_gradients()
+        assert not report.passed and report.detail == "max rel error inf"
+
+    def test_a_check_that_raises_is_reported_and_the_rest_still_run(self, monkeypatch,
+                                                                    capsys):
+        def _check_model_gradients():
+            raise EvaluationError("non-finite loss at a perturbed point")
+
+        monkeypatch.setattr(loadcast.verify, "_check_model_gradients", _check_model_gradients)
+        assert main(["verify"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "FAIL  model gradients" in out
+        assert "EvaluationError: non-finite loss at a perturbed point" in out
+        assert "PASS  metric hand values" in out
+        assert "5/6 checks passed" in out

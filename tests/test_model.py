@@ -9,14 +9,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadcast import verify
+from loadcast import model, verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
 from loadcast.model import (VARIANTS, ModelConfig, forward, init_params,
                             predict)
-from loadcast.params import bind, bind_constants, named_leaves
-from loadcast.tensor import Tape
+from loadcast.params import bind, bind_constants, map_leaves, named_leaves
+from loadcast.tensor import Tape, check_gradients
 from loadcast.training import mse_loss
 from loadcast.verify import tiny_model_case
 
@@ -32,6 +32,13 @@ def random_sample(config, seed):
         x_future=rng.normal(size=(config.horizon, config.n_features)),
         y_future=rng.normal(size=config.horizon),
         start=datetime(2022, 1, 5))
+
+
+def encoding_arrays(encoding):
+    """Every array an `Encoding` holds."""
+    states = [encoding.terminal_forward, encoding.terminal_backward]
+    return [encoding.states.values] + [tensor.values for state in states
+                                       if state is not None for tensor in (state.h, state.c)]
 
 
 def numpy_forward(params, config, sample):
@@ -352,6 +359,57 @@ class TestForward:
         verify.model_gradient_report(config, sample)
         assert sum(leaf.size for _name, leaf in named_leaves(init_params(config))) == 996
         assert len(calls) == 1 + 2 * 996
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
+                                                                        monkeypatch):
+        # Reference: every probe runs `forward` alone, encoder included.
+        config, sample = tiny_model_case(variant)
+        template = init_params(config)
+        arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
+
+        def program(leaves):
+            bound = map_leaves(template, lambda name, _leaf: leaves[name])
+            return mse_loss(forward(bound, config, [sample]).output,
+                            sample.y_future[:, np.newaxis])
+
+        expect = check_gradients(program, arrays, h=1e-5, tolerance=1e-4)
+        encodings = []
+
+        def kept(*args, **kwargs):
+            encoding = model.encode(*args, **kwargs)
+            encodings.append((encoding, [np.array(a) for a in encoding_arrays(encoding)]))
+            return encoding
+
+        monkeypatch.setattr(verify, "encode", kept)
+        report = verify.model_gradient_report(config, sample)
+        assert report.max_rel_error == expect.max_rel_error
+        assert report.per_param == expect.per_param
+        # Decode never writes into the encoding that later probes reuse.
+        for encoding, copies in encodings:
+            for array, copy in zip(encoding_arrays(encoding), copies):
+                npt.assert_array_equal(array, copy, strict=True)
+
+    def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, monkeypatch):
+        # One taped pass, +h and -h for each of the 342 feature-attention
+        # and encoder scalars, then one run for the first probe after them;
+        # the other 1,308 probes reuse that encoding.
+        config, sample = tiny_model_case()
+        calls = []
+        encode = model.encode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode", counted)
+        monkeypatch.setattr(verify, "encode", counted)
+        verify.model_gradient_report(config, sample)
+        params = init_params(config)
+        encoder_side = [leaf.size for block in (params.feature_attn, params.encoder)
+                        for _name, leaf in named_leaves(block)]
+        assert sum(encoder_side) == 342
+        assert len(calls) == 1 + 2 * 342 + 1
 
     def test_window_tape_is_freed_without_the_cycle_collector(self):
         # Nothing a window records may hold the tape in a reference cycle;

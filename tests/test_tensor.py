@@ -1,5 +1,8 @@
 """Tensor ops against hand values and central finite differences."""
 
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -348,6 +351,22 @@ class TestCheckGradients:
 
         fd_check(program, {name: weights.normal(size=(4, 4))
                            for name in ("w1", "w2", "w3")})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_analytic_gradient_fails(self, bad):
+        # A rel error of NaN compares false against any bound, so a NaN
+        # gradient scored that way would pass; inf would warn on inf / inf.
+        def program(leaves):
+            x = leaves["x"]
+            broken = fused_op(2.0 * x.values, (x,), lambda g: (np.full(x.shape, bad),))
+            return total(broken) + total(hadamard(leaves["y"], leaves["y"]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_gradients(program, {"x": np.ones(3), "y": np.arange(2.0)})
+        assert not report.passed
+        assert report.max_rel_error == math.inf
+        assert report.per_param["x"] == math.inf and report.per_param["y"] <= 1e-6
 
     def test_perturbed_points_record_nothing(self):
         """Only the first evaluation of the program is taped; every perturbed
