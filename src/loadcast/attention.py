@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
-from .tensor import (Tensor, _softmax_grad, _tanh_grad, as_tensor, concat, hadamard,
-                     matmul, reshape, softmax_values, stable_softmax, tanh)
+from .tensor import (Tensor, _softmax_grad, _summed_outer, _tanh_grad, as_tensor, concat,
+                     hadamard, matmul, reshape, softmax_values, stable_softmax, tanh)
 
 DISTANCE_EPSILON = 1e-8
 RECIPROCAL_CAP = 1e8
@@ -249,11 +249,6 @@ class _ScoredSweep:
         """Free the per-step store of a run that has no backward pass;
         `weights` stays."""
         self._joint = self._pre = self._squashed = self._scores = None
-
-
-def _summed_outer(a, b):
-    """Sum over steps t and windows k of outer(a[t, :, k], b[t, :, k])."""
-    return np.tensordot(a, b, axes=((0, 2), (0, 2)))
 
 
 class FeatureSweep(_ScoredSweep):

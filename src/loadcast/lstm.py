@@ -23,21 +23,21 @@ one direction over known inputs and `bilstm_sequence` both, each as one
 tape op whose output holds the states and each direction's c_T; the
 states and the terminal h and c are views of it.  A direction's step t is
 one product of the packed weights with [x_t; h_{t-1}] and the per-column
-arithmetic of the cell step (`_run`); its backward walks the steps in
-reverse only for the gate pre-activation gradients, then forms the
-weight, bias and input gradients with one product over every step of
-every window each (`_bptt`, `_walk`).  The forward direction of a
-bidirectional run may take its inputs from an attention sweep, whose
-numpy forward runs inside the loop and writes step t's input in place
-into the run's [x_t; h_{t-1}] scratch.  The backward direction reads the
-same inputs reversed; the op's backward walks it first, and its input
-gradient, reversed, is what arrives on the forward direction's inputs,
-which the sweep's backward, inside the reverse loop, turns into a
-contribution to the previous hidden state's.  A run none of whose
-operands is taped keeps only what the next step reads: the latest step's
-gate activations and cell state, and of the sweep's store only the
-attention weights.  `lstm_cell_step` stays the one-window single-step
-API.
+arithmetic of the cell step (`_run`), which keeps the gate activations as
+(steps, 4H, B).  Its backward walks the steps in reverse in that same
+layout for the gate pre-activation gradients (`_bptt`), then forms the
+weight, bias and input gradients with one product each over every step
+of every window (`_walk`).  The forward direction of a bidirectional run
+may take its inputs from an attention sweep, whose numpy forward runs
+inside the loop and writes step t's input in place into the run's
+[x_t; h_{t-1}] scratch.  The backward direction reads the same inputs
+reversed; the op's backward walks it first, and its input gradient,
+reversed, is what arrives on the forward direction's inputs, which the
+sweep's backward, inside the reverse loop, turns into a contribution to
+the previous hidden state's.  A run none of whose operands is taped
+keeps only what the next step reads: the latest step's gate activations
+and cell state, and of the sweep's store only the attention weights.
+`lstm_cell_step` stays the one-window single-step API.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Tensor, _sigmoid_grad, _tanh_grad, as_tensor, fused_op, matmul, relu,
-                     segment)
+from .tensor import (Tensor, _sigmoid_grad, _summed_outer, _tanh_grad, as_tensor, fused_op,
+                     matmul, relu, segment)
 
 
 @dataclass
@@ -133,14 +133,6 @@ def _cell(params):
     return weights, b_x, b_h
 
 
-def _check_shapes(params, input_shape, h, c):
-    width, hidden = params.input_size, params.hidden_size
-    if input_shape != (width,):
-        raise DimensionError(f"cell input shape {input_shape} does not match weights ({width},)")
-    if h.shape != (hidden,) or c.shape != (hidden,):
-        raise DimensionError(f"cell state shapes {h.shape}, {c.shape} do not match ({hidden},)")
-
-
 def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
@@ -148,8 +140,12 @@ def lstm_cell_step(params, prev, x):
     """
     weights, b_x, b_h = _cell(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
-    _check_shapes(params, x.shape, h_prev, c_prev)
     hidden, width = params.hidden_size, params.input_size
+    if x.shape != (width,):
+        raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
+    if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
+        raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
+                             f"({hidden},)")
     w = weights.values
     z = np.concatenate((x.values, h_prev.values))
     cand_rows = slice(2 * hidden, 3 * hidden)
@@ -244,58 +240,39 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     return act, c_seq
 
 
-def _rows(a):
-    """The (steps, n, B) array `a` as (steps * B, n) rows, one per step and
-    window, step-major: a copy unless B is 1."""
-    return np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(-1, a.shape[1])
-
-
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
-    """Walk the steps of `_run` in reverse for the gate pre-activation
-    gradients; returns them as (steps * B, 4H) rows, step-major, with dh_0
-    and dc_0.
-
-    The walk keeps one row per window, so every per-step array is
-    contiguous.  With a sweep, step t's input gradient (the gate part plus
-    `grad_x[t]`, what arrives on x_t from outside) goes through
-    `sweep.backward`, whose result joins the recurrent gradient for
-    h_{t-1}.
+    """Walk the steps of `_run` in reverse, reading its arrays as it wrote
+    them, for the gate pre-activation gradients; returns them in `_run`'s
+    (steps, 4H, B) layout, with dh_0 and dc_0.  With a sweep, step t's
+    input gradient (the gate part plus `grad_x[t]`, what arrives on x_t
+    from outside) goes through `sweep.backward`, whose (H, B) result joins
+    the recurrent gradient for h_{t-1}.
     """
     steps, hidden, windows = grad_h.shape
     width = w.shape[1] - hidden
-    if sweep is None:
-        w = np.ascontiguousarray(w[:, width:])
+    w_t = np.ascontiguousarray((w[:, width:] if sweep is None else w).T)
     i, f, cand, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
     tanh_c = np.tanh(c_seq[1:])
     # Everything but dh and dc, for all steps at once: d_pre starts as each
     # gate's slope times the other factor of its product, so step t only
     # scales it by dc (the i, f and g gates) or dh (the o gate).
-    d_pre = np.empty((steps, windows, 4 * hidden))
-    np.subtract(1.0, act.transpose(0, 2, 1), out=d_pre)
-    d_pre *= act.transpose(0, 2, 1)
-    gates = d_pre.reshape(steps, windows, 4, hidden)
-    np.subtract(1.0, np.square(cand.transpose(0, 2, 1)), out=gates[:, :, 2])
+    d_pre = np.subtract(1.0, act)
+    d_pre *= act
+    gates = d_pre.reshape(steps, 4, hidden, windows)
+    np.subtract(1.0, np.square(cand), out=gates[:, 2])
     for k, factor in enumerate((cand, c_seq[:-1], i, tanh_c)):
-        gates[:, :, k] *= factor.transpose(0, 2, 1)
-    o_slope = _rows(_tanh_grad(tanh_c, o)).reshape(steps, windows, hidden)
-    f = _rows(f).reshape(steps, windows, hidden)
-    grad_h = _rows(grad_h).reshape(steps, windows, hidden)
-    if sweep is not None:
-        grad_x = _rows(grad_x).reshape(steps, windows, width)
-    dc = np.ascontiguousarray(dc.T)
-    dh_next = np.zeros((windows, hidden))
+        gates[:, k] *= factor
+    o_slope = _tanh_grad(tanh_c, o)
+    dh_next = np.zeros((hidden, windows))
     for t in range(steps - 1, -1, -1):
         dh = grad_h[t] + dh_next
         dc = dc + dh * o_slope[t]
-        gates[t, :, :3] *= dc[:, np.newaxis]
-        gates[t, :, 3] *= dh
-        if sweep is None:
-            dh_next = d_pre[t] @ w
-        else:
-            dz = d_pre[t] @ w
-            dh_next = dz[:, width:] + sweep.backward(t, (dz[:, :width] + grad_x[t]).T).T
+        gates[t, :3] *= dc
+        gates[t, 3] *= dh
+        dz = w_t @ d_pre[t]
+        dh_next = dz if sweep is None else dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
         dc = dc * f[t]
-    return d_pre.reshape(steps * windows, 4 * hidden), dh_next.T, dc.T
+    return d_pre, dh_next, dc
 
 
 def _direction(params, init, shape):
@@ -334,17 +311,18 @@ def _start(operands, z, sweep=None, history=True):
 
 def _walk(run, grad_h, dc, d_x, sweep=None):
     """The gradients of a `_start` run's weights, b_x, b_h, h_0 and c_0
-    from those of its states and c_T.  Without a sweep, the gradient of its
+    from those of its states and c_T, reading `_bptt`'s (steps, 4H, B)
+    gate gradients as they are.  Without a sweep, the gradient of its
     (steps, width, B) inputs is added into `d_x` unless that is None; with
     one, `d_x` is what arrives on the inputs from outside."""
     w, z, act, c_seq = run
     d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, dc, sweep, d_x)
+    # The summed outer product copies d_pre; the activations go first.
+    del run, act, c_seq
     if sweep is None and d_x is not None:
-        steps, hidden, windows = grad_h.shape
-        width = w.shape[1] - hidden
-        d_x += (d_pre @ w[:, :width]).reshape(steps, windows, width).transpose(0, 2, 1)
-    d_bias = d_pre.sum(axis=0)
-    return d_pre.T @ _rows(z[:-1]), d_bias, d_bias.copy(), dh0, dc0
+        d_x += np.matmul(w[:, :z.shape[1] - grad_h.shape[1]].T, d_pre)
+    d_bias = d_pre.sum(axis=(0, 2))
+    return _summed_outer(d_pre, z[:-1]), d_bias, d_bias.copy(), dh0, dc0
 
 
 def _views(joined, steps, hidden, windows, directions):

@@ -262,6 +262,11 @@ def _tanh_grad(out, g):
     return g * (1.0 - out * out)
 
 
+def _summed_outer(a, b):
+    """Sum over steps t and windows k of outer(a[t, :, k], b[t, :, k])."""
+    return np.tensordot(a, b, axes=((0, 2), (0, 2)))
+
+
 def _relu_grad(x, g):
     # relu'(0) is taken as 0.
     return np.where(x > 0.0, g, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -355,7 +356,8 @@ def taped_sequence(run, params, init, xs, probe):
     h0, c0 = tape.leaf(init.h.values), tape.leaf(init.c.values)
     inputs = tape.leaf(xs)
     states, terminal = run(leaves, inputs, LstmState(h0, c0))
-    flat = concat([reshape(states, (states.values.size,)), terminal.h, terminal.c])
+    flat = concat([reshape(part, (part.values.size,))
+                   for part in (states, terminal.h, terminal.c)])
     tape.backward(total(hadamard(flat, Tensor(probe))))
     grads = {name: tape.grad(leaf) for name, leaf in named_leaves(leaves)}
     grads.update(x=tape.grad(inputs), h0=tape.grad(h0), c0=tape.grad(c0))
@@ -393,20 +395,39 @@ class TestSequenceOp:
             assert rel_diff(terminal.c.values, ref_terminal.c.values) <= 1e-12
 
     def test_gradients_match_stepped_cells(self):
+        # Each window against its own stepped cells: its states, terminal
+        # state and input and state gradients are its columns, and the
+        # parameter gradients are the sums over windows.
         rng = np.random.default_rng(24)
         shapes = [(1, 1, 1), (1, 4, 3), (5, 1, 2), (5, 2, 1)]
         shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(30)]
-        for steps, width, hidden in shapes:
-            params, init, xs = random_sequence(rng, steps, width, hidden)
-            probe = rng.normal(size=(steps + 2) * hidden)
-            *values, grads = taped_sequence(one_window, params, init, xs, probe)
-            *ref_values, ref_grads = taped_sequence(stepped_sequence, params, init, xs, probe)
-            for value, ref in zip(values, ref_values):
-                assert rel_diff(value, ref) <= 1e-12
-            assert len(grads) == 3 + 3 and grads.keys() == ref_grads.keys()
-            for name, grad in grads.items():
-                assert grad.shape == ref_grads[name].shape, name
-                assert rel_diff(grad, ref_grads[name]) <= 1e-12, (steps, width, hidden, name)
+        for windows in (1, 2, 4):
+            for steps, width, hidden in shapes:
+                params = LstmParams.random(rng, width, hidden, bound=1.0)
+                h0, c0 = rng.normal(size=(2, hidden, windows))
+                xs = rng.normal(size=(steps, width, windows))
+                probe = rng.normal(size=(steps + 2, hidden, windows))
+                *values, grads = taped_sequence(lstm_sequence, params,
+                                                LstmState(Tensor(h0), Tensor(c0)), xs,
+                                                probe.reshape(-1))
+                assert len(grads) == 3 + 3
+                case = (windows, steps, width, hidden)
+                sums = {name: 0.0 for name in ("weights", "b_x", "b_h")}
+                for k in range(windows):
+                    *ref_values, ref_grads = taped_sequence(
+                        stepped_sequence, params, LstmState(Tensor(h0[:, k]), Tensor(c0[:, k])),
+                        xs[..., k], probe[..., k].reshape(-1))
+                    for value, ref in zip(values, ref_values):
+                        assert rel_diff(value[..., k], ref) <= 1e-12, case
+                    for name, ref in ref_grads.items():
+                        if name in sums:
+                            sums[name] += ref
+                        else:
+                            assert grads[name][..., k].shape == ref.shape, name
+                            assert rel_diff(grads[name][..., k], ref) <= 1e-12, (case, name, k)
+                for name, ref in sums.items():
+                    assert grads[name].shape == ref.shape, name
+                    assert rel_diff(grads[name], ref) <= 1e-12, (case, name)
 
     def test_gradients_in_inputs_and_state_match_finite_differences(self):
         rng = np.random.default_rng(25)
@@ -506,6 +527,31 @@ class TestSequenceOp:
         assert kept[0].shape == (steps, 2 * hidden, windows)
         assert retained <= output + scratch // 4
 
+    def test_walk_frees_its_activations_before_the_weight_product(self, monkeypatch):
+        # The summed outer product copies the gate gradients, so each
+        # direction's walk drops that run's activations before it; the
+        # backward direction is walked first.
+        refs, dead = [], []
+        run, summed_outer = lstm._run, lstm._summed_outer
+
+        def kept(*args, **kwargs):
+            act, c_seq = run(*args, **kwargs)
+            refs.append(weakref.ref(act))
+            return act, c_seq
+
+        def product(a, b):
+            dead.append([ref() is None for ref in refs])
+            return summed_outer(a, b)
+
+        monkeypatch.setattr(lstm, "_run", kept)
+        monkeypatch.setattr(lstm, "_summed_outer", product)
+        tape = Tape()
+        cell = bind(BiLstmParams.random(np.random.default_rng(30), 3, 2, bound=1.0), tape)
+        init = zero_state(2, 3)
+        states, _ = bilstm_sequence(cell, tape.leaf(np.ones((5, 3, 3))), init, init)
+        tape.backward(total(states))
+        assert dead == [[False, True], [True, True]]
+
     def test_shape_errors(self):
         params = LstmParams.zeros(3, 2)
         with pytest.raises(DimensionError):
@@ -521,27 +567,31 @@ class TestSequenceOp:
             bilstm_sequence(bi, Tensor(np.zeros((1, 4, 1))), one_state(2), one_state(2))
 
     def test_bilstm_matrix_matches_sweep(self):
+        # With 3 windows, hidden 3 and width 2, a sweep gradient transposed
+        # on the way in or out is wrong in value or in shape.
         rng = np.random.default_rng(27)
-        params = BiLstmParams.random(rng, 2, 3, bound=0.8)
-        xs = rng.normal(size=(6, 2, 1))
-        probe = rng.normal(size=(6, 6, 1))
-        results = []
-        for as_matrix in (True, False):
-            tape = Tape()
-            leaves = bind(params, tape)
-            inputs = tape.leaf(xs)
-            step_inputs = inputs if as_matrix else FixedSweep(inputs, 3)
-            joined, (term_f, term_b) = bilstm_sequence(leaves, step_inputs,
-                                                       one_state(3), one_state(3))
-            tape.backward(total(hadamard(joined, Tensor(probe))))
-            grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
-            grads.append(tape.grad(inputs))
-            results.append((joined.values, term_f.c.values, term_b.c.values, grads))
-        (*values, grads), (*ref_values, ref_grads) = results
-        for value, ref in zip(values, ref_values):
-            assert rel_diff(value, ref) <= 1e-12
-        for grad, ref in zip(grads, ref_grads):
-            assert rel_diff(grad, ref) <= 1e-12
+        for windows in (1, 3):
+            params = BiLstmParams.random(rng, 2, 3, bound=0.8)
+            xs = rng.normal(size=(6, 2, windows))
+            probe = rng.normal(size=(6, 6, windows))
+            results = []
+            for as_matrix in (True, False):
+                tape = Tape()
+                leaves = bind(params, tape)
+                inputs = tape.leaf(xs)
+                step_inputs = inputs if as_matrix else FixedSweep(inputs, 3)
+                init = zero_state(3, windows)
+                joined, (term_f, term_b) = bilstm_sequence(leaves, step_inputs, init, init)
+                tape.backward(total(hadamard(joined, Tensor(probe))))
+                grads = [tape.grad(leaf) for _name, leaf in named_leaves(leaves)]
+                grads.append(tape.grad(inputs))
+                results.append((joined.values, term_f.c.values, term_b.c.values, grads))
+            (*values, grads), (*ref_values, ref_grads) = results
+            for value, ref in zip(values, ref_values):
+                assert rel_diff(value, ref) <= 1e-12
+            for grad, ref in zip(grads, ref_grads):
+                assert grad.shape == ref.shape
+                assert rel_diff(grad, ref) <= 1e-12
 
 
 def dense_segment(x, start, stop, shape=None):
