@@ -45,9 +45,10 @@ def main():
           f"{np.abs(doubled - 2.0 * single).max():.1e}")
 
     # check_gradients runs program(leaves) once on watched leaves for the
-    # gradient, then once per perturbed point on constant leaves, and
-    # compares the tape's gradient against central differences, scalar by
-    # scalar.
+    # gradient, then once per perturbed point on one mapping of constant
+    # leaves, wrapped once and perturbed in place (so program must not
+    # modify it), and compares the tape's gradient against central
+    # differences, scalar by scalar.
     def program(leaves):
         return total(tanh(matmul(leaves["w"], x)))
 

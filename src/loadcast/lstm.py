@@ -37,7 +37,9 @@ sweep's backward, inside the reverse loop, turns into a contribution to
 the previous hidden state's.  A run none of whose operands is taped
 keeps only what the next step reads: the latest step's gate activations
 and cell state, and of the sweep's store only the attention weights.
-`lstm_cell_step` stays the one-window single-step API.
+`lstm_cell_step` stays the one-window single-step API.  The head,
+`feedforward_relu`, is one tape op over every window's stacked states,
+whose rule chains the `matmul` and `relu` gradients.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Tensor, _sigmoid_grad, _summed_outer, _tanh_grad, as_tensor, fused_op,
-                     matmul, relu, segment)
+from .tensor import (Tensor, _matmul_grad_left, _matmul_grad_right, _relu_grad,
+                     _require_finite, _require_matmul, _sigmoid_grad, _summed_outer, _tanh_grad,
+                     as_tensor, fused_op, segment)
 
 
 @dataclass
@@ -448,10 +451,28 @@ class FeedForwardParams:
 
 def feedforward_relu(params, stacked):
     """Linear, ReLU, linear projection of the stacked decoder states: one
-    column per window in, one forecast column per window out."""
+    column per window in, one forecast column per window out.
+
+    One tape op computing out @ relu(hidden @ stacked), whose rule chains
+    the gradient rules of `matmul` and `relu`.  The pre-activation is scanned
+    for non-finite entries, since the ReLU would hide a -inf.
+    """
     stacked = as_tensor(stacked)
     width = params.hidden.shape[1]
     if stacked.values.ndim != 2 or stacked.shape[0] != width:
         raise DimensionError(
             f"head input shape {stacked.shape} does not match weights ({width}, windows)")
-    return matmul(params.out, relu(matmul(params.hidden, stacked)))
+    hidden, out = as_tensor(params.hidden), as_tensor(params.out)
+    _require_matmul(hidden.shape, stacked.shape)
+    w_hidden, w_out, x = hidden.values, out.values, stacked.values
+    pre = w_hidden @ x
+    _require_finite(pre)
+    act = np.maximum(pre, 0.0)
+    _require_matmul(out.shape, act.shape)
+
+    def rule(g):
+        d_pre = _relu_grad(pre, _matmul_grad_right(g, w_out, act))
+        return (_matmul_grad_left(d_pre, w_hidden, x), _matmul_grad_left(g, w_out, act),
+                _matmul_grad_right(d_pre, w_hidden, x))
+
+    return fused_op(w_out @ act, (hidden, out, stacked), rule)

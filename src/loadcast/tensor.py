@@ -12,12 +12,14 @@ returns a gradient for each operand.  Parts of a flat output, such as the
 states of a sequence run, are taken with `segment`, which also gives the
 part its shape; the gradients of the parts of one output add into one
 buffer.  `check_gradients` runs `program(leaves)` once on watched leaves
-and then on constants at every perturbed point.
+and then at every perturbed point on one mapping of constants, wrapped
+once and perturbed in place, so a probe pays only for its program.
 
 Every array a tensor is built from, and every array an op computes, is
 scanned once for non-finite entries, which raise `EvaluationError`.  Only
 views of an already-scanned array (`segment`, `reshape`) and known zeros
-skip a second scan.
+skip a second scan; a perturbed point of `check_gradients` scans only the
+scalar it changed.
 
 A tape is meant to live for exactly one forward/backward pass and is
 rebuilt from scratch for the next one.  Tensors themselves are safe to
@@ -44,8 +46,8 @@ class Tensor:
 
     def __init__(self, values, tape=None, node=None, scanned=False):
         arr = np.asarray(values, dtype=np.float64)
-        if not (scanned or np.logical_and.reduce(np.isfinite(arr), axis=None)):
-            raise EvaluationError("non-finite values in tensor")
+        if not scanned:
+            _require_finite(arr)
         self.values = arr
         self.tape = tape
         self.node = node
@@ -76,6 +78,12 @@ class Tensor:
     def __repr__(self):
         tag = "const" if self.tape is None else f"node {self.node}"
         return f"Tensor({tag}, shape={self.shape})"
+
+
+def _require_finite(arr):
+    """Raise `EvaluationError` unless every entry of `arr` is finite."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise EvaluationError("non-finite values in tensor")
 
 
 def as_tensor(values):
@@ -214,14 +222,18 @@ def matmul(a, b):
     dB = A^T G (with the obvious vector specializations).
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim not in (1, 2) or b.values.ndim not in (1, 2):
-        raise DimensionError(
-            f"matmul expects 1-D or 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    _require_matmul(a.shape, b.shape)
     av, bv = a.values, b.values
     return fused_op(av @ bv, (a, b), lambda g: (_matmul_grad_left(g, av, bv),
                                                 _matmul_grad_right(g, av, bv)))
+
+
+def _require_matmul(a_shape, b_shape):
+    """Raise `DimensionError` unless `matmul` takes operands of these shapes."""
+    if len(a_shape) not in (1, 2) or len(b_shape) not in (1, 2):
+        raise DimensionError(f"matmul expects 1-D or 2-D operands, got {a_shape} @ {b_shape}")
+    if a_shape[-1] != b_shape[0]:
+        raise DimensionError(f"matmul inner extents differ: {a_shape} @ {b_shape}")
 
 
 def _matmul_grad_left(g, av, bv):
@@ -436,10 +448,14 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
     """Compare the tape's gradients of `program` with central differences.
 
     `program(leaves)` must build and return a scalar loss tensor from
-    `leaves`, a dict mapping parameter names to watched tensors; `params`
-    maps the same names to arrays.  Each scalar is perturbed by +-h and the
-    relative error is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8), inf if g_ad
-    is not finite.  A program with no parameters passes vacuously.
+    `leaves`, a dict mapping parameter names to tensors, and must not
+    modify it; `params` maps the same names to arrays.  The first call gets
+    watched leaves, for the gradients.  Every perturbed point then gets one
+    and the same mapping of constants, wrapped (and so scanned) once, whose
+    arrays are perturbed in place: each scalar by +-h, and only the scalar
+    changed is checked to be finite.  The relative error is |g_ad - g_fd| /
+    max(|g_ad|, |g_fd|, 1e-8), inf if g_ad is not finite.  A program with
+    no parameters passes vacuously.
     """
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
@@ -454,29 +470,30 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
                                step=h)
     tape.backward(loss)
     analytic = {name: tape.grad(t) for name, t in leaves.items()}
+    # Constants: only the value is read, so nothing is recorded.
+    consts = {name: Tensor(np.array(arr, dtype=np.float64, order="C"))
+              for name, arr in params.items()}
 
-    work = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
-
-    def loss_at():
-        # Constants: only the value is read, so nothing is recorded.
-        out = program({name: Tensor(arr) for name, arr in work.items()})
-        value = float(out.values)
+    def loss_at(flat, i, value):
+        # The other scalars were scanned when wrapped; only this one is new.
+        if not math.isfinite(value):
+            raise EvaluationError("non-finite values in tensor")
+        flat[i] = value
+        value = float(program(consts).values)
         if not math.isfinite(value):
             raise EvaluationError("non-finite loss at a perturbed point")
         return value
 
     per_param = {}
     worst = 0.0
-    for name, arr in work.items():
-        flat = arr.reshape(-1)
+    for name, leaf in consts.items():
+        flat = leaf.values.reshape(-1)
         ad_flat = analytic[name].reshape(-1)
         param_worst = 0.0
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + h
-            f_plus = loss_at()
-            flat[i] = saved - h
-            f_minus = loss_at()
+            f_plus = loss_at(flat, i, saved + h)
+            f_minus = loss_at(flat, i, saved - h)
             flat[i] = saved
             fd = (f_plus - f_minus) / (2.0 * h)
             ad = ad_flat[i]

@@ -24,7 +24,7 @@ from .errors import ConfigError, DimensionError, EvaluationError, TrainingError
 from .metrics import compute_metrics
 from .model import forward, init_params
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
-from .tensor import Tape, as_tensor, hadamard, scale, sub, total
+from .tensor import Tape, as_tensor, fused_op
 
 # Windows per untaped forward pass.  Wider passes cost less per window, but
 # a pass's working set grows with its width: at 8 an untaped pass peaks no
@@ -64,14 +64,27 @@ class TrainConfig:
 def mse_loss(pred, target):
     """Mean squared error between a prediction and its target: a vector, or
     a (horizon, B) matrix with one window per column, whose loss is then
-    the mean of the window MSEs."""
+    the mean of the window MSEs.
+
+    One tape op, with the arithmetic of `sub`, `hadamard`, `total` and
+    `scale` in turn and their gradients.  Only the loss is scanned: a
+    non-finite difference or square makes the sum of squares non-finite.
+    """
     pred = as_tensor(pred)
     target = as_tensor(target)
     if pred.values.ndim not in (1, 2) or pred.shape != target.shape:
         raise DimensionError(
             f"loss needs equal-shape vectors or matrices, got {pred.shape} and {target.shape}")
-    diff = sub(pred, target)
-    return scale(total(hadamard(diff, diff)), 1.0 / pred.values.size)
+    diff = pred.values - target.values
+    c = 1.0 / pred.values.size
+
+    def rule(g):
+        # `hadamard(diff, diff)` gives each of its operands diff * g * c.
+        half = diff * (g * c)
+        d_diff = half + half
+        return d_diff, -d_diff
+
+    return fused_op((diff * diff).sum() * c, (pred, target), rule)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .metrics import compute_metrics
 from .errors import LoadcastError
 from .model import ModelConfig, encode, forward, init_params, predict
 from .params import map_leaves, named_leaves
-from .tensor import (check_gradients, concat, hadamard, matmul, relu, sigmoid,
+from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
 from .training import mse_loss
 
@@ -55,20 +55,29 @@ def tiny_model_case(variant="ANLF", seed=8):
 def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     """Finite-difference check of the full window MSE against every parameter.
 
-    A constant probe whose `feature_attn` and `encoder` leaves are byte for
-    byte the previous constant probe's reuses its `Encoding`, as the probes
-    of the temporal attention, decoder and head scalars do.  `encode` is a
-    pure function of those leaves, the window and the config, so every loss
-    is bitwise that of a fresh encoder run.  The taped pass always encodes.
+    `check_gradients` hands every constant probe the same mapping, perturbed
+    in place, so the parameter tree over a mapping, like the target, is
+    built once.  A constant probe whose `feature_attn` and `encoder` leaves
+    are byte for byte the previous constant probe's reuses its `Encoding`,
+    as the probes of the temporal attention, decoder and head scalars do.
+    `encode` is a pure function of those leaves, the window and the config,
+    so every loss is bitwise that of a fresh encoder run.  The taped pass
+    always encodes.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
     encoder_side = [name for name in arrays if name.startswith(("feature_attn.", "encoder."))]
     history = sample.x_hist[..., np.newaxis], sample.y_hist[:, np.newaxis]
-    last = {}  # the previous constant probe's encoder leaf bytes and `Encoding`
+    target = Tensor(sample.y_future[:, np.newaxis])
+    # The latest mapping and its tree; the previous constant probe's encoder
+    # leaf bytes and `Encoding`.
+    last = {}
 
     def program(leaves):
-        bound = map_leaves(template, lambda name, _leaf: leaves[name])
+        if last.get("leaves") is not leaves:
+            last.update(leaves=leaves,
+                        bound=map_leaves(template, lambda name, _leaf: leaves[name]))
+        bound = last["bound"]
         encoding = None
         if leaves[encoder_side[0]].tape is None:
             key = b"".join(leaves[name].values.tobytes() for name in encoder_side)
@@ -76,7 +85,7 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
                 last.update(key=key, encoding=encode(bound, config, *history))
             encoding = last["encoding"]
         output = forward(bound, config, [sample], encoding=encoding).output
-        return mse_loss(output, sample.y_future[:, np.newaxis])
+        return mse_loss(output, target)
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)
 
@@ -166,7 +175,6 @@ def _check_lstm_oracle(instances=1000, tolerance=1e-12):
     steps: every h_t and the terminal c against the oracle stepped per
     window."""
     from .lstm import LstmParams, LstmState, lstm_cell_step, lstm_sequence
-    from .tensor import Tensor
 
     rng = np.random.default_rng(3)
     worst = 0.0

@@ -533,6 +533,13 @@ class TestVerify:
     def test_passes_unfaulted(self):
         assert _check_basic_gradients().passed
 
+    def test_detects_a_head_relu_rule_that_passes_every_gradient(self, monkeypatch):
+        # ANLF at `tiny_model_case` seed 8 has a head unit below the kink
+        # (pre-activation -0.058), so the gate sees the wrong rule.
+        assert _check_model_gradients().passed
+        monkeypatch.setattr(loadcast.lstm, "_relu_grad", lambda x, g: g)
+        assert not _check_model_gradients().passed
+
     def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
         # A NaN analytic gradient must fail the check, not compare false
         # against the tolerance and pass.

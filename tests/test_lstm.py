@@ -9,14 +9,14 @@ import numpy.testing as npt
 import pytest
 
 from loadcast import lstm
-from loadcast.errors import DimensionError
+from loadcast.errors import DimensionError, EvaluationError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            LstmState, _activate, _gate_form,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import (Tape, Tensor, _sigmoid_values, check_gradients, concat, fused_op,
-                             hadamard, matmul, reshape, segment, sigmoid, tanh, total)
+                             hadamard, matmul, relu, reshape, segment, sigmoid, tanh, total)
 from loadcast.verify import scalar_lstm_step
 
 
@@ -792,3 +792,64 @@ class TestFeedForwardHead:
         report = check_gradients(program, {"hidden": init.hidden, "out": init.out},
                                  tolerance=1e-5)
         assert report.passed
+
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_one_op_matches_the_composed_ops_bitwise(self, windows):
+        # Hidden unit 0 reads only stacked row 0, and window 0 holds 0 there:
+        # its pre-activation is exactly 0, at the ReLU's kink.
+        rng = np.random.default_rng(30 + windows)
+        hidden = rng.normal(size=(4, 5))
+        hidden[0], hidden[:, 0] = 0.0, 0.0
+        hidden[0, 0] = 1.0
+        stacked = rng.normal(size=(5, windows))
+        stacked[0] = np.abs(stacked[0]) + 0.5
+        stacked[0, 0] = 0.0
+        out = rng.normal(size=(3, 4))
+        weights = rng.normal(size=(3, windows))
+
+        def run(head):
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in (hidden, out, stacked)]
+            value = head(*leaves)
+            tape.backward(total(hadamard(value, Tensor(weights))))
+            return value.values, [tape.grad(leaf) for leaf in leaves], len(tape)
+
+        fused, fused_grads, fused_nodes = run(
+            lambda h, o, x: feedforward_relu(FeedForwardParams(hidden=h, out=o), x))
+        composed, composed_grads, composed_nodes = run(
+            lambda h, o, x: matmul(o, relu(matmul(h, x))))
+        assert composed_nodes - fused_nodes == 2
+        assert (hidden @ stacked)[0, 0] == 0.0 and np.any(hidden @ stacked < 0.0)
+        npt.assert_array_equal(fused, composed)
+        for got, want in zip(fused_grads, composed_grads):
+            npt.assert_array_equal(got, want)
+        d_stacked = fused_grads[2]
+        assert d_stacked[0, 0] == 0.0 and np.all(d_stacked[0, 1:] != 0.0)
+
+    def test_gradients_at_the_gate_tolerance(self):
+        rng = np.random.default_rng(19)
+        init = FeedForwardParams.random(rng, 6, 4, 3, bound=0.8)
+
+        def program(leaves):
+            params = FeedForwardParams(hidden=leaves["hidden"], out=leaves["out"])
+            return total(feedforward_relu(params, leaves["stacked"]))
+
+        report = check_gradients(program, {"hidden": init.hidden, "out": init.out,
+                                           "stacked": rng.normal(size=(6, 3))})
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_minus_inf_pre_activation_raises(self):
+        # The ReLU would map -inf to 0; the head must not.
+        params = FeedForwardParams(hidden=np.array([[-1e308, -1e308]]), out=np.array([[1.0]]))
+        with pytest.raises(EvaluationError):
+            feedforward_relu(params, Tensor(np.array([[1e308], [1e308]])))
+
+    def test_shape_errors_keep_their_messages(self):
+        params = FeedForwardParams(hidden=np.ones((2, 3)), out=np.ones((4, 5)))
+        with pytest.raises(DimensionError, match=r"head input shape \(2, 1\) does not match "
+                                                 r"weights \(3, windows\)"):
+            feedforward_relu(params, Tensor(np.ones((2, 1))))
+        with pytest.raises(DimensionError, match=r"matmul inner extents differ: "
+                                                 r"\(4, 5\) @ \(2, 1\)"):
+            feedforward_relu(params, Tensor(np.ones((3, 1))))

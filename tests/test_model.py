@@ -335,14 +335,17 @@ class TestForward:
     def test_tiny_window_tape_size(self):
         # A sequence run records one op and a view for the states and for
         # each direction's terminal h and c, 4 nodes for one direction and 6
-        # for two, whatever its inputs are; every parameter array is one leaf.
-        expected = {"ANLF": 34, "eAttention": 32, "dAttention": 32,
-                    "EDBiLSTM": 30, "EDLSTM": 20}
+        # for two, whatever its inputs are; the head and the loss are one op
+        # each, and every parameter array is one leaf.
+        expected = {"ANLF": 32, "eAttention": 30, "dAttention": 30,
+                    "EDBiLSTM": 28, "EDLSTM": 18}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
-            forward(bind(init_params(config), tape), config, [sample])
+            output = forward(bind(init_params(config), tape), config, [sample]).output
             assert len(tape) == expected[variant], variant
+            mse_loss(output, sample.y_future[:, np.newaxis])
+            assert len(tape) == expected[variant] + 1, variant
 
     def test_gradient_check_runs_two_passes_per_parameter_scalar(self, monkeypatch):
         # The gate's finite-difference check probes every scalar: one taped

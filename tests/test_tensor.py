@@ -371,7 +371,8 @@ class TestCheckGradients:
     def test_perturbed_points_record_nothing(self):
         """Only the first evaluation of the program is taped; every perturbed
         point is evaluated on constants, so its loss is a constant, and the
-        report is the one a recording probe gives."""
+        report, over leaves of ranks 1, 2 and 3, is the one a recording
+        probe gives."""
         from loadcast.lstm import LstmParams, LstmState, lstm_sequence
         from loadcast.params import named_leaves
 
@@ -379,21 +380,60 @@ class TestCheckGradients:
         template = LstmParams.random(rng, 2, 2, bound=0.8)
         xs = Tensor(rng.normal(size=(3, 2, 2)))
         init = LstmState(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))))
-        weights = Tensor(rng.normal(size=(3, 2, 2)))
         recorded = []
 
         def program(leaves):
-            states, _ = lstm_sequence(LstmParams(**leaves), xs, init)
-            loss = total(hadamard(tanh(states), weights))
+            cell = LstmParams(leaves["weights"], leaves["b_x"], leaves["b_h"])
+            states, _ = lstm_sequence(cell, xs, init)
+            loss = total(hadamard(tanh(states), leaves["mix"]))
             recorded.append(0 if loss.tape is None else len(loss.tape))
             return loss
 
-        arrays = dict(named_leaves(template))
+        arrays = dict(named_leaves(template), mix=rng.normal(size=(3, 2, 2)))
         report = check_gradients(program, arrays)
         scalars = sum(arr.size for arr in arrays.values())
         assert len(recorded) == 1 + 2 * scalars
         assert recorded[0] > 0 and recorded[1:] == [0] * (2 * scalars)
         assert report == taped_probe_report(program, arrays)
+
+    def test_every_probe_gets_one_mapping_perturbed_in_place(self):
+        arrays = {"v": np.array([0.5, -1.0]), "m": np.arange(6.0).reshape(2, 3) / 7.0}
+        seen = []  # per call: the mapping, and each leaf's array and its values then
+
+        def program(leaves):
+            seen.append((leaves, {name: (t.values, t.values.copy())
+                                  for name, t in leaves.items()}))
+            v = leaves["v"]
+            return total(hadamard(v, v)) + total(matmul(v, leaves["m"]))
+
+        fd_check(program, arrays)
+        (taped, _), probes = seen[0], seen[1:]
+        assert all(leaf.tape is not None for leaf in taped.values())
+        mapping = probes[0][0]
+        assert all(leaf.tape is None for leaf in mapping.values())
+        flat = np.concatenate([arrays[name].reshape(-1) for name in mapping])
+        for k, (leaves, values) in enumerate(probes):
+            assert leaves is mapping
+            assert all(values[name][0] is leaf.values for name, leaf in mapping.items())
+            # Probes 2j and 2j + 1 see scalar j moved by +h and -h, the rest as given.
+            expected = flat.copy()
+            expected[k // 2] += 1e-5 if k % 2 == 0 else -1e-5
+            npt.assert_array_equal(
+                np.concatenate([values[name][1].reshape(-1) for name in mapping]), expected)
+        for name, leaf in mapping.items():
+            assert leaf.values is not arrays[name]
+            npt.assert_array_equal(leaf.values, arrays[name])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_perturbed_scalar_that_overflows_raises(self):
+        with pytest.raises(EvaluationError):
+            check_gradients(lambda leaves: total(leaves["w"]), {"w": np.array([1.7e308])},
+                            h=1e308)
+
+    def test_fortran_ordered_parameters_are_perturbed(self):
+        w = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        report = fd_check(lambda leaves: total(hadamard(leaves["w"], leaves["w"])), {"w": w})
+        assert report.per_param["w"] <= 1e-9
 
 
 def taped_probe_report(program, params, h=1e-5, tolerance=1e-6):

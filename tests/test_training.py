@@ -14,9 +14,10 @@ from loadcast.data import (FEATURE_WIDTH, StandardizationStats, WindowSample, bu
                            build_windows, compute_stats, destandardize_load,
                            generate_synthetic, split_by_forecast_day,
                            standardize, synthetic_calendar)
-from loadcast.errors import ConfigError, DimensionError, TrainingError
+from loadcast.errors import ConfigError, DimensionError, EvaluationError, TrainingError
 from loadcast.model import ModelConfig, forward, init_params
 from loadcast.params import map_leaves, named_leaves
+from loadcast.tensor import Tape, check_gradients, hadamard, scale, sub, total
 from loadcast.training import (WINDOWS_PER_PASS, AdamState, TrainConfig, adam_step,
                                batch_gradients, clip_global_norm, evaluate,
                                mean_mse, mse_loss, train)
@@ -48,6 +49,53 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             mse_loss([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_shape_errors_keep_their_messages(self):
+        with pytest.raises(DimensionError, match=r"loss needs equal-shape vectors or "
+                                                 r"matrices, got \(2,\) and \(2, 1\)"):
+            mse_loss([1.0, 2.0], [[1.0], [2.0]])
+        with pytest.raises(DimensionError, match=r"got \(1, 1, 1\) and \(1, 1, 1\)"):
+            mse_loss(np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
+    def test_one_op_matches_the_composed_ops_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        pred, target = rng.normal(size=shape), rng.normal(size=shape)
+        target.flat[0] = pred.flat[0]  # one zero error
+
+        def run(loss):
+            tape = Tape()
+            leaves = [tape.leaf(pred), tape.leaf(target)]
+            value = loss(*leaves)
+            tape.backward(scale(value, 3.0))
+            return value.values, [tape.grad(leaf) for leaf in leaves], len(tape)
+
+        def composed(p, t):
+            diff = sub(p, t)
+            return scale(total(hadamard(diff, diff)), 1.0 / p.values.size)
+
+        fused, fused_grads, fused_nodes = run(mse_loss)
+        want, want_grads, want_nodes = run(composed)
+        assert want_nodes - fused_nodes == 3
+        assert fused == want
+        for got, expected in zip(fused_grads, want_grads):
+            npt.assert_array_equal(got, expected)
+        assert fused_grads[0].flat[0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_gradients_at_the_gate_tolerance(self, shape):
+        rng = np.random.default_rng(40)
+        report = check_gradients(lambda leaves: mse_loss(leaves["pred"], leaves["target"]),
+                                 {"pred": rng.normal(size=shape),
+                                  "target": rng.normal(size=shape)})
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_error_raises(self):
+        with pytest.raises(EvaluationError):
+            mse_loss([1e308, 0.0], [-1e308, 0.0])
+        with pytest.raises(EvaluationError):
+            mse_loss([1e200, 0.0], [0.0, 0.0])
 
 
 class TestTrainConfig:
