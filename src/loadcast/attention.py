@@ -220,7 +220,7 @@ class _ScoredSweep:
         are visited in reverse."""
         if self._slope is None:
             self._begin_backward()
-        d_scores = self._d_scores[t] = _softmax_grad(self.weights[t], self._weight_grad(t, dx))
+        d_scores = _softmax_grad(self.weights[t], self._weight_grad(t, dx), self._d_scores[t])
         d_pre = np.multiply(self._score_t @ d_scores, self._slope[t], out=self._d_pre[t])
         return self._proj_h_t @ d_pre
 

@@ -8,12 +8,13 @@ arrays are what is optimized and checkpointed.  Each op adds the two
 biases once and returns the bias gradient to both, so a cell step is one
 matmul and one tape op with a hand-derived backward.
 
-The four gates are one tanh: with sigma(x) = 1/2 + tanh(x/2)/2, the
-weights and summed bias are scaled once per run by 1/2 on the i, f and o
-rows and 1 on the g rows (exact, as halving is), and each step maps its
-pre-activations as tanh, times that scale, plus 1/2 on the i, f and o rows
-(`_gate_form`, `_activate`).  The activations are the same gate values to
-rounding, so the backward passes, which read only them, are unchanged.
+The four gates are one tanh: with sigma(x) = 1/2 + tanh(x/2)/2, a run
+scales its weights, and its summed bias into a (4H, B) tile, once by 1/2
+on the i, f and o rows and 1 on the g rows (exact, as halving is), and
+`_activate` maps each step's pre-activations as tanh, times that scale,
+plus 1/2 on the i, f and o rows, with the read-only (4H, B) tiles of
+`_gate_tiles`.  The activations are the same gate values to rounding, so
+the backward passes, which read only them, are unchanged.
 
 The sequence runs carry a window axis: a batch of B windows runs as one
 recurrence whose step arrays hold one column per window, inputs
@@ -193,6 +194,15 @@ def _gate_form(hidden):
     return scale, shift
 
 
+@functools.cache
+def _gate_tiles(hidden, windows):
+    """`_gate_form`'s scale and shift as read-only (4H, windows) tiles,
+    built once per (hidden, windows)."""
+    scale, shift = (np.repeat(row[:, np.newaxis], windows, axis=1) for row in _gate_form(hidden))
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def _activate(pre, scale, shift, out):
     """The four gate activations from pre-activations already scaled by
     `scale`: tanh into `out`, times `scale`, plus `shift`."""
@@ -210,26 +220,28 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     h_{t-1}] of step t, one column per window, whose gate pre-activations
     are one product with `w`; the caller fills h_0 and, without a sweep,
     every x_t.  With a sweep, `sweep.forward(t, h_{t-1}, z[t, :input])`
-    writes x_t in place.  The weights and bias are scaled once per run by
-    `_gate_form`, so each step's four gates are one tanh; the per-column
-    arithmetic is that of `lstm_cell_step`.  Returns the activations and
-    the cell states: with `history`, all (steps, 4H, B) activations and
-    c_0 .. c_T, which `_bptt` reads; without, one activation slot and two
-    cell slots, reused as the steps go.  Either way c_T is
-    `c[steps % len(c)]`.
+    writes x_t in place.  The weights are scaled once per run by
+    `_gate_form` and the bias into one (4H, B) product with the tile of
+    `_gate_tiles`, so each step's four gates are one tanh over operands of
+    the step's shape, written into arrays made once per run; the
+    per-column arithmetic is that of `lstm_cell_step`.  Returns the
+    activations and the cell states: with `history`, all (steps, 4H, B)
+    activations and c_0 .. c_T, which `_bptt` reads; without, one
+    activation slot and two cell slots, reused as the steps go.  Either
+    way c_T is `c[steps % len(c)]`.
     """
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = _gate_form(hidden)
-    w = w * scale[:, np.newaxis]
-    bias = (bias * scale)[:, np.newaxis]
-    scale, shift = scale[:, np.newaxis], shift[:, np.newaxis]
+    w = w * _gate_form(hidden)[0][:, np.newaxis]
+    scale, shift = _gate_tiles(hidden, windows)
+    bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots, 4 * hidden, windows))
     c_seq = np.empty((slots + 1, hidden, windows))
     c_seq[0] = c0
-    tanh_c = np.empty((hidden, windows))
+    # i * g, then tanh(c_t), of the current step.
+    part = np.empty((hidden, windows))
     for t in range(steps):
         if sweep is not None:
             sweep.forward(t, z[t, width:], z[t, :width])
@@ -238,15 +250,17 @@ def _run(w, bias, z, c0, sweep=None, history=True):
         _activate(a, scale, shift, a)
         c = np.multiply(a[hidden:2 * hidden], c_seq[t % (slots + 1)],
                         out=c_seq[(t + 1) % (slots + 1)])
-        c += a[:hidden] * a[2 * hidden:3 * hidden]
-        np.multiply(a[3 * hidden:], np.tanh(c, out=tanh_c), out=z[t + 1, width:])
+        c += np.multiply(a[:hidden], a[2 * hidden:3 * hidden], out=part)
+        np.multiply(a[3 * hidden:], np.tanh(c, out=part), out=z[t + 1, width:])
     return act, c_seq
 
 
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     """Walk the steps of `_run` in reverse, reading its arrays as it wrote
     them, for the gate pre-activation gradients; returns them in `_run`'s
-    (steps, 4H, B) layout, with dh_0 and dc_0.  With a sweep, step t's
+    (steps, 4H, B) layout, with dh_0 and dc_0.  Each step works on (H, B)
+    blocks and writes dh, dh * o_slope and dc into arrays made once per
+    walk; the given `dc` is copied, never written.  With a sweep, step t's
     input gradient (the gate part plus `grad_x[t]`, what arrives on x_t
     from outside) goes through `sweep.backward`, whose (H, B) result joins
     the recurrent gradient for h_{t-1}.
@@ -267,14 +281,16 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
         gates[:, k] *= factor
     o_slope = _tanh_grad(tanh_c, o)
     dh_next = np.zeros((hidden, windows))
+    dh, dh_o = np.empty((2, hidden, windows))
+    dc = np.array(dc)
     for t in range(steps - 1, -1, -1):
-        dh = grad_h[t] + dh_next
-        dc = dc + dh * o_slope[t]
+        np.add(grad_h[t], dh_next, out=dh)
+        dc += np.multiply(dh, o_slope[t], out=dh_o)
         gates[t, :3] *= dc
         gates[t, 3] *= dh
         dz = w_t @ d_pre[t]
         dh_next = dz if sweep is None else dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
-        dc = dc * f[t]
+        dc *= f[t]
     return d_pre, dh_next, dc
 
 

@@ -341,13 +341,18 @@ def scale(x, factor):
 
 def softmax_values(v, out=None):
     """Shift-stabilized softmax of a plain array down axis 0, so each
-    column of a matrix is its own distribution."""
-    e = np.exp(v - np.maximum.reduce(v, axis=0))
-    return np.divide(e, np.add.reduce(e, axis=0), out=out)
+    column of a matrix is its own distribution; formed in place in `out`
+    (a fresh array if None)."""
+    e = np.subtract(v, np.maximum.reduce(v, axis=0), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=0), out=e)
 
 
-def _softmax_grad(out, g):
-    return out * (g - np.add.reduce(g * out, axis=0))
+def _softmax_grad(weights, g, out=None):
+    """The softmax gradient from `g`, which is only read, into `out` (fresh if None)."""
+    d = np.multiply(g, weights, out=out)
+    np.subtract(g, np.add.reduce(d, axis=0), out=d)
+    return np.multiply(d, weights, out=d)
 
 
 def stable_softmax(v):
@@ -436,7 +441,7 @@ class GradCheckReport:
 
     @property
     def passed(self):
-        return self.max_rel_error <= self.tolerance
+        return bool(self.max_rel_error <= self.tolerance)
 
     def __str__(self):
         verdict = "pass" if self.passed else "FAIL"

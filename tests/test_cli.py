@@ -549,6 +549,11 @@ class TestVerify:
         report = _check_model_gradients()
         assert not report.passed and report.detail == "max rel error inf"
 
+    def test_verdicts_are_plain_bools_that_serialize(self):
+        results = loadcast.verify.run_all_checks()
+        assert [type(r.passed) for r in results] == [bool] * len(results)
+        assert json.loads(json.dumps([r.passed for r in results])) == [True] * len(results)
+
     def test_a_check_that_raises_is_reported_and_the_rest_still_run(self, monkeypatch,
                                                                     capsys):
         def _check_model_gradients():

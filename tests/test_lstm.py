@@ -11,12 +11,13 @@ import pytest
 from loadcast import lstm
 from loadcast.errors import DimensionError, EvaluationError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
-                           LstmState, _activate, _gate_form,
+                           LstmState, _activate, _gate_form, _gate_tiles,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
-from loadcast.tensor import (Tape, Tensor, _sigmoid_values, check_gradients, concat, fused_op,
-                             hadamard, matmul, relu, reshape, segment, sigmoid, tanh, total)
+from loadcast.tensor import (Tape, Tensor, _sigmoid_values, _softmax_grad, check_gradients,
+                             concat, fused_op, hadamard, matmul, relu, reshape, segment, sigmoid,
+                             softmax_values, tanh, total)
 from loadcast.verify import scalar_lstm_step
 
 
@@ -180,16 +181,20 @@ class TestGateForm:
         return np.concatenate(([0.0], self.MAGNITUDES, np.negative(self.MAGNITUDES), dense))
 
     def test_one_tanh_gives_sigmoid_and_tanh_rows(self):
+        # Through the (4H, 3) tiles a run uses: the grid, padded to whole
+        # steps of 3 windows, as (steps, 4H, 3) pre-activations.
+        hidden, windows = 3, 3
         x = self.grid()
-        hidden = 3
-        scale, shift = _gate_form(hidden)
-        pre = scale[:, np.newaxis] * x
-        act = _activate(pre, scale[:, np.newaxis], shift[:, np.newaxis], np.empty_like(pre))
-        gates = act.reshape(4, hidden, x.size)
+        x = np.concatenate((x, x[:(-x.size) % windows])).reshape(-1, windows)
+        scale, shift = _gate_tiles(hidden, windows)
+        pre = scale * x[:, np.newaxis]
+        act = _activate(pre, scale, shift, np.empty_like(pre))
+        gates = act.reshape(-1, 4, hidden, windows)
         for k in (0, 1, 3):
-            assert np.abs(gates[k] - _sigmoid_values(x)).max() <= 2.3e-16
-            assert gates[k].min() >= 0.0 and gates[k].max() <= 1.0
-        npt.assert_array_equal(gates[2], np.broadcast_to(np.tanh(x), (hidden, x.size)))
+            assert np.abs(gates[:, k] - _sigmoid_values(x)[:, np.newaxis]).max() <= 2.3e-16
+            assert gates[:, k].min() >= 0.0 and gates[:, k].max() <= 1.0
+        npt.assert_array_equal(gates[:, 2], np.broadcast_to(np.tanh(x)[:, np.newaxis],
+                                                            gates[:, 2].shape))
 
     def test_built_once_per_width_and_read_only(self):
         scale, shift = _gate_form(5)
@@ -197,6 +202,17 @@ class TestGateForm:
         for arr in (scale, shift):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_tiles_built_once_per_width_and_windows_and_read_only(self):
+        tiles = _gate_tiles(5, 3)
+        assert all(a is b for a, b in zip(_gate_tiles(5, 3), tiles))
+        assert _gate_tiles(5, 4)[0] is not tiles[0]
+        for tile, row in zip(tiles, _gate_form(5)):
+            npt.assert_array_equal(tile, np.repeat(row[:, np.newaxis], 3, axis=1))
+            with pytest.raises(ValueError):
+                tile[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                tile += 1.0
 
     def test_saturated_cell_matches_scalar_oracle(self):
         rng = np.random.default_rng(28)
@@ -592,6 +608,139 @@ class TestSequenceOp:
             for grad, ref in zip(grads, ref_grads):
                 assert grad.shape == ref.shape
                 assert rel_diff(grad, ref) <= 1e-12
+
+
+def broadcast_run(w, bias, z, c0, sweep=None, history=True):
+    """`lstm._run` with its former arithmetic: (4H, 1) bias, scale and
+    shift columns broadcast over each step, and fresh per-step products."""
+    steps = z.shape[0] - 1
+    hidden, windows = c0.shape
+    width = z.shape[1] - hidden
+    scale, shift = _gate_form(hidden)
+    w = w * scale[:, np.newaxis]
+    bias = (bias * scale)[:, np.newaxis]
+    scale, shift = scale[:, np.newaxis], shift[:, np.newaxis]
+    slots = steps if history else 1
+    act = np.empty((slots, 4 * hidden, windows))
+    c_seq = np.empty((slots + 1, hidden, windows))
+    c_seq[0] = c0
+    tanh_c = np.empty((hidden, windows))
+    for t in range(steps):
+        if sweep is not None:
+            sweep.forward(t, z[t, width:], z[t, :width])
+        a = np.matmul(w, z[t], out=act[t % slots])
+        a += bias
+        _activate(a, scale, shift, a)
+        c = np.multiply(a[hidden:2 * hidden], c_seq[t % (slots + 1)],
+                        out=c_seq[(t + 1) % (slots + 1)])
+        c += a[:hidden] * a[2 * hidden:3 * hidden]
+        np.multiply(a[3 * hidden:], np.tanh(c, out=tanh_c), out=z[t + 1, width:])
+    return act, c_seq
+
+
+def fresh_bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
+    """`lstm._bptt` with its former arithmetic: fresh dh, dc and products
+    at every step."""
+    steps, hidden, windows = grad_h.shape
+    width = w.shape[1] - hidden
+    w_t = np.ascontiguousarray((w[:, width:] if sweep is None else w).T)
+    i, f, cand, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(c_seq[1:])
+    d_pre = np.subtract(1.0, act)
+    d_pre *= act
+    gates = d_pre.reshape(steps, 4, hidden, windows)
+    np.subtract(1.0, np.square(cand), out=gates[:, 2])
+    for k, factor in enumerate((cand, c_seq[:-1], i, tanh_c)):
+        gates[:, k] *= factor
+    o_slope = o * (1.0 - tanh_c * tanh_c)
+    dh_next = np.zeros((hidden, windows))
+    for t in range(steps - 1, -1, -1):
+        dh = grad_h[t] + dh_next
+        dc = dc + dh * o_slope[t]
+        gates[t, :3] *= dc
+        gates[t, 3] *= dh
+        dz = w_t @ d_pre[t]
+        dh_next = dz if sweep is None else dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
+        dc = dc * f[t]
+    return d_pre, dh_next, dc
+
+
+class TestStepLoops:
+    """The step loops against their former broadcast arithmetic, bitwise."""
+
+    @pytest.mark.parametrize("swept", (False, True))
+    @pytest.mark.parametrize("history", (True, False))
+    @pytest.mark.parametrize("hidden", (1, 5))
+    @pytest.mark.parametrize("windows", (1, 3, 8))
+    def test_run_and_bptt_equal_the_broadcast_loops(self, windows, hidden, history, swept):
+        rng = np.random.default_rng(100 * windows + 10 * hidden + 2 * history + swept)
+        steps, width = 7, 3
+        w = rng.normal(size=(4 * hidden, width + hidden))
+        bias, c0 = rng.normal(size=4 * hidden), rng.normal(size=(hidden, windows))
+        xs = rng.normal(size=(steps, width, windows))
+        z0 = rng.normal(size=(steps + 1, width + hidden, windows))
+        if not swept:
+            z0[:steps, :width] = xs
+        grad_h, dc = rng.normal(size=(steps, hidden, windows)), rng.normal(size=(hidden, windows))
+        grad_x = rng.normal(size=xs.shape) if swept else None
+        outputs = []
+        for run, walk in ((lstm._run, lstm._bptt), (broadcast_run, fresh_bptt)):
+            z = z0.copy()
+            sweeps = [FixedSweep(Tensor(xs), hidden) if swept else None for _ in range(2)]
+            act, c_seq = run(w, bias, z, c0, sweeps[0], history)
+            got = [act, c_seq, z]
+            if history:
+                got += walk(w, act, c_seq, grad_h, dc, sweeps[1], grad_x)
+                got += sweeps[1].grads() if swept else ()
+            outputs.append(got)
+        for got, expect in zip(*outputs):
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("n", (2, 45, 168))
+    @pytest.mark.parametrize("windows", (1, 4, 8))
+    def test_softmax_helpers_equal_the_composed_expressions(self, n, windows):
+        # The sweeps' (n, B) columns, and the 1-D vector of `stable_softmax`.
+        rng = np.random.default_rng(n + windows)
+        v_all, g_all = rng.normal(0.0, 4.0, (n, windows)), rng.normal(size=(n, windows))
+        for v, g in ((v_all, g_all), (v_all[:, 0], g_all[:, 0])):
+            e = np.exp(v - v.max(axis=0))
+            expect = e / e.sum(axis=0)
+            out = np.empty_like(v)
+            assert softmax_values(v, out=out) is out and np.array_equal(out, expect)
+            assert np.array_equal(softmax_values(v), expect)
+            g_before = g.copy()
+            grad = _softmax_grad(expect, g)
+            assert np.array_equal(grad, expect * (g - (g * expect).sum(axis=0)))
+            into = np.empty_like(g)
+            assert _softmax_grad(expect, g, into) is into and np.array_equal(into, grad)
+            assert np.array_equal(g, g_before)
+
+    @pytest.mark.parametrize("case", ("lstm_sequence", "bilstm_sequence", "bilstm sweep"))
+    def test_sequence_rules_leave_their_gradient_unchanged(self, monkeypatch, case):
+        rng = np.random.default_rng(31)
+        steps, width, hidden, windows = 5, 3, 2, 4
+        rules = []
+
+        def recording(out, operands, rule, scanned=False):
+            rules.append((out.size, rule))
+            return fused_op(out, operands, rule, scanned)
+
+        monkeypatch.setattr(lstm, "fused_op", recording)
+        tape = Tape()
+        xs = tape.leaf(rng.normal(size=(steps, width, windows)))
+        init = zero_state(hidden, windows)
+        if case == "lstm_sequence":
+            cell = bind(LstmParams.random(rng, width, hidden, bound=1.0), tape)
+            lstm_sequence(cell, xs, LstmState(tape.leaf(init.h.values), init.c))
+        else:
+            cell = bind(BiLstmParams.random(rng, width, hidden, bound=1.0), tape)
+            bilstm_sequence(cell, xs if case == "bilstm_sequence" else FixedSweep(xs, hidden),
+                            init, init)
+        (size, rule), = rules
+        grad = rng.normal(size=size)
+        before = grad.copy()
+        rule(grad)
+        assert np.array_equal(grad, before)
 
 
 def dense_segment(x, start, stop, shape=None):

@@ -291,6 +291,11 @@ class TestCheckGradients:
         assert isinstance(report, GradCheckReport)
         assert report.per_param.keys() == {"w"}
 
+    def test_verdict_is_a_plain_bool(self):
+        report = check_gradients(lambda leaves: total(hadamard(leaves["w"], leaves["w"])),
+                                 {"w": np.array([1.0, -2.0])})
+        assert type(report.passed) is bool and report.passed
+
     def test_zero_parameter_program_passes_vacuously(self):
         report = check_gradients(lambda leaves: total(Tensor([1.0]) * Tensor([2.0])),
                                  {})

@@ -1,0 +1,147 @@
+"""Check that the working tree computes the same numbers as a git revision.
+
+    python tools/parity.py REV
+
+exports REV with `git archive` into a temporary directory, then, in that
+tree and in the working tree, runs one fixed set of probes in a subprocess
+with one BLAS thread and the tree's `src` on the path.  The probes cover
+all five variants at the benchmark's hidden 32 and at `tiny_model_case`
+size: `batch_gradients` at 1 and 4 windows, the untaped per-window MSEs of
+15 windows, `predict` with attention, and, at tiny size only,
+`model_gradient_report` at seed 9 and h = 1e-4.  Each block prints as
+bitwise or with its largest difference relative to the block's largest
+magnitude; the exit status is 1 on any difference, else 0.
+
+The probes call the package through names both trees must have, so REV is
+meant to be the parent of a change that keeps them.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from datetime import datetime
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = ("hidden32", "tiny")
+
+# The probe functions import the package themselves: they run in a
+# subprocess whose path holds the tree under test, and the comparing
+# process never imports it.
+
+
+def _config(variant, size):
+    from loadcast import data, model, verify
+
+    if size == "tiny":
+        return verify.tiny_model_case(variant, seed=9)[0]
+    return model.ModelConfig(days=7, day_len=24, n_features=data.FEATURE_WIDTH,
+                             hidden_size=32, feature_attn_size=16, temporal_attn_size=16,
+                             head_size=32, variant=variant, seed=1)
+
+
+def _windows(config, count, seed):
+    """`count` windows of standard normal draws that fit `config`."""
+    from loadcast.data import WindowSample
+
+    rng = np.random.default_rng(seed)
+    rows = (config.history_len, config.n_features), (config.horizon, config.n_features)
+    return [WindowSample(x_hist=rng.normal(size=rows[0]), y_hist=rng.normal(size=rows[0][0]),
+                         x_future=rng.normal(size=rows[1]), y_future=rng.normal(size=rows[1][0]),
+                         start=datetime(2022, 1, 10)) for _ in range(count)]
+
+
+def probe():
+    """Every probe's arrays, keyed `variant/size/probe[/part]`."""
+    from loadcast import model, training, verify
+
+    blocks = {}
+    for variant in model.VARIANTS:
+        for size in SIZES:
+            config = _config(variant, size)
+            params = model.init_params(config)
+            samples = _windows(config, 15, seed=7)
+            key = f"{variant}/{size}"
+            for count in (1, 4):
+                grads = training.batch_gradients(params, config, samples[:count])
+                blocks.update((f"{key}/grad{count}/{name}", g) for name, g in grads.items())
+            blocks[f"{key}/mses15"] = np.array(training._window_mses(params, config, samples))
+            for k, sample in enumerate(samples[:2]):
+                forecast = model.predict(params, config, sample, collect_attention=True)
+                for field in ("values", "feature_weights", "hour_weights", "day_weights"):
+                    if getattr(forecast, field) is not None:
+                        blocks[f"{key}/predict{k}/{field}"] = getattr(forecast, field)
+            if size == "tiny":
+                report = verify.model_gradient_report(*verify.tiny_model_case(variant, seed=9),
+                                                      h=1e-4)
+                blocks[f"{key}/gradcheck/max"] = np.array(report.max_rel_error)
+                blocks.update((f"{key}/gradcheck/{name}", np.array(err))
+                              for name, err in report.per_param.items())
+    return blocks
+
+
+def compare(base, head):
+    """One (name, verdict) per block of either dump, in order, and whether
+    every block is bitwise; a verdict is "bitwise", the largest difference
+    relative to the block's largest magnitude, or why they do not compare."""
+    rows, same = [], True
+    for name in list(base) + [name for name in head if name not in base]:
+        if name not in base or name not in head:
+            verdict = f"only in {'head' if name in head else 'base'}"
+        else:
+            a, b = np.asarray(base[name]), np.asarray(head[name])
+            if a.shape != b.shape or a.dtype != b.dtype:
+                verdict = f"{a.dtype}{list(a.shape)} vs {b.dtype}{list(b.shape)}"
+            elif a.tobytes() == b.tobytes():
+                rows.append((name, "bitwise"))
+                continue
+            else:
+                scale = max(float(np.max(np.abs(a), initial=0.0)), np.finfo(float).tiny)
+                verdict = f"max rel diff {float(np.max(np.abs(a - b))) / scale:.3e}"
+        rows.append((name, verdict))
+        same = False
+    return rows, same
+
+
+def _dump(tree, path):
+    """Run the probes of this file against `tree`'s package into `path`."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), **dict.fromkeys(threads, "1"))
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--dump", str(path)],
+                   cwd=tree, env=env, check=True)
+    with np.load(path) as dump:
+        return dict(dump)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        np.savez(args.dump, **probe())
+        return 0
+    if args.rev is None:
+        parser.error("a revision is required")
+    with tempfile.TemporaryDirectory() as scratch:
+        tree, archive = Path(scratch) / "tree", Path(scratch) / "rev.tar"
+        subprocess.run(["git", "archive", f"--output={archive}", args.rev], cwd=ROOT, check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        base = _dump(tree, Path(scratch) / "base.npz")
+        head = _dump(ROOT, Path(scratch) / "head.npz")
+    rows, same = compare(base, head)
+    for name, verdict in rows:
+        print(f"{name}: {verdict}")
+    bitwise = sum(verdict == "bitwise" for _name, verdict in rows)
+    print(f"{bitwise} of {len(rows)} blocks bitwise against {args.rev}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
