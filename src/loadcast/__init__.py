@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 from .attention import (FeatureAttentionParams, FeatureSweep, TemporalAttentionParams,
                         TemporalSweep, context_vector, feature_attention,
                         similar_day_weights, temporal_attention)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (FEATURE_WIDTH, FeatureFrame, HolidayCalendar, RawRecord,
                    StandardizationStats, WindowSample, build_features,
                    build_windows, compute_stats, destandardize_load,
                    generate_synthetic, ingest_csv, split_by_forecast_day,
-                   standardize, synthetic_calendar, write_records_csv)
+                   standardize, synthetic_calendar, write_atomic, write_records_csv)
 from .errors import (CompatibilityError, ConfigError, ContinuityError,
                      CoverageError, DataError, DegenerateStatsError,
                      DimensionError, DomainError, EvaluationError,

@@ -17,18 +17,18 @@ step of one window as tape ops.  The model runs a whole sequence's steps
 for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
 `TemporalSweep`, inside the forward direction of one
 `lstm.bilstm_sequence` op, whose backward direction reads the same step
-inputs reversed.  A sweep's
-`forward(t, h_prev, out)` writes step t's input, one column per window,
-into the (width, B) array `out`, which is the input rows of the
-recurrence's own [x_t; h_{t-1}] scratch, with the same arithmetic (scores
-and softmax down each column, each window's context from its own encoder
-states and similar-day weights); `backward(t, dx)` turns the gradient of
-that input into one for h_prev in the reverse loop, and `grads()` forms
-the parameter gradients (for the temporal sweep also those of its
-conditioning tail and encoder states) with one product each over the rows
-stored per step and window.  A run without a backward pass calls
-`drop_store()` once it is over, which frees that store and keeps the
-weights.
+inputs reversed.  A sweep's `forward(t, h_prev, out)` writes step t's
+input, one column per window, into the (width, B) array `out`, which is
+the input rows of the recurrence's own [x_t; h_{t-1}] scratch, with the
+same arithmetic (scores and softmax down each column, each window's
+context from its own encoder states and similar-day weights);
+`backward(t, dx)` turns the gradient of that input into one for h_prev in
+the reverse loop, and `grads()` forms the parameter gradients (for the
+temporal sweep also those of its conditioning tail and encoder states)
+with one product each over the rows stored per step and window, and the
+temporal sweep forms its day-times-hour mix from `weights` where it reads
+it.  Transposed scorer blocks are made only for a backward pass; a run
+without one calls `drop_store()`, which frees all of it but `weights`.
 """
 
 from __future__ import annotations
@@ -199,8 +199,6 @@ class _ScoredSweep:
                 f"{fixed.shape[1]} step rows")
         self._joint = np.empty((self.steps, self._proj.shape[1], self.windows))
         self._joint[:, self.hidden_size:] = fixed
-        self._proj_h_t = np.ascontiguousarray(self._proj[:, :self.hidden_size].T)
-        self._score_t = np.ascontiguousarray(self._score.T)
         self._pre = np.empty((self.steps, self._proj.shape[0], self.windows))
         self._squashed = np.empty_like(self._pre)
         self._scores = np.empty((self.steps, self._score.shape[0], self.windows))
@@ -225,8 +223,10 @@ class _ScoredSweep:
         return self._proj_h_t @ d_pre
 
     def _begin_backward(self):
-        """Room for the gradients the parameter products read, and the tanh
-        slope of every step at once."""
+        """Room for the gradients the parameter products read, the tanh
+        slope of every step at once, and the transposed scorer blocks."""
+        self._proj_h_t = np.ascontiguousarray(self._proj[:, :self.hidden_size].T)
+        self._score_t = np.ascontiguousarray(self._score.T)
         self._slope = _tanh_grad(self._squashed, 1.0)
         self._d_pre = np.empty_like(self._pre)
         self._d_scores = np.empty_like(self._scores)
@@ -328,12 +328,11 @@ class TemporalSweep(_ScoredSweep):
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
         self._day = np.repeat(day_weights, history_len // days, axis=0)
         self._features = features
-        self._mix = np.empty((self.steps, history_len, self.windows))
         self.width = features.shape[1] + states.shape[1]
 
     def forward(self, t, h_prev, out):
         """Write step t's input into `out`, from the hidden state before it."""
-        mix = np.multiply(self._day, self._attend(t, h_prev), out=self._mix[t])
+        mix = self._day * self._attend(t, h_prev)
         n = self._features.shape[1]
         out[:n] = self._features[t]
         out[n:] = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0].T
@@ -350,12 +349,13 @@ class TemporalSweep(_ScoredSweep):
     def grads(self):
         d_tail = self._proj[:, self._tail].T @ self._d_pre.sum(axis=0)
         # Per window k: sum over steps of outer(mix, d_context), as (history, S, B).
-        d_states = np.matmul(self._mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
+        mix = self._day * self.weights
+        d_states = np.matmul(mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
         return (*super().grads(), d_tail, d_states.transpose(1, 2, 0))
 
     def _checked(self):
-        return (*super()._checked(), self._mix)
+        return (*super()._checked(), self._day)
 
     def drop_store(self):
         super().drop_store()
-        self._mix = self._states = None
+        self._states = None

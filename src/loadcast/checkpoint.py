@@ -7,7 +7,7 @@ calendar).  Floats serialize through Python's shortest round-trip repr, so
 a save/load cycle reproduces every value bit for bit and identical models
 produce byte-identical files.  Each parameter entry is one compact line.
 Checkpoints and every other artifact the command line writes replace
-their file all or nothing, through a temporary file (`write_atomic`).
+their file all or nothing, through a temporary file (`data.write_atomic`).
 
 Version 2 stores the arrays the model computes with: per LSTM direction
 `weights` (4H, input + H) with row blocks i, f, g, o and columns [x | h],
@@ -19,18 +19,16 @@ still read, through `_upgrade_v1`.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .data import HolidayCalendar, StandardizationStats
+from .data import HolidayCalendar, StandardizationStats, _atomic_file
 from .errors import ConfigError, DegenerateStatsError
 from .model import ModelConfig, init_params
 from .params import map_leaves, named_leaves
@@ -42,27 +40,6 @@ GATES = "ifgo"
 
 # A save holds the text of this many values at a time, not of a file.
 VALUES_PER_WRITE = 4096
-
-
-@contextlib.contextmanager
-def _atomic_file(path):
-    """A file to write that replaces `path` all or nothing when the body
-    ends, through `os.replace`; a failed write removes the temporary file."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w") as fh:
-            yield fh
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-
-
-def write_atomic(path, text):
-    """Replace `path` with `text` all or nothing (see `_atomic_file`)."""
-    with _atomic_file(path) as fh:
-        fh.write(text)
 
 
 def save_checkpoint(path, config, params, stats, calendar):
@@ -103,8 +80,8 @@ def load_checkpoint(path):
     raising `ConfigError` that names the file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"{path}: not a readable checkpoint: {err}") from err
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_run_config
 from .data import (DAY_HOURS, FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
                    compute_stats, generate_synthetic, ingest_csv, standardize,
-                   synthetic_calendar, write_records_csv)
+                   synthetic_calendar, write_atomic, write_records_csv)
 from .errors import CompatibilityError, ConfigError, DataError, EvaluationError, TrainingError
 from .metrics import MetricReport, relative_error
 from .training import evaluate, train
@@ -37,6 +37,15 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_VERIFY = 5
+
+
+def _output_dir(path):
+    """`path`, made a directory if need be, or a `ConfigError` naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {path}: {err.strerror or err}") from None
+    return path
 
 
 @contextlib.contextmanager
@@ -126,8 +135,7 @@ def _write_manifest(path, run, config_file, fingerprint):
 
 def _cmd_train(args):
     run = parse_run_config(args.config)
-    out = run.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(run.output_dir)
     with _output_lock(out):
         prepare = _prepare_synthetic if args.synthetic else _prepare_from_csv
         train_frames, val_frames, calendar, fingerprint = prepare(run)
@@ -137,7 +145,12 @@ def _cmd_train(args):
         val_s = build_windows(standardize(val_frames, stats), run.model)
         _say(f"training {run.model.variant}: {len(train_s)} train / "
              f"{len(val_s)} validation windows")
-        result = train(run.model, train_s, val_s, run.training)
+        try:
+            # As in `forecast`: an overflow ends the run, not a numpy warning.
+            with np.errstate(over="raise", invalid="raise"):
+                result = train(run.model, train_s, val_s, run.training)
+        except FloatingPointError as err:
+            raise TrainingError(f"training diverged: {err}") from err
         for record in result.log:
             _say(f"epoch {record.epoch}: train_mse={record.train_mse:.6f} "
                  f"val_mse={record.val_mse:.6f} ({record.seconds:.1f}s)")
@@ -207,8 +220,7 @@ def _cmd_forecast(args):
             result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
     except (EvaluationError, FloatingPointError) as err:
         raise ConfigError(f"{args.checkpoint} does not evaluate on {args.data}: {err}") from err
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     _write_forecast_csv(out / "forecast.csv", samples, result)
     write_atomic(out / "metrics.txt", result.report.as_text())
     write_atomic(out / "metrics.csv",

@@ -9,8 +9,10 @@ encoder input over the history window.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ContinuityError, CoverageError, DegenerateStatsError,
+from .errors import (ConfigError, ContinuityError, CoverageError, DegenerateStatsError,
                      DimensionError, ParseError, SchemaError, SizeError)
 
 CSV_COLUMNS = ("timestamp", "load", "temperature")
@@ -104,12 +106,36 @@ def _parse_rows(path, reader):
     return records
 
 
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A file to write that replaces `path` all or nothing when the body
+    ends, through `os.replace`; a failed write removes the temporary file,
+    and one the file system refuses is a `ConfigError` naming `path`."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as err:
+        temp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+        raise
+
+
+def write_atomic(path, text):
+    """Replace `path` with `text` all or nothing (see `_atomic_file`)."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def write_records_csv(records, path):
     """Emit the strict ingestion schema with shortest round-trip floats."""
     lines = [",".join(CSV_COLUMNS)]
     for record in records:
         lines.append(f"{record.timestamp.isoformat()},{record.load!r},{record.temperature!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -149,8 +175,12 @@ class HolidayCalendar:
     @classmethod
     def from_file(cls, path):
         path = Path(path)
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not a readable calendar file: {err}") from err
         days = set()
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        for line_no, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
                 continue
@@ -161,7 +191,7 @@ class HolidayCalendar:
         return cls(frozenset(days))
 
     def to_file(self, path):
-        Path(path).write_text("\n".join(d.isoformat() for d in sorted(self.dates)) + "\n")
+        write_atomic(path, "\n".join(d.isoformat() for d in sorted(self.dates)) + "\n")
 
 
 @dataclass(frozen=True)

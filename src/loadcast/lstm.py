@@ -13,8 +13,8 @@ scales its weights, and its summed bias into a (4H, B) tile, once by 1/2
 on the i, f and o rows and 1 on the g rows (exact, as halving is), and
 `_activate` maps each step's pre-activations as tanh, times that scale,
 plus 1/2 on the i, f and o rows, with the read-only (4H, B) tiles of
-`_gate_tiles`.  The activations are the same gate values to rounding, so
-the backward passes, which read only them, are unchanged.
+`_gate_tiles`, the one table of that scale and shift.  The activations are
+the same gate values to rounding, so the backward passes are unchanged.
 
 The sequence runs carry a window axis: a batch of B windows runs as one
 recurrence whose step arrays hold one column per window, inputs
@@ -153,7 +153,7 @@ def lstm_cell_step(params, prev, x):
     w = weights.values
     z = np.concatenate((x.values, h_prev.values))
     cand_rows = slice(2 * hidden, 3 * hidden)
-    scale, shift = _gate_form(hidden)
+    scale, shift = (tile[:, 0] for tile in _gate_tiles(hidden, 1))
     pre = (w * scale[:, np.newaxis]) @ z + (b_x.values + b_h.values) * scale
     act = _activate(pre, scale, shift, pre)
     i, f, cand, o = act[:hidden], act[hidden:2 * hidden], act[cand_rows], act[3 * hidden:]
@@ -176,10 +176,10 @@ def lstm_cell_step(params, prev, x):
 
 
 @functools.cache
-def _gate_form(hidden):
-    """The (4H,) row factors of the one-tanh gate form, (scale, shift):
-    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows, read-only
-    and built once per hidden width.
+def _gate_tiles(hidden, windows):
+    """The one-tanh gate form's (scale, shift) as read-only (4H, windows)
+    tiles, built once per (hidden, windows): (1/2, 1/2) on the i, f and o
+    rows and (1, 0) on the g rows.
 
     With weights and summed bias multiplied by `scale`, the pre-activations
     are x/2 on the sigmoid rows and x on the g rows, and `_activate` maps
@@ -187,18 +187,9 @@ def _gate_form(hidden):
     Halving is exact, so the scaled pre-activations are exactly half of
     the unscaled ones.
     """
-    scale = np.full(4 * hidden, 0.5)
+    scale = np.full((4 * hidden, windows), 0.5)
     scale[2 * hidden:3 * hidden] = 1.0
     shift = 1.0 - scale
-    scale.flags.writeable = shift.flags.writeable = False
-    return scale, shift
-
-
-@functools.cache
-def _gate_tiles(hidden, windows):
-    """`_gate_form`'s scale and shift as read-only (4H, windows) tiles,
-    built once per (hidden, windows)."""
-    scale, shift = (np.repeat(row[:, np.newaxis], windows, axis=1) for row in _gate_form(hidden))
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
 
@@ -220,10 +211,10 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     h_{t-1}] of step t, one column per window, whose gate pre-activations
     are one product with `w`; the caller fills h_0 and, without a sweep,
     every x_t.  With a sweep, `sweep.forward(t, h_{t-1}, z[t, :input])`
-    writes x_t in place.  The weights are scaled once per run by
-    `_gate_form` and the bias into one (4H, B) product with the tile of
-    `_gate_tiles`, so each step's four gates are one tanh over operands of
-    the step's shape, written into arrays made once per run; the
+    writes x_t in place.  The weights are scaled once per run by the first
+    column of `_gate_tiles`' scale, and the bias into one (4H, B) product
+    with the whole tile, so each step's four gates are one tanh over
+    operands of the step's shape, written into arrays made once per run; the
     per-column arithmetic is that of `lstm_cell_step`.  Returns the
     activations and the cell states: with `history`, all (steps, 4H, B)
     activations and c_0 .. c_T, which `_bptt` reads; without, one
@@ -233,8 +224,8 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    w = w * _gate_form(hidden)[0][:, np.newaxis]
     scale, shift = _gate_tiles(hidden, windows)
+    w = w * scale[:, :1]
     bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots, 4 * hidden, windows))
@@ -391,8 +382,8 @@ def bilstm_sequence(params, inputs, init_forward, init_backward):
 def _sequence(cells, inputs, inits):
     """The op of both sequence runs: the forward direction, then, given a
     second cell, the backward one over the same inputs reversed.  Its
-    operands are each direction's weights, biases and initial state, and
-    the inputs or, after the forward direction's, the sweep's operands."""
+    operands are each direction's weights, biases and initial state, then
+    the inputs or the sweep's operands."""
     sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
     if sweep is None:
         inputs = as_tensor(inputs)
@@ -406,12 +397,10 @@ def _sequence(cells, inputs, inits):
         if other is not None and other.hidden_size != hidden:
             raise DimensionError(f"{name} over hidden width {other.hidden_size} does not fit "
                                  f"hidden width {hidden}")
-    if sweep is None:
-        operands = sum(directions, ()) + (inputs,)
-    else:
+    operands = sum(directions, ()) + ((inputs,) if sweep is None else sweep.operands)
+    if sweep is not None:
         # The rule keeps the sweep, so the sweep must not keep the taped
         # operands: through them it would keep the tape in a reference cycle.
-        operands = directions[0] + sweep.operands + sum(directions[1:], ())
         sweep.operands = ()
     taped = any(t.tape is not None for t in operands)
     z = np.empty((steps + 1, width + hidden, windows))
@@ -444,9 +433,7 @@ def _sequence(cells, inputs, inits):
         grads_back = () if count == 1 else _walk(
             runs.pop(), grad_h[::-1, hidden:], dc[1], None if d_x is None else d_x[::-1])
         grads = _walk(runs.pop(), grad_h[:, :hidden], dc[0], d_x, sweep)
-        if sweep is None:
-            return grads + grads_back + (d_x,)
-        return grads + sweep.grads() + grads_back
+        return grads + grads_back + ((d_x,) if sweep is None else sweep.grads())
 
     return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
 

@@ -14,19 +14,11 @@ import numpy as np
 from .tensor import Tensor
 
 
-def named_leaves(params, prefix=""):
-    """Yield (dotted-name, leaf) for every array or tensor field, depth first."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        name = prefix + f.name
-        if value is None:
-            continue
-        if isinstance(value, (np.ndarray, Tensor)):
-            yield name, value
-        elif dataclasses.is_dataclass(value):
-            yield from named_leaves(value, name + ".")
-        else:
-            raise TypeError(f"unsupported parameter field {name!r}: {type(value).__name__}")
+def named_leaves(params):
+    """(dotted-name, leaf) for every array or tensor field, depth first."""
+    pairs = []
+    map_leaves(params, lambda name, leaf: pairs.append((name, leaf)))
+    return pairs
 
 
 def map_leaves(params, fn, prefix=""):

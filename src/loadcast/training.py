@@ -223,7 +223,7 @@ def train(model_config, train_samples, validation_samples, config):
         try:
             mses = _window_mses(params, model_config, scored)
             return _finite_mean(mses[:split]), _finite_mean(mses[split:])
-        except EvaluationError as err:
+        except (EvaluationError, FloatingPointError) as err:
             raise TrainingError(f"divergence while evaluating epoch {epoch}: {err}") from err
 
     train_mse, val_mse = losses(0)
@@ -237,7 +237,7 @@ def train(model_config, train_samples, validation_samples, config):
             try:
                 grads = batch_gradients(params, model_config,
                                         [train_samples[i] for i in batch])
-            except EvaluationError as err:
+            except (EvaluationError, FloatingPointError) as err:
                 raise TrainingError(
                     f"divergence at epoch {epoch}, batch {batch_index}: {err}") from err
             if config.clip_norm is not None:

@@ -323,7 +323,10 @@ class TestRejection:
         ("holidays", 5),
         ("standardization", {"load_mean": "1.0", "load_std": 1.0,
                              "temperature_mean": 0.0, "temperature_std": 1.0}),
-    ], ids=["holiday-not-a-date", "holidays-not-a-list", "string-in-standardization"])
+        ("standardization", {"load_mean": 1.0, "load_std": 0.0,
+                             "temperature_mean": 0.0, "temperature_std": 1.0}),
+    ], ids=["holiday-not-a-date", "holidays-not-a-list", "string-in-standardization",
+            "zero-std-in-standardization"])
     def test_malformed_pipeline_block(self, tmp_path, block, value):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)

@@ -1,5 +1,6 @@
 """Command line behavior, exercised in process through `main`."""
 
+import ast
 import csv
 import dataclasses
 import fcntl
@@ -21,9 +22,9 @@ import loadcast.model
 import loadcast.tensor
 import loadcast.training
 import loadcast.verify
-from loadcast.checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main)
-from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar,
+from loadcast.checkpoint import load_checkpoint, save_checkpoint
+from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_VERIFY, main)
+from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar, write_atomic,
                            write_records_csv)
 from loadcast.errors import EvaluationError
 from loadcast.model import init_params
@@ -53,10 +54,12 @@ def write_config(directory, out_dir, body=TINY_CONFIG):
     return path
 
 
+SOURCES = Path(__file__).resolve().parent.parent / "src"
+
+
 def module_env():
     """The environment for `python -m loadcast` from this checkout."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    path = [str(SOURCES)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
@@ -267,6 +270,16 @@ class TestTrain:
         assert err.startswith("data error:") and "72" in err and "got 48" in err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
 
+    def test_diverging_run_is_one_training_error_line(self, tmp_path, capsys):
+        body = (TINY_CONFIG.replace("train.learning_rate = 0.01", "train.learning_rate = 1e300")
+                .replace("data.train_days = 7", "data.train_days = 12"))
+        code = main(["train", "--config",
+                     str(write_config(tmp_path, tmp_path / "out", body)), "--synthetic"])
+        assert code == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.startswith("training error:") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("stride", [None, 5])
     def test_csv_and_synthetic_sources_train_alike(self, tmp_path, stride):
         """The same days through either source give the same run: the
@@ -308,6 +321,57 @@ class TestWriteAtomic:
         write_atomic(path, "b\n")
         assert path.read_bytes() == b"b\n"
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.txt"]
+
+    def test_no_package_module_writes_a_file_around_it(self):
+        # `Path.write_text` and `write_bytes` leave a half-written file
+        # behind a failure; every file the package writes goes through
+        # `write_atomic` instead.
+        calls = [f"{path.relative_to(SOURCES)}:{node.lineno}"
+                 for path in sorted(SOURCES.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("write_text", "write_bytes")]
+        assert not calls, f"direct file writes: {calls}"
+
+
+@pytest.mark.parametrize("case, code", [
+    ("forecast-checkpoint-not-utf8", EXIT_CONFIG),
+    ("forecast-holidays-not-utf8", EXIT_DATA),
+    ("train-holidays-not-utf8", EXIT_DATA),
+    ("synth-out-in-a-missing-dir", EXIT_CONFIG),
+    ("forecast-out-is-a-file", EXIT_CONFIG),
+    ("train-output-dir-is-a-file", EXIT_CONFIG)])
+def test_broken_path_is_one_typed_error_line(trained, tmp_path, capsys, case, code):
+    data = tmp_path / "data.csv"
+    main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe2022-01-01\n")
+    capsys.readouterr()
+
+    def forecast(flag):
+        flags = {"--checkpoint": trained / "checkpoint.json", "--data": data,
+                 "--out": tmp_path / "fc", flag: bad}
+        return ["forecast"] + [str(arg) for pair in flags.items() for arg in pair]
+
+    csv_keys = "".join(f"{key} = {value}\n" for key, value in (
+        ("data.train_csv", data), ("data.validation_csv", data), ("data.holidays", bad)))
+    named = tmp_path / "absent" / "x.csv" if case.startswith("synth") else bad
+    argv = {
+        "forecast-checkpoint-not-utf8": lambda: forecast("--checkpoint"),
+        "forecast-holidays-not-utf8": lambda: forecast("--holidays"),
+        "train-holidays-not-utf8": lambda: ["train", "--config", str(write_config(
+            tmp_path, tmp_path / "out", TINY_CONFIG + csv_keys))],
+        "synth-out-in-a-missing-dir": lambda: ["synth", "--days", "9", "--seed", "7",
+                                               "--out", str(named)],
+        "forecast-out-is-a-file": lambda: forecast("--out"),
+        "train-output-dir-is-a-file": lambda: ["train", "--config",
+                                               str(write_config(tmp_path, bad)), "--synthetic"],
+    }[case]()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error:" if code == EXIT_CONFIG else "data error:")
+    assert str(named) in err
 
 
 class TestForecast:
@@ -464,6 +528,22 @@ class TestForecast:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(paths[flag]) in err
         assert not (tmp_path / "fc").exists()
+
+    def test_holidays_override_is_the_calendar_used(self, trained, tmp_path):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(tmp_path / "same.txt")])
+        (tmp_path / "more.txt").write_text("2022-01-01\n2022-01-07\n")
+        forecasts = {}
+        for name in (None, "same.txt", "more.txt"):
+            out = tmp_path / f"fc-{name}"
+            flags = [] if name is None else ["--holidays", str(tmp_path / name)]
+            assert main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                         "--data", str(data), "--out", str(out), *flags]) == EXIT_OK
+            forecasts[name] = (out / "forecast.csv").read_bytes()
+        # The checkpoint's own calendar is the synthetic one.
+        assert forecasts["same.txt"] == forecasts[None]
+        assert forecasts["more.txt"] != forecasts[None]
 
     def test_daylight_saving_series_is_a_data_error(self, trained, tmp_path, capsys):
         # America/New_York springs forward from 01:00-05:00 to 03:00-04:00,

@@ -56,6 +56,10 @@ output.dir = runs/ablation
         assert run.train_csv == Path("data/train.csv")
         assert run.output_dir == Path("runs/ablation")
 
+    def test_clip_norm_takes_a_number(self, tmp_path):
+        run = parse_run_config(write_config(tmp_path, "output.dir = out\ntrain.clip_norm = 2.5\n"))
+        assert run.training.clip_norm == 2.5
+
     def test_raw_echo_is_complete_and_stringly_typed(self, tmp_path):
         run = parse_run_config(write_config(tmp_path,
                                             "output.dir = out\n"
@@ -116,6 +120,12 @@ class TestErrors:
             parse_run_config(write_config(
                 tmp_path, f"output.dir = out\ntrain.learning_rate = {value}\n"))
         assert "line 2" in str(exc.value) and "finite" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["train.learning_rate", "train.clip_norm"])
+    def test_non_numeric_number_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(tmp_path, f"output.dir = out\n{key} = fast\n"))
+        assert "line 2" in str(exc.value) and "expected a number, got 'fast'" in str(exc.value)
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "run.conf"

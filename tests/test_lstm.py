@@ -11,7 +11,7 @@ import pytest
 from loadcast import lstm
 from loadcast.errors import DimensionError, EvaluationError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
-                           LstmState, _activate, _gate_form, _gate_tiles,
+                           LstmState, _activate, _gate_tiles,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
@@ -197,18 +197,19 @@ class TestGateForm:
                                                             gates[:, 2].shape))
 
     def test_built_once_per_width_and_read_only(self):
-        scale, shift = _gate_form(5)
-        assert _gate_form(5)[0] is scale and _gate_form(5)[1] is shift
+        scale, shift = _gate_tiles(5, 1)
+        assert _gate_tiles(5, 1)[0] is scale and _gate_tiles(5, 1)[1] is shift
         for arr in (scale, shift):
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr[0, 0] = 0.0
 
     def test_tiles_built_once_per_width_and_windows_and_read_only(self):
         tiles = _gate_tiles(5, 3)
         assert all(a is b for a, b in zip(_gate_tiles(5, 3), tiles))
         assert _gate_tiles(5, 4)[0] is not tiles[0]
-        for tile, row in zip(tiles, _gate_form(5)):
-            npt.assert_array_equal(tile, np.repeat(row[:, np.newaxis], 3, axis=1))
+        rows = ([0.5] * 10 + [1.0] * 5 + [0.5] * 5, [0.5] * 10 + [0.0] * 5 + [0.5] * 5)
+        for tile, row in zip(tiles, rows):
+            npt.assert_array_equal(tile, np.repeat(np.array(row)[:, np.newaxis], 3, axis=1))
             with pytest.raises(ValueError):
                 tile[0, 0] = 0.0
             with pytest.raises(ValueError):
@@ -616,10 +617,9 @@ def broadcast_run(w, bias, z, c0, sweep=None, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = _gate_form(hidden)
-    w = w * scale[:, np.newaxis]
-    bias = (bias * scale)[:, np.newaxis]
-    scale, shift = scale[:, np.newaxis], shift[:, np.newaxis]
+    scale, shift = _gate_tiles(hidden, 1)
+    w = w * scale
+    bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots, 4 * hidden, windows))
     c_seq = np.empty((slots + 1, hidden, windows))
