@@ -25,8 +25,8 @@ from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
                    bilstm_sequence, feedforward_relu,
                    lstm_cell_step, lstm_sequence, zero_state)
 from .metrics import MetricReport, compute_metrics, relative_error
-from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, decode,
-                    encode, forward, init_params, predict)
+from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, StackedWindows,
+                    decode, encode, forward, init_params, predict)
 from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
 from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, check_gradients,
                      concat, fused_op, hadamard, matmul, relu, reshape, scale,

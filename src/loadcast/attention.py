@@ -17,11 +17,14 @@ step of one window as tape ops.  The model runs a whole sequence's steps
 for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
 `TemporalSweep`, inside the forward direction of one
 `lstm.bilstm_sequence` op, whose backward direction reads the same step
-inputs reversed.  A sweep's `forward(t, h_prev, out)` writes step t's
-input, one column per window, into the (width, B) array `out`, which is
-the input rows of the recurrence's own [x_t; h_{t-1}] scratch, with the
-same arithmetic (scores and softmax down each column, each window's
-context from its own encoder states and similar-day weights);
+inputs reversed.  A sweep's `fill(inputs)` writes the input rows that
+depend on no parameter (the feature sweep's targets, the temporal sweep's
+features) for every step at once into the (steps, width, B) input rows
+of the recurrence's own [x_t; h_{t-1}] scratch, and `forward(t, h_prev,
+out)` writes the rest of step t's input, one column per window, into the
+(width, B) array `out`, step t's part of the same rows, with the same
+arithmetic (scores and softmax down each column, each window's context
+from its own encoder states and similar-day weights);
 `backward(t, dx)` turns the gradient of that input into one for h_prev in
 the reverse loop, and `grads()` forms the parameter gradients (for the
 temporal sweep also those of its conditioning tail and encoder states)
@@ -176,7 +179,8 @@ class _ScoredSweep:
     """The additive scorer of both sweeps, stepped in numpy for B windows.
 
     Step t's joint matrix is [h_{t-1}; fixed_t], one column per window,
-    where `fixed` holds the rows known before the run.  Step t scores it as
+    where the `rows` fixed rows are known before the run and a sweep writes
+    them straight into `_joint[:, hidden_size:]`.  Step t scores it as
     `feature_attention` and `temporal_attention` do, score @ tanh(proj @
     joint), with a softmax down each column, and keeps everything the
     backward pass needs; `weights` holds the (steps, n, B) softmax weights.
@@ -184,21 +188,18 @@ class _ScoredSweep:
     into the gradient of its weights.
     """
 
-    def __init__(self, params, fixed):
+    def __init__(self, params, steps, rows, windows):
         proj, score = as_tensor(params.proj), as_tensor(params.score)
         self.operands = (proj, score)
         self._proj, self._score = proj.values, score.values
-        if fixed.ndim != 3:
-            raise DimensionError(f"step rows {fixed.shape} are not (steps, rows, windows)")
-        self.steps, _, self.windows = fixed.shape
-        self.hidden_size = self._proj.shape[-1] - fixed.shape[1]
+        self.steps, self.windows = steps, windows
+        self.hidden_size = self._proj.shape[-1] - rows
         if (self._proj.ndim != 2 or self._score.ndim != 2
                 or self._score.shape[1] != self._proj.shape[0] or self.hidden_size < 1):
             raise DimensionError(
                 f"attention blocks {self._proj.shape}, {self._score.shape} do not fit "
-                f"{fixed.shape[1]} step rows")
-        self._joint = np.empty((self.steps, self._proj.shape[1], self.windows))
-        self._joint[:, self.hidden_size:] = fixed
+                f"{rows} step rows")
+        self._joint = np.empty((steps, self._proj.shape[1], windows))
         self._pre = np.empty((self.steps, self._proj.shape[0], self.windows))
         self._squashed = np.empty_like(self._pre)
         self._scores = np.empty((self.steps, self._score.shape[0], self.windows))
@@ -254,12 +255,13 @@ class _ScoredSweep:
 class FeatureSweep(_ScoredSweep):
     """Feature attention for every encoder step, inside one recurrence.
 
-    Step t conditions on h_{t-1} alone, reweights the features of hour t as
-    `feature_attention` does and `forward(t, h_prev, out)` writes the step
-    input [weights * features; target] into `out`, (n + 1, B), one column
-    per window.  `features` is (steps, n, B) and `targets` is (steps, B).
-    `operands` are `proj` and `score`; `grads()` returns their gradients
-    in that order.
+    Step t conditions on h_{t-1} alone and reweights the features of hour
+    t as `feature_attention` does.  Its input is [weights * features;
+    target], (n + 1, B), one column per window: `fill` writes the target
+    row of every step and `forward(t, h_prev, out)` the reweighted
+    features into `out[:n]`.  `features` is (steps, n, B) and `targets`
+    is (steps, B).  `operands` are `proj` and `score`; `grads()` returns
+    their gradients in that order.
     """
 
     def __init__(self, params, features, targets):
@@ -269,17 +271,24 @@ class FeatureSweep(_ScoredSweep):
             raise DimensionError(
                 f"features {features.shape} and targets {targets.shape} are not per step "
                 f"and window")
-        super().__init__(params, np.concatenate((features, targets[:, np.newaxis]), axis=1))
-        if self._score.shape[0] != features.shape[1]:
+        steps, n, windows = features.shape
+        super().__init__(params, steps, n + 1, windows)
+        if self._score.shape[0] != n:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
-                                 f"{features.shape[1]} features")
+                                 f"{n} features")
+        self._joint[:, self.hidden_size:-1] = features
+        self._joint[:, -1] = targets
         self._features, self._targets = features, targets
-        self.width = features.shape[1] + 1
+        self.width = n + 1
+
+    def fill(self, inputs):
+        """Write every step's target row into `inputs`, (steps, n + 1, B)."""
+        inputs[:, -1] = self._targets
 
     def forward(self, t, h_prev, out):
-        """Write step t's input into `out`, from the hidden state before it."""
+        """Write step t's reweighted features into `out`, from the hidden
+        state before it."""
         np.multiply(self._attend(t, h_prev), self._features[t], out=out[:-1])
-        out[-1] = self._targets[t]
 
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
@@ -292,9 +301,10 @@ class TemporalSweep(_ScoredSweep):
     Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
     same for every step, weights every history hour as
     `temporal_attention` does, mixes each window's encoder states with day
-    weight times hour weight as `context_vector` does and
-    `forward(t, h_prev, out)` writes the step input [features; context]
-    into `out`, (n + S, B), one column per window.  `features` is
+    weight times hour weight as `context_vector` does.  Its input is
+    [features; context], (n + S, B), one column per window: `fill` writes
+    the feature rows of every step and `forward(t, h_prev, out)` the
+    context into `out[n:]`.  `features` is
     (steps, n, B), `day_weights` is (days, B) and `states` is (history,
     S, B), so a day is history / days hours.  `weights` holds the flat
     hour weights, (steps, history, B).  `operands` are `proj`, `score`,
@@ -305,37 +315,41 @@ class TemporalSweep(_ScoredSweep):
         features = np.asarray(features, dtype=np.float64)
         day_weights = np.asarray(day_weights, dtype=np.float64)
         tail, states = as_tensor(tail), as_tensor(states)
-        if (features.ndim != 3 or tail.values.ndim != 2
-                or tail.shape[1] != features.shape[2]):
-            raise DimensionError(f"tail {tail.shape} and features {features.shape} are not "
+        rows, spans = tail.values.shape, states.values.shape
+        if features.ndim != 3 or len(rows) != 2 or rows[1] != features.shape[2]:
+            raise DimensionError(f"tail {rows} and features {features.shape} are not "
                                  f"(rows, windows) and (steps, n, windows)")
-        tails = np.broadcast_to(tail.values, (features.shape[0],) + tail.shape)
-        super().__init__(params, np.concatenate((tails, features), axis=1))
-        self._tail = slice(self.hidden_size, self.hidden_size + tail.shape[0])
+        steps, n, windows = features.shape
+        super().__init__(params, steps, rows[0] + n, windows)
+        self._tail = slice(self.hidden_size, self.hidden_size + rows[0])
+        self._joint[:, self._tail] = tail.values
+        self._joint[:, self._tail.stop:] = features
         history_len = self._score.shape[0]
         days = day_weights.shape[0] if day_weights.ndim == 2 else 0
-        if days < 1 or history_len % days or day_weights.shape != (days, self.windows):
+        if days < 1 or history_len % days or day_weights.shape != (days, windows):
             raise DimensionError(f"day weights {day_weights.shape} do not split "
                                  f"{history_len} history hours into whole days of "
-                                 f"{self.windows} windows")
-        if (len(states.shape) != 3 or states.shape[0] != history_len
-                or states.shape[2] != self.windows):
-            raise DimensionError(f"states {states.shape} do not cover {history_len} history "
-                                 f"hours of {self.windows} windows")
+                                 f"{windows} windows")
+        if len(spans) != 3 or spans[0] != history_len or spans[2] != windows:
+            raise DimensionError(f"states {spans} do not cover {history_len} history "
+                                 f"hours of {windows} windows")
         self.operands += (tail, states)
         # Window-major: `_states[k]` is window k's (S, history) matrix, so
         # the context of every window is one batched product.
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self._day = np.repeat(day_weights, history_len // days, axis=0)
+        self._day = day_weights.repeat(history_len // days, 0)
         self._features = features
-        self.width = features.shape[1] + states.shape[1]
+        self.width = n + spans[1]
+
+    def fill(self, inputs):
+        """Write every step's feature rows into `inputs`, (steps, n + S, B)."""
+        inputs[:, :self._features.shape[1]] = self._features
 
     def forward(self, t, h_prev, out):
-        """Write step t's input into `out`, from the hidden state before it."""
+        """Write step t's context into `out`, from the hidden state before it."""
         mix = self._day * self._attend(t, h_prev)
-        n = self._features.shape[1]
-        out[:n] = self._features[t]
-        out[n:] = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0].T
+        context = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0]
+        out[self._features.shape[1]:] = context.T
 
     def _begin_backward(self):
         super()._begin_backward()

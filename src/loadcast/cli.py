@@ -97,14 +97,21 @@ def _prepare_synthetic(run):
             calendar, fingerprint)
 
 
+def _require_file(name, path):
+    """Raise `ConfigError`, naming `name` and `path`, unless `path` is a file."""
+    if path.is_dir():
+        raise ConfigError(f"{name} points to a directory, not a file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{name} points to a missing file: {path}")
+
+
 def _prepare_from_csv(run):
     for key, value in (("data.train_csv", run.train_csv),
                        ("data.validation_csv", run.validation_csv),
                        ("data.holidays", run.holidays)):
         if value is None:
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
-        if not Path(value).is_file():
-            raise ConfigError(f"{key} points to a missing file: {value}")
+        _require_file(key, Path(value))
     calendar = HolidayCalendar.from_file(run.holidays)
     fingerprint = {"train_csv": _sha256(run.train_csv),
                    "validation_csv": _sha256(run.validation_csv),
@@ -200,8 +207,8 @@ def _write_attention_dumps(out, traces):
 def _cmd_forecast(args):
     ck = load_checkpoint(args.checkpoint)
     for flag, path in (("--data", args.data), ("--holidays", args.holidays)):
-        if path is not None and not path.is_file():
-            raise ConfigError(f"{flag} points to a missing file: {path}")
+        if path is not None:
+            _require_file(flag, path)
     calendar = (ck.calendar if args.holidays is None
                 else HolidayCalendar.from_file(args.holidays))
     if ck.config.n_features != FEATURE_WIDTH:
@@ -245,10 +252,12 @@ def _cmd_verify(_args):
 
 
 def _cmd_synth(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     try:
         records = generate_synthetic(args.days, args.seed)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"--days {args.days}: {err}") from None
     write_records_csv(records, args.out)
     _say(f"wrote {len(records)} hourly records to {args.out}")
     if args.holidays_out is not None:

@@ -29,9 +29,10 @@ arithmetic of the cell step (`_run`), which keeps the gate activations as
 layout for the gate pre-activation gradients (`_bptt`), then forms the
 weight, bias and input gradients with one product each over every step
 of every window (`_walk`).  The forward direction of a bidirectional run
-may take its inputs from an attention sweep, whose numpy forward runs
-inside the loop and writes step t's input in place into the run's
-[x_t; h_{t-1}] scratch.  The backward direction reads the same inputs
+may take its inputs from an attention sweep, which fills the input rows
+that depend on no parameter into the run's [x_t; h_{t-1}] scratch once,
+and whose numpy forward runs inside the loop and writes the rest of step
+t's input in place.  The backward direction reads the same inputs
 reversed; the op's backward walks it first, and its input gradient,
 reversed, is what arrives on the forward direction's inputs, which the
 sweep's backward, inside the reverse loop, turns into a contribution to
@@ -129,9 +130,10 @@ def _cell(params):
     """The weights, b_x and b_h of `params` as tensors, checked to be
     (4H, input + H), (4H,) and (4H,)."""
     weights, b_x, b_h = as_tensor(params.weights), as_tensor(params.b_x), as_tensor(params.b_h)
-    rows = b_x.shape[0] if len(b_x.shape) == 1 else 0
-    if (rows < 4 or rows % 4 or b_h.shape != b_x.shape or len(weights.shape) != 2
-            or weights.shape[0] != rows or weights.shape[1] <= rows // 4):
+    w_shape, b_shape = weights.values.shape, b_x.values.shape
+    rows = b_shape[0] if len(b_shape) == 1 else 0
+    if (rows < 4 or rows % 4 or b_h.values.shape != b_shape or len(w_shape) != 2
+            or w_shape[0] != rows or w_shape[1] <= rows // 4):
         raise DimensionError(f"lstm blocks {weights.shape}, {b_x.shape}, {b_h.shape} are not "
                              f"(4H, input + H), (4H,), (4H,)")
     return weights, b_x, b_h
@@ -209,13 +211,14 @@ def _run(w, bias, z, c0, sweep=None, history=True):
 
     `z` is (steps + 1, input + H, B), and `z[t]` is the matrix [x_t;
     h_{t-1}] of step t, one column per window, whose gate pre-activations
-    are one product with `w`; the caller fills h_0 and, without a sweep,
-    every x_t.  With a sweep, `sweep.forward(t, h_{t-1}, z[t, :input])`
-    writes x_t in place.  The weights are scaled once per run by the first
-    column of `_gate_tiles`' scale, and the bias into one (4H, B) product
-    with the whole tile, so each step's four gates are one tanh over
-    operands of the step's shape, written into arrays made once per run; the
-    per-column arithmetic is that of `lstm_cell_step`.  Returns the
+    are one product with `w`; the caller fills h_0 and every x_t, or with
+    a sweep the rows `sweep.fill` writes, and then `sweep.forward(t,
+    h_{t-1}, z[t, :input])` writes the rest of x_t in place.  The weights
+    are scaled once per run by the first column of `_gate_tiles`' scale,
+    and the bias into one (4H, B) product with the whole tile, so each
+    step's four gates are one tanh over operands of the step's shape,
+    written into arrays made once per run; the per-column arithmetic is
+    that of `lstm_cell_step`.  Returns the
     activations and the cell states: with `history`, all (steps, 4H, B)
     activations and c_0 .. c_T, which `_bptt` reads; without, one
     activation slot and two cell slots, reused as the steps go.  Either
@@ -293,11 +296,13 @@ def _direction(params, init, shape):
     steps, width, windows = shape
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
-    if width != params.input_size:
+    hidden = b_x.values.shape[0] // 4
+    input_size = weights.values.shape[1] - hidden
+    if width != input_size:
         raise DimensionError(f"step input width {width} does not match weights "
-                             f"({params.input_size},)")
-    state = (params.hidden_size, windows)
-    if h0.shape != state or c0.shape != state:
+                             f"({input_size},)")
+    state = (hidden, windows)
+    if h0.values.shape != state or c0.values.shape != state:
         raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
     return weights, b_x, b_h, h0, c0
 
@@ -406,6 +411,8 @@ def _sequence(cells, inputs, inits):
     z = np.empty((steps + 1, width + hidden, windows))
     if sweep is None:
         z[:steps, :width] = inputs.values
+    else:
+        sweep.fill(z[:steps, :width])
     run, c_last = _start(directions[0], z, sweep, taped)
     runs = [run]
     if sweep is not None:

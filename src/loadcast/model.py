@@ -13,10 +13,15 @@ share this code path:
 * ``EDLSTM``      no attention, unidirectional, with the cell width doubled
                   so every variant exposes the same state width to the head.
 
-`forward` runs a list of windows as one pass: every per-window array is
-stacked with the windows as its last axis, and every recurrence, sweep,
-the head and the loss carry that axis, one column per window.  `predict`
-is `forward` over one window.
+`forward` runs a set of windows as one pass, one column per window in
+every recurrence, sweep, the head and the loss.  What a pass reads of its
+windows depends on no parameter, so it is computed once per set, as a
+`StackedWindows`: the history features, history targets and future
+features stacked with the windows as their last axis and shape-checked,
+and, with decoder attention, the similar-day weights.  `forward` stacks a
+list itself or takes a value already built, so a caller that runs the same
+windows many times (the gradient gate probes one window about 2,000 times)
+stacks them once.  `predict` is `forward` over one window.
 
 Every bidirectional run, encoder or decoder, is one `lstm.bilstm_sequence`
 op over both directions.  Without attention on that side the step inputs
@@ -167,6 +172,52 @@ def init_params(config):
                        temporal_attn=temporal_attn, decoder=decoder, head=head)
 
 
+@dataclass(frozen=True, eq=False)
+class StackedWindows:
+    """B windows as one pass reads them, built once by `stack` for a
+    config: (history_len, n_features, B) history features, (history_len,
+    B) history targets, (horizon, n_features, B) future features and, with
+    decoder attention, the (days, B) similar-day weights, window k in
+    column k.  None of it depends on a parameter, and the arrays are
+    read-only."""
+
+    config: ModelConfig
+    hist_features: np.ndarray
+    hist_targets: np.ndarray
+    future_features: np.ndarray
+    day_weights: np.ndarray | None
+
+    @classmethod
+    def stack(cls, config, samples):
+        """Stack the nonempty list `samples` of windows, checking every
+        field's shape against `config`."""
+        if not samples:
+            raise DimensionError("a forward pass needs at least one window")
+        steps, width = config.history_len, config.n_features
+        hist_features = _stacked(samples, "x_hist", (steps, width))
+        hist_targets = _stacked(samples, "y_hist", (steps,))
+        future_features = _stacked(samples, "x_future", (config.horizon, width))
+        day_weights = None
+        if config.decoder_attention:
+            day_weights = similar_day_weights(
+                hist_features.reshape(config.days, config.day_len, width, len(samples)),
+                future_features)
+        for arr in (hist_features, hist_targets, future_features, day_weights):
+            if arr is not None:
+                arr.flags.writeable = False
+        return cls(config, hist_features, hist_targets, future_features, day_weights)
+
+    @property
+    def count(self):
+        return self.hist_targets.shape[-1]
+
+
+def _require_config(windows, config):
+    """Raise `ConfigError` unless `windows` were stacked for `config`."""
+    if windows.config is not config and windows.config != config:
+        raise ConfigError(f"windows stacked for {windows.config} do not fit {config}")
+
+
 @dataclass
 class Encoding:
     """Encoder output for B windows: per-hour states stacked as
@@ -179,34 +230,27 @@ class Encoding:
     feature_weights: np.ndarray | None
 
 
-def encode(params, config, hist_features, hist_targets, collect_attention=False):
-    """Run the encoder over the history windows.
+def encode(params, config, windows, collect_attention=False):
+    """Run the encoder over the histories of `windows`, a `StackedWindows`
+    built for `config`.
 
-    `hist_features` is (history_len, n_features, B) and `hist_targets` is
-    (history_len, B), window k in column k.  Each step consumes [features;
-    observed load]; with feature attention the feature part is reweighted
-    first (see the module docstring for how the weights are conditioned).
+    Each step consumes [features; observed load]; with feature attention
+    the feature part is reweighted first (see the module docstring for how
+    the weights are conditioned).
     """
-    steps, windows = config.history_len, hist_targets.shape[-1]
-    if hist_features.shape != (steps, config.n_features, windows):
-        raise DimensionError(
-            f"history features {hist_features.shape} do not match "
-            f"({steps}, {config.n_features}, {windows})")
-    if hist_targets.shape != (steps, windows):
-        raise DimensionError(
-            f"history targets {hist_targets.shape} do not match ({steps}, {windows})")
-
+    _require_config(windows, config)
+    hist_features, hist_targets = windows.hist_features, windows.hist_targets
     if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, hist_features, hist_targets)
     else:
         inputs = Tensor(np.concatenate((hist_features, hist_targets[:, np.newaxis]), axis=1))
     if config.bidirectional:
+        zeros = zero_state(config.hidden_size, windows.count)
         states, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, inputs, zero_state(config.hidden_size, windows),
-            zero_state(config.hidden_size, windows))
+            params.encoder, inputs, zeros, zeros)
     else:
         states, terminal_forward = lstm_sequence(
-            params.encoder, inputs, zero_state(config.state_width, windows))
+            params.encoder, inputs, zero_state(config.state_width, windows.count))
         terminal_backward = None
     feature_weights = None
     if collect_attention and config.encoder_attention:
@@ -223,45 +267,34 @@ class Decoding:
     hour_weights: np.ndarray | None
 
 
-def decode(params, config, encoding, hist_features, future_features, collect_attention=False):
-    """Run the decoder over the forecast days and apply the output head.
+def decode(params, config, encoding, windows, collect_attention=False):
+    """Run the decoder over the forecast days of `windows`, a
+    `StackedWindows` built for `config`, and apply the output head.
 
-    `hist_features` is the (history_len, n_features, B) array the encoder
-    ran over and `future_features` is (horizon, n_features, B).  Each
-    direction starts from its own orientation's encoder terminal state.
-    With decoder attention, the similar-day weights compare each window's
-    history days, `day_len`-row blocks of its history, with its forecast
-    day; the per-step context (similar-day times temporal
-    weights over the window's encoder states) is computed in the forward
-    sweep and both directions consume the same [features; context] inputs.
+    Each direction starts from its own orientation's encoder terminal
+    state.  With decoder attention, the windows' similar-day weights
+    compare each window's history days, `day_len`-row blocks of its
+    history, with its forecast day; the per-step context (similar-day times
+    temporal weights over the window's encoder states) is computed in the
+    forward sweep and both directions consume the same [features; context]
+    inputs.
     """
-    steps, windows = config.horizon, encoding.states.shape[-1]
-    for name, features, rows in (("history", hist_features, config.history_len),
-                                 ("future", future_features, steps)):
-        if features.shape != (rows, config.n_features, windows):
-            raise DimensionError(f"{name} features {features.shape} do not match "
-                                 f"({rows}, {config.n_features}, {windows})")
-
-    day_weights = hour_weights = None
+    _require_config(windows, config)
     if config.decoder_attention:
-        day_weights = similar_day_weights(
-            hist_features.reshape(config.days, config.day_len, config.n_features, windows),
-            future_features)
         inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
-                               future_features, day_weights, encoding.states)
+                               windows.future_features, windows.day_weights, encoding.states)
     else:
-        inputs = Tensor(future_features)
+        inputs = Tensor(windows.future_features)
     if config.bidirectional:
         states, _terminals = bilstm_sequence(
             params.decoder, inputs, encoding.terminal_forward, encoding.terminal_backward)
     else:
         states, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
 
-    output = feedforward_relu(params.head,
-                              reshape(states, (steps * config.state_width, windows)))
-    if collect_attention and config.decoder_attention:
-        hour_weights = inputs.weights
-    return Decoding(output, day_weights, hour_weights)
+    stacked = reshape(states, (config.horizon * config.state_width, windows.count))
+    output = feedforward_relu(params.head, stacked)
+    hour_weights = inputs.weights if collect_attention and config.decoder_attention else None
+    return Decoding(output, windows.day_weights, hour_weights)
 
 
 @dataclass
@@ -299,30 +332,27 @@ def _column(weights, k):
 
 
 def forward(params, config, samples, collect_attention=False, encoding=None):
-    """Encode the histories of `samples`, a nonempty list of windows, decode
-    their forecast days, and return the forecasts as one pass.
+    """Encode the histories of `samples`, decode their forecast days, and
+    return the forecasts as one pass.
 
-    The observed future loads in the samples are never read; only the
-    histories and the future features drive the output.  A given `encoding`
-    replaces the encoder run and must be what `encode` gives these inputs.
+    `samples` is a nonempty list of windows or a `StackedWindows` built for
+    `config`.  The observed future loads in the samples are never read;
+    only the histories and the future features drive the output.  A given
+    `encoding` replaces the encoder run and must be what `encode` gives
+    these inputs.
     """
-    if not samples:
-        raise DimensionError("a forward pass needs at least one window")
-    steps, width = config.history_len, config.n_features
-    hist_features = _stacked(samples, "x_hist", (steps, width))
+    windows = (samples if isinstance(samples, StackedWindows)
+               else StackedWindows.stack(config, samples))
     if encoding is None:
-        encoding = encode(params, config, hist_features,
-                          _stacked(samples, "y_hist", (steps,)), collect_attention)
-    decoding = decode(params, config, encoding, hist_features,
-                      _stacked(samples, "x_future", (config.horizon, width)),
-                      collect_attention)
+        encoding = encode(params, config, windows, collect_attention)
+    decoding = decode(params, config, encoding, windows, collect_attention)
     values = decoding.output.values
     return ForwardPass(decoding.output, [
         Forecast(values=np.array(values[:, k]),
                  feature_weights=_column(encoding.feature_weights, k),
                  hour_weights=_column(decoding.hour_weights, k),
                  day_weights=_column(decoding.day_weights, k))
-        for k in range(len(samples))])
+        for k in range(windows.count)])
 
 
 def predict(params, config, sample, collect_attention=False):

@@ -405,6 +405,8 @@ def segment(x, start, stop, shape=None):
         if math.prod(shape) != part.size:
             raise DimensionError(f"cannot view segment {start}:{stop} as {tuple(shape)}")
         part = part.reshape(shape)
+    if x.tape is None:
+        return Tensor(part, scanned=True)
     size, key = x.values.size, slice(start, stop)
     return fused_op(part, (x,), lambda g: ((size, key, g.reshape(-1)),), scanned=True)
 

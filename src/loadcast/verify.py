@@ -18,7 +18,7 @@ import numpy as np
 from .data import WindowSample
 from .metrics import compute_metrics
 from .errors import LoadcastError
-from .model import ModelConfig, encode, forward, init_params, predict
+from .model import ModelConfig, StackedWindows, encode, forward, init_params, predict
 from .params import map_leaves, named_leaves
 from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
@@ -55,11 +55,15 @@ def tiny_model_case(variant="ANLF", seed=8):
 def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     """Finite-difference check of the full window MSE against every parameter.
 
-    `check_gradients` hands every constant probe the same mapping, perturbed
-    in place, so the parameter tree over a mapping, like the target, is
-    built once.  A constant probe whose `feature_attn` and `encoder` leaves
-    are byte for byte the previous constant probe's reuses its `Encoding`,
-    as the probes of the temporal attention, decoder and head scalars do.
+    What depends on no parameter is computed once per report and shared by
+    every pass: the window's `StackedWindows` (its stacked, shape-checked
+    arrays and its similar-day weights) and the target.  `check_gradients`
+    hands every constant probe the same mapping, perturbed in place, so the
+    parameter tree over a mapping is built once per mapping; nothing is
+    kept by a parameter array's identity.  A constant probe whose
+    `feature_attn` and `encoder` leaves are byte for byte the previous
+    constant probe's reuses its `Encoding`, as the probes of the temporal
+    attention, decoder and head scalars do.
     `encode` is a pure function of those leaves, the window and the config,
     so every loss is bitwise that of a fresh encoder run.  The taped pass
     always encodes.
@@ -67,7 +71,7 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
     encoder_side = [name for name in arrays if name.startswith(("feature_attn.", "encoder."))]
-    history = sample.x_hist[..., np.newaxis], sample.y_hist[:, np.newaxis]
+    windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
     # The latest mapping and its tree; the previous constant probe's encoder
     # leaf bytes and `Encoding`.
@@ -82,9 +86,9 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
         if leaves[encoder_side[0]].tape is None:
             key = b"".join(leaves[name].values.tobytes() for name in encoder_side)
             if last.get("key") != key:
-                last.update(key=key, encoding=encode(bound, config, *history))
+                last.update(key=key, encoding=encode(bound, config, windows))
             encoding = last["encoding"]
-        output = forward(bound, config, [sample], encoding=encoding).output
+        output = forward(bound, config, windows, encoding=encoding).output
         return mse_loss(output, target)
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)

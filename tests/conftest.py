@@ -1,0 +1,51 @@
+"""Fixtures shared across test modules."""
+
+import functools
+from types import SimpleNamespace
+
+import pytest
+
+from loadcast import model, verify
+
+
+@pytest.fixture(scope="session")
+def seed8_gate():
+    """One unmutated `verify.run_all_checks()`, whose full-model check is
+    the ANLF `tiny_model_case` seed-8 gradient gate, with what that gate
+    did: `check` is its `CheckResult`, `forward` its calls of
+    `verify.forward`, `encode` its encoder runs (through `model.encode` or
+    `verify.encode`) and `similar_day_weights` its calls of
+    `model.similar_day_weights`.  For tests that only read these; a test
+    that patches a rule runs its own gate."""
+    counts = {"forward": 0, "encode": 0, "similar_day_weights": 0}
+    checks, inside = [], []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    gate = verify._check_model_gradients
+
+    @functools.wraps(gate)
+    def counted_gate():
+        inside.append(True)
+        try:
+            checks.append(gate())
+        finally:
+            inside.pop()
+        return checks[-1]
+
+    encode = counted("encode", model.encode)
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(verify, "forward", counted("forward", verify.forward))
+        patches.setattr(model, "encode", encode)
+        patches.setattr(verify, "encode", encode)
+        patches.setattr(model, "similar_day_weights",
+                        counted("similar_day_weights", model.similar_day_weights))
+        patches.setattr(verify, "_check_model_gradients", counted_gate)
+        results = verify.run_all_checks()
+    assert len(checks) == 1 and checks[0] in results
+    return SimpleNamespace(results=results, check=checks[0], **counts)

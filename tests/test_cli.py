@@ -117,7 +117,18 @@ class TestSynth:
         code = main(["synth", "--days", "3", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert err == ("config error: --days 3: need at least 9 days (a history window plus "
+                       "one forecast day)\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_is_a_config_error_naming_the_flag(self, tmp_path, capsys):
+        code = main(["synth", "--days", "9", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: --seed must be a nonnegative "
+                                           "integer, got -1\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTrain:
@@ -223,6 +234,21 @@ class TestTrain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "data.train_csv" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("key", ["data.train_csv", "data.validation_csv", "data.holidays"])
+    def test_csv_key_naming_a_directory_says_it_is_one(self, tmp_path, capsys, key):
+        data, holidays = tmp_path / "data.csv", tmp_path / "holidays.txt"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(holidays)])
+        paths = {"data.train_csv": data, "data.validation_csv": data, "data.holidays": holidays}
+        paths[key] = tmp_path / "adir"
+        paths[key].mkdir()
+        body = TINY_CONFIG + "".join(f"{name} = {path}\n" for name, path in paths.items())
+        code = main(["train", "--config", str(write_config(tmp_path, tmp_path / "out", body))])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key} points to a directory, not a file: {paths[key]}" in err
+        assert "missing" not in err
 
     @pytest.mark.parametrize("key", ["data.test_csv", "model.day_len", "data.synthetic_days",
                                      "data.test_days", "train.beta1", "train.beta2",
@@ -529,6 +555,22 @@ class TestForecast:
         assert err.startswith("config error:") and str(paths[flag]) in err
         assert not (tmp_path / "fc").exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "--holidays"])
+    def test_input_naming_a_directory_says_it_is_one(self, trained, tmp_path, capsys, flag):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(tmp_path / "holidays.txt")])
+        paths = {"--data": data, "--holidays": tmp_path / "holidays.txt"}
+        paths[flag] = tmp_path / "adir"
+        paths[flag].mkdir()
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(paths["--data"]), "--holidays", str(paths["--holidays"]),
+                     "--out", str(tmp_path / "fc")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {flag} points to a directory, not a file: {paths[flag]}\n"
+        assert not (tmp_path / "fc").exists()
+
     def test_holidays_override_is_the_calendar_used(self, trained, tmp_path):
         data = tmp_path / "data.csv"
         main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
@@ -613,10 +655,11 @@ class TestVerify:
     def test_passes_unfaulted(self):
         assert _check_basic_gradients().passed
 
-    def test_detects_a_head_relu_rule_that_passes_every_gradient(self, monkeypatch):
+    def test_detects_a_head_relu_rule_that_passes_every_gradient(self, monkeypatch,
+                                                                 seed8_gate):
         # ANLF at `tiny_model_case` seed 8 has a head unit below the kink
         # (pre-activation -0.058), so the gate sees the wrong rule.
-        assert _check_model_gradients().passed
+        assert seed8_gate.check.passed
         monkeypatch.setattr(loadcast.lstm, "_relu_grad", lambda x, g: g)
         assert not _check_model_gradients().passed
 
@@ -629,8 +672,8 @@ class TestVerify:
         report = _check_model_gradients()
         assert not report.passed and report.detail == "max rel error inf"
 
-    def test_verdicts_are_plain_bools_that_serialize(self):
-        results = loadcast.verify.run_all_checks()
+    def test_verdicts_are_plain_bools_that_serialize(self, seed8_gate):
+        results = seed8_gate.results
         assert [type(r.passed) for r in results] == [bool] * len(results)
         assert json.loads(json.dumps([r.passed for r in results])) == [True] * len(results)
 

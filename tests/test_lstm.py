@@ -339,6 +339,9 @@ class FixedSweep:
         self._grad = np.zeros(inputs.shape)
         self._seen = seen
 
+    def fill(self, inputs):
+        pass
+
     def forward(self, t, h_prev, out):
         if self._seen is not None:
             self._seen.append((t, np.array(h_prev)))

@@ -13,7 +13,7 @@ from loadcast import model, verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
-from loadcast.model import (VARIANTS, ModelConfig, forward, init_params,
+from loadcast.model import (VARIANTS, ModelConfig, StackedWindows, forward, init_params,
                             predict)
 from loadcast.params import bind, bind_constants, map_leaves, named_leaves
 from loadcast.tensor import Tape, check_gradients
@@ -326,6 +326,43 @@ class TestForward:
         with pytest.raises(DimensionError):
             predict(params, TINY, bad)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prebuilt_stacked_windows_are_the_list(self, variant):
+        # A value stacked once serves every pass over its windows, taped or
+        # not, with bitwise the forecasts and attention weights of the list.
+        config = dataclasses.replace(TINY, variant=variant)
+        params = init_params(config)
+        fields = ("values", "feature_weights", "hour_weights", "day_weights")
+        for samples in ([random_sample(config, 60)],
+                        [random_sample(config, 61 + k) for k in range(3)]):
+            windows = StackedWindows.stack(config, samples)
+            for bound in (bind_constants(params), bind(params, Tape()), bind_constants(params)):
+                got = forward(bound, config, windows, collect_attention=True)
+                expect = forward(bound, config, samples, collect_attention=True)
+                npt.assert_array_equal(got.output.values, expect.output.values, strict=True)
+                assert len(got.forecasts) == len(samples)
+                for fc, ref in zip(got.forecasts, expect.forecasts):
+                    for field in fields:
+                        value, ref_value = getattr(fc, field), getattr(ref, field)
+                        assert (value is None) == (ref_value is None), field
+                        if value is not None:
+                            npt.assert_array_equal(value, ref_value, strict=True)
+
+    def test_stacked_windows_are_read_only_and_fit_one_config(self):
+        config, sample = tiny_model_case()
+        windows = StackedWindows.stack(config, [sample])
+        assert windows.count == 1 and windows.day_weights.shape == (config.days, 1)
+        for arr in (windows.hist_features, windows.hist_targets, windows.future_features,
+                    windows.day_weights):
+            assert not arr.flags.writeable
+        other = dataclasses.replace(config, hidden_size=5)
+        with pytest.raises(ConfigError, match="do not fit"):
+            forward(bind_constants(init_params(other)), other, windows)
+        assert StackedWindows.stack(dataclasses.replace(config, variant="EDBiLSTM"),
+                                    [sample]).day_weights is None
+        with pytest.raises(DimensionError, match="at least one window"):
+            StackedWindows.stack(config, [])
+
     def test_forward_and_predict_agree(self):
         params = init_params(TINY)
         sample = random_sample(TINY, seed=56)
@@ -347,21 +384,19 @@ class TestForward:
             mse_loss(output, sample.y_future[:, np.newaxis])
             assert len(tape) == expected[variant] + 1, variant
 
-    def test_gradient_check_runs_two_passes_per_parameter_scalar(self, monkeypatch):
+    def test_gradient_check_runs_two_passes_per_parameter_scalar(self, seed8_gate):
         # The gate's finite-difference check probes every scalar: one taped
         # pass for the analytic gradients, then +h and -h for each of the
         # tiny model's 996 parameters.
-        config, sample = tiny_model_case()
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "forward", counted)
-        verify.model_gradient_report(config, sample)
+        config, _sample = tiny_model_case()
         assert sum(leaf.size for _name, leaf in named_leaves(init_params(config))) == 996
-        assert len(calls) == 1 + 2 * 996
+        assert seed8_gate.forward == 1 + 2 * 996
+
+    def test_gradient_check_computes_the_similar_day_weights_once(self, seed8_gate):
+        # The window is stacked, and its similar-day weights computed, once
+        # per report; every one of the 1 + 2 * 996 passes reads that value.
+        assert seed8_gate.similar_day_weights == 1
+        assert seed8_gate.forward == 1 + 2 * 996
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
@@ -393,26 +428,16 @@ class TestForward:
             for array, copy in zip(encoding_arrays(encoding), copies):
                 npt.assert_array_equal(array, copy, strict=True)
 
-    def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, monkeypatch):
+    def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, seed8_gate):
         # One taped pass, +h and -h for each of the 342 feature-attention
         # and encoder scalars, then one run for the first probe after them;
         # the other 1,308 probes reuse that encoding.
-        config, sample = tiny_model_case()
-        calls = []
-        encode = model.encode
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return encode(*args, **kwargs)
-
-        monkeypatch.setattr(model, "encode", counted)
-        monkeypatch.setattr(verify, "encode", counted)
-        verify.model_gradient_report(config, sample)
+        config, _sample = tiny_model_case()
         params = init_params(config)
         encoder_side = [leaf.size for block in (params.feature_attn, params.encoder)
                         for _name, leaf in named_leaves(block)]
         assert sum(encoder_side) == 342
-        assert len(calls) == 1 + 2 * 342 + 1
+        assert seed8_gate.encode == 1 + 2 * 342 + 1
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):
