@@ -26,19 +26,27 @@ states and the terminal h and c are views of it.  A direction's step t is
 one product of the packed weights with [x_t; h_{t-1}] and the per-column
 arithmetic of the cell step (`_run`), which keeps the gate activations as
 (steps, 4H, B).  Its backward walks the steps in reverse in that same
-layout for the gate pre-activation gradients (`_bptt`), then forms the
-weight, bias and input gradients with one product each over every step
-of every window (`_walk`).  The forward direction of a bidirectional run
-may take its inputs from an attention sweep, which fills the input rows
-that depend on no parameter into the run's [x_t; h_{t-1}] scratch once,
-and whose numpy forward runs inside the loop and writes the rest of step
-t's input in place.  The backward direction reads the same inputs
-reversed; the op's backward walks it first, and its input gradient,
-reversed, is what arrives on the forward direction's inputs, which the
-sweep's backward, inside the reverse loop, turns into a contribution to
-the previous hidden state's.  A run none of whose operands is taped
-keeps only what the next step reads: the latest step's gate activations
-and cell state, and of the sweep's store only the attention weights.
+layout for the gate pre-activation gradients, formed in the activations'
+own buffer (`_bptt`), then forms the weight, bias and input gradients
+with one product each over every step of every window (`_walk`).  Over
+known inputs, the two directions of a bidirectional op are one stacked
+run: its arrays carry a direction axis of size 2 after the step axis, the
+backward direction reads the inputs reversed, each step is one stacked
+product and one set of gate ufuncs over both directions, the op's
+backward walks them in lockstep, and the backward direction's input
+gradient, reversed, is added on the inputs before the forward one's.
+The forward direction may instead take its inputs from an attention
+sweep, which fills the input rows that depend on no parameter into the
+run's [x_t; h_{t-1}] scratch once, and whose numpy forward runs inside
+the loop and writes the rest of step t's input in place.  The sweep reads
+the forward h_{t-1}, so the backward direction is then a run of its own
+over the swept inputs reversed; the op's backward walks it first, and
+its input gradient, reversed, is what arrives on the forward direction's
+inputs, which the sweep's backward, inside the reverse loop, turns into a
+contribution to the previous hidden state's.  A run none of whose
+operands is taped keeps only what the next step reads: the latest step's
+gate activations and cell state, and of the sweep's store only the
+attention weights.
 `lstm_cell_step` stays the one-window single-step API.  The head,
 `feedforward_relu`, is one tape op over every window's stacked states,
 whose rule chains the `matmul` and `relu` gradients.
@@ -178,10 +186,10 @@ def lstm_cell_step(params, prev, x):
 
 
 @functools.cache
-def _gate_tiles(hidden, windows):
+def _gate_tiles(hidden, windows, directions=None):
     """The one-tanh gate form's (scale, shift) as read-only (4H, windows)
-    tiles, built once per (hidden, windows): (1/2, 1/2) on the i, f and o
-    rows and (1, 0) on the g rows.
+    tiles, or (directions, 4H, windows) ones for a stacked run, built once
+    per shape: (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows.
 
     With weights and summed bias multiplied by `scale`, the pre-activations
     are x/2 on the sigmoid rows and x on the g rows, and `_activate` maps
@@ -189,11 +197,19 @@ def _gate_tiles(hidden, windows):
     Halving is exact, so the scaled pre-activations are exactly half of
     the unscaled ones.
     """
-    scale = np.full((4 * hidden, windows), 0.5)
-    scale[2 * hidden:3 * hidden] = 1.0
+    lead = () if directions is None else (directions,)
+    scale = np.full(lead + (4 * hidden, windows), 0.5)
+    scale[..., 2 * hidden:3 * hidden, :] = 1.0
     shift = 1.0 - scale
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
+
+
+@functools.cache
+def _gate_rows(hidden):
+    """The index of each of the i, f, g and o row blocks of a step's (4H,
+    B) gate array, or of a stacked run's (2, 4H, B) one, built once per H."""
+    return tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
 
 
 def _activate(pre, scale, shift, out):
@@ -209,82 +225,136 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     """Step the cell with weights `w` and summed bias `bias` over `z`,
     writing h_t into `z[t + 1]`.
 
-    `z` is (steps + 1, input + H, B), and `z[t]` is the matrix [x_t;
-    h_{t-1}] of step t, one column per window, whose gate pre-activations
-    are one product with `w`; the caller fills h_0 and every x_t, or with
-    a sweep the rows `sweep.fill` writes, and then `sweep.forward(t,
-    h_{t-1}, z[t, :input])` writes the rest of x_t in place.  The weights
-    are scaled once per run by the first column of `_gate_tiles`' scale,
-    and the bias into one (4H, B) product with the whole tile, so each
-    step's four gates are one tanh over operands of the step's shape,
-    written into arrays made once per run; the per-column arithmetic is
-    that of `lstm_cell_step`.  Returns the
-    activations and the cell states: with `history`, all (steps, 4H, B)
-    activations and c_0 .. c_T, which `_bptt` reads; without, one
-    activation slot and two cell slots, reused as the steps go.  Either
-    way c_T is `c[steps % len(c)]`.
+    One direction's run takes the (4H, input + H) weights, the (4H,) bias,
+    the (H, B) c_0 and `z` (steps + 1, input + H, B), whose `z[t]` is the
+    matrix [x_t; h_{t-1}] of step t, one column per window.  A stacked
+    run steps both directions of a bidirectional op at once: `w` holds
+    their two weight matrices, `bias` is (2, 4H), `c0` (2, H, B), `z`
+    (steps + 1, 2, input + H, B), and every array it makes carries the
+    same direction axis after the step axis.  The caller fills every h_0
+    and x_t, or with a sweep (one direction) the rows `sweep.fill` writes,
+    and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of x_t in
+    place.  The weights are scaled once per run, into one array, by the
+    first column of `_gate_tiles`' scale, and the bias into one product
+    with the whole tile, so each step is one product, stacked over the
+    directions, and one tanh over every gate, on operands of the step's
+    shape written into arrays made once per run, whose gate blocks it
+    reads through the index tuples of `_gate_rows`; the per-column
+    arithmetic is that of `lstm_cell_step`.  Returns the activations and
+    the cell states: with `history`, all (steps, [2,] 4H, B) activations
+    and c_0 .. c_T, which `_bptt` reads; without, one activation slot and
+    two cell slots, reused as the steps go.  Either way c_T is
+    `c[steps % len(c)]`.
     """
-    steps = z.shape[0] - 1
-    hidden, windows = c0.shape
-    width = z.shape[1] - hidden
-    scale, shift = _gate_tiles(hidden, windows)
-    w = w * scale[:, :1]
-    bias = bias[:, np.newaxis] * scale
+    steps = len(z) - 1
+    lead = c0.shape[:-2]
+    hidden, windows = c0.shape[-2:]
+    width = z.shape[-2] - hidden
+    scale, shift = _gate_tiles(hidden, windows, *lead)
+    if lead:
+        w_run = np.empty(lead + (4 * hidden, width + hidden))
+        for w_d, scale_d, out in zip(w, scale, w_run):
+            np.multiply(w_d, scale_d[:, :1], out=out)
+    else:
+        w_run = w * scale[:, :1]
+    bias = bias[..., np.newaxis] * scale
     slots = steps if history else 1
-    act = np.empty((slots, 4 * hidden, windows))
-    c_seq = np.empty((slots + 1, hidden, windows))
+    act = np.empty((slots,) + scale.shape)
+    c_seq = np.empty((slots + 1,) + c0.shape)
     c_seq[0] = c0
+    i, f, g, o = _gate_rows(hidden)
+    hs = z[..., width:, :]
     # i * g, then tanh(c_t), of the current step.
-    part = np.empty((hidden, windows))
+    part = np.empty(c0.shape)
     for t in range(steps):
         if sweep is not None:
-            sweep.forward(t, z[t, width:], z[t, :width])
-        a = np.matmul(w, z[t], out=act[t % slots])
+            sweep.forward(t, hs[t], z[t, :width])
+        a = np.matmul(w_run, z[t], out=act[t % slots])
         a += bias
         _activate(a, scale, shift, a)
-        c = np.multiply(a[hidden:2 * hidden], c_seq[t % (slots + 1)],
-                        out=c_seq[(t + 1) % (slots + 1)])
-        c += np.multiply(a[:hidden], a[2 * hidden:3 * hidden], out=part)
-        np.multiply(a[3 * hidden:], np.tanh(c, out=part), out=z[t + 1, width:])
+        c = np.multiply(a[f], c_seq[t % (slots + 1)], out=c_seq[(t + 1) % (slots + 1)])
+        c += np.multiply(a[i], a[g], out=part)
+        np.multiply(a[o], np.tanh(c, out=part), out=hs[t + 1])
     return act, c_seq
 
 
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
-    """Walk the steps of `_run` in reverse, reading its arrays as it wrote
-    them, for the gate pre-activation gradients; returns them in `_run`'s
-    (steps, 4H, B) layout, with dh_0 and dc_0.  Each step works on (H, B)
-    blocks and writes dh, dh * o_slope and dc into arrays made once per
-    walk; the given `dc` is copied, never written.  With a sweep, step t's
+    """Walk the steps of `_run` in reverse, both directions of a stacked
+    run in lockstep, reading its arrays as it wrote them, for the gate
+    pre-activation gradients; returns them in `_run`'s (steps, [2,] 4H, B)
+    layout, with dh_0 and dc_0, each shaped like c_0.
+
+    `w` is the run's unscaled weights, as `_run` takes them.  `grad_h` is
+    the states' gradient as the op lays them out, (steps, H, B), or for a
+    stacked run (steps, 2H, B), whose backward block runs in time order:
+    it is read reversed, and both blocks are copied into one (steps, 2, H,
+    B) array.  `dc` is c_T's, copied, never written.  The walk spends the
+    run: the gate gradients are formed in `act`'s own buffer, starting as
+    each gate's slope times the other factor of its product, and c_1 ..
+    c_T become tanh(c_t) and then the o gate's slope, so that beside the
+    run's arrays the walk holds only a copy of f and one scratch the size
+    of the states.  Each step works on blocks of c_0's shape, written into
+    arrays made once per walk, and its recurrent gradient is one product,
+    stacked over the directions.  With a sweep (one direction), step t's
     input gradient (the gate part plus `grad_x[t]`, what arrives on x_t
     from outside) goes through `sweep.backward`, whose (H, B) result joins
     the recurrent gradient for h_{t-1}.
     """
-    steps, hidden, windows = grad_h.shape
-    width = w.shape[1] - hidden
-    w_t = np.ascontiguousarray((w[:, width:] if sweep is None else w).T)
-    i, f, cand, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
-    tanh_c = np.tanh(c_seq[1:])
-    # Everything but dh and dc, for all steps at once: d_pre starts as each
-    # gate's slope times the other factor of its product, so step t only
-    # scales it by dc (the i, f and g gates) or dh (the o gate).
-    d_pre = np.subtract(1.0, act)
-    d_pre *= act
-    gates = d_pre.reshape(steps, 4, hidden, windows)
-    np.subtract(1.0, np.square(cand), out=gates[:, 2])
-    for k, factor in enumerate((cand, c_seq[:-1], i, tanh_c)):
-        gates[:, k] *= factor
-    o_slope = _tanh_grad(tanh_c, o)
-    dh_next = np.zeros((hidden, windows))
-    dh, dh_o = np.empty((2, hidden, windows))
+    steps = len(act)
+    lead = dc.shape[:-2]
+    hidden, windows = dc.shape[-2:]
+    width = (w[0] if lead else w).shape[1] - hidden
+    cols = slice(width if sweep is None else 0, None)
+    if lead:
+        w_t = np.array([w_d[:, cols].T for w_d in w])
+    else:
+        w_t = np.ascontiguousarray(w[:, cols].T)
+    d_pre = act
+    gates = act.reshape((steps,) + lead + (4, hidden, windows))
+    i, f, cand, o = (gates[..., k, :, :] for k in range(4))
+    f_kept = f.copy()
+    # d_pre starts as each gate's slope times the other factor of its
+    # product, so step t only scales it by dc (the i, f and g gates) or dh
+    # (the o gate); each slope is (1 - a) * a, or 1 - g * g for g.  A
+    # gate's block is overwritten only once nothing else reads its
+    # activation: i and g read each other, so i's goes through the scratch.
+    scratch = np.empty((steps,) + dc.shape)
+    np.subtract(1.0, f, out=scratch)
+    f *= scratch
+    f *= c_seq[:-1]
+    tanh_c = np.tanh(c_seq[1:], out=c_seq[1:])
+    np.subtract(1.0, o, out=scratch)
+    scratch *= o
+    scratch *= tanh_c
+    o_slope = np.multiply(tanh_c, tanh_c, out=tanh_c)
+    np.subtract(1.0, o_slope, out=o_slope)
+    o_slope *= o
+    o[...] = scratch
+    np.subtract(1.0, i, out=scratch)
+    scratch *= i
+    scratch *= cand
+    np.square(cand, out=cand)
+    np.subtract(1.0, cand, out=cand)
+    cand *= i
+    i[...] = scratch
+    if lead:
+        scratch[:, 0] = grad_h[:, :hidden]
+        scratch[:, 1] = grad_h[::-1, hidden:]
+        grad_h = scratch
+    ifg = gates[..., :3, :, :]
+    dh_next = np.zeros(dc.shape)
+    dh, dh_o = np.empty((2,) + dc.shape)
+    dz = np.empty(w_t.shape[:-1] + (windows,))
     dc = np.array(dc)
+    dc_gates = dc[..., np.newaxis, :, :]
     for t in range(steps - 1, -1, -1):
         np.add(grad_h[t], dh_next, out=dh)
         dc += np.multiply(dh, o_slope[t], out=dh_o)
-        gates[t, :3] *= dc
-        gates[t, 3] *= dh
-        dz = w_t @ d_pre[t]
+        ifg[t] *= dc_gates
+        o[t] *= dh
+        np.matmul(w_t, d_pre[t], out=dz)
         dh_next = dz if sweep is None else dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
-        dc *= f[t]
+        dc *= f_kept[t]
     return d_pre, dh_next, dc
 
 
@@ -315,29 +385,50 @@ def _parts(flat, steps, hidden, windows, directions):
             flat[end:].reshape(directions, hidden, windows))
 
 
-def _start(operands, z, sweep=None, history=True):
-    """Run one direction over the `_run` scratch `z`, whose x_t the caller
-    or `sweep` fills; returns what `_walk` reads, and c_T."""
-    weights, b_x, b_h, h0, c0 = operands
-    z[0, z.shape[1] - h0.shape[0]:] = h0.values
-    act, c_seq = _run(weights.values, b_x.values + b_h.values, z, c0.values, sweep, history)
-    return (weights.values, z, act, c_seq), c_seq[(z.shape[0] - 1) % len(c_seq)]
+def _start(directions, z, sweep=None, history=True):
+    """Run one direction's operands, or both directions' of a
+    bidirectional op as one stacked run, over the `_run` scratch `z`,
+    whose x_t the caller or `sweep` fills; returns what `_walk` reads,
+    and c_T."""
+    if len(directions) == 1:
+        (weights, b_x, b_h, h0, c0), = directions
+        z[0, -len(h0.values):] = h0.values
+        w, bias, c0 = weights.values, b_x.values + b_h.values, c0.values
+    else:
+        for d, (_weights, _b_x, _b_h, h0, _c0) in enumerate(directions):
+            z[0, d, -len(h0.values):] = h0.values
+        w = [weights.values for weights, *_rest in directions]
+        bias = np.array([b_x.values + b_h.values for _w, b_x, b_h, *_rest in directions])
+        c0 = np.array([c0.values for *_rest, c0 in directions])
+    act, c_seq = _run(w, bias, z, c0, sweep, history)
+    return (w, z, act, c_seq), c_seq[(len(z) - 1) % len(c_seq)]
 
 
 def _walk(run, grad_h, dc, d_x, sweep=None):
-    """The gradients of a `_start` run's weights, b_x, b_h, h_0 and c_0
-    from those of its states and c_T, reading `_bptt`'s (steps, 4H, B)
-    gate gradients as they are.  Without a sweep, the gradient of its
-    (steps, width, B) inputs is added into `d_x` unless that is None; with
-    one, `d_x` is what arrives on the inputs from outside."""
+    """The gradients of a `_start` run's weights, b_x, b_h, h_0 and c_0,
+    direction by direction, from those of its states (as `_bptt` reads
+    them) and c_T, reading `_bptt`'s gate gradients, formed in the run's
+    activations, as they are.  Without a sweep, each direction's input
+    gradient, a stacked run's backward direction's first and reversed, is
+    added into the (steps, width, B) `d_x` unless that is None; with one,
+    `d_x` is what arrives on the inputs from outside."""
     w, z, act, c_seq = run
+    del run
     d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, dc, sweep, d_x)
-    # The summed outer product copies d_pre; the activations go first.
-    del run, act, c_seq
+    # The summed outer products copy d_pre; the cell states go first.
+    del act, c_seq
+    if dc.ndim == 2:
+        w, d_pre, z, dh0, dc0 = [w], d_pre[:, np.newaxis], z[:, np.newaxis], [dh0], [dc0]
+    width = z.shape[2] - dh0[0].shape[0]
     if sweep is None and d_x is not None:
-        d_x += np.matmul(w[:, :z.shape[1] - grad_h.shape[1]].T, d_pre)
-    d_bias = d_pre.sum(axis=(0, 2))
-    return _summed_outer(d_pre, z[:-1]), d_bias, d_bias.copy(), dh0, dc0
+        for d in reversed(range(len(w))):
+            arrives = d_x[::-1] if d else d_x
+            arrives += np.matmul(w[d][:, :width].T, d_pre[:, d])
+    grads = ()
+    for d in range(len(w)):
+        d_bias = d_pre[:, d].sum(axis=(0, 2))
+        grads += (_summed_outer(d_pre[:, d], z[:-1, d]), d_bias, d_bias.copy(), dh0[d], dc0[d])
+    return grads
 
 
 def _views(joined, steps, hidden, windows, directions):
@@ -385,10 +476,13 @@ def bilstm_sequence(params, inputs, init_forward, init_backward):
 
 
 def _sequence(cells, inputs, inits):
-    """The op of both sequence runs: the forward direction, then, given a
-    second cell, the backward one over the same inputs reversed.  Its
-    operands are each direction's weights, biases and initial state, then
-    the inputs or the sweep's operands."""
+    """The op of both sequence runs.  Over known inputs, both directions
+    of a bidirectional op are one stacked run, the backward one over the
+    inputs reversed, and the rule walks them in lockstep; with a sweep the
+    forward direction runs first and the backward one after it, and the
+    rule walks them in the other order.  Its operands are each direction's
+    weights, biases and initial state, then the inputs or the sweep's
+    operands."""
     sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
     if sweep is None:
         inputs = as_tensor(inputs)
@@ -408,12 +502,16 @@ def _sequence(cells, inputs, inits):
         # operands: through them it would keep the tape in a reference cycle.
         sweep.operands = ()
     taped = any(t.tape is not None for t in operands)
-    z = np.empty((steps + 1, width + hidden, windows))
-    if sweep is None:
+    stacked = sweep is None and count == 2
+    z = np.empty((steps + 1,) + (2,) * stacked + (width + hidden, windows))
+    if stacked:
+        z[:steps, 0, :width] = inputs.values
+        z[:steps, 1, :width] = inputs.values[::-1]
+    elif sweep is None:
         z[:steps, :width] = inputs.values
     else:
         sweep.fill(z[:steps, :width])
-    run, c_last = _start(directions[0], z, sweep, taped)
+    run, c_last = _start(directions if stacked else directions[:1], z, sweep, taped)
     runs = [run]
     if sweep is not None:
         sweep.check_finite()
@@ -421,13 +519,17 @@ def _sequence(cells, inputs, inits):
             sweep.drop_store()
     out = np.empty((steps + 1) * count * hidden * windows)
     states, c_end = _parts(out, steps, hidden, windows, count)
-    states[:, :hidden], c_end[0] = z[1:, width:], c_last
-    if count == 2:
+    if stacked:
+        states[:, :hidden], states[::-1, hidden:] = z[1:, 0, width:], z[1:, 1, width:]
+        c_end[...] = c_last
+    else:
+        states[:, :hidden], c_end[0] = z[1:, width:], c_last
+    if count == 2 and not stacked:
         # An untaped run keeps nothing of the forward scratch but its
         # inputs, so the backward direction reuses it.
         z_back = np.empty_like(z) if taped else z
-        z_back[:steps, :width] = (inputs.values if sweep is None else z)[:steps, :width][::-1]
-        run, c_end[1] = _start(directions[1], z_back, history=taped)
+        z_back[:steps, :width] = z[:steps, :width][::-1]
+        run, c_end[1] = _start(directions[1:], z_back, history=taped)
         runs.append(run)
         states[::-1, hidden:] = z_back[1:, width:]
     reads_x = sweep is not None or inputs.tape is not None
@@ -435,12 +537,14 @@ def _sequence(cells, inputs, inits):
     def rule(grad):
         grad_h, dc = _parts(grad, steps, hidden, windows, count)
         d_x = np.zeros(shape) if reads_x else None
-        # The backward direction first, so that its store is gone before the
+        if sweep is None:
+            return _walk(runs.pop(), grad_h, dc if stacked else dc[0], d_x) + (d_x,)
+        # The backward direction first, so that its run is gone before the
         # forward walk; its input gradient, reversed, arrives on x_t.
         grads_back = () if count == 1 else _walk(
-            runs.pop(), grad_h[::-1, hidden:], dc[1], None if d_x is None else d_x[::-1])
-        grads = _walk(runs.pop(), grad_h[:, :hidden], dc[0], d_x, sweep)
-        return grads + grads_back + ((d_x,) if sweep is None else sweep.grads())
+            runs.pop(), grad_h[::-1, hidden:], dc[1], d_x[::-1])
+        return _walk(runs.pop(), grad_h[:, :hidden], dc[0], d_x, sweep) + grads_back + \
+            sweep.grads()
 
     return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
 

@@ -104,7 +104,11 @@ class AdamState:
 def adam_step(params, grads, state, config):
     """One Adam update, in place, over name-keyed parameter arrays.
 
-    Bias-corrected moments; `EPSILON` is added after the square root.
+    Bias-corrected moments; `EPSILON` is added after the square root.  The
+    moments and the update are formed in place, with the operands and
+    operand order of the textbook expressions, in one scratch array per
+    block; each `grads` array is then spent, and ends holding the step
+    subtracted from its parameter.
     """
     state.step += 1
     step = state.step
@@ -119,11 +123,21 @@ def adam_step(params, grads, state, config):
             raise TrainingError(f"non-finite gradient for parameter {name}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m[...] = BETA1 * m + (1.0 - BETA1) * g
-        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - BETA2
+        v *= BETA2
+        v += scratch
+        # sqrt(v_hat) + eps into the scratch, lr * m_hat into g.
+        np.divide(v, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPSILON
+        np.divide(m, correction1, out=g)
+        g *= config.learning_rate
+        g /= scratch
+        theta -= g
     return params, state
 
 

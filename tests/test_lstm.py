@@ -548,19 +548,21 @@ class TestSequenceOp:
         assert retained <= output + scratch // 4
 
     def test_walk_frees_its_activations_before_the_weight_product(self, monkeypatch):
-        # The summed outer product copies the gate gradients, so each
-        # direction's walk drops that run's activations before it; the
-        # backward direction is walked first.
-        refs, dead = [], []
+        # The summed outer product copies the gate gradients, so the
+        # lockstep walk of both directions forms them in the activations'
+        # own buffer and drops the run's cell states before each
+        # direction's product: no activation array is alive beside them.
+        runs, seen = [], []
         run, summed_outer = lstm._run, lstm._summed_outer
 
         def kept(*args, **kwargs):
             act, c_seq = run(*args, **kwargs)
-            refs.append(weakref.ref(act))
+            runs.append((weakref.ref(act), weakref.ref(c_seq)))
             return act, c_seq
 
         def product(a, b):
-            dead.append([ref() is None for ref in refs])
+            for act, c_seq in runs:
+                seen.append((c_seq() is None, act() is not None and np.shares_memory(a, act())))
             return summed_outer(a, b)
 
         monkeypatch.setattr(lstm, "_run", kept)
@@ -570,7 +572,7 @@ class TestSequenceOp:
         init = zero_state(2, 3)
         states, _ = bilstm_sequence(cell, tape.leaf(np.ones((5, 3, 3))), init, init)
         tape.backward(total(states))
-        assert dead == [[False, True], [True, True]]
+        assert seen == [(True, True), (True, True)]
 
     def test_shape_errors(self):
         params = LstmParams.zeros(3, 2)
@@ -668,6 +670,107 @@ def fresh_bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     return d_pre, dh_next, dc
 
 
+def sequential_run(w, bias, z, c0, history=True):
+    """`lstm._run` over known inputs as it was before the lockstep: one
+    direction, its (4H, B) tiles and 2-D products."""
+    steps = z.shape[0] - 1
+    hidden, windows = c0.shape
+    width = z.shape[1] - hidden
+    scale, shift = _gate_tiles(hidden, windows)
+    w = w * scale[:, :1]
+    bias = bias[:, np.newaxis] * scale
+    slots = steps if history else 1
+    act = np.empty((slots, 4 * hidden, windows))
+    c_seq = np.empty((slots + 1, hidden, windows))
+    c_seq[0] = c0
+    part = np.empty((hidden, windows))
+    for t in range(steps):
+        a = np.matmul(w, z[t], out=act[t % slots])
+        a += bias
+        _activate(a, scale, shift, a)
+        c = np.multiply(a[hidden:2 * hidden], c_seq[t % (slots + 1)],
+                        out=c_seq[(t + 1) % (slots + 1)])
+        c += np.multiply(a[:hidden], a[2 * hidden:3 * hidden], out=part)
+        np.multiply(a[3 * hidden:], np.tanh(c, out=part), out=z[t + 1, width:])
+    return act, c_seq
+
+
+def sequential_bptt(w, act, c_seq, grad_h, dc):
+    """`lstm._bptt` over known inputs as it was before the lockstep: one
+    direction, gate gradients in a fresh array."""
+    steps, hidden, windows = grad_h.shape
+    width = w.shape[1] - hidden
+    w_t = np.ascontiguousarray(w[:, width:].T)
+    i, f, cand, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(c_seq[1:])
+    d_pre = np.subtract(1.0, act)
+    d_pre *= act
+    gates = d_pre.reshape(steps, 4, hidden, windows)
+    np.subtract(1.0, np.square(cand), out=gates[:, 2])
+    for k, factor in enumerate((cand, c_seq[:-1], i, tanh_c)):
+        gates[:, k] *= factor
+    o_slope = o * (1.0 - tanh_c * tanh_c)
+    dh_next = np.zeros((hidden, windows))
+    dh, dh_o = np.empty((2, hidden, windows))
+    dc = np.array(dc)
+    for t in range(steps - 1, -1, -1):
+        np.add(grad_h[t], dh_next, out=dh)
+        dc += np.multiply(dh, o_slope[t], out=dh_o)
+        gates[t, :3] *= dc
+        gates[t, 3] *= dh
+        dh_next = w_t @ d_pre[t]
+        dc *= f[t]
+    return d_pre, dh_next, dc
+
+
+def sequential_bilstm(params, inputs, init_forward, init_backward):
+    """The bidirectional op over known inputs as it was before the
+    lockstep: the forward direction runs to the end, then the backward one
+    over the inputs reversed, and the rule walks the backward direction,
+    then the forward one."""
+    steps, width, windows = inputs.shape
+    hidden = params.hidden_size
+    directions = [lstm._direction(cell, init, inputs.shape)
+                  for cell, init in ((params.forward, init_forward),
+                                     (params.backward, init_backward))]
+    operands = sum(directions, ()) + (inputs,)
+    taped = any(t.tape is not None for t in operands)
+
+    def start(direction, z):
+        weights, b_x, b_h, h0, c0 = direction
+        z[0, width:] = h0.values
+        act, c_seq = sequential_run(weights.values, b_x.values + b_h.values, z, c0.values, taped)
+        return (weights.values, z, act, c_seq), c_seq[steps % len(c_seq)]
+
+    def walk(run, grad_h, dc, d_x):
+        w, z, act, c_seq = run
+        d_pre, dh0, dc0 = sequential_bptt(w, act, c_seq, grad_h, dc)
+        if d_x is not None:
+            d_x += np.matmul(w[:, :width].T, d_pre)
+        d_bias = d_pre.sum(axis=(0, 2))
+        return np.tensordot(d_pre, z[:-1], axes=((0, 2), (0, 2))), d_bias, d_bias.copy(), dh0, dc0
+
+    out = np.empty((steps + 1) * 2 * hidden * windows)
+    states, c_end = lstm._parts(out, steps, hidden, windows, 2)
+    z = np.empty((steps + 1, width + hidden, windows))
+    z[:steps, :width] = inputs.values
+    run_forward, c_end[0] = start(directions[0], z)
+    states[:, :hidden] = z[1:, width:]
+    z_back = np.empty_like(z) if taped else z
+    z_back[:steps, :width] = inputs.values[::-1]
+    run_backward, c_end[1] = start(directions[1], z_back)
+    states[::-1, hidden:] = z_back[1:, width:]
+
+    def rule(grad):
+        grad_h, dc = lstm._parts(grad, steps, hidden, windows, 2)
+        d_x = None if inputs.tape is None else np.zeros(inputs.shape)
+        backward = walk(run_backward, grad_h[::-1, hidden:], dc[1],
+                        None if d_x is None else d_x[::-1])
+        return walk(run_forward, grad_h[:, :hidden], dc[0], d_x) + backward + (d_x,)
+
+    return lstm._views(fused_op(out, operands, rule), steps, hidden, windows, 2)
+
+
 class TestStepLoops:
     """The step loops against their former broadcast arithmetic, bitwise."""
 
@@ -693,9 +796,47 @@ class TestStepLoops:
             act, c_seq = run(w, bias, z, c0, sweeps[0], history)
             got = [act, c_seq, z]
             if history:
-                got += walk(w, act, c_seq, grad_h, dc, sweeps[1], grad_x)
+                got += walk(w, act.copy(), c_seq.copy(), grad_h, dc, sweeps[1], grad_x)
                 got += sweeps[1].grads() if swept else ()
             outputs.append(got)
+        for got, expect in zip(*outputs):
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("taped", ("nothing", "cells", "cells and inputs"))
+    @pytest.mark.parametrize("steps", (1, 2, 7))
+    @pytest.mark.parametrize("hidden", (1, 5))
+    @pytest.mark.parametrize("windows", (1, 3, 8))
+    def test_lockstep_bilstm_equals_the_sequential_directions(self, windows, hidden, steps,
+                                                               taped):
+        # Both directions as one stacked run and one lockstep walk, against
+        # the forward direction run and walked apart from the backward one:
+        # states, terminal h and c, and every gradient, bitwise.
+        rng = np.random.default_rng(1000 * windows + 100 * hidden + 10 * steps + len(taped))
+        width = 3
+        params = BiLstmParams.random(rng, width, hidden, bound=1.0)
+        arrays = [rng.normal(size=(steps, width, windows))]
+        arrays += list(rng.normal(size=(4, hidden, windows)))
+        probe = rng.normal(size=(steps + 2) * 2 * hidden * windows)
+        outputs = []
+        for run in (bilstm_sequence, sequential_bilstm):
+            tape = Tape()
+            cell = params if taped == "nothing" else bind(params, tape)
+            leaves = [Tensor(a) if taped == "nothing" else tape.leaf(a) for a in arrays]
+            if taped == "cells":
+                leaves[0] = Tensor(arrays[0])
+            states, terminals = run(cell, leaves[0], LstmState(*leaves[1:3]),
+                                    LstmState(*leaves[3:]))
+            got = [states.values] + [part.values for t in terminals for part in (t.h, t.c)]
+            if taped != "nothing":
+                parts = [states] + [part for t in terminals for part in (t.h, t.c)]
+                flat = concat([reshape(part, (part.values.size,)) for part in parts])
+                tape.backward(total(hadamard(flat, Tensor(probe))))
+                got += [tape.grad(leaf) for _name, leaf in named_leaves(cell)]
+                got += [tape.grad(leaf) for leaf in leaves[1:]]
+                if taped == "cells and inputs":
+                    got.append(tape.grad(leaves[0]))
+            outputs.append(got)
+        assert len(outputs[0]) == {"nothing": 5, "cells": 15, "cells and inputs": 16}[taped]
         for got, expect in zip(*outputs):
             assert got.shape == expect.shape and np.array_equal(got, expect)
 

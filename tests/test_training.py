@@ -156,6 +156,35 @@ class TestAdam:
             adam_step(params, {"w": np.zeros(3)}, AdamState.for_params(params),
                       TrainConfig())
 
+    def test_in_place_steps_equal_the_composed_expressions_bitwise(self):
+        # The moments and the update of several steps against the textbook
+        # expressions, composed with fresh temporaries; each gradient given
+        # is spent, and ends holding the step subtracted from its block.
+        rng = np.random.default_rng(72)
+        shapes = {"w": (4, 3), "b": (5,), "c": (2, 3, 2)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        expect = {name: theta.copy() for name, theta in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = AdamState.for_params(params)
+        config = TrainConfig(learning_rate=0.01)
+        beta1, beta2, eps = training.BETA1, training.BETA2, training.EPSILON
+        for step in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            given = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, given, state, config)
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+                m_hat = m[name] / (1.0 - beta1 ** step)
+                v_hat = v[name] / (1.0 - beta2 ** step)
+                update = config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                expect[name] -= update
+                assert np.array_equal(state.first_moment[name], m[name]), (step, name)
+                assert np.array_equal(state.second_moment[name], v[name]), (step, name)
+                assert np.array_equal(params[name], expect[name]), (step, name)
+                assert np.array_equal(given[name], update), (step, name)
+
     def test_matches_scalar_reference_over_steps(self):
         """Follow five steps of the textbook recursion on one scalar."""
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8

@@ -8,7 +8,10 @@ with one BLAS thread and the tree's `src` on the path.  The probes cover
 all five variants at the benchmark's hidden 32 and at `tiny_model_case`
 size: `batch_gradients` at 1 and 4 windows, the untaped per-window MSEs of
 15 windows, `predict` with attention, and, at tiny size only,
-`model_gradient_report` at seed 9 and h = 1e-4.  Each block prints as
+`model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
+`bilstm_sequence` and `lstm_sequence` runs over 4 windows of known inputs
+add their outputs and the gradients of every operand, the inputs
+included, which no model variant differentiates.  Each block prints as
 bitwise or with its largest difference relative to the block's largest
 magnitude; the exit status is 1 on any difference, else 0.
 
@@ -56,8 +59,43 @@ def _windows(config, count, seed):
                          start=datetime(2022, 1, 10)) for _ in range(count)]
 
 
+def _sequence_blocks(size):
+    """Taped `bilstm_sequence` and `lstm_sequence` runs over 4 windows of
+    known inputs, the EDBiLSTM encoder's shape at `size`: the flat outputs
+    (states, then each terminal h and c) and the gradient of every operand
+    for a random weighting of them, keyed `sequence/size/op/part`."""
+    from loadcast import lstm, params, tensor
+
+    config = _config("EDBiLSTM", size)
+    rng = np.random.default_rng(11)
+    hidden, width, steps = config.hidden_size, config.n_features + 1, config.history_len
+    blocks = {}
+    for name, cells, run, directions in (
+            ("bilstm", lstm.BiLstmParams, lstm.bilstm_sequence, 2),
+            ("lstm", lstm.LstmParams, lstm.lstm_sequence, 1)):
+        tape = tensor.Tape()
+        cell = params.bind(cells.random(rng, width, hidden, bound=0.5), tape)
+        inputs = tape.leaf(rng.normal(size=(steps, width, 4)))
+        starts = [tape.leaf(a) for a in rng.normal(size=(2 * directions, hidden, 4))]
+        states, terminals = run(cell, inputs, *(lstm.LstmState(*starts[k:k + 2])
+                                                for k in range(0, 2 * directions, 2)))
+        parts = [states] + [part for terminal in (terminals if directions == 2 else (terminals,))
+                            for part in (terminal.h, terminal.c)]
+        flat = tensor.concat([tensor.reshape(part, (part.values.size,)) for part in parts])
+        weighting = tensor.Tensor(rng.normal(size=flat.values.size))
+        tape.backward(tensor.total(tensor.hadamard(flat, weighting)))
+        key = f"sequence/{size}/{name}"
+        blocks[f"{key}/outputs"] = flat.values
+        blocks.update((f"{key}/grad/{leaf_name}", tape.grad(leaf))
+                      for leaf_name, leaf in params.named_leaves(cell))
+        blocks[f"{key}/grad/inputs"] = tape.grad(inputs)
+        blocks.update((f"{key}/grad/start{k}", tape.grad(leaf)) for k, leaf in enumerate(starts))
+    return blocks
+
+
 def probe():
-    """Every probe's arrays, keyed `variant/size/probe[/part]`."""
+    """Every probe's arrays, keyed `variant/size/probe[/part]` and
+    `sequence/size/op/part`."""
     from loadcast import model, training, verify
 
     blocks = {}
@@ -82,6 +120,8 @@ def probe():
                 blocks[f"{key}/gradcheck/max"] = np.array(report.max_rel_error)
                 blocks.update((f"{key}/gradcheck/{name}", np.array(err))
                               for name, err in report.per_param.items())
+    for size in SIZES:
+        blocks.update(_sequence_blocks(size))
     return blocks
 
 
