@@ -5,8 +5,8 @@ A direction's gates are stored the way the cell computes them: one
 two (4H,) biases, `b_x` for the input contribution and `b_h` for the
 recurrent one, so a gate is sigma(W_x x + b_x + W_h h + b_h).  Those three
 arrays are what is optimized and checkpointed.  Each op adds the two
-biases once and returns the bias gradient to both, so a cell step is one
-matmul and one tape op with a hand-derived backward.
+biases once and returns the bias gradient to both, so a step is one
+matmul, and each op one tape node with a hand-derived backward.
 
 The four gates are one tanh: with sigma(x) = 1/2 + tanh(x/2)/2, a run
 scales its weights, and its summed bias into a (4H, B) tile, once by 1/2
@@ -47,7 +47,9 @@ contribution to the previous hidden state's.  A run none of whose
 operands is taped keeps only what the next step reads: the latest step's
 gate activations and cell state, and of the sweep's store only the
 attention weights.
-`lstm_cell_step` stays the one-window single-step API.  The head,
+`lstm_cell_step`, the one-window single-step API, is a one-step `_run`
+over one window, and its backward `_walk` over that run: the cell and the
+sequence ops share one derivation.  The head,
 `feedforward_relu`, is one tape op over every window's stacked states,
 whose rule chains the `matmul` and `relu` gradients.
 """
@@ -61,8 +63,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import (Tensor, _matmul_grad_left, _matmul_grad_right, _relu_grad,
-                     _require_finite, _require_matmul, _sigmoid_grad, _summed_outer, _tanh_grad,
-                     as_tensor, fused_op, segment)
+                     _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
+                     segment)
 
 
 @dataclass
@@ -150,7 +152,10 @@ def _cell(params):
 def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
-    The step is one tape op producing [h; c], plus a view for each half.
+    The step is one tape op producing [h; c], plus a view for each half:
+    a one-step, one-window `_run` over [x; h_prev], whose rule is `_walk`
+    over that run, so its values and gradients are those of `lstm_sequence`
+    over one step of one window.
     """
     weights, b_x, b_h = _cell(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
@@ -161,26 +166,18 @@ def lstm_cell_step(params, prev, x):
         raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
                              f"({hidden},)")
     w = weights.values
-    z = np.concatenate((x.values, h_prev.values))
-    cand_rows = slice(2 * hidden, 3 * hidden)
-    scale, shift = (tile[:, 0] for tile in _gate_tiles(hidden, 1))
-    pre = (w * scale[:, np.newaxis]) @ z + (b_x.values + b_h.values) * scale
-    act = _activate(pre, scale, shift, pre)
-    i, f, cand, o = act[:hidden], act[hidden:2 * hidden], act[cand_rows], act[3 * hidden:]
-    c_prev_values = c_prev.values
-    c = f * c_prev_values + i * cand
-    tanh_c = np.tanh(c)
+    z = np.empty((2, width + hidden, 1))
+    z[0, :width, 0], z[0, width:, 0] = x.values, h_prev.values
+    act, c_seq = _run(w, b_x.values + b_h.values, z, c_prev.values[:, np.newaxis])
 
     def rule(grad):
-        dh = grad[:hidden]
-        dc = grad[hidden:] + _tanh_grad(tanh_c, dh * o)
-        d_act = np.concatenate((dc * cand, dc * c_prev_values, dc * i, dh * tanh_c))
-        d_pre = _sigmoid_grad(act, d_act)
-        d_pre[cand_rows] = _tanh_grad(cand, d_act[cand_rows])
-        dz = d_pre @ w
-        return np.outer(d_pre, z), d_pre, d_pre.copy(), dz[:width], dz[width:], dc * f
+        d_x = np.zeros((1, width, 1))
+        d_w, d_b_x, d_b_h, dh0, dc0 = _walk((w, z, act, c_seq),
+                                            (grad[np.newaxis, :hidden, np.newaxis],),
+                                            grad[hidden:, np.newaxis], d_x)
+        return d_w, d_b_x, d_b_h, d_x.reshape(width), dh0.reshape(hidden), dc0.reshape(hidden)
 
-    joined = fused_op(np.concatenate((o * tanh_c, c)),
+    joined = fused_op(np.concatenate((z[1, width:, 0], c_seq[1, :, 0])),
                       (weights, b_x, b_h, x, h_prev, c_prev), rule)
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
@@ -239,24 +236,21 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     with the whole tile, so each step is one product, stacked over the
     directions, and one tanh over every gate, on operands of the step's
     shape written into arrays made once per run, whose gate blocks it
-    reads through the index tuples of `_gate_rows`; the per-column
-    arithmetic is that of `lstm_cell_step`.  Returns the activations and
-    the cell states: with `history`, all (steps, [2,] 4H, B) activations
-    and c_0 .. c_T, which `_bptt` reads; without, one activation slot and
-    two cell slots, reused as the steps go.  Either way c_T is
-    `c[steps % len(c)]`.
+    reads through the index tuples of `_gate_rows`.  A two-direction `w`
+    is a list of the two matrices, stacked only in that scaled copy.
+    `lstm_cell_step` is a run of one step over one window.  Returns the
+    activations and the cell states: with `history`, all (steps, [2,] 4H,
+    B) activations and c_0 .. c_T, which `_bptt` reads; without, one
+    activation slot and two cell slots, reused as the steps go.  Either
+    way c_T is `c[steps % len(c)]`.
     """
     steps = len(z) - 1
-    lead = c0.shape[:-2]
     hidden, windows = c0.shape[-2:]
     width = z.shape[-2] - hidden
-    scale, shift = _gate_tiles(hidden, windows, *lead)
-    if lead:
-        w_run = np.empty(lead + (4 * hidden, width + hidden))
-        for w_d, scale_d, out in zip(w, scale, w_run):
-            np.multiply(w_d, scale_d[:, :1], out=out)
-    else:
-        w_run = w * scale[:, :1]
+    scale, shift = _gate_tiles(hidden, windows, *c0.shape[:-2])
+    # One copy, which stacks a two-direction list, scaled in place.
+    w_run = np.array(w)
+    w_run *= scale[..., :1]
     bias = bias[..., np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots,) + scale.shape)
@@ -284,16 +278,17 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     pre-activation gradients; returns them in `_run`'s (steps, [2,] 4H, B)
     layout, with dh_0 and dc_0, each shaped like c_0.
 
-    `w` is the run's unscaled weights, as `_run` takes them.  `grad_h` is
-    the states' gradient as the op lays them out, (steps, H, B), or for a
-    stacked run (steps, 2H, B), whose backward block runs in time order:
-    it is read reversed, and both blocks are copied into one (steps, 2, H,
-    B) array.  `dc` is c_T's, copied, never written.  The walk spends the
-    run: the gate gradients are formed in `act`'s own buffer, starting as
-    each gate's slope times the other factor of its product, and c_1 ..
-    c_T become tanh(c_t) and then the o gate's slope, so that beside the
-    run's arrays the walk holds only a copy of f and one scratch the size
-    of the states.  Each step works on blocks of c_0's shape, written into
+    `w` is the run's unscaled weights, as `_run` takes them, and their
+    transposed block is one `np.swapaxes` of them, copied.  `grad_h` holds
+    each direction's states' gradient, (steps, H, B) in the order its run
+    stepped, so a stacked run's backward block is passed reversed.  `dc`
+    is c_T's, copied, never written.  The walk spends the run: the gate
+    gradients are formed in `act`'s own buffer, starting as each gate's
+    slope times the other factor of its product, and c_1 .. c_T become
+    tanh(c_t) and then the o gate's slope, so that beside the run's arrays
+    the walk holds only a copy of f and one scratch the size of the
+    states, which serves the slopes and then holds `grad_h`, stacked over
+    the directions.  Each step works on blocks of c_0's shape, written into
     arrays made once per walk, and its recurrent gradient is one product,
     stacked over the directions.  With a sweep (one direction), step t's
     input gradient (the gate part plus `grad_x[t]`, what arrives on x_t
@@ -301,16 +296,13 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     the recurrent gradient for h_{t-1}.
     """
     steps = len(act)
-    lead = dc.shape[:-2]
     hidden, windows = dc.shape[-2:]
-    width = (w[0] if lead else w).shape[1] - hidden
-    cols = slice(width if sweep is None else 0, None)
-    if lead:
-        w_t = np.array([w_d[:, cols].T for w_d in w])
-    else:
-        w_t = np.ascontiguousarray(w[:, cols].T)
+    # The recurrent columns, or with a sweep every column, transposed; a
+    # two-direction list is stacked into a copy that dies with this line.
+    cols = slice(-hidden if sweep is None else 0, None)
+    w_t = np.ascontiguousarray(np.swapaxes(w, -1, -2)[..., cols, :])
     d_pre = act
-    gates = act.reshape((steps,) + lead + (4, hidden, windows))
+    gates = act.reshape(act.shape[:-2] + (4, hidden, windows))
     i, f, cand, o = (gates[..., k, :, :] for k in range(4))
     f_kept = f.copy()
     # d_pre starts as each gate's slope times the other factor of its
@@ -337,10 +329,8 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     np.subtract(1.0, cand, out=cand)
     cand *= i
     i[...] = scratch
-    if lead:
-        scratch[:, 0] = grad_h[:, :hidden]
-        scratch[:, 1] = grad_h[::-1, hidden:]
-        grad_h = scratch
+    np.stack(grad_h, axis=1, out=scratch.reshape((steps, -1, hidden, windows)))
+    grad_h = scratch
     ifg = gates[..., :3, :, :]
     dh_next = np.zeros(dc.shape)
     dh, dh_o = np.empty((2,) + dc.shape)
@@ -353,7 +343,8 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
         ifg[t] *= dc_gates
         o[t] *= dh
         np.matmul(w_t, d_pre[t], out=dz)
-        dh_next = dz if sweep is None else dz[width:] + sweep.backward(t, dz[:width] + grad_x[t])
+        dh_next = dz if sweep is None else (
+            dz[-hidden:] + sweep.backward(t, dz[:-hidden] + grad_x[t]))
         dc *= f_kept[t]
     return d_pre, dh_next, dc
 
@@ -524,7 +515,7 @@ def _sequence(cells, inputs, inits):
         c_end[...] = c_last
     else:
         states[:, :hidden], c_end[0] = z[1:, width:], c_last
-    if count == 2 and not stacked:
+    if sweep is not None:
         # An untaped run keeps nothing of the forward scratch but its
         # inputs, so the backward direction reuses it.
         z_back = np.empty_like(z) if taped else z
@@ -536,15 +527,15 @@ def _sequence(cells, inputs, inits):
 
     def rule(grad):
         grad_h, dc = _parts(grad, steps, hidden, windows, count)
+        # Each direction's state gradient in its run's time order.
+        grad_h = (grad_h[:, :hidden], grad_h[::-1, hidden:])[:count]
         d_x = np.zeros(shape) if reads_x else None
         if sweep is None:
             return _walk(runs.pop(), grad_h, dc if stacked else dc[0], d_x) + (d_x,)
         # The backward direction first, so that its run is gone before the
         # forward walk; its input gradient, reversed, arrives on x_t.
-        grads_back = () if count == 1 else _walk(
-            runs.pop(), grad_h[::-1, hidden:], dc[1], d_x[::-1])
-        return _walk(runs.pop(), grad_h[:, :hidden], dc[0], d_x, sweep) + grads_back + \
-            sweep.grads()
+        grads_back = _walk(runs.pop(), grad_h[1:], dc[1], d_x[::-1])
+        return _walk(runs.pop(), grad_h[:1], dc[0], d_x, sweep) + grads_back + sweep.grads()
 
     return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
 

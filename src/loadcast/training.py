@@ -14,6 +14,7 @@ splits.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,13 @@ class TrainConfig:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # A NaN clip norm would turn clipping off, and a NaN rate would
+        # surface as a divergence one step later.
+        for name in ("learning_rate",) + (() if self.clip_norm is None else ("clip_norm",)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
         if self.clip_norm is not None and self.clip_norm <= 0.0:

@@ -174,10 +174,10 @@ def _check_softmax():
 
 
 def _check_lstm_oracle(instances=1000, tolerance=1e-12):
-    """`lstm_cell_step` on `instances` random cells, then `lstm_sequence`, the
-    engine the model runs, on 50 random batches of 1-3 windows over 1-4
-    steps: every h_t and the terminal c against the oracle stepped per
-    window."""
+    """`lstm_cell_step` on `instances` random cells, then `lstm_sequence` on
+    50 random batches of 1-3 windows over 1-4 steps: every h_t and the
+    terminal c against the oracle stepped per window.  Both run the engine
+    the model runs, the cell as one step of one window."""
     from .lstm import LstmParams, LstmState, lstm_cell_step, lstm_sequence
 
     rng = np.random.default_rng(3)

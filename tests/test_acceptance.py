@@ -56,9 +56,9 @@ def test_criterion_1_gradient_fidelity():
 
 
 def test_criterion_2_cell_oracle():
-    """lstm_cell_step on 1000 random instances, and lstm_sequence (the
-    engine the model runs) on 50 random batches of 1-3 windows over 1-4
-    steps, match the independent scalar-loop oracle to 1e-12."""
+    """lstm_cell_step on 1000 random instances, and lstm_sequence on 50
+    random batches of 1-3 windows over 1-4 steps, both the engine the model
+    runs, match the independent scalar-loop oracle to 1e-12."""
     result = _check_lstm_oracle(instances=1000, tolerance=1e-12)
     assert result.passed, result.detail
     announce(2, f"lstm cell and sequence vs scalar-loop oracle, 1000 cells, "

@@ -27,9 +27,12 @@ from loadcast.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_V
 from loadcast.data import (generate_synthetic, ingest_csv, synthetic_calendar, write_atomic,
                            write_records_csv)
 from loadcast.errors import EvaluationError
+from loadcast.lstm import LstmParams, LstmState, lstm_cell_step
 from loadcast.model import init_params
+from loadcast.tensor import Tensor, check_gradients, concat, hadamard, total
 from loadcast.training import WINDOWS_PER_PASS
-from loadcast.verify import CheckResult, _check_basic_gradients, _check_model_gradients
+from loadcast.verify import (CheckResult, _check_basic_gradients, _check_model_gradients,
+                             model_gradient_report, tiny_model_case)
 
 # Seed 4 draws a model whose ReLU head stays live, so the epochs differ.
 TINY_CONFIG = """
@@ -666,11 +669,38 @@ class TestVerify:
     def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
         # A NaN analytic gradient must fail the check, not compare false
         # against the tolerance and pass.
-        for module in (loadcast.tensor, loadcast.lstm, loadcast.attention):
+        for module in (loadcast.tensor, loadcast.attention):
             monkeypatch.setattr(module, "_tanh_grad", lambda out, g: np.full_like(out, np.nan))
         assert not _check_basic_gradients().passed
         report = _check_model_gradients()
         assert not report.passed and report.detail == "max rel error inf"
+
+    def test_a_corrupted_walk_fails_both_gradient_checks(self, monkeypatch):
+        # The cell and every sequence op take their gate gradients from
+        # `_bptt`: its f-gate block scaled by 1 + 1e-3 must fail the cell's
+        # finite differences and the model's.
+        bptt = loadcast.lstm._bptt
+
+        def corrupted(*args, **kwargs):
+            d_pre, dh0, dc0 = bptt(*args, **kwargs)
+            hidden = dc0.shape[-2]
+            d_pre[..., hidden:2 * hidden, :] *= 1.0 + 1e-3
+            return d_pre, dh0, dc0
+
+        monkeypatch.setattr(loadcast.lstm, "_bptt", corrupted)
+        rng = np.random.default_rng(20)
+        cell = LstmParams.random(rng, 3, 4, bound=1.0)
+        arrays = {"weights": cell.weights, "x": rng.normal(size=3),
+                  "h_prev": rng.normal(size=4), "c_prev": rng.normal(size=4)}
+        probe = Tensor(rng.normal(size=8))
+
+        def program(leaves):
+            out = lstm_cell_step(LstmParams(leaves["weights"], cell.b_x, cell.b_h),
+                                 LstmState(leaves["h_prev"], leaves["c_prev"]), leaves["x"])
+            return total(hadamard(concat([out.h, out.c]), probe))
+
+        assert not check_gradients(program, arrays, tolerance=1e-6).passed
+        assert not model_gradient_report(*tiny_model_case()).passed
 
     def test_verdicts_are_plain_bools_that_serialize(self, seed8_gate):
         results = seed8_gate.results

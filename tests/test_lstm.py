@@ -15,9 +15,9 @@ from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.params import bind, named_leaves
-from loadcast.tensor import (Tape, Tensor, _sigmoid_values, _softmax_grad, check_gradients,
-                             concat, fused_op, hadamard, matmul, relu, reshape, segment, sigmoid,
-                             softmax_values, tanh, total)
+from loadcast.tensor import (Tape, Tensor, _sigmoid_values, _softmax_grad, as_tensor,
+                             check_gradients, concat, fused_op, hadamard, matmul, relu, reshape,
+                             segment, sigmoid, softmax_values, tanh, total)
 from loadcast.verify import scalar_lstm_step
 
 
@@ -64,6 +64,7 @@ def random_case(rng, input_size, hidden_size):
 def block(tensor, index):
     """`tensor.values[index]` as one tape op whose gradient is zero
     outside the block."""
+    tensor = as_tensor(tensor)
 
     def rule(g):
         full = np.zeros(tensor.shape)
@@ -250,6 +251,23 @@ class TestFusedCell:
                 assert grad.shape == grads_ref[name].shape, name
                 assert rel_diff(grad, grads_ref[name]) <= 1e-12, (width, hidden, name)
 
+    def test_equals_a_one_step_sequence_bitwise(self):
+        # The cell is `lstm_sequence` over one step of one window: h, c and
+        # all six gradients are the same arrays.
+        rng = np.random.default_rng(26)
+        shapes = [(1, 1), (1, 6), (6, 1)]
+        shapes += [(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(32)]
+        for width, hidden in shapes:
+            params, state, x = random_case(rng, width, hidden)
+            probe = rng.normal(size=2 * hidden)
+            h, c, grads = taped_step(lstm_cell_step, params, state, x, probe)
+            h_ref, c_ref, grads_ref = taped_step(one_step_sequence, params, state, x, probe)
+            assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref), (width, hidden)
+            assert len(grads) == 6 and grads.keys() == grads_ref.keys()
+            for name, grad in grads.items():
+                assert grad.shape == grads_ref[name].shape, name
+                assert np.array_equal(grad, grads_ref[name]), (width, hidden, name)
+
     def test_step_gradients_match_finite_differences(self):
         rng = np.random.default_rng(20)
         params, state, x = random_case(rng, 3, 4)
@@ -303,13 +321,14 @@ class TestFusedCell:
 
 
 def stepped_sequence(params, inputs, init):
-    """A direction as one `lstm_cell_step` per row of one window's
-    (steps, width) input matrix.  Reference for the whole-sequence op."""
+    """A direction as one `composed_cell` per row of one window's (steps,
+    width) input matrix.  Reference for the whole-sequence op, sharing no
+    code with it: `lstm_cell_step` is a one-step run of the op's engine."""
     steps, width = inputs.shape
     flat = reshape(inputs, (steps * width,))
     state, hs = init, []
     for t in range(steps):
-        state = lstm_cell_step(params, state, segment(flat, t * width, (t + 1) * width))
+        state = composed_cell(params, state, segment(flat, t * width, (t + 1) * width))
         hs.append(state.h)
     return reshape(concat(hs), (steps, state.h.shape[0])), state
 
@@ -325,6 +344,11 @@ def one_window(params, inputs, init):
         LstmState(reshape(init.h, (hidden, 1)), reshape(init.c, (hidden, 1))))
     return (reshape(states, (steps, hidden)),
             LstmState(reshape(terminal.h, (hidden,)), reshape(terminal.c, (hidden,))))
+
+
+def one_step_sequence(params, prev, x):
+    """`lstm_sequence` over the one step x of one window, as a cell step."""
+    return one_window(params, reshape(x, (1, x.shape[0])), prev)[1]
 
 
 class FixedSweep:
@@ -790,13 +814,15 @@ class TestStepLoops:
         grad_h, dc = rng.normal(size=(steps, hidden, windows)), rng.normal(size=(hidden, windows))
         grad_x = rng.normal(size=xs.shape) if swept else None
         outputs = []
-        for run, walk in ((lstm._run, lstm._bptt), (broadcast_run, fresh_bptt)):
+        # `_bptt` takes a tuple of each direction's state gradient; here one.
+        for run, walk, grad in ((lstm._run, lstm._bptt, (grad_h,)),
+                                (broadcast_run, fresh_bptt, grad_h)):
             z = z0.copy()
             sweeps = [FixedSweep(Tensor(xs), hidden) if swept else None for _ in range(2)]
             act, c_seq = run(w, bias, z, c0, sweeps[0], history)
             got = [act, c_seq, z]
             if history:
-                got += walk(w, act.copy(), c_seq.copy(), grad_h, dc, sweeps[1], grad_x)
+                got += walk(w, act.copy(), c_seq.copy(), grad, dc, sweeps[1], grad_x)
                 got += sweeps[1].grads() if swept else ()
             outputs.append(got)
         for got, expect in zip(*outputs):

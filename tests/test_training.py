@@ -113,6 +113,12 @@ class TestTrainConfig:
                 TrainConfig(**{key: True})
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
+        bad = {"learning_rate": (math.nan, math.inf, -math.inf, True, "0.01", None),
+               "clip_norm": (math.nan, math.inf, False, "5")}
+        for key, values in bad.items():
+            for value in values:
+                with pytest.raises(ConfigError, match=key):
+                    TrainConfig(**{key: value})
 
     def test_clip_norm_may_be_disabled(self):
         assert TrainConfig(clip_norm=None).clip_norm is None

@@ -11,9 +11,12 @@ size: `batch_gradients` at 1 and 4 windows, the untaped per-window MSEs of
 `model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
 `bilstm_sequence` and `lstm_sequence` runs over 4 windows of known inputs
 add their outputs and the gradients of every operand, the inputs
-included, which no model variant differentiates.  Each block prints as
-bitwise or with its largest difference relative to the block's largest
-magnitude; the exit status is 1 on any difference, else 0.
+included, which no model variant differentiates, and a taped
+`lstm_cell_step` at the encoder cell's shape adds its h and c and the
+gradients of its weights, both biases, x, h_prev and c_prev.  Each block
+prints as bitwise or with its largest difference relative to the
+block's largest magnitude; the exit status is 1 on any difference, else
+0.
 
 The probes call the package through names both trees must have, so REV is
 meant to be the parent of a change that keeps them.
@@ -93,9 +96,33 @@ def _sequence_blocks(size):
     return blocks
 
 
+def _cell_blocks(size):
+    """A taped `lstm_cell_step` at the EDBiLSTM encoder cell's shape at
+    `size`: h, c and the gradients of the weights, both biases, x, h_prev
+    and c_prev for a random weighting of [h; c], keyed `cell/size/part`."""
+    from loadcast import lstm, params, tensor
+
+    config = _config("EDBiLSTM", size)
+    rng = np.random.default_rng(13)
+    hidden, width = config.hidden_size, config.n_features + 1
+    tape = tensor.Tape()
+    cell = params.bind(lstm.LstmParams.random(rng, width, hidden, bound=0.5), tape)
+    inputs = {name: tape.leaf(rng.normal(size=n))
+              for name, n in (("x", width), ("h_prev", hidden), ("c_prev", hidden))}
+    out = lstm.lstm_cell_step(cell, lstm.LstmState(inputs["h_prev"], inputs["c_prev"]),
+                              inputs["x"])
+    weighting = tensor.Tensor(rng.normal(size=2 * hidden))
+    tape.backward(tensor.total(tensor.hadamard(tensor.concat([out.h, out.c]), weighting)))
+    key = f"cell/{size}"
+    blocks = {f"{key}/h": out.h.values, f"{key}/c": out.c.values}
+    for name, leaf in list(params.named_leaves(cell)) + list(inputs.items()):
+        blocks[f"{key}/grad/{name}"] = tape.grad(leaf)
+    return blocks
+
+
 def probe():
-    """Every probe's arrays, keyed `variant/size/probe[/part]` and
-    `sequence/size/op/part`."""
+    """Every probe's arrays, keyed `variant/size/probe[/part]`,
+    `sequence/size/op/part` and `cell/size/part`."""
     from loadcast import model, training, verify
 
     blocks = {}
@@ -122,6 +149,7 @@ def probe():
                               for name, err in report.per_param.items())
     for size in SIZES:
         blocks.update(_sequence_blocks(size))
+        blocks.update(_cell_blocks(size))
     return blocks
 
 
