@@ -53,13 +53,21 @@ def _output_lock(out_dir):
     """Hold an exclusive `flock` on `out_dir/.lock` while the body runs.
 
     The lock belongs to the open file, so the OS drops it when the process
-    ends, however it ends; the file itself stays.
+    ends, however it ends; the file itself stays.  A lock file that cannot
+    be opened or locked (a directory, say) is a `ConfigError` naming it.
     """
-    with open(out_dir / ".lock", "a") as fh:
+    path = out_dir / ".lock"
+    try:
+        fh = open(path, "a")
+    except OSError as err:
+        raise ConfigError(f"cannot open lock file {path}: {err.strerror or err}") from None
+    with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise ConfigError(f"output directory {out_dir} is locked by another run") from None
+        except OSError as err:
+            raise ConfigError(f"cannot lock {path}: {err.strerror or err}") from None
         yield
 
 
@@ -81,9 +89,19 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _csv_sources(run):
+    """The keys naming the CSV sources, each with its value in `run`."""
+    return (("data.train_csv", run.train_csv), ("data.validation_csv", run.validation_csv),
+            ("data.holidays", run.holidays))
+
+
 def _prepare_synthetic(run):
     """The generated training frames, and the validation frames with the
-    `model.days` training days before them as history."""
+    `model.days` training days before them as history.  A set CSV-source
+    key is a `ConfigError`, since the run would not read it."""
+    for key, value in _csv_sources(run):
+        if value is not None:
+            raise ConfigError(f"{key} is set, but --synthetic generates the data")
     days = run.train_days + run.validation_days
     try:
         records = generate_synthetic(days, run.synthetic_seed)
@@ -106,9 +124,7 @@ def _require_file(name, path):
 
 
 def _prepare_from_csv(run):
-    for key, value in (("data.train_csv", run.train_csv),
-                       ("data.validation_csv", run.validation_csv),
-                       ("data.holidays", run.holidays)):
+    for key, value in _csv_sources(run):
         if value is None:
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
         _require_file(key, Path(value))

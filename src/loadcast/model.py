@@ -20,20 +20,18 @@ windows depends on no parameter, so it is computed once per set, as a
 features stacked with the windows as their last axis and shape-checked,
 and, with decoder attention, the similar-day weights.  `forward` stacks a
 list itself or takes a value already built, so a caller that runs the same
-windows many times (the gradient gate probes one window about 2,000 times)
-stacks them once.  `predict` is `forward` over one window.
+windows many times, as the gradient gate does, stacks them once.  `predict`
+is `forward` over one window.
 
-Every bidirectional run, encoder or decoder, is one `lstm.bilstm_sequence`
-op over both directions.  Without attention on that side the step inputs
-are known up front and are passed as one (steps, width, B) array.  With
-attention, the side passes an attention sweep (`attention.FeatureSweep` in
-the encoder, `attention.TemporalSweep` in the decoder) that builds each
-step's input inside the forward recurrence, and the backward direction
-consumes the same per-step inputs.  The attention weights a caller asks
-for are the ones the sweep stored.  The unidirectional EDLSTM runs
-`lstm.lstm_sequence`.  Encoder states come back as one (history_len,
-state_width, B) array, and the decoder's states are flattened to one
-column per window for the head.
+Encoder and decoder run through one helper, `_recur`: one
+`lstm.bilstm_sequence` op over both directions, or EDLSTM's one
+`lstm.lstm_sequence` op.  A side without attention knows its step inputs
+up front, one (steps, width, B) array; with attention, a sweep
+(`attention.FeatureSweep` in the encoder, `attention.TemporalSweep` in the
+decoder) builds each step's input inside the forward recurrence, and the
+backward direction consumes the same inputs.  `encode` and `decode` always
+return the weights their sweep stored; `forward` alone decides whether its
+`Forecast`s carry them as attention traces.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -140,36 +138,34 @@ class ModelParams:
     head: FeedForwardParams
 
 
+def _cell(config, rng, input_width, bound):
+    """The encoder's or decoder's cell over `input_width` inputs: a BiLSTM of
+    hidden-size directions, or EDLSTM's one direction of the state width."""
+    if config.bidirectional:
+        return BiLstmParams.random(rng, input_width, config.hidden_size, bound)
+    return LstmParams.random(rng, input_width, config.state_width, bound)
+
+
 def init_params(config):
     """Fresh parameters, uniform in [-1/sqrt(hidden), +1/sqrt(hidden)],
     deterministic in config.seed."""
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.hidden_size)
-    width = config.state_width
 
     feature_attn = None
     if config.encoder_attention:
         feature_attn = FeatureAttentionParams.random(
             rng, config.hidden_size, config.n_features, config.feature_attn_size, bound)
-    if config.bidirectional:
-        encoder = BiLstmParams.random(rng, config.encoder_input_width,
-                                      config.hidden_size, bound)
-    else:
-        encoder = LstmParams.random(rng, config.encoder_input_width, width, bound)
+    encoder = _cell(config, rng, config.encoder_input_width, bound)
     temporal_attn = None
     if config.decoder_attention:
         temporal_attn = TemporalAttentionParams.random(
-            rng, width, config.n_features, config.history_len,
+            rng, config.state_width, config.n_features, config.history_len,
             config.temporal_attn_size, bound)
-    if config.bidirectional:
-        decoder = BiLstmParams.random(rng, config.decoder_input_width,
-                                      config.hidden_size, bound)
-    else:
-        decoder = LstmParams.random(rng, config.decoder_input_width, width, bound)
-    head = FeedForwardParams.random(rng, config.horizon * width,
+    decoder = _cell(config, rng, config.decoder_input_width, bound)
+    head = FeedForwardParams.random(rng, config.horizon * config.state_width,
                                     config.head_size, config.horizon, bound)
-    return ModelParams(feature_attn=feature_attn, encoder=encoder,
-                       temporal_attn=temporal_attn, decoder=decoder, head=head)
+    return ModelParams(feature_attn, encoder, temporal_attn, decoder, head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +218,8 @@ def _require_config(windows, config):
 class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
-    decoder, and optional (history_len, n_features, B) feature weights."""
+    decoder, and the feature sweep's own (history_len, n_features, B)
+    weights (None without encoder attention)."""
 
     states: Tensor
     terminal_forward: LstmState
@@ -230,53 +227,45 @@ class Encoding:
     feature_weights: np.ndarray | None
 
 
-def encode(params, config, windows, collect_attention=False):
-    """Run the encoder over the histories of `windows`, a `StackedWindows`
-    built for `config`.
+def _recur(config, cell, inputs, count, init=None):
+    """Run `cell` over `inputs` (an array or a sweep) from `init`, the
+    (forward, backward) initial states, or from zeros: one `bilstm_sequence`
+    op, or EDLSTM's `lstm_sequence` op with a None backward terminal."""
+    if config.bidirectional:
+        start = init or (zero_state(config.hidden_size, count),) * 2
+        return bilstm_sequence(cell, inputs, *start)
+    states, terminal = lstm_sequence(
+        cell, inputs, init[0] if init else zero_state(config.state_width, count))
+    return states, (terminal, None)
 
-    Each step consumes [features; observed load]; with feature attention
-    the feature part is reweighted first (see the module docstring for how
-    the weights are conditioned).
+
+def encode(params, config, windows):
+    """Run the encoder over the histories of `windows`, a `StackedWindows`
+    built for `config`.  Each step consumes [features; observed load]; with
+    feature attention the feature part is reweighted first (conditioned as
+    the module docstring says), and the `Encoding` keeps the weights for
+    `forward` to trace or not.
     """
     _require_config(windows, config)
-    hist_features, hist_targets = windows.hist_features, windows.hist_targets
     if config.encoder_attention:
-        inputs = FeatureSweep(params.feature_attn, hist_features, hist_targets)
+        inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
     else:
-        inputs = Tensor(np.concatenate((hist_features, hist_targets[:, np.newaxis]), axis=1))
-    if config.bidirectional:
-        zeros = zero_state(config.hidden_size, windows.count)
-        states, (terminal_forward, terminal_backward) = bilstm_sequence(
-            params.encoder, inputs, zeros, zeros)
-    else:
-        states, terminal_forward = lstm_sequence(
-            params.encoder, inputs, zero_state(config.state_width, windows.count))
-        terminal_backward = None
-    feature_weights = None
-    if collect_attention and config.encoder_attention:
-        feature_weights = inputs.weights
-    return Encoding(states, terminal_forward, terminal_backward, feature_weights)
+        inputs = Tensor(np.concatenate(
+            (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
+    states, terminals = _recur(config, params.encoder, inputs, windows.count)
+    return Encoding(states, *terminals, inputs.weights if config.encoder_attention else None)
 
 
-@dataclass
-class Decoding:
-    """Decoder output, (horizon, B), and optional attention traces."""
-
-    output: Tensor
-    day_weights: np.ndarray | None
-    hour_weights: np.ndarray | None
-
-
-def decode(params, config, encoding, windows, collect_attention=False):
+def decode(params, config, encoding, windows):
     """Run the decoder over the forecast days of `windows`, a
-    `StackedWindows` built for `config`, and apply the output head.
+    `StackedWindows` built for `config`, and the output head; returns the
+    (horizon, B) output and the temporal sweep's hour weights (None without
+    decoder attention), which `forward` may turn into traces.
 
     Each direction starts from its own orientation's encoder terminal
-    state.  With decoder attention, the windows' similar-day weights
-    compare each window's history days, `day_len`-row blocks of its
-    history, with its forecast day; the per-step context (similar-day times
+    state.  With decoder attention, each step's context (similar-day times
     temporal weights over the window's encoder states) is computed in the
-    forward sweep and both directions consume the same [features; context]
+    forward sweep, and both directions consume the same [features; context]
     inputs.
     """
     _require_config(windows, config)
@@ -285,23 +274,17 @@ def decode(params, config, encoding, windows, collect_attention=False):
                                windows.future_features, windows.day_weights, encoding.states)
     else:
         inputs = Tensor(windows.future_features)
-    if config.bidirectional:
-        states, _terminals = bilstm_sequence(
-            params.decoder, inputs, encoding.terminal_forward, encoding.terminal_backward)
-    else:
-        states, _terminal = lstm_sequence(params.decoder, inputs, encoding.terminal_forward)
-
+    states, _terminals = _recur(config, params.decoder, inputs, windows.count,
+                                (encoding.terminal_forward, encoding.terminal_backward))
     stacked = reshape(states, (config.horizon * config.state_width, windows.count))
-    output = feedforward_relu(params.head, stacked)
-    hour_weights = inputs.weights if collect_attention and config.decoder_attention else None
-    return Decoding(output, windows.day_weights, hour_weights)
+    return (feedforward_relu(params.head, stacked),
+            inputs.weights if config.decoder_attention else None)
 
 
 @dataclass
 class Forecast:
-    """Model output for one window, in standardized target units; the
-    attention fields are filled only when requested and supported by the
-    variant."""
+    """Model output for one window, in standardized target units, with the
+    attention traces `forward` was asked for and the variant has."""
 
     values: np.ndarray
     feature_weights: np.ndarray | None
@@ -339,19 +322,21 @@ def forward(params, config, samples, collect_attention=False, encoding=None):
     `config`.  The observed future loads in the samples are never read;
     only the histories and the future features drive the output.  A given
     `encoding` replaces the encoder run and must be what `encode` gives
-    these inputs.
+    these inputs.  Only here are attention traces decided: with
+    `collect_attention` each `Forecast` carries its window's weights of
+    every stage the variant has, and without it none, encoding given or not.
     """
     windows = (samples if isinstance(samples, StackedWindows)
                else StackedWindows.stack(config, samples))
     if encoding is None:
-        encoding = encode(params, config, windows, collect_attention)
-    decoding = decode(params, config, encoding, windows, collect_attention)
-    values = decoding.output.values
-    return ForwardPass(decoding.output, [
-        Forecast(values=np.array(values[:, k]),
-                 feature_weights=_column(encoding.feature_weights, k),
-                 hour_weights=_column(decoding.hour_weights, k),
-                 day_weights=_column(decoding.day_weights, k))
+        encoding = encode(params, config, windows)
+    output, hour_weights = decode(params, config, encoding, windows)
+    feature_weights, day_weights = encoding.feature_weights, windows.day_weights
+    if not collect_attention:
+        feature_weights = hour_weights = day_weights = None
+    return ForwardPass(output, [
+        Forecast(_column(output.values, k), _column(feature_weights, k),
+                 _column(hour_weights, k), _column(day_weights, k))
         for k in range(windows.count)])
 
 

@@ -208,6 +208,30 @@ class TestTrain:
         assert err.startswith("config error:") and "locked" in err
         assert not (out / "checkpoint.json").exists()
 
+    def test_lock_file_that_cannot_be_opened_is_one_config_error_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / ".lock").mkdir(parents=True)
+        code = main(["train", "--config", str(write_config(tmp_path, out)), "--synthetic"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(out / ".lock") in err
+        assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("key", ["data.train_csv", "data.validation_csv", "data.holidays"])
+    def test_synthetic_run_refuses_a_csv_source_key(self, tmp_path, capsys, monkeypatch, key):
+        def generate(*_args):
+            raise AssertionError("data generated")
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        body = TINY_CONFIG + f"{key} = {tmp_path / 'absent.csv'}\n"
+        code = main(["train", "--config", str(write_config(tmp_path, tmp_path / "out", body)),
+                     "--synthetic"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_leftover_lock_file_does_not_block(self, tmp_path):
         # A run killed with SIGKILL leaves the file, but not the lock.
         out = tmp_path / "run"

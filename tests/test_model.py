@@ -258,6 +258,31 @@ class TestForward:
         npt.assert_allclose(traced.day_weights.sum(), 1.0, atol=1e-12)
         npt.assert_array_equal(traced.values, bare.values)
 
+    @pytest.mark.parametrize("seed", [8, 9])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_alone_decides_traces_with_or_without_an_encoding(self, variant, seed):
+        # The gate's encoder reuse hands `forward` an `encoding`; its traces
+        # must be a fresh pass's, and no trace leaks out without the flag.
+        config, sample = tiny_model_case(variant, seed)
+        bound = bind_constants(init_params(config))
+        windows = StackedWindows.stack(config, [sample])
+        fields = ("values", "feature_weights", "hour_weights", "day_weights")
+        present = {"values": True, "feature_weights": config.encoder_attention,
+                   "hour_weights": config.decoder_attention,
+                   "day_weights": config.decoder_attention}
+        reused = forward(bound, config, windows, collect_attention=True,
+                         encoding=model.encode(bound, config, windows)).forecasts[0]
+        fresh = forward(bound, config, windows, collect_attention=True).forecasts[0]
+        for field in fields:
+            value, ref = getattr(reused, field), getattr(fresh, field)
+            assert (value is not None) == (ref is not None) == present[field], field
+            if ref is not None:
+                npt.assert_array_equal(value, ref, strict=True)
+        for encoding in (None, model.encode(bound, config, windows)):
+            bare = forward(bound, config, windows, encoding=encoding).forecasts[0]
+            npt.assert_array_equal(bare.values, fresh.values, strict=True)
+            assert all(getattr(bare, field) is None for field in fields[1:])
+
     def test_day_weights_come_from_the_window_history(self):
         # A window gives its history once: the served day weights are those
         # of its own x_hist cut into days, alone or in a batch, and follow a
