@@ -5,15 +5,17 @@ flat; the point is shapes, normalization, and how to read the outputs.
 Run with `python3 demos/attention_tour.py`.
 """
 
+import dataclasses
+import sys
+
 import numpy as np
 
-from loadcast.attention import FeatureAttentionParams, feature_attention
+from loadcast.attention import FeatureAttentionParams
 from loadcast.data import (HOLIDAY_INDEX, HOUR_OFFSET, MONTH_OFFSET,
                            TEMPERATURE_INDEX, WEEKDAY_OFFSET, build_features,
                            build_windows, compute_stats, generate_synthetic,
                            standardize, synthetic_calendar)
 from loadcast.model import ModelConfig, init_params, predict
-from loadcast.tensor import Tensor
 
 GROUPS = (("temperature", TEMPERATURE_INDEX, HOLIDAY_INDEX),
           ("holiday flag", HOLIDAY_INDEX, HOUR_OFFSET),
@@ -30,7 +32,8 @@ def main():
                          head_size=8, seed=5)
     frames = standardize(frames, compute_stats(frames))
     sample = build_windows(frames, config)[0]
-    fc = predict(init_params(config), config, sample, collect_attention=True)
+    params = init_params(config)
+    fc = predict(params, config, sample, collect_attention=True)
 
     print(f"window starts {sample.start.isoformat()}; history is "
           f"{config.days} days of {config.day_len} hours\n")
@@ -58,20 +61,16 @@ def main():
         print(f"  {name:16s} {block.sum():.4f} over {block.size} features")
 
     # With all-zero scorer parameters the softmax input is zero, so the
-    # weights are exactly uniform, not just approximately.  The encoder's
-    # scorer conditions on the previous forward hidden state alone.
-    rng = np.random.default_rng(0)
-    alpha, _ = feature_attention(
-        FeatureAttentionParams.zeros(config.hidden_size,
-                                     config.n_features,
-                                     config.feature_attn_size),
-        Tensor(rng.normal(size=config.hidden_size)),
-        Tensor(rng.normal(size=config.n_features)),
-        0.3)
-    uniform = np.full(config.n_features, 1.0 / config.n_features)
-    print(f"\nzeroed scorer gives exactly uniform weights: "
-          f"{bool(np.array_equal(alpha.values, uniform))}")
+    # weights the model itself computes are exactly uniform, not just
+    # approximately: every history hour weights all 45 features by 1/45.
+    zeroed = dataclasses.replace(params, feature_attn=FeatureAttentionParams.zeros(
+        config.hidden_size, config.n_features, config.feature_attn_size))
+    weights = predict(zeroed, config, sample, collect_attention=True).feature_weights
+    uniform = bool(np.all(weights == 1.0 / config.n_features))
+    rows, cols = weights.shape
+    print(f"\nzeroed scorer gives exactly uniform weights ({rows} x {cols}): {uniform}")
+    return 0 if uniform else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,7 +27,7 @@ from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
 from .metrics import MetricReport, compute_metrics, relative_error
 from .model import (VARIANTS, Forecast, ForwardPass, ModelConfig, ModelParams, StackedWindows,
                     decode, encode, forward, init_params, predict)
-from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
+from .params import bind, bind_constants, map_leaves, named_leaves
 from .tensor import (GradCheckReport, Tape, Tensor, add, as_tensor, check_gradients,
                      concat, fused_op, hadamard, matmul, relu, reshape, scale,
                      segment, sigmoid, stable_softmax, sub, tanh, total)

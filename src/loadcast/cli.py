@@ -158,14 +158,15 @@ def _write_manifest(path, run, config_file, fingerprint):
 
 def _cmd_train(args):
     run = parse_run_config(args.config)
+    # The source is read and windowed first, so a config or data error
+    # leaves no output directory behind.
+    prepare = _prepare_synthetic if args.synthetic else _prepare_from_csv
+    train_frames, val_frames, calendar, fingerprint = prepare(run)
+    stats = compute_stats(train_frames)
+    train_s = build_windows(standardize(train_frames, stats), run.model, run.stride_hours)
+    val_s = build_windows(standardize(val_frames, stats), run.model)
     out = _output_dir(run.output_dir)
     with _output_lock(out):
-        prepare = _prepare_synthetic if args.synthetic else _prepare_from_csv
-        train_frames, val_frames, calendar, fingerprint = prepare(run)
-        stats = compute_stats(train_frames)
-        train_s = build_windows(standardize(train_frames, stats), run.model,
-                                run.stride_hours)
-        val_s = build_windows(standardize(val_frames, stats), run.model)
         _say(f"training {run.model.variant}: {len(train_s)} train / "
              f"{len(val_s)} validation windows")
         try:

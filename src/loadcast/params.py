@@ -3,8 +3,8 @@
 Parameter containers are plain dataclasses whose fields are float64 arrays,
 `Tensor` leaves, nested containers, or None.  These helpers flatten a tree
 into (dotted-name, leaf) pairs in a fixed field order and rebuild it with
-mapped leaves; that is how parameters get bound to a tape, snapshotted for
-model selection, and handed to the optimizer.
+mapped leaves; that is how parameters get bound to a tape, copied at the
+best validation epoch, and handed to the optimizer.
 """
 
 import dataclasses
@@ -51,8 +51,3 @@ def bind(params, tape):
 def bind_constants(params):
     """Wrap every leaf as a constant tensor (forward passes without gradients)."""
     return map_leaves(params, lambda _name, leaf: Tensor(leaf_values(leaf)))
-
-
-def snapshot(params):
-    """Copy every leaf into a name-keyed dict of fresh arrays."""
-    return {name: np.array(leaf_values(leaf)) for name, leaf in named_leaves(params)}

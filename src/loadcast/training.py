@@ -24,7 +24,7 @@ from .data import destandardize_load
 from .errors import ConfigError, DimensionError, EvaluationError, TrainingError
 from .metrics import compute_metrics
 from .model import forward, init_params
-from .params import bind, bind_constants, map_leaves, named_leaves, snapshot
+from .params import bind, bind_constants, map_leaves, named_leaves
 from .tensor import Tape, as_tensor, fused_op
 
 # Windows per untaped forward pass.  Wider passes cost less per window, but
@@ -228,9 +228,10 @@ def batch_gradients(params, model_config, samples):
 def train(model_config, train_samples, validation_samples, config):
     """Train from a fresh initialization and keep the best-validation epoch.
 
-    The epoch log starts with an epoch-0 row holding the losses of the
-    untrained model; the returned parameters realize the minimum of the
-    logged validation curve (which may be epoch 0).
+    One loop runs epochs 0 to `config.epochs`: epoch 0 draws no shuffle and
+    trains on no batch, so its row holds the untrained model's losses and
+    0.0 seconds.  Each epoch that improves validation is copied once as a
+    tree, and the last such copy is returned (it may be epoch 0's).
     """
     if not train_samples or not validation_samples:
         raise TrainingError("training and validation splits must both be nonempty")
@@ -240,21 +241,10 @@ def train(model_config, train_samples, validation_samples, config):
     rng = np.random.default_rng(config.seed)
     scored = [*train_samples, *validation_samples]
     split = len(train_samples)
-
-    def losses(epoch):
-        try:
-            mses = _window_mses(params, model_config, scored)
-            return _finite_mean(mses[:split]), _finite_mean(mses[split:])
-        except (EvaluationError, FloatingPointError) as err:
-            raise TrainingError(f"divergence while evaluating epoch {epoch}: {err}") from err
-
-    train_mse, val_mse = losses(0)
-    log = [EpochRecord(0, train_mse, val_mse, 0.0)]
-    best_epoch, best_val, best = 0, val_mse, snapshot(params)
-
-    for epoch in range(1, config.epochs + 1):
+    log, best_epoch, best_val, best = [], 0, math.inf, None
+    for epoch in range(config.epochs + 1):
         started = time.perf_counter()
-        order = rng.permutation(len(train_samples))
+        order = rng.permutation(split) if epoch else []
         for batch_index, batch in enumerate(_batches(order, config.batch_size)):
             try:
                 grads = batch_gradients(params, model_config,
@@ -265,13 +255,17 @@ def train(model_config, train_samples, validation_samples, config):
             if config.clip_norm is not None:
                 clip_global_norm(grads, config.clip_norm)
             adam_step(flat, grads, adam, config)
-        train_mse, val_mse = losses(epoch)
+        try:
+            mses = _window_mses(params, model_config, scored)
+            train_mse, val_mse = _finite_mean(mses[:split]), _finite_mean(mses[split:])
+        except (EvaluationError, FloatingPointError) as err:
+            raise TrainingError(f"divergence while evaluating epoch {epoch}: {err}") from err
         log.append(EpochRecord(epoch, train_mse, val_mse,
-                               time.perf_counter() - started))
+                               time.perf_counter() - started if epoch else 0.0))
         if val_mse < best_val:
-            best_epoch, best_val, best = epoch, val_mse, snapshot(params)
-    best_params = map_leaves(params, lambda name, _leaf: best[name].copy())
-    return TrainResult(best_params, log, best_epoch)
+            best_epoch, best_val = epoch, val_mse
+            best = map_leaves(params, lambda _name, leaf: leaf.copy())
+    return TrainResult(best, log, best_epoch)
 
 
 @dataclass

@@ -230,14 +230,11 @@ def _check_attention_normalization(evaluations=100, tolerance=1e-12):
     for seed in range(evaluations):
         config, sample = tiny_model_case(seed=seed)
         fc = predict(init_params(config), config, sample, collect_attention=True)
-        for row in fc.feature_weights:
-            worst = max(worst, abs(float(row.sum()) - 1.0))
-            positive = positive and bool(np.all(row > 0.0))
-        for row in fc.hour_weights:
-            worst = max(worst, abs(float(row.sum()) - 1.0))
-            positive = positive and bool(np.all(row > 0.0))
-        worst = max(worst, abs(float(fc.day_weights.sum()) - 1.0))
-        positive = positive and bool(np.all(fc.day_weights > 0.0))
+        # One row per softmax: each feature step, each forecast hour, the days.
+        for rows in (fc.feature_weights, fc.hour_weights, fc.day_weights[np.newaxis]):
+            for row in rows:
+                worst = max(worst, abs(float(row.sum()) - 1.0))
+                positive = positive and bool(np.all(row > 0.0))
     ok = worst <= tolerance and positive
     detail = f"max |sum-1| {worst:.1e}" + ("" if positive else ", non-positive weight")
     return CheckResult(f"attention weights normalized ({evaluations} evaluations)",

@@ -232,6 +232,34 @@ class TestTrain:
         assert err.startswith("config error:") and err.count("\n") == 1 and key in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("case", ["missing-train-csv", "synthetic-with-holidays",
+                                      "train-csv-not-utf8"])
+    def test_source_error_leaves_no_output_dir(self, tmp_path, capsys, case):
+        data, holidays = tmp_path / "data.csv", tmp_path / "holidays.txt"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(holidays)])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe2022-01-01\n")
+        capsys.readouterr()
+        csv_keys = "".join(f"{key} = {value}\n" for key, value in (
+            ("data.train_csv", bad), ("data.validation_csv", data), ("data.holidays", holidays)))
+        body, flags, code, message = {
+            "missing-train-csv": (
+                TINY_CONFIG, [], EXIT_CONFIG,
+                "config error: missing required key data.train_csv (or pass --synthetic)"),
+            "synthetic-with-holidays": (
+                TINY_CONFIG + f"data.holidays = {holidays}\n", ["--synthetic"], EXIT_CONFIG,
+                "config error: data.holidays is set, but --synthetic generates the data"),
+            "train-csv-not-utf8": (
+                TINY_CONFIG + csv_keys, [], EXIT_DATA,
+                f"data error: {bad}: not a readable CSV file: 'utf-8' codec can't decode"
+                " byte 0xff in position 0: invalid start byte"),
+        }[case]
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path, out, body)), *flags]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_leftover_lock_file_does_not_block(self, tmp_path):
         # A run killed with SIGKILL leaves the file, but not the lock.
         out = tmp_path / "run"

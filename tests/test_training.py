@@ -352,6 +352,36 @@ class TestTrainLoop:
                        random_samples(TINY, 3, seed=84))
         npt.assert_allclose(got, best.val_mse, atol=1e-12)
 
+    def test_best_epoch_before_the_last_is_returned_as_it_was(self):
+        """Training goes on past the best epoch, and the returned parameters
+        are that epoch's copy, not the live ones the later steps moved."""
+        val_set = random_samples(TINY, 3, seed=91)
+        result = train(TINY, random_samples(TINY, 6, seed=90), val_set,
+                       TrainConfig(batch_size=2, epochs=3, learning_rate=5e-2))
+        assert result.best_epoch == 2 and result.log[3].val_mse > result.log[2].val_mse
+        npt.assert_allclose(mean_mse(result.params, TINY, val_set), result.log[2].val_mse,
+                            rtol=1e-12)
+
+    def test_each_trained_epoch_draws_one_permutation_in_turn(self, monkeypatch):
+        """Epoch 0 draws nothing and trains on no batch; epoch e batches the
+        e-th permutation of the `seed` generator."""
+        train_set = random_samples(TINY, 5, seed=88)
+        ids = [id(sample) for sample in train_set]
+        batches = []
+        real = training.batch_gradients
+
+        def recording(params, config, samples):
+            batches.append([ids.index(id(sample)) for sample in samples])
+            return real(params, config, samples)
+
+        monkeypatch.setattr(training, "batch_gradients", recording)
+        train(TINY, train_set, random_samples(TINY, 2, seed=89),
+              TrainConfig(batch_size=2, epochs=3, seed=6))
+        rng = np.random.default_rng(6)
+        orders = [rng.permutation(5).tolist() for _epoch in range(3)]
+        assert batches == [order[start:start + 2] for order in orders
+                           for start in range(0, 5, 2)]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_attention_preactivation_is_a_training_error(self, monkeypatch):
         def overflowing(config):

@@ -7,7 +7,9 @@ tree and in the working tree, runs one fixed set of probes in a subprocess
 with one BLAS thread and the tree's `src` on the path.  The probes cover
 all five variants at the benchmark's hidden 32 and at `tiny_model_case`
 size: `batch_gradients` at 1 and 4 windows, the untaped per-window MSEs of
-15 windows, `predict` with attention, and, at tiny size only,
+15 windows, `predict` with attention, a 2-epoch `train` at batch size 2
+over 6 training and 3 validation windows (each epoch's losses, the best
+epoch and every returned parameter leaf), and, at tiny size only,
 `model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
 `bilstm_sequence` and `lstm_sequence` runs over 4 windows of known inputs
 add their outputs and the gradients of every operand, the inputs
@@ -120,6 +122,23 @@ def _cell_blocks(size):
     return blocks
 
 
+def _train_blocks(config, key):
+    """`training.train` for 2 epochs at batch size 2 over 6 training and 3
+    validation windows: each epoch's train and validation loss, the best
+    epoch and every returned parameter leaf, keyed `key/train/part`."""
+    from loadcast import params, training
+
+    samples = _windows(config, 9, seed=17)
+    result = training.train(config, samples[:6], samples[6:],
+                            training.TrainConfig(batch_size=2, epochs=2))
+    blocks = {f"{key}/train/epoch{record.epoch}": np.array([record.train_mse, record.val_mse])
+              for record in result.log}
+    blocks[f"{key}/train/best_epoch"] = np.array(result.best_epoch)
+    blocks.update((f"{key}/train/params/{name}", leaf)
+                  for name, leaf in params.named_leaves(result.params))
+    return blocks
+
+
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
     `sequence/size/op/part` and `cell/size/part`."""
@@ -141,6 +160,7 @@ def probe():
                 for field in ("values", "feature_weights", "hour_weights", "day_weights"):
                     if getattr(forecast, field) is not None:
                         blocks[f"{key}/predict{k}/{field}"] = getattr(forecast, field)
+            blocks.update(_train_blocks(config, key))
             if size == "tiny":
                 report = verify.model_gradient_report(*verify.tiny_model_case(variant, seed=9),
                                                       h=1e-4)
