@@ -15,6 +15,7 @@ import fcntl
 import hashlib
 import json
 import os
+import shutil
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -48,15 +49,31 @@ def _output_dir(path):
     return path
 
 
+def _missing_root(path):
+    """The outermost of `path` and its parents that does not exist yet, or
+    None if `path` exists."""
+    missing = None
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            break
+        missing = candidate
+    return missing
+
+
 @contextlib.contextmanager
-def _output_lock(out_dir):
+def _output_lock(out_dir, made):
     """Hold an exclusive `flock` on `out_dir/.lock` while the body runs.
 
     The lock belongs to the open file, so the OS drops it when the process
     ends, however it ends; the file itself stays.  A lock file that cannot
     be opened or locked (a directory, say) is a `ConfigError` naming it.
+    If the body fails once the lock is held, the run leaves the directory
+    as it found it: it removes `made`, the directory it created to hold
+    `out_dir` (None if `out_dir` was there), or else the lock file if it
+    created that.
     """
     path = out_dir / ".lock"
+    created = not path.exists()
     try:
         fh = open(path, "a")
     except OSError as err:
@@ -68,7 +85,14 @@ def _output_lock(out_dir):
             raise ConfigError(f"output directory {out_dir} is locked by another run") from None
         except OSError as err:
             raise ConfigError(f"cannot lock {path}: {err.strerror or err}") from None
-        yield
+        try:
+            yield
+        except BaseException:
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            elif created:
+                path.unlink(missing_ok=True)
+            raise
 
 
 def _say(text):
@@ -93,6 +117,10 @@ def _csv_sources(run):
     """The keys naming the CSV sources, each with its value in `run`."""
     return (("data.train_csv", run.train_csv), ("data.validation_csv", run.validation_csv),
             ("data.holidays", run.holidays))
+
+
+# The keys that size and seed the generated series.
+_SYNTHETIC_KEYS = ("data.synthetic_seed", "data.train_days", "data.validation_days")
 
 
 def _prepare_synthetic(run):
@@ -124,6 +152,12 @@ def _require_file(name, path):
 
 
 def _prepare_from_csv(run):
+    """The frames of the training and validation CSVs and the holiday
+    calendar.  A set synthetic-split key is a `ConfigError`, since the run
+    would not read it."""
+    for key in _SYNTHETIC_KEYS:
+        if key in run.set_keys:
+            raise ConfigError(f"{key} is set, but only --synthetic reads it")
     for key, value in _csv_sources(run):
         if value is None:
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
@@ -165,8 +199,9 @@ def _cmd_train(args):
     stats = compute_stats(train_frames)
     train_s = build_windows(standardize(train_frames, stats), run.model, run.stride_hours)
     val_s = build_windows(standardize(val_frames, stats), run.model)
+    made = _missing_root(run.output_dir)
     out = _output_dir(run.output_dir)
-    with _output_lock(out):
+    with _output_lock(out, made):
         _say(f"training {run.model.variant}: {len(train_s)} train / "
              f"{len(val_s)} validation windows")
         try:

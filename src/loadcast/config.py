@@ -93,7 +93,8 @@ def _section(values, prefix):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a `train` invocation needs, after defaults and typing."""
+    """Everything a `train` invocation needs, after defaults and typing;
+    `set_keys` holds the keys the file set."""
 
     model: ModelConfig
     training: TrainConfig
@@ -106,6 +107,7 @@ class RunConfig:
     synthetic_seed: int
     train_days: int
     validation_days: int
+    set_keys: frozenset
 
 
 def parse_run_config(path):
@@ -148,5 +150,5 @@ def parse_run_config(path):
     echo = {key: (str(v) if isinstance(v, Path) else v)
             for key, v in sorted(values.items())}
     return RunConfig(model=model, training=TrainConfig(**_section(values, "train.")),
-                     output_dir=values["output.dir"], raw=echo,
+                     output_dir=values["output.dir"], raw=echo, set_keys=frozenset(seen),
                      **_section(values, "data."))

@@ -9,10 +9,10 @@ biases once and returns the bias gradient to both, so a step is one
 matmul, and each op one tape node with a hand-derived backward.
 
 The four gates are one tanh: with sigma(x) = 1/2 + tanh(x/2)/2, a run
-scales its weights, and its summed bias into a (4H, B) tile, once by 1/2
-on the i, f and o rows and 1 on the g rows (exact, as halving is), and
+scales its weights, and its summed bias into a (D, 4H, B) tile, once by
+1/2 on the i, f and o rows and 1 on the g rows (exact, as halving is), and
 `_activate` maps each step's pre-activations as tanh, times that scale,
-plus 1/2 on the i, f and o rows, with the read-only (4H, B) tiles of
+plus 1/2 on the i, f and o rows, with the read-only (D, 4H, B) tiles of
 `_gate_tiles`, the one table of that scale and shift.  The activations are
 the same gate values to rounding, so the backward passes are unchanged.
 
@@ -22,34 +22,34 @@ recurrence whose step arrays hold one column per window, inputs
 matmul whatever B is, and a single window is B = 1.  `lstm_sequence` runs
 one direction over known inputs and `bilstm_sequence` both, each as one
 tape op whose output holds the states and each direction's c_T; the
-states and the terminal h and c are views of it.  A direction's step t is
-one product of the packed weights with [x_t; h_{t-1}] and the per-column
-arithmetic of the cell step (`_run`), which keeps the gate activations as
-(steps, 4H, B).  Its backward walks the steps in reverse in that same
-layout for the gate pre-activation gradients, formed in the activations'
-own buffer (`_bptt`), then forms the weight, bias and input gradients
-with one product each over every step of every window (`_walk`).  Over
-known inputs, the two directions of a bidirectional op are one stacked
-run: its arrays carry a direction axis of size 2 after the step axis, the
-backward direction reads the inputs reversed, each step is one stacked
-product and one set of gate ufuncs over both directions, the op's
-backward walks them in lockstep, and the backward direction's input
-gradient, reversed, is added on the inputs before the forward one's.
-The forward direction may instead take its inputs from an attention
-sweep, which fills the input rows that depend on no parameter into the
-run's [x_t; h_{t-1}] scratch once, and whose numpy forward runs inside
-the loop and writes the rest of step t's input in place.  The sweep reads
-the forward h_{t-1}, so the backward direction is then a run of its own
-over the swept inputs reversed; the op's backward walks it first, and
-its input gradient, reversed, is what arrives on the forward direction's
-inputs, which the sweep's backward, inside the reverse loop, turns into a
-contribution to the previous hidden state's.  A run none of whose
-operands is taped keeps only what the next step reads: the latest step's
-gate activations and cell state, and of the sweep's store only the
-attention weights.
-`lstm_cell_step`, the one-window single-step API, is a one-step `_run`
-over one window, and its backward `_walk` over that run: the cell and the
-sequence ops share one derivation.  The head,
+states and the terminal h and c are views of it.
+
+Every run of the engine has one layout: a direction axis of size D, the
+one or two directions it steps, after the step axis.  A run's step t is
+one product of the D stacked, packed weight matrices with the D matrices
+[x_t; h_{t-1}] and the per-column arithmetic of the cell step (`_run`),
+which keeps the gate activations as (steps, D, 4H, B).  Its backward
+walks the steps in reverse in that same layout for the gate
+pre-activation gradients, formed in the activations' own buffer
+(`_bptt`), then forms the weight, bias and input gradients with one
+product each over every step of every window (`_walk`).  A sequence op
+is a list of runs, each knowing its direction indices: over known inputs
+one run of every direction, (0, 1) or (0,); with an attention sweep, (0,),
+whose inputs the sweep builds, then (1,) over those inputs, since the
+sweep reads the forward h_{t-1}.  The backward direction, 1, reads its
+run's inputs reversed and writes its states reversed, and its input
+gradient, reversed, is what arrives on the inputs; the op's rule walks
+its runs last first.  A sweep fills the input rows that depend on no
+parameter into its run's [x_t; h_{t-1}] scratch once, and its numpy
+forward runs inside the loop and writes the rest of step t's input in
+place; its backward, inside the reverse loop, turns the gradient that
+arrives on x_t into a contribution to the previous hidden state's.  A
+run none of whose operands is taped keeps only what the next step reads:
+the latest step's gate activations and cell state, and of the sweep's
+store only the attention weights.
+`lstm_cell_step`, the one-window single-step API, is a one-direction,
+one-step `_run` over one window, and its backward `_walk` over that run:
+the cell and the sequence ops share one derivation.  The head,
 `feedforward_relu`, is one tape op over every window's stacked states,
 whose rule chains the `matmul` and `relu` gradients.
 """
@@ -153,9 +153,9 @@ def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
     The step is one tape op producing [h; c], plus a view for each half:
-    a one-step, one-window `_run` over [x; h_prev], whose rule is `_walk`
-    over that run, so its values and gradients are those of `lstm_sequence`
-    over one step of one window.
+    a one-direction, one-step, one-window `_run` over [x; h_prev], whose
+    rule is `_walk` over that run, so its values and gradients are those of
+    `lstm_sequence` over one step of one window.
     """
     weights, b_x, b_h = _cell(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
@@ -165,28 +165,28 @@ def lstm_cell_step(params, prev, x):
     if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
         raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
                              f"({hidden},)")
-    w = weights.values
-    z = np.empty((2, width + hidden, 1))
-    z[0, :width, 0], z[0, width:, 0] = x.values, h_prev.values
-    act, c_seq = _run(w, b_x.values + b_h.values, z, c_prev.values[:, np.newaxis])
+    w = [weights.values]
+    z = np.empty((2, 1, width + hidden, 1))
+    z[0, 0, :width, 0], z[0, 0, width:, 0] = x.values, h_prev.values
+    act, c_seq = _run(w, [b_x.values + b_h.values], z, [c_prev.values[:, np.newaxis]])
 
     def rule(grad):
         d_x = np.zeros((1, width, 1))
-        d_w, d_b_x, d_b_h, dh0, dc0 = _walk((w, z, act, c_seq),
-                                            (grad[np.newaxis, :hidden, np.newaxis],),
-                                            grad[hidden:, np.newaxis], d_x)
+        d_w, d_b_x, d_b_h, dh0, dc0 = _walk(((0,), w, z, act, c_seq, None),
+                                            [grad[np.newaxis, :hidden, np.newaxis]],
+                                            [grad[hidden:, np.newaxis]], d_x)
         return d_w, d_b_x, d_b_h, d_x.reshape(width), dh0.reshape(hidden), dc0.reshape(hidden)
 
-    joined = fused_op(np.concatenate((z[1, width:, 0], c_seq[1, :, 0])),
+    joined = fused_op(np.concatenate((z[1, 0, width:, 0], c_seq[1, 0, :, 0])),
                       (weights, b_x, b_h, x, h_prev, c_prev), rule)
     return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
 
 
 @functools.cache
-def _gate_tiles(hidden, windows, directions=None):
-    """The one-tanh gate form's (scale, shift) as read-only (4H, windows)
-    tiles, or (directions, 4H, windows) ones for a stacked run, built once
-    per shape: (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows.
+def _gate_tiles(hidden, windows, directions):
+    """The one-tanh gate form's (scale, shift) as read-only (directions,
+    4H, windows) tiles, built once per shape: (1/2, 1/2) on the i, f and o
+    rows and (1, 0) on the g rows.
 
     With weights and summed bias multiplied by `scale`, the pre-activations
     are x/2 on the sigmoid rows and x on the g rows, and `_activate` maps
@@ -194,8 +194,7 @@ def _gate_tiles(hidden, windows, directions=None):
     Halving is exact, so the scaled pre-activations are exactly half of
     the unscaled ones.
     """
-    lead = () if directions is None else (directions,)
-    scale = np.full(lead + (4 * hidden, windows), 0.5)
+    scale = np.full((directions, 4 * hidden, windows), 0.5)
     scale[..., 2 * hidden:3 * hidden, :] = 1.0
     shift = 1.0 - scale
     scale.flags.writeable = shift.flags.writeable = False
@@ -204,8 +203,8 @@ def _gate_tiles(hidden, windows, directions=None):
 
 @functools.cache
 def _gate_rows(hidden):
-    """The index of each of the i, f, g and o row blocks of a step's (4H,
-    B) gate array, or of a stacked run's (2, 4H, B) one, built once per H."""
+    """The index of each of the i, f, g and o row blocks of a step's (D,
+    4H, B) gate array, built once per H."""
     return tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
 
 
@@ -219,50 +218,46 @@ def _activate(pre, scale, shift, out):
 
 
 def _run(w, bias, z, c0, sweep=None, history=True):
-    """Step the cell with weights `w` and summed bias `bias` over `z`,
+    """Step the cell of each of a run's D directions (1 or 2) over `z`,
     writing h_t into `z[t + 1]`.
 
-    One direction's run takes the (4H, input + H) weights, the (4H,) bias,
-    the (H, B) c_0 and `z` (steps + 1, input + H, B), whose `z[t]` is the
-    matrix [x_t; h_{t-1}] of step t, one column per window.  A stacked
-    run steps both directions of a bidirectional op at once: `w` holds
-    their two weight matrices, `bias` is (2, 4H), `c0` (2, H, B), `z`
-    (steps + 1, 2, input + H, B), and every array it makes carries the
-    same direction axis after the step axis.  The caller fills every h_0
-    and x_t, or with a sweep (one direction) the rows `sweep.fill` writes,
-    and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of x_t in
-    place.  The weights are scaled once per run, into one array, by the
-    first column of `_gate_tiles`' scale, and the bias into one product
-    with the whole tile, so each step is one product, stacked over the
-    directions, and one tanh over every gate, on operands of the step's
+    `w`, `bias` and `c0` hold each direction's (4H, input + H) weights,
+    (4H,) summed bias and (H, B) c_0, and `z` is (steps + 1, D, input + H,
+    B), whose `z[t, d]` is direction d's matrix [x_t; h_{t-1}] of step t,
+    one column per window; every array the run makes carries the same
+    direction axis after the step axis.  The caller fills every h_0 and
+    x_t, or, for a one-direction run with a sweep, the rows `sweep.fill`
+    writes, and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of
+    x_t in place.  The weights are stacked and scaled once per run, into
+    one array, by the first column of `_gate_tiles`' scale, and the bias
+    into one product with the whole tile, so each step is one product over
+    the directions and one tanh over every gate, on operands of the step's
     shape written into arrays made once per run, whose gate blocks it
-    reads through the index tuples of `_gate_rows`.  A two-direction `w`
-    is a list of the two matrices, stacked only in that scaled copy.
-    `lstm_cell_step` is a run of one step over one window.  Returns the
-    activations and the cell states: with `history`, all (steps, [2,] 4H,
-    B) activations and c_0 .. c_T, which `_bptt` reads; without, one
+    reads through the index tuples of `_gate_rows`.  Returns the
+    activations and the cell states: with `history`, all (steps, D, 4H, B)
+    activations and c_0 .. c_T, which `_bptt` reads; without, one
     activation slot and two cell slots, reused as the steps go.  Either
     way c_T is `c[steps % len(c)]`.
     """
     steps = len(z) - 1
-    hidden, windows = c0.shape[-2:]
+    hidden, windows = c0[0].shape
     width = z.shape[-2] - hidden
-    scale, shift = _gate_tiles(hidden, windows, *c0.shape[:-2])
-    # One copy, which stacks a two-direction list, scaled in place.
+    scale, shift = _gate_tiles(hidden, windows, len(w))
+    # One copy, which stacks the directions, scaled in place.
     w_run = np.array(w)
     w_run *= scale[..., :1]
-    bias = bias[..., np.newaxis] * scale
+    bias = np.array(bias)[..., np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots,) + scale.shape)
-    c_seq = np.empty((slots + 1,) + c0.shape)
+    c_seq = np.empty((slots + 1, len(w), hidden, windows))
     c_seq[0] = c0
     i, f, g, o = _gate_rows(hidden)
     hs = z[..., width:, :]
     # i * g, then tanh(c_t), of the current step.
-    part = np.empty(c0.shape)
+    part = np.empty(c_seq.shape[1:])
     for t in range(steps):
         if sweep is not None:
-            sweep.forward(t, hs[t], z[t, :width])
+            sweep.forward(t, hs[t, 0], z[t, 0, :width])
         a = np.matmul(w_run, z[t], out=act[t % slots])
         a += bias
         _activate(a, scale, shift, a)
@@ -273,34 +268,33 @@ def _run(w, bias, z, c0, sweep=None, history=True):
 
 
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
-    """Walk the steps of `_run` in reverse, both directions of a stacked
-    run in lockstep, reading its arrays as it wrote them, for the gate
-    pre-activation gradients; returns them in `_run`'s (steps, [2,] 4H, B)
-    layout, with dh_0 and dc_0, each shaped like c_0.
+    """Walk the steps of `_run` in reverse, every direction of the run in
+    lockstep, reading its arrays as it wrote them, for the gate
+    pre-activation gradients; returns them in `_run`'s (steps, D, 4H, B)
+    layout, with dh_0 and dc_0, each (D, H, B).
 
-    `w` is the run's unscaled weights, as `_run` takes them, and their
-    transposed block is one `np.swapaxes` of them, copied.  `grad_h` holds
+    `w` is the run's unscaled weights, as `_run` takes them, of which only
+    the transposed block the walk reads is stacked.  `grad_h` and `dc` hold
     each direction's states' gradient, (steps, H, B) in the order its run
-    stepped, so a stacked run's backward block is passed reversed.  `dc`
-    is c_T's, copied, never written.  The walk spends the run: the gate
-    gradients are formed in `act`'s own buffer, starting as each gate's
-    slope times the other factor of its product, and c_1 .. c_T become
-    tanh(c_t) and then the o gate's slope, so that beside the run's arrays
-    the walk holds only a copy of f and one scratch the size of the
-    states, which serves the slopes and then holds `grad_h`, stacked over
-    the directions.  Each step works on blocks of c_0's shape, written into
-    arrays made once per walk, and its recurrent gradient is one product,
-    stacked over the directions.  With a sweep (one direction), step t's
-    input gradient (the gate part plus `grad_x[t]`, what arrives on x_t
-    from outside) goes through `sweep.backward`, whose (H, B) result joins
-    the recurrent gradient for h_{t-1}.
+    stepped, and c_T's, which is copied, never written.  The walk spends
+    the run: the gate gradients are formed in `act`'s own buffer, starting
+    as each gate's slope times the other factor of its product, and c_1 ..
+    c_T become tanh(c_t) and then the o gate's slope, so that beside the
+    run's arrays the walk holds only a copy of f and one scratch the size
+    of the states, which serves the slopes and then holds `grad_h`.  Each
+    step works on blocks of (D, H, B), written into arrays made once per
+    walk, and its recurrent gradient is one product over the directions.
+    With a sweep (one direction), step t's input gradient (the gate part
+    plus `grad_x[t]`, what arrives on x_t from outside) goes through
+    `sweep.backward`, whose (H, B) result joins the recurrent gradient for
+    h_{t-1}.
     """
     steps = len(act)
+    dc = np.array(dc)
     hidden, windows = dc.shape[-2:]
-    # The recurrent columns, or with a sweep every column, transposed; a
-    # two-direction list is stacked into a copy that dies with this line.
+    # The recurrent columns, or with a sweep every column, transposed.
     cols = slice(-hidden if sweep is None else 0, None)
-    w_t = np.ascontiguousarray(np.swapaxes(w, -1, -2)[..., cols, :])
+    w_t = np.array([w_d[:, cols].T for w_d in w])
     d_pre = act
     gates = act.reshape(act.shape[:-2] + (4, hidden, windows))
     i, f, cand, o = (gates[..., k, :, :] for k in range(4))
@@ -329,13 +323,11 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     np.subtract(1.0, cand, out=cand)
     cand *= i
     i[...] = scratch
-    np.stack(grad_h, axis=1, out=scratch.reshape((steps, -1, hidden, windows)))
-    grad_h = scratch
+    grad_h = np.stack(grad_h, axis=1, out=scratch)
     ifg = gates[..., :3, :, :]
     dh_next = np.zeros(dc.shape)
     dh, dh_o = np.empty((2,) + dc.shape)
     dz = np.empty(w_t.shape[:-1] + (windows,))
-    dc = np.array(dc)
     dc_gates = dc[..., np.newaxis, :, :]
     for t in range(steps - 1, -1, -1):
         np.add(grad_h[t], dh_next, out=dh)
@@ -344,7 +336,7 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
         o[t] *= dh
         np.matmul(w_t, d_pre[t], out=dz)
         dh_next = dz if sweep is None else (
-            dz[-hidden:] + sweep.backward(t, dz[:-hidden] + grad_x[t]))
+            dz[:, -hidden:] + sweep.backward(t, dz[0, :-hidden] + grad_x[t]))
         dc *= f_kept[t]
     return d_pre, dh_next, dc
 
@@ -376,49 +368,37 @@ def _parts(flat, steps, hidden, windows, directions):
             flat[end:].reshape(directions, hidden, windows))
 
 
-def _start(directions, z, sweep=None, history=True):
-    """Run one direction's operands, or both directions' of a
-    bidirectional op as one stacked run, over the `_run` scratch `z`,
-    whose x_t the caller or `sweep` fills; returns what `_walk` reads,
-    and c_T."""
-    if len(directions) == 1:
-        (weights, b_x, b_h, h0, c0), = directions
-        z[0, -len(h0.values):] = h0.values
-        w, bias, c0 = weights.values, b_x.values + b_h.values, c0.values
-    else:
-        for d, (_weights, _b_x, _b_h, h0, _c0) in enumerate(directions):
-            z[0, d, -len(h0.values):] = h0.values
-        w = [weights.values for weights, *_rest in directions]
-        bias = np.array([b_x.values + b_h.values for _w, b_x, b_h, *_rest in directions])
-        c0 = np.array([c0.values for *_rest, c0 in directions])
-    act, c_seq = _run(w, bias, z, c0, sweep, history)
-    return (w, z, act, c_seq), c_seq[(len(z) - 1) % len(c_seq)]
+def _run_order(d, steps):
+    """`steps`, indexed by step, in the order direction d's run steps:
+    reversed for the backward direction, d = 1."""
+    return steps[::-1] if d else steps
 
 
-def _walk(run, grad_h, dc, d_x, sweep=None):
-    """The gradients of a `_start` run's weights, b_x, b_h, h_0 and c_0,
-    direction by direction, from those of its states (as `_bptt` reads
-    them) and c_T, reading `_bptt`'s gate gradients, formed in the run's
-    activations, as they are.  Without a sweep, each direction's input
-    gradient, a stacked run's backward direction's first and reversed, is
-    added into the (steps, width, B) `d_x` unless that is None; with one,
-    `d_x` is what arrives on the inputs from outside."""
-    w, z, act, c_seq = run
+def _walk(run, grad_h, dc, d_x):
+    """The gradients of a run's weights, b_x, b_h, h_0 and c_0, direction
+    by direction, from each direction's states' gradient (as `_bptt` reads
+    them) and c_T's, reading `_bptt`'s gate gradients, formed in the run's
+    activations, as they are.  `run` is the run's direction indices, its
+    `_run` operands w and z, its activations and cell states, and its
+    sweep or None.  Without a sweep, each direction's input gradient, the
+    last direction's first, is added in step order into the (steps, width,
+    B) `d_x` unless that is None; with one, `d_x` is what arrives on the
+    inputs from outside."""
+    directions, w, z, act, c_seq, sweep = run
     del run
-    d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, dc, sweep, d_x)
+    d_pre, dh0, dc0 = _bptt(w, act, c_seq, [grad_h[d] for d in directions],
+                            [dc[d] for d in directions], sweep, d_x)
     # The summed outer products copy d_pre; the cell states go first.
     del act, c_seq
-    if dc.ndim == 2:
-        w, d_pre, z, dh0, dc0 = [w], d_pre[:, np.newaxis], z[:, np.newaxis], [dh0], [dc0]
-    width = z.shape[2] - dh0[0].shape[0]
+    width = z.shape[2] - dh0.shape[1]
     if sweep is None and d_x is not None:
-        for d in reversed(range(len(w))):
-            arrives = d_x[::-1] if d else d_x
-            arrives += np.matmul(w[d][:, :width].T, d_pre[:, d])
+        for k in reversed(range(len(directions))):
+            arrives = _run_order(directions[k], d_x)
+            arrives += np.matmul(w[k][:, :width].T, d_pre[:, k])
     grads = ()
-    for d in range(len(w)):
-        d_bias = d_pre[:, d].sum(axis=(0, 2))
-        grads += (_summed_outer(d_pre[:, d], z[:-1, d]), d_bias, d_bias.copy(), dh0[d], dc0[d])
+    for k in range(len(directions)):
+        d_bias = d_pre[:, k].sum(axis=(0, 2))
+        grads += (_summed_outer(d_pre[:, k], z[:-1, k]), d_bias, d_bias.copy(), dh0[k], dc0[k])
     return grads
 
 
@@ -467,13 +447,15 @@ def bilstm_sequence(params, inputs, init_forward, init_backward):
 
 
 def _sequence(cells, inputs, inits):
-    """The op of both sequence runs.  Over known inputs, both directions
-    of a bidirectional op are one stacked run, the backward one over the
-    inputs reversed, and the rule walks them in lockstep; with a sweep the
-    forward direction runs first and the backward one after it, and the
-    rule walks them in the other order.  Its operands are each direction's
-    weights, biases and initial state, then the inputs or the sweep's
-    operands."""
+    """The op of both sequence runs, stepped as a list of runs, each over
+    the indices of the directions it steps: over known inputs one run of
+    every direction, (0, 1), or EDLSTM's (0,); with a sweep (0,), whose
+    inputs the sweep builds, then (1,) over those inputs.  Each run reads
+    its directions' inputs in its own order and writes their states and
+    c_T into the op's output; the rule walks the runs last first, so that
+    each run is gone before the walk of the one before it.  Its operands
+    are each direction's weights, biases and initial state, then the
+    inputs or the sweep's operands."""
     sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
     if sweep is None:
         inputs = as_tensor(inputs)
@@ -493,49 +475,48 @@ def _sequence(cells, inputs, inits):
         # operands: through them it would keep the tape in a reference cycle.
         sweep.operands = ()
     taped = any(t.tape is not None for t in operands)
-    stacked = sweep is None and count == 2
-    z = np.empty((steps + 1,) + (2,) * stacked + (width + hidden, windows))
-    if stacked:
-        z[:steps, 0, :width] = inputs.values
-        z[:steps, 1, :width] = inputs.values[::-1]
-    elif sweep is None:
-        z[:steps, :width] = inputs.values
-    else:
-        sweep.fill(z[:steps, :width])
-    run, c_last = _start(directions if stacked else directions[:1], z, sweep, taped)
-    runs = [run]
-    if sweep is not None:
-        sweep.check_finite()
-        if not taped:
-            sweep.drop_store()
+    # Each direction's index, weights, summed bias, h_0 and c_0.
+    arrays = [(d, weights.values, b_x.values + b_h.values, h0.values, c0.values)
+              for d, (weights, b_x, b_h, h0, c0) in enumerate(directions)]
     out = np.empty((steps + 1) * count * hidden * windows)
     states, c_end = _parts(out, steps, hidden, windows, count)
-    if stacked:
-        states[:, :hidden], states[::-1, hidden:] = z[1:, 0, width:], z[1:, 1, width:]
-        c_end[...] = c_last
-    else:
-        states[:, :hidden], c_end[0] = z[1:, width:], c_last
-    if sweep is not None:
-        # An untaped run keeps nothing of the forward scratch but its
-        # inputs, so the backward direction reuses it.
-        z_back = np.empty_like(z) if taped else z
-        z_back[:steps, :width] = z[:steps, :width][::-1]
-        run, c_end[1] = _start(directions[1:], z_back, history=taped)
-        runs.append(run)
-        states[::-1, hidden:] = z_back[1:, width:]
+    x = None if sweep is not None else inputs.values
+    z, runs = None, []
+    for picked in (arrays,) if sweep is None else (arrays[:1], arrays[1:]):
+        run, w, bias, h0, c0 = zip(*picked)
+        # A sweep builds the first run's inputs, which the next run reads.
+        swept = sweep if x is None else None
+        # An untaped run keeps nothing of the scratch before it but its
+        # inputs, so the next run reuses it.
+        if taped or z is None:
+            z = np.empty((steps + 1, len(run), width + hidden, windows))
+        for k, d in enumerate(run):
+            if swept is None:
+                z[:steps, k, :width] = _run_order(d, x)
+            else:
+                swept.fill(z[:steps, k, :width])
+            z[0, k, width:] = h0[k]
+        act, c_seq = _run(w, bias, z, c0, swept, taped)
+        if swept is not None:
+            swept.check_finite()
+            if not taped:
+                swept.drop_store()
+            x = z[:steps, 0, :width]
+        for k, d in enumerate(run):
+            states[:, d * hidden:(d + 1) * hidden] = _run_order(d, z[1:, k, width:])
+            c_end[d] = c_seq[steps % len(c_seq), k]
+        runs.append((run, w, z, act, c_seq, swept))
     reads_x = sweep is not None or inputs.tape is not None
 
     def rule(grad):
         grad_h, dc = _parts(grad, steps, hidden, windows, count)
         # Each direction's state gradient in its run's time order.
-        grad_h = (grad_h[:, :hidden], grad_h[::-1, hidden:])[:count]
+        grad_h = [_run_order(d, grad_h[:, d * hidden:(d + 1) * hidden]) for d in range(count)]
         d_x = np.zeros(shape) if reads_x else None
-        if sweep is None:
-            return _walk(runs.pop(), grad_h, dc if stacked else dc[0], d_x) + (d_x,)
-        # The backward direction first, so that its run is gone before the
-        # forward walk; its input gradient, reversed, arrives on x_t.
-        grads_back = _walk(runs.pop(), grad_h[1:], dc[1], d_x[::-1])
-        return _walk(runs.pop(), grad_h[:1], dc[0], d_x, sweep) + grads_back + sweep.grads()
+        grads = ()
+        while runs:
+            grads = _walk(runs.pop(), grad_h, dc, d_x) + grads
+        return grads + ((d_x,) if sweep is None else sweep.grads())
 
     return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
 

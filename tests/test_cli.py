@@ -45,13 +45,17 @@ model.seed = 4
 train.batch_size = 2
 train.epochs = 2
 train.learning_rate = 0.01
+"""
+# A synthetic run's generated series; a CSV run refuses these keys.
+SYNTHETIC_KEYS = """
 data.synthetic_seed = 7
 data.train_days = 7
 data.validation_days = 2
 """
+SYNTHETIC_CONFIG = TINY_CONFIG + SYNTHETIC_KEYS
 
 
-def write_config(directory, out_dir, body=TINY_CONFIG):
+def write_config(directory, out_dir, body=SYNTHETIC_CONFIG):
     path = directory / "run.conf"
     path.write_text(body + f"output.dir = {out_dir}\n")
     return path
@@ -170,7 +174,7 @@ class TestTrain:
         assert main(["train", "--config", str(write_config(tmp_path, first)),
                      "--synthetic"]) == EXIT_OK
         config2 = tmp_path / "again.conf"
-        config2.write_text(TINY_CONFIG + f"output.dir = {second}\n")
+        config2.write_text(SYNTHETIC_CONFIG + f"output.dir = {second}\n")
         assert main(["train", "--config", str(config2),
                      "--synthetic"]) == EXIT_OK
         assert ((first / "checkpoint.json").read_bytes()
@@ -224,7 +228,7 @@ class TestTrain:
             raise AssertionError("data generated")
 
         monkeypatch.setattr(cli, "generate_synthetic", generate)
-        body = TINY_CONFIG + f"{key} = {tmp_path / 'absent.csv'}\n"
+        body = SYNTHETIC_CONFIG + f"{key} = {tmp_path / 'absent.csv'}\n"
         code = main(["train", "--config", str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
         assert code == EXIT_CONFIG
@@ -248,7 +252,7 @@ class TestTrain:
                 TINY_CONFIG, [], EXIT_CONFIG,
                 "config error: missing required key data.train_csv (or pass --synthetic)"),
             "synthetic-with-holidays": (
-                TINY_CONFIG + f"data.holidays = {holidays}\n", ["--synthetic"], EXIT_CONFIG,
+                SYNTHETIC_CONFIG + f"data.holidays = {holidays}\n", ["--synthetic"], EXIT_CONFIG,
                 "config error: data.holidays is set, but --synthetic generates the data"),
             "train-csv-not-utf8": (
                 TINY_CONFIG + csv_keys, [], EXIT_DATA,
@@ -277,7 +281,7 @@ class TestTrain:
 
     def test_csv_mode_requires_paths(self, tmp_path, capsys):
         code = main(["train", "--config",
-                     str(write_config(tmp_path, tmp_path / "out"))])
+                     str(write_config(tmp_path, tmp_path / "out", TINY_CONFIG))])
         assert code == EXIT_CONFIG
         assert "data.train_csv" in capsys.readouterr().err
 
@@ -309,7 +313,7 @@ class TestTrain:
                                      "data.test_days", "train.beta1", "train.beta2",
                                      "train.epsilon", "train.shuffle"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
-        body = TINY_CONFIG + f"{key} = 24\n"
+        body = SYNTHETIC_CONFIG + f"{key} = 24\n"
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
@@ -318,7 +322,7 @@ class TestTrain:
         assert "unknown key" in err and key in err
 
     def test_split_total_too_short_for_a_window(self, tmp_path, capsys):
-        body = TINY_CONFIG.replace("data.train_days = 7", "data.train_days = 6")
+        body = SYNTHETIC_CONFIG.replace("data.train_days = 7", "data.train_days = 6")
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
@@ -331,7 +335,7 @@ class TestTrain:
         ("data.validation_days", 0), ("data.stride_hours", 0)])
     def test_split_or_stride_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                            key, value):
-        body = TINY_CONFIG.replace(f"{key} = ", f"# {key} = ") + f"{key} = {value}\n"
+        body = SYNTHETIC_CONFIG.replace(f"{key} = ", f"# {key} = ") + f"{key} = {value}\n"
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
                      "--synthetic"])
@@ -341,7 +345,7 @@ class TestTrain:
 
     def test_training_split_too_short_for_a_window_is_a_data_error(self, tmp_path, capsys):
         # Two training days cannot hold a two-day history plus a forecast day.
-        body = (TINY_CONFIG.replace("data.train_days = 7", "data.train_days = 2")
+        body = (SYNTHETIC_CONFIG.replace("data.train_days = 7", "data.train_days = 2")
                 .replace("data.validation_days = 2", "data.validation_days = 7"))
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)),
@@ -352,7 +356,8 @@ class TestTrain:
         assert not (tmp_path / "out" / "checkpoint.json").exists()
 
     def test_diverging_run_is_one_training_error_line(self, tmp_path, capsys):
-        body = (TINY_CONFIG.replace("train.learning_rate = 0.01", "train.learning_rate = 1e300")
+        body = (SYNTHETIC_CONFIG.replace("train.learning_rate = 0.01",
+                                         "train.learning_rate = 1e300")
                 .replace("data.train_days = 7", "data.train_days = 12"))
         code = main(["train", "--config",
                      str(write_config(tmp_path, tmp_path / "out", body)), "--synthetic"])
@@ -360,6 +365,47 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("training error:") and err.count("\n") == 1
         assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("found", ["missing", "empty", "earlier-run"])
+    def test_failed_run_leaves_output_dir_as_found(self, tmp_path, capsys, found):
+        # A run that diverges after taking the lock removes the directories
+        # it made, or else the lock file it made, and nothing else.
+        holder = tmp_path / "holder"
+        out = holder / "out"
+        if found == "empty":
+            out.mkdir(parents=True)
+        elif found == "earlier-run":
+            assert main(["train", "--config", str(write_config(tmp_path, out)),
+                         "--synthetic"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        body = (SYNTHETIC_CONFIG.replace("train.learning_rate = 0.01",
+                                         "train.learning_rate = 1e300")
+                .replace("data.train_days = 7", "data.train_days = 12"))
+        capsys.readouterr()
+        code = main(["train", "--config", str(write_config(tmp_path, out, body)), "--synthetic"])
+        assert code == EXIT_TRAINING
+        assert capsys.readouterr().err.startswith("training error: divergence at epoch 1")
+        if found == "missing":
+            assert not holder.exists()
+        else:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        if found == "earlier-run":
+            assert ".lock" in before and "checkpoint.json" in before
+
+    @pytest.mark.parametrize("key", ["data.synthetic_seed", "data.train_days",
+                                     "data.validation_days"])
+    def test_csv_run_refuses_a_synthetic_key(self, tmp_path, capsys, key):
+        data, holidays = tmp_path / "data.csv", tmp_path / "holidays.txt"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(holidays)])
+        capsys.readouterr()
+        body = TINY_CONFIG + f"{key} = 3\n" + "".join(f"{name} = {path}\n" for name, path in (
+            ("data.train_csv", data), ("data.validation_csv", data), ("data.holidays", holidays)))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path, out, body))]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key} is set, but only --synthetic reads it\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("stride", [None, 5])
     def test_csv_and_synthetic_sources_train_alike(self, tmp_path, stride):
@@ -377,7 +423,7 @@ class TestTrain:
             ("data.holidays", "holidays.txt")))
         runs = {}
         for mode, run_body, flags in (("csv", csv_body, []),
-                                      ("synthetic", body, ["--synthetic"])):
+                                      ("synthetic", body + SYNTHETIC_KEYS, ["--synthetic"])):
             runs[mode] = tmp_path / mode
             config = tmp_path / f"{mode}.conf"
             config.write_text(run_body + f"output.dir = {runs[mode]}\n")

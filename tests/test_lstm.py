@@ -182,13 +182,14 @@ class TestGateForm:
         return np.concatenate(([0.0], self.MAGNITUDES, np.negative(self.MAGNITUDES), dense))
 
     def test_one_tanh_gives_sigmoid_and_tanh_rows(self):
-        # Through the (4H, 3) tiles a run uses: the grid, padded to whole
-        # steps of 3 windows, as (steps, 4H, 3) pre-activations.
+        # Through the (1, 4H, 3) tiles a one-direction run uses: the grid,
+        # padded to whole steps of 3 windows, as (steps, 1, 4H, 3)
+        # pre-activations.
         hidden, windows = 3, 3
         x = self.grid()
         x = np.concatenate((x, x[:(-x.size) % windows])).reshape(-1, windows)
-        scale, shift = _gate_tiles(hidden, windows)
-        pre = scale * x[:, np.newaxis]
+        scale, shift = _gate_tiles(hidden, windows, 1)
+        pre = scale * x[:, np.newaxis, np.newaxis]
         act = _activate(pre, scale, shift, np.empty_like(pre))
         gates = act.reshape(-1, 4, hidden, windows)
         for k in (0, 1, 3):
@@ -198,23 +199,28 @@ class TestGateForm:
                                                             gates[:, 2].shape))
 
     def test_built_once_per_width_and_read_only(self):
-        scale, shift = _gate_tiles(5, 1)
-        assert _gate_tiles(5, 1)[0] is scale and _gate_tiles(5, 1)[1] is shift
+        scale, shift = _gate_tiles(5, 1, 1)
+        assert _gate_tiles(5, 1, 1)[0] is scale and _gate_tiles(5, 1, 1)[1] is shift
         for arr in (scale, shift):
             with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+                arr[0, 0, 0] = 0.0
 
     def test_tiles_built_once_per_width_and_windows_and_read_only(self):
-        tiles = _gate_tiles(5, 3)
-        assert all(a is b for a, b in zip(_gate_tiles(5, 3), tiles))
-        assert _gate_tiles(5, 4)[0] is not tiles[0]
-        rows = ([0.5] * 10 + [1.0] * 5 + [0.5] * 5, [0.5] * 10 + [0.0] * 5 + [0.5] * 5)
-        for tile, row in zip(tiles, rows):
-            npt.assert_array_equal(tile, np.repeat(np.array(row)[:, np.newaxis], 3, axis=1))
-            with pytest.raises(ValueError):
-                tile[0, 0] = 0.0
-            with pytest.raises(ValueError):
-                tile += 1.0
+        # Per direction count too: a two-direction run's tiles repeat the
+        # one-direction rows on each direction.
+        for directions in (1, 2):
+            tiles = _gate_tiles(5, 3, directions)
+            assert all(a is b for a, b in zip(_gate_tiles(5, 3, directions), tiles))
+            assert _gate_tiles(5, 4, directions)[0] is not tiles[0]
+            assert _gate_tiles(5, 3, 3 - directions)[0] is not tiles[0]
+            rows = ([0.5] * 10 + [1.0] * 5 + [0.5] * 5, [0.5] * 10 + [0.0] * 5 + [0.5] * 5)
+            for tile, row in zip(tiles, rows):
+                column = np.repeat(np.array(row)[:, np.newaxis], 3, axis=1)
+                npt.assert_array_equal(tile, np.repeat(column[np.newaxis], directions, axis=0))
+                with pytest.raises(ValueError):
+                    tile[0, 0, 0] = 0.0
+                with pytest.raises(ValueError):
+                    tile += 1.0
 
     def test_saturated_cell_matches_scalar_oracle(self):
         rng = np.random.default_rng(28)
@@ -646,7 +652,7 @@ def broadcast_run(w, bias, z, c0, sweep=None, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = _gate_tiles(hidden, 1)
+    scale, shift = (tile[0] for tile in _gate_tiles(hidden, 1, 1))
     w = w * scale
     bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
@@ -700,7 +706,7 @@ def sequential_run(w, bias, z, c0, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = _gate_tiles(hidden, windows)
+    scale, shift = (tile[0] for tile in _gate_tiles(hidden, windows, 1))
     w = w * scale[:, :1]
     bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
@@ -814,15 +820,25 @@ class TestStepLoops:
         grad_h, dc = rng.normal(size=(steps, hidden, windows)), rng.normal(size=(hidden, windows))
         grad_x = rng.normal(size=xs.shape) if swept else None
         outputs = []
-        # `_bptt` takes a tuple of each direction's state gradient; here one.
-        for run, walk, grad in ((lstm._run, lstm._bptt, (grad_h,)),
-                                (broadcast_run, fresh_bptt, grad_h)):
+        # `_run` and `_bptt` step one-direction runs: their operands gain
+        # the direction axis as views, which their results lose to compare.
+
+        def run(w, bias, z, c0, sweep, history):
+            act, c_seq = lstm._run([w], [bias], z[:, np.newaxis], [c0], sweep, history)
+            return act[:, 0], c_seq[:, 0]
+
+        def walk(w, act, c_seq, grad_h, dc, sweep, grad_x):
+            d_pre, dh0, dc0 = lstm._bptt([w], act[:, np.newaxis], c_seq[:, np.newaxis],
+                                         [grad_h], [dc], sweep, grad_x)
+            return d_pre[:, 0], dh0[0], dc0[0]
+
+        for run, walk in ((run, walk), (broadcast_run, fresh_bptt)):
             z = z0.copy()
             sweeps = [FixedSweep(Tensor(xs), hidden) if swept else None for _ in range(2)]
             act, c_seq = run(w, bias, z, c0, sweeps[0], history)
             got = [act, c_seq, z]
             if history:
-                got += walk(w, act.copy(), c_seq.copy(), grad, dc, sweeps[1], grad_x)
+                got += walk(w, act.copy(), c_seq.copy(), grad_h, dc, sweeps[1], grad_x)
                 got += sweeps[1].grads() if swept else ()
             outputs.append(got)
         for got, expect in zip(*outputs):

@@ -44,3 +44,20 @@ def test_missing_and_reshaped_blocks_differ(parity):
     assert not same
     assert rows == [("kept", "float64[2, 2] vs float64[4]"), ("gone", "only in base"),
                     ("new", "only in head")]
+
+
+def test_a_revision_that_cannot_be_archived_is_one_line_and_exit_2(parity, capsys):
+    assert parity.main(["no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("parity: cannot archive no-such-rev: ")
+
+
+def test_a_failed_probe_run_is_one_line_and_exit_2(parity, tmp_path, capsys):
+    # A tree whose package fails on import fails before any probe runs.
+    (tmp_path / "src" / "loadcast").mkdir(parents=True)
+    (tmp_path / "src" / "loadcast" / "__init__.py").write_text("raise ImportError('broken')\n")
+    with pytest.raises(parity.StepError) as caught:
+        parity._dump(tmp_path, tmp_path / "dump.npz")
+    assert str(caught.value) == (f"the probes failed in {tmp_path}: ImportError: broken")
+    assert capsys.readouterr().err == ""

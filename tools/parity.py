@@ -17,7 +17,8 @@ included, which no model variant differentiates, and a taped
 `lstm_cell_step` at the encoder cell's shape adds its h and c and the
 gradients of its weights, both biases, x, h_prev and c_prev.  Each block
 prints as bitwise or with its largest difference relative to the
-block's largest magnitude; the exit status is 1 on any difference, else
+block's largest magnitude; the exit status is 1 on any difference, 2 with
+one line on stderr when REV cannot be archived or a probe run fails, else
 0.
 
 The probes call the package through names both trees must have, so REV is
@@ -196,12 +197,29 @@ def compare(base, head):
     return rows, same
 
 
+class StepError(Exception):
+    """A step of the comparison that could not run, as one line."""
+
+
+def _step(args, what, **kwargs):
+    """Run the command `args`; if it fails, raise `StepError` with `what`
+    and the last line it wrote to stderr, which otherwise passes through."""
+    try:
+        done = subprocess.run(args, stderr=subprocess.PIPE, text=True, **kwargs)
+    except OSError as err:
+        raise StepError(f"{what}: {err}") from None
+    if done.returncode:
+        lines = done.stderr.strip().splitlines() or [f"exit status {done.returncode}"]
+        raise StepError(f"{what}: {lines[-1]}")
+    sys.stderr.write(done.stderr)
+
+
 def _dump(tree, path):
     """Run the probes of this file against `tree`'s package into `path`."""
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), **dict.fromkeys(threads, "1"))
-    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--dump", str(path)],
-                   cwd=tree, env=env, check=True)
+    _step([sys.executable, str(Path(__file__).resolve()), "--dump", str(path)],
+          f"the probes failed in {tree}", cwd=tree, env=env)
     with np.load(path) as dump:
         return dict(dump)
 
@@ -216,13 +234,19 @@ def main(argv=None):
         return 0
     if args.rev is None:
         parser.error("a revision is required")
-    with tempfile.TemporaryDirectory() as scratch:
-        tree, archive = Path(scratch) / "tree", Path(scratch) / "rev.tar"
-        subprocess.run(["git", "archive", f"--output={archive}", args.rev], cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-        base = _dump(tree, Path(scratch) / "base.npz")
-        head = _dump(ROOT, Path(scratch) / "head.npz")
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            tree, archive = Path(scratch) / "tree", Path(scratch) / "rev.tar"
+            _step(["git", "archive", f"--output={archive}", args.rev],
+                  f"cannot archive {args.rev}", cwd=ROOT)
+            with tarfile.open(archive) as tar:
+                tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter")
+                                        else {}))
+            base = _dump(tree, Path(scratch) / "base.npz")
+            head = _dump(ROOT, Path(scratch) / "head.npz")
+    except StepError as err:
+        print(f"parity: {err}", file=sys.stderr)
+        return 2
     rows, same = compare(base, head)
     for name, verdict in rows:
         print(f"{name}: {verdict}")
