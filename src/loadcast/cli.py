@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -49,29 +50,23 @@ def _output_dir(path):
     return path
 
 
-def _missing_root(path):
-    """The outermost of `path` and its parents that does not exist yet, or
-    None if `path` exists."""
-    missing = None
-    for candidate in (path, *path.parents):
-        if candidate.exists():
-            break
-        missing = candidate
-    return missing
-
-
 @contextlib.contextmanager
-def _output_lock(out_dir, made):
-    """Hold an exclusive `flock` on `out_dir/.lock` while the body runs.
+def _output_lock(out_dir):
+    """Make `out_dir` if need be and hold an exclusive `flock` on
+    `out_dir/.lock` while the body runs.
 
     The lock belongs to the open file, so the OS drops it when the process
     ends, however it ends; the file itself stays.  A lock file that cannot
     be opened or locked (a directory, say) is a `ConfigError` naming it.
     If the body fails once the lock is held, the run leaves the directory
-    as it found it: it removes `made`, the directory it created to hold
-    `out_dir` (None if `out_dir` was there), or else the lock file if it
-    created that.
+    as it found it: it removes `out_dir`, which it holds locked, if it made
+    it, then each parent it made while that is empty, so a directory
+    another run writes beside `out_dir` stays; or else the lock file, if
+    it made that.  What cannot be removed stays, and the body's error is
+    the one raised.
     """
+    made = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
+    _output_dir(out_dir)
     path = out_dir / ".lock"
     created = not path.exists()
     try:
@@ -86,12 +81,15 @@ def _output_lock(out_dir, made):
         except OSError as err:
             raise ConfigError(f"cannot lock {path}: {err.strerror or err}") from None
         try:
-            yield
+            yield out_dir
         except BaseException:
-            if made is not None:
-                shutil.rmtree(made, ignore_errors=True)
-            elif created:
-                path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                if made:
+                    shutil.rmtree(out_dir)
+                    for parent in made[1:]:
+                        os.rmdir(parent)
+                elif created:
+                    path.unlink()
             raise
 
 
@@ -199,9 +197,7 @@ def _cmd_train(args):
     stats = compute_stats(train_frames)
     train_s = build_windows(standardize(train_frames, stats), run.model, run.stride_hours)
     val_s = build_windows(standardize(val_frames, stats), run.model)
-    made = _missing_root(run.output_dir)
-    out = _output_dir(run.output_dir)
-    with _output_lock(out, made):
+    with _output_lock(run.output_dir) as out:
         _say(f"training {run.model.variant}: {len(train_s)} train / "
              f"{len(val_s)} validation windows")
         try:

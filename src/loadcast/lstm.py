@@ -168,7 +168,8 @@ def lstm_cell_step(params, prev, x):
     w = [weights.values]
     z = np.empty((2, 1, width + hidden, 1))
     z[0, 0, :width, 0], z[0, 0, width:, 0] = x.values, h_prev.values
-    act, c_seq = _run(w, [b_x.values + b_h.values], z, [c_prev.values[:, np.newaxis]])
+    act, c_seq = _run(w, (b_x.values + b_h.values)[np.newaxis], z,
+                      c_prev.values[np.newaxis, :, np.newaxis])
 
     def rule(grad):
         d_x = np.zeros((1, width, 1))
@@ -221,10 +222,10 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     """Step the cell of each of a run's D directions (1 or 2) over `z`,
     writing h_t into `z[t + 1]`.
 
-    `w`, `bias` and `c0` hold each direction's (4H, input + H) weights,
-    (4H,) summed bias and (H, B) c_0, and `z` is (steps + 1, D, input + H,
-    B), whose `z[t, d]` is direction d's matrix [x_t; h_{t-1}] of step t,
-    one column per window; every array the run makes carries the same
+    `w` holds each direction's (4H, input + H) weights, `bias` the summed
+    biases (D, 4H), `c0` (D, H, B) and `z` (steps + 1, D, input + H, B),
+    whose `z[t, d]` is direction d's matrix [x_t; h_{t-1}] of step t, one
+    column per window; every array the run makes carries the same
     direction axis after the step axis.  The caller fills every h_0 and
     x_t, or, for a one-direction run with a sweep, the rows `sweep.fill`
     writes, and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of
@@ -240,21 +241,21 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     way c_T is `c[steps % len(c)]`.
     """
     steps = len(z) - 1
-    hidden, windows = c0[0].shape
+    hidden, windows = c0.shape[-2:]
     width = z.shape[-2] - hidden
     scale, shift = _gate_tiles(hidden, windows, len(w))
     # One copy, which stacks the directions, scaled in place.
     w_run = np.array(w)
     w_run *= scale[..., :1]
-    bias = np.array(bias)[..., np.newaxis] * scale
+    bias = bias[..., np.newaxis] * scale
     slots = steps if history else 1
     act = np.empty((slots,) + scale.shape)
-    c_seq = np.empty((slots + 1, len(w), hidden, windows))
+    c_seq = np.empty((slots + 1,) + c0.shape)
     c_seq[0] = c0
     i, f, g, o = _gate_rows(hidden)
     hs = z[..., width:, :]
     # i * g, then tanh(c_t), of the current step.
-    part = np.empty(c_seq.shape[1:])
+    part = np.empty(c0.shape)
     for t in range(steps):
         if sweep is not None:
             sweep.forward(t, hs[t, 0], z[t, 0, :width])
@@ -358,6 +359,12 @@ def _direction(params, init, shape):
     if h0.values.shape != state or c0.values.shape != state:
         raise DimensionError(f"initial state shapes {h0.shape}, {c0.shape} do not match {state}")
     return weights, b_x, b_h, h0, c0
+
+
+def _direction_axis(arrays):
+    """One array per direction on a leading direction axis: a view of a
+    lone array, a copy of two."""
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.array(arrays)
 
 
 def _parts(flat, steps, hidden, windows, directions):
@@ -496,7 +503,7 @@ def _sequence(cells, inputs, inits):
             else:
                 swept.fill(z[:steps, k, :width])
             z[0, k, width:] = h0[k]
-        act, c_seq = _run(w, bias, z, c0, swept, taped)
+        act, c_seq = _run(w, _direction_axis(bias), z, _direction_axis(c0), swept, taped)
         if swept is not None:
             swept.check_finite()
             if not taped:

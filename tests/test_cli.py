@@ -366,13 +366,25 @@ class TestTrain:
         assert err.startswith("training error:") and err.count("\n") == 1
         assert not (tmp_path / "out" / "checkpoint.json").exists()
 
-    @pytest.mark.parametrize("found", ["missing", "empty", "earlier-run"])
-    def test_failed_run_leaves_output_dir_as_found(self, tmp_path, capsys, found):
+    @pytest.mark.parametrize("found", ["missing", "missing-beside-another-run", "empty",
+                                       "earlier-run"])
+    def test_failed_run_leaves_output_dir_as_found(self, tmp_path, capsys, monkeypatch, found):
         # A run that diverges after taking the lock removes the directories
         # it made, or else the lock file it made, and nothing else.
         holder = tmp_path / "holder"
-        out = holder / "out"
-        if found == "empty":
+        out, beside = holder / "out", holder / "beside"
+        if found == "missing-beside-another-run":
+            real_train = cli.train
+
+            def train_beside_another_run(*args):
+                # Another run makes its own directory in `holder` meanwhile.
+                beside.mkdir()
+                (beside / ".lock").touch()
+                (beside / "checkpoint.json").write_text("{}\n")
+                return real_train(*args)
+
+            monkeypatch.setattr(cli, "train", train_beside_another_run)
+        elif found == "empty":
             out.mkdir(parents=True)
         elif found == "earlier-run":
             assert main(["train", "--config", str(write_config(tmp_path, out)),
@@ -387,6 +399,10 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("training error: divergence at epoch 1")
         if found == "missing":
             assert not holder.exists()
+        elif found == "missing-beside-another-run":
+            assert sorted(p.name for p in holder.iterdir()) == ["beside"]
+            assert {p.name: p.read_bytes() for p in beside.iterdir()} == {
+                ".lock": b"", "checkpoint.json": b"{}\n"}
         else:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         if found == "earlier-run":

@@ -824,7 +824,8 @@ class TestStepLoops:
         # the direction axis as views, which their results lose to compare.
 
         def run(w, bias, z, c0, sweep, history):
-            act, c_seq = lstm._run([w], [bias], z[:, np.newaxis], [c0], sweep, history)
+            act, c_seq = lstm._run([w], bias[np.newaxis], z[:, np.newaxis], c0[np.newaxis],
+                                   sweep, history)
             return act[:, 0], c_seq[:, 0]
 
         def walk(w, act, c_seq, grad_h, dc, sweep, grad_x):

@@ -53,11 +53,16 @@ def test_a_revision_that_cannot_be_archived_is_one_line_and_exit_2(parity, capsy
     assert err.startswith("parity: cannot archive no-such-rev: ")
 
 
-def test_a_failed_probe_run_is_one_line_and_exit_2(parity, tmp_path, capsys):
-    # A tree whose package fails on import fails before any probe runs.
-    (tmp_path / "src" / "loadcast").mkdir(parents=True)
-    (tmp_path / "src" / "loadcast" / "__init__.py").write_text("raise ImportError('broken')\n")
-    with pytest.raises(parity.StepError) as caught:
-        parity._dump(tmp_path, tmp_path / "dump.npz")
-    assert str(caught.value) == (f"the probes failed in {tmp_path}: ImportError: broken")
-    assert capsys.readouterr().err == ""
+def test_a_failed_probe_run_is_one_line_and_exit_2(parity, monkeypatch, capsys):
+    # The revision's tree holds a package that fails on import, so the
+    # probes fail before any of them runs.
+    def export(_rev, tree):
+        (tree / "src" / "loadcast").mkdir(parents=True)
+        (tree / "src" / "loadcast" / "__init__.py").write_text("raise ImportError('broken')\n")
+
+    monkeypatch.setattr(parity, "_export", export)
+    assert parity.main(["broken-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("parity: the probes failed in ")
+    assert err.endswith("/tree: ImportError: broken\n")

@@ -214,6 +214,15 @@ def _step(args, what, **kwargs):
     sys.stderr.write(done.stderr)
 
 
+def _export(rev, tree):
+    """Write the files of the git revision `rev` into the new directory
+    `tree`."""
+    archive = tree.with_name(tree.name + ".tar")
+    _step(["git", "archive", f"--output={archive}", rev], f"cannot archive {rev}", cwd=ROOT)
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
 def _dump(tree, path):
     """Run the probes of this file against `tree`'s package into `path`."""
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -236,12 +245,8 @@ def main(argv=None):
         parser.error("a revision is required")
     try:
         with tempfile.TemporaryDirectory() as scratch:
-            tree, archive = Path(scratch) / "tree", Path(scratch) / "rev.tar"
-            _step(["git", "archive", f"--output={archive}", args.rev],
-                  f"cannot archive {args.rev}", cwd=ROOT)
-            with tarfile.open(archive) as tar:
-                tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter")
-                                        else {}))
+            tree = Path(scratch) / "tree"
+            _export(args.rev, tree)
             base = _dump(tree, Path(scratch) / "base.npz")
             head = _dump(ROOT, Path(scratch) / "head.npz")
     except StepError as err:
