@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from loadcast.attention import FeatureAttentionParams
+from loadcast.attention import AttentionParams
 from loadcast.data import (HOLIDAY_INDEX, HOUR_OFFSET, MONTH_OFFSET,
                            TEMPERATURE_INDEX, WEEKDAY_OFFSET, build_features,
                            build_windows, compute_stats, generate_synthetic,
@@ -63,8 +63,9 @@ def main():
     # With all-zero scorer parameters the softmax input is zero, so the
     # weights the model itself computes are exactly uniform, not just
     # approximately: every history hour weights all 45 features by 1/45.
-    zeroed = dataclasses.replace(params, feature_attn=FeatureAttentionParams.zeros(
-        config.hidden_size, config.n_features, config.feature_attn_size))
+    zeroed = dataclasses.replace(params, feature_attn=AttentionParams.zeros(
+        config.hidden_size + config.encoder_input_width, config.n_features,
+        config.feature_attn_size))
     weights = predict(zeroed, config, sample, collect_attention=True).feature_weights
     uniform = bool(np.all(weights == 1.0 / config.n_features))
     rows, cols = weights.shape

@@ -3,14 +3,16 @@
 Three mechanisms:
 
 * feature attention reweights each of the n input features once per encoder
-  step, scored by a two-layer additive network over the recurrent state,
-  the feature vector, and the step's target value;
+  step, scored over the joint [forward h_{t-1}; features; target];
 * similar-day weights rank each window's history days by reciprocal
   feature distance to its forecast day (no trainable parameters, held
   constant in backprop);
 * temporal attention spreads a softmax over every hour of the history
-  window once per decoder step, and the context vector mixes the encoder
-  states with day weight times hour weight.
+  window once per decoder step, scored over the joint [decoder h_{t-1};
+  encoder backward h_T; features], and the context vector mixes the
+  encoder states with day weight times hour weight.
+
+Both scorers are one two-layer additive network, `AttentionParams`.
 
 `feature_attention`, `temporal_attention` and `context_vector` compute one
 step of one window as tape ops.  The model runs a whole sequence's steps
@@ -49,26 +51,28 @@ RECIPROCAL_CAP = 1e8
 
 
 @dataclass
-class FeatureAttentionParams:
-    """Additive scorer over [recurrent state; features; target].
+class AttentionParams:
+    """The additive scorer of either stage: one score per output from
+    score @ tanh(proj @ joint), with no bias term.
 
-    `proj` is (attn_size, state_width + n_features + 1) and `score` is
-    (n_features, attn_size); there is no bias term.  The model's state is
-    the encoder's previous forward hidden state, so state_width is H.
+    `proj` is (attn_size, joint_width) and `score` is (outputs, attn_size).
+    The stage builds the joint column: feature attention reads [forward
+    h_{t-1}; features; target] and scores each feature, temporal attention
+    reads [decoder h_{t-1}; encoder backward h_T; features] and scores each
+    history hour.  `model.init_params` sizes both from the config.
     """
 
     proj: np.ndarray
     score: np.ndarray
 
     @classmethod
-    def random(cls, rng, state_width, n_features, attn_size, bound):
-        return cls(proj=rng.uniform(-bound, bound, (attn_size, state_width + n_features + 1)),
-                   score=rng.uniform(-bound, bound, (n_features, attn_size)))
+    def random(cls, rng, joint_width, outputs, attn_size, bound):
+        return cls(proj=rng.uniform(-bound, bound, (attn_size, joint_width)),
+                   score=rng.uniform(-bound, bound, (outputs, attn_size)))
 
     @classmethod
-    def zeros(cls, state_width, n_features, attn_size):
-        return cls(proj=np.zeros((attn_size, state_width + n_features + 1)),
-                   score=np.zeros((n_features, attn_size)))
+    def zeros(cls, joint_width, outputs, attn_size):
+        return cls(proj=np.zeros((attn_size, joint_width)), score=np.zeros((outputs, attn_size)))
 
 
 def feature_attention(params, state, features, target):
@@ -110,29 +114,6 @@ def similar_day_weights(day_blocks, target_block):
     distance = per_feature.sum(axis=2)
     reciprocal = np.minimum(1.0 / (distance + DISTANCE_EPSILON), RECIPROCAL_CAP)
     return softmax_values(reciprocal.T)
-
-
-@dataclass
-class TemporalAttentionParams:
-    """Additive scorer over [recurrent state; features] producing one score
-    per history hour.
-
-    `proj` is (attn_size, state_width + n_features) and `score` is
-    (history_len, attn_size).
-    """
-
-    proj: np.ndarray
-    score: np.ndarray
-
-    @classmethod
-    def random(cls, rng, state_width, n_features, history_len, attn_size, bound):
-        return cls(proj=rng.uniform(-bound, bound, (attn_size, state_width + n_features)),
-                   score=rng.uniform(-bound, bound, (history_len, attn_size)))
-
-    @classmethod
-    def zeros(cls, state_width, n_features, history_len, attn_size):
-        return cls(proj=np.zeros((attn_size, state_width + n_features)),
-                   score=np.zeros((history_len, attn_size)))
 
 
 def temporal_attention(params, state, features, day_len):

@@ -76,8 +76,8 @@ class Checkpoint:
 
 def load_checkpoint(path):
     """Read a checkpoint back; validates format, version, entries, names,
-    shapes, finite values, and the standardization and holidays blocks,
-    raising `ConfigError` that names the file."""
+    shapes, finite non-boolean values, and the standardization and
+    holidays blocks, raising `ConfigError` that names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -102,7 +102,10 @@ def load_checkpoint(path):
         try:
             if not isinstance(entry["name"], str):
                 raise TypeError("the name is not a string")
-            values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            values = np.array(entry["values"], dtype=np.float64)
+            if _holds_a_boolean(entry["values"], values):
+                raise TypeError("it holds a boolean")
+            values = values.reshape(entry["shape"])
             if not np.isfinite(values).all():
                 raise ValueError("it holds a non-finite value")
             stored[entry["name"]] = values
@@ -128,6 +131,18 @@ def load_checkpoint(path):
     stats = _load_stats(path, doc.get("standardization"))
     calendar = _load_calendar(path, doc.get("holidays"))
     return Checkpoint(config=config, params=params, stats=stats, calendar=calendar)
+
+
+def _holds_a_boolean(raw, values):
+    """Whether the JSON array `raw`, read as `values`, holds a boolean.  A
+    boolean reads as 0.0 or 1.0, so only those entries are looked at."""
+    for index in np.argwhere((values == 0.0) | (values == 1.0)):
+        item = raw
+        for i in index:
+            item = item[i]
+        if isinstance(item, bool):
+            return True
+    return False
 
 
 def _upgrade_v1(path, config, template, stored):

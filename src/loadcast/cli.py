@@ -2,6 +2,8 @@
 
 Exit codes group failures by class: 2 for configuration problems, 3 for
 data problems, 4 for training failures, and 5 for verification failures.
+A command ended by SIGINT or SIGTERM exits 128 plus the signal number,
+130 or 143, after the same cleanup as any failure.
 The epoch log's `seconds` column is written as 0.0 because the log is part
 of the byte-reproducibility contract (two identical runs must produce
 identical files); wall-clock timings go to the console instead.
@@ -17,6 +19,7 @@ import itertools
 import json
 import os
 import shutil
+import signal
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -254,6 +257,8 @@ def _write_attention_dumps(out, traces):
 
 def _cmd_forecast(args):
     ck = load_checkpoint(args.checkpoint)
+    if args.dump_attention and not (ck.config.encoder_attention or ck.config.decoder_attention):
+        raise ConfigError(f"--dump-attention: variant {ck.config.variant} has no attention stage")
     for flag, path in (("--data", args.data), ("--holidays", args.holidays)):
         if path is not None:
             _require_file(flag, path)
@@ -351,10 +356,24 @@ def _build_parser():
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the command is, as SIGINT raises
+    `KeyboardInterrupt`."""
+
+
+def _terminate(_signum, _frame):
+    raise _Terminated
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.handler(args)
+    except (KeyboardInterrupt, _Terminated) as err:
+        signum = signal.SIGTERM if isinstance(err, _Terminated) else signal.SIGINT
+        print(f"{args.command}: interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -364,6 +383,8 @@ def main(argv=None):
     except TrainingError as err:
         print(f"training error: {err}", file=sys.stderr)
         return EXIT_TRAINING
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

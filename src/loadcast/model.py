@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (FeatureAttentionParams, FeatureSweep, TemporalAttentionParams,
-                        TemporalSweep, similar_day_weights)
+from .attention import AttentionParams, FeatureSweep, TemporalSweep, similar_day_weights
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
 from .errors import ConfigError, DimensionError
@@ -131,9 +130,9 @@ class ModelParams:
     """All trainable blocks; attention blocks are None for variants that do
     not use them."""
 
-    feature_attn: FeatureAttentionParams | None
+    feature_attn: AttentionParams | None
     encoder: BiLstmParams | LstmParams
-    temporal_attn: TemporalAttentionParams | None
+    temporal_attn: AttentionParams | None
     decoder: BiLstmParams | LstmParams
     head: FeedForwardParams
 
@@ -148,19 +147,23 @@ def _cell(config, rng, input_width, bound):
 
 def init_params(config):
     """Fresh parameters, uniform in [-1/sqrt(hidden), +1/sqrt(hidden)],
-    deterministic in config.seed."""
+    deterministic in config.seed.  Feature attention's joint is [forward
+    h_{t-1}; features; target], one score per feature; temporal attention's
+    is [decoder h_{t-1}; encoder backward h_T; features], one score per
+    history hour."""
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.hidden_size)
 
     feature_attn = None
     if config.encoder_attention:
-        feature_attn = FeatureAttentionParams.random(
-            rng, config.hidden_size, config.n_features, config.feature_attn_size, bound)
+        feature_attn = AttentionParams.random(
+            rng, config.hidden_size + config.encoder_input_width, config.n_features,
+            config.feature_attn_size, bound)
     encoder = _cell(config, rng, config.encoder_input_width, bound)
     temporal_attn = None
     if config.decoder_attention:
-        temporal_attn = TemporalAttentionParams.random(
-            rng, config.state_width, config.n_features, config.history_len,
+        temporal_attn = AttentionParams.random(
+            rng, config.state_width + config.n_features, config.history_len,
             config.temporal_attn_size, bound)
     decoder = _cell(config, rng, config.decoder_input_width, bound)
     head = FeedForwardParams.random(rng, config.horizon * config.state_width,

@@ -12,9 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadcast.attention import (FeatureAttentionParams,
-                                TemporalAttentionParams, feature_attention,
-                                temporal_attention)
+from loadcast.attention import AttentionParams, feature_attention, temporal_attention
 from loadcast.checkpoint import load_checkpoint
 from loadcast.cli import EXIT_OK, main
 from loadcast.data import (build_features, build_windows, compute_stats,
@@ -88,13 +86,13 @@ def test_criterion_4_structural_ablations():
     attention-free bidirectional variant ignores attention parameters."""
     rng = np.random.default_rng(4)
 
-    alpha, _ = feature_attention(FeatureAttentionParams.zeros(8, 3, 2),
+    alpha, _ = feature_attention(AttentionParams.zeros(8 + 3 + 1, 3, 2),
                                  Tensor(rng.normal(size=8)),
                                  Tensor(rng.normal(size=3)),
                                  float(rng.normal()))
     npt.assert_array_equal(alpha.values, np.full(3, 1.0 / 3.0))
 
-    beta = temporal_attention(TemporalAttentionParams.zeros(8, 3, 8, 2),
+    beta = temporal_attention(AttentionParams.zeros(8 + 3, 8, 2),
                               Tensor(rng.normal(size=8)),
                               Tensor(rng.normal(size=3)), day_len=4)
     npt.assert_array_equal(beta.values, np.full((2, 4), 1.0 / 8.0))
@@ -102,10 +100,11 @@ def test_criterion_4_structural_ablations():
     # The same through the path the model runs: the attention sweeps.
     config, sample = tiny_model_case()
     params = init_params(config)
-    params.feature_attn = FeatureAttentionParams.zeros(
-        config.hidden_size, config.n_features, config.feature_attn_size)
-    params.temporal_attn = TemporalAttentionParams.zeros(
-        config.state_width, config.n_features, config.history_len, config.temporal_attn_size)
+    params.feature_attn = AttentionParams.zeros(
+        config.hidden_size + config.encoder_input_width, config.n_features,
+        config.feature_attn_size)
+    params.temporal_attn = AttentionParams.zeros(
+        config.state_width + config.n_features, config.history_len, config.temporal_attn_size)
     traced = predict(params, config, sample, collect_attention=True)
     npt.assert_array_equal(traced.feature_weights,
                            np.full((config.history_len, config.n_features), 1.0 / 3.0))

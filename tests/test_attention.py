@@ -4,9 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadcast.attention import (DISTANCE_EPSILON, FeatureAttentionParams,
-                                FeatureSweep, RECIPROCAL_CAP,
-                                TemporalAttentionParams, TemporalSweep,
+from loadcast.attention import (DISTANCE_EPSILON, AttentionParams,
+                                FeatureSweep, RECIPROCAL_CAP, TemporalSweep,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
@@ -22,10 +21,19 @@ def softmax(v):
 
 
 def make_feature_case(rng, n=5, state_width=4, attn=3):
-    params = FeatureAttentionParams.random(rng, state_width, n, attn, bound=0.9)
+    params = AttentionParams.random(rng, state_width + n + 1, n, attn, bound=0.9)
     state = Tensor(rng.normal(size=state_width))
     features = Tensor(rng.normal(size=n))
     return params, state, features, float(rng.normal())
+
+
+def test_random_draws_proj_then_score():
+    # The draw order decides which values each block gets, so a seed's
+    # initial model depends on it.
+    params = AttentionParams.random(np.random.default_rng(5), 6, 4, 3, bound=0.5)
+    rng = np.random.default_rng(5)
+    npt.assert_array_equal(params.proj, rng.uniform(-0.5, 0.5, (3, 6)))
+    npt.assert_array_equal(params.score, rng.uniform(-0.5, 0.5, (4, 3)))
 
 
 class TestFeatureAttention:
@@ -40,7 +48,7 @@ class TestFeatureAttention:
                                 weights.values * features.values, atol=1e-15)
 
     def test_zero_parameters_give_exactly_uniform_weights(self):
-        params = FeatureAttentionParams.zeros(4, 5, 3)
+        params = AttentionParams.zeros(4 + 5 + 1, 5, 3)
         rng = np.random.default_rng(22)
         features = rng.normal(size=5)
         weights, weighted = feature_attention(params, Tensor(rng.normal(size=4)),
@@ -49,7 +57,7 @@ class TestFeatureAttention:
         npt.assert_array_equal(weighted.values, 0.2 * features)
 
     def test_single_feature_gets_full_weight(self):
-        params = FeatureAttentionParams.zeros(2, 1, 2)
+        params = AttentionParams.zeros(2 + 1 + 1, 1, 2)
         weights, _ = feature_attention(params, Tensor(np.zeros(2)),
                                        Tensor(np.array([3.0])), 0.0)
         npt.assert_array_equal(weights.values, [1.0])
@@ -73,8 +81,7 @@ class TestFeatureAttention:
                                                           state_width=3, attn=2)
 
         def program(leaves):
-            params = FeatureAttentionParams(proj=leaves["proj"],
-                                            score=leaves["score"])
+            params = AttentionParams(proj=leaves["proj"], score=leaves["score"])
             _, weighted = feature_attention(params, Tensor(state.values),
                                             Tensor(features.values), target)
             return total(weighted)
@@ -173,9 +180,8 @@ class TestSimilarDayWeights:
 class TestTemporalAttention:
     def test_grid_shape_and_normalization(self):
         rng = np.random.default_rng(29)
-        params = TemporalAttentionParams.random(rng, state_width=4, n_features=3,
-                                                history_len=12, attn_size=2,
-                                                bound=0.8)
+        params = AttentionParams.random(rng, joint_width=4 + 3, outputs=12, attn_size=2,
+                                        bound=0.8)
         grid = temporal_attention(params, Tensor(rng.normal(size=4)),
                                   Tensor(rng.normal(size=3)), day_len=4)
         assert grid.shape == (3, 4)
@@ -185,9 +191,8 @@ class TestTemporalAttention:
     def test_row_major_reshape_indexing(self):
         """Flat step (day index, hour index) must land at grid[day, hour]."""
         rng = np.random.default_rng(30)
-        params = TemporalAttentionParams.random(rng, state_width=2, n_features=2,
-                                                history_len=6, attn_size=2,
-                                                bound=0.8)
+        params = AttentionParams.random(rng, joint_width=2 + 2, outputs=6, attn_size=2,
+                                        bound=0.8)
         state = Tensor(rng.normal(size=2))
         features = Tensor(rng.normal(size=2))
         grid = temporal_attention(params, state, features, day_len=3)
@@ -199,15 +204,13 @@ class TestTemporalAttention:
             assert grid.values[day, hour] == flat[step]
 
     def test_zero_parameters_give_uniform_grid(self):
-        params = TemporalAttentionParams.zeros(state_width=4, n_features=3,
-                                               history_len=8, attn_size=2)
+        params = AttentionParams.zeros(joint_width=4 + 3, outputs=8, attn_size=2)
         grid = temporal_attention(params, Tensor(np.zeros(4)),
                                   Tensor(np.zeros(3)), day_len=4)
         npt.assert_array_equal(grid.values, np.full((2, 4), 0.125))
 
     def test_history_not_divisible_by_day_rejected(self):
-        params = TemporalAttentionParams.zeros(state_width=2, n_features=2,
-                                               history_len=7, attn_size=2)
+        params = AttentionParams.zeros(joint_width=2 + 2, outputs=7, attn_size=2)
         with pytest.raises(DimensionError):
             temporal_attention(params, Tensor(np.zeros(2)), Tensor(np.zeros(2)),
                                day_len=4)
@@ -285,7 +288,7 @@ def with_backward(rng, case, bound):
 def feature_case(rng, steps, hidden, n, attn, bound=1.0):
     return with_backward(rng, {
         "cell": LstmParams.random(rng, n + 1, hidden, bound),
-        "attn": FeatureAttentionParams.random(rng, hidden, n, attn, bound),
+        "attn": AttentionParams.random(rng, hidden + n + 1, n, attn, bound),
         "h0": rng.normal(size=hidden), "c0": rng.normal(size=hidden),
         "features": rng.normal(size=(steps, n)), "targets": rng.normal(size=steps)}, bound)
 
@@ -294,7 +297,7 @@ def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
     history = days * day_len
     return with_backward(rng, {
         "cell": LstmParams.random(rng, n + width, hidden, bound),
-        "attn": TemporalAttentionParams.random(rng, 2 * hidden, n, history, attn, bound),
+        "attn": AttentionParams.random(rng, 2 * hidden + n, history, attn, bound),
         "tail": rng.normal(size=hidden), "h0": rng.normal(size=hidden),
         "c0": rng.normal(size=hidden), "states": rng.normal(size=(history, width)),
         "day": softmax(rng.normal(size=days)), "day_len": day_len,

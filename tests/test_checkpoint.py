@@ -277,6 +277,27 @@ class TestRejection:
         assert str(path) in str(exc.value)
         assert "head.out" in str(exc.value) and "non-finite" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("layout", ["first-entry-flat", "last-entry-nested"])
+    def test_boolean_parameter_value(self, tmp_path, value, layout):
+        # numpy reads a JSON boolean as 1.0 or 0.0; the config block
+        # refuses booleans, and so does a parameter entry, flat or nested.
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        index = 0 if layout == "first-entry-flat" else len(doc["params"]) - 1
+        entry = doc["params"][index]
+        if layout == "first-entry-flat":
+            entry["values"][0] = value
+        else:
+            entry["values"] = np.reshape(entry["values"], entry["shape"]).tolist()
+            entry["values"][-1][-1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: params entry {index} (name {entry['name']!r}) is "
+                                  f"malformed: TypeError: it holds a boolean")
+
     def test_bad_config_block(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)

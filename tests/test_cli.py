@@ -7,6 +7,7 @@ import fcntl
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import pytest
 
 import loadcast.attention
 import loadcast.cli as cli
+import loadcast.data
 import loadcast.lstm
 import loadcast.model
 import loadcast.tensor
@@ -408,6 +410,64 @@ class TestTrain:
         if found == "earlier-run":
             assert ".lock" in before and "checkpoint.json" in before
 
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+    def test_signal_is_one_line_and_leaves_no_output_dir(self, tmp_path, signum):
+        # The epoch lines print only once training ends, so the signal
+        # arrives mid-training.  SIGINT is reset to its default in the
+        # child, since a runner in the background may hand it down ignored.
+        out = tmp_path / "holder" / "run"
+        body = SYNTHETIC_CONFIG.replace("train.epochs = 2", "train.epochs = 1000")
+        with subprocess.Popen(
+                [sys.executable, "-m", "loadcast", "train", "--config",
+                 str(write_config(tmp_path, out, body)), "--synthetic"],
+                cwd=tmp_path, env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+            assert proc.stdout.readline().startswith(b"training ANLF")
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 128 + signum
+        assert err.decode() == f"train: interrupted by {signum.name}\n"
+        assert not (tmp_path / "holder").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+    def test_signal_while_writing_an_artifact_keeps_the_earlier_run(
+            self, tmp_path, capsys, monkeypatch, signum):
+        # A rerun writes the same checkpoint, then is signalled halfway
+        # through its epoch log's temporary file.
+        out = tmp_path / "run"
+        config = write_config(tmp_path, out)
+        assert main(["train", "--config", str(config), "--synthetic"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def write_then_signal(path, text):
+            with loadcast.data._atomic_file(path) as fh:
+                fh.write(text[:len(text) // 2])
+                fh.flush()
+                os.kill(os.getpid(), signum)
+
+        def escape(_signum, _frame):
+            raise RuntimeError("SIGTERM got past main")
+
+        monkeypatch.setattr(cli, "write_atomic", write_then_signal)
+        capsys.readouterr()
+        # A signal that got past `main` fails this test, not the session.
+        # SIGINT gets Python's own handler, which a runner in the
+        # background may have replaced by ignoring it.
+        previous = signal.signal(signal.SIGTERM, escape)
+        previous_int = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            code = main(["train", "--config", str(config), "--synthetic"])
+        except (KeyboardInterrupt, RuntimeError) as err:
+            code = repr(err)
+        finally:
+            restored = signal.signal(signal.SIGTERM, previous)
+            signal.signal(signal.SIGINT, previous_int)
+        assert code == 128 + signum
+        assert capsys.readouterr().err == f"train: interrupted by {signum.name}\n"
+        assert restored is escape
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("key", ["data.synthetic_seed", "data.train_days",
                                      "data.validation_days"])
     def test_csv_run_refuses_a_synthetic_key(self, tmp_path, capsys, key):
@@ -618,6 +678,35 @@ class TestForecast:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "params entry 0" in err
+
+    def test_boolean_checkpoint_value_is_a_config_error(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["params"][0]["values"][0] = True
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["forecast", "--checkpoint", str(bad),
+                     "--data", str(tmp_path / "data.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: params entry 0 (name 'feature_attn.proj') is malformed: "
+            f"TypeError: it holds a boolean\n")
+
+    @pytest.mark.parametrize("variant", ["EDBiLSTM", "EDLSTM"])
+    def test_dump_attention_without_an_attention_stage_is_a_config_error(
+            self, trained, tmp_path, capsys, variant):
+        # Refused before the data is read (this path does not exist) or
+        # --out is made.
+        ck = load_checkpoint(trained / "checkpoint.json")
+        config = dataclasses.replace(ck.config, variant=variant)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, config, init_params(config), ck.stats, ck.calendar)
+        out = tmp_path / "fc"
+        code = main(["forecast", "--checkpoint", str(path), "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(out), "--dump-attention"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --dump-attention: variant {variant} has no attention stage\n")
+        assert not out.exists()
 
     def test_malformed_checkpoint_block_is_a_config_error(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"

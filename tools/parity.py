@@ -6,11 +6,12 @@ exports REV with `git archive` into a temporary directory, then, in that
 tree and in the working tree, runs one fixed set of probes in a subprocess
 with one BLAS thread and the tree's `src` on the path.  The probes cover
 all five variants at the benchmark's hidden 32 and at `tiny_model_case`
-size: `batch_gradients` at 1 and 4 windows, the untaped per-window MSEs of
-15 windows, `predict` with attention, a 2-epoch `train` at batch size 2
-over 6 training and 3 validation windows (each epoch's losses, the best
-epoch and every returned parameter leaf), and, at tiny size only,
-`model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
+size: every leaf of `init_params`, so a change in draw order or shape is
+named by its own block, `batch_gradients` at 1 and 4 windows, the untaped
+per-window MSEs of 15 windows, `predict` with attention, a 2-epoch `train`
+at batch size 2 over 6 training and 3 validation windows (each epoch's
+losses, the best epoch and every returned parameter leaf), and, at tiny
+size only, `model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
 `bilstm_sequence` and `lstm_sequence` runs over 4 windows of known inputs
 add their outputs and the gradients of every operand, the inputs
 included, which no model variant differentiates, and a taped
@@ -144,6 +145,7 @@ def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
     `sequence/size/op/part` and `cell/size/part`."""
     from loadcast import model, training, verify
+    from loadcast.params import named_leaves
 
     blocks = {}
     for variant in model.VARIANTS:
@@ -152,6 +154,7 @@ def probe():
             params = model.init_params(config)
             samples = _windows(config, 15, seed=7)
             key = f"{variant}/{size}"
+            blocks.update((f"{key}/init/{name}", leaf) for name, leaf in named_leaves(params))
             for count in (1, 4):
                 grads = training.batch_gradients(params, config, samples[:count])
                 blocks.update((f"{key}/grad{count}/{name}", g) for name, g in grads.items())
