@@ -32,8 +32,14 @@ the reverse loop, and `grads()` forms the parameter gradients (for the
 temporal sweep also those of its conditioning tail and encoder states)
 with one product each over the rows stored per step and window, and the
 temporal sweep forms its day-times-hour mix from `weights` where it reads
-it.  Transposed scorer blocks are made only for a backward pass; a run
-without one calls `drop_store()`, which frees all of it but `weights`.
+it.  A sweep keeps every step's joint, pre-activations and scores as row
+blocks of one array, so that `check_finite()` scans its store in two
+passes, that array and `weights`.  Transposed scorer blocks are made only
+for a backward pass; a run without one calls `drop_store()`, which frees
+all of it but `weights`.  What the temporal sweep reads that depends on
+none of its parameters (the fixed joint rows, the hourly day grid and the
+window-major encoder states) is a `TemporalFrame`, made once and read by
+every sweep over the same encoding and windows.
 """
 
 from __future__ import annotations
@@ -164,7 +170,9 @@ class _ScoredSweep:
     them straight into `_joint[:, hidden_size:]`.  Step t scores it as
     `feature_attention` and `temporal_attention` do, score @ tanh(proj @
     joint), with a softmax down each column, and keeps everything the
-    backward pass needs; `weights` holds the (steps, n, B) softmax weights.
+    backward pass needs: the joint, pre-activations and scores as row
+    blocks of one (steps, rows, B) store, the tanh values apart, and in
+    `weights` the (steps, n, B) softmax weights.
     A sweep's `_weight_grad(t, dx)` turns the gradient of step t's input
     into the gradient of its weights.
     """
@@ -180,11 +188,16 @@ class _ScoredSweep:
             raise DimensionError(
                 f"attention blocks {self._proj.shape}, {self._score.shape} do not fit "
                 f"{rows} step rows")
-        self._joint = np.empty((steps, self._proj.shape[1], windows))
-        self._pre = np.empty((self.steps, self._proj.shape[0], self.windows))
-        self._squashed = np.empty_like(self._pre)
-        self._scores = np.empty((self.steps, self._score.shape[0], self.windows))
-        self.weights = np.empty_like(self._scores)
+        (attn_size, joint_width), outputs = self._proj.shape, self._score.shape[0]
+        # Every step's joint, pre-activations and scores are row blocks of
+        # one array, so that one scan checks them all; each step's block of
+        # each is contiguous.
+        pre, scores = joint_width, joint_width + attn_size
+        self._store = np.empty((steps, scores + outputs, windows))
+        self._joint = self._store[:, :pre]
+        self._pre, self._scores = self._store[:, pre:scores], self._store[:, scores:]
+        self._squashed = np.empty((steps, attn_size, windows))
+        self.weights = np.empty((steps, outputs, windows))
         self._slope = None
 
     def _attend(self, t, h_prev):
@@ -218,19 +231,17 @@ class _ScoredSweep:
         return (_summed_outer(self._d_pre, self._joint),
                 _summed_outer(self._d_scores, self._squashed))
 
-    def _checked(self):
-        return self._joint, self._pre, self._scores, self.weights
-
     def check_finite(self):
-        """Raise `EvaluationError` if a stored intermediate is not finite."""
-        for values in self._checked():
+        """Raise `EvaluationError` if a stored intermediate is not finite:
+        two scans, of the store and of `weights`."""
+        for values in (self._store, self.weights):
             if not np.logical_and.reduce(np.isfinite(values), axis=None):
                 raise EvaluationError("non-finite values in attention")
 
     def drop_store(self):
         """Free the per-step store of a run that has no backward pass;
         `weights` stays."""
-        self._joint = self._pre = self._squashed = self._scores = None
+        self._store = self._joint = self._pre = self._squashed = self._scores = None
 
 
 class FeatureSweep(_ScoredSweep):
@@ -275,9 +286,51 @@ class FeatureSweep(_ScoredSweep):
         return dx[:-1] * self._features[t]
 
 
+class TemporalFrame:
+    """What a temporal sweep reads that depends on none of its parameters,
+    made once and shared by every sweep over the same tail, features, day
+    grid and encoder states.
+
+    `tail` is the (H, B) conditioning tail, the same for every step,
+    `features` (steps, n, B), `day_grid` the (history, B) hourly grid of
+    similar-day weights, each day's weight over its hours, and `states`
+    (history, S, B).  The frame keeps `tail` and `states`, the sweep's
+    operands besides its scorer, `features` and `day_grid`, and makes
+    `fixed`, the (steps, H + n, B) joint rows [tail; features] of every
+    step, and `states_by_window`, the encoder states window-major, (B, S,
+    history), so that the context of every window is one batched product.
+    Both are read-only.  Neither is scanned here: `fixed` is scanned with
+    the store of every sweep that copies it, and `states_by_window` is a
+    copy of scanned values.  `day_grid` is read as given, and must have
+    been scanned when made, as `model.StackedWindows` does.
+    """
+
+    def __init__(self, tail, features, day_grid, states):
+        features = np.asarray(features, dtype=np.float64)
+        day_grid = np.asarray(day_grid, dtype=np.float64)
+        tail, states = as_tensor(tail), as_tensor(states)
+        rows, spans = tail.values.shape, states.values.shape
+        if features.ndim != 3 or len(rows) != 2 or rows[1] != features.shape[2]:
+            raise DimensionError(f"tail {rows} and features {features.shape} are not "
+                                 f"(rows, windows) and (steps, n, windows)")
+        steps, n, windows = features.shape
+        if len(spans) != 3 or spans[2] != windows:
+            raise DimensionError(f"states {spans} are not (history, width, windows) of "
+                                 f"{windows} windows")
+        if day_grid.shape != (spans[0], windows):
+            raise DimensionError(f"day grid {day_grid.shape} does not cover {spans[0]} "
+                                 f"history hours of {windows} windows")
+        self.tail, self.states, self.features, self.day = tail, states, features, day_grid
+        self.fixed = np.empty((steps, rows[0] + n, windows))
+        self.fixed[:, :rows[0]] = tail.values
+        self.fixed[:, rows[0]:] = features
+        self.states_by_window = np.ascontiguousarray(states.values.transpose(2, 1, 0))
+        self.fixed.flags.writeable = self.states_by_window.flags.writeable = False
+
+
 class TemporalSweep(_ScoredSweep):
     """Temporal attention and the context vector for every decoder step,
-    inside one recurrence.
+    inside one recurrence, over a `TemporalFrame`.
 
     Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
     same for every step, weights every history hour as
@@ -285,59 +338,44 @@ class TemporalSweep(_ScoredSweep):
     weight times hour weight as `context_vector` does.  Its input is
     [features; context], (n + S, B), one column per window: `fill` writes
     the feature rows of every step and `forward(t, h_prev, out)` the
-    context into `out[n:]`.  `features` is
-    (steps, n, B), `day_weights` is (days, B) and `states` is (history,
-    S, B), so a day is history / days hours.  `weights` holds the flat
+    context into `out[n:]`.  The sweep copies the frame's fixed joint rows
+    into its own store and reads the frame's other arrays, never writing
+    them, and keeps no reference to the frame.  `weights` holds the flat
     hour weights, (steps, history, B).  `operands` are `proj`, `score`,
     `tail` and `states`; `grads()` returns their gradients in that order.
     """
 
-    def __init__(self, params, tail, features, day_weights, states):
-        features = np.asarray(features, dtype=np.float64)
-        day_weights = np.asarray(day_weights, dtype=np.float64)
-        tail, states = as_tensor(tail), as_tensor(states)
-        rows, spans = tail.values.shape, states.values.shape
-        if features.ndim != 3 or len(rows) != 2 or rows[1] != features.shape[2]:
-            raise DimensionError(f"tail {rows} and features {features.shape} are not "
-                                 f"(rows, windows) and (steps, n, windows)")
-        steps, n, windows = features.shape
-        super().__init__(params, steps, rows[0] + n, windows)
-        self._tail = slice(self.hidden_size, self.hidden_size + rows[0])
-        self._joint[:, self._tail] = tail.values
-        self._joint[:, self._tail.stop:] = features
-        history_len = self._score.shape[0]
-        days = day_weights.shape[0] if day_weights.ndim == 2 else 0
-        if days < 1 or history_len % days or day_weights.shape != (days, windows):
-            raise DimensionError(f"day weights {day_weights.shape} do not split "
-                                 f"{history_len} history hours into whole days of "
-                                 f"{windows} windows")
-        if len(spans) != 3 or spans[0] != history_len or spans[2] != windows:
-            raise DimensionError(f"states {spans} do not cover {history_len} history "
-                                 f"hours of {windows} windows")
-        self.operands += (tail, states)
-        # Window-major: `_states[k]` is window k's (S, history) matrix, so
-        # the context of every window is one batched product.
-        self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self._day = day_weights.repeat(history_len // days, 0)
-        self._features = features
-        self.width = n + spans[1]
+    def __init__(self, params, frame):
+        steps, rows, windows = frame.fixed.shape
+        super().__init__(params, steps, rows, windows)
+        history_len = frame.day.shape[0]
+        if self._score.shape[0] != history_len:
+            raise DimensionError(f"temporal scorer {self._score.shape} does not match "
+                                 f"{history_len} history hours")
+        self._joint[:, self.hidden_size:] = frame.fixed
+        self._tail = slice(self.hidden_size, self.hidden_size + frame.tail.values.shape[0])
+        self.operands += (frame.tail, frame.states)
+        self._states, self._day, self._features = (frame.states_by_window, frame.day,
+                                                   frame.features)
+        self._n = frame.features.shape[1]
+        self.width = self._n + self._states.shape[1]
 
     def fill(self, inputs):
         """Write every step's feature rows into `inputs`, (steps, n + S, B)."""
-        inputs[:, :self._features.shape[1]] = self._features
+        inputs[:, :self._n] = self._features
 
     def forward(self, t, h_prev, out):
         """Write step t's context into `out`, from the hidden state before it."""
         mix = self._day * self._attend(t, h_prev)
         context = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0]
-        out[self._features.shape[1]:] = context.T
+        out[self._n:] = context.T
 
     def _begin_backward(self):
         super()._begin_backward()
         self._d_context = np.empty((self.steps, self._states.shape[1], self.windows))
 
     def _weight_grad(self, t, dx):
-        d_context = self._d_context[t] = dx[self._features.shape[1]:]
+        d_context = self._d_context[t] = dx[self._n:]
         d_mix = np.matmul(d_context.T[:, np.newaxis], self._states)[:, 0]
         return d_mix.T * self._day
 
@@ -347,9 +385,6 @@ class TemporalSweep(_ScoredSweep):
         mix = self._day * self.weights
         d_states = np.matmul(mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
         return (*super().grads(), d_tail, d_states.transpose(1, 2, 0))
-
-    def _checked(self):
-        return (*super()._checked(), self._day)
 
     def drop_store(self):
         super().drop_store()

@@ -76,8 +76,9 @@ class Checkpoint:
 
 def load_checkpoint(path):
     """Read a checkpoint back; validates format, version, entries, names,
-    shapes, finite non-boolean values, and the standardization and
-    holidays blocks, raising `ConfigError` that names the file."""
+    shapes, values that are finite numbers (not booleans, strings or
+    null), and the standardization and holidays blocks, raising
+    `ConfigError` that names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -102,7 +103,12 @@ def load_checkpoint(path):
         try:
             if not isinstance(entry["name"], str):
                 raise TypeError("the name is not a string")
-            values = np.array(entry["values"], dtype=np.float64)
+            # Read without a dtype first, so that a string or null is not
+            # parsed into a float but shows in the array's kind.
+            values = np.array(entry["values"])
+            if values.dtype.kind not in "biuf":
+                raise TypeError("it holds a non-numeric value")
+            values = values.astype(np.float64, copy=False)
             if _holds_a_boolean(entry["values"], values):
                 raise TypeError("it holds a boolean")
             values = values.reshape(entry["shape"])

@@ -307,6 +307,9 @@ def _cmd_verify(_args):
 def _cmd_synth(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    if args.holidays_out is not None and args.holidays_out.resolve() == args.out.resolve():
+        raise ConfigError(f"--out and --holidays-out name the same file, {args.out}; the "
+                          f"calendar would overwrite the series")
     try:
         records = generate_synthetic(args.days, args.seed)
     except ValueError as err:

@@ -22,7 +22,8 @@ recurrence whose step arrays hold one column per window, inputs
 matmul whatever B is, and a single window is B = 1.  `lstm_sequence` runs
 one direction over known inputs and `bilstm_sequence` both, each as one
 tape op whose output holds the states and each direction's c_T; the
-states and the terminal h and c are views of it.
+states and the terminal h and c are views of it, and a caller that reads
+only the states (the decoder) asks for no terminal views.
 
 Every run of the engine has one layout: a direction axis of size D, the
 one or two directions it steps, after the step axis.  A run's step t is
@@ -45,8 +46,8 @@ forward runs inside the loop and writes the rest of step t's input in
 place; its backward, inside the reverse loop, turns the gradient that
 arrives on x_t into a contribution to the previous hidden state's.  A
 run none of whose operands is taped keeps only what the next step reads:
-the latest step's gate activations and cell state, and of the sweep's
-store only the attention weights.
+the latest step's gate activations and cell state, whose views it makes
+once, and of the sweep's store only the attention weights.
 `lstm_cell_step`, the one-window single-step API, is a one-direction,
 one-step `_run` over one window, and its backward `_walk` over that run:
 the cell and the sequence ops share one derivation.  The head,
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Tensor, _matmul_grad_left, _matmul_grad_right, _relu_grad,
+from .tensor import (Tensor, _any_taped, _matmul_grad_left, _matmul_grad_right, _relu_grad,
                      _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
                      segment)
 
@@ -159,13 +160,14 @@ def lstm_cell_step(params, prev, x):
     """
     weights, b_x, b_h = _cell(params)
     x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
-    hidden, width = params.hidden_size, params.input_size
+    hidden = b_x.values.shape[0] // 4
+    width = weights.values.shape[1] - hidden
     if x.shape != (width,):
         raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
     if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
         raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
                              f"({hidden},)")
-    w = [weights.values]
+    w = weights.values[np.newaxis]
     z = np.empty((2, 1, width + hidden, 1))
     z[0, 0, :width, 0], z[0, 0, width:, 0] = x.values, h_prev.values
     act, c_seq = _run(w, (b_x.values + b_h.values)[np.newaxis], z,
@@ -222,50 +224,63 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     """Step the cell of each of a run's D directions (1 or 2) over `z`,
     writing h_t into `z[t + 1]`.
 
-    `w` holds each direction's (4H, input + H) weights, `bias` the summed
-    biases (D, 4H), `c0` (D, H, B) and `z` (steps + 1, D, input + H, B),
-    whose `z[t, d]` is direction d's matrix [x_t; h_{t-1}] of step t, one
-    column per window; every array the run makes carries the same
-    direction axis after the step axis.  The caller fills every h_0 and
+    `w` holds each direction's (4H, input + H) weights, on a leading
+    direction axis or as a list, `bias` the summed biases (D, 4H), `c0`
+    (D, H, B) and `z` (steps + 1, D, input + H, B), whose `z[t, d]` is
+    direction d's matrix [x_t; h_{t-1}] of step t, one column per window;
+    every array the run makes carries the same direction axis after the
+    step axis.  The caller fills every h_0 and
     x_t, or, for a one-direction run with a sweep, the rows `sweep.fill`
     writes, and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of
     x_t in place.  The weights are stacked and scaled once per run, into
     one array, by the first column of `_gate_tiles`' scale, and the bias
     into one product with the whole tile, so each step is one product over
     the directions and one tanh over every gate, on operands of the step's
-    shape written into arrays made once per run, whose gate blocks it
-    reads through the index tuples of `_gate_rows`.  Returns the
-    activations and the cell states: with `history`, all (steps, D, 4H, B)
-    activations and c_0 .. c_T, which `_bptt` reads; without, one
-    activation slot and two cell slots, reused as the steps go.  Either
-    way c_T is `c[steps % len(c)]`.
+    shape written into arrays made once per run.  Returns the activations
+    and the cell states: with `history`, all (steps, D, 4H, B) activations
+    and c_0 .. c_T, which `_bptt` reads; without, one activation slot and
+    two cell slots, reused as the steps go.  Either way c_T is
+    `c[steps % len(c)]`.  A run without `history` makes the views of its
+    slots (the gate blocks, through the index tuples of `_gate_rows`) once,
+    not per step.
     """
     steps = len(z) - 1
     hidden, windows = c0.shape[-2:]
     width = z.shape[-2] - hidden
     scale, shift = _gate_tiles(hidden, windows, len(w))
-    # One copy, which stacks the directions, scaled in place.
-    w_run = np.array(w)
-    w_run *= scale[..., :1]
+    # One product, which stacks the directions as it scales them.
+    w_run = np.multiply(w, scale[..., :1])
     bias = bias[..., np.newaxis] * scale
-    slots = steps if history else 1
-    act = np.empty((slots,) + scale.shape)
-    c_seq = np.empty((slots + 1,) + c0.shape)
+    act = np.empty((steps if history else 1,) + scale.shape)
+    c_seq = np.empty((len(act) + 1,) + c0.shape)
     c_seq[0] = c0
-    i, f, g, o = _gate_rows(hidden)
+    rows = _gate_rows(hidden)
+    # Without history the run steps through one activation slot and two
+    # cell slots, whose views it makes once; with history it makes each
+    # step's as it goes, and keeps none.
+    slot = None if history else _slot(act[0], rows)
+    cells = c_seq if history else list(c_seq)
     hs = z[..., width:, :]
     # i * g, then tanh(c_t), of the current step.
     part = np.empty(c0.shape)
     for t in range(steps):
         if sweep is not None:
             sweep.forward(t, hs[t, 0], z[t, 0, :width])
-        a = np.matmul(w_run, z[t], out=act[t % slots])
+        a, i, f, g, o = slot or _slot(act[t], rows)
+        np.matmul(w_run, z[t], out=a)
         a += bias
         _activate(a, scale, shift, a)
-        c = np.multiply(a[f], c_seq[t % (slots + 1)], out=c_seq[(t + 1) % (slots + 1)])
-        c += np.multiply(a[i], a[g], out=part)
-        np.multiply(a[o], np.tanh(c, out=part), out=hs[t + 1])
+        c = np.multiply(f, cells[t % len(cells)], out=cells[(t + 1) % len(cells)])
+        c += np.multiply(i, g, out=part)
+        np.multiply(o, np.tanh(c, out=part), out=hs[t + 1])
     return act, c_seq
+
+
+def _slot(a, rows):
+    """A step's (D, 4H, B) activation slot `a` and its i, f, g and o
+    blocks, through `_gate_rows`' index tuples `rows`."""
+    i, f, g, o = rows
+    return a, a[i], a[f], a[g], a[o]
 
 
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
@@ -409,30 +424,35 @@ def _walk(run, grad_h, dc, d_x):
     return grads
 
 
-def _views(joined, steps, hidden, windows, directions):
-    """The states of a `_parts` output and each direction's terminal state,
-    as views: the forward h_T is the last step's first block, the backward
-    one the first step's second block."""
+def _views(joined, steps, hidden, windows, directions, terminals=True):
+    """The states of a `_parts` output and, with `terminals`, each
+    direction's terminal state, as views: the forward h_T is the last
+    step's first block, the backward one the first step's second block.
+    Without `terminals` no terminal view is made and None stands for the
+    list, so a caller that reads only the states records one view."""
     block = hidden * windows
     end = steps * directions * block
-    starts = ((end - directions * block, end), (block, end + block))[:directions]
     states = segment(joined, 0, end, (steps, directions * hidden, windows))
+    if not terminals:
+        return states, None
+    starts = ((end - directions * block, end), (block, end + block))[:directions]
     return states, [LstmState(segment(joined, h, h + block, (hidden, windows)),
                               segment(joined, c, c + block, (hidden, windows))) for h, c in starts]
 
 
-def lstm_sequence(params, inputs, init):
+def lstm_sequence(params, inputs, init, terminals=True):
     """Run one direction over the (steps, width, B) array `inputs`, column b
     of every step being window b's input, from the (H, B) state `init`;
     returns the hidden states as a (steps, H, B) array and the terminal
     state, views of one tape op that computes [h_1 .. h_T; c_T] with the
-    arithmetic of `lstm_cell_step` per column.
+    arithmetic of `lstm_cell_step` per column.  Without `terminals` no
+    terminal view is made, and None stands for it.
     """
-    states, (terminal,) = _sequence((params,), as_tensor(inputs), (init,))
-    return states, terminal
+    states, views = _sequence((params,), as_tensor(inputs), (init,), terminals)
+    return states, None if views is None else views[0]
 
 
-def bilstm_sequence(params, inputs, init_forward, init_backward):
+def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True):
     """Run a sequence of inputs in both directions for B windows.
 
     `inputs` is either the (steps, width, B) array of step inputs or an
@@ -444,16 +464,17 @@ def bilstm_sequence(params, inputs, init_forward, init_backward):
     (the backward one is the state after consuming the first input), all
     views of one tape op that computes [states; forward c_T; backward c_T]
     with the arithmetic of `lstm_cell_step` and of the sweep's attention
-    per column.  Non-finite attention intermediates raise
+    per column; without `terminals` no terminal view is made, and None
+    stands for the pair.  Non-finite attention intermediates raise
     `EvaluationError`, checked once after the forward direction; an
     untaped run then drops the sweep's store except its `weights`.
     """
-    states, terminals = _sequence((params.forward, params.backward), inputs,
-                                  (init_forward, init_backward))
-    return states, tuple(terminals)
+    states, views = _sequence((params.forward, params.backward), inputs,
+                              (init_forward, init_backward), terminals)
+    return states, None if views is None else tuple(views)
 
 
-def _sequence(cells, inputs, inits):
+def _sequence(cells, inputs, inits, terminals=True):
     """The op of both sequence runs, stepped as a list of runs, each over
     the indices of the directions it steps: over known inputs one run of
     every direction, (0, 1), or EDLSTM's (0,); with a sweep (0,), whose
@@ -462,7 +483,9 @@ def _sequence(cells, inputs, inits):
     c_T into the op's output; the rule walks the runs last first, so that
     each run is gone before the walk of the one before it.  Its operands
     are each direction's weights, biases and initial state, then the
-    inputs or the sweep's operands."""
+    inputs or the sweep's operands.  Returns the states and, with
+    `terminals`, each direction's terminal state, as `_views` makes
+    them."""
     sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
     if sweep is None:
         inputs = as_tensor(inputs)
@@ -472,22 +495,24 @@ def _sequence(cells, inputs, inits):
     steps, width, windows = shape
     directions = [_direction(cell, init, shape) for cell, init in zip(cells, inits)]
     hidden, count = cells[0].hidden_size, len(cells)
-    for name, other in (("backward cell", cells[-1]), ("sweep", sweep)):
-        if other is not None and other.hidden_size != hidden:
-            raise DimensionError(f"{name} over hidden width {other.hidden_size} does not fit "
-                                 f"hidden width {hidden}")
+    if count == 2 and cells[1].hidden_size != hidden:
+        raise DimensionError(f"backward cell over hidden width {cells[1].hidden_size} does "
+                             f"not fit hidden width {hidden}")
+    if sweep is not None and sweep.hidden_size != hidden:
+        raise DimensionError(f"sweep over hidden width {sweep.hidden_size} does not fit "
+                             f"hidden width {hidden}")
     operands = sum(directions, ()) + ((inputs,) if sweep is None else sweep.operands)
     if sweep is not None:
         # The rule keeps the sweep, so the sweep must not keep the taped
         # operands: through them it would keep the tape in a reference cycle.
         sweep.operands = ()
-    taped = any(t.tape is not None for t in operands)
-    # Each direction's index, weights, summed bias, h_0 and c_0.
-    arrays = [(d, weights.values, b_x.values + b_h.values, h0.values, c0.values)
-              for d, (weights, b_x, b_h, h0, c0) in enumerate(directions)]
+    taped = _any_taped(operands)
     out = np.empty((steps + 1) * count * hidden * windows)
     states, c_end = _parts(out, steps, hidden, windows, count)
     x = None if sweep is not None else inputs.values
+    # Each direction's index, weights, summed bias, h_0 and c_0.
+    arrays = [(d, weights.values, b_x.values + b_h.values, h0.values, c0.values)
+              for d, (weights, b_x, b_h, h0, c0) in enumerate(directions)]
     z, runs = None, []
     for picked in (arrays,) if sweep is None else (arrays[:1], arrays[1:]):
         run, w, bias, h0, c0 = zip(*picked)
@@ -503,7 +528,8 @@ def _sequence(cells, inputs, inits):
             else:
                 swept.fill(z[:steps, k, :width])
             z[0, k, width:] = h0[k]
-        act, c_seq = _run(w, _direction_axis(bias), z, _direction_axis(c0), swept, taped)
+        act, c_seq = _run(_direction_axis(w), _direction_axis(bias), z, _direction_axis(c0),
+                          swept, taped)
         if swept is not None:
             swept.check_finite()
             if not taped:
@@ -511,7 +537,7 @@ def _sequence(cells, inputs, inits):
             x = z[:steps, 0, :width]
         for k, d in enumerate(run):
             states[:, d * hidden:(d + 1) * hidden] = _run_order(d, z[1:, k, width:])
-            c_end[d] = c_seq[steps % len(c_seq), k]
+        c_end[run[0]:run[-1] + 1] = c_seq[steps % len(c_seq)]
         runs.append((run, w, z, act, c_seq, swept))
     reads_x = sweep is not None or inputs.tape is not None
 
@@ -525,7 +551,7 @@ def _sequence(cells, inputs, inits):
             grads = _walk(runs.pop(), grad_h, dc, d_x) + grads
         return grads + ((d_x,) if sweep is None else sweep.grads())
 
-    return _views(fused_op(out, operands, rule), steps, hidden, windows, count)
+    return _views(fused_op(out, operands, rule), steps, hidden, windows, count, terminals)
 
 
 @dataclass

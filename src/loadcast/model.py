@@ -25,13 +25,20 @@ is `forward` over one window.
 
 Encoder and decoder run through one helper, `_recur`: one
 `lstm.bilstm_sequence` op over both directions, or EDLSTM's one
-`lstm.lstm_sequence` op.  A side without attention knows its step inputs
-up front, one (steps, width, B) array; with attention, a sweep
+`lstm.lstm_sequence` op; the decoder's makes no terminal states, which
+nothing reads.  A side without attention knows its step inputs up front,
+one (steps, width, B) array; with attention, a sweep
 (`attention.FeatureSweep` in the encoder, `attention.TemporalSweep` in the
 decoder) builds each step's input inside the forward recurrence, and the
-backward direction consumes the same inputs.  `encode` and `decode` always
-return the weights their sweep stored; `forward` alone decides whether its
-`Forecast`s carry them as attention traces.
+backward direction consumes the same inputs.  `encode` returns an
+`Encoding`, which with decoder attention also holds the temporal sweep's
+parameter-free `attention.TemporalFrame`, made once per encoding; `decode`
+returns a `Decoding`, the stacked decoder states the head reads.  Both
+always keep the weights their sweep stored; `forward` runs the head, and
+alone decides whether its `Forecast`s carry those weights as attention
+traces.  `forward` takes an `Encoding`, or an `Encoding` and a `Decoding`,
+made before for the same inputs, so that a caller that knows a stage's
+parameters unchanged, as the gradient gate does, skips that stage.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -44,11 +51,13 @@ initial state, the encoder's terminal backward hidden state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, FeatureSweep, TemporalSweep, similar_day_weights
+from .attention import (AttentionParams, FeatureSweep, TemporalFrame, TemporalSweep,
+                        similar_day_weights)
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
 from .errors import ConfigError, DimensionError
@@ -56,7 +65,7 @@ from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
                    bilstm_sequence, feedforward_relu, lstm_sequence, zero_state)
 from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 from .params import bind_constants
-from .tensor import Tensor, reshape
+from .tensor import Tensor, _require_finite, reshape
 
 VARIANTS = ("ANLF", "eAttention", "dAttention", "EDBiLSTM", "EDLSTM")
 
@@ -176,15 +185,17 @@ class StackedWindows:
     """B windows as one pass reads them, built once by `stack` for a
     config: (history_len, n_features, B) history features, (history_len,
     B) history targets, (horizon, n_features, B) future features and, with
-    decoder attention, the (days, B) similar-day weights, window k in
-    column k.  None of it depends on a parameter, and the arrays are
-    read-only."""
+    decoder attention, the (days, B) similar-day weights and their
+    (history_len, B) hourly grid, each day's weight over its hours, window
+    k in column k.  None of it depends on a parameter, and the arrays are
+    read-only; the grid is scanned when made."""
 
     config: ModelConfig
     hist_features: np.ndarray
     hist_targets: np.ndarray
     future_features: np.ndarray
     day_weights: np.ndarray | None
+    day_grid: np.ndarray | None
 
     @classmethod
     def stack(cls, config, samples):
@@ -196,15 +207,17 @@ class StackedWindows:
         hist_features = _stacked(samples, "x_hist", (steps, width))
         hist_targets = _stacked(samples, "y_hist", (steps,))
         future_features = _stacked(samples, "x_future", (config.horizon, width))
-        day_weights = None
+        day_weights = day_grid = None
         if config.decoder_attention:
             day_weights = similar_day_weights(
                 hist_features.reshape(config.days, config.day_len, width, len(samples)),
                 future_features)
-        for arr in (hist_features, hist_targets, future_features, day_weights):
+            day_grid = day_weights.repeat(config.day_len, 0)
+            _require_finite(day_grid)
+        for arr in (hist_features, hist_targets, future_features, day_weights, day_grid):
             if arr is not None:
                 arr.flags.writeable = False
-        return cls(config, hist_features, hist_targets, future_features, day_weights)
+        return cls(config, hist_features, hist_targets, future_features, day_weights, day_grid)
 
     @property
     def count(self):
@@ -221,25 +234,30 @@ def _require_config(windows, config):
 class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
-    decoder, and the feature sweep's own (history_len, n_features, B)
-    weights (None without encoder attention)."""
+    decoder, the feature sweep's own (history_len, n_features, B) weights
+    (None without encoder attention) and, with decoder attention, the
+    `TemporalFrame` every decoder run over this encoding and its windows
+    reads (None without)."""
 
     states: Tensor
     terminal_forward: LstmState
     terminal_backward: LstmState | None
     feature_weights: np.ndarray | None
+    temporal_frame: TemporalFrame | None
 
 
-def _recur(config, cell, inputs, count, init=None):
+def _recur(config, cell, inputs, count, init=None, terminals=True):
     """Run `cell` over `inputs` (an array or a sweep) from `init`, the
     (forward, backward) initial states, or from zeros: one `bilstm_sequence`
-    op, or EDLSTM's `lstm_sequence` op with a None backward terminal."""
+    op, or EDLSTM's `lstm_sequence` op with a None backward terminal.
+    Without `terminals` the op makes no terminal states, and None stands
+    for them."""
     if config.bidirectional:
         start = init or (zero_state(config.hidden_size, count),) * 2
-        return bilstm_sequence(cell, inputs, *start)
+        return bilstm_sequence(cell, inputs, *start, terminals=terminals)
     states, terminal = lstm_sequence(
-        cell, inputs, init[0] if init else zero_state(config.state_width, count))
-    return states, (terminal, None)
+        cell, inputs, init[0] if init else zero_state(config.state_width, count), terminals)
+    return states, ((terminal, None) if terminals else None)
 
 
 def encode(params, config, windows):
@@ -256,32 +274,47 @@ def encode(params, config, windows):
         inputs = Tensor(np.concatenate(
             (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
     states, terminals = _recur(config, params.encoder, inputs, windows.count)
-    return Encoding(states, *terminals, inputs.weights if config.encoder_attention else None)
+    frame = None
+    if config.decoder_attention:
+        frame = TemporalFrame(terminals[1].h, windows.future_features, windows.day_grid,
+                              states)
+    return Encoding(states, *terminals, inputs.weights if config.encoder_attention else None,
+                    frame)
+
+
+@dataclass
+class Decoding:
+    """Decoder output for B windows: its states stacked per window as the
+    head reads them, (horizon * state_width, B), and the temporal sweep's
+    own (horizon, history_len, B) hour weights (None without decoder
+    attention)."""
+
+    states: Tensor
+    hour_weights: np.ndarray | None
 
 
 def decode(params, config, encoding, windows):
     """Run the decoder over the forecast days of `windows`, a
-    `StackedWindows` built for `config`, and the output head; returns the
-    (horizon, B) output and the temporal sweep's hour weights (None without
-    decoder attention), which `forward` may turn into traces.
+    `StackedWindows` built for `config`, from `encoding`; returns its
+    `Decoding`, whose hour weights `forward` may turn into traces.
 
     Each direction starts from its own orientation's encoder terminal
     state.  With decoder attention, each step's context (similar-day times
     temporal weights over the window's encoder states) is computed in the
     forward sweep, and both directions consume the same [features; context]
-    inputs.
+    inputs.  The head does not read the decoder's terminal states, so its
+    sequence op makes none.
     """
     _require_config(windows, config)
     if config.decoder_attention:
-        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
-                               windows.future_features, windows.day_weights, encoding.states)
+        inputs = TemporalSweep(params.temporal_attn, encoding.temporal_frame)
     else:
         inputs = Tensor(windows.future_features)
     states, _terminals = _recur(config, params.decoder, inputs, windows.count,
-                                (encoding.terminal_forward, encoding.terminal_backward))
-    stacked = reshape(states, (config.horizon * config.state_width, windows.count))
-    return (feedforward_relu(params.head, stacked),
-            inputs.weights if config.decoder_attention else None)
+                                (encoding.terminal_forward, encoding.terminal_backward),
+                                terminals=False)
+    return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
+                    inputs.weights if config.decoder_attention else None)
 
 
 @dataclass
@@ -298,10 +331,18 @@ class Forecast:
 @dataclass
 class ForwardPass:
     """Output of one pass over B windows: the (horizon, B) taped forecast
-    tensor for building a loss, and one `Forecast` per window."""
+    tensor for building a loss, and `forecasts`, one `Forecast` per window,
+    made when first read, so that a caller that reads only the output makes
+    none.  `traces` holds the (feature, hour, day) weights the forecasts
+    carry, each None when not asked for or the variant has no such stage."""
 
     output: Tensor
-    forecasts: list
+    traces: tuple
+
+    @functools.cached_property
+    def forecasts(self):
+        return [Forecast(_column(self.output.values, k), *(_column(w, k) for w in self.traces))
+                for k in range(self.output.values.shape[-1])]
 
 
 def _stacked(windows, field, shape):
@@ -317,30 +358,32 @@ def _column(weights, k):
     return None if weights is None else np.array(weights[..., k])
 
 
-def forward(params, config, samples, collect_attention=False, encoding=None):
-    """Encode the histories of `samples`, decode their forecast days, and
-    return the forecasts as one pass.
+def forward(params, config, samples, collect_attention=False, encoding=None, decoding=None):
+    """Encode the histories of `samples`, decode their forecast days, map
+    the decoder states through the head, and return the forecasts as one
+    pass.
 
     `samples` is a nonempty list of windows or a `StackedWindows` built for
     `config`.  The observed future loads in the samples are never read;
     only the histories and the future features drive the output.  A given
     `encoding` replaces the encoder run and must be what `encode` gives
-    these inputs.  Only here are attention traces decided: with
+    these inputs; a given `decoding` replaces the decoder run and must be
+    what `decode` gives them and that encoding, so a pass given both runs
+    only the head.  Only here are attention traces decided: with
     `collect_attention` each `Forecast` carries its window's weights of
-    every stage the variant has, and without it none, encoding given or not.
+    every stage the variant has, and without it none, whatever was given.
     """
     windows = (samples if isinstance(samples, StackedWindows)
                else StackedWindows.stack(config, samples))
     if encoding is None:
         encoding = encode(params, config, windows)
-    output, hour_weights = decode(params, config, encoding, windows)
-    feature_weights, day_weights = encoding.feature_weights, windows.day_weights
+    if decoding is None:
+        decoding = decode(params, config, encoding, windows)
+    output = feedforward_relu(params.head, decoding.states)
     if not collect_attention:
-        feature_weights = hour_weights = day_weights = None
-    return ForwardPass(output, [
-        Forecast(_column(output.values, k), _column(feature_weights, k),
-                 _column(hour_weights, k), _column(day_weights, k))
-        for k in range(windows.count)])
+        return ForwardPass(output, (None, None, None))
+    return ForwardPass(output, (encoding.feature_weights, decoding.hour_weights,
+                                windows.day_weights))
 
 
 def predict(params, config, sample, collect_attention=False):

@@ -185,6 +185,15 @@ class Tape:
         return np.asarray(g, dtype=np.float64)
 
 
+def _any_taped(operands):
+    """Whether any of the tensors `operands` is recorded on a tape: a plain
+    loop, which stops at the first and costs an untaped op least."""
+    for t in operands:
+        if t.tape is not None:
+            return True
+    return False
+
+
 def fused_op(out_values, operands, rule, scanned=False):
     """Record `out_values` as one node whose gradients come from one closure.
 
@@ -194,9 +203,9 @@ def fused_op(out_values, operands, rule, scanned=False):
     for non-finite entries unless `scanned` says it is a view of an
     operand's already-scanned values.
     """
-    taped = [k for k, t in enumerate(operands) if t.tape is not None]
-    if not taped:
+    if not _any_taped(operands):
         return Tensor(out_values, scanned=scanned)
+    taped = [k for k, t in enumerate(operands) if t.tape is not None]
     parents = tuple(operands[k] for k in taped)
     tape = parents[0].tape
     if any(p.tape is not tape for p in parents):

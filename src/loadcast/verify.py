@@ -18,7 +18,7 @@ import numpy as np
 from .data import WindowSample
 from .metrics import compute_metrics
 from .errors import LoadcastError
-from .model import ModelConfig, StackedWindows, encode, forward, init_params, predict
+from .model import ModelConfig, StackedWindows, decode, encode, forward, init_params, predict
 from .params import map_leaves, named_leaves
 from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
@@ -60,21 +60,32 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     arrays and its similar-day weights) and the target.  `check_gradients`
     hands every constant probe the same mapping, perturbed in place, so the
     parameter tree over a mapping is built once per mapping; nothing is
-    kept by a parameter array's identity.  A constant probe whose
-    `feature_attn` and `encoder` leaves are byte for byte the previous
-    constant probe's reuses its `Encoding`, as the probes of the temporal
-    attention, decoder and head scalars do.
-    `encode` is a pure function of those leaves, the window and the config,
-    so every loss is bitwise that of a fresh encoder run.  The taped pass
-    always encodes.
+    kept by a parameter array's identity.
+
+    Every probe calls `forward`, and a constant probe hands it the stages
+    its scalar cannot change.  A constant probe whose `feature_attn` and
+    `encoder` leaves are byte for byte the previous constant probe's reuses
+    its `Encoding`, as the probes of the temporal attention, decoder and
+    head scalars do; one whose `feature_attn`, `encoder`, `temporal_attn`
+    and `decoder` leaves are reuses its `Decoding` too, as the probes of
+    the head scalars do, and so runs only the head and the loss.  `encode`
+    and `decode` are pure functions of those leaves, the window and the
+    config, and nothing writes into a value they returned, so every loss is
+    bitwise that of a fresh pass.  The taped pass runs every stage.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
+    # The leaves the encoding depends on, and those the decoder states
+    # depend on: the same, then the temporal attention's and the decoder's.
     encoder_side = [name for name in arrays if name.startswith(("feature_attn.", "encoder."))]
+    through_decoder = encoder_side + [name for name in arrays
+                                      if name.startswith(("temporal_attn.", "decoder."))]
+    encoder_bytes = sum(arrays[name].nbytes for name in encoder_side)
     windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
-    # The latest mapping and its tree; the previous constant probe's encoder
-    # leaf bytes and `Encoding`.
+    # The latest mapping and its tree; the previous constant probe's keys,
+    # the bytes of its encoder-side leaves and of all its leaves through the
+    # decoder, its `Encoding` and its `Decoding`.
     last = {}
 
     def program(leaves):
@@ -82,13 +93,17 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
             last.update(leaves=leaves,
                         bound=map_leaves(template, lambda name, _leaf: leaves[name]))
         bound = last["bound"]
-        encoding = None
+        encoding = decoding = None
         if leaves[encoder_side[0]].tape is None:
-            key = b"".join(leaves[name].values.tobytes() for name in encoder_side)
-            if last.get("key") != key:
-                last.update(key=key, encoding=encode(bound, config, windows))
-            encoding = last["encoding"]
-        output = forward(bound, config, windows, encoding=encoding).output
+            key = b"".join([leaves[name].values.tobytes() for name in through_decoder])
+            if last.get("encoder_key") != key[:encoder_bytes]:
+                last.update(encoder_key=key[:encoder_bytes],
+                            encoding=encode(bound, config, windows))
+            if last.get("decoder_key") != key:
+                last.update(decoder_key=key,
+                            decoding=decode(bound, config, last["encoding"], windows))
+            encoding, decoding = last["encoding"], last["decoding"]
+        output = forward(bound, config, windows, encoding=encoding, decoding=decoding).output
         return mse_loss(output, target)
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)

@@ -13,11 +13,12 @@ def seed8_gate():
     """One unmutated `verify.run_all_checks()`, whose full-model check is
     the ANLF `tiny_model_case` seed-8 gradient gate, with what that gate
     did: `check` is its `CheckResult`, `forward` its calls of
-    `verify.forward`, `encode` its encoder runs (through `model.encode` or
-    `verify.encode`) and `similar_day_weights` its calls of
+    `verify.forward`, `encode` and `decode` its encoder and decoder runs
+    (through `model.encode` or `verify.encode`, and `model.decode` or
+    `verify.decode`) and `similar_day_weights` its calls of
     `model.similar_day_weights`.  For tests that only read these; a test
     that patches a rule runs its own gate."""
-    counts = {"forward": 0, "encode": 0, "similar_day_weights": 0}
+    counts = {"forward": 0, "encode": 0, "decode": 0, "similar_day_weights": 0}
     checks, inside = [], []
 
     def counted(name, fn):
@@ -39,10 +40,13 @@ def seed8_gate():
         return checks[-1]
 
     encode = counted("encode", model.encode)
+    decode = counted("decode", model.decode)
     with pytest.MonkeyPatch.context() as patches:
         patches.setattr(verify, "forward", counted("forward", verify.forward))
         patches.setattr(model, "encode", encode)
         patches.setattr(verify, "encode", encode)
+        patches.setattr(model, "decode", decode)
+        patches.setattr(verify, "decode", decode)
         patches.setattr(model, "similar_day_weights",
                         counted("similar_day_weights", model.similar_day_weights))
         patches.setattr(verify, "_check_model_gradients", counted_gate)

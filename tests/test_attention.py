@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from loadcast.attention import (DISTANCE_EPSILON, AttentionParams,
-                                FeatureSweep, RECIPROCAL_CAP, TemporalSweep,
+                                FeatureSweep, RECIPROCAL_CAP, TemporalFrame, TemporalSweep,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
@@ -307,8 +307,10 @@ def temporal_case(rng, steps, hidden, n, attn, days, day_len, width, bound=1.0):
 def make_sweep(case, attn, leaves):
     """The case's sweep over one window: per-window arrays as (.., 1)."""
     if "states" in case:
-        return TemporalSweep(attn, column(leaves["tail"]), case["features"][..., np.newaxis],
-                             case["day"][:, np.newaxis], column(leaves["states"]))
+        grid = np.repeat(case["day"], case["day_len"])[:, np.newaxis]
+        return TemporalSweep(attn, TemporalFrame(column(leaves["tail"]),
+                                                 case["features"][..., np.newaxis], grid,
+                                                 column(leaves["states"])))
     return FeatureSweep(attn, case["features"][..., np.newaxis], case["targets"][:, np.newaxis])
 
 
@@ -528,18 +530,22 @@ class TestAttendedSweeps:
         case = temporal_case(rng, 2, 2, 2, 2, 2, 3, 2)
         tail = Tensor(case["tail"][:, np.newaxis])
         features = case["features"][..., np.newaxis]
-        day = case["day"][:, np.newaxis]
+        grid = np.repeat(case["day"], case["day_len"])[:, np.newaxis]
         states = Tensor(case["states"][..., np.newaxis])
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, np.ones((4, 1)) / 4, states)
+            TemporalFrame(tail, features, np.ones((4, 1)) / 4, states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, case["day"], states)
+            TemporalFrame(tail, features, grid[:, 0], states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, np.repeat(day, 2, axis=1), states)
+            TemporalFrame(tail, features, np.repeat(grid, 2, axis=1), states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], Tensor(np.zeros((2, 2))), features, day, states)
+            TemporalFrame(Tensor(np.zeros((2, 2))), features, grid, states)
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, day, Tensor(states.values[1:]))
+            TemporalFrame(tail, features, grid, Tensor(states.values[1:]))
         with pytest.raises(DimensionError):
-            TemporalSweep(case["attn"], tail, features, day,
-                          Tensor(np.repeat(states.values, 2, axis=2)))
+            TemporalFrame(tail, features, grid, Tensor(np.repeat(states.values, 2, axis=2)))
+        frame = TemporalFrame(tail, features, grid, states)
+        # A scorer over another history length than the frame's.
+        with pytest.raises(DimensionError):
+            TemporalSweep(AttentionParams.random(rng, 6, 4, 2, 1.0), frame)
+        TemporalSweep(case["attn"], frame)

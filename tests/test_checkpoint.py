@@ -298,6 +298,27 @@ class TestRejection:
         assert str(exc.value) == (f"{path}: params entry {index} (name {entry['name']!r}) is "
                                   f"malformed: TypeError: it holds a boolean")
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("kind", ["string", "padded-string", "null"])
+    def test_non_numeric_parameter_value(self, tmp_path, version, kind):
+        # A string that spells a number is not parsed into it, and null is
+        # not read as NaN: each is refused as what it is, in either version.
+        path = tmp_path / "checkpoint.json"
+        if version == 1:
+            write_v1(path, TINY)
+        else:
+            write_tiny(path)
+        doc = json.loads(path.read_text())
+        entry = doc["params"][0]
+        value = entry["values"][0]
+        entry["values"][0] = {"string": repr(value), "padded-string": f" {value!r}",
+                              "null": None}[kind]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: params entry 0 (name {entry['name']!r}) is "
+                                  f"malformed: TypeError: it holds a non-numeric value")
+
     def test_bad_config_block(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_tiny(path)

@@ -132,6 +132,20 @@ class TestSynth:
                        "one forecast day)\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "relative-and-absolute"])
+    def test_one_path_for_both_outputs_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                         spelling):
+        # The calendar would overwrite the series; nothing is written.
+        monkeypatch.chdir(tmp_path)
+        holidays = "s.csv" if spelling == "same" else str(tmp_path / "s.csv")
+        code = main(["synth", "--days", "20", "--seed", "1", "--out", "s.csv",
+                     "--holidays-out", holidays])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: --out and --holidays-out name the "
+                                           "same file, s.csv; the calendar would overwrite "
+                                           "the series\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_is_a_config_error_naming_the_flag(self, tmp_path, capsys):
         code = main(["synth", "--days", "9", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG

@@ -35,10 +35,19 @@ def random_sample(config, seed):
 
 
 def encoding_arrays(encoding):
-    """Every array an `Encoding` holds."""
+    """Every array an `Encoding` holds, its temporal frame's included."""
     states = [encoding.terminal_forward, encoding.terminal_backward]
-    return [encoding.states.values] + [tensor.values for state in states
-                                       if state is not None for tensor in (state.h, state.c)]
+    frame = encoding.temporal_frame
+    return ([encoding.states.values]
+            + [tensor.values for state in states if state is not None
+               for tensor in (state.h, state.c)]
+            + ([] if frame is None else [frame.fixed, frame.day, frame.states_by_window]))
+
+
+def decoding_arrays(decoding):
+    """Every array a `Decoding` holds."""
+    return [decoding.states.values] + ([] if decoding.hour_weights is None
+                                       else [decoding.hour_weights])
 
 
 def numpy_forward(params, config, sample):
@@ -278,8 +287,19 @@ class TestForward:
             assert (value is not None) == (ref is not None) == present[field], field
             if ref is not None:
                 npt.assert_array_equal(value, ref, strict=True)
-        for encoding in (None, model.encode(bound, config, windows)):
-            bare = forward(bound, config, windows, encoding=encoding).forecasts[0]
+        # The same with the decoding given too, as the gate's head probes do.
+        encoding = model.encode(bound, config, windows)
+        decoding = model.decode(bound, config, encoding, windows)
+        reused = forward(bound, config, windows, collect_attention=True, encoding=encoding,
+                         decoding=decoding).forecasts[0]
+        for field in fields:
+            value, ref = getattr(reused, field), getattr(fresh, field)
+            assert (value is not None) == (ref is not None) == present[field], field
+            if ref is not None:
+                npt.assert_array_equal(value, ref, strict=True)
+        for given in ({}, {"encoding": encoding},
+                      {"encoding": encoding, "decoding": decoding}):
+            bare = forward(bound, config, windows, **given).forecasts[0]
             npt.assert_array_equal(bare.values, fresh.values, strict=True)
             assert all(getattr(bare, field) is None for field in fields[1:])
 
@@ -377,14 +397,18 @@ class TestForward:
         config, sample = tiny_model_case()
         windows = StackedWindows.stack(config, [sample])
         assert windows.count == 1 and windows.day_weights.shape == (config.days, 1)
+        # The hourly grid gives each history hour its day's weight.
+        npt.assert_array_equal(windows.day_grid,
+                               np.repeat(windows.day_weights, config.day_len, axis=0),
+                               strict=True)
         for arr in (windows.hist_features, windows.hist_targets, windows.future_features,
-                    windows.day_weights):
+                    windows.day_weights, windows.day_grid):
             assert not arr.flags.writeable
         other = dataclasses.replace(config, hidden_size=5)
         with pytest.raises(ConfigError, match="do not fit"):
             forward(bind_constants(init_params(other)), other, windows)
-        assert StackedWindows.stack(dataclasses.replace(config, variant="EDBiLSTM"),
-                                    [sample]).day_weights is None
+        plain = StackedWindows.stack(dataclasses.replace(config, variant="EDBiLSTM"), [sample])
+        assert plain.day_weights is None and plain.day_grid is None
         with pytest.raises(DimensionError, match="at least one window"):
             StackedWindows.stack(config, [])
 
@@ -395,12 +419,14 @@ class TestForward:
                                predict(params, TINY, sample).values)
 
     def test_tiny_window_tape_size(self):
-        # A sequence run records one op and a view for the states and for
-        # each direction's terminal h and c, 4 nodes for one direction and 6
-        # for two, whatever its inputs are; the head and the loss are one op
-        # each, and every parameter array is one leaf.
-        expected = {"ANLF": 32, "eAttention": 30, "dAttention": 30,
-                    "EDBiLSTM": 28, "EDLSTM": 18}
+        # The encoder's sequence run records one op and a view for the
+        # states and for each direction's terminal h and c, 4 nodes for one
+        # direction and 6 for two, whatever its inputs are; the decoder's
+        # records the op and the states view alone, since nothing reads its
+        # terminal states.  The head's reshape, the head and the loss are
+        # one op each, and every parameter array is one leaf.
+        expected = {"ANLF": 28, "eAttention": 26, "dAttention": 26,
+                    "EDBiLSTM": 24, "EDLSTM": 16}
         for variant in VARIANTS:
             config, sample = tiny_model_case(variant)
             tape = Tape()
@@ -426,7 +452,7 @@ class TestForward:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
                                                                         monkeypatch):
-        # Reference: every probe runs `forward` alone, encoder included.
+        # Reference: every probe runs `forward` alone, every stage included.
         config, sample = tiny_model_case(variant)
         template = init_params(config)
         arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
@@ -437,20 +463,24 @@ class TestForward:
                             sample.y_future[:, np.newaxis])
 
         expect = check_gradients(program, arrays, h=1e-5, tolerance=1e-4)
-        encodings = []
+        # The report reuses a decoding too: the head probes run only the head.
+        kept = []
 
-        def kept(*args, **kwargs):
-            encoding = model.encode(*args, **kwargs)
-            encodings.append((encoding, [np.array(a) for a in encoding_arrays(encoding)]))
-            return encoding
+        def keeping(stage, arrays_of):
+            def run(*args, **kwargs):
+                value = stage(*args, **kwargs)
+                kept.append((arrays_of(value), [np.array(a) for a in arrays_of(value)]))
+                return value
+            return run
 
-        monkeypatch.setattr(verify, "encode", kept)
+        monkeypatch.setattr(verify, "encode", keeping(model.encode, encoding_arrays))
+        monkeypatch.setattr(verify, "decode", keeping(model.decode, decoding_arrays))
         report = verify.model_gradient_report(config, sample)
         assert report.max_rel_error == expect.max_rel_error
         assert report.per_param == expect.per_param
-        # Decode never writes into the encoding that later probes reuse.
-        for encoding, copies in encodings:
-            for array, copy in zip(encoding_arrays(encoding), copies):
+        # No pass writes into an encoding or a decoding that later probes reuse.
+        for arrays_now, copies in kept:
+            for array, copy in zip(arrays_now, copies):
                 npt.assert_array_equal(array, copy, strict=True)
 
     def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, seed8_gate):
@@ -463,6 +493,16 @@ class TestForward:
                         for _name, leaf in named_leaves(block)]
         assert sum(encoder_side) == 342
         assert seed8_gate.encode == 1 + 2 * 342 + 1
+
+    def test_gradient_check_runs_the_decoder_once_per_decoder_side_probe(self, seed8_gate):
+        # One taped pass, +h and -h for each of the 924 scalars before the
+        # head, then one run for the first head probe; the other 143 head
+        # probes reuse that decoding.
+        config, _sample = tiny_model_case()
+        params = init_params(config)
+        head = sum(leaf.size for _name, leaf in named_leaves(params.head))
+        assert head == 72 and seed8_gate.forward == 1 + 2 * (924 + head)
+        assert seed8_gate.decode == 1 + 2 * 924 + 1
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):

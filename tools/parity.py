@@ -11,10 +11,13 @@ named by its own block, `batch_gradients` at 1 and 4 windows, the untaped
 per-window MSEs of 15 windows, `predict` with attention, a 2-epoch `train`
 at batch size 2 over 6 training and 3 validation windows (each epoch's
 losses, the best epoch and every returned parameter leaf), and, at tiny
-size only, `model_gradient_report` at seed 9 and h = 1e-4.  At both sizes, taped
-`bilstm_sequence` and `lstm_sequence` runs over 4 windows of known inputs
-add their outputs and the gradients of every operand, the inputs
-included, which no model variant differentiates, and a taped
+size only, `model_gradient_report` (its max and each parameter's relative
+error) at seed 9 and h = 1e-4, where every variant's head is live, and at
+the gate `loadcast verify` ships, seed 8, h = 1e-5 and tolerance 1e-4.
+At both sizes, taped `bilstm_sequence` and `lstm_sequence` runs over 4
+windows of known inputs add their outputs and the gradients of every
+operand, the inputs included, which no model variant differentiates, and
+a taped
 `lstm_cell_step` at the encoder cell's shape adds its h and c and the
 gradients of its weights, both biases, x, h_prev and c_prev.  Each block
 prints as bitwise or with its largest difference relative to the
@@ -166,11 +169,15 @@ def probe():
                         blocks[f"{key}/predict{k}/{field}"] = getattr(forecast, field)
             blocks.update(_train_blocks(config, key))
             if size == "tiny":
-                report = verify.model_gradient_report(*verify.tiny_model_case(variant, seed=9),
-                                                      h=1e-4)
-                blocks[f"{key}/gradcheck/max"] = np.array(report.max_rel_error)
-                blocks.update((f"{key}/gradcheck/{name}", np.array(err))
-                              for name, err in report.per_param.items())
+                # Seed 9 at h = 1e-4 keeps every variant's head live; seed 8
+                # at h = 1e-5 and tolerance 1e-4 is the check `loadcast
+                # verify` runs.
+                for probe_name, seed, h in (("gradcheck", 9, 1e-4), ("gate", 8, 1e-5)):
+                    report = verify.model_gradient_report(
+                        *verify.tiny_model_case(variant, seed=seed), h=h, tolerance=1e-4)
+                    blocks[f"{key}/{probe_name}/max"] = np.array(report.max_rel_error)
+                    blocks.update((f"{key}/{probe_name}/{name}", np.array(err))
+                                  for name, err in report.per_param.items())
     for size in SIZES:
         blocks.update(_sequence_blocks(size))
         blocks.update(_cell_blocks(size))
