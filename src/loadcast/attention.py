@@ -40,6 +40,13 @@ all of it but `weights`.  What the temporal sweep reads that depends on
 none of its parameters (the fixed joint rows, the hourly day grid and the
 window-major encoder states) is a `TemporalFrame`, made once and read by
 every sweep over the same encoding and windows.
+
+An untaped op over a temporal sweep gives the sweep its `lstm.ForwardRun`
+as `run` (the sweep's `keeps_run`), which `model.Decoding` keeps, since a
+step's context cannot be rebuilt bitwise outside the step; a feature
+sweep's inputs can, from its `weights` (`FeatureSweep.inputs_from`), so it
+keeps none.  Either hands a later op over the same forward direction its
+forward run in place of a sweep.
 """
 
 from __future__ import annotations
@@ -174,8 +181,12 @@ class _ScoredSweep:
     blocks of one (steps, rows, B) store, the tanh values apart, and in
     `weights` the (steps, n, B) softmax weights.
     A sweep's `_weight_grad(t, dx)` turns the gradient of step t's input
-    into the gradient of its weights.
+    into the gradient of its weights.  `keeps_run` says whether an untaped
+    op gives the sweep its forward run as `run`.
     """
+
+    keeps_run = False
+    run = None
 
     def __init__(self, params, steps, rows, windows):
         proj, score = as_tensor(params.proj), as_tensor(params.score)
@@ -282,6 +293,18 @@ class FeatureSweep(_ScoredSweep):
         state before it."""
         np.multiply(self._attend(t, h_prev), self._features[t], out=out[:-1])
 
+    @staticmethod
+    def inputs_from(weights, features, targets):
+        """Every step's input as `fill` and `forward` write it, (steps, n +
+        1, B), from the (steps, n, B) `weights` of a sweep over `features`
+        and `targets`: the same elementwise products, made in one, and the
+        target row.  It is how a later op reuses a feature sweep's forward
+        run, which the sweep does not keep."""
+        inputs = np.empty((features.shape[0], features.shape[1] + 1, features.shape[2]))
+        np.multiply(weights, features, out=inputs[:, :-1])
+        inputs[:, -1] = targets
+        return inputs
+
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
 
@@ -343,7 +366,11 @@ class TemporalSweep(_ScoredSweep):
     them, and keeps no reference to the frame.  `weights` holds the flat
     hour weights, (steps, history, B).  `operands` are `proj`, `score`,
     `tail` and `states`; `grads()` returns their gradients in that order.
+    The sweep keeps its run: an untaped op leaves its inputs as the sweep
+    built them and sets `run` to its `lstm.ForwardRun`.
     """
+
+    keeps_run = True
 
     def __init__(self, params, frame):
         steps, rows, windows = frame.fixed.shape

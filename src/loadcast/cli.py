@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import fcntl
 import hashlib
 import itertools
 import json
 import os
+import platform
 import shutil
 import signal
 import sys
@@ -179,6 +181,42 @@ def _write_epoch_log(path, log):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _openblas_runtime():
+    """The runtime config string and thread count of the OpenBLAS numpy
+    bundles, both None when numpy's BLAS does not expose them."""
+    # The extension module that links the BLAS: numpy._core's from numpy 2.
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        get_config = lib.scipy_openblas_get_config64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None, None
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    config = get_config()
+    return (None if config is None else config.decode(errors="replace")), get_threads()
+
+
+def _environment():
+    """What a run's bytes depend on besides its config and inputs: the
+    python and numpy versions, the BLAS numpy was built against, the
+    config string and thread count of the BLAS loaded at run time (the
+    kernel it picked can differ from the build's), and the number of cores
+    the process may run on.  A field that cannot be read is None."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:
+        # numpy before 1.26 takes no `mode`.
+        blas = {}
+    config, threads = _openblas_runtime()
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_config": config, "blas_threads": threads,
+            "nproc": None if affinity is None else len(affinity(0))}
+
+
 def _write_manifest(path, run, config_file, fingerprint):
     doc = {
         "command": "train",
@@ -187,6 +225,7 @@ def _write_manifest(path, run, config_file, fingerprint):
         "inputs": fingerprint,
         "artifacts": ["checkpoint.json", "epochs.csv", "validation.txt"],
         "package": {"name": "loadcast", "version": __version__},
+        "environment": _environment(),
     }
     write_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 

@@ -37,7 +37,11 @@ product each over every step of every window (`_walk`).  A sequence op
 is a list of runs, each knowing its direction indices: over known inputs
 one run of every direction, (0, 1) or (0,); with an attention sweep, (0,),
 whose inputs the sweep builds, then (1,) over those inputs, since the
-sweep reads the forward h_{t-1}.  The backward direction, 1, reads its
+sweep reads the forward h_{t-1}.  An untaped sweep op can be handed, in
+place of its sweep, the `ForwardRun` of an earlier untaped one over the
+same sweep parameters, forward cell, windows and forward initial state:
+it steps only (1,) over the handed inputs and copies the handed forward
+states and c_T into its output.  The backward direction, 1, reads its
 run's inputs reversed and writes its states reversed, and its input
 gradient, reversed, is what arrives on the inputs; the op's rule walks
 its runs last first.  A sweep fills the input rows that depend on no
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, TapeError
 from .tensor import (Tensor, _any_taped, _matmul_grad_left, _matmul_grad_right, _relu_grad,
                      _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
                      segment)
@@ -142,9 +146,11 @@ def _cell(params):
     (4H, input + H), (4H,) and (4H,)."""
     weights, b_x, b_h = as_tensor(params.weights), as_tensor(params.b_x), as_tensor(params.b_h)
     w_shape, b_shape = weights.values.shape, b_x.values.shape
+    if b_h.values.shape != b_shape:
+        raise DimensionError(f"lstm b_h {b_h.shape} does not match b_x {b_x.shape}")
     rows = b_shape[0] if len(b_shape) == 1 else 0
-    if (rows < 4 or rows % 4 or b_h.values.shape != b_shape or len(w_shape) != 2
-            or w_shape[0] != rows or w_shape[1] <= rows // 4):
+    if (rows < 4 or rows % 4 or len(w_shape) != 2 or w_shape[0] != rows
+            or w_shape[1] <= rows // 4):
         raise DimensionError(f"lstm blocks {weights.shape}, {b_x.shape}, {b_h.shape} are not "
                              f"(4H, input + H), (4H,), (4H,)")
     return weights, b_x, b_h
@@ -357,6 +363,31 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     return d_pre, dh_next, dc
 
 
+class ForwardRun:
+    """The forward run of an untaped sweep op, as read-only views: the
+    (steps, width, B) inputs its sweep built, its (steps, H, B) forward
+    states and its (H, B) forward c_T.
+
+    Handed to `bilstm_sequence` in place of a sweep, it stands for that
+    sweep over the same parameters, forward cell, windows and forward
+    initial state, so the op steps only its backward direction; the op
+    reads the arrays and never writes them.  A sweep whose `keeps_run` is
+    true is given its untaped op's run as `run`.
+    """
+
+    __slots__ = ("inputs", "states", "c_end")
+
+    def __init__(self, inputs, states, c_end):
+        self.inputs, self.states, self.c_end = (_read_only(a) for a in (inputs, states, c_end))
+
+
+def _read_only(arr):
+    """A read-only view of `arr`."""
+    view = np.asarray(arr).view()
+    view.flags.writeable = False
+    return view
+
+
 def _direction(params, init, shape):
     """One direction's operands, weights, b_x, b_h, h_0 and c_0, checked
     against step inputs of `shape`, (steps, width, B)."""
@@ -448,7 +479,7 @@ def lstm_sequence(params, inputs, init, terminals=True):
     arithmetic of `lstm_cell_step` per column.  Without `terminals` no
     terminal view is made, and None stands for it.
     """
-    states, views = _sequence((params,), as_tensor(inputs), (init,), terminals)
+    states, views = _sequence((params,), inputs, (init,), terminals)
     return states, None if views is None else views[0]
 
 
@@ -458,9 +489,12 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
     `inputs` is either the (steps, width, B) array of step inputs or an
     attention sweep (`attention.FeatureSweep`, `attention.TemporalSweep`)
     that builds step t's input, one column per window, from the forward
-    h_{t-1}.  The backward direction consumes the same inputs in reverse
-    from `init_backward`.  Returns the (steps, 2H, B) states, whose step t
-    is [forward h_t; backward h_t], and each direction's own terminal state
+    h_{t-1}, or the `ForwardRun` of an earlier untaped sweep op over the
+    same sweep parameters, forward cell, windows and `init_forward`, whose
+    values stand in for the forward direction's in an untaped op.  The
+    backward direction consumes the same inputs in reverse from
+    `init_backward`.  Returns the (steps, 2H, B) states, whose step t is
+    [forward h_t; backward h_t], and each direction's own terminal state
     (the backward one is the state after consuming the first input), all
     views of one tape op that computes [states; forward c_T; backward c_T]
     with the arithmetic of `lstm_cell_step` and of the sweep's attention
@@ -478,49 +512,87 @@ def _sequence(cells, inputs, inits, terminals=True):
     """The op of both sequence runs, stepped as a list of runs, each over
     the indices of the directions it steps: over known inputs one run of
     every direction, (0, 1), or EDLSTM's (0,); with a sweep (0,), whose
-    inputs the sweep builds, then (1,) over those inputs.  Each run reads
-    its directions' inputs in its own order and writes their states and
-    c_T into the op's output; the rule walks the runs last first, so that
-    each run is gone before the walk of the one before it.  Its operands
-    are each direction's weights, biases and initial state, then the
-    inputs or the sweep's operands.  Returns the states and, with
+    inputs the sweep builds, then (1,) over those inputs; with a handed
+    `ForwardRun`, (1,) alone over its inputs, after its forward states and
+    c_T are copied into the output, so that the output is bitwise that of
+    the op over the sweep that made the run.  Each run reads its
+    directions' inputs in its own order and writes their states and c_T
+    into the op's output; the rule walks the runs last first, so that each
+    run is gone before the walk of the one before it.  Its operands are
+    each direction's weights, biases and initial state, then the inputs or
+    the sweep's operands (a handed run has none: only an untaped op takes
+    one, and a taped one raises `TapeError`).  An untaped sweep op whose
+    sweep `keeps_run` steps its backward run in scratch of its own, so
+    that the forward inputs stay as the sweep built them, and gives the
+    sweep its `ForwardRun`.  Every operand that does not fit the first
+    cell's hidden width, the inputs' steps, width and windows, or the
+    op's directions raises `DimensionError`.  Returns the states and, with
     `terminals`, each direction's terminal state, as `_views` makes
     them."""
-    sweep = None if isinstance(inputs, (Tensor, np.ndarray)) else inputs
-    if sweep is None:
+    count = len(cells)
+    handed = inputs if isinstance(inputs, ForwardRun) else None
+    sweep = None
+    if handed is not None:
+        if count == 1:
+            raise DimensionError("a one-direction sequence op steps known inputs and takes no "
+                                 "forward run")
+        shape = handed.inputs.shape
+    elif count == 1 or isinstance(inputs, (Tensor, np.ndarray)):
         inputs = as_tensor(inputs)
-        if inputs.values.ndim != 3:
-            raise DimensionError(f"cannot encode {inputs.shape} as (steps, width, windows) inputs")
-    shape = inputs.shape if sweep is None else (sweep.steps, sweep.width, sweep.windows)
+        shape = inputs.shape
+    else:
+        sweep = inputs
+        shape = (sweep.steps, sweep.width, sweep.windows)
+    if len(shape) != 3:
+        raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
     steps, width, windows = shape
     directions = [_direction(cell, init, shape) for cell, init in zip(cells, inits)]
-    hidden, count = cells[0].hidden_size, len(cells)
+    hidden = cells[0].hidden_size
     if count == 2 and cells[1].hidden_size != hidden:
         raise DimensionError(f"backward cell over hidden width {cells[1].hidden_size} does "
                              f"not fit hidden width {hidden}")
     if sweep is not None and sweep.hidden_size != hidden:
         raise DimensionError(f"sweep over hidden width {sweep.hidden_size} does not fit "
                              f"hidden width {hidden}")
-    operands = sum(directions, ()) + ((inputs,) if sweep is None else sweep.operands)
+    if handed is not None and (handed.states.shape != (steps, hidden, windows)
+                               or handed.c_end.shape != (hidden, windows)):
+        raise DimensionError(f"forward run states {handed.states.shape} and c_T "
+                             f"{handed.c_end.shape} do not fit {steps} steps of hidden width "
+                             f"{hidden} over {windows} windows")
+    operands = sum(directions, ())
     if sweep is not None:
+        operands += sweep.operands
         # The rule keeps the sweep, so the sweep must not keep the taped
         # operands: through them it would keep the tape in a reference cycle.
         sweep.operands = ()
+    elif handed is None:
+        operands += (inputs,)
     taped = _any_taped(operands)
+    if taped and handed is not None:
+        raise TapeError("a taped sequence op steps its own forward run: its gradient reads "
+                        "the run's activations")
+    # A sweep keeps no run unless its `keeps_run` says so.
+    keeps = not taped and getattr(sweep, "keeps_run", False)
     out = np.empty((steps + 1) * count * hidden * windows)
     states, c_end = _parts(out, steps, hidden, windows, count)
-    x = None if sweep is not None else inputs.values
     # Each direction's index, weights, summed bias, h_0 and c_0.
     arrays = [(d, weights.values, b_x.values + b_h.values, h0.values, c0.values)
               for d, (weights, b_x, b_h, h0, c0) in enumerate(directions)]
+    if handed is not None:
+        x, picks = handed.inputs, (arrays[1:],)
+        states[:, :hidden] = handed.states
+        c_end[0] = handed.c_end
+    else:
+        x = None if sweep is not None else inputs.values
+        picks = (arrays,) if sweep is None else (arrays[:1], arrays[1:])
     z, runs = None, []
-    for picked in (arrays,) if sweep is None else (arrays[:1], arrays[1:]):
+    for picked in picks:
         run, w, bias, h0, c0 = zip(*picked)
         # A sweep builds the first run's inputs, which the next run reads.
         swept = sweep if x is None else None
         # An untaped run keeps nothing of the scratch before it but its
-        # inputs, so the next run reuses it.
-        if taped or z is None:
+        # inputs, so the next run reuses it, unless the sweep keeps them.
+        if taped or z is None or keeps:
             z = np.empty((steps + 1, len(run), width + hidden, windows))
         for k, d in enumerate(run):
             if swept is None:
@@ -538,8 +610,11 @@ def _sequence(cells, inputs, inits, terminals=True):
         for k, d in enumerate(run):
             states[:, d * hidden:(d + 1) * hidden] = _run_order(d, z[1:, k, width:])
         c_end[run[0]:run[-1] + 1] = c_seq[steps % len(c_seq)]
+        if keeps and swept is not None:
+            swept.run = ForwardRun(x, states[:, :hidden], c_end[0])
         runs.append((run, w, z, act, c_seq, swept))
-    reads_x = sweep is not None or inputs.tape is not None
+    # Decided here, so that the rule keeps no reference to the inputs.
+    reads_x = sweep is not None or handed is None and inputs.tape is not None
 
     def rule(grad):
         grad_h, dc = _parts(grad, steps, hidden, windows, count)

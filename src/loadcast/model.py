@@ -38,7 +38,10 @@ always keep the weights their sweep stored; `forward` runs the head, and
 alone decides whether its `Forecast`s carry those weights as attention
 traces.  `forward` takes an `Encoding`, or an `Encoding` and a `Decoding`,
 made before for the same inputs, so that a caller that knows a stage's
-parameters unchanged, as the gradient gate does, skips that stage.
+parameters unchanged, as the gradient gate does, skips that stage.  A
+caller that knows only a sweep stage's forward direction unchanged hands
+`encode` or `decode` the earlier value, whose forward run the stage's
+sequence op reuses, stepping only its backward direction.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -61,7 +64,7 @@ from .attention import (AttentionParams, FeatureSweep, TemporalFrame, TemporalSw
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
 from .errors import ConfigError, DimensionError
-from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState,
+from .lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams, LstmState,
                    bilstm_sequence, feedforward_relu, lstm_sequence, zero_state)
 from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 from .params import bind_constants
@@ -237,7 +240,10 @@ class Encoding:
     decoder, the feature sweep's own (history_len, n_features, B) weights
     (None without encoder attention) and, with decoder attention, the
     `TemporalFrame` every decoder run over this encoding and its windows
-    reads (None without)."""
+    reads (None without).  With encoder attention it holds its encoder's
+    forward run too: the forward half of `states`, `terminal_forward`'s c,
+    and the inputs, which `FeatureSweep.inputs_from` rebuilds from the
+    weights, so an encoding keeps nothing for reuse."""
 
     states: Tensor
     terminal_forward: LstmState
@@ -260,16 +266,35 @@ def _recur(config, cell, inputs, count, init=None, terminals=True):
     return states, ((terminal, None) if terminals else None)
 
 
-def encode(params, config, windows):
+def encode(params, config, windows, earlier=None):
     """Run the encoder over the histories of `windows`, a `StackedWindows`
     built for `config`.  Each step consumes [features; observed load]; with
     feature attention the feature part is reweighted first (conditioned as
     the module docstring says), and the `Encoding` keeps the weights for
     `forward` to trace or not.
+
+    An `earlier` encoding of these windows, made untaped with the same
+    feature attention and forward encoder cell, hands its forward run to
+    an untaped encoder op, which steps only the backward direction: the
+    inputs rebuilt from its weights, the forward half of its states and
+    its forward c_T, all read and never written.  The encoding is bitwise
+    the one a full run gives, and keeps the earlier weights.  An encoder
+    without attention steps both directions over known inputs, and is
+    handed no earlier encoding (`ConfigError`).
     """
     _require_config(windows, config)
-    if config.encoder_attention:
+    weights = None
+    if earlier is not None:
+        if not config.encoder_attention:
+            raise ConfigError(f"a {config.variant} encoder steps known inputs and reuses no "
+                              f"earlier forward run")
+        weights = earlier.feature_weights
+        inputs = ForwardRun(
+            FeatureSweep.inputs_from(weights, windows.hist_features, windows.hist_targets),
+            earlier.states.values[:, :config.hidden_size], earlier.terminal_forward.c.values)
+    elif config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
+        weights = inputs.weights
     else:
         inputs = Tensor(np.concatenate(
             (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
@@ -278,22 +303,24 @@ def encode(params, config, windows):
     if config.decoder_attention:
         frame = TemporalFrame(terminals[1].h, windows.future_features, windows.day_grid,
                               states)
-    return Encoding(states, *terminals, inputs.weights if config.encoder_attention else None,
-                    frame)
+    return Encoding(states, *terminals, weights, frame)
 
 
 @dataclass
 class Decoding:
     """Decoder output for B windows: its states stacked per window as the
-    head reads them, (horizon * state_width, B), and the temporal sweep's
-    own (horizon, history_len, B) hour weights (None without decoder
-    attention)."""
+    head reads them, (horizon * state_width, B), the temporal sweep's own
+    (horizon, history_len, B) hour weights and, from an untaped run, the
+    sweep's `ForwardRun`, read-only views of its (horizon, n + S, B)
+    inputs, forward states and forward c_T (each None without decoder
+    attention, and the run None from a taped one)."""
 
     states: Tensor
     hour_weights: np.ndarray | None
+    forward_run: ForwardRun | None
 
 
-def decode(params, config, encoding, windows):
+def decode(params, config, encoding, windows, earlier=None):
     """Run the decoder over the forecast days of `windows`, a
     `StackedWindows` built for `config`, from `encoding`; returns its
     `Decoding`, whose hour weights `forward` may turn into traces.
@@ -304,17 +331,35 @@ def decode(params, config, encoding, windows):
     forward sweep, and both directions consume the same [features; context]
     inputs.  The head does not read the decoder's terminal states, so its
     sequence op makes none.
+
+    An `earlier` decoding of these windows, made untaped with the same
+    temporal attention and forward decoder cell from an encoding equal to
+    `encoding`, hands its `forward_run` to an untaped decoder op, which
+    steps only the backward direction; the decoding is bitwise the one a
+    full run gives, and keeps the earlier hour weights and run.  A decoder
+    without attention steps both directions over known inputs, and is
+    handed no earlier decoding (`ConfigError`), as is a decoding that kept
+    no run.
     """
     _require_config(windows, config)
-    if config.decoder_attention:
+    weights = run = None
+    if earlier is not None:
+        if earlier.forward_run is None:
+            raise ConfigError(f"a {config.variant} decoder reuses the forward run of an "
+                              f"untaped decoder with attention only")
+        weights, run = earlier.hour_weights, earlier.forward_run
+        inputs = run
+    elif config.decoder_attention:
         inputs = TemporalSweep(params.temporal_attn, encoding.temporal_frame)
     else:
         inputs = Tensor(windows.future_features)
     states, _terminals = _recur(config, params.decoder, inputs, windows.count,
                                 (encoding.terminal_forward, encoding.terminal_backward),
                                 terminals=False)
+    if earlier is None and config.decoder_attention:
+        weights, run = inputs.weights, inputs.run
     return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
-                    inputs.weights if config.decoder_attention else None)
+                    weights, run)
 
 
 @dataclass

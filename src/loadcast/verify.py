@@ -63,30 +63,58 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     kept by a parameter array's identity.
 
     Every probe calls `forward`, and a constant probe hands it the stages
-    its scalar cannot change.  A constant probe whose `feature_attn` and
-    `encoder` leaves are byte for byte the previous constant probe's reuses
-    its `Encoding`, as the probes of the temporal attention, decoder and
-    head scalars do; one whose `feature_attn`, `encoder`, `temporal_attn`
-    and `decoder` leaves are reuses its `Decoding` too, as the probes of
-    the head scalars do, and so runs only the head and the loss.  `encode`
-    and `decode` are pure functions of those leaves, the window and the
-    config, and nothing writes into a value they returned, so every loss is
-    bitwise that of a fresh pass.  The taped pass runs every stage.
+    its scalar cannot change.  Each stage is keyed by the bytes of the
+    leaves it depends on, in named order: the encoding by the
+    `feature_attn` and `encoder` leaves, the decoding by those and the
+    `temporal_attn` and `decoder` leaves.  A constant probe whose stage key
+    is the previous constant probe's reuses that probe's `Encoding`, as
+    the probes of the temporal attention, decoder and head scalars do, or
+    its `Decoding`, as the probes of the head scalars do, which so run
+    only the head and the loss.  A stage with a sweep has a second key,
+    through its forward cell (`feature_attn` and `encoder.forward`; every
+    leaf through `decoder.forward`): a probe that must run the stage but
+    whose second key is the previous one's hands `encode` or `decode` the
+    previous value, whose forward run the stage's sequence op reuses, so
+    the probes of a backward-cell scalar step only the backward direction.
+    `encode` and `decode` are pure functions of those leaves, the window
+    and the config, and nothing writes into a value they returned, so
+    every loss is bitwise that of a fresh pass.  The taped pass runs every
+    stage.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
-    # The leaves the encoding depends on, and those the decoder states
-    # depend on: the same, then the temporal attention's and the decoder's.
-    encoder_side = [name for name in arrays if name.startswith(("feature_attn.", "encoder."))]
-    through_decoder = encoder_side + [name for name in arrays
-                                      if name.startswith(("temporal_attn.", "decoder."))]
-    encoder_bytes = sum(arrays[name].nbytes for name in encoder_side)
+    # The leaves the decoder states depend on, in named order: feature_attn,
+    # encoder (forward, backward), temporal_attn, decoder (forward, backward).
+    through_decoder = [name for name in arrays if not name.startswith("head.")]
+
+    def key_end(prefix):
+        """The key's length through the last leaf whose name starts with
+        `prefix`."""
+        last = max(k for k, name in enumerate(through_decoder) if name.startswith(prefix))
+        return sum(arrays[name].nbytes for name in through_decoder[:last + 1])
+
+    # Each stage's key length, and that of its forward run's key, None
+    # without a sweep.
+    ends = {"encoding": (key_end("encoder."),
+                         key_end("encoder.forward.") if config.encoder_attention else None),
+            "decoding": (key_end("decoder."),
+                         key_end("decoder.forward.") if config.decoder_attention else None)}
     windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
-    # The latest mapping and its tree; the previous constant probe's keys,
-    # the bytes of its encoder-side leaves and of all its leaves through the
-    # decoder, its `Encoding` and its `Decoding`.
+    # The latest mapping and its tree; per stage, the key and value the
+    # latest constant probe that ran it made.
     last = {}
+
+    def stage(name, key, run):
+        """The latest value of stage `name` if `key` holds its stage key;
+        otherwise `run(earlier)`, handed the latest value when `key` holds
+        its forward run's key."""
+        end, run_end = ends[name]
+        made = last.get(name)
+        if made is None or made[0] != key[:end]:
+            reuse = made is not None and run_end is not None and made[0][:run_end] == key[:run_end]
+            made = last[name] = (key[:end], run(made[1] if reuse else None))
+        return made[1]
 
     def program(leaves):
         if last.get("leaves") is not leaves:
@@ -94,15 +122,12 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
                         bound=map_leaves(template, lambda name, _leaf: leaves[name]))
         bound = last["bound"]
         encoding = decoding = None
-        if leaves[encoder_side[0]].tape is None:
+        if leaves[through_decoder[0]].tape is None:
             key = b"".join([leaves[name].values.tobytes() for name in through_decoder])
-            if last.get("encoder_key") != key[:encoder_bytes]:
-                last.update(encoder_key=key[:encoder_bytes],
-                            encoding=encode(bound, config, windows))
-            if last.get("decoder_key") != key:
-                last.update(decoder_key=key,
-                            decoding=decode(bound, config, last["encoding"], windows))
-            encoding, decoding = last["encoding"], last["decoding"]
+            encoding = stage("encoding", key,
+                             lambda earlier: encode(bound, config, windows, earlier))
+            decoding = stage("decoding", key,
+                             lambda earlier: decode(bound, config, encoding, windows, earlier))
         output = forward(bound, config, windows, encoding=encoding, decoding=decoding).output
         return mse_loss(output, target)
 
@@ -121,18 +146,25 @@ def scalar_lstm_step(params, h_prev, c_prev, x):
 
     Gate k (i, f, g, o) of hidden unit `row` reads row k * H + row of
     `weights`, its first len(x) columns against x and the rest against
-    h_prev, plus the same row of `b_x` and `b_h`.
+    h_prev, plus the same row of `b_x` and `b_h`.  The weights, biases,
+    states and input are read once per call as Python lists of floats, so
+    every product indexes a list; the loops and the order of operations
+    are those of indexing the arrays.
     """
-    hidden = len(params.b_x) // 4
+    weights, b_x, b_h, h_prev, c_prev, x = (
+        np.asarray(values, dtype=np.float64).tolist()
+        for values in (params.weights, params.b_x, params.b_h, h_prev, c_prev, x))
+    hidden = len(b_x) // 4
     width = len(x)
 
     def affine(gate, row):
         r = gate * hidden + row
-        s = params.b_x[r] + params.b_h[r]
+        w = weights[r]
+        s = b_x[r] + b_h[r]
         for col in range(width):
-            s += params.weights[r][col] * x[col]
+            s += w[col] * x[col]
         for col in range(hidden):
-            s += params.weights[r][width + col] * h_prev[col]
+            s += w[width + col] * h_prev[col]
         return s
 
     h_out, c_out = [], []

@@ -184,6 +184,57 @@ class TestTrain:
         assert "checkpoint.json" in doc["artifacts"]
         assert "time" not in json.dumps(doc).lower()
 
+    def test_manifest_records_the_environment(self, trained):
+        env = json.loads((trained / "manifest.json").read_text())["environment"]
+        assert sorted(env) == ["blas_config", "blas_name", "blas_threads", "blas_version",
+                               "nproc", "numpy", "python"]
+        assert env["python"] == ".".join(str(v) for v in sys.version_info[:3])
+        assert env["numpy"] == np.__version__
+        for key in ("blas_name", "blas_version", "blas_config"):
+            assert env[key] is None or isinstance(env[key], str), key
+        for key in ("blas_threads", "nproc"):
+            assert env[key] is None or (type(env[key]) is int and env[key] >= 1), key
+        if hasattr(os, "sched_getaffinity"):
+            assert env["nproc"] == len(os.sched_getaffinity(0))
+
+    def test_environment_fields_are_null_when_unavailable(self, monkeypatch):
+        def no_library(*_args, **_kwargs):
+            raise OSError("no such library")
+
+        def no_mode(*_args, **_kwargs):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        monkeypatch.setattr(cli.np, "show_config", no_mode)
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        env = cli._environment()
+        assert env == {"python": env["python"], "numpy": np.__version__, "blas_name": None,
+                       "blas_version": None, "blas_config": None, "blas_threads": None,
+                       "nproc": None}
+        assert isinstance(env["python"], str)
+
+    def test_environment_block_leaves_the_artifacts_unchanged(self, tmp_path, monkeypatch):
+        # The block is read at run time and written to the manifest alone:
+        # a run that reads another environment writes the same artifacts.
+        runs, read = [], cli._environment
+        for environment in (read, lambda: dict.fromkeys(read())):
+            out = tmp_path / f"run{len(runs)}"
+            monkeypatch.setattr(cli, "_environment", environment)
+            directory = tmp_path / f"conf{len(runs)}"
+            directory.mkdir()
+            assert main(["train", "--config", str(write_config(directory, out)),
+                         "--synthetic"]) == EXIT_OK
+            runs.append(out)
+        for name in ("checkpoint.json", "epochs.csv", "validation.txt"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        first, second = (json.loads((out / "manifest.json").read_text()) for out in runs)
+        assert set(second["environment"].values()) == {None}
+        assert first["environment"] != second["environment"]
+        first.pop("environment"), second.pop("environment")
+        first.pop("config"), second.pop("config")
+        first.pop("config_file"), second.pop("config_file")
+        assert first == second
+
     def test_reruns_are_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"

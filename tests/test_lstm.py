@@ -9,8 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from loadcast import lstm
-from loadcast.errors import DimensionError, EvaluationError
-from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams,
+from loadcast.errors import DimensionError, EvaluationError, TapeError
+from loadcast.lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams,
                            LstmState, _activate, _gate_tiles,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
@@ -391,6 +391,77 @@ class FixedSweep:
         pass
 
 
+class KeptSweep(FixedSweep):
+    """A `FixedSweep` whose untaped op gives it its forward run."""
+
+    keeps_run = True
+    run = None
+
+
+def forward_run(steps=2, width=3, windows=1, hidden=2, c_hidden=None):
+    """A `ForwardRun` of zeros of the given extents."""
+    return ForwardRun(np.zeros((steps, width, windows)), np.zeros((steps, hidden, windows)),
+                      np.zeros((hidden if c_hidden is None else c_hidden, windows)))
+
+
+# Each malformed operand of a sequence op, with the entry points that take
+# that operand: `lstm_sequence` over known inputs ("lstm"), and
+# `bilstm_sequence` over known inputs ("known") and over a sweep ("sweep"),
+# or over a forward run in place of one ("run").  Known inputs take no
+# forward run, since both directions step in one run: an op over them has
+# no way to be handed one, and `lstm_sequence` refuses one.
+MALFORMED_OPERANDS = [
+    ("b_h-length", "lstm"), ("b_h-length", "known"), ("b_h-length", "sweep"),
+    ("backward-cell-width", "known"), ("backward-cell-width", "sweep"),
+    ("sweep-width", "sweep"),
+    ("forward-run", "lstm"),
+    ("forward-run-steps", "run"), ("forward-run-width", "run"),
+    ("forward-run-windows", "run"), ("forward-run-hidden", "run"),
+    ("forward-run-c_T", "run"),
+]
+
+
+def malformed_call(fault, entry):
+    """A sequence call through `entry` whose operand `fault` is malformed,
+    around a hidden-2 forward cell over 2 steps of width 3 and 1 window,
+    and the message that names that operand."""
+    cell = LstmParams.zeros(3, 2)
+    other, init_backward = cell, one_state(2)
+    known = Tensor(np.zeros((2, 3, 1)))
+    inputs = FixedSweep(known, 2) if entry == "sweep" else known
+    if fault == "b_h-length":
+        other = LstmParams(np.zeros((8, 5)), np.zeros(8), np.zeros(4))
+        message = r"lstm b_h \(4,\) does not match b_x \(8,\)"
+    elif fault == "backward-cell-width":
+        other, init_backward = LstmParams.zeros(3, 3), one_state(3)
+        message = r"backward cell over hidden width 3 does not fit hidden width 2"
+    elif fault == "sweep-width":
+        inputs = FixedSweep(known, 3)
+        message = r"sweep over hidden width 3 does not fit hidden width 2"
+    elif fault == "forward-run":
+        inputs = forward_run()
+        message = r"one-direction sequence op steps known inputs and takes no forward run"
+    else:
+        extents = {"forward-run-steps": {"steps": 3}, "forward-run-width": {"width": 4},
+                   "forward-run-windows": {"windows": 2}, "forward-run-hidden": {"hidden": 3},
+                   "forward-run-c_T": {"c_hidden": 3}}[fault]
+        run = forward_run(**extents)
+        if fault == "forward-run-steps":
+            run = ForwardRun(np.zeros((2, 3, 1)), run.states, run.c_end)
+        elif fault == "forward-run-windows":
+            run = ForwardRun(np.zeros((2, 3, 1)), run.states, np.zeros((2, 1)))
+        inputs = run
+        message = {"forward-run-steps": r"forward run states \(3, 2, 1\)",
+                   "forward-run-width": r"step input width 4 does not match weights \(3,\)",
+                   "forward-run-windows": r"forward run states \(2, 2, 2\)",
+                   "forward-run-hidden": r"forward run states \(2, 3, 1\) and c_T \(3, 1\)",
+                   "forward-run-c_T": r"forward run states \(2, 2, 1\) and c_T \(3, 1\)"}[fault]
+    if entry == "lstm":
+        return (lambda: lstm_sequence(other, inputs, one_state(2))), message
+    params = BiLstmParams(forward=cell, backward=other)
+    return (lambda: bilstm_sequence(params, inputs, one_state(2), init_backward)), message
+
+
 def random_sequence(rng, steps, width, hidden):
     params = LstmParams.random(rng, width, hidden, bound=1.0)
     init = LstmState(h=Tensor(rng.normal(size=hidden)), c=Tensor(rng.normal(size=hidden)))
@@ -617,6 +688,54 @@ class TestSequenceOp:
         bi = BiLstmParams(forward=params, backward=params)
         with pytest.raises(DimensionError):
             bilstm_sequence(bi, Tensor(np.zeros((1, 4, 1))), one_state(2), one_state(2))
+
+    @pytest.mark.parametrize("fault, entry", MALFORMED_OPERANDS)
+    def test_malformed_operand_is_a_dimension_error(self, fault, entry):
+        call, message = malformed_call(fault, entry)
+        with pytest.raises(DimensionError, match=message):
+            call()
+
+    def test_taped_op_refuses_a_forward_run(self):
+        tape = Tape()
+        cells = bind(BiLstmParams.random(np.random.default_rng(5), 3, 2, 0.5), tape)
+        with pytest.raises(TapeError, match="taped sequence op steps its own forward run"):
+            bilstm_sequence(cells, forward_run(), one_state(2), one_state(2))
+
+    def test_forward_run_stands_for_the_sweep_that_made_it(self):
+        # Over 3 windows, a sweep op, and an op handed its forward run with
+        # another backward cell against the full op with that cell: the
+        # output is bitwise the same, and the handed arrays are read-only
+        # views that keep their values.  A sweep that keeps its run gets
+        # the op's inputs, forward states and c_T, and the same output.
+        rng = np.random.default_rng(31)
+        params = BiLstmParams.random(rng, 3, 2, 0.8)
+        other = BiLstmParams(params.forward, LstmParams.random(rng, 3, 2, 0.8))
+        xs = Tensor(rng.normal(size=(5, 3, 3)))
+        init_f, init_b = (LstmState(Tensor(rng.normal(size=(2, 3))),
+                                    Tensor(rng.normal(size=(2, 3)))) for _ in range(2))
+        kept = KeptSweep(xs, 2)
+        states, (term_f, _term_b) = bilstm_sequence(params, kept, init_f, init_b)
+        ref, (ref_f, _ref_b) = bilstm_sequence(params, FixedSweep(xs, 2), init_f, init_b)
+        for value, expect in ((states, ref), (term_f.c, ref_f.c)):
+            npt.assert_array_equal(value.values, expect.values, strict=True)
+        run = kept.run
+        for array, expect in ((run.inputs, xs.values), (run.states, states.values[:, :2]),
+                              (run.c_end, term_f.c.values)):
+            npt.assert_array_equal(array, expect, strict=True)
+            assert not array.flags.writeable
+        copies = [np.array(a) for a in (run.inputs, run.states, run.c_end)]
+        full = bilstm_sequence(other, FixedSweep(xs, 2), init_f, init_b)
+        handed = bilstm_sequence(other, run, init_f, init_b)
+        npt.assert_array_equal(handed[0].values, full[0].values, strict=True)
+        for state, expect in zip(handed[1], full[1]):
+            npt.assert_array_equal(state.h.values, expect.h.values, strict=True)
+            npt.assert_array_equal(state.c.values, expect.c.values, strict=True)
+        for array, copy in zip((run.inputs, run.states, run.c_end), copies):
+            npt.assert_array_equal(array, copy, strict=True)
+        # A taped op gives its sweep no run.
+        taped = KeptSweep(xs, 2)
+        bilstm_sequence(bind(params, Tape()), taped, init_f, init_b)
+        assert taped.run is None
 
     def test_bilstm_matrix_matches_sweep(self):
         # With 3 windows, hidden 3 and width 2, a sweep gradient transposed

@@ -13,10 +13,11 @@ from loadcast import model, verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError
+from loadcast.lstm import ForwardRun
 from loadcast.model import (VARIANTS, ModelConfig, StackedWindows, forward, init_params,
                             predict)
 from loadcast.params import bind, bind_constants, map_leaves, named_leaves
-from loadcast.tensor import Tape, check_gradients
+from loadcast.tensor import Tape, Tensor, check_gradients
 from loadcast.training import batch_gradients, mse_loss
 from loadcast.verify import tiny_model_case
 
@@ -35,19 +36,27 @@ def random_sample(config, seed):
 
 
 def encoding_arrays(encoding):
-    """Every array an `Encoding` holds, its temporal frame's included."""
+    """Every array an `Encoding` holds, its temporal frame's and its
+    feature weights included."""
     states = [encoding.terminal_forward, encoding.terminal_backward]
     frame = encoding.temporal_frame
     return ([encoding.states.values]
             + [tensor.values for state in states if state is not None
                for tensor in (state.h, state.c)]
-            + ([] if frame is None else [frame.fixed, frame.day, frame.states_by_window]))
+            + ([] if frame is None else [frame.fixed, frame.day, frame.states_by_window])
+            + ([] if encoding.feature_weights is None else [encoding.feature_weights]))
+
+
+def run_arrays(run):
+    """The inputs, forward states and forward c_T of a `ForwardRun`."""
+    return [] if run is None else [run.inputs, run.states, run.c_end]
 
 
 def decoding_arrays(decoding):
-    """Every array a `Decoding` holds."""
-    return [decoding.states.values] + ([] if decoding.hour_weights is None
-                                       else [decoding.hour_weights])
+    """Every array a `Decoding` holds, its forward run's views included."""
+    return ([decoding.states.values]
+            + ([] if decoding.hour_weights is None else [decoding.hour_weights])
+            + run_arrays(decoding.forward_run))
 
 
 def numpy_forward(params, config, sample):
@@ -475,10 +484,26 @@ class TestForward:
 
         monkeypatch.setattr(verify, "encode", keeping(model.encode, encoding_arrays))
         monkeypatch.setattr(verify, "decode", keeping(model.decode, decoding_arrays))
+        # And a sweep stage hands its sequence op the forward run of the
+        # previous one: the backward-cell probes step only that direction.
+        handed = {"encoder": 0, "decoder": 0}
+        sequence = model.bilstm_sequence
+
+        def keeping_runs(params, inputs, *args, **kwargs):
+            if isinstance(inputs, ForwardRun):
+                # The decoder steps the forecast day, the encoder the history.
+                handed["decoder" if len(inputs.inputs) == config.horizon else "encoder"] += 1
+                kept.append((run_arrays(inputs), [np.array(a) for a in run_arrays(inputs)]))
+            return sequence(params, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(model, "bilstm_sequence", keeping_runs)
         report = verify.model_gradient_report(config, sample)
         assert report.max_rel_error == expect.max_rel_error
         assert report.per_param == expect.per_param
-        # No pass writes into an encoding or a decoding that later probes reuse.
+        assert (handed["encoder"] > 0) == config.encoder_attention
+        assert (handed["decoder"] > 0) == config.decoder_attention
+        # No pass writes into an encoding, a decoding or a forward run that
+        # later probes reuse.
         for arrays_now, copies in kept:
             for array, copy in zip(arrays_now, copies):
                 npt.assert_array_equal(array, copy, strict=True)
@@ -503,6 +528,83 @@ class TestForward:
         head = sum(leaf.size for _name, leaf in named_leaves(params.head))
         assert head == 72 and seed8_gate.forward == 1 + 2 * (924 + head)
         assert seed8_gate.decode == 1 + 2 * 924 + 1
+
+    def test_gradient_check_steps_the_feature_sweep_once_per_forward_side_probe(
+            self, seed8_gate):
+        # One taped pass, +h and -h for each of the 182 feature-attention
+        # and forward encoder scalars, then one run for the first backward
+        # encoder probe; the other 319 backward encoder probes, and the
+        # first probe after them (whose encoder key differs from the last
+        # backward encoder probe's only in the backward cell), hand `encode`
+        # the previous encoding's forward run and step no sweep.
+        config, _sample = tiny_model_case()
+        params = init_params(config)
+        forward_side = [leaf.size for block in (params.feature_attn, params.encoder.forward)
+                        for _name, leaf in named_leaves(block)]
+        backward = sum(leaf.size for _name, leaf in named_leaves(params.encoder.backward))
+        assert sum(forward_side) == 182 and backward == 160
+        assert seed8_gate.feature_sweep_runs == 1 + 2 * 182 + 1 == 366
+        assert seed8_gate.encode == seed8_gate.feature_sweep_runs + 2 * backward
+
+    def test_gradient_check_steps_the_temporal_sweep_but_for_backward_decoder_probes(
+            self, seed8_gate):
+        # Of the 1,850 decoder runs, the 2 * 272 that follow a backward
+        # decoder probe reuse its forward run: every backward decoder probe
+        # but the first, and the first head probe, whose decoder key
+        # differs from the last backward decoder probe's only in the
+        # backward cell.  The other 1,306 step the temporal sweep.
+        config, _sample = tiny_model_case()
+        params = init_params(config)
+        backward = sum(leaf.size for _name, leaf in named_leaves(params.decoder.backward))
+        assert backward == 272 and seed8_gate.decode == 1850
+        assert seed8_gate.temporal_sweep_runs == 1850 - 2 * 272 == 1306
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_stage_handed_an_earlier_forward_run_is_the_full_stage(self, variant):
+        # Over 3 windows, with another backward cell on one side at a time:
+        # handed the earlier value, `encode` and `decode` give bitwise the
+        # full stage's values and leave the earlier value as it was.  A
+        # side without a sweep refuses an earlier value.
+        config, _sample = tiny_model_case(variant)
+        windows = StackedWindows.stack(config, [random_sample(config, 80 + k) for k in range(3)])
+        params = bind_constants(init_params(config))
+        encoding = model.encode(params, config, windows)
+        decoding = model.decode(params, config, encoding, windows)
+        earlier = [(a, np.array(a)) for a in encoding_arrays(encoding) + decoding_arrays(decoding)]
+
+        def other_backward(side):
+            def step(name, leaf):
+                return Tensor(leaf.values + 0.01) if name.startswith(side) else leaf
+            return map_leaves(params, step)
+
+        changed = other_backward("encoder.backward.")
+        if config.encoder_attention:
+            full = model.encode(changed, config, windows)
+            reused = model.encode(changed, config, windows, encoding)
+            assert reused.feature_weights is encoding.feature_weights
+            for value, ref in zip(encoding_arrays(reused), encoding_arrays(full), strict=True):
+                npt.assert_array_equal(value, ref, strict=True)
+        else:
+            with pytest.raises(ConfigError, match="steps known inputs"):
+                model.encode(changed, config, windows, encoding)
+        changed = other_backward("decoder.backward.")
+        if config.decoder_attention:
+            full = model.decode(changed, config, encoding, windows)
+            reused = model.decode(changed, config, encoding, windows, decoding)
+            assert reused.forward_run is decoding.forward_run
+            for value, ref in zip(decoding_arrays(reused), decoding_arrays(full), strict=True):
+                npt.assert_array_equal(value, ref, strict=True)
+            # A taped decoder keeps no run to hand on.
+            taped = model.decode(bind(init_params(config), Tape()), config, encoding, windows)
+            assert taped.forward_run is None
+            with pytest.raises(ConfigError, match="untaped decoder with attention"):
+                model.decode(changed, config, encoding, windows, taped)
+        else:
+            assert decoding.forward_run is None
+            with pytest.raises(ConfigError, match="untaped decoder with attention"):
+                model.decode(changed, config, encoding, windows, decoding)
+        for array, copy in earlier:
+            npt.assert_array_equal(array, copy, strict=True)
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):
