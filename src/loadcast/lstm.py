@@ -607,11 +607,11 @@ def _sequence(cells, inputs, inits, terminals=True):
             if not taped:
                 swept.drop_store()
             x = z[:steps, 0, :width]
+            if keeps:
+                swept.run = ForwardRun(x, states[:, :hidden], c_end[0])
         for k, d in enumerate(run):
             states[:, d * hidden:(d + 1) * hidden] = _run_order(d, z[1:, k, width:])
         c_end[run[0]:run[-1] + 1] = c_seq[steps % len(c_seq)]
-        if keeps and swept is not None:
-            swept.run = ForwardRun(x, states[:, :hidden], c_end[0])
         runs.append((run, w, z, act, c_seq, swept))
     # Decided here, so that the rule keeps no reference to the inputs.
     reads_x = sweep is not None or handed is None and inputs.tape is not None

@@ -398,10 +398,21 @@ class KeptSweep(FixedSweep):
     run = None
 
 
-def forward_run(steps=2, width=3, windows=1, hidden=2, c_hidden=None):
-    """A `ForwardRun` of zeros of the given extents."""
-    return ForwardRun(np.zeros((steps, width, windows)), np.zeros((steps, hidden, windows)),
-                      np.zeros((hidden if c_hidden is None else c_hidden, windows)))
+def forward_run(inputs=(2, 3, 1), states=(2, 2, 1), c_end=(2, 1)):
+    """A `ForwardRun` of zeros of the given shapes, by default a run of 2
+    steps of width 3 and hidden width 2 over 1 window."""
+    return ForwardRun(np.zeros(inputs), np.zeros(states), np.zeros(c_end))
+
+
+# The forward runs of other extents, each with the message naming it.
+MALFORMED_RUNS = {
+    "forward-run-steps": ({"states": (3, 2, 1)}, r"forward run states \(3, 2, 1\)"),
+    "forward-run-width": ({"inputs": (2, 4, 1)}, r"step input width 4 does not match weights \(3,\)"),
+    "forward-run-windows": ({"states": (2, 2, 2)}, r"forward run states \(2, 2, 2\)"),
+    "forward-run-hidden": ({"states": (2, 3, 1), "c_end": (3, 1)},
+                           r"forward run states \(2, 3, 1\) and c_T \(3, 1\)"),
+    "forward-run-c_T": ({"c_end": (3, 1)}, r"forward run states \(2, 2, 1\) and c_T \(3, 1\)"),
+}
 
 
 # Each malformed operand of a sequence op, with the entry points that take
@@ -442,20 +453,8 @@ def malformed_call(fault, entry):
         inputs = forward_run()
         message = r"one-direction sequence op steps known inputs and takes no forward run"
     else:
-        extents = {"forward-run-steps": {"steps": 3}, "forward-run-width": {"width": 4},
-                   "forward-run-windows": {"windows": 2}, "forward-run-hidden": {"hidden": 3},
-                   "forward-run-c_T": {"c_hidden": 3}}[fault]
-        run = forward_run(**extents)
-        if fault == "forward-run-steps":
-            run = ForwardRun(np.zeros((2, 3, 1)), run.states, run.c_end)
-        elif fault == "forward-run-windows":
-            run = ForwardRun(np.zeros((2, 3, 1)), run.states, np.zeros((2, 1)))
-        inputs = run
-        message = {"forward-run-steps": r"forward run states \(3, 2, 1\)",
-                   "forward-run-width": r"step input width 4 does not match weights \(3,\)",
-                   "forward-run-windows": r"forward run states \(2, 2, 2\)",
-                   "forward-run-hidden": r"forward run states \(2, 3, 1\) and c_T \(3, 1\)",
-                   "forward-run-c_T": r"forward run states \(2, 2, 1\) and c_T \(3, 1\)"}[fault]
+        shapes, message = MALFORMED_RUNS[fault]
+        inputs = forward_run(**shapes)
     if entry == "lstm":
         return (lambda: lstm_sequence(other, inputs, one_state(2))), message
     params = BiLstmParams(forward=cell, backward=other)

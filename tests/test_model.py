@@ -462,7 +462,9 @@ class TestForward:
     def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
                                                                         monkeypatch):
         # Reference: every probe runs `forward` alone, every stage included.
-        config, sample = tiny_model_case(variant)
+        # Seed 9 keeps every variant's head live; at seed 8 eAttention and
+        # EDBiLSTM forecast 0, and no wrongly reused stage would show.
+        config, sample = tiny_model_case(variant, seed=9)
         template = init_params(config)
         arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
 
