@@ -240,10 +240,10 @@ class Encoding:
     decoder, the feature sweep's own (history_len, n_features, B) weights
     (None without encoder attention) and, with decoder attention, the
     `TemporalFrame` every decoder run over this encoding and its windows
-    reads (None without).  With encoder attention it holds its encoder's
-    forward run too: the forward half of `states`, `terminal_forward`'s c,
-    and the inputs, which `FeatureSweep.inputs_from` rebuilds from the
-    weights, so an encoding keeps nothing for reuse."""
+    reads (None without).  With encoder attention, the forward half of
+    `states`, `terminal_forward`'s c and the weights (from which
+    `FeatureSweep.inputs_from` rebuilds the inputs) are also the encoder's
+    forward run, so an encoding keeps nothing extra for its reuse."""
 
     states: Tensor
     terminal_forward: LstmState
@@ -253,11 +253,11 @@ class Encoding:
 
 
 def _recur(config, cell, inputs, count, init=None, terminals=True):
-    """Run `cell` over `inputs` (an array or a sweep) from `init`, the
-    (forward, backward) initial states, or from zeros: one `bilstm_sequence`
-    op, or EDLSTM's `lstm_sequence` op with a None backward terminal.
-    Without `terminals` the op makes no terminal states, and None stands
-    for them."""
+    """Run `cell` over `inputs` (an array, a sweep or an earlier op's
+    `ForwardRun`) from `init`, the (forward, backward) initial states, or
+    from zeros: one `bilstm_sequence` op, or EDLSTM's `lstm_sequence` op
+    with a None backward terminal.  Without `terminals` the op makes no
+    terminal states, and None stands for them."""
     if config.bidirectional:
         start = init or (zero_state(config.hidden_size, count),) * 2
         return bilstm_sequence(cell, inputs, *start, terminals=terminals)
