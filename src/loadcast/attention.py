@@ -176,13 +176,14 @@ class _ScoredSweep:
     where the `rows` fixed rows are known before the run and a sweep writes
     them straight into `_joint[:, hidden_size:]`.  Step t scores it as
     `feature_attention` and `temporal_attention` do, score @ tanh(proj @
-    joint), with a softmax down each column, and keeps everything the
-    backward pass needs: the joint, pre-activations and scores as row
-    blocks of one (steps, rows, B) store, the tanh values apart, and in
-    `weights` the (steps, n, B) softmax weights.
-    A sweep's `_weight_grad(t, dx)` turns the gradient of step t's input
-    into the gradient of its weights.  `keeps_run` says whether an untaped
-    op gives the sweep its forward run as `run`.
+    joint), with a softmax down each column and each product, forward and
+    backward, a 2-D `np.dot`, and keeps everything the backward pass
+    needs: the joint, pre-activations and scores as row blocks of one
+    (steps, rows, B) store, the tanh values apart, and in `weights` the
+    (steps, n, B) softmax weights.  A sweep's `_weight_grad(t, dx)` turns
+    the gradient of step t's input into the gradient of its weights.
+    `keeps_run` says whether an untaped op gives the sweep its forward run
+    as `run`.
     """
 
     keeps_run = False
@@ -191,22 +192,20 @@ class _ScoredSweep:
     def __init__(self, params, steps, rows, windows):
         proj, score = as_tensor(params.proj), as_tensor(params.score)
         self.operands = (proj, score)
-        self._proj, self._score = proj.values, score.values
+        self._proj, self._score = p, s = proj.values, score.values
         self.steps, self.windows = steps, windows
-        self.hidden_size = self._proj.shape[-1] - rows
-        if (self._proj.ndim != 2 or self._score.ndim != 2
-                or self._score.shape[1] != self._proj.shape[0] or self.hidden_size < 1):
-            raise DimensionError(
-                f"attention blocks {self._proj.shape}, {self._score.shape} do not fit "
-                f"{rows} step rows")
-        (attn_size, joint_width), outputs = self._proj.shape, self._score.shape[0]
+        self.hidden_size = p.shape[-1] - rows
+        if p.ndim != 2 or s.ndim != 2 or s.shape[1] != p.shape[0] or self.hidden_size < 1:
+            raise DimensionError(f"attention blocks {p.shape}, {s.shape} do not fit {rows} "
+                                 f"step rows")
+        (attn_size, pre), outputs = p.shape, s.shape[0]
         # Every step's joint, pre-activations and scores are row blocks of
         # one array, so that one scan checks them all; each step's block of
         # each is contiguous.
-        pre, scores = joint_width, joint_width + attn_size
-        self._store = np.empty((steps, scores + outputs, windows))
-        self._joint = self._store[:, :pre]
-        self._pre, self._scores = self._store[:, pre:scores], self._store[:, scores:]
+        scores = pre + attn_size
+        self._store = store = np.empty((steps, scores + outputs, windows))
+        self._joint, self._pre = store[:, :pre], store[:, pre:scores]
+        self._scores = store[:, scores:]
         self._squashed = np.empty((steps, attn_size, windows))
         self.weights = np.empty((steps, outputs, windows))
         self._slope = None
@@ -214,10 +213,10 @@ class _ScoredSweep:
     def _attend(self, t, h_prev):
         joint = self._joint[t]
         joint[:self.hidden_size] = h_prev
-        pre = np.matmul(self._proj, joint, out=self._pre[t])
-        squashed = np.tanh(pre, out=self._squashed[t])
-        scores = np.matmul(self._score, squashed, out=self._scores[t])
-        return softmax_values(scores, out=self.weights[t])
+        pre = np.dot(self._proj, joint, self._pre[t])
+        squashed = np.tanh(pre, self._squashed[t])
+        scores = np.dot(self._score, squashed, self._scores[t])
+        return softmax_values(scores, self.weights[t])
 
     def backward(self, t, dx):
         """Gradient for h_{t-1} from the gradient of step t's input; steps
@@ -225,8 +224,8 @@ class _ScoredSweep:
         if self._slope is None:
             self._begin_backward()
         d_scores = _softmax_grad(self.weights[t], self._weight_grad(t, dx), self._d_scores[t])
-        d_pre = np.multiply(self._score_t @ d_scores, self._slope[t], out=self._d_pre[t])
-        return self._proj_h_t @ d_pre
+        d_pre = np.multiply(np.dot(self._score_t, d_scores), self._slope[t], out=self._d_pre[t])
+        return np.dot(self._proj_h_t, d_pre)
 
     def _begin_backward(self):
         """Room for the gradients the parameter products read, the tanh
@@ -246,7 +245,7 @@ class _ScoredSweep:
         """Raise `EvaluationError` if a stored intermediate is not finite:
         two scans, of the store and of `weights`."""
         for values in (self._store, self.weights):
-            if not np.logical_and.reduce(np.isfinite(values), axis=None):
+            if np.count_nonzero(np.isfinite(values)) != values.size:
                 raise EvaluationError("non-finite values in attention")
 
     def drop_store(self):
@@ -291,7 +290,7 @@ class FeatureSweep(_ScoredSweep):
     def forward(self, t, h_prev, out):
         """Write step t's reweighted features into `out`, from the hidden
         state before it."""
-        np.multiply(self._attend(t, h_prev), self._features[t], out=out[:-1])
+        np.multiply(self._attend(t, h_prev), self._features[t], out[:-1])
 
     @staticmethod
     def inputs_from(weights, features, targets):
@@ -344,11 +343,11 @@ class TemporalFrame:
             raise DimensionError(f"day grid {day_grid.shape} does not cover {spans[0]} "
                                  f"history hours of {windows} windows")
         self.tail, self.states, self.features, self.day = tail, states, features, day_grid
-        self.fixed = np.empty((steps, rows[0] + n, windows))
-        self.fixed[:, :rows[0]] = tail.values
-        self.fixed[:, rows[0]:] = features
+        self.fixed = fixed = np.empty((steps, rows[0] + n, windows))
+        fixed[:, :rows[0]] = tail.values
+        fixed[:, rows[0]:] = features
         self.states_by_window = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self.fixed.flags.writeable = self.states_by_window.flags.writeable = False
+        fixed.flags.writeable = self.states_by_window.flags.writeable = False
 
 
 class TemporalSweep(_ScoredSweep):

@@ -218,12 +218,14 @@ def _environment():
 
 
 def _write_manifest(path, run, config_file, fingerprint):
+    artifacts = ["checkpoint.json", "epochs.csv", "validation.txt"]
     doc = {
         "command": "train",
         "config_file": str(config_file),
         "config": run.raw,
         "inputs": fingerprint,
-        "artifacts": ["checkpoint.json", "epochs.csv", "validation.txt"],
+        "artifacts": artifacts,
+        "artifact_sha256": {name: _sha256(path.parent / name) for name in artifacts},
         "package": {"name": "loadcast", "version": __version__},
         "environment": _environment(),
     }

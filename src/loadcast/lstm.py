@@ -27,9 +27,10 @@ only the states (the decoder) asks for no terminal views.
 
 Every run of the engine has one layout: a direction axis of size D, the
 one or two directions it steps, after the step axis.  A run's step t is
-one product of the D stacked, packed weight matrices with the D matrices
-[x_t; h_{t-1}] and the per-column arithmetic of the cell step (`_run`),
-which keeps the gate activations as (steps, D, 4H, B).  Its backward
+one product of the D packed weight matrices with the D matrices [x_t;
+h_{t-1}] (a 2-D `np.dot` for one direction, a stacked `np.matmul` for
+two) and the per-column arithmetic of the cell step (`_run`), which
+keeps the gate activations as (steps, D, 4H, B).  Its backward
 walks the steps in reverse in that same layout for the gate
 pre-activation gradients, formed in the activations' own buffer
 (`_bptt`), then forms the weight, bias and input gradients with one
@@ -56,7 +57,7 @@ once, and of the sweep's store only the attention weights.
 one-step `_run` over one window, and its backward `_walk` over that run:
 the cell and the sequence ops share one derivation.  The head,
 `feedforward_relu`, is one tape op over every window's stacked states,
-whose rule chains the `matmul` and `relu` gradients.
+two 2-D `np.dot`s, whose rule chains the `matmul` and `relu` gradients.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def lstm_cell_step(params, prev, x):
     if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
         raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
                              f"({hidden},)")
-    w = weights.values[np.newaxis]
+    w = (weights.values,)
     z = np.empty((2, 1, width + hidden, 1))
     z[0, 0, :width, 0], z[0, 0, width:, 0] = x.values, h_prev.values
     act, c_seq = _run(w, (b_x.values + b_h.values)[np.newaxis], z,
@@ -211,16 +212,22 @@ def _gate_tiles(hidden, windows, directions):
 
 
 @functools.cache
-def _gate_rows(hidden):
-    """The index of each of the i, f, g and o row blocks of a step's (D,
-    4H, B) gate array, built once per H."""
-    return tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
+def _gate_rows(hidden, directions):
+    """Built once per H and D: the index of the i, f, g and o blocks of a
+    step's (D, 4H, B) gate array and of the block its gate product writes
+    (one direction's 2-D block, or all), that product (`np.dot` over one
+    direction, `np.matmul` over two) and the weights' scale column from
+    `_gate_tiles`, (4H, 1) for one direction, else (D, 4H, 1)."""
+    lone = directions == 1
+    rows = tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
+    column = _gate_tiles(hidden, 1, directions)[0][0 if lone else Ellipsis]
+    return rows + (0 if lone else Ellipsis,), np.dot if lone else np.matmul, column
 
 
 def _activate(pre, scale, shift, out):
     """The four gate activations from pre-activations already scaled by
     `scale`: tanh into `out`, times `scale`, plus `shift`."""
-    np.tanh(pre, out=out)
+    np.tanh(pre, out)
     out *= scale
     out += shift
     return out
@@ -238,55 +245,59 @@ def _run(w, bias, z, c0, sweep=None, history=True):
     step axis.  The caller fills every h_0 and
     x_t, or, for a one-direction run with a sweep, the rows `sweep.fill`
     writes, and then `sweep.forward(t, h_{t-1}, x_t)` writes the rest of
-    x_t in place.  The weights are stacked and scaled once per run, into
-    one array, by the first column of `_gate_tiles`' scale, and the bias
-    into one product with the whole tile, so each step is one product over
-    the directions and one tanh over every gate, on operands of the step's
-    shape written into arrays made once per run.  Returns the activations
-    and the cell states: with `history`, all (steps, D, 4H, B) activations
-    and c_0 .. c_T, which `_bptt` reads; without, one activation slot and
-    two cell slots, reused as the steps go.  Either way c_T is
-    `c[steps % len(c)]`.  A run without `history` makes the views of its
-    slots (the gate blocks, through the index tuples of `_gate_rows`) once,
-    not per step.
+    x_t in place.  The weights are scaled once per run by `_gate_rows`'
+    column of `_gate_tiles`' scale, in one product that stacks two
+    directions and leaves a lone direction's 2-D, and the bias into one
+    product with the whole tile, so each step is one gate product (a 2-D
+    `np.dot` over one direction, a stacked `np.matmul` over two) and one
+    tanh over every gate, on operands of the step's shape written into
+    arrays made once per run.  Returns the activations and the cell
+    states: with `history`, all (steps, D, 4H, B) activations and c_0 ..
+    c_T, which `_bptt` reads; without, one activation slot and two cell
+    slots, reused as the steps go.  Either way c_T is `c[steps % len(c)]`.
+    A run without `history` makes the views of its slots (the gate blocks,
+    through the index tuples of `_gate_rows`) once, not per step.
     """
     steps = len(z) - 1
-    hidden, windows = c0.shape[-2:]
+    directions, hidden, windows = c0.shape
     width = z.shape[-2] - hidden
-    scale, shift = _gate_tiles(hidden, windows, len(w))
-    # One product, which stacks the directions as it scales them.
-    w_run = np.multiply(w, scale[..., :1])
+    scale, shift = _gate_tiles(hidden, windows, directions)
+    rows, product, column = _gate_rows(hidden, directions)
+    lead = rows[4]
+    w_run = np.multiply(w[0] if directions == 1 else w, column)
     bias = bias[..., np.newaxis] * scale
     act = np.empty((steps if history else 1,) + scale.shape)
     c_seq = np.empty((len(act) + 1,) + c0.shape)
     c_seq[0] = c0
-    rows = _gate_rows(hidden)
     # Without history the run steps through one activation slot and two
     # cell slots, whose views it makes once; with history it makes each
     # step's as it goes, and keeps none.
     slot = None if history else _slot(act[0], rows)
-    cells = c_seq if history else list(c_seq)
+    cells = c_seq if history else (c_seq[0], c_seq[1])
+    slots = len(cells)
     hs = z[..., width:, :]
     # i * g, then tanh(c_t), of the current step.
     part = np.empty(c0.shape)
+    multiply, tanh = np.multiply, np.tanh  # looked up once, not per step
     for t in range(steps):
         if sweep is not None:
             sweep.forward(t, hs[t, 0], z[t, 0, :width])
-        a, i, f, g, o = slot or _slot(act[t], rows)
-        np.matmul(w_run, z[t], out=a)
+        a, i, f, g, o, p = slot or _slot(act[t], rows)
+        product(w_run, z[t, lead], p)
         a += bias
         _activate(a, scale, shift, a)
-        c = np.multiply(f, cells[t % len(cells)], out=cells[(t + 1) % len(cells)])
-        c += np.multiply(i, g, out=part)
-        np.multiply(o, np.tanh(c, out=part), out=hs[t + 1])
+        c = multiply(f, cells[t % slots], cells[(t + 1) % slots])
+        c += multiply(i, g, part)
+        multiply(o, tanh(c, part), hs[t + 1])
     return act, c_seq
 
 
 def _slot(a, rows):
-    """A step's (D, 4H, B) activation slot `a` and its i, f, g and o
-    blocks, through `_gate_rows`' index tuples `rows`."""
-    i, f, g, o = rows
-    return a, a[i], a[f], a[g], a[o]
+    """A step's (D, 4H, B) activation slot `a`, its i, f, g and o blocks
+    and the block its gate product writes, through `_gate_rows`' index
+    tuples `rows`."""
+    i, f, g, o, lead = rows
+    return a, a[i], a[f], a[g], a[o], a[lead]
 
 
 def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
@@ -378,13 +389,13 @@ class ForwardRun:
     __slots__ = ("inputs", "states", "c_end")
 
     def __init__(self, inputs, states, c_end):
-        self.inputs, self.states, self.c_end = (_read_only(a) for a in (inputs, states, c_end))
+        self.inputs, self.states, self.c_end = map(_read_only, (inputs, states, c_end))
 
 
 def _read_only(arr):
     """A read-only view of `arr`."""
     view = np.asarray(arr).view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -524,31 +535,32 @@ def _sequence(cells, inputs, inits, terminals=True):
     one, and a taped one raises `TapeError`).  An untaped sweep op whose
     sweep `keeps_run` steps its backward run in scratch of its own, so
     that the forward inputs stay as the sweep built them, and gives the
-    sweep its `ForwardRun`.  Every operand that does not fit the first
-    cell's hidden width, the inputs' steps, width and windows, or the
-    op's directions raises `DimensionError`.  Returns the states and, with
-    `terminals`, each direction's terminal state, as `_views` makes
-    them."""
+    sweep its `ForwardRun`.  Inputs are a handed run, else known inputs
+    if an array, a tensor or anything without a sweep's `forward` (a
+    nested list), else a sweep; a one-direction op takes known inputs
+    only.  Every operand that does not fit the first cell's hidden width,
+    the inputs' steps, width and windows, or the op's directions raises
+    `DimensionError`.  An untaped op's output is a constant, and it keeps
+    none of its runs.  Returns the states and, with `terminals`, each
+    direction's terminal state, as `_views` makes them."""
     count = len(cells)
-    handed = inputs if isinstance(inputs, ForwardRun) else None
-    sweep = None
-    if handed is not None:
-        if count == 1:
-            raise DimensionError("a one-direction sequence op steps known inputs and takes no "
-                                 "forward run")
-        shape = handed.inputs.shape
-    elif count == 1 or isinstance(inputs, (Tensor, np.ndarray)):
+    handed = sweep = None
+    if isinstance(inputs, ForwardRun):
+        handed, shape = inputs, inputs.inputs.shape
+    elif isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
         inputs = as_tensor(inputs)
-        shape = inputs.shape
+        shape = inputs.values.shape
     else:
-        sweep = inputs
-        shape = (sweep.steps, sweep.width, sweep.windows)
+        sweep, shape = inputs, (inputs.steps, inputs.width, inputs.windows)
+    if count == 1 and (handed is not None or sweep is not None):
+        raise DimensionError("a one-direction sequence op steps known inputs and takes no " + (
+            "forward run" if sweep is None else f"sweep ({type(sweep).__name__})"))
     if len(shape) != 3:
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
     steps, width, windows = shape
     directions = [_direction(cell, init, shape) for cell, init in zip(cells, inits)]
-    hidden = cells[0].hidden_size
-    if count == 2 and cells[1].hidden_size != hidden:
+    hidden = len(directions[0][1].values) // 4
+    if count == 2 and len(directions[1][1].values) != 4 * hidden:
         raise DimensionError(f"backward cell over hidden width {cells[1].hidden_size} does "
                              f"not fit hidden width {hidden}")
     if sweep is not None and sweep.hidden_size != hidden:
@@ -575,16 +587,17 @@ def _sequence(cells, inputs, inits, terminals=True):
     keeps = not taped and getattr(sweep, "keeps_run", False)
     out = np.empty((steps + 1) * count * hidden * windows)
     states, c_end = _parts(out, steps, hidden, windows, count)
-    # Each direction's index, weights, summed bias, h_0 and c_0.
+    # The index, weights, summed bias, h_0 and c_0 of each direction that
+    # runs: a handed run stands for the forward one.
     arrays = [(d, weights.values, b_x.values + b_h.values, h0.values, c0.values)
-              for d, (weights, b_x, b_h, h0, c0) in enumerate(directions)]
+              for d, (weights, b_x, b_h, h0, c0) in enumerate(directions) if d or handed is None]
     if handed is not None:
-        x, picks = handed.inputs, (arrays[1:],)
+        x = handed.inputs
         states[:, :hidden] = handed.states
         c_end[0] = handed.c_end
     else:
         x = None if sweep is not None else inputs.values
-        picks = (arrays,) if sweep is None else (arrays[:1], arrays[1:])
+    picks = (arrays,) if sweep is None else (arrays[:1], arrays[1:])
     z, runs = None, []
     for picked in picks:
         run, w, bias, h0, c0 = zip(*picked)
@@ -600,8 +613,7 @@ def _sequence(cells, inputs, inits, terminals=True):
             else:
                 swept.fill(z[:steps, k, :width])
             z[0, k, width:] = h0[k]
-        act, c_seq = _run(_direction_axis(w), _direction_axis(bias), z, _direction_axis(c0),
-                          swept, taped)
+        act, c_seq = _run(w, _direction_axis(bias), z, _direction_axis(c0), swept, taped)
         if swept is not None:
             swept.check_finite()
             if not taped:
@@ -613,6 +625,8 @@ def _sequence(cells, inputs, inits, terminals=True):
             states[:, d * hidden:(d + 1) * hidden] = _run_order(d, z[1:, k, width:])
         c_end[run[0]:run[-1] + 1] = c_seq[steps % len(c_seq)]
         runs.append((run, w, z, act, c_seq, swept))
+    if not taped:
+        return _views(Tensor(out), steps, hidden, windows, count, terminals)
     # Decided here, so that the rule keeps no reference to the inputs.
     reads_x = sweep is not None or handed is None and inputs.tape is not None
 
@@ -647,26 +661,28 @@ def feedforward_relu(params, stacked):
     """Linear, ReLU, linear projection of the stacked decoder states: one
     column per window in, one forecast column per window out.
 
-    One tape op computing out @ relu(hidden @ stacked), whose rule chains
-    the gradient rules of `matmul` and `relu`.  The pre-activation is scanned
-    for non-finite entries, since the ReLU would hide a -inf.
+    One tape op computing out @ relu(hidden @ stacked), each product a 2-D
+    `np.dot`, whose rule chains the gradient rules of `matmul` and `relu`.
+    The pre-activation is scanned for non-finite entries, since the ReLU
+    would hide a -inf.
     """
     stacked = as_tensor(stacked)
+    x = stacked.values
     width = params.hidden.shape[1]
-    if stacked.values.ndim != 2 or stacked.shape[0] != width:
+    if x.ndim != 2 or x.shape[0] != width:
         raise DimensionError(
-            f"head input shape {stacked.shape} does not match weights ({width}, windows)")
+            f"head input shape {x.shape} does not match weights ({width}, windows)")
     hidden, out = as_tensor(params.hidden), as_tensor(params.out)
-    _require_matmul(hidden.shape, stacked.shape)
-    w_hidden, w_out, x = hidden.values, out.values, stacked.values
-    pre = w_hidden @ x
+    w_hidden, w_out = hidden.values, out.values
+    _require_matmul(w_hidden.shape, x.shape)
+    pre = np.dot(w_hidden, x)
     _require_finite(pre)
     act = np.maximum(pre, 0.0)
-    _require_matmul(out.shape, act.shape)
+    _require_matmul(w_out.shape, act.shape)
 
     def rule(g):
         d_pre = _relu_grad(pre, _matmul_grad_right(g, w_out, act))
         return (_matmul_grad_left(d_pre, w_hidden, x), _matmul_grad_left(g, w_out, act),
                 _matmul_grad_right(d_pre, w_hidden, x))
 
-    return fused_op(w_out @ act, (hidden, out, stacked), rule)
+    return fused_op(np.dot(w_out, act), (hidden, out, stacked), rule)

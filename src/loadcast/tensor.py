@@ -82,7 +82,7 @@ class Tensor:
 
 def _require_finite(arr):
     """Raise `EvaluationError` unless every entry of `arr` is finite."""
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise EvaluationError("non-finite values in tensor")
 
 
@@ -352,9 +352,9 @@ def softmax_values(v, out=None):
     """Shift-stabilized softmax of a plain array down axis 0, so each
     column of a matrix is its own distribution; formed in place in `out`
     (a fresh array if None)."""
-    e = np.subtract(v, np.maximum.reduce(v, axis=0), out=out)
-    np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=0), out=e)
+    e = np.subtract(v, np.maximum.reduce(v, axis=0), out)
+    np.exp(e, e)
+    return np.divide(e, np.add.reduce(e, axis=0), e)
 
 
 def _softmax_grad(weights, g, out=None):
@@ -423,7 +423,7 @@ def segment(x, start, stop, shape=None):
 def reshape(x, shape):
     """Reinterpret the entries row-major under a new shape of equal size."""
     x = as_tensor(x)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if math.prod(shape) != x.values.size:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}")
     orig = x.values.shape

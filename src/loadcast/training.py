@@ -80,11 +80,11 @@ def mse_loss(pred, target):
     """
     pred = as_tensor(pred)
     target = as_tensor(target)
-    if pred.values.ndim not in (1, 2) or pred.shape != target.shape:
+    if pred.values.ndim not in (1, 2) or pred.values.shape != target.values.shape:
         raise DimensionError(
             f"loss needs equal-shape vectors or matrices, got {pred.shape} and {target.shape}")
     diff = pred.values - target.values
-    c = 1.0 / pred.values.size
+    c = 1.0 / diff.size
 
     def rule(g):
         # `hadamard(diff, diff)` gives each of its operands diff * g * c.

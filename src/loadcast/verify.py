@@ -101,8 +101,8 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
                          key_end("decoder.forward.") if config.decoder_attention else None)}
     windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
-    # The latest mapping and its tree; per stage, the key and value the
-    # latest constant probe that ran it made.
+    # The latest mapping, its arrays through the decoder and its tree; per
+    # stage, the key and value the latest constant probe that ran it made.
     last = {}
 
     def stage(name, key, run):
@@ -111,19 +111,20 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
         its forward run's key."""
         end, run_end = ends[name]
         made = last.get(name)
-        if made is None or made[0] != key[:end]:
-            reuse = made is not None and run_end is not None and made[0][:run_end] == key[:run_end]
+        # Every key is as long, so a key holds a stage key if it starts with it.
+        if made is None or not key.startswith(made[0]):
+            reuse = made is not None and run_end is not None and key.startswith(made[0][:run_end])
             made = last[name] = (key[:end], run(made[1] if reuse else None))
         return made[1]
 
     def program(leaves):
         if last.get("leaves") is not leaves:
-            last.update(leaves=leaves,
+            last.update(leaves=leaves, keyed=[leaves[name].values for name in through_decoder],
                         bound=map_leaves(template, lambda name, _leaf: leaves[name]))
         bound = last["bound"]
         encoding = decoding = None
         if leaves[through_decoder[0]].tape is None:
-            key = b"".join([leaves[name].values.tobytes() for name in through_decoder])
+            key = b"".join([values.tobytes() for values in last["keyed"]])
             encoding = stage("encoding", key,
                              lambda earlier: encode(bound, config, windows, earlier))
             decoding = stage("decoding", key,

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import fcntl
+import hashlib
 import json
 import math
 import os
@@ -183,6 +184,31 @@ class TestTrain:
         assert doc["config"]["model.hidden_size"] == 4
         assert "checkpoint.json" in doc["artifacts"]
         assert "time" not in json.dumps(doc).lower()
+
+    def test_manifest_records_each_artifact_sha256(self, trained):
+        doc = json.loads((trained / "manifest.json").read_text())
+        assert sorted(doc["artifact_sha256"]) == sorted(doc["artifacts"])
+        for name, digest in doc["artifact_sha256"].items():
+            assert digest == hashlib.sha256((trained / name).read_bytes()).hexdigest(), name
+
+    def test_artifact_hashes_leave_the_artifacts_unchanged(self, tmp_path, monkeypatch):
+        # The hashes are read once the artifacts are written, and go into
+        # the manifest alone: a run whose manifest records none writes the
+        # same artifacts.
+        runs = []
+        for hashed in (True, False):
+            if not hashed:
+                monkeypatch.setattr(cli, "_sha256", lambda _path: None)
+            out = tmp_path / f"run{len(runs)}"
+            directory = tmp_path / f"conf{len(runs)}"
+            directory.mkdir()
+            assert main(["train", "--config", str(write_config(directory, out)),
+                         "--synthetic"]) == EXIT_OK
+            runs.append(out)
+        for name in ("checkpoint.json", "epochs.csv", "validation.txt"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        unhashed = json.loads((runs[1] / "manifest.json").read_text())["artifact_sha256"]
+        assert set(unhashed.values()) == {None}
 
     def test_manifest_records_the_environment(self, trained):
         env = json.loads((trained / "manifest.json").read_text())["environment"]

@@ -420,11 +420,13 @@ MALFORMED_RUNS = {
 # `bilstm_sequence` over known inputs ("known") and over a sweep ("sweep"),
 # or over a forward run in place of one ("run").  Known inputs take no
 # forward run, since both directions step in one run: an op over them has
-# no way to be handed one, and `lstm_sequence` refuses one.
+# no way to be handed one, and `lstm_sequence` refuses one, as it refuses a
+# sweep, whose inputs only a forward direction beside a backward one reads.
 MALFORMED_OPERANDS = [
     ("b_h-length", "lstm"), ("b_h-length", "known"), ("b_h-length", "sweep"),
     ("backward-cell-width", "known"), ("backward-cell-width", "sweep"),
     ("sweep-width", "sweep"),
+    ("sweep", "lstm"),
     ("forward-run", "lstm"),
     ("forward-run-steps", "run"), ("forward-run-width", "run"),
     ("forward-run-windows", "run"), ("forward-run-hidden", "run"),
@@ -449,6 +451,9 @@ def malformed_call(fault, entry):
     elif fault == "sweep-width":
         inputs = FixedSweep(known, 3)
         message = r"sweep over hidden width 3 does not fit hidden width 2"
+    elif fault == "sweep":
+        inputs = FixedSweep(known, 2)
+        message = r"one-direction sequence op steps known inputs and takes no sweep \(FixedSweep\)"
     elif fault == "forward-run":
         inputs = forward_run()
         message = r"one-direction sequence op steps known inputs and takes no forward run"
@@ -693,6 +698,18 @@ class TestSequenceOp:
         call, message = malformed_call(fault, entry)
         with pytest.raises(DimensionError, match=message):
             call()
+
+    def test_nested_lists_are_known_inputs_for_both_ops(self):
+        # Both ops classify their inputs by one rule: a nested list is known
+        # inputs, stepped as its array is.
+        rng = np.random.default_rng(32)
+        cells = BiLstmParams.random(rng, 2, 3, 0.5)
+        xs = rng.normal(size=(3, 2, 2))
+        init = zero_state(3, 2)
+        for run, params, inits in ((lstm_sequence, cells.forward, (init,)),
+                                   (bilstm_sequence, cells, (init, init))):
+            listed, arrayed = (run(params, inputs, *inits)[0] for inputs in (xs.tolist(), xs))
+            npt.assert_array_equal(listed.values, arrayed.values, strict=True)
 
     def test_taped_op_refuses_a_forward_run(self):
         tape = Tape()
@@ -1147,24 +1164,31 @@ class TestSequences:
             assert rel_diff(states.values[step, :, 0], manual.h.values) <= 1e-12
         assert rel_diff(terminal.c.values[:, 0], manual.c.values) <= 1e-12
 
-    def test_bilstm_joins_directions_per_step(self):
+    @pytest.mark.parametrize("windows", (1, 4, 8))
+    @pytest.mark.parametrize("hidden, width, steps", ((3, 2, 4), (32, 46, 168), (32, 109, 24)))
+    def test_bilstm_joins_directions_per_step(self, hidden, width, steps, windows):
+        # Over known inputs both directions are one stacked `np.matmul`
+        # run, and each `lstm_sequence` a one-direction run whose gate
+        # product is a 2-D `np.dot`: every step's states and each terminal
+        # h and c are bitwise the same, at hidden 32 over the ANLF
+        # encoder's and decoder's benchmark inputs too.
         rng = np.random.default_rng(15)
-        params = BiLstmParams(forward=LstmParams.random(rng, 2, 3, bound=0.5),
-                              backward=LstmParams.random(rng, 2, 3, bound=0.5))
-        inputs = rng.normal(size=(4, 2, 1))
-        joined, (term_f, term_b) = bilstm_sequence(params, Tensor(inputs),
-                                                   one_state(3), one_state(3))
-        assert joined.shape == (4, 6, 1)
+        params = BiLstmParams(forward=LstmParams.random(rng, width, hidden, bound=0.5),
+                              backward=LstmParams.random(rng, width, hidden, bound=0.5))
+        inputs = rng.normal(size=(steps, width, windows))
+        init = zero_state(hidden, windows)
+        joined, (term_f, term_b) = bilstm_sequence(params, Tensor(inputs), init, init)
+        assert joined.shape == (steps, 2 * hidden, windows)
 
-        fwd_states, fwd_term = lstm_sequence(params.forward, Tensor(inputs), one_state(3))
-        bwd_states, bwd_term = lstm_sequence(params.backward, Tensor(inputs[::-1]),
-                                             one_state(3))
-        for t in range(4):
+        fwd_states, fwd_term = lstm_sequence(params.forward, Tensor(inputs), init)
+        bwd_states, bwd_term = lstm_sequence(params.backward, Tensor(inputs[::-1]), init)
+        for t in range(steps):
             expect = np.concatenate([fwd_states.values[t],
-                                     bwd_states.values[3 - t]])
+                                     bwd_states.values[steps - 1 - t]])
             npt.assert_array_equal(joined.values[t], expect)
-        npt.assert_array_equal(term_f.h.values, fwd_term.h.values)
-        npt.assert_array_equal(term_b.h.values, bwd_term.h.values)
+        for term, ref in ((term_f, fwd_term), (term_b, bwd_term)):
+            npt.assert_array_equal(term.h.values, ref.h.values)
+            npt.assert_array_equal(term.c.values, ref.c.values)
 
     def test_bilstm_direction_swap_mirrors_outputs(self):
         rng = np.random.default_rng(16)

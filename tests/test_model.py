@@ -637,3 +637,45 @@ class TestForward:
         finally:
             if enabled:
                 gc.enable()
+
+
+# Per variant, the np.isfinite calls and the entries they scan in one
+# untaped tiny `forward` (parameters bound before), one `predict` and one
+# seed-8 `model_gradient_report`, as counted before the per-op set-up of
+# the sequence ops, sweeps, head and loss was trimmed: every array scanned
+# then is still scanned, once.
+SCANS = {
+    "ANLF": ((9, 370), (27, 1366), (11915, 337709)),
+    "eAttention": ((7, 258), (23, 960), (8206, 173123)),
+    "dAttention": ((8, 274), (24, 1248), (11511, 301019)),
+    "EDBiLSTM": ((6, 162), (20, 842), (7846, 141009)),
+    "EDLSTM": ((6, 162), (14, 1098), (10900, 198347)),
+}
+
+
+class TestScans:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_array_is_scanned_once(self, variant, monkeypatch):
+        # The same entries as counted then; a call count may only fall,
+        # where two scans over the same entries merge into one.
+        isfinite, seen = np.isfinite, [0, 0]
+
+        def counting(values, *args, **kwargs):
+            seen[0] += 1
+            seen[1] += np.size(values)
+            return isfinite(values, *args, **kwargs)
+
+        config, sample = tiny_model_case(variant)
+        params = init_params(config)
+        bound = bind_constants(params)
+        counts = []
+        for run in (lambda: forward(bound, config, [sample]),
+                    lambda: predict(params, config, sample),
+                    lambda: verify.model_gradient_report(config, sample)):
+            seen[:] = [0, 0]
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "isfinite", counting)
+                run()
+            counts.append(tuple(seen))
+        for (calls, entries), (most_calls, expected) in zip(counts, SCANS[variant]):
+            assert entries == expected and calls <= most_calls, (counts, SCANS[variant])

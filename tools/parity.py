@@ -16,10 +16,14 @@ error) at seed 9 and h = 1e-4, where every variant's head is live, and at
 the gate `loadcast verify` ships, seed 8, h = 1e-5 and tolerance 1e-4.
 At both sizes, taped `bilstm_sequence` and `lstm_sequence` runs over 4
 windows of known inputs add their outputs and the gradients of every
-operand, the inputs included, which no model variant differentiates, and
-a taped
-`lstm_cell_step` at the encoder cell's shape adds its h and c and the
-gradients of its weights, both biases, x, h_prev and c_prev.  Each block
+operand, the inputs included, which no model variant differentiates;
+one-window untaped runs of each sequence op add their states, terminal
+states and sweep weights, so that a difference on the path `predict` and
+the gate take is named by its op: `bilstm_sequence` over ANLF's feature
+sweep and then its temporal sweep, and `bilstm_sequence` and
+`lstm_sequence` over known inputs; and a taped `lstm_cell_step` at the
+encoder cell's shape adds its h and c and the gradients of its weights,
+both biases, x, h_prev and c_prev.  Each block
 prints as bitwise or with its largest difference relative to the
 block's largest magnitude; the exit status is 1 on any difference, 2 with
 one line on stderr when REV cannot be archived or a probe run fails, else
@@ -103,6 +107,50 @@ def _sequence_blocks(size):
     return blocks
 
 
+def _untaped_blocks(size):
+    """One-window untaped sequence ops at `size`, each on its own: ANLF's
+    `bilstm_sequence` over its encoder's `FeatureSweep` and then over its
+    decoder's `TemporalSweep` (from that encoding's `TemporalFrame`), with
+    the model's own cells, and `bilstm_sequence` and `lstm_sequence` over
+    known inputs at the EDBiLSTM encoder cell's shape: the states, each
+    terminal h and c, and a sweep's weights, keyed
+    `untaped/size/op/part`."""
+    from loadcast import attention, lstm, model
+
+    config = _config("ANLF", size)
+    params = model.init_params(config)
+    windows = model.StackedWindows.stack(config, _windows(config, 1, seed=19))
+    zero = lstm.zero_state(config.hidden_size, 1)
+    feature = attention.FeatureSweep(params.feature_attn, windows.hist_features,
+                                     windows.hist_targets)
+    states, terminals = lstm.bilstm_sequence(params.encoder, feature, zero, zero)
+    frame = attention.TemporalFrame(terminals[1].h, windows.future_features, windows.day_grid,
+                                    states)
+    temporal = attention.TemporalSweep(params.temporal_attn, frame)
+    runs = {"feature_sweep": (states, terminals, feature.weights),
+            "temporal_sweep": lstm.bilstm_sequence(params.decoder, temporal, *terminals)
+            + (temporal.weights,)}
+    rng = np.random.default_rng(23)
+    hidden, width, steps = config.hidden_size, config.n_features + 1, config.history_len
+    inputs = rng.normal(size=(steps, width, 1))
+    starts = [lstm.LstmState(*rng.normal(size=(2, hidden, 1))) for _ in range(2)]
+    runs["bilstm_known"] = lstm.bilstm_sequence(
+        lstm.BiLstmParams.random(rng, width, hidden, bound=0.5), inputs, *starts) + (None,)
+    states, terminal = lstm.lstm_sequence(lstm.LstmParams.random(rng, width, hidden, bound=0.5),
+                                          inputs, starts[0])
+    runs["lstm_known"] = (states, (terminal,), None)
+    blocks = {}
+    for name, (states, terminals, weights) in runs.items():
+        key = f"untaped/{size}/{name}"
+        blocks[f"{key}/states"] = states.values
+        for k, terminal in enumerate(terminals):
+            blocks[f"{key}/terminal{k}/h"] = terminal.h.values
+            blocks[f"{key}/terminal{k}/c"] = terminal.c.values
+        if weights is not None:
+            blocks[f"{key}/weights"] = weights
+    return blocks
+
+
 def _cell_blocks(size):
     """A taped `lstm_cell_step` at the EDBiLSTM encoder cell's shape at
     `size`: h, c and the gradients of the weights, both biases, x, h_prev
@@ -146,7 +194,7 @@ def _train_blocks(config, key):
 
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
-    `sequence/size/op/part` and `cell/size/part`."""
+    `sequence/size/op/part`, `untaped/size/op/part` and `cell/size/part`."""
     from loadcast import model, training, verify
     from loadcast.params import named_leaves
 
@@ -180,6 +228,7 @@ def probe():
                                   for name, err in report.per_param.items())
     for size in SIZES:
         blocks.update(_sequence_blocks(size))
+        blocks.update(_untaped_blocks(size))
         blocks.update(_cell_blocks(size))
     return blocks
 
