@@ -46,19 +46,10 @@ EXIT_TRAINING = 4
 EXIT_VERIFY = 5
 
 
-def _output_dir(path):
-    """`path`, made a directory if need be, or a `ConfigError` naming it."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot make output directory {path}: {err.strerror or err}") from None
-    return path
-
-
 @contextlib.contextmanager
 def _output_lock(out_dir):
     """Make `out_dir` if need be and hold an exclusive `flock` on
-    `out_dir/.lock` while the body runs.
+    `out_dir/.lock` while `train` or `forecast` writes its files.
 
     The lock belongs to the open file, so the OS drops it when the process
     ends, however it ends; the file itself stays.  A lock file that cannot
@@ -71,7 +62,11 @@ def _output_lock(out_dir):
     the one raised.
     """
     made = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
-    _output_dir(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        why = err.strerror or err
+        raise ConfigError(f"cannot make output directory {out_dir}: {why}") from None
     path = out_dir / ".lock"
     created = not path.exists()
     try:
@@ -181,21 +176,48 @@ def _write_epoch_log(path, log):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _openblas_runtime():
-    """The runtime config string and thread count of the OpenBLAS numpy
-    bundles, both None when numpy's BLAS does not expose them."""
+def _openblas(name, restype, *argtypes):
+    """The function `name` of the OpenBLAS numpy bundles, None when numpy's
+    BLAS does not expose it."""
     # The extension module that links the BLAS: numpy._core's from numpy 2.
     core = getattr(np, "_core", None) or np.core
     try:
-        lib = ctypes.CDLL(core._multiarray_umath.__file__)
-        get_config = lib.scipy_openblas_get_config64_
-        get_threads = lib.scipy_openblas_get_num_threads64_
+        function = getattr(ctypes.CDLL(core._multiarray_umath.__file__), name)
     except (AttributeError, OSError):
+        return None
+    function.argtypes, function.restype = list(argtypes), restype
+    return function
+
+
+def _openblas_runtime():
+    """The runtime config string and thread count of the OpenBLAS numpy
+    bundles, both None when numpy's BLAS does not expose them."""
+    get_config = _openblas("scipy_openblas_get_config64_", ctypes.c_char_p)
+    get_threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if get_config is None or get_threads is None:
         return None, None
-    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     config = get_config()
     return (None if config is None else config.decode(errors="replace")), get_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body, every command, with numpy's OpenBLAS at one thread and
+    restore its count after, so that a run's bytes do not depend on the
+    core count.  A count set through `OPENBLAS_NUM_THREADS` or
+    `OMP_NUM_THREADS` is left as it is, as is a BLAS without the setter."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_threads = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if (get is None or set_threads is None
+            or any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))):
+        yield
+        return
+    previous = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def _environment():
@@ -321,13 +343,13 @@ def _cmd_forecast(args):
             result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
     except (EvaluationError, FloatingPointError) as err:
         raise ConfigError(f"{args.checkpoint} does not evaluate on {args.data}: {err}") from err
-    out = _output_dir(args.out)
-    _write_forecast_csv(out / "forecast.csv", samples, result)
-    write_atomic(out / "metrics.txt", result.report.as_text())
-    write_atomic(out / "metrics.csv",
-                 MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
-    if args.dump_attention:
-        _write_attention_dumps(out, result.traces)
+    with _output_lock(args.out) as out:
+        _write_forecast_csv(out / "forecast.csv", samples, result)
+        write_atomic(out / "metrics.txt", result.report.as_text())
+        write_atomic(out / "metrics.csv",
+                     MetricReport.csv_header() + "\n" + result.report.as_csv_row() + "\n")
+        if args.dump_attention:
+            _write_attention_dumps(out, result.traces)
     _say(f"{len(samples)} windows forecast")
     _say(result.report.as_text().rstrip("\n"))
     _say(f"artifacts in {out}")
@@ -413,7 +435,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except (KeyboardInterrupt, _Terminated) as err:
         signum = signal.SIGTERM if isinstance(err, _Terminated) else signal.SIGINT
         print(f"{args.command}: interrupted by {signum.name}", file=sys.stderr)

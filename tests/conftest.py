@@ -33,12 +33,12 @@ def seed8_gate():
 
     run = lstm._run
 
-    def counted_run(w, bias, z, c0, sweep=None, history=True):
+    def counted_run(w, bias, z, c0, gates, sweep=None, history=True):
         if inside and sweep is not None:
             name = ("feature_sweep_runs" if isinstance(sweep, attention.FeatureSweep)
                     else "temporal_sweep_runs")
             counts[name] += 1
-        return run(w, bias, z, c0, sweep, history)
+        return run(w, bias, z, c0, gates, sweep, history)
 
     gate = verify._check_model_gradients
 

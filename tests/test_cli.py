@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import ctypes
 import dataclasses
 import fcntl
 import hashlib
@@ -56,6 +57,16 @@ data.train_days = 7
 data.validation_days = 2
 """
 SYNTHETIC_CONFIG = TINY_CONFIG + SYNTHETIC_KEYS
+# The smallest synthetic run found whose artifacts differ between one and
+# two OpenBLAS threads when the package leaves the count as it finds it: of
+# the hidden widths tried (4, 8, 16, 20, 24, 32), 24 is the least that does.
+THREAD_SENSITIVE_CONFIG = """
+model.days = 2
+model.hidden_size = 24
+train.epochs = 1
+data.train_days = 7
+data.validation_days = 2
+"""
 
 
 def write_config(directory, out_dir, body=SYNTHETIC_CONFIG):
@@ -95,6 +106,71 @@ def trained(tmp_path_factory):
     config = write_config(base, out)
     assert main(["train", "--config", str(config), "--synthetic"]) == EXIT_OK
     return out
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, through ctypes."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        get, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                            lib.scipy_openblas_set_num_threads64_)
+    except (AttributeError, OSError):
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+class TestBlasThreads:
+    def test_artifacts_do_not_depend_on_the_starting_thread_count(self, tmp_path, monkeypatch):
+        # A process at two threads writes what one at one thread writes,
+        # runs at one, and is left at the count it had.
+        get, set_threads = blas_threads()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        previous, runs = get(), []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                assert get() == threads
+                out, directory = tmp_path / f"run{threads}", tmp_path / f"conf{threads}"
+                directory.mkdir()
+                assert main(["train", "--config", str(write_config(
+                    directory, out, THREAD_SENSITIVE_CONFIG)), "--synthetic"]) == EXIT_OK
+                assert get() == threads
+                runs.append(out)
+        finally:
+            set_threads(previous)
+        for name in ("checkpoint.json", "epochs.csv", "validation.txt"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        for out in runs:
+            assert json.loads((out / "manifest.json").read_text())[
+                "environment"]["blas_threads"] == 1
+
+    def test_an_explicit_thread_count_is_honoured(self, tmp_path):
+        out = tmp_path / "run"
+        env = {**module_env(), "OPENBLAS_NUM_THREADS": "2"}
+        env.pop("OMP_NUM_THREADS", None)
+        done = subprocess.run([sys.executable, "-m", "loadcast", "train", "--config",
+                               str(write_config(tmp_path, out)), "--synthetic"],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads((out / "manifest.json").read_text())[
+            "environment"]["blas_threads"] == 2
+
+    def test_a_blas_without_the_setter_runs_as_it_is(self, tmp_path, monkeypatch):
+        get, _set_threads = blas_threads()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        find = cli._openblas
+        monkeypatch.setattr(cli, "_openblas", lambda name, *types: (
+            None if name == "scipy_openblas_set_num_threads64_" else find(name, *types)))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, out)),
+                     "--synthetic"]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())[
+            "environment"]["blas_threads"] == get()
 
 
 class TestSynth:
@@ -691,6 +767,34 @@ class TestForecast:
         assert header == "mae,rmse,mape,nrmse"
         assert float(values.split(",")[2]) == float(metrics["mape"])
 
+    def test_locked_output_dir_refused(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        out = tmp_path / "fc"
+        out.mkdir()
+        capsys.readouterr()
+        # A lock held through another open file description, as another
+        # process's would be.
+        with open(out / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                         "--data", str(data), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith("config error:") and "locked" in err
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    def test_reforecasts_are_byte_identical(self, trained, tmp_path):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        runs = [tmp_path / "first", tmp_path / "second"]
+        for out in runs:
+            assert main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                         "--data", str(data), "--out", str(out), "--dump-attention"]) == EXIT_OK
+        first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
+        assert first == second and len(first) == 7
+
     def test_attention_dumps_are_normalized(self, trained, tmp_path):
         data = tmp_path / "data.csv"
         main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
@@ -699,8 +803,9 @@ class TestForecast:
                      "--data", str(data), "--out", str(out),
                      "--dump-attention"])
         assert code == EXIT_OK
+        # The lock file stays, as `train`'s does.
         assert sorted(p.name for p in out.iterdir()) == [
-            "attention_days.csv", "attention_features.csv", "attention_hours.csv",
+            ".lock", "attention_days.csv", "attention_features.csv", "attention_hours.csv",
             "forecast.csv", "metrics.csv", "metrics.txt"]
         for name, id_cols in (("attention_features.csv", 2),
                               ("attention_hours.csv", 2),

@@ -1,24 +1,29 @@
 """LSTM cell and sequence runners against a pure-python scalar oracle."""
 
+import gc
 import math
 import tracemalloc
 import weakref
+from datetime import datetime
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from loadcast import lstm
+from loadcast.data import WindowSample
 from loadcast.errors import DimensionError, EvaluationError, TapeError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams,
                            LstmState, _activate, _gate_tiles,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
+from loadcast.model import VARIANTS
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import (Tape, Tensor, _sigmoid_values, _softmax_grad, as_tensor,
                              check_gradients, concat, fused_op, hadamard, matmul, relu, reshape,
                              segment, sigmoid, softmax_values, tanh, total)
-from loadcast.verify import scalar_lstm_step
+from loadcast.training import TrainConfig, train
+from loadcast.verify import model_gradient_report, scalar_lstm_step, tiny_model_case
 
 
 def scalar_cell(params, h_prev, c_prev, x):
@@ -466,6 +471,16 @@ def malformed_call(fault, entry):
     return (lambda: bilstm_sequence(params, inputs, one_state(2), init_backward)), message
 
 
+def wellformed_call(entry):
+    """The sequence call through `entry` that `malformed_call` breaks, with
+    every operand of the shapes it fits."""
+    cell, known = LstmParams.zeros(3, 2), Tensor(np.zeros((2, 3, 1)))
+    if entry == "lstm":
+        return lambda: lstm_sequence(cell, known, one_state(2))
+    inputs = {"known": known, "sweep": FixedSweep(known, 2), "run": forward_run()}[entry]
+    return lambda: bilstm_sequence(BiLstmParams(cell, cell), inputs, one_state(2), one_state(2))
+
+
 def random_sequence(rng, steps, width, hidden):
     params = LstmParams.random(rng, width, hidden, bound=1.0)
     init = LstmState(h=Tensor(rng.normal(size=hidden)), c=Tensor(rng.normal(size=hidden)))
@@ -695,9 +710,25 @@ class TestSequenceOp:
 
     @pytest.mark.parametrize("fault, entry", MALFORMED_OPERANDS)
     def test_malformed_operand_is_a_dimension_error(self, fault, entry):
+        # With no plan kept, so the call makes its first.
+        lstm._plan.cache_clear()
         call, message = malformed_call(fault, entry)
         with pytest.raises(DimensionError, match=message):
             call()
+
+    @pytest.mark.parametrize("fault, entry", MALFORMED_OPERANDS)
+    def test_malformed_operand_beside_a_kept_plan_is_a_dimension_error(self, fault, entry):
+        # The well-formed op of the same shapes has run, so its plan is
+        # kept; the malformed call, twice, still raises the same message
+        # and keeps no plan of its own.
+        lstm._plan.cache_clear()
+        wellformed_call(entry)()
+        kept = lstm._plan.cache_info().currsize
+        call, message = malformed_call(fault, entry)
+        for _ in range(2):
+            with pytest.raises(DimensionError, match=message):
+                call()
+        assert lstm._plan.cache_info().currsize == kept
 
     def test_nested_lists_are_known_inputs_for_both_ops(self):
         # Both ops classify their inputs by one rule: a nested list is known
@@ -779,6 +810,129 @@ class TestSequenceOp:
             for grad, ref in zip(grads, ref_grads):
                 assert grad.shape == ref.shape
                 assert rel_diff(grad, ref) <= 1e-12
+
+
+def sequence_results(op, seed, taped):
+    """The output of one sequence op of fixed shapes (3 steps of width 2,
+    hidden width 2, 2 windows) over values drawn from `seed`, as arrays:
+    the states and each terminal h and c and, taped, the gradient of every
+    operand for a random weighting of them.  `op` is `lstm_sequence` over
+    known inputs ("lstm"), or `bilstm_sequence` over known inputs
+    ("bilstm"), a `FixedSweep` ("sweep") or a handed run ("run", untaped
+    only)."""
+    rng = np.random.default_rng(seed)
+    steps, width, hidden, windows = 3, 2, 2, 2
+    tape = Tape() if taped else None
+
+    def leaf(values):
+        return Tensor(values) if tape is None else tape.leaf(values)
+
+    count = 1 if op == "lstm" else 2
+    params = BiLstmParams.random(rng, width, hidden, 0.8)
+    cells = params.forward if op == "lstm" else params
+    cells = cells if tape is None else bind(cells, tape)
+    inits = [LstmState(leaf(rng.normal(size=(hidden, windows))),
+                       leaf(rng.normal(size=(hidden, windows)))) for _ in range(count)]
+    known = leaf(rng.normal(size=(steps, width, windows)))
+    inputs = {"lstm": known, "bilstm": known, "sweep": FixedSweep(known, hidden),
+              "run": ForwardRun(known.values, rng.normal(size=(steps, hidden, windows)),
+                                rng.normal(size=(hidden, windows)))}[op]
+    run = lstm_sequence if op == "lstm" else bilstm_sequence
+    states, terminals = run(cells, inputs, *inits)
+    parts = [states] + [t for state in ([terminals] if op == "lstm" else terminals)
+                        for t in (state.h, state.c)]
+    results = [part.values for part in parts]
+    if tape is not None:
+        flat = concat([reshape(part, (part.values.size,)) for part in parts])
+        tape.backward(total(hadamard(flat, Tensor(rng.normal(size=flat.values.size)))))
+        leaves = [leaf for _name, leaf in named_leaves(cells)] + [known]
+        leaves += [t for init in inits for t in (init.h, init.c)]
+        results += [tape.grad(leaf) for leaf in leaves]
+    return results
+
+
+def cached_plans():
+    """The plans `lstm._plan` keeps."""
+    return [plan for referent in gc.get_referents(lstm._plan) if isinstance(referent, dict)
+            for plan in referent.values() if isinstance(plan, lstm._Plan)]
+
+
+def plan_arrays(plans):
+    """Every array the `plans` reference, through their tuples."""
+    found, seen, stack = [], set(), list(plans)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (lstm._Plan, tuple, list, dict)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def tiny_windows(config, count, seed):
+    rng = np.random.default_rng(seed)
+    return [WindowSample(x_hist=rng.normal(size=(config.history_len, config.n_features)),
+                         y_hist=rng.normal(size=config.history_len),
+                         x_future=rng.normal(size=(config.horizon, config.n_features)),
+                         y_future=rng.normal(size=config.horizon),
+                         start=datetime(2022, 1, 5)) for _ in range(count)]
+
+
+class TestPlans:
+    """The shape plans of the sequence ops: made once per op shape, kept,
+    and never a source of numbers."""
+
+    @pytest.mark.parametrize("op, taped", [("lstm", False), ("lstm", True), ("bilstm", False),
+                                           ("bilstm", True), ("sweep", False), ("sweep", True),
+                                           ("run", False)])
+    def test_a_kept_plan_gives_the_numbers_of_a_new_one(self, op, taped):
+        # Two ops of one shape back to back, the second over the first's
+        # plan, against each op after the plans are cleared: bitwise.
+        lstm._plan.cache_clear()
+        kept = [sequence_results(op, seed, taped) for seed in (1, 2)]
+        assert lstm._plan.cache_info().currsize == 1
+        for seed, results in zip((1, 2), kept):
+            lstm._plan.cache_clear()
+            for got, expect in zip(results, sequence_results(op, seed, taped), strict=True):
+                npt.assert_array_equal(got, expect, strict=True)
+                assert got.tobytes() == expect.tobytes()
+
+    def test_plans_per_gate_and_per_training_run(self):
+        # One seed-8 gradient gate per variant, and a tiny training run,
+        # each keep an exact number of plans: a key that took a value
+        # would keep one per probe or per batch.  No plan holds an array
+        # but a read-only `_gate_tiles` tile or a view of one.
+        counts = []
+        for run in ("gates", "train"):
+            lstm._plan.cache_clear()
+            if run == "gates":
+                for variant in VARIANTS:
+                    model_gradient_report(*tiny_model_case(variant, seed=8))
+            else:
+                config = tiny_model_case("ANLF", seed=8)[0]
+                samples = tiny_windows(config, 9, seed=3)
+                train(config, samples[:6], samples[6:], TrainConfig(batch_size=4, epochs=2))
+            plans = cached_plans()
+            counts.append(len(plans))
+            assert len(plans) == lstm._plan.cache_info().currsize
+            arrays = plan_arrays(plans)
+            assert arrays
+            for array in arrays:
+                root = array if array.base is None else array.base
+                assert root.base is None and not root.flags.writeable
+                hidden, windows = root.shape[1] // 4, root.shape[2]
+                assert any(root is tile for tile in _gate_tiles(hidden, windows, root.shape[0]))
+        # The gates: ANLF's encoder and decoder ops over a sweep, handed a
+        # run and taped (6); eAttention's and dAttention's ops over known
+        # inputs on the side without attention, untaped and taped (2 each;
+        # EDBiLSTM's are theirs); EDLSTM's one-direction encoder and
+        # decoder ops, untaped and taped (4).  Training: the encoder and
+        # decoder ops of the taped 4- and 2-window batches and of the
+        # untaped 6- and 3-window scoring passes (8).
+        assert counts == [14, 8]
 
 
 def broadcast_run(w, bias, z, c0, sweep=None, history=True):
@@ -895,11 +1049,12 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
     then the forward one."""
     steps, width, windows = inputs.shape
     hidden = params.hidden_size
-    directions = [lstm._direction(cell, init, inputs.shape)
+    directions = [tuple(map(as_tensor, (cell.weights, cell.b_x, cell.b_h, init.h, init.c)))
                   for cell, init in ((params.forward, init_forward),
                                      (params.backward, init_backward))]
     operands = sum(directions, ()) + (inputs,)
     taped = any(t.tape is not None for t in operands)
+    layout = lstm._Plan("known", inputs.shape, hidden, 2, taped, False, True)
 
     def start(direction, z):
         weights, b_x, b_h, h0, c0 = direction
@@ -916,7 +1071,7 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
         return np.tensordot(d_pre, z[:-1], axes=((0, 2), (0, 2))), d_bias, d_bias.copy(), dh0, dc0
 
     out = np.empty((steps + 1) * 2 * hidden * windows)
-    states, c_end = lstm._parts(out, steps, hidden, windows, 2)
+    states, c_end = lstm._parts(out, layout)
     z = np.empty((steps + 1, width + hidden, windows))
     z[:steps, :width] = inputs.values
     run_forward, c_end[0] = start(directions[0], z)
@@ -927,13 +1082,13 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
     states[::-1, hidden:] = z_back[1:, width:]
 
     def rule(grad):
-        grad_h, dc = lstm._parts(grad, steps, hidden, windows, 2)
+        grad_h, dc = lstm._parts(grad, layout)
         d_x = None if inputs.tape is None else np.zeros(inputs.shape)
         backward = walk(run_backward, grad_h[::-1, hidden:], dc[1],
                         None if d_x is None else d_x[::-1])
         return walk(run_forward, grad_h[:, :hidden], dc[0], d_x) + backward + (d_x,)
 
-    return lstm._views(fused_op(out, operands, rule), steps, hidden, windows, 2)
+    return lstm._views(fused_op(out, operands, rule), layout)
 
 
 class TestStepLoops:
@@ -960,7 +1115,7 @@ class TestStepLoops:
 
         def run(w, bias, z, c0, sweep, history):
             act, c_seq = lstm._run([w], bias[np.newaxis], z[:, np.newaxis], c0[np.newaxis],
-                                   sweep, history)
+                                   lstm._gate_rows(hidden, windows, 1), sweep, history)
             return act[:, 0], c_seq[:, 0]
 
         def walk(w, act, c_seq, grad_h, dc, sweep, grad_x):
@@ -1111,7 +1266,9 @@ class TestViewGradients:
         tape = Tape()
         size = (self.STEPS + 1) * 2 * self.HIDDEN * self.WINDOWS
         joined = tape.leaf(np.ones(size))
-        states, terminals = lstm._views(joined, self.STEPS, self.HIDDEN, self.WINDOWS, 2)
+        plan = lstm._Plan("known", (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2,
+                          True, False, True)
+        states, terminals = lstm._views(joined, plan)
         loss = None
         for view in [states] + [t for s in terminals for t in (s.h, s.c)]:
             loss = total(view) if loss is None else loss + total(view)

@@ -23,7 +23,10 @@ the gate take is named by its op: `bilstm_sequence` over ANLF's feature
 sweep and then its temporal sweep, and `bilstm_sequence` and
 `lstm_sequence` over known inputs; and a taped `lstm_cell_step` at the
 encoder cell's shape adds its h and c and the gradients of its weights,
-both biases, x, h_prev and c_prev.  Each block
+both biases, x, h_prev and c_prev.  Once every probe has run, the untaped
+one-window ops run again as `.../warm` blocks, over the shape plans the
+probes left behind, so that a plan that does not fit a later op of its
+shape is named by that op.  Each block
 prints as bitwise or with its largest difference relative to the
 block's largest magnitude; the exit status is 1 on any difference, 2 with
 one line on stderr when REV cannot be archived or a probe run fails, else
@@ -194,7 +197,8 @@ def _train_blocks(config, key):
 
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
-    `sequence/size/op/part`, `untaped/size/op/part` and `cell/size/part`."""
+    `sequence/size/op/part`, `untaped/size/op/part[/warm]` and
+    `cell/size/part`."""
     from loadcast import model, training, verify
     from loadcast.params import named_leaves
 
@@ -230,6 +234,8 @@ def probe():
         blocks.update(_sequence_blocks(size))
         blocks.update(_untaped_blocks(size))
         blocks.update(_cell_blocks(size))
+    for size in SIZES:
+        blocks.update((f"{name}/warm", values) for name, values in _untaped_blocks(size).items())
     return blocks
 
 
