@@ -7,9 +7,8 @@ autodiff core.  See the README for the command line and file formats.
 
 __version__ = "0.1.0"
 
-from .attention import (AttentionParams, FeatureSweep, TemporalFrame, TemporalSweep,
-                        context_vector, feature_attention, similar_day_weights,
-                        temporal_attention)
+from .attention import (AttentionParams, FeatureSweep, TemporalSweep, context_vector,
+                        feature_attention, similar_day_weights, temporal_attention)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (FEATURE_WIDTH, FeatureFrame, HolidayCalendar, RawRecord,
                    StandardizationStats, WindowSample, build_features,

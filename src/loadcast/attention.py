@@ -36,10 +36,10 @@ it.  A sweep keeps every step's joint, pre-activations and scores as row
 blocks of one array, so that `check_finite()` scans its store in two
 passes, that array and `weights`.  Transposed scorer blocks are made only
 for a backward pass; a run without one calls `drop_store()`, which frees
-all of it but `weights`.  What the temporal sweep reads that depends on
-none of its parameters (the fixed joint rows, the hourly day grid and the
-window-major encoder states) is a `TemporalFrame`, made once and read by
-every sweep over the same encoding and windows.
+all of it but `weights`.  The temporal sweep takes what it reads that
+depends on none of its parameters (the conditioning tail, the features,
+the hourly day grid and the encoder states) as arrays, checks them, and
+writes its fixed joint rows and a window-major copy of the states itself.
 
 An untaped op over a temporal sweep gives the sweep its `lstm.ForwardRun`
 as `run` (the sweep's `keeps_run`), which `model.Decoding` keeps, since a
@@ -308,26 +308,33 @@ class FeatureSweep(_ScoredSweep):
         return dx[:-1] * self._features[t]
 
 
-class TemporalFrame:
-    """What a temporal sweep reads that depends on none of its parameters,
-    made once and shared by every sweep over the same tail, features, day
-    grid and encoder states.
+class TemporalSweep(_ScoredSweep):
+    """Temporal attention and the context vector for every decoder step,
+    inside one recurrence.
 
-    `tail` is the (H, B) conditioning tail, the same for every step,
-    `features` (steps, n, B), `day_grid` the (history, B) hourly grid of
-    similar-day weights, each day's weight over its hours, and `states`
-    (history, S, B).  The frame keeps `tail` and `states`, the sweep's
-    operands besides its scorer, `features` and `day_grid`, and makes
-    `fixed`, the (steps, H + n, B) joint rows [tail; features] of every
-    step, and `states_by_window`, the encoder states window-major, (B, S,
-    history), so that the context of every window is one batched product.
-    Both are read-only.  Neither is scanned here: `fixed` is scanned with
-    the store of every sweep that copies it, and `states_by_window` is a
-    copy of scanned values.  `day_grid` is read as given, and must have
-    been scanned when made, as `model.StackedWindows` does.
+    Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
+    same for every step, weights every history hour as
+    `temporal_attention` does, mixes each window's encoder states with day
+    weight times hour weight as `context_vector` does.  Its input is
+    [features; context], (n + S, B), one column per window: `fill` writes
+    the feature rows of every step and `forward(t, h_prev, out)` the
+    context into `out[n:]`.  `features` is (steps, n, B), `day_grid` the
+    (history, B) hourly grid of similar-day weights, each day's weight over
+    its hours, and `states` (history, S, B).  The sweep writes [tail;
+    features] into the joint rows of its store, which are scanned with it,
+    and keeps a window-major (B, S, history) copy of the states, so that
+    the context of every window is one batched product; it writes none of
+    the arrays it is given.  `day_grid` is read as given, and must have
+    been scanned when made, as `model.StackedWindows` does.  `weights`
+    holds the flat hour weights, (steps, history, B).  `operands` are
+    `proj`, `score`, `tail` and `states`; `grads()` returns their gradients
+    in that order.  The sweep keeps its run: an untaped op leaves its
+    inputs as the sweep built them and sets `run` to its `lstm.ForwardRun`.
     """
 
-    def __init__(self, tail, features, day_grid, states):
+    keeps_run = True
+
+    def __init__(self, params, tail, features, day_grid, states):
         features = np.asarray(features, dtype=np.float64)
         day_grid = np.asarray(day_grid, dtype=np.float64)
         tail, states = as_tensor(tail), as_tensor(states)
@@ -342,49 +349,17 @@ class TemporalFrame:
         if day_grid.shape != (spans[0], windows):
             raise DimensionError(f"day grid {day_grid.shape} does not cover {spans[0]} "
                                  f"history hours of {windows} windows")
-        self.tail, self.states, self.features, self.day = tail, states, features, day_grid
-        self.fixed = fixed = np.empty((steps, rows[0] + n, windows))
-        fixed[:, :rows[0]] = tail.values
-        fixed[:, rows[0]:] = features
-        self.states_by_window = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        fixed.flags.writeable = self.states_by_window.flags.writeable = False
-
-
-class TemporalSweep(_ScoredSweep):
-    """Temporal attention and the context vector for every decoder step,
-    inside one recurrence, over a `TemporalFrame`.
-
-    Step t conditions on [h_{t-1}; tail], where the (H, B) `tail` is the
-    same for every step, weights every history hour as
-    `temporal_attention` does, mixes each window's encoder states with day
-    weight times hour weight as `context_vector` does.  Its input is
-    [features; context], (n + S, B), one column per window: `fill` writes
-    the feature rows of every step and `forward(t, h_prev, out)` the
-    context into `out[n:]`.  The sweep copies the frame's fixed joint rows
-    into its own store and reads the frame's other arrays, never writing
-    them, and keeps no reference to the frame.  `weights` holds the flat
-    hour weights, (steps, history, B).  `operands` are `proj`, `score`,
-    `tail` and `states`; `grads()` returns their gradients in that order.
-    The sweep keeps its run: an untaped op leaves its inputs as the sweep
-    built them and sets `run` to its `lstm.ForwardRun`.
-    """
-
-    keeps_run = True
-
-    def __init__(self, params, frame):
-        steps, rows, windows = frame.fixed.shape
-        super().__init__(params, steps, rows, windows)
-        history_len = frame.day.shape[0]
-        if self._score.shape[0] != history_len:
+        super().__init__(params, steps, rows[0] + n, windows)
+        if self._score.shape[0] != spans[0]:
             raise DimensionError(f"temporal scorer {self._score.shape} does not match "
-                                 f"{history_len} history hours")
-        self._joint[:, self.hidden_size:] = frame.fixed
-        self._tail = slice(self.hidden_size, self.hidden_size + frame.tail.values.shape[0])
-        self.operands += (frame.tail, frame.states)
-        self._states, self._day, self._features = (frame.states_by_window, frame.day,
-                                                   frame.features)
-        self._n = frame.features.shape[1]
-        self.width = self._n + self._states.shape[1]
+                                 f"{spans[0]} history hours")
+        self._tail = slice(self.hidden_size, self.hidden_size + rows[0])
+        self._joint[:, self._tail] = tail.values
+        self._joint[:, self._tail.stop:] = features
+        self.operands += (tail, states)
+        self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
+        self._day, self._features, self._n = day_grid, features, n
+        self.width = n + spans[1]
 
     def fill(self, inputs):
         """Write every step's feature rows into `inputs`, (steps, n + S, B)."""

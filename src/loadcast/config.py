@@ -43,6 +43,13 @@ def _parse_optional_float(text):
     return _parse_float(text)
 
 
+def _parse_path(text):
+    # `Path("")` is the current directory, which no key means.
+    if not text:
+        raise ValueError("expected a path, got an empty value")
+    return Path(text)
+
+
 def _parse_variant(text):
     if text not in VARIANTS:
         raise ValueError(f"expected one of {', '.join(VARIANTS)}, got {text!r}")
@@ -74,14 +81,14 @@ _KEYS = {
     "train.learning_rate": _Key(_parse_float, TrainConfig.learning_rate, 0),
     "train.clip_norm": _Key(_parse_optional_float, TrainConfig.clip_norm),
     "train.seed": _Key(_parse_int, TrainConfig.seed, 0),
-    "data.train_csv": _Key(Path),
-    "data.validation_csv": _Key(Path),
-    "data.holidays": _Key(Path),
+    "data.train_csv": _Key(_parse_path),
+    "data.validation_csv": _Key(_parse_path),
+    "data.holidays": _Key(_parse_path),
     "data.stride_hours": _Key(_parse_int, None, 1),
     "data.synthetic_seed": _Key(_parse_int, 7, 0),
     "data.train_days": _Key(_parse_int, 45, 1),
     "data.validation_days": _Key(_parse_int, 7, 1),
-    "output.dir": _Key(Path),
+    "output.dir": _Key(_parse_path),
 }
 
 

@@ -7,7 +7,7 @@ recurrent one, so a gate is sigma(W_x x + b_x + W_h h + b_h).  Each op adds
 the two biases once and returns the bias gradient to both, so a step is
 one matmul, and each op one tape node with a hand-derived backward.  The
 four gates are one tanh, sigma(x) = 1/2 + tanh(x/2)/2, through the
-read-only tiles of `_gate_tiles`, the one table of its scale and shift.
+read-only tiles of `_gate_rows`, the one table of its scale and shift.
 
 The sequence ops carry a window axis: B windows run as one recurrence
 whose step arrays hold one column per window.  `lstm_sequence` runs one
@@ -169,30 +169,24 @@ def lstm_cell_step(params, prev, x):
 
 
 @functools.cache
-def _gate_tiles(hidden, windows, directions):
-    """The one-tanh gate form's (scale, shift) as read-only (directions,
-    4H, windows) tiles, built once per shape: (1/2, 1/2) on the i, f and o
-    rows and (1, 0) on the g rows.  With weights and summed bias scaled
-    (exactly, as halving is), `_activate` maps the pre-activations through
-    sigma(x) = 1/2 + tanh(x/2)/2 and tanh(x) in one pass."""
+def _gate_rows(hidden, windows, directions):
+    """What `_run` reads of its H, B and D, built once per shape: the
+    one-tanh gate form's (scale, shift) as read-only (D, 4H, B) tiles,
+    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows; the index
+    of each gate's block and of the block the gate product writes; that
+    product (`np.dot` over one direction, `np.matmul` over two); and the
+    weights' (4H, 1) or (D, 4H, 1) scale, a view of the scale tile.  With
+    weights and summed bias scaled (exactly, as halving is), `_activate`
+    maps the pre-activations through sigma(x) = 1/2 + tanh(x/2)/2 and
+    tanh(x) in one pass."""
     scale = np.full((directions, 4 * hidden, windows), 0.5)
     scale[..., 2 * hidden:3 * hidden, :] = 1.0
     shift = 1.0 - scale
     scale.flags.writeable = shift.flags.writeable = False
-    return scale, shift
-
-
-@functools.cache
-def _gate_rows(hidden, windows, directions):
-    """What `_run` reads of its H, B and D, built once per shape: the scale
-    and shift tiles, the index of each gate's block and of the block the
-    gate product writes, that product (`np.dot` over one direction,
-    `np.matmul` over two) and the weights' (4H, 1) or (D, 4H, 1) scale."""
     lone = directions == 1
     rows = tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
-    column = _gate_tiles(hidden, 1, directions)[0][0 if lone else Ellipsis]
-    return (_gate_tiles(hidden, windows, directions) + (rows + (0 if lone else Ellipsis,),)
-            + (np.dot if lone else np.matmul, column))
+    return (scale, shift, rows + (0 if lone else Ellipsis,), np.dot if lone else np.matmul,
+            scale[0 if lone else Ellipsis, :, :1])
 
 
 def _activate(pre, scale, shift, out):
@@ -470,7 +464,8 @@ class _Plan:
     offsets, and the runs, each its directions, the shape of the `z` it
     makes (None: it steps in the run before it's), its `_gate_rows` entry,
     each direction's `_columns`, its `c_end` rows and the index of c_T in
-    its cell states.  It holds no array but `_gate_tiles`' tiles."""
+    its cell states.  It holds no array but `_gate_rows`' tiles and views
+    of them."""
 
     __slots__ = ("hidden", "layout", "end", "size", "views", "runs")
 

@@ -30,18 +30,19 @@ nothing reads.  A side without attention knows its step inputs up front,
 one (steps, width, B) array; with attention, a sweep
 (`attention.FeatureSweep` in the encoder, `attention.TemporalSweep` in the
 decoder) builds each step's input inside the forward recurrence, and the
-backward direction consumes the same inputs.  `encode` returns an
-`Encoding`, which with decoder attention also holds the temporal sweep's
-parameter-free `attention.TemporalFrame`, made once per encoding; `decode`
-returns a `Decoding`, the stacked decoder states the head reads.  Both
-always keep the weights their sweep stored; `forward` runs the head, and
-alone decides whether its `Forecast`s carry those weights as attention
-traces.  `forward` takes an `Encoding`, or an `Encoding` and a `Decoding`,
-made before for the same inputs, so that a caller that knows a stage's
-parameters unchanged, as the gradient gate does, skips that stage.  A
-caller that knows only a sweep stage's forward direction unchanged hands
-`encode` or `decode` the earlier value, whose forward run the stage's
-sequence op reuses, stepping only its backward direction.
+backward direction consumes the same inputs.  `encode` reads only the
+histories and returns an `Encoding`; `decode` builds its temporal sweep
+from the encoding's backward h_T and states and the windows' future
+features and similar-day grid, and returns a `Decoding`, the stacked
+decoder states the head reads.  Both always keep the weights their sweep
+stored; `forward` runs the head, and alone decides whether its
+`Forecast`s carry those weights as attention traces.  `forward` takes an
+`Encoding`, or an `Encoding` and a `Decoding`, made before for the same
+inputs, so that a caller that knows a stage's parameters unchanged, as
+the gradient gate does, skips that stage.  A caller that knows only a
+sweep stage's forward direction unchanged hands `encode` or `decode` the
+earlier value, whose forward run the stage's sequence op reuses, stepping
+only its backward direction.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -59,8 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (AttentionParams, FeatureSweep, TemporalFrame, TemporalSweep,
-                        similar_day_weights)
+from .attention import AttentionParams, FeatureSweep, TemporalSweep, similar_day_weights
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
 from .errors import ConfigError, DimensionError
@@ -237,19 +237,17 @@ def _require_config(windows, config):
 class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
-    decoder, the feature sweep's own (history_len, n_features, B) weights
-    (None without encoder attention) and, with decoder attention, the
-    `TemporalFrame` every decoder run over this encoding and its windows
-    reads (None without).  With encoder attention, the forward half of
-    `states`, `terminal_forward`'s c and the weights (from which
-    `FeatureSweep.inputs_from` rebuilds the inputs) are also the encoder's
-    forward run, so an encoding keeps nothing extra for its reuse."""
+    decoder and the feature sweep's own (history_len, n_features, B)
+    weights (None without encoder attention).  With encoder attention, the
+    forward half of `states`, `terminal_forward`'s c and the weights (from
+    which `FeatureSweep.inputs_from` rebuilds the inputs) are also the
+    encoder's forward run, so an encoding keeps nothing extra for its
+    reuse."""
 
     states: Tensor
     terminal_forward: LstmState
     terminal_backward: LstmState | None
     feature_weights: np.ndarray | None
-    temporal_frame: TemporalFrame | None
 
 
 def _recur(config, cell, inputs, count, init=None, terminals=True):
@@ -268,10 +266,11 @@ def _recur(config, cell, inputs, count, init=None, terminals=True):
 
 def encode(params, config, windows, earlier=None):
     """Run the encoder over the histories of `windows`, a `StackedWindows`
-    built for `config`.  Each step consumes [features; observed load]; with
-    feature attention the feature part is reweighted first (conditioned as
-    the module docstring says), and the `Encoding` keeps the weights for
-    `forward` to trace or not.
+    built for `config`, reading only their history features and targets.
+    Each step consumes [features; observed load]; with feature attention
+    the feature part is reweighted first (conditioned as the module
+    docstring says), and the `Encoding` keeps the weights for `forward` to
+    trace or not.
 
     An `earlier` encoding of these windows, made untaped with the same
     feature attention and forward encoder cell, hands its forward run to
@@ -299,11 +298,7 @@ def encode(params, config, windows, earlier=None):
         inputs = Tensor(np.concatenate(
             (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
     states, terminals = _recur(config, params.encoder, inputs, windows.count)
-    frame = None
-    if config.decoder_attention:
-        frame = TemporalFrame(terminals[1].h, windows.future_features, windows.day_grid,
-                              states)
-    return Encoding(states, *terminals, weights, frame)
+    return Encoding(states, *terminals, weights)
 
 
 @dataclass
@@ -326,10 +321,11 @@ def decode(params, config, encoding, windows, earlier=None):
     `Decoding`, whose hour weights `forward` may turn into traces.
 
     Each direction starts from its own orientation's encoder terminal
-    state.  With decoder attention, each step's context (similar-day times
-    temporal weights over the window's encoder states) is computed in the
-    forward sweep, and both directions consume the same [features; context]
-    inputs.  The head does not read the decoder's terminal states, so its
+    state.  With decoder attention, a `TemporalSweep` over the encoder's
+    backward h_T and states and the windows' future features and day grid
+    computes each step's context (similar-day times temporal weights over
+    the window's encoder states) in the forward recurrence, and both
+    directions consume the same [features; context] inputs.  The head does not read the decoder's terminal states, so its
     sequence op makes none.
 
     An `earlier` decoding of these windows, made untaped with the same
@@ -350,7 +346,8 @@ def decode(params, config, encoding, windows, earlier=None):
         weights, run = earlier.hour_weights, earlier.forward_run
         inputs = run
     elif config.decoder_attention:
-        inputs = TemporalSweep(params.temporal_attn, encoding.temporal_frame)
+        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
+                               windows.future_features, windows.day_grid, encoding.states)
     else:
         inputs = Tensor(windows.future_features)
     states, _terminals = _recur(config, params.decoder, inputs, windows.count,

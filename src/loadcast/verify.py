@@ -268,8 +268,10 @@ def _check_lstm_oracle(instances=1000, tolerance=1e-12):
 def _check_model_gradients():
     config, sample = tiny_model_case()
     report = model_gradient_report(config, sample)
-    return CheckResult("full-model gradients vs central differences", report.passed,
-                       f"max rel error {report.max_rel_error:.2e}")
+    detail = f"max rel error {report.max_rel_error:.2e}"
+    if not report.passed:
+        detail += f", worst block {max(report.per_param, key=report.per_param.get)}"
+    return CheckResult("full-model gradients vs central differences", report.passed, detail)
 
 
 def _check_attention_normalization(evaluations=100, tolerance=1e-12):

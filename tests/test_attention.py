@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from loadcast.attention import (DISTANCE_EPSILON, AttentionParams,
-                                FeatureSweep, RECIPROCAL_CAP, TemporalFrame, TemporalSweep,
+                                FeatureSweep, RECIPROCAL_CAP, TemporalSweep,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
@@ -308,9 +308,8 @@ def make_sweep(case, attn, leaves):
     """The case's sweep over one window: per-window arrays as (.., 1)."""
     if "states" in case:
         grid = np.repeat(case["day"], case["day_len"])[:, np.newaxis]
-        return TemporalSweep(attn, TemporalFrame(column(leaves["tail"]),
-                                                 case["features"][..., np.newaxis], grid,
-                                                 column(leaves["states"])))
+        return TemporalSweep(attn, column(leaves["tail"]), case["features"][..., np.newaxis],
+                             grid, column(leaves["states"]))
     return FeatureSweep(attn, case["features"][..., np.newaxis], case["targets"][:, np.newaxis])
 
 
@@ -532,20 +531,20 @@ class TestAttendedSweeps:
         features = case["features"][..., np.newaxis]
         grid = np.repeat(case["day"], case["day_len"])[:, np.newaxis]
         states = Tensor(case["states"][..., np.newaxis])
-        with pytest.raises(DimensionError):
-            TemporalFrame(tail, features, np.ones((4, 1)) / 4, states)
-        with pytest.raises(DimensionError):
-            TemporalFrame(tail, features, grid[:, 0], states)
-        with pytest.raises(DimensionError):
-            TemporalFrame(tail, features, np.repeat(grid, 2, axis=1), states)
-        with pytest.raises(DimensionError):
-            TemporalFrame(Tensor(np.zeros((2, 2))), features, grid, states)
-        with pytest.raises(DimensionError):
-            TemporalFrame(tail, features, grid, Tensor(states.values[1:]))
-        with pytest.raises(DimensionError):
-            TemporalFrame(tail, features, grid, Tensor(np.repeat(states.values, 2, axis=2)))
-        frame = TemporalFrame(tail, features, grid, states)
-        # A scorer over another history length than the frame's.
-        with pytest.raises(DimensionError):
-            TemporalSweep(AttentionParams.random(rng, 6, 4, 2, 1.0), frame)
-        TemporalSweep(case["attn"], frame)
+        attn = case["attn"]
+        with pytest.raises(DimensionError, match=r"does not cover 6 history hours"):
+            TemporalSweep(attn, tail, features, np.ones((4, 1)) / 4, states)
+        with pytest.raises(DimensionError, match=r"does not cover 6 history hours"):
+            TemporalSweep(attn, tail, features, grid[:, 0], states)
+        with pytest.raises(DimensionError, match=r"does not cover 6 history hours"):
+            TemporalSweep(attn, tail, features, np.repeat(grid, 2, axis=1), states)
+        with pytest.raises(DimensionError, match=r"are not \(rows, windows\)"):
+            TemporalSweep(attn, Tensor(np.zeros((2, 2))), features, grid, states)
+        with pytest.raises(DimensionError, match=r"does not cover 5 history hours"):
+            TemporalSweep(attn, tail, features, grid, Tensor(states.values[1:]))
+        with pytest.raises(DimensionError, match=r"are not \(history, width, windows\)"):
+            TemporalSweep(attn, tail, features, grid, Tensor(np.repeat(states.values, 2, axis=2)))
+        # A scorer over another history length than the states'.
+        with pytest.raises(DimensionError, match=r"does not match 6 history hours"):
+            TemporalSweep(AttentionParams.random(rng, 6, 4, 2, 1.0), tail, features, grid, states)
+        TemporalSweep(attn, tail, features, grid, states)

@@ -35,8 +35,7 @@ from loadcast.lstm import LstmParams, LstmState, lstm_cell_step
 from loadcast.model import init_params
 from loadcast.tensor import Tensor, check_gradients, concat, hadamard, total
 from loadcast.training import WINDOWS_PER_PASS
-from loadcast.verify import (CheckResult, _check_basic_gradients, _check_model_gradients,
-                             model_gradient_report, tiny_model_case)
+from loadcast.verify import CheckResult, _check_basic_gradients, _check_model_gradients
 
 # Seed 4 draws a model whose ReLU head stays live, so the epochs differ.
 TINY_CONFIG = """
@@ -1063,7 +1062,10 @@ class TestVerify:
         # (pre-activation -0.058), so the gate sees the wrong rule.
         assert seed8_gate.check.passed
         monkeypatch.setattr(loadcast.lstm, "_relu_grad", lambda x, g: g)
-        assert not _check_model_gradients().passed
+        check = _check_model_gradients()
+        # The failing detail names the block with the largest error.
+        assert not check.passed
+        assert check.detail == "max rel error 2.00e+00, worst block encoder.forward.weights"
 
     def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
         # A NaN analytic gradient must fail the check, not compare false
@@ -1072,7 +1074,8 @@ class TestVerify:
             monkeypatch.setattr(module, "_tanh_grad", lambda out, g: np.full_like(out, np.nan))
         assert not _check_basic_gradients().passed
         report = _check_model_gradients()
-        assert not report.passed and report.detail == "max rel error inf"
+        assert not report.passed
+        assert report.detail == "max rel error inf, worst block feature_attn.proj"
 
     def test_a_corrupted_walk_fails_both_gradient_checks(self, monkeypatch):
         # The cell and every sequence op take their gate gradients from
@@ -1099,7 +1102,8 @@ class TestVerify:
             return total(hadamard(concat([out.h, out.c]), probe))
 
         assert not check_gradients(program, arrays, tolerance=1e-6).passed
-        assert not model_gradient_report(*tiny_model_case()).passed
+        check = _check_model_gradients()
+        assert not check.passed and check.detail.endswith(", worst block encoder.forward.weights")
 
     def test_verdicts_are_plain_bools_that_serialize(self, seed8_gate):
         results = seed8_gate.results

@@ -139,6 +139,16 @@ class TestErrors:
             parse_run_config(path)
         assert "output.dir" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["output.dir", "data.train_csv", "data.validation_csv",
+                                     "data.holidays"])
+    def test_empty_path_value_names_the_key_and_line(self, tmp_path, key):
+        # An empty path would otherwise be `Path('.')`, the current directory.
+        body = "train.epochs = 2\n" + ("" if key == "output.dir" else "output.dir = out\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(tmp_path, body + f"{key} =  # unset\n"))
+        line = 2 if key == "output.dir" else 3
+        assert f"line {line}: {key}: expected a path, got an empty value" in str(exc.value)
+
     @pytest.mark.parametrize("key", [key for key, spec in _KEYS.items()
                                      if spec.at_least is not None])
     def test_value_below_its_bound_names_the_key(self, tmp_path, key):

@@ -14,7 +14,7 @@ from loadcast import lstm
 from loadcast.data import WindowSample
 from loadcast.errors import DimensionError, EvaluationError, TapeError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams,
-                           LstmState, _activate, _gate_tiles,
+                           LstmState, _activate, _gate_rows,
                            bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
                            zero_state)
 from loadcast.model import VARIANTS
@@ -193,7 +193,7 @@ class TestGateForm:
         hidden, windows = 3, 3
         x = self.grid()
         x = np.concatenate((x, x[:(-x.size) % windows])).reshape(-1, windows)
-        scale, shift = _gate_tiles(hidden, windows, 1)
+        scale, shift = _gate_rows(hidden, windows, 1)[:2]
         pre = scale * x[:, np.newaxis, np.newaxis]
         act = _activate(pre, scale, shift, np.empty_like(pre))
         gates = act.reshape(-1, 4, hidden, windows)
@@ -204,8 +204,8 @@ class TestGateForm:
                                                             gates[:, 2].shape))
 
     def test_built_once_per_width_and_read_only(self):
-        scale, shift = _gate_tiles(5, 1, 1)
-        assert _gate_tiles(5, 1, 1)[0] is scale and _gate_tiles(5, 1, 1)[1] is shift
+        scale, shift = _gate_rows(5, 1, 1)[:2]
+        assert _gate_rows(5, 1, 1)[0] is scale and _gate_rows(5, 1, 1)[1] is shift
         for arr in (scale, shift):
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 0.0
@@ -214,10 +214,14 @@ class TestGateForm:
         # Per direction count too: a two-direction run's tiles repeat the
         # one-direction rows on each direction.
         for directions in (1, 2):
-            tiles = _gate_tiles(5, 3, directions)
-            assert all(a is b for a, b in zip(_gate_tiles(5, 3, directions), tiles))
-            assert _gate_tiles(5, 4, directions)[0] is not tiles[0]
-            assert _gate_tiles(5, 3, 3 - directions)[0] is not tiles[0]
+            entry = _gate_rows(5, 3, directions)
+            tiles = entry[:2]
+            assert all(a is b for a, b in zip(_gate_rows(5, 3, directions), entry))
+            assert _gate_rows(5, 4, directions)[0] is not tiles[0]
+            assert _gate_rows(5, 3, 3 - directions)[0] is not tiles[0]
+            # The weights' scale column is a view of the entry's own scale tile.
+            assert entry[-1].base is tiles[0]
+            npt.assert_array_equal(entry[-1], tiles[0][..., :1][0 if directions == 1 else ...])
             rows = ([0.5] * 10 + [1.0] * 5 + [0.5] * 5, [0.5] * 10 + [0.0] * 5 + [0.5] * 5)
             for tile, row in zip(tiles, rows):
                 column = np.repeat(np.array(row)[:, np.newaxis], 3, axis=1)
@@ -904,7 +908,7 @@ class TestPlans:
         # One seed-8 gradient gate per variant, and a tiny training run,
         # each keep an exact number of plans: a key that took a value
         # would keep one per probe or per batch.  No plan holds an array
-        # but a read-only `_gate_tiles` tile or a view of one.
+        # but a read-only `_gate_rows` tile or a view of one.
         counts = []
         for run in ("gates", "train"):
             lstm._plan.cache_clear()
@@ -924,7 +928,8 @@ class TestPlans:
                 root = array if array.base is None else array.base
                 assert root.base is None and not root.flags.writeable
                 hidden, windows = root.shape[1] // 4, root.shape[2]
-                assert any(root is tile for tile in _gate_tiles(hidden, windows, root.shape[0]))
+                assert any(root is tile
+                           for tile in _gate_rows(hidden, windows, root.shape[0])[:2])
         # The gates: ANLF's encoder and decoder ops over a sweep, handed a
         # run and taped (6); eAttention's and dAttention's ops over known
         # inputs on the side without attention, untaped and taped (2 each;
@@ -941,7 +946,7 @@ def broadcast_run(w, bias, z, c0, sweep=None, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = (tile[0] for tile in _gate_tiles(hidden, 1, 1))
+    scale, shift = (tile[0] for tile in _gate_rows(hidden, 1, 1)[:2])
     w = w * scale
     bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1
@@ -995,7 +1000,7 @@ def sequential_run(w, bias, z, c0, history=True):
     steps = z.shape[0] - 1
     hidden, windows = c0.shape
     width = z.shape[1] - hidden
-    scale, shift = (tile[0] for tile in _gate_tiles(hidden, windows, 1))
+    scale, shift = (tile[0] for tile in _gate_rows(hidden, windows, 1)[:2])
     w = w * scale[:, :1]
     bias = bias[:, np.newaxis] * scale
     slots = steps if history else 1

@@ -36,14 +36,11 @@ def random_sample(config, seed):
 
 
 def encoding_arrays(encoding):
-    """Every array an `Encoding` holds, its temporal frame's and its
-    feature weights included."""
+    """Every array an `Encoding` holds, its feature weights included."""
     states = [encoding.terminal_forward, encoding.terminal_backward]
-    frame = encoding.temporal_frame
     return ([encoding.states.values]
             + [tensor.values for state in states if state is not None
                for tensor in (state.h, state.c)]
-            + ([] if frame is None else [frame.fixed, frame.day, frame.states_by_window])
             + ([] if encoding.feature_weights is None else [encoding.feature_weights]))
 
 
@@ -311,6 +308,19 @@ class TestForward:
             bare = forward(bound, config, windows, **given).forecasts[0]
             npt.assert_array_equal(bare.values, fresh.values, strict=True)
             assert all(getattr(bare, field) is None for field in fields[1:])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_encode_reads_only_the_histories(self, variant):
+        # The decoder builds its own attention inputs: an encoding made
+        # without the future features and the day grid is the full one.
+        config, sample = tiny_model_case(variant)
+        params = bind_constants(init_params(config))
+        windows = StackedWindows.stack(config, [sample])
+        history = dataclasses.replace(windows, future_features=None, day_grid=None)
+        for value, ref in zip(encoding_arrays(model.encode(params, config, history)),
+                              encoding_arrays(model.encode(params, config, windows)),
+                              strict=True):
+            npt.assert_array_equal(value, ref, strict=True)
 
     def test_day_weights_come_from_the_window_history(self):
         # A window gives its history once: the served day weights are those

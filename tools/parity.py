@@ -113,11 +113,13 @@ def _sequence_blocks(size):
 def _untaped_blocks(size):
     """One-window untaped sequence ops at `size`, each on its own: ANLF's
     `bilstm_sequence` over its encoder's `FeatureSweep` and then over its
-    decoder's `TemporalSweep` (from that encoding's `TemporalFrame`), with
-    the model's own cells, and `bilstm_sequence` and `lstm_sequence` over
-    known inputs at the EDBiLSTM encoder cell's shape: the states, each
-    terminal h and c, and a sweep's weights, keyed
-    `untaped/size/op/part`."""
+    decoder's `TemporalSweep` (over that encoding's backward h_T and
+    states), with the model's own cells, and `bilstm_sequence` and
+    `lstm_sequence` over known inputs at the EDBiLSTM encoder cell's shape:
+    the states, each terminal h and c, and a sweep's weights, keyed
+    `untaped/size/op/part`.  A tree whose `TemporalSweep` reads those
+    arrays through an `attention.TemporalFrame` gets them in one, so that
+    trees on either side of that change compare block for block."""
     from loadcast import attention, lstm, model
 
     config = _config("ANLF", size)
@@ -127,9 +129,10 @@ def _untaped_blocks(size):
     feature = attention.FeatureSweep(params.feature_attn, windows.hist_features,
                                      windows.hist_targets)
     states, terminals = lstm.bilstm_sequence(params.encoder, feature, zero, zero)
-    frame = attention.TemporalFrame(terminals[1].h, windows.future_features, windows.day_grid,
-                                    states)
-    temporal = attention.TemporalSweep(params.temporal_attn, frame)
+    fixed = terminals[1].h, windows.future_features, windows.day_grid, states
+    if hasattr(attention, "TemporalFrame"):
+        fixed = (attention.TemporalFrame(*fixed),)
+    temporal = attention.TemporalSweep(params.temporal_attn, *fixed)
     runs = {"feature_sweep": (states, terminals, feature.weights),
             "temporal_sweep": lstm.bilstm_sequence(params.decoder, temporal, *terminals)
             + (temporal.weights,)}
