@@ -16,37 +16,26 @@ Both scorers are one two-layer additive network, `AttentionParams`.
 
 `feature_attention`, `temporal_attention` and `context_vector` compute one
 step of one window as tape ops.  The model runs a whole sequence's steps
-for a batch of B windows instead as a numpy sweep, `FeatureSweep` or
-`TemporalSweep`, inside the forward direction of one
-`lstm.bilstm_sequence` op, whose backward direction reads the same step
-inputs reversed.  A sweep's `fill(inputs)` writes the input rows that
-depend on no parameter (the feature sweep's targets, the temporal sweep's
-features) for every step at once into the (steps, width, B) input rows
-of the recurrence's own [x_t; h_{t-1}] scratch, and `forward(t, h_prev,
-out)` writes the rest of step t's input, one column per window, into the
-(width, B) array `out`, step t's part of the same rows, with the same
-arithmetic (scores and softmax down each column, each window's context
-from its own encoder states and similar-day weights);
-`backward(t, dx)` turns the gradient of that input into one for h_prev in
-the reverse loop, and `grads()` forms the parameter gradients (for the
-temporal sweep also those of its conditioning tail and encoder states)
-with one product each over the rows stored per step and window, and the
-temporal sweep forms its day-times-hour mix from `weights` where it reads
-it.  A sweep keeps every step's joint, pre-activations and scores as row
-blocks of one array, so that `check_finite()` scans its store in two
-passes, that array and `weights`.  Transposed scorer blocks are made only
-for a backward pass; a run without one calls `drop_store()`, which frees
-all of it but `weights`.  The temporal sweep takes what it reads that
-depends on none of its parameters (the conditioning tail, the features,
-the hourly day grid and the encoder states) as arrays, checks them, and
-writes its fixed joint rows and a window-major copy of the states itself.
+for B windows instead as a numpy sweep, `FeatureSweep` or `TemporalSweep`,
+inside the forward direction of one `lstm.bilstm_sequence` op, whose
+backward direction reads the same step inputs reversed.  A sweep's
+`fill(inputs)` writes the input rows that depend on no parameter (the
+feature sweep's targets, the temporal sweep's features) for every step at
+once into the recurrence's (steps, width, B) input rows, and
+`forward(t, h_prev, out)` writes the rest of step t's input, one column
+per window, with the arithmetic of the one-step ops; `backward(t, dx)`
+turns the gradient of that input into one for h_prev in the reverse loop,
+and `grads()` forms the parameter gradients (for the temporal sweep also
+those of its tail and encoder states) with one product each.  A sweep
+keeps every step's joint, pre-activations and scores as row blocks of one
+array, so that `check_finite()` scans two arrays, that one and `weights`;
+a run without a backward pass calls `drop_store()`, which frees all of it
+but `weights`.
 
-An untaped op over a temporal sweep gives the sweep its `lstm.ForwardRun`
-as `run` (the sweep's `keeps_run`), which `model.Decoding` keeps, since a
+After an untaped op, a temporal sweep's `inputs` are every step's input
+as the forward direction read it, which `model.Decoding` keeps, since a
 step's context cannot be rebuilt bitwise outside the step; a feature
-sweep's inputs can, from its `weights` (`FeatureSweep.inputs_from`), so it
-keeps none.  Either hands a later op over the same forward direction its
-forward run in place of a sweep.
+sweep's inputs can, from its `weights` (`FeatureSweep.inputs_from`).
 """
 
 from __future__ import annotations
@@ -140,7 +129,8 @@ def temporal_attention(params, state, features, day_len):
     scores = matmul(params.score, tanh(matmul(params.proj, joint)))
     history_len = scores.shape[0]
     if day_len < 1 or history_len % day_len != 0:
-        raise DimensionError(f"history length {history_len} is not divisible by day length {day_len}")
+        raise DimensionError(f"history length {history_len} is not divisible by day length "
+                             f"{day_len}")
     flat = stable_softmax(scores)
     return reshape(flat, (history_len // day_len, day_len))
 
@@ -182,12 +172,7 @@ class _ScoredSweep:
     (steps, rows, B) store, the tanh values apart, and in `weights` the
     (steps, n, B) softmax weights.  A sweep's `_weight_grad(t, dx)` turns
     the gradient of step t's input into the gradient of its weights.
-    `keeps_run` says whether an untaped op gives the sweep its forward run
-    as `run`.
     """
-
-    keeps_run = False
-    run = None
 
     def __init__(self, params, steps, rows, windows):
         proj, score = as_tensor(params.proj), as_tensor(params.score)
@@ -297,8 +282,7 @@ class FeatureSweep(_ScoredSweep):
         """Every step's input as `fill` and `forward` write it, (steps, n +
         1, B), from the (steps, n, B) `weights` of a sweep over `features`
         and `targets`: the same elementwise products, made in one, and the
-        target row.  It is how a later op reuses a feature sweep's forward
-        run, which the sweep does not keep."""
+        target row; the sweep does not keep them, so `model` rebuilds them."""
         inputs = np.empty((features.shape[0], features.shape[1] + 1, features.shape[2]))
         np.multiply(weights, features, out=inputs[:, :-1])
         inputs[:, -1] = targets
@@ -328,11 +312,10 @@ class TemporalSweep(_ScoredSweep):
     been scanned when made, as `model.StackedWindows` does.  `weights`
     holds the flat hour weights, (steps, history, B).  `operands` are
     `proj`, `score`, `tail` and `states`; `grads()` returns their gradients
-    in that order.  The sweep keeps its run: an untaped op leaves its
-    inputs as the sweep built them and sets `run` to its `lstm.ForwardRun`.
+    in that order.  `inputs` is a read-only view of the (steps, n + S, B)
+    block `fill` was handed, which the forward direction completes, kept
+    until the sweep's backward begins (None before `fill`).
     """
-
-    keeps_run = True
 
     def __init__(self, params, tail, features, day_grid, states):
         features = np.asarray(features, dtype=np.float64)
@@ -360,10 +343,14 @@ class TemporalSweep(_ScoredSweep):
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
         self._day, self._features, self._n = day_grid, features, n
         self.width = n + spans[1]
+        self.inputs = None
 
     def fill(self, inputs):
-        """Write every step's feature rows into `inputs`, (steps, n + S, B)."""
+        """Write every step's feature rows into `inputs`, (steps, n + S, B),
+        and keep a read-only view of it."""
         inputs[:, :self._n] = self._features
+        self.inputs = inputs.view()
+        self.inputs.flags.writeable = False
 
     def forward(self, t, h_prev, out):
         """Write step t's context into `out`, from the hidden state before it."""
@@ -373,6 +360,7 @@ class TemporalSweep(_ScoredSweep):
 
     def _begin_backward(self):
         super()._begin_backward()
+        self.inputs = None
         self._d_context = np.empty((self.steps, self._states.shape[1], self.windows))
 
     def _weight_grad(self, t, dx):

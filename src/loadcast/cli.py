@@ -141,6 +141,14 @@ def _prepare_synthetic(run):
             calendar, fingerprint)
 
 
+def _output_path(flag, value):
+    """The path the output flag `flag` names, if given; an empty value, which
+    `Path` reads as the current directory, is a `ConfigError`."""
+    if value == "":
+        raise ConfigError(f"{flag}: expected a path, got an empty value")
+    return None if value is None else Path(value)
+
+
 def _require_file(name, path):
     """Raise `ConfigError`, naming `name` and `path`, unless `path` is a file."""
     if path.is_dir():
@@ -319,6 +327,7 @@ def _write_attention_dumps(out, traces):
 
 
 def _cmd_forecast(args):
+    out_dir = _output_path("--out", args.out)
     ck = load_checkpoint(args.checkpoint)
     if args.dump_attention and not (ck.config.encoder_attention or ck.config.decoder_attention):
         raise ConfigError(f"--dump-attention: variant {ck.config.variant} has no attention stage")
@@ -343,7 +352,7 @@ def _cmd_forecast(args):
             result = evaluate(ck.params, ck.config, samples, ck.stats, args.dump_attention)
     except (EvaluationError, FloatingPointError) as err:
         raise ConfigError(f"{args.checkpoint} does not evaluate on {args.data}: {err}") from err
-    with _output_lock(args.out) as out:
+    with _output_lock(out_dir) as out:
         _write_forecast_csv(out / "forecast.csv", samples, result)
         write_atomic(out / "metrics.txt", result.report.as_text())
         write_atomic(out / "metrics.csv",
@@ -370,18 +379,20 @@ def _cmd_verify(_args):
 def _cmd_synth(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-    if args.holidays_out is not None and args.holidays_out.resolve() == args.out.resolve():
-        raise ConfigError(f"--out and --holidays-out name the same file, {args.out}; the "
+    out = _output_path("--out", args.out)
+    holidays_out = _output_path("--holidays-out", args.holidays_out)
+    if holidays_out is not None and holidays_out.resolve() == out.resolve():
+        raise ConfigError(f"--out and --holidays-out name the same file, {out}; the "
                           f"calendar would overwrite the series")
     try:
         records = generate_synthetic(args.days, args.seed)
     except ValueError as err:
         raise ConfigError(f"--days {args.days}: {err}") from None
-    write_records_csv(records, args.out)
-    _say(f"wrote {len(records)} hourly records to {args.out}")
-    if args.holidays_out is not None:
-        synthetic_calendar(records).to_file(args.holidays_out)
-        _say(f"wrote holiday calendar to {args.holidays_out}")
+    write_records_csv(records, out)
+    _say(f"wrote {len(records)} hourly records to {out}")
+    if holidays_out is not None:
+        synthetic_calendar(records).to_file(holidays_out)
+        _say(f"wrote holiday calendar to {holidays_out}")
     return EXIT_OK
 
 
@@ -403,7 +414,7 @@ def _build_parser():
     p_fc.add_argument("--data", required=True, type=Path)
     p_fc.add_argument("--holidays", type=Path, default=None,
                       help="holiday calendar override (defaults to the checkpoint's)")
-    p_fc.add_argument("--out", type=Path, default=Path("."),
+    p_fc.add_argument("--out", default=".",
                       help="directory for forecast and metric files")
     p_fc.add_argument("--dump-attention", action="store_true",
                       help="also write attention weight CSVs")
@@ -415,8 +426,8 @@ def _build_parser():
     p_synth = sub.add_parser("synth", help="write a synthetic hourly series")
     p_synth.add_argument("--days", required=True, type=int)
     p_synth.add_argument("--seed", required=True, type=int)
-    p_synth.add_argument("--out", required=True, type=Path)
-    p_synth.add_argument("--holidays-out", type=Path, default=None,
+    p_synth.add_argument("--out", required=True)
+    p_synth.add_argument("--holidays-out", default=None,
                          help="also write a matching holiday calendar")
     p_synth.set_defaults(handler=_cmd_synth)
     return parser

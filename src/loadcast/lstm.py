@@ -24,18 +24,18 @@ A sequence op is a plan and an executor.  The plan, a `_Plan` that `_plan`
 makes once per op shape after the shape checks, lists the op's runs: over
 known inputs one run of every direction, (0, 1) or (0,); with an attention
 sweep, (0,), whose inputs the sweep builds from the forward h_{t-1}, then
-(1,) over them; handed the `ForwardRun` of an earlier untaped sweep op,
-(1,) alone.  It holds the output's layout, its views' offsets and what each
-run reads of its shape.  The executor, `_sequence`, looks the plan up by
-the operands' shapes and does only what depends on values: it fills, steps
-and copies each run, and makes the output and its views.  The backward
-direction reads its inputs and writes its states reversed, and the rule
-walks the runs last first.  A sweep writes step t's input inside the loop,
-and in the reverse loop turns the gradient on x_t into one on h_{t-1}.  An
-untaped run keeps only what its next step reads.  `lstm_cell_step` is a
-one-step `_run` over one window and `_walk` over it: the cell and the
-sequence ops share one derivation.  The head, `feedforward_relu`, is one
-tape op of two 2-D `np.dot`s over every window's stacked states.
+(1,) over them.  It holds the output's layout, its views' offsets and what
+each run reads of its shape.  The executor, `_sequence`, looks the plan up
+and does only what depends on values: it fills, steps and copies each run,
+each in scratch of its own, and makes the output and its views.  The
+backward direction reads its inputs and writes its states reversed, and
+the rule walks the runs last first.  A sweep writes step t's input inside
+the loop, and in the reverse loop turns the gradient on x_t into one on
+h_{t-1}.  An untaped run keeps only what its next step reads.
+`lstm_cell_step` is a one-step `_run` over one window and `_walk` over
+it: the cell and the sequence ops share one derivation.  The head,
+`feedforward_relu`, is one tape op of two 2-D `np.dot`s over every
+window's stacked states.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, TapeError
+from .errors import DimensionError
 from .tensor import (Tensor, _any_taped, _matmul_grad_left, _matmul_grad_right, _relu_grad,
                      _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
                      segment)
@@ -325,24 +325,6 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
     return d_pre, dh_next, dc
 
 
-class ForwardRun:
-    """The forward run of an untaped sweep op, as read-only views: the
-    (steps, width, B) inputs its sweep built, its (steps, H, B) forward
-    states and its (H, B) forward c_T.  Handed to `bilstm_sequence` in
-    place of a sweep, it stands for that sweep over the same parameters,
-    forward cell, windows and forward initial state, so the op steps only
-    its backward direction.  A sweep whose `keeps_run` is true is given
-    its untaped op's run as `run`."""
-
-    __slots__ = ("inputs", "states", "c_end")
-
-    def __init__(self, inputs, states, c_end):
-        self.inputs, self.states, self.c_end = views = [
-            np.asarray(a).view() for a in (inputs, states, c_end)]
-        for view in views:
-            view.setflags(write=False)
-
-
 def _direction(shapes, shape):
     """The H of a direction whose weights, b_x, b_h, h_0 and c_0 have
     `shapes`, checked against (steps, width, B) step inputs of `shape`."""
@@ -440,12 +422,13 @@ def lstm_sequence(params, inputs, init, terminals=True):
 def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True):
     """Run a sequence of inputs in both directions for B windows.
 
-    `inputs` is the (steps, width, B) array of step inputs, an attention
+    `inputs` is the (steps, width, B) array of step inputs or an attention
     sweep (`attention.FeatureSweep`, `attention.TemporalSweep`) that builds
-    step t's input from the forward h_{t-1}, or, in an untaped op, the
-    `ForwardRun` of an earlier untaped sweep op over the same sweep
-    parameters, forward cell, windows and `init_forward`.  The backward
-    direction consumes the same inputs in reverse from `init_backward`.
+    step t's input from the forward h_{t-1}.  The backward direction
+    consumes the same inputs in reverse from `init_backward`, as a run of
+    its own: untaped, its states and terminal state are bitwise those of
+    `lstm_sequence(params.backward, inputs[::-1], init_backward)`, its
+    states reversed, which is how `model` reruns that direction alone.
     Returns the (steps, 2H, B) states, step t being [forward h_t; backward
     h_t], and each direction's own terminal state (None without
     `terminals`), views of one tape op computing [states; forward c_T;
@@ -462,14 +445,13 @@ class _Plan:
     """What a sequence op decides from its shapes, read only: H, the
     `_parts` shapes split at `end` of a flat output of `size`, the `_views`
     offsets, and the runs, each its directions, the shape of the `z` it
-    makes (None: it steps in the run before it's), its `_gate_rows` entry,
-    each direction's `_columns`, its `c_end` rows and the index of c_T in
-    its cell states.  It holds no array but `_gate_rows`' tiles and views
-    of them."""
+    makes, its `_gate_rows` entry, each direction's `_columns`, its `c_end`
+    rows and the index of c_T in its cell states.  It holds no array but
+    `_gate_rows`' tiles and views of them."""
 
     __slots__ = ("hidden", "layout", "end", "size", "views", "runs")
 
-    def __init__(self, kind, shape, hidden, count, taped, keeps, terminals):
+    def __init__(self, kind, shape, hidden, count, taped, terminals):
         steps, width, windows = shape
         block, span = hidden * windows, count * hidden * windows
         self.hidden, self.end, self.size = hidden, steps * span, (steps + 1) * span
@@ -477,15 +459,12 @@ class _Plan:
         starts = ((self.end - span, self.end), (block, self.end + block))[:count]
         self.views = ((0, self.end, self.layout[0]), None if not terminals else tuple(
             tuple((k, k + block, (hidden, windows)) for k in pair) for pair in starts))
-        picks = {"known": (tuple(range(count)),), "sweep": ((0,), (1,)), "run": ((1,),)}[kind]
-        # An untaped run keeps nothing of the scratch before it but its
-        # inputs, so the next run reuses it, unless the sweep keeps them.
-        self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows)
-                                 if taped or keeps or not n else None,
+        picks = {"known": (tuple(range(count)),), "sweep": ((0,), (1,))}[kind]
+        self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows),
                            _gate_rows(hidden, windows, len(dirs)),
                            tuple(_columns(k, d, steps, width, hidden) for k, d in enumerate(dirs)),
                            slice(dirs[0], dirs[-1] + 1), steps if taped else steps % 2)
-                          for n, dirs in enumerate(picks))
+                          for dirs in picks)
 
 
 def _columns(k, d, steps, width, hidden):
@@ -499,13 +478,12 @@ def _columns(k, d, steps, width, hidden):
 
 
 @functools.cache
-def _plan(kind, fit, shape, shapes, taped, keeps, terminals):
-    """The `_Plan` of an op over `kind` inputs ("known", "sweep" or a handed
-    "run") of `shape`, `fit` being the sweep's H or the handed states' and
-    c_T's shapes and `shapes` those of each direction's weights, b_x, b_h,
-    h_0 and c_0, made after the checks: an operand that does not fit the
-    first cell's H, the inputs or the op's directions raises
-    `DimensionError`, a taped op handed a run `TapeError`; a failed key is
+def _plan(kind, fit, shape, shapes, taped, terminals):
+    """The `_Plan` of an op over `kind` inputs ("known" or "sweep") of
+    `shape`, `fit` being the sweep's H (None over known inputs) and
+    `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0, made
+    after the checks: an operand that does not fit the first cell's H, the
+    inputs or the op's directions raises `DimensionError`; a failed key is
     not kept."""
     if len(shape) != 3:
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
@@ -513,71 +491,52 @@ def _plan(kind, fit, shape, shapes, taped, keeps, terminals):
     if other and other[0] != hidden:
         raise DimensionError(f"backward cell over hidden width {other[0]} does not fit hidden "
                              f"width {hidden}")
-    steps, _width, windows = shape
     if kind == "sweep" and fit != hidden:
         raise DimensionError(f"sweep over hidden width {fit} does not fit hidden width {hidden}")
-    if kind == "run" and fit != ((steps, hidden, windows), (hidden, windows)):
-        raise DimensionError(f"forward run states {fit[0]} and c_T {fit[1]} do not fit {steps} "
-                             f"steps of hidden width {hidden} over {windows} windows")
-    if taped and kind == "run":
-        raise TapeError("a taped sequence op steps its own forward run: its gradient reads "
-                        "the run's activations")
-    return _Plan(kind, shape, hidden, len(shapes) // 5, taped, keeps, terminals)
+    return _Plan(kind, shape, hidden, len(shapes) // 5, taped, terminals)
 
 
 def _sequence(cells, inputs, inits, terminals=True):
     """The executor of both sequence ops: it reads into one key what the
-    op's shape depends on, the inputs' kind (a handed `ForwardRun`; known
-    inputs, an array, a tensor or anything without a sweep's `forward`,
-    such as a nested list; else a sweep) and shape, each direction's operand
-    shapes, whether it is taped, whether its sweep `keeps_run`, and
-    `terminals`, then runs its `_Plan`'s runs, doing only what depends on
-    values.  A handed run's forward states and c_T are copied into the
-    output; an untaped op whose sweep `keeps_run` gives it its `ForwardRun`.
-    The operands are each direction's weights, biases and initial state,
-    then the inputs or the sweep's operands.  A one-direction op takes
-    known inputs only; an untaped op's output is a constant."""
-    handed = sweep = fit = None
-    if isinstance(inputs, ForwardRun):
-        handed, kind, shape = inputs, "run", inputs.inputs.shape
-        fit = inputs.states.shape, inputs.c_end.shape
-    elif isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
+    op's shape depends on, the inputs' kind (known inputs, an array, a
+    tensor or anything without a sweep's `forward`, such as a nested list;
+    else a sweep) and shape, each direction's operand shapes, whether it is
+    taped, and `terminals`, then runs its `_Plan`'s runs, each in a `z` of
+    its own, doing only what depends on values.  The operands are each
+    direction's weights, biases and initial state, then the inputs or the
+    sweep's operands.  A one-direction op takes known inputs only; an
+    untaped op's output is a constant."""
+    sweep = fit = None
+    if isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
         inputs = as_tensor(inputs)
         kind, shape = "known", inputs.values.shape
     else:
         sweep, kind, fit = inputs, "sweep", inputs.hidden_size
         shape = inputs.steps, inputs.width, inputs.windows
     count = len(cells)
-    if count == 1 and kind != "known":
-        raise DimensionError("a one-direction sequence op steps known inputs and takes no " + (
-            "forward run" if sweep is None else f"sweep ({type(sweep).__name__})"))
+    if count == 1 and sweep is not None:
+        raise DimensionError("a one-direction sequence op steps known inputs and takes no "
+                             f"sweep ({type(sweep).__name__})")
     operands = [as_tensor(array) for cell, init in zip(cells, inits)
                 for array in (cell.weights, cell.b_x, cell.b_h, init.h, init.c)]
     shapes = tuple([t.values.shape for t in operands])
-    operands += (inputs,) if kind == "known" else () if sweep is None else sweep.operands
+    operands += (inputs,) if sweep is None else sweep.operands
     taped = _any_taped(operands)
-    keeps = not taped and getattr(sweep, "keeps_run", False)
-    plan = _plan(kind, fit, shape, shapes, taped, keeps, terminals)
+    plan = _plan(kind, fit, shape, shapes, taped, terminals)
     if sweep is not None:
         # The rule keeps the sweep, so the sweep must not keep the taped
         # operands: through them it would keep the tape in a reference cycle.
         sweep.operands = ()
-    (steps, width, _windows), hidden = shape, plan.hidden
+    hidden = plan.hidden
     out = np.empty(plan.size)
     states, c_end = _parts(out, plan)
-    if handed is not None:
-        x = handed.inputs
-        states[:, :hidden] = handed.states
-        c_end[0] = handed.c_end
-    else:
-        x = None if sweep is not None else inputs.values
-    z, runs = None, []
+    x = None if sweep is not None else inputs.values
+    runs = []
     for dirs, z_shape, gates, columns, c_rows, c_last in plan.runs:
         w, bias, h0, c0 = _run_arrays(operands, dirs)
         # A sweep builds the first run's inputs, which the next run reads.
         swept = sweep if x is None else None
-        if z_shape is not None:
-            z = np.empty(z_shape)
+        z = np.empty(z_shape)
         for k, fill, start, order, _made, _cols in columns:
             if swept is None:
                 z[fill] = x[order]
@@ -590,8 +549,6 @@ def _sequence(cells, inputs, inits, terminals=True):
             if not taped:
                 swept.drop_store()
             x = z[columns[0][1]]
-            if keeps:
-                swept.run = ForwardRun(x, states[:, :hidden], c_end[0])
         for _k, _fill, _start, _order, made, cols in columns:
             states[cols] = z[made]
         c_end[c_rows] = c_seq[c_last]
@@ -600,7 +557,7 @@ def _sequence(cells, inputs, inits, terminals=True):
         _require_finite(out)
         return _views(out, plan)
     # Decided here, so that the rule keeps no reference to the inputs.
-    reads_x = sweep is not None or handed is None and inputs.tape is not None
+    reads_x = sweep is not None or inputs.tape is not None
 
     def rule(grad):
         grad_h, dc = _parts(grad, plan)

@@ -24,25 +24,21 @@ windows many times, as the gradient gate does, stacks them once.  `predict`
 is `forward` over one window.
 
 Encoder and decoder run through one helper, `_recur`: one
-`lstm.bilstm_sequence` op over both directions, or EDLSTM's one
-`lstm.lstm_sequence` op; the decoder's makes no terminal states, which
-nothing reads.  A side without attention knows its step inputs up front,
-one (steps, width, B) array; with attention, a sweep
-(`attention.FeatureSweep` in the encoder, `attention.TemporalSweep` in the
-decoder) builds each step's input inside the forward recurrence, and the
-backward direction consumes the same inputs.  `encode` reads only the
-histories and returns an `Encoding`; `decode` builds its temporal sweep
-from the encoding's backward h_T and states and the windows' future
-features and similar-day grid, and returns a `Decoding`, the stacked
-decoder states the head reads.  Both always keep the weights their sweep
-stored; `forward` runs the head, and alone decides whether its
-`Forecast`s carry those weights as attention traces.  `forward` takes an
-`Encoding`, or an `Encoding` and a `Decoding`, made before for the same
-inputs, so that a caller that knows a stage's parameters unchanged, as
-the gradient gate does, skips that stage.  A caller that knows only a
-sweep stage's forward direction unchanged hands `encode` or `decode` the
-earlier value, whose forward run the stage's sequence op reuses, stepping
-only its backward direction.
+`lstm.bilstm_sequence` op, or EDLSTM's one `lstm.lstm_sequence` op; the
+decoder's makes no terminal states, which nothing reads.  A side without
+attention knows its step inputs up front, one (steps, width, B) array;
+with attention, a sweep (`attention.FeatureSweep` in the encoder,
+`attention.TemporalSweep` in the decoder) builds each step's input inside
+the forward recurrence, and the backward direction consumes the same
+inputs.  `encode` reads only the histories and returns an `Encoding`;
+`decode` returns a `Decoding`, the stacked decoder states the head reads.
+Both keep the weights their sweep stored, and `forward` alone decides
+whether its `Forecast`s carry them as attention traces.  `forward` takes
+an `Encoding`, or an `Encoding` and a `Decoding`, made before for the same
+inputs, so that a caller that knows a stage's parameters unchanged, as the
+gradient gate does, skips that stage; one that knows only a sweep stage's
+forward direction unchanged hands `encode` or `decode` the earlier value,
+and the stage reruns only its backward direction (`_rerun_backward`).
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -63,12 +59,12 @@ import numpy as np
 from .attention import AttentionParams, FeatureSweep, TemporalSweep, similar_day_weights
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
-from .errors import ConfigError, DimensionError
-from .lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams, LstmState,
-                   bilstm_sequence, feedforward_relu, lstm_sequence, zero_state)
+from .errors import ConfigError, DimensionError, TapeError
+from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState, bilstm_sequence,
+                   feedforward_relu, lstm_sequence, zero_state)
 from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 from .params import bind_constants
-from .tensor import Tensor, _require_finite, reshape
+from .tensor import Tensor, _any_taped, _require_finite, as_tensor, reshape
 
 VARIANTS = ("ANLF", "eAttention", "dAttention", "EDBiLSTM", "EDLSTM")
 
@@ -238,11 +234,8 @@ class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
     decoder and the feature sweep's own (history_len, n_features, B)
-    weights (None without encoder attention).  With encoder attention, the
-    forward half of `states`, `terminal_forward`'s c and the weights (from
-    which `FeatureSweep.inputs_from` rebuilds the inputs) are also the
-    encoder's forward run, so an encoding keeps nothing extra for its
-    reuse."""
+    weights (None without encoder attention).  A later `encode` reuses
+    its forward half and weights, so it keeps nothing extra for reuse."""
 
     states: Tensor
     terminal_forward: LstmState
@@ -251,17 +244,35 @@ class Encoding:
 
 
 def _recur(config, cell, inputs, count, init=None, terminals=True):
-    """Run `cell` over `inputs` (an array, a sweep or an earlier op's
-    `ForwardRun`) from `init`, the (forward, backward) initial states, or
-    from zeros: one `bilstm_sequence` op, or EDLSTM's `lstm_sequence` op
-    with a None backward terminal.  Without `terminals` the op makes no
-    terminal states, and None stands for them."""
+    """Run `cell` over `inputs` (an array or a sweep) from `init`, the
+    (forward, backward) initial states, or from zeros: one
+    `bilstm_sequence` op, or EDLSTM's `lstm_sequence` op with a None
+    backward terminal.  Without `terminals` the op makes no terminal
+    states, and None stands for them."""
     if config.bidirectional:
         start = init or (zero_state(config.hidden_size, count),) * 2
         return bilstm_sequence(cell, inputs, *start, terminals=terminals)
     states, terminal = lstm_sequence(
         cell, inputs, init[0] if init else zero_state(config.state_width, count), terminals)
     return states, ((terminal, None) if terminals else None)
+
+
+def _rerun_backward(cell, inputs, init, earlier, terminals=True):
+    """The states and backward terminal state (None without `terminals`)
+    of `bilstm_sequence(cell, sweep, *init)`, from the step inputs `inputs`
+    the sweep built in an earlier untaped run whose states `earlier` hold:
+    one `lstm_sequence` op of the backward cell over the inputs reversed,
+    its states reversed back beside the earlier forward half.  A taped
+    operand of either direction raises `TapeError`: nothing was recorded."""
+    if _any_taped([as_tensor(array) for one, state in zip((cell.forward, cell.backward), init)
+                   for array in (one.weights, one.b_x, one.b_h, state.h, state.c)]):
+        raise TapeError("a taped sequence op steps its own forward run: its gradient reads "
+                        "the run's activations")
+    states, terminal = lstm_sequence(cell.backward, Tensor(inputs[::-1], scanned=True), init[1],
+                                     terminals)
+    steps, hidden, windows = states.values.shape
+    forward = earlier.reshape(steps, 2 * hidden, windows)[:, :hidden]
+    return Tensor(np.concatenate((forward, states.values[::-1]), axis=1), scanned=True), terminal
 
 
 def encode(params, config, windows, earlier=None):
@@ -273,11 +284,10 @@ def encode(params, config, windows, earlier=None):
     trace or not.
 
     An `earlier` encoding of these windows, made untaped with the same
-    feature attention and forward encoder cell, hands its forward run to
-    an untaped encoder op, which steps only the backward direction: the
-    inputs rebuilt from its weights, the forward half of its states and
-    its forward c_T, all read and never written.  The encoding is bitwise
-    the one a full run gives, and keeps the earlier weights.  An encoder
+    feature attention and forward encoder cell, is read and never written:
+    `_rerun_backward` steps the backward direction over the inputs rebuilt
+    from its weights.  The encoding is bitwise the one a full run gives,
+    and keeps the earlier weights and forward terminal state.  An encoder
     without attention steps both directions over known inputs, and is
     handed no earlier encoding (`ConfigError`).
     """
@@ -288,10 +298,12 @@ def encode(params, config, windows, earlier=None):
             raise ConfigError(f"a {config.variant} encoder steps known inputs and reuses no "
                               f"earlier forward run")
         weights = earlier.feature_weights
-        inputs = ForwardRun(
-            FeatureSweep.inputs_from(weights, windows.hist_features, windows.hist_targets),
-            earlier.states.values[:, :config.hidden_size], earlier.terminal_forward.c.values)
-    elif config.encoder_attention:
+        inputs = FeatureSweep.inputs_from(weights, windows.hist_features, windows.hist_targets)
+        zero = zero_state(config.hidden_size, windows.count)
+        states, terminal = _rerun_backward(params.encoder, inputs, (zero, zero),
+                                           earlier.states.values)
+        return Encoding(states, earlier.terminal_forward, terminal, weights)
+    if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
         weights = inputs.weights
     else:
@@ -306,13 +318,12 @@ class Decoding:
     """Decoder output for B windows: its states stacked per window as the
     head reads them, (horizon * state_width, B), the temporal sweep's own
     (horizon, history_len, B) hour weights and, from an untaped run, the
-    sweep's `ForwardRun`, read-only views of its (horizon, n + S, B)
-    inputs, forward states and forward c_T (each None without decoder
-    attention, and the run None from a taped one)."""
+    sweep's read-only (horizon, n + S, B) `inputs` (each None without
+    decoder attention, and the inputs None from a taped run)."""
 
     states: Tensor
     hour_weights: np.ndarray | None
-    forward_run: ForwardRun | None
+    inputs: np.ndarray | None
 
 
 def decode(params, config, encoding, windows, earlier=None):
@@ -325,38 +336,36 @@ def decode(params, config, encoding, windows, earlier=None):
     backward h_T and states and the windows' future features and day grid
     computes each step's context (similar-day times temporal weights over
     the window's encoder states) in the forward recurrence, and both
-    directions consume the same [features; context] inputs.  The head does not read the decoder's terminal states, so its
-    sequence op makes none.
+    directions consume the same [features; context] inputs.  The head does
+    not read the decoder's terminal states, so its sequence op makes none.
 
     An `earlier` decoding of these windows, made untaped with the same
     temporal attention and forward decoder cell from an encoding equal to
-    `encoding`, hands its `forward_run` to an untaped decoder op, which
-    steps only the backward direction; the decoding is bitwise the one a
-    full run gives, and keeps the earlier hour weights and run.  A decoder
-    without attention steps both directions over known inputs, and is
-    handed no earlier decoding (`ConfigError`), as is a decoding that kept
-    no run.
+    `encoding`, is read and never written: `_rerun_backward` steps the
+    backward direction over its `inputs`.  The decoding is bitwise the one
+    a full run gives, and keeps the earlier hour weights and inputs.  A
+    decoder without attention steps both directions over known inputs,
+    and is handed no earlier decoding (`ConfigError`), as is a decoding
+    that kept no inputs.
     """
     _require_config(windows, config)
-    weights = run = None
+    init = encoding.terminal_forward, encoding.terminal_backward
+    weights = kept = None
     if earlier is not None:
-        if earlier.forward_run is None:
+        if earlier.inputs is None:
             raise ConfigError(f"a {config.variant} decoder reuses the forward run of an "
                               f"untaped decoder with attention only")
-        weights, run = earlier.hour_weights, earlier.forward_run
-        inputs = run
-    elif config.decoder_attention:
-        inputs = TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
-                               windows.future_features, windows.day_grid, encoding.states)
+        weights, kept = earlier.hour_weights, earlier.inputs
+        states = _rerun_backward(params.decoder, kept, init, earlier.states.values, False)[0]
     else:
-        inputs = Tensor(windows.future_features)
-    states, _terminals = _recur(config, params.decoder, inputs, windows.count,
-                                (encoding.terminal_forward, encoding.terminal_backward),
-                                terminals=False)
-    if earlier is None and config.decoder_attention:
-        weights, run = inputs.weights, inputs.run
+        inputs = (TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
+                                windows.future_features, windows.day_grid, encoding.states)
+                  if config.decoder_attention else Tensor(windows.future_features))
+        states = _recur(config, params.decoder, inputs, windows.count, init, terminals=False)[0]
+        if config.decoder_attention:
+            weights, kept = inputs.weights, None if states.tape is not None else inputs.inputs
     return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
-                    weights, run)
+                    weights, kept)
 
 
 @dataclass

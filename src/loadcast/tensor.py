@@ -443,12 +443,15 @@ def total(x):
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    """Comparison of reverse-mode gradients against central differences."""
+    """Comparison of reverse-mode gradients against central differences:
+    the largest relative error, each parameter's, and `worst`, the scalar of
+    the largest as (name, index, analytic, numeric), None while it is 0."""
 
     max_rel_error: float
     per_param: dict
     tolerance: float
     step: float
+    worst: tuple | None = None
 
     @property
     def passed(self):
@@ -501,7 +504,7 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
         return value
 
     per_param = {}
-    worst = 0.0
+    worst, worst_scalar = 0.0, None
     for name, leaf in consts.items():
         flat = leaf.values.reshape(-1)
         ad_flat = analytic[name].reshape(-1)
@@ -516,8 +519,9 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
             rel = (abs(ad - fd) / max(abs(ad), abs(fd), REL_ERROR_FLOOR)
                    if math.isfinite(ad) else math.inf)
             if rel > param_worst:
-                param_worst = rel
+                param_worst, scalar = rel, (i, ad, fd)
         per_param[name] = param_worst
         if param_worst > worst:
-            worst = param_worst
-    return GradCheckReport(worst, per_param, tolerance, h)
+            index = tuple(int(k) for k in np.unravel_index(scalar[0], leaf.values.shape))
+            worst, worst_scalar = param_worst, (name, index, float(scalar[1]), scalar[2])
+    return GradCheckReport(worst, per_param, tolerance, h, worst_scalar)

@@ -3,8 +3,9 @@
 Each check exercises one contract against an oracle that does not share
 code with the implementation it checks: central finite differences for
 gradients, a plain-Python scalar loop for the LSTM cell that reads the
-stored weights by index, closed-form hand values for the metrics.  The `verify` subcommand prints one line per check
-and fails if any check fails.
+stored weights by index, closed-form hand values for the metrics.  The
+`verify` subcommand prints one line per check and fails if any check
+fails.
 """
 
 from __future__ import annotations
@@ -67,19 +68,17 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     leaves it depends on, in named order: the encoding by the
     `feature_attn` and `encoder` leaves, the decoding by those and the
     `temporal_attn` and `decoder` leaves.  A constant probe whose stage key
-    is the previous constant probe's reuses that probe's `Encoding`, as
-    the probes of the temporal attention, decoder and head scalars do, or
-    its `Decoding`, as the probes of the head scalars do, which so run
-    only the head and the loss.  A stage with a sweep has a second key,
-    through its forward cell (`feature_attn` and `encoder.forward`; every
-    leaf through `decoder.forward`): a probe that must run the stage but
-    whose second key is the previous one's hands `encode` or `decode` the
-    previous value, whose forward run the stage's sequence op reuses, so
-    the probes of a backward-cell scalar step only the backward direction.
+    is the previous constant probe's reuses that probe's stage: the probes
+    of the temporal attention, decoder and head scalars its `Encoding`, and
+    those of the head scalars its `Decoding` too.  A stage with a sweep has
+    a second key, through its forward cell: a probe whose second key alone
+    is the previous one's hands `encode` or `decode` the previous value, so
+    the probes of a backward-cell scalar rerun only the backward direction.
     `encode` and `decode` are pure functions of those leaves, the window
     and the config, and nothing writes into a value they returned, so
     every loss is bitwise that of a fresh pass.  The taped pass runs every
-    stage.
+    stage.  A failing report's `worst` names the scalar of the largest
+    error with both of its derivatives.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
@@ -93,7 +92,7 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
         last = max(k for k, name in enumerate(through_decoder) if name.startswith(prefix))
         return sum(arrays[name].nbytes for name in through_decoder[:last + 1])
 
-    # Each stage's key length, and that of its forward run's key, None
+    # Each stage's key length, and that of its forward half's key, None
     # without a sweep.
     ends = {"encoding": (key_end("encoder."),
                          key_end("encoder.forward.") if config.encoder_attention else None),
@@ -108,7 +107,7 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     def stage(name, key, run):
         """The latest value of stage `name` if `key` holds its stage key;
         otherwise `run(earlier)`, handed the latest value when `key` holds
-        its forward run's key."""
+        its forward half's key."""
         end, run_end = ends[name]
         made = last.get(name)
         # Every key is as long, so a key holds a stage key if it starts with it.
@@ -270,7 +269,9 @@ def _check_model_gradients():
     report = model_gradient_report(config, sample)
     detail = f"max rel error {report.max_rel_error:.2e}"
     if not report.passed:
-        detail += f", worst block {max(report.per_param, key=report.per_param.get)}"
+        name, index, analytic, numeric = report.worst
+        detail += (f", worst block {name}, scalar {list(index)}: analytic {analytic:.3e}, "
+                   f"numeric {numeric:.3e}")
     return CheckResult("full-model gradients vs central differences", report.passed, detail)
 
 

@@ -222,6 +222,19 @@ class TestSynth:
                                            "the series\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--holidays-out"])
+    def test_empty_output_path_is_a_config_error_naming_the_flag(self, tmp_path, monkeypatch,
+                                                                 capsys, flag):
+        # `Path("")` is the current directory, which no output flag means.
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": "s.csv", "--holidays-out": "h.txt", flag: ""}
+        code = main(["synth", "--days", "9", "--seed", "1",
+                     *[part for item in paths.items() for part in item]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {flag}: expected a path, got an "
+                                           f"empty value\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_is_a_config_error_naming_the_flag(self, tmp_path, capsys):
         code = main(["synth", "--days", "9", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
@@ -784,6 +797,22 @@ class TestForecast:
         assert err.startswith("config error:") and "locked" in err
         assert [p.name for p in out.iterdir()] == [".lock"]
 
+    def test_empty_out_is_a_config_error_naming_the_flag(self, trained, tmp_path, monkeypatch,
+                                                         capsys):
+        # `Path("")` would be the current directory; nothing is written.
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        code = main(["forecast", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data), "--out", ""])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: --out: expected a path, got an "
+                                           "empty value\n")
+        assert list(work.iterdir()) == []
+
     def test_reforecasts_are_byte_identical(self, trained, tmp_path):
         data = tmp_path / "data.csv"
         main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
@@ -1063,9 +1092,11 @@ class TestVerify:
         assert seed8_gate.check.passed
         monkeypatch.setattr(loadcast.lstm, "_relu_grad", lambda x, g: g)
         check = _check_model_gradients()
-        # The failing detail names the block with the largest error.
+        # The failing detail names the block with the largest error, and
+        # that block's worst scalar with both of its derivatives.
         assert not check.passed
-        assert check.detail == "max rel error 2.00e+00, worst block encoder.forward.weights"
+        assert check.detail == ("max rel error 2.00e+00, worst block encoder.forward.weights, "
+                                "scalar [15, 4]: analytic -7.714e-06, numeric 7.735e-06")
 
     def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
         # A NaN analytic gradient must fail the check, not compare false
@@ -1075,7 +1106,8 @@ class TestVerify:
         assert not _check_basic_gradients().passed
         report = _check_model_gradients()
         assert not report.passed
-        assert report.detail == "max rel error inf, worst block feature_attn.proj"
+        assert report.detail == ("max rel error inf, worst block feature_attn.proj, scalar [0, 0]: "
+                                 "analytic nan, numeric 2.635e-05")
 
     def test_a_corrupted_walk_fails_both_gradient_checks(self, monkeypatch):
         # The cell and every sequence op take their gate gradients from
@@ -1103,7 +1135,8 @@ class TestVerify:
 
         assert not check_gradients(program, arrays, tolerance=1e-6).passed
         check = _check_model_gradients()
-        assert not check.passed and check.detail.endswith(", worst block encoder.forward.weights")
+        assert not check.passed
+        assert ", worst block encoder.forward.weights, scalar [" in check.detail
 
     def test_verdicts_are_plain_bools_that_serialize(self, seed8_gate):
         results = seed8_gate.results

@@ -12,11 +12,10 @@ import pytest
 
 from loadcast import lstm
 from loadcast.data import WindowSample
-from loadcast.errors import DimensionError, EvaluationError, TapeError
-from loadcast.lstm import (BiLstmParams, FeedForwardParams, ForwardRun, LstmParams,
-                           LstmState, _activate, _gate_rows,
-                           bilstm_sequence, feedforward_relu, lstm_cell_step, lstm_sequence,
-                           zero_state)
+from loadcast.errors import DimensionError, EvaluationError
+from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState, _activate,
+                           _gate_rows, bilstm_sequence, feedforward_relu, lstm_cell_step,
+                           lstm_sequence, zero_state)
 from loadcast.model import VARIANTS
 from loadcast.params import bind, named_leaves
 from loadcast.tensor import (Tape, Tensor, _sigmoid_values, _softmax_grad, as_tensor,
@@ -400,46 +399,16 @@ class FixedSweep:
         pass
 
 
-class KeptSweep(FixedSweep):
-    """A `FixedSweep` whose untaped op gives it its forward run."""
-
-    keeps_run = True
-    run = None
-
-
-def forward_run(inputs=(2, 3, 1), states=(2, 2, 1), c_end=(2, 1)):
-    """A `ForwardRun` of zeros of the given shapes, by default a run of 2
-    steps of width 3 and hidden width 2 over 1 window."""
-    return ForwardRun(np.zeros(inputs), np.zeros(states), np.zeros(c_end))
-
-
-# The forward runs of other extents, each with the message naming it.
-MALFORMED_RUNS = {
-    "forward-run-steps": ({"states": (3, 2, 1)}, r"forward run states \(3, 2, 1\)"),
-    "forward-run-width": ({"inputs": (2, 4, 1)}, r"step input width 4 does not match weights \(3,\)"),
-    "forward-run-windows": ({"states": (2, 2, 2)}, r"forward run states \(2, 2, 2\)"),
-    "forward-run-hidden": ({"states": (2, 3, 1), "c_end": (3, 1)},
-                           r"forward run states \(2, 3, 1\) and c_T \(3, 1\)"),
-    "forward-run-c_T": ({"c_end": (3, 1)}, r"forward run states \(2, 2, 1\) and c_T \(3, 1\)"),
-}
-
-
 # Each malformed operand of a sequence op, with the entry points that take
 # that operand: `lstm_sequence` over known inputs ("lstm"), and
-# `bilstm_sequence` over known inputs ("known") and over a sweep ("sweep"),
-# or over a forward run in place of one ("run").  Known inputs take no
-# forward run, since both directions step in one run: an op over them has
-# no way to be handed one, and `lstm_sequence` refuses one, as it refuses a
-# sweep, whose inputs only a forward direction beside a backward one reads.
+# `bilstm_sequence` over known inputs ("known") and over a sweep ("sweep").
+# `lstm_sequence` refuses a sweep, whose inputs only a forward direction
+# beside a backward one reads.
 MALFORMED_OPERANDS = [
     ("b_h-length", "lstm"), ("b_h-length", "known"), ("b_h-length", "sweep"),
     ("backward-cell-width", "known"), ("backward-cell-width", "sweep"),
     ("sweep-width", "sweep"),
     ("sweep", "lstm"),
-    ("forward-run", "lstm"),
-    ("forward-run-steps", "run"), ("forward-run-width", "run"),
-    ("forward-run-windows", "run"), ("forward-run-hidden", "run"),
-    ("forward-run-c_T", "run"),
 ]
 
 
@@ -463,12 +432,6 @@ def malformed_call(fault, entry):
     elif fault == "sweep":
         inputs = FixedSweep(known, 2)
         message = r"one-direction sequence op steps known inputs and takes no sweep \(FixedSweep\)"
-    elif fault == "forward-run":
-        inputs = forward_run()
-        message = r"one-direction sequence op steps known inputs and takes no forward run"
-    else:
-        shapes, message = MALFORMED_RUNS[fault]
-        inputs = forward_run(**shapes)
     if entry == "lstm":
         return (lambda: lstm_sequence(other, inputs, one_state(2))), message
     params = BiLstmParams(forward=cell, backward=other)
@@ -481,7 +444,7 @@ def wellformed_call(entry):
     cell, known = LstmParams.zeros(3, 2), Tensor(np.zeros((2, 3, 1)))
     if entry == "lstm":
         return lambda: lstm_sequence(cell, known, one_state(2))
-    inputs = {"known": known, "sweep": FixedSweep(known, 2), "run": forward_run()}[entry]
+    inputs = {"known": known, "sweep": FixedSweep(known, 2)}[entry]
     return lambda: bilstm_sequence(BiLstmParams(cell, cell), inputs, one_state(2), one_state(2))
 
 
@@ -746,47 +709,22 @@ class TestSequenceOp:
             listed, arrayed = (run(params, inputs, *inits)[0] for inputs in (xs.tolist(), xs))
             npt.assert_array_equal(listed.values, arrayed.values, strict=True)
 
-    def test_taped_op_refuses_a_forward_run(self):
-        tape = Tape()
-        cells = bind(BiLstmParams.random(np.random.default_rng(5), 3, 2, 0.5), tape)
-        with pytest.raises(TapeError, match="taped sequence op steps its own forward run"):
-            bilstm_sequence(cells, forward_run(), one_state(2), one_state(2))
-
-    def test_forward_run_stands_for_the_sweep_that_made_it(self):
-        # Over 3 windows, a sweep op, and an op handed its forward run with
-        # another backward cell against the full op with that cell: the
-        # output is bitwise the same, and the handed arrays are read-only
-        # views that keep their values.  A sweep that keeps its run gets
-        # the op's inputs, forward states and c_T, and the same output.
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_backward_half_is_the_backward_cell_over_reversed_inputs(self, windows):
+        # The invariant `model` reruns the backward direction on: over a
+        # sweep, the backward half of an untaped op, its states reversed,
+        # and its terminal state are bitwise `lstm_sequence` of the
+        # backward cell over the inputs reversed from `init_backward`.
         rng = np.random.default_rng(31)
         params = BiLstmParams.random(rng, 3, 2, 0.8)
-        other = BiLstmParams(params.forward, LstmParams.random(rng, 3, 2, 0.8))
-        xs = Tensor(rng.normal(size=(5, 3, 3)))
-        init_f, init_b = (LstmState(Tensor(rng.normal(size=(2, 3))),
-                                    Tensor(rng.normal(size=(2, 3)))) for _ in range(2))
-        kept = KeptSweep(xs, 2)
-        states, (term_f, _term_b) = bilstm_sequence(params, kept, init_f, init_b)
-        ref, (ref_f, _ref_b) = bilstm_sequence(params, FixedSweep(xs, 2), init_f, init_b)
-        for value, expect in ((states, ref), (term_f.c, ref_f.c)):
+        xs = Tensor(rng.normal(size=(5, 3, windows)))
+        init_f, init_b = (LstmState(Tensor(rng.normal(size=(2, windows))),
+                                    Tensor(rng.normal(size=(2, windows)))) for _ in range(2))
+        states, (_term_f, term_b) = bilstm_sequence(params, FixedSweep(xs, 2), init_f, init_b)
+        alone, terminal = lstm_sequence(params.backward, xs.values[::-1], init_b)
+        npt.assert_array_equal(states.values[:, 2:], alone.values[::-1], strict=True)
+        for value, expect in ((term_b.h, terminal.h), (term_b.c, terminal.c)):
             npt.assert_array_equal(value.values, expect.values, strict=True)
-        run = kept.run
-        for array, expect in ((run.inputs, xs.values), (run.states, states.values[:, :2]),
-                              (run.c_end, term_f.c.values)):
-            npt.assert_array_equal(array, expect, strict=True)
-            assert not array.flags.writeable
-        copies = [np.array(a) for a in (run.inputs, run.states, run.c_end)]
-        full = bilstm_sequence(other, FixedSweep(xs, 2), init_f, init_b)
-        handed = bilstm_sequence(other, run, init_f, init_b)
-        npt.assert_array_equal(handed[0].values, full[0].values, strict=True)
-        for state, expect in zip(handed[1], full[1]):
-            npt.assert_array_equal(state.h.values, expect.h.values, strict=True)
-            npt.assert_array_equal(state.c.values, expect.c.values, strict=True)
-        for array, copy in zip((run.inputs, run.states, run.c_end), copies):
-            npt.assert_array_equal(array, copy, strict=True)
-        # A taped op gives its sweep no run.
-        taped = KeptSweep(xs, 2)
-        bilstm_sequence(bind(params, Tape()), taped, init_f, init_b)
-        assert taped.run is None
 
     def test_bilstm_matrix_matches_sweep(self):
         # With 3 windows, hidden 3 and width 2, a sweep gradient transposed
@@ -822,8 +760,7 @@ def sequence_results(op, seed, taped):
     the states and each terminal h and c and, taped, the gradient of every
     operand for a random weighting of them.  `op` is `lstm_sequence` over
     known inputs ("lstm"), or `bilstm_sequence` over known inputs
-    ("bilstm"), a `FixedSweep` ("sweep") or a handed run ("run", untaped
-    only)."""
+    ("bilstm") or a `FixedSweep` ("sweep")."""
     rng = np.random.default_rng(seed)
     steps, width, hidden, windows = 3, 2, 2, 2
     tape = Tape() if taped else None
@@ -838,9 +775,7 @@ def sequence_results(op, seed, taped):
     inits = [LstmState(leaf(rng.normal(size=(hidden, windows))),
                        leaf(rng.normal(size=(hidden, windows)))) for _ in range(count)]
     known = leaf(rng.normal(size=(steps, width, windows)))
-    inputs = {"lstm": known, "bilstm": known, "sweep": FixedSweep(known, hidden),
-              "run": ForwardRun(known.values, rng.normal(size=(steps, hidden, windows)),
-                                rng.normal(size=(hidden, windows)))}[op]
+    inputs = {"lstm": known, "bilstm": known, "sweep": FixedSweep(known, hidden)}[op]
     run = lstm_sequence if op == "lstm" else bilstm_sequence
     states, terminals = run(cells, inputs, *inits)
     parts = [states] + [t for state in ([terminals] if op == "lstm" else terminals)
@@ -890,8 +825,7 @@ class TestPlans:
     and never a source of numbers."""
 
     @pytest.mark.parametrize("op, taped", [("lstm", False), ("lstm", True), ("bilstm", False),
-                                           ("bilstm", True), ("sweep", False), ("sweep", True),
-                                           ("run", False)])
+                                           ("bilstm", True), ("sweep", False), ("sweep", True)])
     def test_a_kept_plan_gives_the_numbers_of_a_new_one(self, op, taped):
         # Two ops of one shape back to back, the second over the first's
         # plan, against each op after the plans are cleared: bitwise.
@@ -930,8 +864,9 @@ class TestPlans:
                 hidden, windows = root.shape[1] // 4, root.shape[2]
                 assert any(root is tile
                            for tile in _gate_rows(hidden, windows, root.shape[0])[:2])
-        # The gates: ANLF's encoder and decoder ops over a sweep, handed a
-        # run and taped (6); eAttention's and dAttention's ops over known
+        # The gates: ANLF's encoder and decoder ops over a sweep, untaped
+        # and taped, and the one-direction op over known inputs that reruns
+        # the backward cell (6); eAttention's and dAttention's ops over known
         # inputs on the side without attention, untaped and taped (2 each;
         # EDBiLSTM's are theirs); EDLSTM's one-direction encoder and
         # decoder ops, untaped and taped (4).  Training: the encoder and
@@ -1059,7 +994,7 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
                                      (params.backward, init_backward))]
     operands = sum(directions, ()) + (inputs,)
     taped = any(t.tape is not None for t in operands)
-    layout = lstm._Plan("known", inputs.shape, hidden, 2, taped, False, True)
+    layout = lstm._Plan("known", inputs.shape, hidden, 2, taped, True)
 
     def start(direction, z):
         weights, b_x, b_h, h0, c0 = direction
@@ -1272,7 +1207,7 @@ class TestViewGradients:
         size = (self.STEPS + 1) * 2 * self.HIDDEN * self.WINDOWS
         joined = tape.leaf(np.ones(size))
         plan = lstm._Plan("known", (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2,
-                          True, False, True)
+                          True, True)
         states, terminals = lstm._views(joined, plan)
         loss = None
         for view in [states] + [t for s in terminals for t in (s.h, s.c)]:

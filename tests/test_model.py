@@ -12,8 +12,7 @@ import pytest
 from loadcast import model, verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
-from loadcast.errors import ConfigError, DimensionError
-from loadcast.lstm import ForwardRun
+from loadcast.errors import ConfigError, DimensionError, TapeError
 from loadcast.model import (VARIANTS, ModelConfig, StackedWindows, forward, init_params,
                             predict)
 from loadcast.params import bind, bind_constants, map_leaves, named_leaves
@@ -44,16 +43,10 @@ def encoding_arrays(encoding):
             + ([] if encoding.feature_weights is None else [encoding.feature_weights]))
 
 
-def run_arrays(run):
-    """The inputs, forward states and forward c_T of a `ForwardRun`."""
-    return [] if run is None else [run.inputs, run.states, run.c_end]
-
-
 def decoding_arrays(decoding):
-    """Every array a `Decoding` holds, its forward run's views included."""
-    return ([decoding.states.values]
-            + ([] if decoding.hour_weights is None else [decoding.hour_weights])
-            + run_arrays(decoding.forward_run))
+    """Every array a `Decoding` holds, its inputs included."""
+    return [decoding.states.values] + [array for array in (decoding.hour_weights,
+                                                           decoding.inputs) if array is not None]
 
 
 def numpy_forward(params, config, sample):
@@ -496,25 +489,24 @@ class TestForward:
 
         monkeypatch.setattr(verify, "encode", keeping(model.encode, encoding_arrays))
         monkeypatch.setattr(verify, "decode", keeping(model.decode, decoding_arrays))
-        # And a sweep stage hands its sequence op the forward run of the
-        # previous one: the backward-cell probes step only that direction.
+        # And a sweep stage keeps the forward half of the previous one: the
+        # backward-cell probes rerun only that direction.
         handed = {"encoder": 0, "decoder": 0}
-        sequence = model.bilstm_sequence
+        rerun = model._rerun_backward
 
-        def keeping_runs(params, inputs, *args, **kwargs):
-            if isinstance(inputs, ForwardRun):
-                # The decoder steps the forecast day, the encoder the history.
-                handed["decoder" if len(inputs.inputs) == config.horizon else "encoder"] += 1
-                kept.append((run_arrays(inputs), [np.array(a) for a in run_arrays(inputs)]))
-            return sequence(params, inputs, *args, **kwargs)
+        def keeping_reruns(cell, inputs, *args, **kwargs):
+            # The decoder steps the forecast day, the encoder the history.
+            handed["decoder" if len(inputs) == config.horizon else "encoder"] += 1
+            kept.append(([inputs], [np.array(inputs)]))
+            return rerun(cell, inputs, *args, **kwargs)
 
-        monkeypatch.setattr(model, "bilstm_sequence", keeping_runs)
+        monkeypatch.setattr(model, "_rerun_backward", keeping_reruns)
         report = verify.model_gradient_report(config, sample)
         assert report.max_rel_error == expect.max_rel_error
         assert report.per_param == expect.per_param
         assert (handed["encoder"] > 0) == config.encoder_attention
         assert (handed["decoder"] > 0) == config.decoder_attention
-        # No pass writes into an encoding, a decoding or a forward run that
+        # No pass writes into an encoding, a decoding or the inputs that
         # later probes reuse.
         for arrays_now, copies in kept:
             for array, copy in zip(arrays_now, copies):
@@ -603,20 +595,40 @@ class TestForward:
         if config.decoder_attention:
             full = model.decode(changed, config, encoding, windows)
             reused = model.decode(changed, config, encoding, windows, decoding)
-            assert reused.forward_run is decoding.forward_run
+            assert reused.inputs is decoding.inputs and not decoding.inputs.flags.writeable
             for value, ref in zip(decoding_arrays(reused), decoding_arrays(full), strict=True):
                 npt.assert_array_equal(value, ref, strict=True)
-            # A taped decoder keeps no run to hand on.
+            # A taped decoder keeps no inputs to hand on.
             taped = model.decode(bind(init_params(config), Tape()), config, encoding, windows)
-            assert taped.forward_run is None
+            assert taped.inputs is None
             with pytest.raises(ConfigError, match="untaped decoder with attention"):
                 model.decode(changed, config, encoding, windows, taped)
         else:
-            assert decoding.forward_run is None
+            assert decoding.inputs is None
             with pytest.raises(ConfigError, match="untaped decoder with attention"):
                 model.decode(changed, config, encoding, windows, decoding)
         for array, copy in earlier:
             npt.assert_array_equal(array, copy, strict=True)
+
+    @pytest.mark.parametrize("side", ["encoder", "decoder"])
+    def test_a_taped_stage_refuses_an_earlier_forward_half(self, side):
+        # The earlier forward half records nothing, so a stage whose
+        # forward or whose backward cell is taped refuses it, with the
+        # text the sequence engine gave when it took a forward run.
+        config, sample = tiny_model_case("ANLF")
+        windows = StackedWindows.stack(config, [sample])
+        params = bind_constants(init_params(config))
+        encoding = model.encode(params, config, windows)
+        decoding = model.decode(params, config, encoding, windows)
+        for direction in ("forward", "backward"):
+            tape, prefix = Tape(), f"{side}.{direction}."
+            taped = map_leaves(params, lambda name, leaf: (
+                tape.leaf(leaf.values) if name.startswith(prefix) else leaf))
+            with pytest.raises(TapeError, match="taped sequence op steps its own forward run"):
+                if side == "encoder":
+                    model.encode(taped, config, windows, encoding)
+                else:
+                    model.decode(taped, config, encoding, windows, decoding)
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):
@@ -653,11 +665,13 @@ class TestForward:
 # untaped tiny `forward` (parameters bound before), one `predict` and one
 # seed-8 `model_gradient_report`, as counted before the per-op set-up of
 # the sequence ops, sweeps, head and loss was trimmed: every array scanned
-# then is still scanned, once.
+# then is still scanned, once.  The gate's entries then fell where a
+# backward-cell probe stopped copying the forward half into a new output
+# and scanning it again: only the rerun backward half is scanned.
 SCANS = {
-    "ANLF": ((9, 370), (27, 1366), (11915, 337709)),
-    "eAttention": ((7, 258), (23, 960), (8206, 173123)),
-    "dAttention": ((8, 274), (24, 1248), (11511, 301019)),
+    "ANLF": ((9, 370), (27, 1366), (11915, 315309)),
+    "eAttention": ((7, 258), (23, 960), (8206, 161603)),
+    "dAttention": ((8, 274), (24, 1248), (11511, 290139)),
     "EDBiLSTM": ((6, 162), (20, 842), (7846, 141009)),
     "EDLSTM": ((6, 162), (14, 1098), (10900, 198347)),
 }

@@ -455,7 +455,7 @@ def taped_probe_report(program, params, h=1e-5, tolerance=1e-6):
         probe = Tape()
         return float(program({name: probe.leaf(arr) for name, arr in work.items()}).values)
 
-    per_param = {}
+    per_param, scalars = {}, []
     for name, arr in work.items():
         flat, ad_flat, worst = arr.reshape(-1), analytic[name].reshape(-1), 0.0
         for i in range(flat.size):
@@ -466,6 +466,11 @@ def taped_probe_report(program, params, h=1e-5, tolerance=1e-6):
             f_minus = loss_at()
             flat[i] = saved
             fd = (f_plus - f_minus) / (2.0 * h)
-            worst = max(worst, abs(ad_flat[i] - fd) / max(abs(ad_flat[i]), abs(fd), 1e-8))
+            rel = abs(ad_flat[i] - fd) / max(abs(ad_flat[i]), abs(fd), 1e-8)
+            scalars.append((rel, name, np.unravel_index(i, arr.shape), ad_flat[i], fd))
+            worst = max(worst, rel)
         per_param[name] = worst
-    return GradCheckReport(max(per_param.values()), per_param, tolerance, h)
+    # The first scalar of the largest error, as (name, index, analytic, numeric).
+    rel, name, index, ad, fd = max(scalars, key=lambda scalar: scalar[0])
+    worst = (name, tuple(int(k) for k in index), float(ad), fd) if rel > 0.0 else None
+    return GradCheckReport(max(per_param.values()), per_param, tolerance, h, worst)

@@ -21,16 +21,18 @@ one-window untaped runs of each sequence op add their states, terminal
 states and sweep weights, so that a difference on the path `predict` and
 the gate take is named by its op: `bilstm_sequence` over ANLF's feature
 sweep and then its temporal sweep, and `bilstm_sequence` and
-`lstm_sequence` over known inputs; and a taped `lstm_cell_step` at the
-encoder cell's shape adds its h and c and the gradients of its weights,
-both biases, x, h_prev and c_prev.  Once every probe has run, the untaped
-one-window ops run again as `.../warm` blocks, over the shape plans the
-probes left behind, so that a plan that does not fit a later op of its
-shape is named by that op.  Each block
-prints as bitwise or with its largest difference relative to the
-block's largest magnitude; the exit status is 1 on any difference, 2 with
-one line on stderr when REV cannot be archived or a probe run fails, else
-0.
+`lstm_sequence` over known inputs; ANLF's untaped `encode` and `decode`
+over 3 windows, each handed the earlier stage after one scalar of its
+backward cell is moved, add their values as `reuse/...` blocks, so that a
+fault in a stage's reuse is named by its stage; and a taped
+`lstm_cell_step` at the encoder cell's shape adds its h and c and the
+gradients of its weights, both biases, x, h_prev and c_prev.  Once every
+probe has run, the untaped one-window ops run again as `.../warm` blocks,
+over the shape plans the probes left behind, so that a plan that does not
+fit a later op of its shape is named by that op.  Each block prints as
+bitwise or with its largest difference relative to the block's largest
+magnitude; the exit status is 1 on any difference, 2 with one line on
+stderr when REV cannot be archived or a probe run fails, else 0.
 
 The probes call the package through names both trees must have, so REV is
 meant to be the parent of a change that keeps them.
@@ -117,9 +119,7 @@ def _untaped_blocks(size):
     states), with the model's own cells, and `bilstm_sequence` and
     `lstm_sequence` over known inputs at the EDBiLSTM encoder cell's shape:
     the states, each terminal h and c, and a sweep's weights, keyed
-    `untaped/size/op/part`.  A tree whose `TemporalSweep` reads those
-    arrays through an `attention.TemporalFrame` gets them in one, so that
-    trees on either side of that change compare block for block."""
+    `untaped/size/op/part`."""
     from loadcast import attention, lstm, model
 
     config = _config("ANLF", size)
@@ -129,10 +129,8 @@ def _untaped_blocks(size):
     feature = attention.FeatureSweep(params.feature_attn, windows.hist_features,
                                      windows.hist_targets)
     states, terminals = lstm.bilstm_sequence(params.encoder, feature, zero, zero)
-    fixed = terminals[1].h, windows.future_features, windows.day_grid, states
-    if hasattr(attention, "TemporalFrame"):
-        fixed = (attention.TemporalFrame(*fixed),)
-    temporal = attention.TemporalSweep(params.temporal_attn, *fixed)
+    temporal = attention.TemporalSweep(params.temporal_attn, terminals[1].h,
+                                       windows.future_features, windows.day_grid, states)
     runs = {"feature_sweep": (states, terminals, feature.weights),
             "temporal_sweep": lstm.bilstm_sequence(params.decoder, temporal, *terminals)
             + (temporal.weights,)}
@@ -155,6 +153,37 @@ def _untaped_blocks(size):
         if weights is not None:
             blocks[f"{key}/weights"] = weights
     return blocks
+
+
+def _reuse_blocks(size):
+    """ANLF's untaped `encode` and `decode` at `size` over 3 windows, each
+    handed the earlier stage after the first weight of its backward cell
+    is moved by 1e-3, as a gate probe of that scalar is: the encoding's
+    states, terminal h and c and feature weights, and the decoding's
+    states and hour weights, keyed `reuse/size/stage/part`, so that a
+    fault in a stage's reuse is named by its stage."""
+    from loadcast import model, params
+
+    config = _config("ANLF", size)
+    windows = model.StackedWindows.stack(config, _windows(config, 3, seed=29))
+    bound = params.bind_constants(model.init_params(config))
+    encoding = model.encode(bound, config, windows)
+    decoding = model.decode(bound, config, encoding, windows)
+    moved = {}
+    for side in ("encoder", "decoder"):
+        tree = model.init_params(config)
+        getattr(tree, side).backward.weights[0, 0] += 1e-3
+        moved[side] = params.bind_constants(tree)
+    encoded = model.encode(moved["encoder"], config, windows, encoding)
+    decoded = model.decode(moved["decoder"], config, encoding, windows, decoding)
+    parts = {"encode/states": encoded.states.values,
+             "encode/feature_weights": encoded.feature_weights,
+             "decode/states": decoded.states.values,
+             "decode/hour_weights": decoded.hour_weights}
+    for k, terminal in enumerate((encoded.terminal_forward, encoded.terminal_backward)):
+        parts[f"encode/terminal{k}/h"] = terminal.h.values
+        parts[f"encode/terminal{k}/c"] = terminal.c.values
+    return {f"reuse/{size}/{name}": values for name, values in parts.items()}
 
 
 def _cell_blocks(size):
@@ -200,8 +229,8 @@ def _train_blocks(config, key):
 
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
-    `sequence/size/op/part`, `untaped/size/op/part[/warm]` and
-    `cell/size/part`."""
+    `sequence/size/op/part`, `untaped/size/op/part[/warm]`,
+    `reuse/size/stage/part` and `cell/size/part`."""
     from loadcast import model, training, verify
     from loadcast.params import named_leaves
 
@@ -236,6 +265,7 @@ def probe():
     for size in SIZES:
         blocks.update(_sequence_blocks(size))
         blocks.update(_untaped_blocks(size))
+        blocks.update(_reuse_blocks(size))
         blocks.update(_cell_blocks(size))
     for size in SIZES:
         blocks.update((f"{name}/warm", values) for name, values in _untaped_blocks(size).items())
