@@ -28,14 +28,13 @@ turns the gradient of that input into one for h_prev in the reverse loop,
 and `grads()` forms the parameter gradients (for the temporal sweep also
 those of its tail and encoder states) with one product each.  A sweep
 keeps every step's joint, pre-activations and scores as row blocks of one
-array, so that `check_finite()` scans two arrays, that one and `weights`;
-a run without a backward pass calls `drop_store()`, which frees all of it
-but `weights`.
-
-After an untaped op, a temporal sweep's `inputs` are every step's input
-as the forward direction read it, which `model.Decoding` keeps, since a
-step's context cannot be rebuilt bitwise outside the step; a feature
-sweep's inputs can, from its `weights` (`FeatureSweep.inputs_from`).
+array, and the op calls its `finish(taped)` after the forward direction:
+it scans two arrays, that one and `weights`, and drops the `operands` the
+op's tape holds.  An untaped sweep then frees all of it but `weights`,
+and a temporal sweep keeps its `inputs`, every step's input as the
+forward direction read it, for `model.Decoding`, since a step's context
+cannot be rebuilt bitwise outside the step; a feature sweep's inputs can,
+from its `weights` (`FeatureSweep.inputs_from`).
 """
 
 from __future__ import annotations
@@ -226,17 +225,16 @@ class _ScoredSweep:
         return (_summed_outer(self._d_pre, self._joint),
                 _summed_outer(self._d_scores, self._squashed))
 
-    def check_finite(self):
-        """Raise `EvaluationError` if a stored intermediate is not finite:
-        two scans, of the store and of `weights`."""
+    def finish(self, taped):
+        """End the forward run: raise `EvaluationError` on a non-finite
+        entry of the store or `weights` (two scans), then drop `operands`,
+        which the op's tape holds, and an untaped run's store."""
         for values in (self._store, self.weights):
             if np.count_nonzero(np.isfinite(values)) != values.size:
                 raise EvaluationError("non-finite values in attention")
-
-    def drop_store(self):
-        """Free the per-step store of a run that has no backward pass;
-        `weights` stays."""
-        self._store = self._joint = self._pre = self._squashed = self._scores = None
+        self.operands = ()
+        if not taped:
+            self._store = self._joint = self._pre = self._squashed = self._scores = None
 
 
 class FeatureSweep(_ScoredSweep):
@@ -313,8 +311,8 @@ class TemporalSweep(_ScoredSweep):
     holds the flat hour weights, (steps, history, B).  `operands` are
     `proj`, `score`, `tail` and `states`; `grads()` returns their gradients
     in that order.  `inputs` is a read-only view of the (steps, n + S, B)
-    block `fill` was handed, which the forward direction completes, kept
-    until the sweep's backward begins (None before `fill`).
+    block `fill` was handed, which the forward direction completes, after
+    an untaped run, and None after a taped one (`finish`).
     """
 
     def __init__(self, params, tail, features, day_grid, states):
@@ -360,7 +358,6 @@ class TemporalSweep(_ScoredSweep):
 
     def _begin_backward(self):
         super()._begin_backward()
-        self.inputs = None
         self._d_context = np.empty((self.steps, self._states.shape[1], self.windows))
 
     def _weight_grad(self, t, dx):
@@ -375,6 +372,9 @@ class TemporalSweep(_ScoredSweep):
         d_states = np.matmul(mix.transpose(2, 1, 0), self._d_context.transpose(2, 0, 1))
         return (*super().grads(), d_tail, d_states.transpose(1, 2, 0))
 
-    def drop_store(self):
-        super().drop_store()
-        self._states = None
+    def finish(self, taped):
+        super().finish(taped)
+        if taped:
+            self.inputs = None
+        else:
+            self._states = None

@@ -169,12 +169,13 @@ def _prepare_from_csv(run):
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
         _require_file(key, Path(value))
     calendar = HolidayCalendar.from_file(run.holidays)
+    # Hashed once read, so that an unreadable file is the reader's error.
+    frames = [build_features(ingest_csv(path), calendar)
+              for path in (run.train_csv, run.validation_csv)]
     fingerprint = {"train_csv": _sha256(run.train_csv),
                    "validation_csv": _sha256(run.validation_csv),
                    "holidays": _sha256(run.holidays)}
-    return (build_features(ingest_csv(run.train_csv), calendar),
-            build_features(ingest_csv(run.validation_csv), calendar),
-            calendar, fingerprint)
+    return (*frames, calendar, fingerprint)
 
 
 def _write_epoch_log(path, log):

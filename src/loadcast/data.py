@@ -49,13 +49,14 @@ def ingest_csv(path):
 
     Timestamps must be ISO-8601, all naive or all with the same UTC offset
     (a daylight-saving change would make a 23- or 25-hour local day), and
-    advance by exactly one hour; loads must be positive and finite.
+    advance by exactly one hour; loads must be positive and finite.  A file
+    that cannot be read or decoded raises `ParseError`.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             records = _parse_rows(path, csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise ParseError(f"{path}: not a readable CSV file: {err}") from err
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp - prev.timestamp != HOUR:
@@ -177,7 +178,7 @@ class HolidayCalendar:
         path = Path(path)
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ParseError(f"{path}: not a readable calendar file: {err}") from err
         days = set()
         for line_no, line in enumerate(lines, start=1):

@@ -30,12 +30,12 @@ and does only what depends on values: it fills, steps and copies each run,
 each in scratch of its own, and makes the output and its views.  The
 backward direction reads its inputs and writes its states reversed, and
 the rule walks the runs last first.  A sweep writes step t's input inside
-the loop, and in the reverse loop turns the gradient on x_t into one on
-h_{t-1}.  An untaped run keeps only what its next step reads.
-`lstm_cell_step` is a one-step `_run` over one window and `_walk` over
-it: the cell and the sequence ops share one derivation.  The head,
-`feedforward_relu`, is one tape op of two 2-D `np.dot`s over every
-window's stacked states.
+the loop, `finish(taped)` ends its run, and in the reverse loop it turns
+the gradient on x_t into one on h_{t-1}.  An untaped run keeps only what
+its next step reads.  `lstm_cell_step` is a one-step `_run` over one
+window and `_walk` over it: the cell and the sequence ops share one
+derivation.  The head, `feedforward_relu`, is one tape op of two 2-D
+`np.dot`s over every window's stacked states.
 """
 
 from __future__ import annotations
@@ -432,9 +432,9 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
     Returns the (steps, 2H, B) states, step t being [forward h_t; backward
     h_t], and each direction's own terminal state (None without
     `terminals`), views of one tape op computing [states; forward c_T;
-    backward c_T].  Non-finite attention intermediates raise
-    `EvaluationError`, checked once after the forward direction; an
-    untaped run then drops the sweep's store except its `weights`.
+    backward c_T].  The sweep's `finish(taped)` ends the forward
+    direction: non-finite attention intermediates raise `EvaluationError`,
+    and an untaped run frees the sweep's store except its `weights`.
     """
     states, views = _sequence((params.forward, params.backward), inputs,
                               (init_forward, init_backward), terminals)
@@ -442,16 +442,17 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
 
 
 class _Plan:
-    """What a sequence op decides from its shapes, read only: H, the
-    `_parts` shapes split at `end` of a flat output of `size`, the `_views`
-    offsets, and the runs, each its directions, the shape of the `z` it
-    makes, its `_gate_rows` entry, each direction's `_columns`, its `c_end`
-    rows and the index of c_T in its cell states.  It holds no array but
-    `_gate_rows`' tiles and views of them."""
+    """What a sequence op decides from its shapes and whether a sweep
+    builds its inputs (`swept`), read only: H, the `_parts` shapes split at
+    `end` of a flat output of `size`, the `_views` offsets, and the runs,
+    each its directions, the shape of the `z` it makes, its `_gate_rows`
+    entry, each direction's `_columns`, its `c_end` rows and the index of
+    c_T in its cell states.  It holds no array but `_gate_rows`' tiles and
+    views of them."""
 
     __slots__ = ("hidden", "layout", "end", "size", "views", "runs")
 
-    def __init__(self, kind, shape, hidden, count, taped, terminals):
+    def __init__(self, swept, shape, hidden, count, taped, terminals):
         steps, width, windows = shape
         block, span = hidden * windows, count * hidden * windows
         self.hidden, self.end, self.size = hidden, steps * span, (steps + 1) * span
@@ -459,7 +460,7 @@ class _Plan:
         starts = ((self.end - span, self.end), (block, self.end + block))[:count]
         self.views = ((0, self.end, self.layout[0]), None if not terminals else tuple(
             tuple((k, k + block, (hidden, windows)) for k in pair) for pair in starts))
-        picks = {"known": (tuple(range(count)),), "sweep": ((0,), (1,))}[kind]
+        picks = ((0,), (1,)) if swept else (tuple(range(count)),)
         self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows),
                            _gate_rows(hidden, windows, len(dirs)),
                            tuple(_columns(k, d, steps, width, hidden) for k, d in enumerate(dirs)),
@@ -478,40 +479,40 @@ def _columns(k, d, steps, width, hidden):
 
 
 @functools.cache
-def _plan(kind, fit, shape, shapes, taped, terminals):
-    """The `_Plan` of an op over `kind` inputs ("known" or "sweep") of
-    `shape`, `fit` being the sweep's H (None over known inputs) and
-    `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0, made
-    after the checks: an operand that does not fit the first cell's H, the
-    inputs or the op's directions raises `DimensionError`; a failed key is
-    not kept."""
+def _plan(fit, shape, shapes, taped, terminals):
+    """The `_Plan` of an op over inputs of `shape`, `fit` being the H of the
+    sweep that builds them (None over known inputs) and `shapes` those of
+    each direction's weights, b_x, b_h, h_0 and c_0, made after the checks:
+    an operand that does not fit the first cell's H, the inputs or the op's
+    directions raises `DimensionError`; a failed key is not kept."""
     if len(shape) != 3:
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
     hidden, *other = [_direction(shapes[k:k + 5], shape) for k in range(0, len(shapes), 5)]
     if other and other[0] != hidden:
         raise DimensionError(f"backward cell over hidden width {other[0]} does not fit hidden "
                              f"width {hidden}")
-    if kind == "sweep" and fit != hidden:
+    if fit is not None and fit != hidden:
         raise DimensionError(f"sweep over hidden width {fit} does not fit hidden width {hidden}")
-    return _Plan(kind, shape, hidden, len(shapes) // 5, taped, terminals)
+    return _Plan(fit is not None, shape, hidden, len(shapes) // 5, taped, terminals)
 
 
 def _sequence(cells, inputs, inits, terminals=True):
     """The executor of both sequence ops: it reads into one key what the
-    op's shape depends on, the inputs' kind (known inputs, an array, a
-    tensor or anything without a sweep's `forward`, such as a nested list;
-    else a sweep) and shape, each direction's operand shapes, whether it is
-    taped, and `terminals`, then runs its `_Plan`'s runs, each in a `z` of
-    its own, doing only what depends on values.  The operands are each
-    direction's weights, biases and initial state, then the inputs or the
-    sweep's operands.  A one-direction op takes known inputs only; an
+    op's shape depends on, the H of the sweep that builds the inputs (None
+    over known inputs: an array, a tensor or anything without a sweep's
+    `forward`, such as a nested list), their shape, each direction's
+    operand shapes, whether it is taped, and `terminals`, then runs its
+    `_Plan`'s runs, each in a `z` of its own, doing only what depends on
+    values; the sweep's `finish(taped)` ends the first.  The operands are
+    each direction's weights, biases and initial state, then the inputs or
+    the sweep's operands.  A one-direction op takes known inputs only; an
     untaped op's output is a constant."""
     sweep = fit = None
     if isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
         inputs = as_tensor(inputs)
-        kind, shape = "known", inputs.values.shape
+        shape = inputs.values.shape
     else:
-        sweep, kind, fit = inputs, "sweep", inputs.hidden_size
+        sweep, fit = inputs, inputs.hidden_size
         shape = inputs.steps, inputs.width, inputs.windows
     count = len(cells)
     if count == 1 and sweep is not None:
@@ -522,11 +523,7 @@ def _sequence(cells, inputs, inits, terminals=True):
     shapes = tuple([t.values.shape for t in operands])
     operands += (inputs,) if sweep is None else sweep.operands
     taped = _any_taped(operands)
-    plan = _plan(kind, fit, shape, shapes, taped, terminals)
-    if sweep is not None:
-        # The rule keeps the sweep, so the sweep must not keep the taped
-        # operands: through them it would keep the tape in a reference cycle.
-        sweep.operands = ()
+    plan = _plan(fit, shape, shapes, taped, terminals)
     hidden = plan.hidden
     out = np.empty(plan.size)
     states, c_end = _parts(out, plan)
@@ -545,9 +542,7 @@ def _sequence(cells, inputs, inits, terminals=True):
             z[start] = h0[k]
         act, c_seq = _run(w, bias, z, c0, gates, swept, taped)
         if swept is not None:
-            swept.check_finite()
-            if not taped:
-                swept.drop_store()
+            swept.finish(taped)
             x = z[columns[0][1]]
         for _k, _fill, _start, _order, made, cols in columns:
             states[cols] = z[made]

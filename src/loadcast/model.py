@@ -316,10 +316,10 @@ def encode(params, config, windows, earlier=None):
 @dataclass
 class Decoding:
     """Decoder output for B windows: its states stacked per window as the
-    head reads them, (horizon * state_width, B), the temporal sweep's own
-    (horizon, history_len, B) hour weights and, from an untaped run, the
-    sweep's read-only (horizon, n + S, B) `inputs` (each None without
-    decoder attention, and the inputs None from a taped run)."""
+    head reads them, (horizon * state_width, B), and the temporal sweep's
+    own (horizon, history_len, B) hour weights and read-only (horizon, n +
+    S, B) `inputs`, as its `finish` left them (None after a taped run),
+    each None without decoder attention."""
 
     states: Tensor
     hour_weights: np.ndarray | None
@@ -363,7 +363,7 @@ def decode(params, config, encoding, windows, earlier=None):
                   if config.decoder_attention else Tensor(windows.future_features))
         states = _recur(config, params.decoder, inputs, windows.count, init, terminals=False)[0]
         if config.decoder_attention:
-            weights, kept = inputs.weights, None if states.tape is not None else inputs.inputs
+            weights, kept = inputs.weights, inputs.inputs
     return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
                     weights, kept)
 

@@ -8,12 +8,13 @@ can accumulate gradients for all leaves in a single reverse sweep over the
 recording order.  That fixed order makes repeated passes bit-identical.
 
 Every op records through `fused_op`: one node per output, whose one rule
-returns a gradient for each operand.  Parts of a flat output, such as the
-states of a sequence run, are taken with `segment`, which also gives the
-part its shape; the gradients of the parts of one output add into one
-buffer.  `check_gradients` runs `program(leaves)` once on watched leaves
-and then at every perturbed point on one mapping of constants, wrapped
-once and perturbed in place, so a probe pays only for its program.
+returns a gradient for each operand; a constant operand's parent is None,
+which `Tape.backward` skips.  Parts of a flat output, such as the states
+of a sequence run, are taken with `segment`, which also gives the part its
+shape; the gradients of the parts of one output add into one buffer.
+`check_gradients` runs `program(leaves)` once on watched leaves and then
+at every perturbed point on one mapping of constants, wrapped once and
+perturbed in place, so a probe pays only for its program.
 
 Every array a tensor is built from, and every array an op computes, is
 scanned once for non-finite entries, which raise `EvaluationError`.  Only
@@ -130,9 +131,10 @@ class Tape:
         deterministic.  Each rule, and the gradient it consumed, is dropped
         once it has run, so what the forward pass kept is freed as the
         sweep goes; a tape therefore runs backward once, and only leaves
-        keep a gradient.  A rule may give a parent's gradient as a part,
-        (size, slice, values), as `segment` does: the parts of one parent
-        add into one zero buffer of that size, which the sweep owns.
+        keep a gradient; a constant operand, a None parent, gets none.  A
+        rule may give a parent's gradient as a part, (size, slice, values),
+        as `segment` does: the parts of one parent add into one zero buffer
+        of that size, which the sweep owns.
         """
         if loss.tape is not self:
             raise TapeError("loss is not recorded on this tape")
@@ -153,6 +155,8 @@ class Tape:
                 continue
             grads[node_id] = None
             for parent_id, parent_grad in zip(node.parents, rule(g)):
+                if parent_id is None:
+                    continue
                 if isinstance(parent_grad, tuple):
                     size, key, parent_grad = parent_grad
                     if parent_id not in owned:
@@ -198,25 +202,17 @@ def fused_op(out_values, operands, rule, scanned=False):
     """Record `out_values` as one node whose gradients come from one closure.
 
     `rule(g)` returns a gradient for every operand, in order, so work they
-    share is done once; the gradients of constant operands are dropped.  If
-    no operand is taped the result is a constant.  `out_values` is scanned
-    for non-finite entries unless `scanned` says it is a view of an
-    operand's already-scanned values.
+    share is done once; every operand is a parent, a constant one as None,
+    whose gradient the tape skips.  If no operand is taped the result is a
+    constant.  `out_values` is scanned for non-finite entries unless
+    `scanned` says it is a view of an operand's already-scanned values.
     """
     if not _any_taped(operands):
         return Tensor(out_values, scanned=scanned)
-    taped = [k for k, t in enumerate(operands) if t.tape is not None]
-    parents = tuple(operands[k] for k in taped)
-    tape = parents[0].tape
-    if any(p.tape is not tape for p in parents):
+    tapes = [t.tape for t in operands if t.tape is not None]
+    if any(tape is not tapes[0] for tape in tapes):
         raise TapeError("operands are recorded on different tapes")
-    if len(taped) == len(operands):
-        kept = rule
-    else:
-        def kept(g):
-            grads = rule(g)
-            return tuple(grads[k] for k in taped)
-    return tape._record(out_values, parents, kept, scanned)
+    return tapes[0]._record(out_values, operands, rule, scanned)
 
 
 # ---------------------------------------------------------------------------

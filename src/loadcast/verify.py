@@ -266,7 +266,7 @@ def _check_lstm_oracle(instances=1000, tolerance=1e-12):
 
 def _check_model_gradients():
     config, sample = tiny_model_case()
-    report = model_gradient_report(config, sample)
+    report = model_gradient_report(config, sample, h=1e-4)
     detail = f"max rel error {report.max_rel_error:.2e}"
     if not report.passed:
         name, index, analytic, numeric = report.worst

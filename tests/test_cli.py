@@ -1,11 +1,13 @@
 """Command line behavior, exercised in process through `main`."""
 
 import ast
+import builtins
 import csv
 import ctypes
 import dataclasses
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -547,6 +549,22 @@ class TestTrain:
         assert err.startswith("training error:") and err.count("\n") == 1
         assert not (tmp_path / "out" / "checkpoint.json").exists()
 
+    def test_overflow_outside_a_pass_is_one_training_error_line(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # `train` words a pass that diverges itself; an overflow elsewhere in
+        # training, here in the update step, ends the run through the
+        # errstate the command runs it under.
+        def overflowing_step(*_args):
+            np.multiply(np.float64(1e308), 10.0)
+
+        monkeypatch.setattr(loadcast.training, "adam_step", overflowing_step)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(write_config(tmp_path, out)), "--synthetic"])
+        assert code == EXIT_TRAINING
+        assert capsys.readouterr().err == ("training error: training diverged: overflow "
+                                           "encountered in multiply\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("found", ["missing", "missing-beside-another-run", "empty",
                                        "earlier-run"])
     def test_failed_run_leaves_output_dir_as_found(self, tmp_path, capsys, monkeypatch, found):
@@ -756,6 +774,42 @@ def test_broken_path_is_one_typed_error_line(trained, tmp_path, capsys, case, co
     assert str(named) in err
 
 
+@pytest.mark.parametrize("case", ["forecast-data", "forecast-holidays", "train-csv"])
+def test_unreadable_input_is_one_data_error_line(trained, tmp_path, capsys, monkeypatch, case):
+    data, holidays = tmp_path / "data.csv", tmp_path / "holidays.txt"
+    main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+          "--holidays-out", str(holidays)])
+    bad = tmp_path / "unreadable"
+    bad.write_bytes(b"")
+    capsys.readouterr()
+    # A root process reads a chmod-000 file, so every open of `bad` fails.
+    real_open = io.open
+
+    def guarded(file, *args, **kwargs):
+        if str(file) == str(bad):
+            raise PermissionError(13, "Permission denied", str(bad))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", guarded)
+    monkeypatch.setattr(builtins, "open", guarded)
+    checkpoint = str(trained / "checkpoint.json")
+    csv_keys = f"data.train_csv = {bad}\ndata.validation_csv = {data}\ndata.holidays = {holidays}\n"
+    argv = {
+        "forecast-data": ["forecast", "--checkpoint", checkpoint, "--data", str(bad),
+                          "--out", str(tmp_path / "fc")],
+        "forecast-holidays": ["forecast", "--checkpoint", checkpoint, "--data", str(data),
+                              "--holidays", str(bad), "--out", str(tmp_path / "fc")],
+        "train-csv": ["train", "--config",
+                      str(write_config(tmp_path, tmp_path / "out", TINY_CONFIG + csv_keys))],
+    }[case]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {bad}: not a readable ")
+    assert "Permission denied" in err
+    assert not (tmp_path / "fc").exists() and not (tmp_path / "out").exists()
+
+
 class TestForecast:
     def test_end_to_end_metrics_and_csv(self, trained, tmp_path):
         data = tmp_path / "data.csv"
@@ -891,6 +945,38 @@ class TestForecast:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "day_len=4" in err
         assert not (tmp_path / "fc").exists()
+
+    def test_checkpoint_for_other_feature_widths_is_refused(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        ck = load_checkpoint(trained / "checkpoint.json")
+        config = dataclasses.replace(ck.config, n_features=3)
+        bad = tmp_path / "checkpoint.json"
+        save_checkpoint(bad, config, init_params(config), ck.stats, ck.calendar)
+        capsys.readouterr()
+        code = main(["forecast", "--checkpoint", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "fc")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: checkpoint expects n_features=3 but "
+                                           "the data pipeline produces 45-wide frames\n")
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("variant, dumps", [
+        ("eAttention", ["attention_features.csv"]),
+        ("dAttention", ["attention_days.csv", "attention_hours.csv"])])
+    def test_attention_dumps_hold_only_the_variants_stages(self, trained, tmp_path, variant,
+                                                            dumps):
+        data = tmp_path / "data.csv"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+        ck = load_checkpoint(trained / "checkpoint.json")
+        config = dataclasses.replace(ck.config, variant=variant)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, config, init_params(config), ck.stats, ck.calendar)
+        out = tmp_path / "fc"
+        assert main(["forecast", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--out", str(out), "--dump-attention"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [".lock", "forecast.csv", "metrics.csv", "metrics.txt"] + dumps)
 
     def test_malformed_checkpoint_entry_is_a_config_error(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "checkpoint.json").read_text())

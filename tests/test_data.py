@@ -179,6 +179,14 @@ class TestHolidayCalendar:
         cal.to_file(path)
         assert HolidayCalendar.from_file(path).dates == cal.dates
 
+    def test_file_skips_blank_lines_and_still_counts_them(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_text("\n2022-01-01\n  \n\n2022-07-04\n\n")
+        assert HolidayCalendar.from_file(path).dates == {date(2022, 1, 1), date(2022, 7, 4)}
+        path.write_text("\n2022-01-01\n  \n\nnot-a-date\n")
+        with pytest.raises(ParseError, match=r": line 5: "):
+            HolidayCalendar.from_file(path)
+
     def test_file_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "holidays.txt"
         path.write_text("2022-01-01\nnot-a-date\n")
@@ -295,6 +303,14 @@ class TestWindows:
         samples = build_windows(frames, CONFIG)
         assert all(s.start.hour == 0 for s in samples)
         assert len(samples) == 2
+
+    def test_no_full_forecast_day_after_the_first_midnight_rejected(self):
+        # Long enough for one window, but the midnight cut leaves 23 hours.
+        frames = frames_for(9)[5:-1]
+        assert len(frames) >= CONFIG.history_len + CONFIG.horizon
+        with pytest.raises(SizeError, match="^no window with a full forecast day fits the "
+                                            "series$"):
+            build_windows(frames, CONFIG)
 
     def test_hourly_stride_densifies(self):
         frames = frames_for(9)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from datetime import datetime
@@ -392,11 +393,8 @@ class FixedSweep:
     def grads(self):
         return (self._grad,)
 
-    def check_finite(self):
-        pass
-
-    def drop_store(self):
-        pass
+    def finish(self, taped):
+        self.operands = ()
 
 
 # Each malformed operand of a sequence op, with the entry points that take
@@ -622,6 +620,9 @@ class TestSequenceOp:
         init = zero_state(hidden, windows)
         output = (steps + 1) * 2 * hidden * windows * 8
         scratch = (steps + 1) * (width + hidden) * windows * 8
+        # The first op of a shape makes the plan `lstm._plan` keeps, and may
+        # grow its cache: made here, it is not counted as what the op keeps.
+        bilstm_sequence(params, xs, init, init)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -674,6 +675,19 @@ class TestSequenceOp:
         bi = BiLstmParams(forward=params, backward=params)
         with pytest.raises(DimensionError):
             bilstm_sequence(bi, Tensor(np.zeros((1, 4, 1))), one_state(2), one_state(2))
+
+    @pytest.mark.parametrize("blocks", [((6, 5), (6,), (6,)), ((4, 5), (8,), (8,)),
+                                        ((8, 2), (8,), (8,)), ((8, 5), (8, 1), (8, 1))])
+    def test_malformed_cell_blocks_name_their_shapes(self, blocks):
+        # Rows not 4H, weights not of b_x's rows, no input columns, 2-D biases.
+        cell = LstmParams(*(np.zeros(shape) for shape in blocks))
+        message = (re.escape(f"lstm blocks {blocks[0]}, {blocks[1]}, {blocks[2]} are not ")
+                   + r"\(4H, input \+ H\), \(4H,\), \(4H,\)$")
+        with pytest.raises(DimensionError, match=message):
+            lstm_sequence(cell, Tensor(np.zeros((2, 3, 1))), one_state(2))
+        with pytest.raises(DimensionError, match=message):
+            lstm_cell_step(cell, LstmState(Tensor(np.zeros(2)), Tensor(np.zeros(2))),
+                           np.zeros(3))
 
     @pytest.mark.parametrize("fault, entry", MALFORMED_OPERANDS)
     def test_malformed_operand_is_a_dimension_error(self, fault, entry):
@@ -994,7 +1008,7 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
                                      (params.backward, init_backward))]
     operands = sum(directions, ()) + (inputs,)
     taped = any(t.tape is not None for t in operands)
-    layout = lstm._Plan("known", inputs.shape, hidden, 2, taped, True)
+    layout = lstm._Plan(False, inputs.shape, hidden, 2, taped, True)
 
     def start(direction, z):
         weights, b_x, b_h, h0, c0 = direction
@@ -1206,7 +1220,7 @@ class TestViewGradients:
         tape = Tape()
         size = (self.STEPS + 1) * 2 * self.HIDDEN * self.WINDOWS
         joined = tape.leaf(np.ones(size))
-        plan = lstm._Plan("known", (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2,
+        plan = lstm._Plan(False, (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2,
                           True, True)
         states, terminals = lstm._views(joined, plan)
         loss = None
