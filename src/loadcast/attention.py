@@ -18,23 +18,23 @@ Both scorers are one two-layer additive network, `AttentionParams`.
 step of one window as tape ops.  The model runs a whole sequence's steps
 for B windows instead as a numpy sweep, `FeatureSweep` or `TemporalSweep`,
 inside the forward direction of one `lstm.bilstm_sequence` op, whose
-backward direction reads the same step inputs reversed.  A sweep's
-`fill(inputs)` writes the input rows that depend on no parameter (the
-feature sweep's targets, the temporal sweep's features) for every step at
-once into the recurrence's (steps, width, B) input rows, and
-`forward(t, h_prev, out)` writes the rest of step t's input, one column
-per window, with the arithmetic of the one-step ops; `backward(t, dx)`
-turns the gradient of that input into one for h_prev in the reverse loop,
-and `grads()` forms the parameter gradients (for the temporal sweep also
-those of its tail and encoder states) with one product each.  A sweep
-keeps every step's joint, pre-activations and scores as row blocks of one
-array, and the op calls its `finish(taped)` after the forward direction:
-it scans two arrays, that one and `weights`, and drops the `operands` the
-op's tape holds.  An untaped sweep then frees all of it but `weights`,
-and a temporal sweep keeps its `inputs`, every step's input as the
-forward direction read it, for `model.Decoding`, since a step's context
-cannot be rebuilt bitwise outside the step; a feature sweep's inputs can,
-from its `weights` (`FeatureSweep.inputs_from`).
+backward direction reads the same step inputs reversed.  Both are one
+`_ScoredSweep`: its `fill(inputs)` writes the input rows that depend on no
+parameter (the feature sweep's targets, the temporal sweep's features)
+for every step at once into the recurrence's (steps, width, B) input
+rows, and `forward(t, h_prev, out)` writes the rest of step t's input,
+one column per window, with the arithmetic of the one-step ops;
+`backward(t, dx)` turns the gradient of that input into one for h_prev in
+the reverse loop, and `grads()` forms the parameter gradients (for the
+temporal sweep also those of its tail and encoder states) with one
+product each.  A sweep keeps every step's joint, pre-activations and
+scores as row blocks of one array, and the op calls its `finish(taped)`
+after the forward direction: it scans two arrays, that one and `weights`,
+and drops the `operands` the op's tape holds.  An untaped sweep then frees
+all of it but `weights` and `inputs`, a read-only view of the block
+`fill` was handed, every step's input as the forward direction completed
+it, which `model` hands on so that a backward-cell probe reruns only the
+backward direction over the same inputs; a taped sweep keeps no `inputs`.
 """
 
 from __future__ import annotations
@@ -169,11 +169,12 @@ class _ScoredSweep:
     backward, a 2-D `np.dot`, and keeps everything the backward pass
     needs: the joint, pre-activations and scores as row blocks of one
     (steps, rows, B) store, the tanh values apart, and in `weights` the
-    (steps, n, B) softmax weights.  A sweep's `_weight_grad(t, dx)` turns
-    the gradient of step t's input into the gradient of its weights.
+    (steps, n, B) softmax weights.  `fixed` holds a slice of the input rows
+    that depend on no parameter and their (steps, rows, B) values, and
+    `_weight_grad(t, dx)` turns step t's input gradient into its weights'.
     """
 
-    def __init__(self, params, steps, rows, windows):
+    def __init__(self, params, steps, rows, windows, fixed):
         proj, score = as_tensor(params.proj), as_tensor(params.score)
         self.operands = (proj, score)
         self._proj, self._score = p, s = proj.values, score.values
@@ -192,7 +193,15 @@ class _ScoredSweep:
         self._scores = store[:, scores:]
         self._squashed = np.empty((steps, attn_size, windows))
         self.weights = np.empty((steps, outputs, windows))
-        self._slope = None
+        self._slope, self._fixed, self.inputs = None, fixed, None
+
+    def fill(self, inputs):
+        """Write every step's `fixed` rows into `inputs`, the (steps, width,
+        B) block the forward direction completes, and keep a read-only view
+        of it as `inputs`."""
+        inputs[:, self._fixed[0]] = self._fixed[1]
+        self.inputs = inputs.view()
+        self.inputs.flags.writeable = False
 
     def _attend(self, t, h_prev):
         joint = self._joint[t]
@@ -228,12 +237,15 @@ class _ScoredSweep:
     def finish(self, taped):
         """End the forward run: raise `EvaluationError` on a non-finite
         entry of the store or `weights` (two scans), then drop `operands`,
-        which the op's tape holds, and an untaped run's store."""
+        which the op's tape holds, and a taped run's `inputs` or an untaped
+        run's store."""
         for values in (self._store, self.weights):
             if np.count_nonzero(np.isfinite(values)) != values.size:
                 raise EvaluationError("non-finite values in attention")
         self.operands = ()
-        if not taped:
+        if taped:
+            self.inputs = None
+        else:
             self._store = self._joint = self._pre = self._squashed = self._scores = None
 
 
@@ -257,34 +269,18 @@ class FeatureSweep(_ScoredSweep):
                 f"features {features.shape} and targets {targets.shape} are not per step "
                 f"and window")
         steps, n, windows = features.shape
-        super().__init__(params, steps, n + 1, windows)
+        super().__init__(params, steps, n + 1, windows, (slice(n, None), targets[:, np.newaxis]))
         if self._score.shape[0] != n:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
                                  f"{n} features")
         self._joint[:, self.hidden_size:-1] = features
         self._joint[:, -1] = targets
-        self._features, self._targets = features, targets
-        self.width = n + 1
-
-    def fill(self, inputs):
-        """Write every step's target row into `inputs`, (steps, n + 1, B)."""
-        inputs[:, -1] = self._targets
+        self._features, self.width = features, n + 1
 
     def forward(self, t, h_prev, out):
         """Write step t's reweighted features into `out`, from the hidden
         state before it."""
         np.multiply(self._attend(t, h_prev), self._features[t], out[:-1])
-
-    @staticmethod
-    def inputs_from(weights, features, targets):
-        """Every step's input as `fill` and `forward` write it, (steps, n +
-        1, B), from the (steps, n, B) `weights` of a sweep over `features`
-        and `targets`: the same elementwise products, made in one, and the
-        target row; the sweep does not keep them, so `model` rebuilds them."""
-        inputs = np.empty((features.shape[0], features.shape[1] + 1, features.shape[2]))
-        np.multiply(weights, features, out=inputs[:, :-1])
-        inputs[:, -1] = targets
-        return inputs
 
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
@@ -310,9 +306,7 @@ class TemporalSweep(_ScoredSweep):
     been scanned when made, as `model.StackedWindows` does.  `weights`
     holds the flat hour weights, (steps, history, B).  `operands` are
     `proj`, `score`, `tail` and `states`; `grads()` returns their gradients
-    in that order.  `inputs` is a read-only view of the (steps, n + S, B)
-    block `fill` was handed, which the forward direction completes, after
-    an untaped run, and None after a taped one (`finish`).
+    in that order.
     """
 
     def __init__(self, params, tail, features, day_grid, states):
@@ -330,7 +324,7 @@ class TemporalSweep(_ScoredSweep):
         if day_grid.shape != (spans[0], windows):
             raise DimensionError(f"day grid {day_grid.shape} does not cover {spans[0]} "
                                  f"history hours of {windows} windows")
-        super().__init__(params, steps, rows[0] + n, windows)
+        super().__init__(params, steps, rows[0] + n, windows, (slice(None, n), features))
         if self._score.shape[0] != spans[0]:
             raise DimensionError(f"temporal scorer {self._score.shape} does not match "
                                  f"{spans[0]} history hours")
@@ -339,16 +333,7 @@ class TemporalSweep(_ScoredSweep):
         self._joint[:, self._tail.stop:] = features
         self.operands += (tail, states)
         self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self._day, self._features, self._n = day_grid, features, n
-        self.width = n + spans[1]
-        self.inputs = None
-
-    def fill(self, inputs):
-        """Write every step's feature rows into `inputs`, (steps, n + S, B),
-        and keep a read-only view of it."""
-        inputs[:, :self._n] = self._features
-        self.inputs = inputs.view()
-        self.inputs.flags.writeable = False
+        self._day, self._n, self.width = day_grid, n, n + spans[1]
 
     def forward(self, t, h_prev, out):
         """Write step t's context into `out`, from the hidden state before it."""
@@ -374,7 +359,5 @@ class TemporalSweep(_ScoredSweep):
 
     def finish(self, taped):
         super().finish(taped)
-        if taped:
-            self.inputs = None
-        else:
+        if not taped:
             self._states = None

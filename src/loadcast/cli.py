@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_run_config
-from .data import (DAY_HOURS, FEATURE_WIDTH, HolidayCalendar, build_features, build_windows,
-                   compute_stats, generate_synthetic, ingest_csv, standardize,
+from .data import (DAY_HOURS, FEATURE_WIDTH, HolidayCalendar, _load, build_features,
+                   build_windows, compute_stats, generate_synthetic, ingest_csv, standardize,
                    synthetic_calendar, write_atomic, write_records_csv)
 from .errors import CompatibilityError, ConfigError, DataError, EvaluationError, TrainingError
 from .metrics import MetricReport, relative_error
@@ -158,9 +158,9 @@ def _require_file(name, path):
 
 
 def _prepare_from_csv(run):
-    """The frames of the training and validation CSVs and the holiday
-    calendar.  A set synthetic-split key is a `ConfigError`, since the run
-    would not read it."""
+    """The frames of the training and validation CSVs, the holiday
+    calendar and each file's sha256.  A set synthetic-split key is a
+    `ConfigError`, since the run would not read it."""
     for key in _SYNTHETIC_KEYS:
         if key in run.set_keys:
             raise ConfigError(f"{key} is set, but only --synthetic reads it")
@@ -168,14 +168,13 @@ def _prepare_from_csv(run):
         if value is None:
             raise ConfigError(f"missing required key {key} (or pass --synthetic)")
         _require_file(key, Path(value))
-    calendar = HolidayCalendar.from_file(run.holidays)
-    # Hashed once read, so that an unreadable file is the reader's error.
-    frames = [build_features(ingest_csv(path), calendar)
-              for path in (run.train_csv, run.validation_csv)]
-    fingerprint = {"train_csv": _sha256(run.train_csv),
-                   "validation_csv": _sha256(run.validation_csv),
-                   "holidays": _sha256(run.holidays)}
-    return (*frames, calendar, fingerprint)
+    # Each file is read once: the manifest hashes the bytes the run parsed.
+    loaded = {key[5:]: _load(value, "calendar" if key == "data.holidays" else "CSV")
+              for key, value in _csv_sources(run)}
+    calendar = loaded["holidays"][0]
+    return (build_features(loaded["train_csv"][0], calendar),
+            build_features(loaded["validation_csv"][0], calendar), calendar,
+            {name: digest for name, (_value, digest) in loaded.items()})
 
 
 def _write_epoch_log(path, log):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -52,11 +54,29 @@ def ingest_csv(path):
     advance by exactly one hour; loads must be positive and finite.  A file
     that cannot be read or decoded raises `ParseError`.
     """
+    return _load(path, "CSV")[0]
+
+
+def _load(path, kind):
+    """The records of the hourly CSV at `path` (`kind` "CSV") or its
+    `HolidayCalendar` (`kind` "calendar"), and the sha256 of the bytes they
+    were parsed from, which are read once.  A leading UTF-8 byte-order mark
+    is dropped; a file that cannot be read or decoded raises `ParseError`."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            records = _parse_rows(path, csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raw = path.read_bytes()
+        text = raw.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"{path}: not a readable {kind} file: {err}") from err
+    parse = _records if kind == "CSV" else HolidayCalendar._from_text
+    return parse(path, text), hashlib.sha256(raw).hexdigest()
+
+
+def _records(path, text):
+    """The records of the CSV text `text` of `path`, checked for gaps."""
+    try:
+        records = _parse_rows(path, csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as err:
         raise ParseError(f"{path}: not a readable CSV file: {err}") from err
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp - prev.timestamp != HOUR:
@@ -175,20 +195,20 @@ class HolidayCalendar:
 
     @classmethod
     def from_file(cls, path):
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as err:
-            raise ParseError(f"{path}: not a readable calendar file: {err}") from err
+        return _load(path, "calendar")[0]
+
+    @classmethod
+    def _from_text(cls, path, text):
         days = set()
-        for line_no, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text:
+        for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+            if not line:
                 continue
             try:
-                days.add(date.fromisoformat(text))
+                days.add(date.fromisoformat(line))
             except ValueError as err:
                 raise ParseError(f"{path}: line {line_no}: {err}") from err
+        if not days:
+            raise SchemaError(f"{path}: holiday calendar lists no dates")
         return cls(frozenset(days))
 
     def to_file(self, path):

@@ -434,7 +434,7 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
     `terminals`), views of one tape op computing [states; forward c_T;
     backward c_T].  The sweep's `finish(taped)` ends the forward
     direction: non-finite attention intermediates raise `EvaluationError`,
-    and an untaped run frees the sweep's store except its `weights`.
+    and an untaped run frees the sweep's store, keeping `weights` and `inputs`.
     """
     states, views = _sequence((params.forward, params.backward), inputs,
                               (init_forward, init_backward), terminals)

@@ -32,13 +32,15 @@ with attention, a sweep (`attention.FeatureSweep` in the encoder,
 the forward recurrence, and the backward direction consumes the same
 inputs.  `encode` reads only the histories and returns an `Encoding`;
 `decode` returns a `Decoding`, the stacked decoder states the head reads.
-Both keep the weights their sweep stored, and `forward` alone decides
-whether its `Forecast`s carry them as attention traces.  `forward` takes
-an `Encoding`, or an `Encoding` and a `Decoding`, made before for the same
-inputs, so that a caller that knows a stage's parameters unchanged, as the
-gradient gate does, skips that stage; one that knows only a sweep stage's
-forward direction unchanged hands `encode` or `decode` the earlier value,
-and the stage reruns only its backward direction (`_rerun_backward`).
+Both keep the weights and `inputs` their sweep kept, and `forward` alone
+decides whether its `Forecast`s carry the weights as attention traces.
+`forward` takes an `Encoding`, or an `Encoding` and a `Decoding`, made
+before for the same inputs, so that a caller that knows a stage's
+parameters unchanged, as the gradient gate does, skips that stage.  One
+that knows only a sweep stage's forward direction unchanged, as a
+backward-cell probe does, hands `encode` or `decode` the earlier value,
+and `_rerun_backward` reruns only the backward direction over the inputs
+the forward direction completed.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -52,7 +54,7 @@ initial state, the encoder's terminal backward hidden state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,13 +236,16 @@ class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
     decoder and the feature sweep's own (history_len, n_features, B)
-    weights (None without encoder attention).  A later `encode` reuses
-    its forward half and weights, so it keeps nothing extra for reuse."""
+    weights and read-only (history_len, n_features + 1, B) `inputs`, as
+    its `finish` left them (None after a taped run), each None without
+    encoder attention.  A later `encode` reuses its forward half, weights
+    and inputs."""
 
     states: Tensor
     terminal_forward: LstmState
     terminal_backward: LstmState | None
     feature_weights: np.ndarray | None
+    inputs: np.ndarray | None
 
 
 def _recur(config, cell, inputs, count, init=None, terminals=True):
@@ -257,21 +262,31 @@ def _recur(config, cell, inputs, count, init=None, terminals=True):
     return states, ((terminal, None) if terminals else None)
 
 
-def _rerun_backward(cell, inputs, init, earlier, terminals=True):
-    """The states and backward terminal state (None without `terminals`)
-    of `bilstm_sequence(cell, sweep, *init)`, from the step inputs `inputs`
-    the sweep built in an earlier untaped run whose states `earlier` hold:
-    one `lstm_sequence` op of the backward cell over the inputs reversed,
-    its states reversed back beside the earlier forward half.  A taped
-    operand of either direction raises `TapeError`: nothing was recorded."""
+def _kept(inputs):
+    """The weights and inputs a sweep kept, or None twice over known inputs."""
+    return (None, None) if isinstance(inputs, Tensor) else (inputs.weights, inputs.inputs)
+
+
+def _rerun_backward(cell, init, earlier, terminals=True):
+    """The states and backward terminal state (None without `terminals`) a
+    full run from `init` with `cell` gives of the stage `earlier`, an
+    `Encoding` or `Decoding` made with the same sweep and forward cell:
+    one `lstm_sequence` op of the backward cell over the `inputs` its
+    forward direction completed, reversed, its states reversed back beside
+    its forward half.  A stage that kept no inputs, of a side without a
+    sweep or a taped run, raises `ConfigError`; a taped operand of either
+    direction raises `TapeError`: nothing was recorded."""
+    if earlier.inputs is None:
+        raise ConfigError(f"the earlier {type(earlier).__name__} kept no inputs to rerun: "
+                          f"only an untaped stage with attention keeps them")
     if _any_taped([as_tensor(array) for one, state in zip((cell.forward, cell.backward), init)
                    for array in (one.weights, one.b_x, one.b_h, state.h, state.c)]):
         raise TapeError("a taped sequence op steps its own forward run: its gradient reads "
                         "the run's activations")
-    states, terminal = lstm_sequence(cell.backward, Tensor(inputs[::-1], scanned=True), init[1],
-                                     terminals)
+    states, terminal = lstm_sequence(cell.backward, Tensor(earlier.inputs[::-1], scanned=True),
+                                     init[1], terminals)
     steps, hidden, windows = states.values.shape
-    forward = earlier.reshape(steps, 2 * hidden, windows)[:, :hidden]
+    forward = earlier.states.values.reshape(steps, 2 * hidden, windows)[:, :hidden]
     return Tensor(np.concatenate((forward, states.values[::-1]), axis=1), scanned=True), terminal
 
 
@@ -280,37 +295,26 @@ def encode(params, config, windows, earlier=None):
     built for `config`, reading only their history features and targets.
     Each step consumes [features; observed load]; with feature attention
     the feature part is reweighted first (conditioned as the module
-    docstring says), and the `Encoding` keeps the weights for `forward` to
-    trace or not.
+    docstring says), and the `Encoding` keeps the sweep's weights, for
+    `forward` to trace or not, and inputs.
 
-    An `earlier` encoding of these windows, made untaped with the same
-    feature attention and forward encoder cell, is read and never written:
-    `_rerun_backward` steps the backward direction over the inputs rebuilt
-    from its weights.  The encoding is bitwise the one a full run gives,
-    and keeps the earlier weights and forward terminal state.  An encoder
-    without attention steps both directions over known inputs, and is
-    handed no earlier encoding (`ConfigError`).
+    An `earlier` encoding of these windows, made with the same feature
+    attention and forward encoder cell, is read and never written: the
+    encoding `_rerun_backward` gives is bitwise the one a full run gives,
+    and keeps the earlier weights, inputs and forward terminal state.
     """
     _require_config(windows, config)
-    weights = None
     if earlier is not None:
-        if not config.encoder_attention:
-            raise ConfigError(f"a {config.variant} encoder steps known inputs and reuses no "
-                              f"earlier forward run")
-        weights = earlier.feature_weights
-        inputs = FeatureSweep.inputs_from(weights, windows.hist_features, windows.hist_targets)
         zero = zero_state(config.hidden_size, windows.count)
-        states, terminal = _rerun_backward(params.encoder, inputs, (zero, zero),
-                                           earlier.states.values)
-        return Encoding(states, earlier.terminal_forward, terminal, weights)
+        states, terminal = _rerun_backward(params.encoder, (zero, zero), earlier)
+        return replace(earlier, states=states, terminal_backward=terminal)
     if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
-        weights = inputs.weights
     else:
         inputs = Tensor(np.concatenate(
             (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
     states, terminals = _recur(config, params.encoder, inputs, windows.count)
-    return Encoding(states, *terminals, weights)
+    return Encoding(states, *terminals, *_kept(inputs))
 
 
 @dataclass
@@ -319,7 +323,8 @@ class Decoding:
     head reads them, (horizon * state_width, B), and the temporal sweep's
     own (horizon, history_len, B) hour weights and read-only (horizon, n +
     S, B) `inputs`, as its `finish` left them (None after a taped run),
-    each None without decoder attention."""
+    each None without decoder attention.  A later `decode` reuses its
+    forward half, hour weights and inputs."""
 
     states: Tensor
     hour_weights: np.ndarray | None
@@ -339,33 +344,25 @@ def decode(params, config, encoding, windows, earlier=None):
     directions consume the same [features; context] inputs.  The head does
     not read the decoder's terminal states, so its sequence op makes none.
 
-    An `earlier` decoding of these windows, made untaped with the same
-    temporal attention and forward decoder cell from an encoding equal to
-    `encoding`, is read and never written: `_rerun_backward` steps the
-    backward direction over its `inputs`.  The decoding is bitwise the one
-    a full run gives, and keeps the earlier hour weights and inputs.  A
-    decoder without attention steps both directions over known inputs,
-    and is handed no earlier decoding (`ConfigError`), as is a decoding
-    that kept no inputs.
+    An `earlier` decoding of these windows, made with the same temporal
+    attention and forward decoder cell from an encoding equal to
+    `encoding`, is read and never written: the decoding `_rerun_backward`
+    gives is bitwise the one a full run gives, and keeps the earlier hour
+    weights and inputs.
     """
     _require_config(windows, config)
     init = encoding.terminal_forward, encoding.terminal_backward
-    weights = kept = None
     if earlier is not None:
-        if earlier.inputs is None:
-            raise ConfigError(f"a {config.variant} decoder reuses the forward run of an "
-                              f"untaped decoder with attention only")
-        weights, kept = earlier.hour_weights, earlier.inputs
-        states = _rerun_backward(params.decoder, kept, init, earlier.states.values, False)[0]
+        states = _rerun_backward(params.decoder, init, earlier, False)[0]
+        kept = earlier.hour_weights, earlier.inputs
     else:
         inputs = (TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
                                 windows.future_features, windows.day_grid, encoding.states)
                   if config.decoder_attention else Tensor(windows.future_features))
         states = _recur(config, params.decoder, inputs, windows.count, init, terminals=False)[0]
-        if config.decoder_attention:
-            weights, kept = inputs.weights, inputs.inputs
+        kept = _kept(inputs)
     return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
-                    weights, kept)
+                    *kept)
 
 
 @dataclass

@@ -4,7 +4,8 @@ sampled runs fail.  Its forecast workload serves a version-1 checkpoint it
 writes itself and checks every forecast against its own numpy forward.
 This checks both without running the benchmark, that no module imports a
 name it never uses other than for the tracer to patch, and that every name
-a module defines is read somewhere."""
+a module defines, its classes' methods and properties included, is read
+somewhere."""
 
 import ast
 import importlib
@@ -69,11 +70,18 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def defined_names(path):
-    """Names the body of `path` defines: functions, classes and assignments."""
+    """Names the body of `path` defines: functions, classes and assignments,
+    and the methods and properties of its classes but for dunder methods,
+    which Python calls itself."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(member.name for member in node.body
+                             if isinstance(member, ast.FunctionDef)
+                             and not (member.name.startswith("__")
+                                      and member.name.endswith("__")))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(target.id for target in targets if isinstance(target, ast.Name))
@@ -90,7 +98,9 @@ def read_names(path):
 
 def test_every_module_level_name_is_read():
     # A name that only `__init__.py` re-exports is one nothing reaches: not
-    # the package, its tests, the demos or the benchmark.
+    # the package, its tests, the demos or the benchmark.  A method or
+    # property counts as read when any of them reads an attribute of its
+    # name.
     read = set()
     for folder in ("src", "tests", "demos", "perfbench"):
         for path in (SOURCES.parent.parent / folder).rglob("*.py"):

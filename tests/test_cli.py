@@ -706,6 +706,32 @@ class TestTrain:
                     == (runs["synthetic"] / name).read_bytes()), name
 
 
+    def test_manifest_hashes_the_bytes_the_run_parsed(self, tmp_path, monkeypatch):
+        # Each source is read once: files replaced once parsed are recorded
+        # under the bytes the run trained on, not the replacements'.
+        data, holidays = tmp_path / "data.csv", tmp_path / "holidays.txt"
+        main(["synth", "--days", "9", "--seed", "7", "--out", str(data),
+              "--holidays-out", str(holidays)])
+        parsed = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in (
+            ("train_csv", data), ("validation_csv", data), ("holidays", holidays))}
+        real, calls = cli.build_features, []
+
+        def swapping(records, calendar):
+            calls.append(len(records))
+            if len(calls) == 2:
+                for path in (data, holidays):
+                    path.write_bytes(b"replaced\n")
+            return real(records, calendar)
+
+        monkeypatch.setattr(cli, "build_features", swapping)
+        body = TINY_CONFIG + "".join(f"{name} = {path}\n" for name, path in (
+            ("data.train_csv", data), ("data.validation_csv", data), ("data.holidays", holidays)))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path, out, body))]) == EXIT_OK
+        assert len(calls) == 2 and data.read_bytes() == b"replaced\n"
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == parsed
+
+
 class TestWriteAtomic:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -808,6 +834,17 @@ def test_unreadable_input_is_one_data_error_line(trained, tmp_path, capsys, monk
     assert err.startswith(f"data error: {bad}: not a readable ")
     assert "Permission denied" in err
     assert not (tmp_path / "fc").exists() and not (tmp_path / "out").exists()
+
+
+def test_an_empty_holiday_file_is_named_in_its_data_error(trained, tmp_path, capsys):
+    data, empty = tmp_path / "data.csv", tmp_path / "holidays.txt"
+    main(["synth", "--days", "9", "--seed", "7", "--out", str(data)])
+    empty.write_text("\n  \n")
+    capsys.readouterr()
+    assert main(["forecast", "--checkpoint", str(trained / "checkpoint.json"), "--data", str(data),
+                 "--holidays", str(empty), "--out", str(tmp_path / "fc")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {empty}: holiday calendar lists no dates\n"
+    assert not (tmp_path / "fc").exists()
 
 
 class TestForecast:

@@ -1,5 +1,6 @@
 """Ingestion, feature layout, windowing, splits, and the synthetic series."""
 
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -44,6 +45,13 @@ class TestIngest:
             assert a.timestamp == b.timestamp
             assert a.load == b.load
             assert a.temperature == b.temperature
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_records_csv(generate_synthetic(9, seed=1), path)
+        plain = ingest_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ingest_csv(path) == plain
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -185,6 +193,18 @@ class TestHolidayCalendar:
         assert HolidayCalendar.from_file(path).dates == {date(2022, 1, 1), date(2022, 7, 4)}
         path.write_text("\n2022-01-01\n  \n\nnot-a-date\n")
         with pytest.raises(ParseError, match=r": line 5: "):
+            HolidayCalendar.from_file(path)
+
+    def test_file_drops_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_bytes(b"\xef\xbb\xbf2022-01-01\n2022-07-04\n")
+        assert HolidayCalendar.from_file(path).dates == {date(2022, 1, 1), date(2022, 7, 4)}
+
+    def test_file_without_dates_is_named(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: holiday calendar "
+                                              f"lists no dates$"):
             HolidayCalendar.from_file(path)
 
     def test_file_parse_error_carries_line_number(self, tmp_path):

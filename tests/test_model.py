@@ -35,12 +35,14 @@ def random_sample(config, seed):
 
 
 def encoding_arrays(encoding):
-    """Every array an `Encoding` holds, its feature weights included."""
+    """Every array an `Encoding` holds, its feature weights and inputs
+    included."""
     states = [encoding.terminal_forward, encoding.terminal_backward]
     return ([encoding.states.values]
             + [tensor.values for state in states if state is not None
                for tensor in (state.h, state.c)]
-            + ([] if encoding.feature_weights is None else [encoding.feature_weights]))
+            + [array for array in (encoding.feature_weights, encoding.inputs)
+               if array is not None])
 
 
 def decoding_arrays(decoding):
@@ -494,11 +496,12 @@ class TestForward:
         handed = {"encoder": 0, "decoder": 0}
         rerun = model._rerun_backward
 
-        def keeping_reruns(cell, inputs, *args, **kwargs):
+        def keeping_reruns(cell, init, earlier, *args, **kwargs):
             # The decoder steps the forecast day, the encoder the history.
+            inputs = earlier.inputs
             handed["decoder" if len(inputs) == config.horizon else "encoder"] += 1
             kept.append(([inputs], [np.array(inputs)]))
-            return rerun(cell, inputs, *args, **kwargs)
+            return rerun(cell, init, earlier, *args, **kwargs)
 
         monkeypatch.setattr(model, "_rerun_backward", keeping_reruns)
         report = verify.model_gradient_report(config, sample)
@@ -568,7 +571,8 @@ class TestForward:
         # Over 3 windows, with another backward cell on one side at a time:
         # handed the earlier value, `encode` and `decode` give bitwise the
         # full stage's values and leave the earlier value as it was.  A
-        # side without a sweep refuses an earlier value.
+        # side without a sweep, or a taped earlier value, keeps no inputs and
+        # is refused.
         config, _sample = tiny_model_case(variant)
         windows = StackedWindows.stack(config, [random_sample(config, 80 + k) for k in range(3)])
         params = bind_constants(init_params(config))
@@ -586,10 +590,16 @@ class TestForward:
             full = model.encode(changed, config, windows)
             reused = model.encode(changed, config, windows, encoding)
             assert reused.feature_weights is encoding.feature_weights
+            assert reused.inputs is encoding.inputs and not encoding.inputs.flags.writeable
             for value, ref in zip(encoding_arrays(reused), encoding_arrays(full), strict=True):
                 npt.assert_array_equal(value, ref, strict=True)
+            taped = model.encode(bind(init_params(config), Tape()), config, windows)
+            assert taped.inputs is None
+            with pytest.raises(ConfigError, match="earlier Encoding kept no inputs"):
+                model.encode(changed, config, windows, taped)
         else:
-            with pytest.raises(ConfigError, match="steps known inputs"):
+            assert encoding.inputs is None
+            with pytest.raises(ConfigError, match="earlier Encoding kept no inputs"):
                 model.encode(changed, config, windows, encoding)
         changed = other_backward("decoder.backward.")
         if config.decoder_attention:
@@ -601,11 +611,11 @@ class TestForward:
             # A taped decoder keeps no inputs to hand on.
             taped = model.decode(bind(init_params(config), Tape()), config, encoding, windows)
             assert taped.inputs is None
-            with pytest.raises(ConfigError, match="untaped decoder with attention"):
+            with pytest.raises(ConfigError, match="earlier Decoding kept no inputs"):
                 model.decode(changed, config, encoding, windows, taped)
         else:
             assert decoding.inputs is None
-            with pytest.raises(ConfigError, match="untaped decoder with attention"):
+            with pytest.raises(ConfigError, match="earlier Decoding kept no inputs"):
                 model.decode(changed, config, encoding, windows, decoding)
         for array, copy in earlier:
             npt.assert_array_equal(array, copy, strict=True)
