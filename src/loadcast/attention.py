@@ -33,8 +33,9 @@ after the forward direction: it scans two arrays, that one and `weights`,
 and drops the `operands` the op's tape holds.  An untaped sweep then frees
 all of it but `weights` and `inputs`, a read-only view of the block
 `fill` was handed, every step's input as the forward direction completed
-it, which `model` hands on so that a backward-cell probe reruns only the
-backward direction over the same inputs; a taped sweep keeps no `inputs`.
+it, of which `model` keeps a copy so that a backward-cell probe reruns
+only the backward direction over the same inputs; a taped sweep keeps no
+`inputs`.
 """
 
 from __future__ import annotations

@@ -32,10 +32,11 @@ backward direction reads its inputs and writes its states reversed, and
 the rule walks the runs last first.  A sweep writes step t's input inside
 the loop, `finish(taped)` ends its run, and in the reverse loop it turns
 the gradient on x_t into one on h_{t-1}.  An untaped run keeps only what
-its next step reads.  `lstm_cell_step` is a one-step `_run` over one
-window and `_walk` over it: the cell and the sequence ops share one
-derivation.  The head, `feedforward_relu`, is one tape op of two 2-D
-`np.dot`s over every window's stacked states.
+its next step reads.  `lstm_cell_step` is no op of its own: it reshapes
+one window's step and state for `lstm_sequence` and its terminal state
+back, so every LSTM step runs through one engine.  The head,
+`feedforward_relu`, is one tape op of two 2-D `np.dot`s over every
+window's stacked states.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import DimensionError
 from .tensor import (Tensor, _any_taped, _matmul_grad_left, _matmul_grad_right, _relu_grad,
                      _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
-                     segment)
+                     reshape, segment)
 
 
 @dataclass
@@ -120,52 +121,18 @@ def zero_state(hidden_size, windows=None):
     return LstmState(zeros, zeros)
 
 
-def _cell_hidden(w_shape, b_shape, bh_shape):
-    """The hidden width H of a cell whose weights, b_x and b_h have these
-    shapes, checked to be (4H, input + H), (4H,) and (4H,)."""
-    if bh_shape != b_shape:
-        raise DimensionError(f"lstm b_h {bh_shape} does not match b_x {b_shape}")
-    rows = b_shape[0] if len(b_shape) == 1 else 0
-    if (rows < 4 or rows % 4 or len(w_shape) != 2 or w_shape[0] != rows
-            or w_shape[1] <= rows // 4):
-        raise DimensionError(f"lstm blocks {w_shape}, {b_shape}, {bh_shape} are not "
-                             f"(4H, input + H), (4H,), (4H,)")
-    return rows // 4
-
-
 def lstm_cell_step(params, prev, x):
     """One LSTM update: i, f, o gates, candidate g, cell mix, hidden output.
 
-    The step is one tape op producing [h; c], plus a view for each half:
-    a one-direction, one-step, one-window `_run` over [x; h_prev], whose
-    rule is `_walk` over that run, so its values and gradients are those of
-    `lstm_sequence` over one step of one window.
+    The step is `lstm_sequence` over one step of one window: x becomes a
+    (1, width, 1) input and the (H,) state an (H, 1) one, and the terminal
+    state comes back as (H,) vectors, so its values and gradients are the
+    op's and a malformed operand is refused by its checks.
     """
-    weights, b_x, b_h = as_tensor(params.weights), as_tensor(params.b_x), as_tensor(params.b_h)
-    hidden = _cell_hidden(weights.values.shape, b_x.values.shape, b_h.values.shape)
-    x, h_prev, c_prev = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
-    width = weights.values.shape[1] - hidden
-    if x.shape != (width,):
-        raise DimensionError(f"cell input shape {x.shape} does not match weights ({width},)")
-    if h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
-        raise DimensionError(f"cell state shapes {h_prev.shape}, {c_prev.shape} do not match "
-                             f"({hidden},)")
-    w = (weights.values,)
-    z = np.empty((2, 1, width + hidden, 1))
-    z[0, 0, :width, 0], z[0, 0, width:, 0] = x.values, h_prev.values
-    act, c_seq = _run(w, (b_x.values + b_h.values)[np.newaxis], z,
-                      c_prev.values[np.newaxis, :, np.newaxis], _gate_rows(hidden, 1, 1))
-
-    def rule(grad):
-        d_x = np.zeros((1, width, 1))
-        d_w, d_b_x, d_b_h, dh0, dc0 = _walk(((0,), w, z, act, c_seq, None),
-                                            [grad[np.newaxis, :hidden, np.newaxis]],
-                                            [grad[hidden:, np.newaxis]], d_x)
-        return d_w, d_b_x, d_b_h, d_x.reshape(width), dh0.reshape(hidden), dc0.reshape(hidden)
-
-    joined = fused_op(np.concatenate((z[1, 0, width:, 0], c_seq[1, 0, :, 0])),
-                      (weights, b_x, b_h, x, h_prev, c_prev), rule)
-    return LstmState(segment(joined, 0, hidden), segment(joined, hidden, 2 * hidden))
+    x, h, c = as_tensor(x), as_tensor(prev.h), as_tensor(prev.c)
+    _, last = lstm_sequence(params, reshape(x, (1,) + x.shape + (1,)),
+                            LstmState(reshape(h, h.shape + (1,)), reshape(c, c.shape + (1,))))
+    return LstmState(reshape(last.h, h.shape), reshape(last.c, c.shape))
 
 
 @functools.cache
@@ -327,19 +294,26 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
 
 def _direction(shapes, shape):
     """The H of a direction whose weights, b_x, b_h, h_0 and c_0 have
-    `shapes`, checked against (steps, width, B) step inputs of `shape`."""
-    hidden = _cell_hidden(*shapes[:3])
+    `shapes`, checked to be (4H, width + H), (4H,), (4H,), (H, B) and (H,
+    B) for (steps, width, B) step inputs of `shape`."""
+    w_shape, b_shape, bh_shape, h_shape, c_shape = shapes
+    if bh_shape != b_shape:
+        raise DimensionError(f"lstm b_h {bh_shape} does not match b_x {b_shape}")
+    rows = b_shape[0] if len(b_shape) == 1 else 0
+    if (rows < 4 or rows % 4 or len(w_shape) != 2 or w_shape[0] != rows
+            or w_shape[1] <= rows // 4):
+        raise DimensionError(f"lstm blocks {w_shape}, {b_shape}, {bh_shape} are not "
+                             f"(4H, input + H), (4H,), (4H,)")
+    hidden = rows // 4
     steps, width, windows = shape
     if steps < 1:
         raise DimensionError("cannot encode an empty sequence")
-    input_size = shapes[0][1] - hidden
-    if width != input_size:
+    if width != w_shape[1] - hidden:
         raise DimensionError(f"step input width {width} does not match weights "
-                             f"({input_size},)")
-    state = (hidden, windows)
-    if shapes[3] != state or shapes[4] != state:
-        raise DimensionError(f"initial state shapes {shapes[3]}, {shapes[4]} do not match "
-                             f"{state}")
+                             f"({w_shape[1] - hidden},)")
+    if h_shape != (hidden, windows) or c_shape != (hidden, windows):
+        raise DimensionError(f"initial state shapes {h_shape}, {c_shape} do not match "
+                             f"{(hidden, windows)}")
     return hidden
 
 
@@ -412,8 +386,8 @@ def lstm_sequence(params, inputs, init, terminals=True):
     of every step being window b's input, from the (H, B) state `init`;
     returns the hidden states as a (steps, H, B) array and the terminal
     state, views of one tape op that computes [h_1 .. h_T; c_T] with the
-    arithmetic of `lstm_cell_step` per column.  Without `terminals` no
-    terminal view is made, and None stands for it.
+    cell arithmetic per column.  Without `terminals` no terminal view is
+    made, and None stands for it.
     """
     states, views = _sequence((params,), inputs, (init,), terminals)
     return states, None if views is None else views[0]

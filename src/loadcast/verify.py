@@ -220,16 +220,16 @@ def _check_softmax():
                        f"max |sum-1| {worst:.1e}, max rel error {report.max_rel_error:.2e}")
 
 
-def _check_lstm_oracle(instances=1000, tolerance=1e-12):
-    """`lstm_cell_step` on `instances` random cells, then `lstm_sequence` on
-    50 random batches of 1-3 windows over 1-4 steps: every h_t and the
-    terminal c against the oracle stepped per window.  Both run the engine
-    the model runs, the cell as one step of one window."""
+def _check_lstm_oracle():
+    """`lstm_cell_step`, one step of one window of `lstm_sequence`, on 1000
+    random cells, then `lstm_sequence` on 50 random batches of 1-3 windows
+    over 1-4 steps: every h_t and the terminal c against the oracle
+    stepped per window.  Both run the op the model runs."""
     from .lstm import LstmParams, LstmState, lstm_cell_step, lstm_sequence
 
     rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(1000):
         width = int(rng.integers(1, 6))
         hidden = int(rng.integers(1, 6))
         params = LstmParams.random(rng, width, hidden, 1.0)
@@ -259,8 +259,8 @@ def _check_lstm_oracle(instances=1000, tolerance=1e-12):
                                      float(np.max(np.abs(states.values[t, :, b] - h_ref))))
             sequence_worst = max(sequence_worst,
                                  float(np.max(np.abs(terminal.c.values[:, b] - c_ref))))
-    return CheckResult(f"lstm cell and sequence vs scalar-loop oracle ({instances} cells, "
-                       "50 sequences)", max(worst, sequence_worst) <= tolerance,
+    return CheckResult("lstm cell and sequence vs scalar-loop oracle (1000 cells, "
+                       "50 sequences)", max(worst, sequence_worst) <= 1e-12,
                        f"max abs diff {worst:.1e} (cell), {sequence_worst:.1e} (sequence)")
 
 
@@ -275,10 +275,10 @@ def _check_model_gradients():
     return CheckResult("full-model gradients vs central differences", report.passed, detail)
 
 
-def _check_attention_normalization(evaluations=100, tolerance=1e-12):
+def _check_attention_normalization():
     worst = 0.0
     positive = True
-    for seed in range(evaluations):
+    for seed in range(100):
         config, sample = tiny_model_case(seed=seed)
         fc = predict(init_params(config), config, sample, collect_attention=True)
         # One row per softmax: each feature step, each forecast hour, the days.
@@ -286,10 +286,9 @@ def _check_attention_normalization(evaluations=100, tolerance=1e-12):
             for row in rows:
                 worst = max(worst, abs(float(row.sum()) - 1.0))
                 positive = positive and bool(np.all(row > 0.0))
-    ok = worst <= tolerance and positive
+    ok = worst <= 1e-12 and positive
     detail = f"max |sum-1| {worst:.1e}" + ("" if positive else ", non-positive weight")
-    return CheckResult(f"attention weights normalized ({evaluations} evaluations)",
-                       ok, detail)
+    return CheckResult("attention weights normalized (100 evaluations)", ok, detail)
 
 
 def _check_metric_values():

@@ -1,5 +1,7 @@
 """Attention blocks against direct numpy and loop re-implementations."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -218,6 +220,17 @@ class TestTemporalAttention:
 
 
 class TestContextVector:
+    def test_shape_errors_name_the_shapes(self):
+        day_w, hours, states = np.full(2, 0.5), Tensor(np.full((2, 3), 1 / 6)), np.zeros((6, 4))
+        with pytest.raises(DimensionError, match=r"must be \(days, day_len\), got \(6,\)"):
+            context_vector(day_w, reshape(hours, (6,)), states)
+        with pytest.raises(DimensionError,
+                           match=r"day weights \(3,\) do not match hour weights \(2, 3\)"):
+            context_vector(np.full(3, 1 / 3), hours, states)
+        for bad in (np.zeros((5, 4)), np.zeros(6)):
+            with pytest.raises(DimensionError, match=r"do not cover 2 x 3 history hours"):
+                context_vector(day_w, hours, Tensor(bad))
+
     def test_loop_oracle(self):
         rng = np.random.default_rng(31)
         days, day_len, width = 3, 4, 5
@@ -553,6 +566,13 @@ class TestAttendedSweeps:
             FeatureSweep(case["attn"], features[:, :1], targets)
         with pytest.raises(DimensionError):
             FeatureSweep(case["attn"], case["features"], case["targets"])
+        # A scorer with no hidden columns, or whose score and proj blocks
+        # do not chain.
+        for proj, score in (((2, 3), (2, 2)), ((2, 5), (2, 3))):
+            blocks = AttentionParams(np.zeros(proj), np.zeros(score))
+            with pytest.raises(DimensionError, match=re.escape(
+                    f"attention blocks {proj}, {score} do not fit 3 step rows")):
+                FeatureSweep(blocks, features, targets)
         sweep = FeatureSweep(case["attn"], features, targets)
         with pytest.raises(DimensionError):
             bilstm_sequence(BiLstmParams.random(rng, 4, 2, 1.0), sweep, init, init)

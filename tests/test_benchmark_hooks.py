@@ -3,9 +3,10 @@ attributes; every attribute it replaces must exist, or its traced and
 sampled runs fail.  Its forecast workload serves a version-1 checkpoint it
 writes itself and checks every forecast against its own numpy forward.
 This checks both without running the benchmark, that no module imports a
-name it never uses other than for the tracer to patch, and that every name
-a module defines, its classes' methods and properties included, is read
-somewhere."""
+name it never uses other than for the tracer to patch, that every name a
+module defines, its classes' methods and properties included, is read
+somewhere, and that some call sets every defaulted parameter of a
+module-level function."""
 
 import ast
 import importlib
@@ -110,6 +111,73 @@ def test_every_module_level_name_is_read():
               for path in sorted(SOURCES.glob("*.py")) if path.name != "__init__.py"}
     unread = {name: names for name, names in unread.items() if names}
     assert not unread, f"defined but never read: {unread}"
+
+
+def defaulted_parameters(path):
+    """(function, parameter, position, default node) of every defaulted
+    parameter of the module-level functions of `path`, position None for a
+    keyword-only one."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, k, args.defaults[k - first])
+                      for k, arg in enumerate(positional) if k >= first]
+            found += [(node.name, arg.arg, None, default)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def calls_by_name(paths):
+    """The calls in `paths` per callee name (a called name or attribute)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def keeps_default(value, default):
+    """Whether argument `value` is the literal `default` itself."""
+    try:
+        got, want = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return type(got) is type(want) and got == want
+
+
+def sets(call, parameter, position, default):
+    """Whether `call` may pass `parameter` something other than its
+    `default`: a `**` mapping or a starred argument at or before its
+    position may, and so does any argument that is not the default."""
+    if any(kw.arg is None for kw in call.keywords) or (position is not None and any(
+            isinstance(arg, ast.Starred) for arg in call.args[:position + 1])):
+        return True
+    passed = [kw.value for kw in call.keywords if kw.arg == parameter]
+    if position is not None and position < len(call.args):
+        passed.append(call.args[position])
+    return any(not keeps_default(value, default) for value in passed)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # A default no call overrides is a knob nothing turns: it belongs in
+    # the body as a literal.  A call that passes the default's own value
+    # turns nothing either.  Calls are matched by name alone, so a
+    # same-named call elsewhere can hide a dead knob, never invent one.
+    calls = calls_by_name(path for folder in ("src", "tests", "tools", "demos", "perfbench")
+                          for path in (SOURCES.parent.parent / folder).rglob("*.py"))
+    unset = [f"{path.name}:{function}({parameter})"
+             for path in sorted(SOURCES.glob("*.py"))
+             for function, parameter, position, default in defaulted_parameters(path)
+             if not any(sets(call, parameter, position, default)
+                        for call in calls.get(function, ()))]
+    assert not unset, f"defaulted parameters no call sets: {unset}"
 
 
 def test_every_hook_site_resolves():

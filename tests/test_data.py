@@ -125,6 +125,13 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_csv(path)
 
+    def test_a_field_past_the_csv_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("timestamp,load,temperature\n"
+                        "2022-01-03T00:00:00," + "1" * 200_000 + ",10.0\n")
+        with pytest.raises(ParseError, match="not a readable CSV file: field larger than"):
+            ingest_csv(path)
+
     def test_mixed_offset_awareness_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("timestamp,load,temperature\n"

@@ -150,13 +150,16 @@ class TestCellStep:
             assert np.all(np.abs(out.h.values) <= 1.0)
 
     def test_input_width_mismatch(self):
+        # Refused by the sequence op's checks, in its one-window shapes.
         params = LstmParams.zeros(3, 2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError,
+                           match=r"step input width 4 does not match weights \(3,\)"):
             lstm_cell_step(params, zero_state(2), Tensor(np.zeros(4)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"initial state shapes \(3, 1\), \(3, 1\) do "
+                                                 r"not match \(2, 1\)"):
             lstm_cell_step(params, zero_state(3), Tensor(np.zeros(3)))
         params.b_h = np.zeros(12)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"lstm b_h \(12,\) does not match b_x \(8,\)"):
             lstm_cell_step(params, zero_state(2), Tensor(np.zeros(3)))
 
     def test_dual_biases_are_distinct_parameters(self):
@@ -297,7 +300,10 @@ class TestFusedCell:
                                            "c_prev": state.c.values}, tolerance=1e-6)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
-    def test_step_records_three_nodes_at_any_width(self):
+    def test_step_records_seven_nodes_at_any_width(self):
+        # The taped input's reshape, the sequence op and its three views,
+        # and the terminal state's two reshapes; the constant state's
+        # reshapes record nothing.
         counts = []
         for hidden in (1, 8):
             params, state, x = random_case(np.random.default_rng(21), 3, hidden)
@@ -309,7 +315,7 @@ class TestFusedCell:
             before = len(tape)
             lstm_cell_step(leaves, state, x_leaf)
             counts.append(len(tape) - before)
-        assert counts == [3, 3]
+        assert counts == [7, 7]
 
     def test_packed_layout(self):
         rng = np.random.default_rng(22)
@@ -338,7 +344,7 @@ class TestFusedCell:
 def stepped_sequence(params, inputs, init):
     """A direction as one `composed_cell` per row of one window's (steps,
     width) input matrix.  Reference for the whole-sequence op, sharing no
-    code with it: `lstm_cell_step` is a one-step run of the op's engine."""
+    code with it: `lstm_cell_step` is one step of the op itself."""
     steps, width = inputs.shape
     flat = reshape(inputs, (steps * width,))
     state, hs = init, []

@@ -193,6 +193,13 @@ class TestInit:
         b = [arr for _, arr in named_leaves(init_params(other))]
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_a_leaf_of_another_type_is_named(self):
+        params = init_params(TINY)
+        params.encoder.forward.b_x = params.encoder.forward.b_x.tolist()
+        with pytest.raises(TypeError,
+                           match="unsupported parameter field 'encoder.forward.b_x': list"):
+            bind_constants(params)
+
     def test_parameter_count_matches_closed_form(self):
         n, hs, day_len, days = TINY.n_features, TINY.hidden_size, TINY.day_len, TINY.days
         width = 2 * hs

@@ -43,6 +43,12 @@ class TestForwardValues:
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
         assert "(2, 3)" in str(exc.value)
 
+    def test_matmul_refuses_operands_of_rank_three(self):
+        # Their inner extents agree, so only the rank check refuses them.
+        with pytest.raises(DimensionError,
+                           match=r"1-D or 2-D operands, got \(2, 2, 2\) @ \(2,\)"):
+            matmul(np.zeros((2, 2, 2)), np.zeros(2))
+
     def test_elementwise_hand_values(self):
         assert sigmoid(0.0).item() == 0.5
         assert tanh(0.0).item() == 0.0
@@ -87,6 +93,10 @@ class TestForwardValues:
             concat([a, np.zeros((3, 3))], axis=1)
         with pytest.raises(DimensionError):
             concat([])
+        with pytest.raises(DimensionError, match=r"differ in rank: \(2,\) vs \(2, 1\)"):
+            concat([np.ones(2), np.ones((2, 1))])
+        with pytest.raises(DimensionError, match="concat axis 1 out of range for rank 1"):
+            concat([np.ones(2)], axis=1)
 
     def test_reshape_checks_size(self):
         assert reshape(np.arange(6.0), (2, 3)).shape == (2, 3)
@@ -242,6 +252,14 @@ class TestBackward:
         with pytest.raises(TapeError):
             tape.grad(w)
 
+    def test_grad_of_another_tapes_leaf_rejected(self):
+        t1, t2 = Tape(), Tape()
+        w = t1.leaf([1.0])
+        t1.backward(total(w))
+        t2.backward(total(t2.leaf([2.0])))
+        with pytest.raises(TapeError, match="not recorded on this tape"):
+            t2.grad(w)
+
     def test_cross_tape_mixing_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(TapeError):
@@ -301,6 +319,22 @@ class TestCheckGradients:
                                  {})
         assert report.passed and report.max_rel_error == 0.0
 
+    def test_rejects_a_non_scalar_loss(self):
+        with pytest.raises(TapeError, match=r"non-scalar loss of shape \(2,\)"):
+            check_gradients(lambda leaves: leaves["w"], {"w": np.ones(2)})
+
+    def test_a_non_finite_loss_at_a_perturbed_point_raises(self):
+        # The package's ops scan their outputs; a loss that skips the scan
+        # and is infinite once w moves is caught by the check's own test.
+        def program(leaves):
+            w = leaves["w"]
+            if w.tape is None and float(w.values[0]) != 1.0:
+                return Tensor(math.inf, scanned=True)
+            return total(w)
+
+        with pytest.raises(EvaluationError, match="non-finite loss at a perturbed point"):
+            check_gradients(program, {"w": np.ones(1)})
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             check_gradients(lambda leaves: total(leaves["w"]),
@@ -310,6 +344,14 @@ class TestCheckGradients:
         rng = np.random.default_rng(0)
         fd_check(lambda leaves: total(matmul(leaves["a"], leaves["b"])),
                  {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))})
+
+    def test_vector_dot_gradients(self):
+        # u @ v of two vectors: each gradient is the other vector.
+        tape = Tape()
+        u, v = tape.leaf([1.0, 2.0, 3.0]), tape.leaf([4.0, -5.0, 6.0])
+        tape.backward(matmul(u, v))
+        npt.assert_array_equal(tape.grad(u), [4.0, -5.0, 6.0])
+        npt.assert_array_equal(tape.grad(v), [1.0, 2.0, 3.0])
 
     def test_matrix_vector_gradients(self):
         rng = np.random.default_rng(1)

@@ -394,6 +394,15 @@ class TestTrainLoop:
             train(TINY, random_samples(TINY, 2, seed=86), random_samples(TINY, 1, seed=87),
                   TrainConfig(batch_size=2, epochs=1))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_mean_squared_error_raises(self):
+        # The head's output is finite, so the forward pass accepts it; its
+        # squared error is not.
+        params = init_params(TINY)
+        params.head.out = params.head.out * 1e200
+        with pytest.raises(EvaluationError, match="non-finite mean squared error"):
+            mean_mse(params, TINY, random_samples(TINY, 2, seed=90))
+
     def test_empty_split_rejected(self):
         with pytest.raises(TrainingError):
             train(TINY, [], random_samples(TINY, 2, seed=85), TrainConfig())
