@@ -87,7 +87,8 @@ def load_checkpoint(path):
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")
     version = doc.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    # `type`, since a bool equals 1 and a float 2.0 equals 2.
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         config = ModelConfig(**doc["config"])

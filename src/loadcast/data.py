@@ -254,6 +254,8 @@ class StandardizationStats:
     temperature_std: float
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in vars(self).values()):
+            raise DegenerateStatsError(f"statistics must be finite: {self}")
         if self.load_std <= 0.0 or self.temperature_std <= 0.0:
             raise DegenerateStatsError(
                 f"standard deviations must be positive "
@@ -266,10 +268,12 @@ def compute_stats(frames):
         raise SizeError("cannot compute statistics over zero frames")
     loads = np.array([f.target for f in frames])
     temperatures = np.array([f.features[TEMPERATURE_INDEX] for f in frames])
-    return StandardizationStats(load_mean=float(loads.mean()),
-                                load_std=float(loads.std()),
-                                temperature_mean=float(temperatures.mean()),
-                                temperature_std=float(temperatures.std()))
+    # A sum of finite values may overflow, which the statistics refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return StandardizationStats(load_mean=float(loads.mean()),
+                                    load_std=float(loads.std()),
+                                    temperature_mean=float(temperatures.mean()),
+                                    temperature_std=float(temperatures.std()))
 
 
 def standardize(frames, stats):

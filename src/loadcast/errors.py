@@ -55,7 +55,7 @@ class SizeError(DataError):
 
 
 class DegenerateStatsError(DataError):
-    """Standardization statistics have zero spread."""
+    """Standardization statistics are not finite or have zero spread."""
 
 
 class DomainError(DataError):

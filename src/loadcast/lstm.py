@@ -25,18 +25,19 @@ makes once per op shape after the shape checks, lists the op's runs: over
 known inputs one run of every direction, (0, 1) or (0,); with an attention
 sweep, (0,), whose inputs the sweep builds from the forward h_{t-1}, then
 (1,) over them.  It holds the output's layout, its views' offsets and what
-each run reads of its shape.  The executor, `_sequence`, looks the plan up
-and does only what depends on values: it fills, steps and copies each run,
-each in scratch of its own, and makes the output and its views.  The
-backward direction reads its inputs and writes its states reversed, and
-the rule walks the runs last first.  A sweep writes step t's input inside
-the loop, `finish(taped)` ends its run, and in the reverse loop it turns
-the gradient on x_t into one on h_{t-1}.  An untaped run keeps only what
-its next step reads.  `lstm_cell_step` is no op of its own: it reshapes
-one window's step and state for `lstm_sequence` and its terminal state
-back, so every LSTM step runs through one engine.  The head,
-`feedforward_relu`, is one tape op of two 2-D `np.dot`s over every
-window's stacked states.
+each run reads of its shape, and depends on shapes alone.  The executor,
+`_sequence`, looks the plan up and does what depends on values or the
+call: it fills, steps and copies each run in scratch of its own, and
+makes the output and its views.  `_columns` alone reverses the backward
+direction's inputs, states and their gradients; the rule walks the runs
+last first.  A sweep
+writes step t's input inside the loop, `finish(taped)` ends its run, and
+in the reverse loop it turns the gradient on x_t into one on h_{t-1}.  An
+untaped run keeps only what its next step reads.  `lstm_cell_step` is no
+op of its own: it reshapes one window's step and state for
+`lstm_sequence` and its terminal state back, so every LSTM step runs
+through one engine.  The head, `feedforward_relu`, is one tape op of two
+2-D `np.dot`s over every window's stacked states.
 """
 
 from __future__ import annotations
@@ -338,25 +339,23 @@ def _parts(flat, plan):
 
 def _walk(run, grad_h, dc, d_x):
     """The gradients of a run's weights, b_x, b_h, h_0 and c_0, direction
-    by direction, from each direction's states' and c_T's gradients, through
+    by direction, from the op's states' and c_T's gradients, through
     `_bptt`'s gate gradients as they are.  `run` is the run's directions,
-    its `_run` operands w and z, its activations and cell states, and its
-    sweep or None.  Without a sweep, each direction's input gradient, the
-    last direction's first, is added in step order into the (steps, width,
-    B) `d_x` unless that is None; with one, `d_x` is what arrives on the
-    inputs from outside."""
-    directions, w, z, act, c_seq, sweep = run
+    their `_columns`, its `_run` operands w and z, its activations and cell
+    states, and its sweep or None.  Without a sweep, each direction's input
+    gradient, the last direction's first, is added in `_columns` order into
+    the (steps, width, B) `d_x` unless that is None; with one, `d_x` is
+    what arrives on the inputs from outside."""
+    directions, columns, w, z, act, c_seq, sweep = run
     del run
-    d_pre, dh0, dc0 = _bptt(w, act, c_seq, [grad_h[d] for d in directions],
-                            [dc[d] for d in directions], sweep, d_x)
+    grad_h = [grad_h[cols][order] for _k, _fill, _start, order, _made, cols in columns]
+    d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, [dc[d] for d in directions], sweep, d_x)
     # The summed outer products copy d_pre; the cell states go first.
     del act, c_seq
     width = z.shape[2] - dh0.shape[1]
     if sweep is None and d_x is not None:
-        for k in reversed(range(len(directions))):
-            # Direction 1 steps its inputs reversed.
-            arrives = d_x[::-1] if directions[k] else d_x
-            arrives += np.matmul(w[k][:, :width].T, d_pre[:, k])
+        for k, _fill, _start, order, _made, _cols in reversed(columns):
+            d_x[order] += np.matmul(w[k][:, :width].T, d_pre[:, k])
     grads = ()
     for k in range(len(directions)):
         d_bias = d_pre[:, k].sum(axis=(0, 2))
@@ -364,10 +363,10 @@ def _walk(run, grad_h, dc, d_x):
     return grads
 
 
-def _views(joined, plan):
-    """The states of an op's output and, if its `plan` makes them, each
-    direction's terminal state, at the plan's offsets (None stands for
-    those it does not make): `segment`s of a taped output, a tensor, or the
+def _views(joined, plan, terminals):
+    """The states of an op's output and, with `terminals`, each direction's
+    terminal state, at the `plan`'s offsets (None stands for the terminal
+    states without): `segment`s of a taped output, a tensor, or the
     constants `segment` makes of an untaped one, the scanned flat array."""
 
     def view(start, stop, shape):
@@ -375,10 +374,10 @@ def _views(joined, plan):
             return segment(joined, start, stop, shape)
         return Tensor(joined[start:stop].reshape(shape), scanned=True)
 
-    states, terminals = plan.views
-    if terminals is None:
+    states, cells = plan.views
+    if not terminals:
         return view(*states), None
-    return view(*states), [LstmState(view(*h), view(*c)) for h, c in terminals]
+    return view(*states), [LstmState(view(*h), view(*c)) for h, c in cells]
 
 
 def lstm_sequence(params, inputs, init, terminals=True):
@@ -417,35 +416,35 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
 
 class _Plan:
     """What a sequence op decides from its shapes and whether a sweep
-    builds its inputs (`swept`), read only: H, the `_parts` shapes split at
+    builds its inputs (`swept`), read only: the `_parts` shapes split at
     `end` of a flat output of `size`, the `_views` offsets, and the runs,
     each its directions, the shape of the `z` it makes, its `_gate_rows`
-    entry, each direction's `_columns`, its `c_end` rows and the index of
-    c_T in its cell states.  It holds no array but `_gate_rows`' tiles and
-    views of them."""
+    entry, each direction's `_columns` and its `c_end` rows.  It holds no
+    array but `_gate_rows`' tiles and views of them."""
 
-    __slots__ = ("hidden", "layout", "end", "size", "views", "runs")
+    __slots__ = ("layout", "end", "size", "views", "runs")
 
-    def __init__(self, swept, shape, hidden, count, taped, terminals):
+    def __init__(self, swept, shape, hidden, count):
         steps, width, windows = shape
         block, span = hidden * windows, count * hidden * windows
-        self.hidden, self.end, self.size = hidden, steps * span, (steps + 1) * span
+        self.end, self.size = steps * span, (steps + 1) * span
         self.layout = (steps, count * hidden, windows), (count, hidden, windows)
         starts = ((self.end - span, self.end), (block, self.end + block))[:count]
-        self.views = ((0, self.end, self.layout[0]), None if not terminals else tuple(
+        self.views = ((0, self.end, self.layout[0]), tuple(
             tuple((k, k + block, (hidden, windows)) for k in pair) for pair in starts))
         picks = ((0,), (1,)) if swept else (tuple(range(count)),)
         self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows),
                            _gate_rows(hidden, windows, len(dirs)),
                            tuple(_columns(k, d, steps, width, hidden) for k, d in enumerate(dirs)),
-                           slice(dirs[0], dirs[-1] + 1), steps if taped else steps % 2)
+                           slice(dirs[0], dirs[-1] + 1))
                           for dirs in picks)
 
 
 def _columns(k, d, steps, width, hidden):
     """Direction d's indices, the k-th of its run: k, its inputs' and h_0's
-    blocks of `z`, its order over known inputs, its states' block of `z` in
-    op order, and its columns of the states."""
+    blocks of `z`, its order over known inputs and over its input and state
+    gradients, its states' block of `z` in op order, and its columns of the
+    states."""
     return (k, (slice(None, steps), k, slice(None, width)), (0, k, slice(width, None)),
             slice(None, None, -1 if d else 1),
             (slice(-1, 0, -1) if d else slice(1, None), k, slice(width, None)),
@@ -453,7 +452,7 @@ def _columns(k, d, steps, width, hidden):
 
 
 @functools.cache
-def _plan(fit, shape, shapes, taped, terminals):
+def _plan(fit, shape, shapes):
     """The `_Plan` of an op over inputs of `shape`, `fit` being the H of the
     sweep that builds them (None over known inputs) and `shapes` those of
     each direction's weights, b_x, b_h, h_0 and c_0, made after the checks:
@@ -467,19 +466,20 @@ def _plan(fit, shape, shapes, taped, terminals):
                              f"width {hidden}")
     if fit is not None and fit != hidden:
         raise DimensionError(f"sweep over hidden width {fit} does not fit hidden width {hidden}")
-    return _Plan(fit is not None, shape, hidden, len(shapes) // 5, taped, terminals)
+    return _Plan(fit is not None, shape, hidden, len(shapes) // 5)
 
 
 def _sequence(cells, inputs, inits, terminals=True):
     """The executor of both sequence ops: it reads into one key what the
     op's shape depends on, the H of the sweep that builds the inputs (None
     over known inputs: an array, a tensor or anything without a sweep's
-    `forward`, such as a nested list), their shape, each direction's
-    operand shapes, whether it is taped, and `terminals`, then runs its
-    `_Plan`'s runs, each in a `z` of its own, doing only what depends on
-    values; the sweep's `finish(taped)` ends the first.  The operands are
-    each direction's weights, biases and initial state, then the inputs or
-    the sweep's operands.  A one-direction op takes known inputs only; an
+    `forward`, such as a nested list), their shape and each direction's
+    operand shapes, then runs its `_Plan`'s runs, each in a `z` of its
+    own, doing only what depends on values or the call: whether it is
+    taped, and so c_T's slot in `_run`'s cells, and its `terminals`; the
+    sweep's `finish(taped)` ends the first.  The operands are each
+    direction's weights, biases and initial state, then the inputs or the
+    sweep's operands.  A one-direction op takes known inputs only; an
     untaped op's output is a constant."""
     sweep = fit = None
     if isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
@@ -488,8 +488,7 @@ def _sequence(cells, inputs, inits, terminals=True):
     else:
         sweep, fit = inputs, inputs.hidden_size
         shape = inputs.steps, inputs.width, inputs.windows
-    count = len(cells)
-    if count == 1 and sweep is not None:
+    if len(cells) == 1 and sweep is not None:
         raise DimensionError("a one-direction sequence op steps known inputs and takes no "
                              f"sweep ({type(sweep).__name__})")
     operands = [as_tensor(array) for cell, init in zip(cells, inits)
@@ -497,13 +496,12 @@ def _sequence(cells, inputs, inits, terminals=True):
     shapes = tuple([t.values.shape for t in operands])
     operands += (inputs,) if sweep is None else sweep.operands
     taped = _any_taped(operands)
-    plan = _plan(fit, shape, shapes, taped, terminals)
-    hidden = plan.hidden
+    plan = _plan(fit, shape, shapes)
     out = np.empty(plan.size)
     states, c_end = _parts(out, plan)
     x = None if sweep is not None else inputs.values
     runs = []
-    for dirs, z_shape, gates, columns, c_rows, c_last in plan.runs:
+    for dirs, z_shape, gates, columns, c_rows in plan.runs:
         w, bias, h0, c0 = _run_arrays(operands, dirs)
         # A sweep builds the first run's inputs, which the next run reads.
         swept = sweep if x is None else None
@@ -520,25 +518,23 @@ def _sequence(cells, inputs, inits, terminals=True):
             x = z[columns[0][1]]
         for _k, _fill, _start, _order, made, cols in columns:
             states[cols] = z[made]
-        c_end[c_rows] = c_seq[c_last]
-        runs.append((dirs, w, z, act, c_seq, swept))
+        c_end[c_rows] = c_seq[shape[0] % len(c_seq)]
+        runs.append((dirs, columns, w, z, act, c_seq, swept))
     if not taped:
         _require_finite(out)
-        return _views(out, plan)
+        return _views(out, plan, terminals)
     # Decided here, so that the rule keeps no reference to the inputs.
     reads_x = sweep is not None or inputs.tape is not None
 
     def rule(grad):
         grad_h, dc = _parts(grad, plan)
-        # Each direction's state gradient in its run's time order.
-        grad_h = [grad_h[::-1 if d else 1, d * hidden:(d + 1) * hidden] for d in range(count)]
         d_x = np.zeros(shape) if reads_x else None
         grads = ()
         while runs:
             grads = _walk(runs.pop(), grad_h, dc, d_x) + grads
         return grads + ((d_x,) if sweep is None else sweep.grads())
 
-    return _views(fused_op(out, operands, rule), plan)
+    return _views(fused_op(out, operands, rule), plan, terminals)
 
 
 @dataclass

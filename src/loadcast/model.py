@@ -34,13 +34,12 @@ inputs.  `encode` reads only the histories and returns an `Encoding`;
 `decode` returns a `Decoding`, the stacked decoder states the head reads.
 Both keep the weights and `inputs` their sweep kept, and `forward` alone
 decides whether its `Forecast`s carry the weights as attention traces.
-`forward` takes an `Encoding`, or an `Encoding` and a `Decoding`, made
-before for the same inputs, so that a caller that knows a stage's
-parameters unchanged, as the gradient gate does, skips that stage.  One
-that knows only a sweep stage's forward direction unchanged, as a
-backward-cell probe does, hands `encode` or `decode` the earlier value,
-and `_rerun_backward` reruns only the backward direction over the inputs
-the forward direction completed.
+`forward` always runs both stages and the head; a caller that knows a
+stage's parameters unchanged, as the gradient gate does, composes the
+stages it keeps with the head itself.  One that knows only a sweep
+stage's forward direction unchanged, as a backward-cell probe does, hands
+`encode` or `decode` the earlier value, and `_rerun_backward` reruns only
+the backward direction over the inputs the forward direction completed.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -406,27 +405,22 @@ def _column(weights, k):
     return None if weights is None else np.array(weights[..., k])
 
 
-def forward(params, config, samples, collect_attention=False, encoding=None, decoding=None):
+def forward(params, config, samples, collect_attention=False):
     """Encode the histories of `samples`, decode their forecast days, map
     the decoder states through the head, and return the forecasts as one
     pass.
 
     `samples` is a nonempty list of windows or a `StackedWindows` built for
     `config`.  The observed future loads in the samples are never read;
-    only the histories and the future features drive the output.  A given
-    `encoding` replaces the encoder run and must be what `encode` gives
-    these inputs; a given `decoding` replaces the decoder run and must be
-    what `decode` gives them and that encoding, so a pass given both runs
-    only the head.  Only here are attention traces decided: with
-    `collect_attention` each `Forecast` carries its window's weights of
-    every stage the variant has, and without it none, whatever was given.
+    only the histories and the future features drive the output.  Only
+    here are attention traces decided: with `collect_attention` each
+    `Forecast` carries its window's weights of every stage the variant
+    has, and without it none.
     """
     windows = (samples if isinstance(samples, StackedWindows)
                else StackedWindows.stack(config, samples))
-    if encoding is None:
-        encoding = encode(params, config, windows)
-    if decoding is None:
-        decoding = decode(params, config, encoding, windows)
+    encoding = encode(params, config, windows)
+    decoding = decode(params, config, encoding, windows)
     output = feedforward_relu(params.head, decoding.states)
     if not collect_attention:
         return ForwardPass(output, (None, None, None))

@@ -19,6 +19,7 @@ import numpy as np
 from .data import WindowSample
 from .metrics import compute_metrics
 from .errors import LoadcastError
+from .lstm import feedforward_relu
 from .model import ModelConfig, StackedWindows, decode, encode, forward, init_params, predict
 from .params import map_leaves, named_leaves
 from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
@@ -63,9 +64,10 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     parameter tree over a mapping is built once per mapping; nothing is
     kept by a parameter array's identity.
 
-    Every probe calls `forward`, and a constant probe hands it the stages
-    its scalar cannot change.  Each stage is keyed by the bytes of the
-    leaves it depends on, in named order: the encoding by the
+    The taped pass is `forward`.  A constant probe composes the same pass
+    from `encode`, `decode` and `forward`'s head call, taking from a cache
+    the stages its scalar cannot change.  Each stage is keyed by the bytes
+    of the leaves it depends on, in named order: the encoding by the
     `feature_attn` and `encoder` leaves, the decoding by those and the
     `temporal_attn` and `decoder` leaves.  A constant probe whose stage key
     is the previous constant probe's reuses that probe's stage: the probes
@@ -76,9 +78,8 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     the probes of a backward-cell scalar rerun only the backward direction.
     `encode` and `decode` are pure functions of those leaves, the window
     and the config, and nothing writes into a value they returned, so
-    every loss is bitwise that of a fresh pass.  The taped pass runs every
-    stage.  A failing report's `worst` names the scalar of the largest
-    error with both of its derivatives.
+    every loss is bitwise that of a fresh pass.  A failing report's `worst`
+    names the scalar of the largest error with both of its derivatives.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
@@ -121,15 +122,13 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
             last.update(leaves=leaves, keyed=[leaves[name].values for name in through_decoder],
                         bound=map_leaves(template, lambda name, _leaf: leaves[name]))
         bound = last["bound"]
-        encoding = decoding = None
-        if leaves[through_decoder[0]].tape is None:
-            key = b"".join([values.tobytes() for values in last["keyed"]])
-            encoding = stage("encoding", key,
-                             lambda earlier: encode(bound, config, windows, earlier))
-            decoding = stage("decoding", key,
-                             lambda earlier: decode(bound, config, encoding, windows, earlier))
-        output = forward(bound, config, windows, encoding=encoding, decoding=decoding).output
-        return mse_loss(output, target)
+        if leaves[through_decoder[0]].tape is not None:
+            return mse_loss(forward(bound, config, windows).output, target)
+        key = b"".join([values.tobytes() for values in last["keyed"]])
+        encoding = stage("encoding", key, lambda earlier: encode(bound, config, windows, earlier))
+        decoding = stage("decoding", key,
+                         lambda earlier: decode(bound, config, encoding, windows, earlier))
+        return mse_loss(feedforward_relu(bound.head, decoding.states), target)
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance)
 

@@ -12,15 +12,16 @@ from loadcast import attention, lstm, model, verify
 def seed8_gate():
     """One unmutated `verify.run_all_checks()`, whose full-model check is
     the ANLF `tiny_model_case` seed-8 gradient gate, with what that gate
-    did: `check` is its `CheckResult`, `forward` its calls of
-    `verify.forward`, `encode` and `decode` its encoder and decoder runs
-    (through `model.encode` or `verify.encode`, and `model.decode` or
-    `verify.decode`), `similar_day_weights` its calls of
-    `model.similar_day_weights`, and `feature_sweep_runs` and
+    did: `check` is its `CheckResult`, `head` its passes, counted as calls
+    of the head (`model.feedforward_relu` in the taped `forward`,
+    `verify.feedforward_relu` in a probe), `encode` and `decode` its
+    encoder and decoder runs (through `model.encode` or `verify.encode`,
+    and `model.decode` or `verify.decode`), `similar_day_weights` its
+    calls of `model.similar_day_weights`, and `feature_sweep_runs` and
     `temporal_sweep_runs` its `lstm._run` calls over a `FeatureSweep` and
     over a `TemporalSweep`.  For tests that only read these; a test that
     patches a rule runs its own gate."""
-    counts = {"forward": 0, "encode": 0, "decode": 0, "similar_day_weights": 0,
+    counts = {"head": 0, "encode": 0, "decode": 0, "similar_day_weights": 0,
               "feature_sweep_runs": 0, "temporal_sweep_runs": 0}
     checks, inside = [], []
 
@@ -54,7 +55,9 @@ def seed8_gate():
     encode = counted("encode", model.encode)
     decode = counted("decode", model.decode)
     with pytest.MonkeyPatch.context() as patches:
-        patches.setattr(verify, "forward", counted("forward", verify.forward))
+        head = counted("head", model.feedforward_relu)
+        patches.setattr(model, "feedforward_relu", head)
+        patches.setattr(verify, "feedforward_relu", head)
         patches.setattr(model, "encode", encode)
         patches.setattr(verify, "encode", encode)
         patches.setattr(model, "decode", decode)

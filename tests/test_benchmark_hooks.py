@@ -5,7 +5,8 @@ writes itself and checks every forecast against its own numpy forward.
 This checks both without running the benchmark, that no module imports a
 name it never uses other than for the tracer to patch, that every name a
 module defines, its classes' methods and properties included, is read
-somewhere, and that some call sets every defaulted parameter of a
+somewhere, that every dataclass field and `__slots__` entry is read as an
+attribute somewhere, and that some call sets every defaulted parameter of a
 module-level function."""
 
 import ast
@@ -97,20 +98,61 @@ def read_names(path):
             | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
+def class_fields(path):
+    """(class, field) of every field of a dataclass of `path` and every
+    `__slots__` entry of a class of `path`."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        dataclass = any((decorator.func if isinstance(decorator, ast.Call) else decorator).id
+                        == "dataclass" for decorator in node.decorator_list)
+        for member in node.body:
+            if dataclass and isinstance(member, ast.AnnAssign):
+                found.append((node.name, member.target.id))
+            elif isinstance(member, ast.Assign) and [
+                    getattr(target, "id", None) for target in member.targets] == ["__slots__"]:
+                found += [(node.name, name) for name in ast.literal_eval(member.value)]
+    return found
+
+
+def read_attributes(path):
+    """Attribute names `path` reads."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def reading_sources():
+    """The files whose reads count: the package but its `__init__.py`, the
+    tests, the demos and the benchmark."""
+    return [path for folder in ("src", "tests", "demos", "perfbench")
+            for path in (SOURCES.parent.parent / folder).rglob("*.py")
+            if path != SOURCES / "__init__.py"]
+
+
 def test_every_module_level_name_is_read():
     # A name that only `__init__.py` re-exports is one nothing reaches: not
     # the package, its tests, the demos or the benchmark.  A method or
     # property counts as read when any of them reads an attribute of its
     # name.
     read = set()
-    for folder in ("src", "tests", "demos", "perfbench"):
-        for path in (SOURCES.parent.parent / folder).rglob("*.py"):
-            if path != SOURCES / "__init__.py":
-                read |= read_names(path)
+    for path in reading_sources():
+        read |= read_names(path)
     unread = {path.name: sorted(defined_names(path) - read)
               for path in sorted(SOURCES.glob("*.py")) if path.name != "__init__.py"}
     unread = {name: names for name, names in unread.items() if names}
     assert not unread, f"defined but never read: {unread}"
+
+
+def test_every_class_field_is_read():
+    # A field or slot that is only written is state nothing consults.  It
+    # counts as read when any file reads an attribute of its name.
+    read = set()
+    for path in reading_sources():
+        read |= read_attributes(path)
+    unread = [f"{path.name}:{cls}.{field}" for path in sorted(SOURCES.glob("*.py"))
+              for cls, field in class_fields(path) if field not in read]
+    assert not unread, f"class fields never read as an attribute: {unread}"
 
 
 def defaulted_parameters(path):

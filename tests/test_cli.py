@@ -5,6 +5,7 @@ import builtins
 import csv
 import ctypes
 import dataclasses
+import errno
 import fcntl
 import hashlib
 import io
@@ -405,6 +406,21 @@ class TestTrain:
         assert str(out / ".lock") in err
         assert not (out / "checkpoint.json").exists()
 
+    def test_lock_that_cannot_be_taken_is_one_config_error_line(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # A file system without locks refuses `flock` with ENOLCK, which is
+        # not another run's lock.
+        def no_locks(_fh, _operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(write_config(tmp_path, out)), "--synthetic"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cannot lock {out / '.lock'}: {os.strerror(errno.ENOLCK)}\n")
+        assert not (out / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("key", ["data.train_csv", "data.validation_csv", "data.holidays"])
     def test_synthetic_run_refuses_a_csv_source_key(self, tmp_path, capsys, monkeypatch, key):
         def generate(*_args):
@@ -563,6 +579,26 @@ class TestTrain:
         assert code == EXIT_TRAINING
         assert capsys.readouterr().err == ("training error: training diverged: overflow "
                                            "encountered in multiply\n")
+        assert not out.exists()
+
+    def test_overflowing_statistics_are_one_data_error_line(self, tmp_path, capsys):
+        # Finite loads near 1e307 overflow the training split's mean: a data
+        # error, with no numpy warning, rather than a diverged run.
+        records = generate_synthetic(9, 7)
+        write_records_csv([dataclasses.replace(r, load=r.load * 1e304) for r in records],
+                          tmp_path / "data.csv")
+        synthetic_calendar(records).to_file(tmp_path / "holidays.txt")
+        body = TINY_CONFIG + "".join(f"{key} = {tmp_path / name}\n" for key, name in (
+            ("data.train_csv", "data.csv"), ("data.validation_csv", "data.csv"),
+            ("data.holidays", "holidays.txt")))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", str(write_config(tmp_path, out, body))])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: statistics must be finite: StandardizationStats("
+                              "load_mean=inf, load_std=inf, ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("found", ["missing", "missing-beside-another-run", "empty",
@@ -1038,6 +1074,20 @@ class TestForecast:
             f"config error: {bad}: params entry 0 (name 'feature_attn.proj') is malformed: "
             f"TypeError: it holds a boolean\n")
 
+    @pytest.mark.parametrize("version", [True, 2.0])
+    def test_checkpoint_version_that_is_not_an_integer_is_a_config_error(
+            self, trained, tmp_path, capsys, version):
+        # `true` equals 1 and 2.0 equals 2, yet neither is a version.
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["version"] = version
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["forecast", "--checkpoint", str(bad),
+                     "--data", str(tmp_path / "data.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: unsupported checkpoint version {version!r}\n")
+
     @pytest.mark.parametrize("variant", ["EDBiLSTM", "EDLSTM"])
     def test_dump_attention_without_an_attention_stage_is_a_config_error(
             self, trained, tmp_path, capsys, variant):
@@ -1220,6 +1270,17 @@ class TestVerify:
         assert not check.passed
         assert check.detail == ("max rel error 2.00e+00, worst block encoder.forward.weights, "
                                 "scalar [15, 4]: analytic -7.714e-06, numeric 7.735e-06")
+
+    def test_a_softmax_with_a_zero_weight_fails_its_check(self, monkeypatch):
+        softmax = loadcast.verify.stable_softmax
+
+        def zeroing(values):
+            out = softmax(values)
+            return Tensor(np.concatenate(([0.0], out.values[1:])))
+
+        monkeypatch.setattr(loadcast.verify, "stable_softmax", zeroing)
+        assert loadcast.verify._check_softmax() == CheckResult("softmax normalization", False,
+                                                               "non-positive entry")
 
     def test_nan_gradient_rule_fails_both_gradient_checks(self, monkeypatch):
         # A NaN analytic gradient must fail the check, not compare false

@@ -56,6 +56,13 @@ output.dir = runs/ablation
         assert run.train_csv == Path("data/train.csv")
         assert run.output_dir == Path("runs/ablation")
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # As some editors on Windows save a UTF-8 file.
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"\xef\xbb\xbfoutput.dir = out\nmodel.seed = 9\n")
+        run = parse_run_config(path)
+        assert run.output_dir == Path("out") and run.model.seed == 9
+
     def test_clip_norm_takes_a_number(self, tmp_path):
         run = parse_run_config(write_config(tmp_path, "output.dir = out\ntrain.clip_norm = 2.5\n"))
         assert run.training.clip_norm == 2.5

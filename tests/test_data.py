@@ -1,5 +1,6 @@
 """Ingestion, feature layout, windowing, splits, and the synthetic series."""
 
+import math
 import re
 from datetime import date, datetime, timedelta, timezone
 
@@ -9,7 +10,7 @@ import pytest
 
 from loadcast.data import (FEATURE_WIDTH, HOLIDAY_INDEX, HOUR_OFFSET,
                            MONTH_OFFSET, SYNTHETIC_START, TEMPERATURE_INDEX,
-                           WEEKDAY_OFFSET, HolidayCalendar, RawRecord,
+                           WEEKDAY_OFFSET, HolidayCalendar, RawRecord, StandardizationStats,
                            build_features, build_windows, compute_stats,
                            destandardize_load, generate_synthetic, ingest_csv,
                            split_by_forecast_day, standardize,
@@ -293,6 +294,17 @@ class TestStandardization:
         cal = HolidayCalendar.from_dates([date(2022, 1, 1)])
         with pytest.raises(DegenerateStatsError):
             compute_stats(build_features(records, cal))
+
+    @pytest.mark.parametrize("field", ["load_mean", "load_std", "temperature_mean",
+                                       "temperature_std"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_statistics_rejected(self, field, value):
+        # NaN passes `<= 0.0` as a spread; no non-finite field is kept.
+        fields = {"load_mean": 100.0, "load_std": 10.0, "temperature_mean": 5.0,
+                  "temperature_std": 2.0, field: value}
+        with pytest.raises(DegenerateStatsError,
+                           match=f"statistics must be finite: .*{field}={value}"):
+            StandardizationStats(**fields)
 
     def test_no_frames_rejected(self):
         with pytest.raises(SizeError):

@@ -884,15 +884,17 @@ class TestPlans:
                 hidden, windows = root.shape[1] // 4, root.shape[2]
                 assert any(root is tile
                            for tile in _gate_rows(hidden, windows, root.shape[0])[:2])
-        # The gates: ANLF's encoder and decoder ops over a sweep, untaped
-        # and taped, and the one-direction op over known inputs that reruns
-        # the backward cell (6); eAttention's and dAttention's ops over known
-        # inputs on the side without attention, untaped and taped (2 each;
-        # EDBiLSTM's are theirs); EDLSTM's one-direction encoder and
-        # decoder ops, untaped and taped (4).  Training: the encoder and
-        # decoder ops of the taped 4- and 2-window batches and of the
-        # untaped 6- and 3-window scoring passes (8).
-        assert counts == [14, 8]
+        # A plan depends on shapes alone, so a taped and an untaped op of
+        # one shape share it.  The gates: ANLF's encoder and decoder ops
+        # over a sweep, and the one-direction ops over known inputs that
+        # rerun each side's backward cell (4; eAttention's and dAttention's
+        # sweep sides are ANLF's); eAttention's and dAttention's ops over
+        # known inputs on the side without attention (1 each; EDBiLSTM's
+        # are theirs); EDLSTM's one-direction encoder and decoder ops (2).
+        # Training: the encoder and decoder ops of the taped 4- and
+        # 2-window batches and of the untaped 6- and 3-window scoring
+        # passes (8).
+        assert counts == [8, 8]
 
 
 def broadcast_run(w, bias, z, c0, sweep=None, history=True):
@@ -1014,7 +1016,7 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
                                      (params.backward, init_backward))]
     operands = sum(directions, ()) + (inputs,)
     taped = any(t.tape is not None for t in operands)
-    layout = lstm._Plan(False, inputs.shape, hidden, 2, taped, True)
+    layout = lstm._Plan(False, inputs.shape, hidden, 2)
 
     def start(direction, z):
         weights, b_x, b_h, h0, c0 = direction
@@ -1048,7 +1050,7 @@ def sequential_bilstm(params, inputs, init_forward, init_backward):
                         None if d_x is None else d_x[::-1])
         return walk(run_forward, grad_h[:, :hidden], dc[0], d_x) + backward + (d_x,)
 
-    return lstm._views(fused_op(out, operands, rule), layout)
+    return lstm._views(fused_op(out, operands, rule), layout, True)
 
 
 class TestStepLoops:
@@ -1226,9 +1228,8 @@ class TestViewGradients:
         tape = Tape()
         size = (self.STEPS + 1) * 2 * self.HIDDEN * self.WINDOWS
         joined = tape.leaf(np.ones(size))
-        plan = lstm._Plan(False, (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2,
-                          True, True)
-        states, terminals = lstm._views(joined, plan)
+        plan = lstm._Plan(False, (self.STEPS, self.WIDTH, self.WINDOWS), self.HIDDEN, 2)
+        states, terminals = lstm._views(joined, plan, True)
         loss = None
         for view in [states] + [t for s in terminals for t in (s.h, s.c)]:
             loss = total(view) if loss is None else loss + total(view)

@@ -278,38 +278,25 @@ class TestForward:
     @pytest.mark.parametrize("seed", [8, 9])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_forward_alone_decides_traces_with_or_without_an_encoding(self, variant, seed):
-        # The gate's encoder reuse hands `forward` an `encoding`; its traces
-        # must be a fresh pass's, and no trace leaks out without the flag.
+        # `forward` runs both stages itself: with the flag its traces are
+        # the weights those stages keep, and no trace leaks out without it.
         config, sample = tiny_model_case(variant, seed)
         bound = bind_constants(init_params(config))
         windows = StackedWindows.stack(config, [sample])
-        fields = ("values", "feature_weights", "hour_weights", "day_weights")
-        present = {"values": True, "feature_weights": config.encoder_attention,
-                   "hour_weights": config.decoder_attention,
-                   "day_weights": config.decoder_attention}
-        reused = forward(bound, config, windows, collect_attention=True,
-                         encoding=model.encode(bound, config, windows)).forecasts[0]
-        fresh = forward(bound, config, windows, collect_attention=True).forecasts[0]
-        for field in fields:
-            value, ref = getattr(reused, field), getattr(fresh, field)
-            assert (value is not None) == (ref is not None) == present[field], field
-            if ref is not None:
-                npt.assert_array_equal(value, ref, strict=True)
-        # The same with the decoding given too, as the gate's head probes do.
         encoding = model.encode(bound, config, windows)
         decoding = model.decode(bound, config, encoding, windows)
-        reused = forward(bound, config, windows, collect_attention=True, encoding=encoding,
-                         decoding=decoding).forecasts[0]
-        for field in fields:
-            value, ref = getattr(reused, field), getattr(fresh, field)
-            assert (value is not None) == (ref is not None) == present[field], field
-            if ref is not None:
-                npt.assert_array_equal(value, ref, strict=True)
-        for given in ({}, {"encoding": encoding},
-                      {"encoding": encoding, "decoding": decoding}):
-            bare = forward(bound, config, windows, **given).forecasts[0]
-            npt.assert_array_equal(bare.values, fresh.values, strict=True)
-            assert all(getattr(bare, field) is None for field in fields[1:])
+        stages = {"feature_weights": (encoding.feature_weights, config.encoder_attention),
+                  "hour_weights": (decoding.hour_weights, config.decoder_attention),
+                  "day_weights": (windows.day_weights, config.decoder_attention)}
+        traced = forward(bound, config, windows, collect_attention=True).forecasts[0]
+        for field, (weights, present) in stages.items():
+            value = getattr(traced, field)
+            assert (value is not None) == (weights is not None) == present, field
+            if weights is not None:
+                npt.assert_array_equal(value, weights[..., 0], strict=True)
+        bare = forward(bound, config, windows).forecasts[0]
+        npt.assert_array_equal(bare.values, traced.values, strict=True)
+        assert all(getattr(bare, field) is None for field in stages)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_encode_reads_only_the_histories(self, variant):
@@ -462,13 +449,13 @@ class TestForward:
         # tiny model's 996 parameters.
         config, _sample = tiny_model_case()
         assert sum(leaf.size for _name, leaf in named_leaves(init_params(config))) == 996
-        assert seed8_gate.forward == 1 + 2 * 996
+        assert seed8_gate.head == 1 + 2 * 996
 
     def test_gradient_check_computes_the_similar_day_weights_once(self, seed8_gate):
         # The window is stacked, and its similar-day weights computed, once
         # per report; every one of the 1 + 2 * 996 passes reads that value.
         assert seed8_gate.similar_day_weights == 1
-        assert seed8_gate.forward == 1 + 2 * 996
+        assert seed8_gate.head == 1 + 2 * 996
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
@@ -540,7 +527,7 @@ class TestForward:
         config, _sample = tiny_model_case()
         params = init_params(config)
         head = sum(leaf.size for _name, leaf in named_leaves(params.head))
-        assert head == 72 and seed8_gate.forward == 1 + 2 * (924 + head)
+        assert head == 72 and seed8_gate.head == 1 + 2 * (924 + head)
         assert seed8_gate.decode == 1 + 2 * 924 + 1
 
     def test_gradient_check_steps_the_feature_sweep_once_per_forward_side_probe(

@@ -309,6 +309,13 @@ class TestCheckGradients:
         assert isinstance(report, GradCheckReport)
         assert report.per_param.keys() == {"w"}
 
+    @pytest.mark.parametrize("error, verdict", [(2e-7, "pass"), (3e-6, "FAIL")])
+    def test_report_prints_its_verdict_error_tolerance_and_step(self, error, verdict):
+        report = GradCheckReport(max_rel_error=error, per_param={"w": error},
+                                 tolerance=1e-6, step=1e-5)
+        assert str(report) == (f"gradient check {verdict}: max rel error {error:.3e} "
+                               f"(tolerance 1.0e-06, step 1.0e-05)")
+
     def test_verdict_is_a_plain_bool(self):
         report = check_gradients(lambda leaves: total(hadamard(leaves["w"], leaves["w"])),
                                  {"w": np.array([1.0, -2.0])})
