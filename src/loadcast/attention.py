@@ -31,11 +31,10 @@ product each.  A sweep keeps every step's joint, pre-activations and
 scores as row blocks of one array, and the op calls its `finish(taped)`
 after the forward direction: it scans two arrays, that one and `weights`,
 and drops the `operands` the op's tape holds.  An untaped sweep then frees
-all of it but `weights` and `inputs`, a read-only view of the block
-`fill` was handed, every step's input as the forward direction completed
-it, of which `model` keeps a copy so that a backward-cell probe reruns
-only the backward direction over the same inputs; a taped sweep keeps no
-`inputs`.
+all of it but `weights`.  Untaped, a sweep also steps a lane pass: scorer
+blocks with a leading (L,) lane axis score L parameter sets at once, each
+product an `np.matmul` of the lanes' matrices, where a lone sweep keeps
+its 2-D `np.dot`.
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ class _ScoredSweep:
 
     Step t's joint matrix is [h_{t-1}; fixed_t], one column per window,
     where the `rows` fixed rows are known before the run and a sweep writes
-    them straight into `_joint[:, hidden_size:]`.  Step t scores it as
+    them straight into `_joint[..., hidden_size:, :]`.  Step t scores it as
     `feature_attention` and `temporal_attention` do, score @ tanh(proj @
     joint), with a softmax down each column and each product, forward and
     backward, a 2-D `np.dot`, and keeps everything the backward pass
@@ -173,6 +172,13 @@ class _ScoredSweep:
     (steps, n, B) softmax weights.  `fixed` holds a slice of the input rows
     that depend on no parameter and their (steps, rows, B) values, and
     `_weight_grad(t, dx)` turns step t's input gradient into its weights'.
+
+    A lane pass's scorer blocks carry a leading (L,) lane axis: `lanes` is
+    L (None without), every step array of the store, `weights` and the
+    step's input and h_{t-1} has the lane axis after the step axis, each
+    product is an `np.matmul` of the lanes' matrices, and the arrays that
+    depend on no parameter are shared by every lane.  Such a sweep runs
+    untaped only, as `lstm._sequence` requires.
     """
 
     def __init__(self, params, steps, rows, windows, fixed):
@@ -181,35 +187,40 @@ class _ScoredSweep:
         self._proj, self._score = p, s = proj.values, score.values
         self.steps, self.windows = steps, windows
         self.hidden_size = p.shape[-1] - rows
-        if p.ndim != 2 or s.ndim != 2 or s.shape[1] != p.shape[0] or self.hidden_size < 1:
+        lanes = p.shape[:-2]
+        if (p.ndim not in (2, 3) or s.shape[:-2] != lanes or s.ndim != p.ndim
+                or s.shape[-1] != p.shape[-2] or self.hidden_size < 1):
             raise DimensionError(f"attention blocks {p.shape}, {s.shape} do not fit {rows} "
                                  f"step rows")
-        (attn_size, pre), outputs = p.shape, s.shape[0]
+        (attn_size, pre), outputs = p.shape[-2:], s.shape[-2]
+        self.lanes = lanes[0] if lanes else None
+        # A shared array's view with a lane axis after its step axis, and
+        # the index of a step input's rows behind its lane axis.
+        self._spread = (slice(None), np.newaxis) if lanes else ()
+        self._lane = (slice(None),) if lanes else ()
+        self._product = np.matmul if lanes else np.dot
         # Every step's joint, pre-activations and scores are row blocks of
         # one array, so that one scan checks them all; each step's block of
-        # each is contiguous.
+        # each is contiguous in each lane.
         scores = pre + attn_size
-        self._store = store = np.empty((steps, scores + outputs, windows))
-        self._joint, self._pre = store[:, :pre], store[:, pre:scores]
-        self._scores = store[:, scores:]
-        self._squashed = np.empty((steps, attn_size, windows))
-        self.weights = np.empty((steps, outputs, windows))
-        self._slope, self._fixed, self.inputs = None, fixed, None
+        self._store = store = np.empty((steps,) + lanes + (scores + outputs, windows))
+        self._joint, self._pre = store[..., :pre, :], store[..., pre:scores, :]
+        self._scores, self._recurrent = store[..., scores:, :], store[..., :self.hidden_size, :]
+        self._squashed = np.empty((steps,) + lanes + (attn_size, windows))
+        self.weights = np.empty((steps,) + lanes + (outputs, windows))
+        self._slope, self._fixed = None, (fixed[0], fixed[1][self._spread])
 
     def fill(self, inputs):
         """Write every step's `fixed` rows into `inputs`, the (steps, width,
-        B) block the forward direction completes, and keep a read-only view
-        of it as `inputs`."""
-        inputs[:, self._fixed[0]] = self._fixed[1]
-        self.inputs = inputs.view()
-        self.inputs.flags.writeable = False
+        B) block, or (steps, L, width, B) over lanes, that the forward
+        direction completes."""
+        inputs[..., self._fixed[0], :] = self._fixed[1]
 
     def _attend(self, t, h_prev):
-        joint = self._joint[t]
-        joint[:self.hidden_size] = h_prev
-        pre = np.dot(self._proj, joint, self._pre[t])
+        self._recurrent[t] = h_prev
+        pre = self._product(self._proj, self._joint[t], self._pre[t])
         squashed = np.tanh(pre, self._squashed[t])
-        scores = np.dot(self._score, squashed, self._scores[t])
+        scores = self._product(self._score, squashed, self._scores[t])
         return softmax_values(scores, self.weights[t])
 
     def backward(self, t, dx):
@@ -238,16 +249,14 @@ class _ScoredSweep:
     def finish(self, taped):
         """End the forward run: raise `EvaluationError` on a non-finite
         entry of the store or `weights` (two scans), then drop `operands`,
-        which the op's tape holds, and a taped run's `inputs` or an untaped
-        run's store."""
+        which the op's tape holds, and an untaped run's store."""
         for values in (self._store, self.weights):
             if np.count_nonzero(np.isfinite(values)) != values.size:
                 raise EvaluationError("non-finite values in attention")
         self.operands = ()
-        if taped:
-            self.inputs = None
-        else:
+        if not taped:
             self._store = self._joint = self._pre = self._squashed = self._scores = None
+            self._recurrent = None
 
 
 class FeatureSweep(_ScoredSweep):
@@ -258,8 +267,8 @@ class FeatureSweep(_ScoredSweep):
     target], (n + 1, B), one column per window: `fill` writes the target
     row of every step and `forward(t, h_prev, out)` the reweighted
     features into `out[:n]`.  `features` is (steps, n, B) and `targets`
-    is (steps, B).  `operands` are `proj` and `score`; `grads()` returns
-    their gradients in that order.
+    is (steps, B), shared by every lane.  `operands` are `proj` and
+    `score`; `grads()` returns their gradients in that order.
     """
 
     def __init__(self, params, features, targets):
@@ -271,17 +280,18 @@ class FeatureSweep(_ScoredSweep):
                 f"and window")
         steps, n, windows = features.shape
         super().__init__(params, steps, n + 1, windows, (slice(n, None), targets[:, np.newaxis]))
-        if self._score.shape[0] != n:
+        if self._score.shape[-2] != n:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
                                  f"{n} features")
-        self._joint[:, self.hidden_size:-1] = features
-        self._joint[:, -1] = targets
+        self._joint[..., self.hidden_size:-1, :] = features[self._spread]
+        self._joint[..., -1, :] = targets[self._spread]
         self._features, self.width = features, n + 1
+        self._weighted = self._lane + (slice(None, -1),)
 
     def forward(self, t, h_prev, out):
         """Write step t's reweighted features into `out`, from the hidden
         state before it."""
-        np.multiply(self._attend(t, h_prev), self._features[t], out[:-1])
+        np.multiply(self._attend(t, h_prev), self._features[t], out[self._weighted])
 
     def _weight_grad(self, t, dx):
         return dx[:-1] * self._features[t]
@@ -299,15 +309,17 @@ class TemporalSweep(_ScoredSweep):
     the feature rows of every step and `forward(t, h_prev, out)` the
     context into `out[n:]`.  `features` is (steps, n, B), `day_grid` the
     (history, B) hourly grid of similar-day weights, each day's weight over
-    its hours, and `states` (history, S, B).  The sweep writes [tail;
-    features] into the joint rows of its store, which are scanned with it,
-    and keeps a window-major (B, S, history) copy of the states, so that
-    the context of every window is one batched product; it writes none of
-    the arrays it is given.  `day_grid` is read as given, and must have
-    been scanned when made, as `model.StackedWindows` does.  `weights`
-    holds the flat hour weights, (steps, history, B).  `operands` are
-    `proj`, `score`, `tail` and `states`; `grads()` returns their gradients
-    in that order.
+    its hours, and `states` (history, S, B); in a lane pass `tail` and
+    `states` have the scorer's lane axis in front, and `features` and
+    `day_grid` are shared.  The sweep writes [tail; features] into the
+    joint rows of its store, which are scanned with it, and keeps a
+    window-major (B, S, history) copy of the states, per lane, so that the
+    context of every window is one batched product; it writes none of the
+    arrays it is given.  `day_grid` is read as given, and must have been
+    scanned when made, as `model.StackedWindows` does.  `weights` holds the
+    flat hour weights, (steps, history, B).  `operands` are `proj`,
+    `score`, `tail` and `states`; `grads()` returns their gradients in that
+    order.
     """
 
     def __init__(self, params, tail, features, day_grid, states):
@@ -315,32 +327,38 @@ class TemporalSweep(_ScoredSweep):
         day_grid = np.asarray(day_grid, dtype=np.float64)
         tail, states = as_tensor(tail), as_tensor(states)
         rows, spans = tail.values.shape, states.values.shape
-        if features.ndim != 3 or len(rows) != 2 or rows[1] != features.shape[2]:
+        if features.ndim != 3 or len(rows) < 2 or rows[-1] != features.shape[2]:
             raise DimensionError(f"tail {rows} and features {features.shape} are not "
                                  f"(rows, windows) and (steps, n, windows)")
         steps, n, windows = features.shape
-        if len(spans) != 3 or spans[2] != windows:
+        lanes = rows[:-2]
+        if len(spans) != len(lanes) + 3 or spans[:-3] != lanes or spans[-1] != windows:
             raise DimensionError(f"states {spans} are not (history, width, windows) of "
-                                 f"{windows} windows")
-        if day_grid.shape != (spans[0], windows):
-            raise DimensionError(f"day grid {day_grid.shape} does not cover {spans[0]} "
+                                 f"{windows} windows behind the tail's lanes {lanes}")
+        history = spans[-3]
+        if day_grid.shape != (history, windows):
+            raise DimensionError(f"day grid {day_grid.shape} does not cover {history} "
                                  f"history hours of {windows} windows")
-        super().__init__(params, steps, rows[0] + n, windows, (slice(None, n), features))
-        if self._score.shape[0] != spans[0]:
+        super().__init__(params, steps, rows[-2] + n, windows, (slice(None, n), features))
+        if self._score.shape[:-2] != lanes:
+            raise DimensionError(f"temporal scorer {self._score.shape} and tail {rows} do "
+                                 f"not share one lane axis")
+        if self._score.shape[-2] != history:
             raise DimensionError(f"temporal scorer {self._score.shape} does not match "
-                                 f"{spans[0]} history hours")
-        self._tail = slice(self.hidden_size, self.hidden_size + rows[0])
-        self._joint[:, self._tail] = tail.values
-        self._joint[:, self._tail.stop:] = features
+                                 f"{history} history hours")
+        self._tail = slice(self.hidden_size, self.hidden_size + rows[-2])
+        self._joint[..., self._tail, :] = tail.values
+        self._joint[..., self._tail.stop:, :] = features[self._spread]
         self.operands += (tail, states)
-        self._states = np.ascontiguousarray(states.values.transpose(2, 1, 0))
-        self._day, self._n, self.width = day_grid, n, n + spans[1]
+        self._states = np.ascontiguousarray(np.swapaxes(states.values, -1, -3))
+        self._day, self._n, self.width = day_grid, n, n + spans[-2]
+        self._context = self._lane + (slice(n, None),)
 
     def forward(self, t, h_prev, out):
         """Write step t's context into `out`, from the hidden state before it."""
         mix = self._day * self._attend(t, h_prev)
-        context = np.matmul(self._states, mix.T[:, :, np.newaxis])[:, :, 0]
-        out[self._n:] = context.T
+        context = np.matmul(self._states, mix.mT[..., np.newaxis])[..., 0]
+        out[self._context] = context.mT
 
     def _begin_backward(self):
         super()._begin_backward()

@@ -53,7 +53,10 @@ def _output_lock(out_dir):
 
     The lock belongs to the open file, so the OS drops it when the process
     ends, however it ends; the file itself stays.  A lock file that cannot
-    be opened or locked (a directory, say) is a `ConfigError` naming it.
+    be opened or locked (a directory, say) is a `ConfigError` naming it,
+    and the run first removes the lock file if it created it, then each
+    directory it made, innermost first, while that is empty; a lock held
+    by another run removes nothing, since that run may have made them.
     If the body fails once the lock is held, the run leaves the directory
     as it found it: it removes `out_dir`, which it holds locked, if it made
     it, then each parent it made while that is empty, so a directory
@@ -69,17 +72,26 @@ def _output_lock(out_dir):
         raise ConfigError(f"cannot make output directory {out_dir}: {why}") from None
     path = out_dir / ".lock"
     created = not path.exists()
+
+    def refuse(what, err):
+        with contextlib.suppress(OSError):
+            if created:
+                path.unlink(missing_ok=True)
+            for directory in made:
+                os.rmdir(directory)
+        return ConfigError(f"{what} {path}: {err.strerror or err}")
+
     try:
         fh = open(path, "a")
     except OSError as err:
-        raise ConfigError(f"cannot open lock file {path}: {err.strerror or err}") from None
+        raise refuse("cannot open lock file", err) from None
     with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise ConfigError(f"output directory {out_dir} is locked by another run") from None
         except OSError as err:
-            raise ConfigError(f"cannot lock {path}: {err.strerror or err}") from None
+            raise refuse("cannot lock", err) from None
         try:
             yield out_dir
         except BaseException:

@@ -13,12 +13,19 @@ The sequence ops carry a window axis: B windows run as one recurrence
 whose step arrays hold one column per window.  `lstm_sequence` runs one
 direction over known inputs and `bilstm_sequence` both, each as one tape
 op whose output holds the states and each direction's c_T, of which the
-states and terminal states are views.  Every run has a direction axis of
-size D, the one or two directions it steps: its step t is one product of
-the D weight matrices with the D matrices [x_t; h_{t-1}] and the cell
+states and terminal states are views.  Every run has a slot axis of size
+D, the one or two directions it steps: its step t is one product of the D
+weight matrices with the D matrices [x_t; h_{t-1}] and the cell
 arithmetic per column (`_run`), and its backward walks the steps in
 reverse in that layout (`_bptt`), then forms the weight, bias and input
 gradients with one product each (`_walk`).
+
+Untaped, both ops and the head also run a lane pass, as the gradient
+gate runs its probes: L parameter sets over the same inputs, each cell,
+initial-state and head operand with a leading (L,) lane axis, as every
+view of the output has.  A run's slots are then its directions times the
+lanes, and each slot's stacked `np.matmul` product is bitwise the 2-D
+`np.dot` of a lone direction at its lane's parameters.
 
 A sequence op is a plan and an executor.  The plan, a `_Plan` that `_plan`
 makes once per op shape after the shape checks, lists the op's runs: over
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, TapeError
 from .tensor import (Tensor, _any_taped, _matmul_grad_left, _matmul_grad_right, _relu_grad,
                      _require_finite, _require_matmul, _summed_outer, as_tensor, fused_op,
                      reshape, segment)
@@ -113,11 +120,11 @@ class LstmState:
     c: Tensor
 
 
-def zero_state(hidden_size, windows=None):
+def zero_state(hidden_size, windows=None, lanes=()):
     """A zero state: (H,) vectors for one cell step, or (H, windows)
-    columns for a sequence run; h and c are one constant, whose zeros need
-    no scan."""
-    shape = (hidden_size,) if windows is None else (hidden_size, windows)
+    columns for a sequence run, behind the lane axis `lanes`, () or (L,);
+    h and c are one constant, whose zeros need no scan."""
+    shape = lanes + ((hidden_size,) if windows is None else (hidden_size, windows))
     zeros = Tensor(np.zeros(shape), scanned=True)
     return LstmState(zeros, zeros)
 
@@ -137,23 +144,25 @@ def lstm_cell_step(params, prev, x):
 
 
 @functools.cache
-def _gate_rows(hidden, windows, directions):
-    """What `_run` reads of its H, B and D, built once per shape: the
-    one-tanh gate form's (scale, shift) as read-only (D, 4H, B) tiles,
-    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows; the index
-    of each gate's block and of the block the gate product writes; that
-    product (`np.dot` over one direction, `np.matmul` over two); and the
-    weights' (4H, 1) or (D, 4H, 1) scale, a view of the scale tile.  With
-    weights and summed bias scaled (exactly, as halving is), `_activate`
-    maps the pre-activations through sigma(x) = 1/2 + tanh(x/2)/2 and
-    tanh(x) in one pass."""
-    scale = np.full((directions, 4 * hidden, windows), 0.5)
+def _gate_rows(hidden, windows, directions, lanes=None):
+    """What `_run` reads of its H, B and slots, built once per shape: the
+    one-tanh gate form's (scale, shift) as read-only (slots, 4H, B) tiles,
+    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows, a run's
+    slots being its `directions` times its `lanes` (1 without a lane
+    axis); the index of each gate's block and of the block the gate
+    product writes, which is also the slot index of the sweep's operands;
+    that product (`np.dot` over one direction without lanes, `np.matmul`
+    over stacked slots); and the weights' (4H, 1) or (slots, 4H, 1) scale,
+    a view of the scale tile.  With weights and summed bias scaled
+    (exactly, as halving is), `_activate` maps the pre-activations through
+    sigma(x) = 1/2 + tanh(x/2)/2 and tanh(x) in one pass."""
+    scale = np.full((directions * (lanes or 1), 4 * hidden, windows), 0.5)
     scale[..., 2 * hidden:3 * hidden, :] = 1.0
     shift = 1.0 - scale
     scale.flags.writeable = shift.flags.writeable = False
-    lone = directions == 1
+    lone = directions == 1 and lanes is None
     rows = tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
-    return (scale, shift, rows + (0 if lone else Ellipsis,), np.dot if lone else np.matmul,
+    return (scale, shift, rows + (0 if lone else slice(None),), np.dot if lone else np.matmul,
             scale[0 if lone else Ellipsis, :, :1])
 
 
@@ -167,24 +176,26 @@ def _activate(pre, scale, shift, out):
 
 
 def _run(w, bias, z, c0, gates, sweep=None, history=True):
-    """Step the cell of each of a run's D directions (1 or 2) over `z`,
-    writing h_t into `z[t + 1]`.
+    """Step the cell of each of a run's D slots over `z`, writing h_t into
+    `z[t + 1]`; a slot is one direction of one lane (see `_sequence`).
 
-    `w` holds each direction's (4H, input + H) weights, `bias` the summed
-    biases (D, 4H), `c0` (D, H, B), `z` (steps + 1, D, input + H, B), whose
-    `z[t, d]` is direction d's [x_t; h_{t-1}], filled by the caller but for
-    the rows `sweep.forward(t, h_{t-1}, x_t)` writes, and `gates` the run's
-    `_gate_rows` entry.  The weights and bias are scaled once, so a step is
-    one gate product and one tanh over every gate.  Returns the activations
-    and cell states: with `history`, all (steps, D, 4H, B) activations and
-    c_0 .. c_T, which `_bptt` reads; without, one activation slot and two
-    cell slots, whose views it makes once.  c_T is `c[steps % len(c)]`.
+    `w` holds each slot's (4H, input + H) weights, a (D, 4H, input + H)
+    array or a sequence of one, `bias` the summed biases (D, 4H), `c0` (D,
+    H, B), `z` (steps + 1, D, input + H, B), whose `z[t, d]` is slot d's
+    [x_t; h_{t-1}], filled by the caller but for the rows
+    `sweep.forward(t, h_{t-1}, x_t)` writes, and `gates` the run's
+    `_gate_rows` entry, whose slot index hands the sweep every slot's rows.
+    The weights and bias are scaled once, so a step is one gate product
+    and one tanh over every gate.  Returns the activations and cell
+    states: with `history`, all (steps, D, 4H, B) activations and c_0 ..
+    c_T, which `_bptt` reads; without, one activation slot and two cell
+    slots, whose views it makes once.  c_T is `c[steps % len(c)]`.
     """
     steps = len(z) - 1
     scale, shift, rows, product, column = gates
     width = z.shape[-2] - c0.shape[1]
     lead = rows[4]
-    w_run = (w[0] if len(w) == 1 else np.array(w)) * column
+    w_run = (w[0] if len(w) == 1 else w) * column
     bias = bias[..., np.newaxis] * scale
     act = np.empty((steps if history else 1,) + scale.shape)
     c_seq = np.empty((len(act) + 1,) + c0.shape)
@@ -203,7 +214,7 @@ def _run(w, bias, z, c0, gates, sweep=None, history=True):
     c = c0
     for t in range(steps):
         if sweep is not None:
-            sweep.forward(t, hs[t, 0], z[t, 0, :width])
+            sweep.forward(t, hs[t, lead], z[t, lead, :width])
         a, i, f, g, o, p = slot or _slot(act[t], rows)
         product(w_run, z[t, lead], p)
         a += bias
@@ -294,9 +305,16 @@ def _bptt(w, act, c_seq, grad_h, dc, sweep=None, grad_x=None):
 
 
 def _direction(shapes, shape):
-    """The H of a direction whose weights, b_x, b_h, h_0 and c_0 have
-    `shapes`, checked to be (4H, width + H), (4H,), (4H,), (H, B) and (H,
-    B) for (steps, width, B) step inputs of `shape`."""
+    """The H and lane count of a direction whose weights, b_x, b_h, h_0 and
+    c_0 have `shapes`, checked to be (4H, width + H), (4H,), (4H,), (H, B)
+    and (H, B) for (steps, width, B) step inputs of `shape`, each behind
+    one (L,) lane axis or none (lane count None)."""
+    lanes = shapes[0][:-2]
+    if lanes:
+        if len(lanes) > 1 or any(s[:1] != lanes for s in shapes):
+            raise DimensionError(f"lstm operands {', '.join(map(str, shapes))} do not share "
+                                 f"one leading lane axis")
+        shapes = [s[1:] for s in shapes]
     w_shape, b_shape, bh_shape, h_shape, c_shape = shapes
     if bh_shape != b_shape:
         raise DimensionError(f"lstm b_h {bh_shape} does not match b_x {b_shape}")
@@ -315,26 +333,32 @@ def _direction(shapes, shape):
     if h_shape != (hidden, windows) or c_shape != (hidden, windows):
         raise DimensionError(f"initial state shapes {h_shape}, {c_shape} do not match "
                              f"{(hidden, windows)}")
-    return hidden
+    return hidden, lanes[0] if lanes else None
 
 
-def _run_arrays(operands, dirs):
-    """The weights, summed biases, h_0 and c_0 of the directions `dirs` from
-    an op's operands, the biases and c_0 on a direction axis."""
-    if len(dirs) == 1:
-        weights, b_x, b_h, h0, c0 = operands[5 * dirs[0]:5 * dirs[0] + 5]
-        return ((weights.values,), (b_x.values + b_h.values)[np.newaxis], (h0.values,),
-                c0.values[np.newaxis])
-    cells = [[t.values for t in operands[5 * d:5 * d + 5]] for d in dirs]
-    w, bias, h0, c0 = zip(*[(weights, b_x + b_h, h0, c0) for weights, b_x, b_h, h0, c0 in cells])
-    return w, np.array(bias), h0, np.array(c0)
+def _run_arrays(operands, dirs, lanes):
+    """The weights, summed biases, h_0 and c_0 of the slots of the
+    directions `dirs` from an op's operands, each on a slot axis, every
+    lane of a direction before the next direction's."""
+    cells = [[t.values if lanes else t.values[np.newaxis] for t in operands[5 * d:5 * d + 5]]
+             for d in dirs]
+    # One direction's slots are its operands as they are, or as views.
+    w, b_x, b_h, h0, c0 = (arrays[0] if len(dirs) == 1 else np.concatenate(arrays)
+                           for arrays in zip(*cells))
+    return w, b_x + b_h, h0, c0
 
 
 def _parts(flat, plan):
-    """A flat [states; c_T of each direction] array of an op of `plan` as
-    its (steps, D * H, B) states and (D, H, B) terminal cells."""
+    """A flat [states; c_T of each direction] array of an op of `plan`, one
+    such row per lane of a lane pass, as its (steps, D * H, B) states and
+    (D, H, B) terminal cells; with lanes, views with the lane axis second,
+    (steps, L, D * H, B) and (D, L, H, B), as a run's slots lay them out."""
     (states, cells), end = plan.layout, plan.end
-    return flat[:end].reshape(states), flat[end:].reshape(cells)
+    if plan.lanes is None:
+        return flat[:end].reshape(states), flat[end:].reshape(cells)
+    rows = flat.reshape(plan.lanes, -1)
+    return (rows[:, :end].reshape((-1,) + states).swapaxes(0, 1),
+            rows[:, end:].reshape((-1,) + cells).swapaxes(0, 1))
 
 
 def _walk(run, grad_h, dc, d_x):
@@ -348,13 +372,13 @@ def _walk(run, grad_h, dc, d_x):
     what arrives on the inputs from outside."""
     directions, columns, w, z, act, c_seq, sweep = run
     del run
-    grad_h = [grad_h[cols][order] for _k, _fill, _start, order, _made, cols in columns]
+    grad_h = [grad_h[cols][order] for _k, _fill, order, _made, cols in columns]
     d_pre, dh0, dc0 = _bptt(w, act, c_seq, grad_h, [dc[d] for d in directions], sweep, d_x)
     # The summed outer products copy d_pre; the cell states go first.
     del act, c_seq
     width = z.shape[2] - dh0.shape[1]
     if sweep is None and d_x is not None:
-        for k, _fill, _start, order, _made, _cols in reversed(columns):
+        for k, _fill, order, _made, _cols in reversed(columns):
             d_x[order] += np.matmul(w[k][:, :width].T, d_pre[:, k])
     grads = ()
     for k in range(len(directions)):
@@ -367,12 +391,16 @@ def _views(joined, plan, terminals):
     """The states of an op's output and, with `terminals`, each direction's
     terminal state, at the `plan`'s offsets (None stands for the terminal
     states without): `segment`s of a taped output, a tensor, or the
-    constants `segment` makes of an untaped one, the scanned flat array."""
+    constants `segment` makes of an untaped one, the scanned flat array,
+    each with a leading lane axis in a lane pass."""
 
     def view(start, stop, shape):
         if isinstance(joined, Tensor):
             return segment(joined, start, stop, shape)
-        return Tensor(joined[start:stop].reshape(shape), scanned=True)
+        if plan.lanes is None:
+            return Tensor(joined[start:stop].reshape(shape), scanned=True)
+        lanes = joined.reshape(plan.lanes, -1)[:, start:stop]
+        return Tensor(lanes.reshape((plan.lanes,) + shape), scanned=True)
 
     states, cells = plan.views
     if not terminals:
@@ -386,7 +414,8 @@ def lstm_sequence(params, inputs, init, terminals=True):
     returns the hidden states as a (steps, H, B) array and the terminal
     state, views of one tape op that computes [h_1 .. h_T; c_T] with the
     cell arithmetic per column.  Without `terminals` no terminal view is
-    made, and None stands for it.
+    made, and None stands for it.  Untaped, the cell and `init` may carry
+    a lane axis (see the module docstring).
     """
     states, views = _sequence((params,), inputs, (init,), terminals)
     return states, None if views is None else views[0]
@@ -401,13 +430,14 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
     consumes the same inputs in reverse from `init_backward`, as a run of
     its own: untaped, its states and terminal state are bitwise those of
     `lstm_sequence(params.backward, inputs[::-1], init_backward)`, its
-    states reversed, which is how `model` reruns that direction alone.
-    Returns the (steps, 2H, B) states, step t being [forward h_t; backward
-    h_t], and each direction's own terminal state (None without
-    `terminals`), views of one tape op computing [states; forward c_T;
-    backward c_T].  The sweep's `finish(taped)` ends the forward
-    direction: non-finite attention intermediates raise `EvaluationError`,
-    and an untaped run frees the sweep's store, keeping `weights` and `inputs`.
+    states reversed.  Returns the (steps, 2H, B) states, step t being
+    [forward h_t; backward h_t], and each direction's own terminal state
+    (None without `terminals`), views of one tape op computing [states;
+    forward c_T; backward c_T].  The sweep's `finish(taped)` ends the
+    forward direction: non-finite attention intermediates raise
+    `EvaluationError`, and an untaped run frees the sweep's store, keeping
+    `weights`.  Untaped, the cells, initial states and sweep may carry a
+    lane axis.
     """
     states, views = _sequence((params.forward, params.backward), inputs,
                               (init_forward, init_backward), terminals)
@@ -416,77 +446,90 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
 
 class _Plan:
     """What a sequence op decides from its shapes and whether a sweep
-    builds its inputs (`swept`), read only: the `_parts` shapes split at
-    `end` of a flat output of `size`, the `_views` offsets, and the runs,
-    each its directions, the shape of the `z` it makes, its `_gate_rows`
-    entry, each direction's `_columns` and its `c_end` rows.  It holds no
-    array but `_gate_rows`' tiles and views of them."""
+    builds its inputs (`swept`), read only: its `lanes` (None without a
+    lane axis), the `_parts` shapes of one lane's flat output split at
+    `end`, the output's `size` over every lane, the `_views` offsets, and
+    the runs, each its directions, the shape of the `z` it makes, its
+    `_gate_rows` entry, each direction's `_columns` and its `c_end` rows.
+    It holds no array but `_gate_rows`' tiles and views of them."""
 
-    __slots__ = ("layout", "end", "size", "views", "runs")
+    __slots__ = ("lanes", "layout", "end", "size", "views", "runs")
 
-    def __init__(self, swept, shape, hidden, count):
+    def __init__(self, swept, shape, hidden, count, lanes=None):
         steps, width, windows = shape
         block, span = hidden * windows, count * hidden * windows
-        self.end, self.size = steps * span, (steps + 1) * span
+        self.lanes = lanes
+        self.end, self.size = steps * span, (steps + 1) * span * (lanes or 1)
         self.layout = (steps, count * hidden, windows), (count, hidden, windows)
         starts = ((self.end - span, self.end), (block, self.end + block))[:count]
         self.views = ((0, self.end, self.layout[0]), tuple(
             tuple((k, k + block, (hidden, windows)) for k in pair) for pair in starts))
         picks = ((0,), (1,)) if swept else (tuple(range(count)),)
-        self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows),
-                           _gate_rows(hidden, windows, len(dirs)),
-                           tuple(_columns(k, d, steps, width, hidden) for k, d in enumerate(dirs)),
+        self.runs = tuple((dirs, (steps + 1, len(dirs) * (lanes or 1), width + hidden, windows),
+                           _gate_rows(hidden, windows, len(dirs), lanes),
+                           tuple(_columns(k, d, steps, width, hidden, lanes)
+                                 for k, d in enumerate(dirs)),
                            slice(dirs[0], dirs[-1] + 1))
                           for dirs in picks)
 
 
-def _columns(k, d, steps, width, hidden):
-    """Direction d's indices, the k-th of its run: k, its inputs' and h_0's
-    blocks of `z`, its order over known inputs and over its input and state
-    gradients, its states' block of `z` in op order, and its columns of the
-    states."""
-    return (k, (slice(None, steps), k, slice(None, width)), (0, k, slice(width, None)),
+def _columns(k, d, steps, width, hidden, lanes):
+    """Direction d's indices, the k-th of its run: k, its inputs' block of
+    `z` (over its slots: its index k, or its L lanes), its order over
+    known inputs and over its input and state gradients, its states' block
+    of `z` in op order, and its columns of the states."""
+    slots = k if lanes is None else slice(k * lanes, (k + 1) * lanes)
+    return (k, (slice(None, steps), slots, slice(None, width)),
             slice(None, None, -1 if d else 1),
-            (slice(-1, 0, -1) if d else slice(1, None), k, slice(width, None)),
-            (slice(None), slice(d * hidden, (d + 1) * hidden)))
+            (slice(-1, 0, -1) if d else slice(1, None), slots, slice(width, None)),
+            (Ellipsis, slice(d * hidden, (d + 1) * hidden), slice(None)))
 
 
 @functools.cache
 def _plan(fit, shape, shapes):
-    """The `_Plan` of an op over inputs of `shape`, `fit` being the H of the
-    sweep that builds them (None over known inputs) and `shapes` those of
-    each direction's weights, b_x, b_h, h_0 and c_0, made after the checks:
-    an operand that does not fit the first cell's H, the inputs or the op's
-    directions raises `DimensionError`; a failed key is not kept."""
+    """The `_Plan` of an op over inputs of `shape`, `fit` being the H and
+    lane count of the sweep that builds them (None over known inputs) and
+    `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0,
+    made after the checks: an operand that does not fit the first cell's H
+    and lanes, the inputs or the op's directions raises `DimensionError`;
+    a failed key is not kept."""
     if len(shape) != 3:
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
-    hidden, *other = [_direction(shapes[k:k + 5], shape) for k in range(0, len(shapes), 5)]
-    if other and other[0] != hidden:
-        raise DimensionError(f"backward cell over hidden width {other[0]} does not fit hidden "
+    (hidden, lanes), *other = [_direction(shapes[k:k + 5], shape)
+                               for k in range(0, len(shapes), 5)]
+    if other and other[0][0] != hidden:
+        raise DimensionError(f"backward cell over hidden width {other[0][0]} does not fit hidden "
                              f"width {hidden}")
-    if fit is not None and fit != hidden:
-        raise DimensionError(f"sweep over hidden width {fit} does not fit hidden width {hidden}")
-    return _Plan(fit is not None, shape, hidden, len(shapes) // 5)
+    if fit is not None and fit[0] != hidden:
+        raise DimensionError(f"sweep over hidden width {fit[0]} does not fit hidden width {hidden}")
+    if any(cell[1] != lanes for cell in other):
+        raise DimensionError(f"lane counts of the cell weights {shapes[0]} and {shapes[5]} differ")
+    if fit is not None and fit[1] != lanes:
+        raise DimensionError(f"sweep over lanes {fit[1]} does not fit cell weights {shapes[0]}")
+    return _Plan(fit is not None, shape, hidden, len(shapes) // 5, lanes)
 
 
 def _sequence(cells, inputs, inits, terminals=True):
     """The executor of both sequence ops: it reads into one key what the
-    op's shape depends on, the H of the sweep that builds the inputs (None
-    over known inputs: an array, a tensor or anything without a sweep's
-    `forward`, such as a nested list), their shape and each direction's
-    operand shapes, then runs its `_Plan`'s runs, each in a `z` of its
-    own, doing only what depends on values or the call: whether it is
-    taped, and so c_T's slot in `_run`'s cells, and its `terminals`; the
-    sweep's `finish(taped)` ends the first.  The operands are each
+    op's shape depends on, the H and lanes of the sweep that builds the
+    inputs (None over known inputs: an array, a tensor or anything without
+    a sweep's `forward`, such as a nested list), their shape and each
+    direction's operand shapes, then runs its `_Plan`'s runs, each in a
+    `z` of its own, doing only what depends on values or the call: whether
+    it is taped, and so c_T's slot in `_run`'s cells, and its `terminals`;
+    the sweep's `finish(taped)` ends the first.  The operands are each
     direction's weights, biases and initial state, then the inputs or the
     sweep's operands.  A one-direction op takes known inputs only; an
-    untaped op's output is a constant."""
+    untaped op's output is a constant.  In a lane pass (see the module
+    docstring) a run's slots are its directions times the lanes, and a
+    taped operand raises `TapeError`: a lane pass records nothing.
+    """
     sweep = fit = None
     if isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
         inputs = as_tensor(inputs)
         shape = inputs.values.shape
     else:
-        sweep, fit = inputs, inputs.hidden_size
+        sweep, fit = inputs, (inputs.hidden_size, inputs.lanes)
         shape = inputs.steps, inputs.width, inputs.windows
     if len(cells) == 1 and sweep is not None:
         raise DimensionError("a one-direction sequence op steps known inputs and takes no "
@@ -497,28 +540,33 @@ def _sequence(cells, inputs, inits, terminals=True):
     operands += (inputs,) if sweep is None else sweep.operands
     taped = _any_taped(operands)
     plan = _plan(fit, shape, shapes)
+    if taped and plan.lanes is not None:
+        raise TapeError("a lane pass records nothing: its operands must be untaped")
     out = np.empty(plan.size)
     states, c_end = _parts(out, plan)
-    x = None if sweep is not None else inputs.values
+    x = None
+    if sweep is None:
+        # Every lane reads the same inputs.
+        x = inputs.values if plan.lanes is None else inputs.values[:, np.newaxis]
     runs = []
     for dirs, z_shape, gates, columns, c_rows in plan.runs:
-        w, bias, h0, c0 = _run_arrays(operands, dirs)
+        w, bias, h0, c0 = _run_arrays(operands, dirs, plan.lanes)
         # A sweep builds the first run's inputs, which the next run reads.
         swept = sweep if x is None else None
         z = np.empty(z_shape)
-        for k, fill, start, order, _made, _cols in columns:
+        for _k, fill, order, _made, _cols in columns:
             if swept is None:
                 z[fill] = x[order]
             else:
                 swept.fill(z[fill])
-            z[start] = h0[k]
+        z[0, :, shape[1]:] = h0
         act, c_seq = _run(w, bias, z, c0, gates, swept, taped)
         if swept is not None:
             swept.finish(taped)
             x = z[columns[0][1]]
-        for _k, _fill, _start, _order, made, cols in columns:
+        for _k, _fill, _order, made, cols in columns:
             states[cols] = z[made]
-        c_end[c_rows] = c_seq[shape[0] % len(c_seq)]
+        c_end[c_rows] = c_seq[shape[0] % len(c_seq)].reshape(c_end[c_rows].shape)
         runs.append((dirs, columns, w, z, act, c_seq, swept))
     if not taped:
         _require_finite(out)
@@ -558,25 +606,33 @@ def feedforward_relu(params, stacked):
     One tape op computing out @ relu(hidden @ stacked), each product a 2-D
     `np.dot`, whose rule chains the gradient rules of `matmul` and `relu`.
     The pre-activation is scanned for non-finite entries, since the ReLU
-    would hide a -inf.
+    would hide a -inf.  In a lane pass, whose weights and `stacked` carry
+    a lane axis, each product is an `np.matmul` and a taped operand raises
+    `TapeError`.
     """
     stacked = as_tensor(stacked)
-    x = stacked.values
-    width = params.hidden.shape[1]
-    if x.ndim != 2 or x.shape[0] != width:
+    hidden, out = as_tensor(params.hidden), as_tensor(params.out)
+    w_hidden, w_out, x = hidden.values, out.values, stacked.values
+    lanes = w_hidden.shape[:-2]
+    if lanes and _any_taped((hidden, out, stacked)):
+        raise TapeError("a lane pass records nothing: its operands must be untaped")
+    if lanes and (len(lanes) > 1 or w_out.shape[:-2] != lanes or x.shape[:1] != lanes):
+        raise DimensionError(f"head blocks {w_hidden.shape}, {w_out.shape} and input "
+                             f"{x.shape} do not share one leading lane axis")
+    width, lead = w_hidden.shape[-1], len(lanes)
+    if x.ndim != 2 + lead or x.shape[-2] != width:
         raise DimensionError(
             f"head input shape {x.shape} does not match weights ({width}, windows)")
-    hidden, out = as_tensor(params.hidden), as_tensor(params.out)
-    w_hidden, w_out = hidden.values, out.values
-    _require_matmul(w_hidden.shape, x.shape)
-    pre = np.dot(w_hidden, x)
+    _require_matmul(w_hidden.shape[lead:], x.shape[lead:])
+    product = np.matmul if lanes else np.dot
+    pre = product(w_hidden, x)
     _require_finite(pre)
     act = np.maximum(pre, 0.0)
-    _require_matmul(w_out.shape, act.shape)
+    _require_matmul(w_out.shape[lead:], act.shape[lead:])
 
     def rule(g):
         d_pre = _relu_grad(pre, _matmul_grad_right(g, w_out, act))
         return (_matmul_grad_left(d_pre, w_hidden, x), _matmul_grad_left(g, w_out, act),
                 _matmul_grad_right(d_pre, w_hidden, x))
 
-    return fused_op(np.dot(w_out, act), (hidden, out, stacked), rule)
+    return fused_op(product(w_out, act), (hidden, out, stacked), rule)

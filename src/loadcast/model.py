@@ -32,14 +32,16 @@ with attention, a sweep (`attention.FeatureSweep` in the encoder,
 the forward recurrence, and the backward direction consumes the same
 inputs.  `encode` reads only the histories and returns an `Encoding`;
 `decode` returns a `Decoding`, the stacked decoder states the head reads.
-Both keep the weights and `inputs` their sweep kept, and `forward` alone
-decides whether its `Forecast`s carry the weights as attention traces.
-`forward` always runs both stages and the head; a caller that knows a
-stage's parameters unchanged, as the gradient gate does, composes the
-stages it keeps with the head itself.  One that knows only a sweep
-stage's forward direction unchanged, as a backward-cell probe does, hands
-`encode` or `decode` the earlier value, and `_rerun_backward` reruns only
-the backward direction over the inputs the forward direction completed.
+Both keep the weights their sweep kept, and `forward` alone decides
+whether its `Forecast`s carry the weights as attention traces.  `forward`
+always runs both stages and the head.
+
+Untaped, a pass may run L parameter sets as lanes over the same windows,
+as the gradient gate runs its probes: every leaf then has a leading (L,)
+lane axis in front of the shape the config gives it, which `encode` and
+`decode` read off their cells, and so does every value of the pass, the
+output (L, horizon, B) included.  Each lane's numbers are bitwise those of
+a lone pass at its parameters.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -53,19 +55,19 @@ initial state, the encoder's terminal backward hidden state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionParams, FeatureSweep, TemporalSweep, similar_day_weights
 # Unused here; perfbench/tracing.py patches these names on this module.
 from .attention import context_vector, feature_attention, temporal_attention  # noqa: F401
-from .errors import ConfigError, DimensionError, TapeError
+from .errors import ConfigError, DimensionError
 from .lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState, bilstm_sequence,
                    feedforward_relu, lstm_sequence, zero_state)
 from .lstm import lstm_cell_step  # noqa: F401  (unused; perfbench/tracing.py patches it here)
-from .params import bind_constants
-from .tensor import Tensor, _any_taped, _require_finite, as_tensor, reshape
+from .params import bind_constants, leaf_values
+from .tensor import Tensor, _require_finite, reshape
 
 VARIANTS = ("ANLF", "eAttention", "dAttention", "EDBiLSTM", "EDLSTM")
 
@@ -235,102 +237,70 @@ class Encoding:
     """Encoder output for B windows: per-hour states stacked as
     (history_len, state_width, B), terminal (H, B) states for seeding the
     decoder and the feature sweep's own (history_len, n_features, B)
-    weights and read-only (history_len, n_features + 1, B) `inputs`, as
-    its `finish` left them (None after a taped run), each None without
-    encoder attention.  A later `encode` reuses its forward half, weights
-    and inputs."""
+    weights, None without encoder attention.  In a lane pass each carries
+    the leading (L,) lane axis."""
 
     states: Tensor
     terminal_forward: LstmState
     terminal_backward: LstmState | None
     feature_weights: np.ndarray | None
-    inputs: np.ndarray | None
+
+
+def _lanes(cell):
+    """The lane axis of a pass over `cell`, a direction or a BiLSTM: what
+    its (forward) weights hold in front of a direction's (4H, input + H),
+    () without lanes or (L,) in a lane pass."""
+    one = cell.forward if isinstance(cell, BiLstmParams) else cell
+    return np.shape(leaf_values(one.weights))[:-2]
 
 
 def _recur(config, cell, inputs, count, init=None, terminals=True):
     """Run `cell` over `inputs` (an array or a sweep) from `init`, the
-    (forward, backward) initial states, or from zeros: one
-    `bilstm_sequence` op, or EDLSTM's `lstm_sequence` op with a None
-    backward terminal.  Without `terminals` the op makes no terminal
+    (forward, backward) initial states, or from zeros, with the cell's
+    lanes: one `bilstm_sequence` op, or EDLSTM's `lstm_sequence` op with a
+    None backward terminal.  Without `terminals` the op makes no terminal
     states, and None stands for them."""
     if config.bidirectional:
-        start = init or (zero_state(config.hidden_size, count),) * 2
+        start = init or (zero_state(config.hidden_size, count, _lanes(cell)),) * 2
         return bilstm_sequence(cell, inputs, *start, terminals=terminals)
     states, terminal = lstm_sequence(
-        cell, inputs, init[0] if init else zero_state(config.state_width, count), terminals)
+        cell, inputs, init[0] if init else zero_state(config.state_width, count, _lanes(cell)),
+        terminals)
     return states, ((terminal, None) if terminals else None)
 
 
-def _kept(inputs):
-    """The weights and inputs a sweep kept, or None twice over known inputs."""
-    return (None, None) if isinstance(inputs, Tensor) else (inputs.weights, inputs.inputs)
-
-
-def _rerun_backward(cell, init, earlier, terminals=True):
-    """The states and backward terminal state (None without `terminals`) a
-    full run from `init` with `cell` gives of the stage `earlier`, an
-    `Encoding` or `Decoding` made with the same sweep and forward cell:
-    one `lstm_sequence` op of the backward cell over the `inputs` its
-    forward direction completed, reversed, its states reversed back beside
-    its forward half.  A stage that kept no inputs, of a side without a
-    sweep or a taped run, raises `ConfigError`; a taped operand of either
-    direction raises `TapeError`: nothing was recorded."""
-    if earlier.inputs is None:
-        raise ConfigError(f"the earlier {type(earlier).__name__} kept no inputs to rerun: "
-                          f"only an untaped stage with attention keeps them")
-    if _any_taped([as_tensor(array) for one, state in zip((cell.forward, cell.backward), init)
-                   for array in (one.weights, one.b_x, one.b_h, state.h, state.c)]):
-        raise TapeError("a taped sequence op steps its own forward run: its gradient reads "
-                        "the run's activations")
-    states, terminal = lstm_sequence(cell.backward, Tensor(earlier.inputs[::-1], scanned=True),
-                                     init[1], terminals)
-    steps, hidden, windows = states.values.shape
-    forward = earlier.states.values.reshape(steps, 2 * hidden, windows)[:, :hidden]
-    return Tensor(np.concatenate((forward, states.values[::-1]), axis=1), scanned=True), terminal
-
-
-def encode(params, config, windows, earlier=None):
+def encode(params, config, windows):
     """Run the encoder over the histories of `windows`, a `StackedWindows`
     built for `config`, reading only their history features and targets.
     Each step consumes [features; observed load]; with feature attention
     the feature part is reweighted first (conditioned as the module
     docstring says), and the `Encoding` keeps the sweep's weights, for
-    `forward` to trace or not, and inputs.
-
-    An `earlier` encoding of these windows, made with the same feature
-    attention and forward encoder cell, is read and never written: the
-    encoding `_rerun_backward` gives is bitwise the one a full run gives,
-    and keeps the earlier weights, inputs and forward terminal state.
+    `forward` to trace or not.  Parameters with a leading lane axis run a
+    lane pass over the same windows.
     """
     _require_config(windows, config)
-    if earlier is not None:
-        zero = zero_state(config.hidden_size, windows.count)
-        states, terminal = _rerun_backward(params.encoder, (zero, zero), earlier)
-        return replace(earlier, states=states, terminal_backward=terminal)
     if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
     else:
         inputs = Tensor(np.concatenate(
             (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
     states, terminals = _recur(config, params.encoder, inputs, windows.count)
-    return Encoding(states, *terminals, *_kept(inputs))
+    return Encoding(states, *terminals,
+                    inputs.weights if config.encoder_attention else None)
 
 
 @dataclass
 class Decoding:
     """Decoder output for B windows: its states stacked per window as the
     head reads them, (horizon * state_width, B), and the temporal sweep's
-    own (horizon, history_len, B) hour weights and read-only (horizon, n +
-    S, B) `inputs`, as its `finish` left them (None after a taped run),
-    each None without decoder attention.  A later `decode` reuses its
-    forward half, hour weights and inputs."""
+    own (horizon, history_len, B) hour weights, None without decoder
+    attention.  In a lane pass each carries the leading (L,) lane axis."""
 
     states: Tensor
     hour_weights: np.ndarray | None
-    inputs: np.ndarray | None
 
 
-def decode(params, config, encoding, windows, earlier=None):
+def decode(params, config, encoding, windows):
     """Run the decoder over the forecast days of `windows`, a
     `StackedWindows` built for `config`, from `encoding`; returns its
     `Decoding`, whose hour weights `forward` may turn into traces.
@@ -342,26 +312,17 @@ def decode(params, config, encoding, windows, earlier=None):
     the window's encoder states) in the forward recurrence, and both
     directions consume the same [features; context] inputs.  The head does
     not read the decoder's terminal states, so its sequence op makes none.
-
-    An `earlier` decoding of these windows, made with the same temporal
-    attention and forward decoder cell from an encoding equal to
-    `encoding`, is read and never written: the decoding `_rerun_backward`
-    gives is bitwise the one a full run gives, and keeps the earlier hour
-    weights and inputs.
+    Parameters and an encoding with a leading lane axis run a lane pass.
     """
     _require_config(windows, config)
     init = encoding.terminal_forward, encoding.terminal_backward
-    if earlier is not None:
-        states = _rerun_backward(params.decoder, init, earlier, False)[0]
-        kept = earlier.hour_weights, earlier.inputs
-    else:
-        inputs = (TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
-                                windows.future_features, windows.day_grid, encoding.states)
-                  if config.decoder_attention else Tensor(windows.future_features))
-        states = _recur(config, params.decoder, inputs, windows.count, init, terminals=False)[0]
-        kept = _kept(inputs)
-    return Decoding(reshape(states, (config.horizon * config.state_width, windows.count)),
-                    *kept)
+    inputs = (TemporalSweep(params.temporal_attn, encoding.terminal_backward.h,
+                            windows.future_features, windows.day_grid, encoding.states)
+              if config.decoder_attention else Tensor(windows.future_features))
+    states = _recur(config, params.decoder, inputs, windows.count, init, terminals=False)[0]
+    return Decoding(reshape(states, _lanes(params.decoder)
+                            + (config.horizon * config.state_width, windows.count)),
+                    inputs.weights if config.decoder_attention else None)
 
 
 @dataclass
@@ -411,11 +372,12 @@ def forward(params, config, samples, collect_attention=False):
     pass.
 
     `samples` is a nonempty list of windows or a `StackedWindows` built for
-    `config`.  The observed future loads in the samples are never read;
-    only the histories and the future features drive the output.  Only
-    here are attention traces decided: with `collect_attention` each
-    `Forecast` carries its window's weights of every stage the variant
-    has, and without it none.
+    `config`; parameters with a leading lane axis run a lane pass, whose
+    output and traces carry that axis too.  The observed future loads in
+    the samples are never read; only the histories and the future features
+    drive the output.  Only here are attention traces decided: with
+    `collect_attention` each `Forecast` carries its window's weights of
+    every stage the variant has, and without it none.
     """
     windows = (samples if isinstance(samples, StackedWindows)
                else StackedWindows.stack(config, samples))

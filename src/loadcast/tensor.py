@@ -12,15 +12,17 @@ returns a gradient for each operand; a constant operand's parent is None,
 which `Tape.backward` skips.  Parts of a flat output, such as the states
 of a sequence run, are taken with `segment`, which also gives the part its
 shape; the gradients of the parts of one output add into one buffer.
-`check_gradients` runs `program(leaves)` once on watched leaves and then
-at every perturbed point on one mapping of constants, wrapped once and
-perturbed in place, so a probe pays only for its program.
+`check_gradients` runs `program(leaves)` once on watched leaves and then,
+by default, at every perturbed point on one mapping of constants, wrapped
+once and perturbed in place, so a probe pays only for its program; a
+caller may evaluate the probes its own way, as the gradient gate does,
+and both feed one report step.
 
 Every array a tensor is built from, and every array an op computes, is
 scanned once for non-finite entries, which raise `EvaluationError`.  Only
 views of an already-scanned array (`segment`, `reshape`) and known zeros
-skip a second scan; a perturbed point of `check_gradients` scans only the
-scalar it changed.
+skip a second scan; `check_gradients` scans the perturbed scalars, all at
+once, and not the points built from them.
 
 A tape is meant to live for exactly one forward/backward pass and is
 rebuilt from scratch for the next one.  Tensors themselves are safe to
@@ -339,12 +341,14 @@ def scale(x, factor):
 
 
 def softmax_values(v, out=None):
-    """Shift-stabilized softmax of a plain array down axis 0, so each
-    column of a matrix is its own distribution; formed in place in `out`
+    """Shift-stabilized softmax of a plain array down its second-to-last
+    axis (a vector's only one), so each column of a matrix, or of each
+    matrix of a stack, is its own distribution; formed in place in `out`
     (a fresh array if None)."""
-    e = np.subtract(v, np.maximum.reduce(v, axis=0), out)
+    axis = -2 if v.ndim > 1 else 0
+    e = np.subtract(v, np.maximum.reduce(v, axis=axis, keepdims=True), out)
     np.exp(e, e)
-    return np.divide(e, np.add.reduce(e, axis=0), e)
+    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), e)
 
 
 def _softmax_grad(weights, g, out=None):
@@ -453,18 +457,21 @@ class GradCheckReport:
                 f"(tolerance {self.tolerance:.1e}, step {self.step:.1e})")
 
 
-def check_gradients(program, params, h=1e-5, tolerance=1e-6):
+def check_gradients(program, params, h=1e-5, tolerance=1e-6, losses=None):
     """Compare the tape's gradients of `program` with central differences.
 
     `program(leaves)` must build and return a scalar loss tensor from
     `leaves`, a dict mapping parameter names to tensors, and must not
     modify it; `params` maps the same names to arrays.  The first call gets
-    watched leaves, for the gradients.  Every perturbed point then gets one
-    and the same mapping of constants, wrapped (and so scanned) once, whose
-    arrays are perturbed in place: each scalar by +-h, and only the scalar
-    changed is checked to be finite.  The relative error is |g_ad - g_fd| /
-    max(|g_ad|, |g_fd|, 1e-8), inf if g_ad is not finite.  A program with
-    no parameters passes vacuously.
+    watched leaves, for the gradients.  Each scalar is then probed at +h
+    and -h, every perturbed value checked to be finite first: by default
+    one call per probe, each getting one and the same mapping of
+    constants, wrapped (and so scanned) once, whose arrays are perturbed
+    in place.  A caller that evaluates the probes its own way passes
+    `losses(points)`, which gets, per name, the perturbed values as a
+    (size, 2) array, [i, 0] the scalar i at +h and [i, 1] at -h, and
+    returns the losses at those points in the same layout; both ways feed
+    `_gradient_report`.  A program with no parameters passes vacuously.
     """
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
@@ -479,31 +486,50 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
                                step=h)
     tape.backward(loss)
     analytic = {name: tape.grad(t) for name, t in leaves.items()}
-    # Constants: only the value is read, so nothing is recorded.
+    points = {}
+    for name, arr in params.items():
+        flat = np.asarray(arr, dtype=np.float64).reshape(-1, 1)
+        points[name] = np.concatenate((flat + h, flat - h), axis=1)
+        # The scalars were scanned as leaves; only the perturbed ones are new.
+        if not np.isfinite(points[name]).all():
+            raise EvaluationError("non-finite values in tensor")
+    found = losses(points) if losses else _probe_losses(program, params, points)
+    return _gradient_report(analytic, found, h, tolerance)
+
+
+def _probe_losses(program, params, points):
+    """The losses at `points` as `check_gradients` takes them by default:
+    `program` once per probe on one mapping of constants, wrapped (and so
+    scanned) once, each probe setting its scalar in place and the scalar
+    restored after."""
     consts = {name: Tensor(np.array(arr, dtype=np.float64, order="C"))
               for name, arr in params.items()}
-
-    def loss_at(flat, i, value):
-        # The other scalars were scanned when wrapped; only this one is new.
-        if not math.isfinite(value):
-            raise EvaluationError("non-finite values in tensor")
-        flat[i] = value
-        value = float(program(consts).values)
-        if not math.isfinite(value):
-            raise EvaluationError("non-finite loss at a perturbed point")
-        return value
-
-    per_param = {}
-    worst, worst_scalar = 0.0, None
+    found = {}
     for name, leaf in consts.items():
         flat = leaf.values.reshape(-1)
-        ad_flat = analytic[name].reshape(-1)
-        param_worst = 0.0
-        for i in range(flat.size):
-            saved = flat[i]
-            f_plus = loss_at(flat, i, saved + h)
-            f_minus = loss_at(flat, i, saved - h)
+        found[name] = values = np.empty_like(points[name])
+        for i, saved in enumerate(flat.tolist()):
+            for side in (0, 1):
+                flat[i] = points[name][i, side]
+                values[i, side] = float(program(consts).values)
             flat[i] = saved
+    return found
+
+
+def _gradient_report(analytic, losses, h, tolerance):
+    """The `GradCheckReport` of `check_gradients` from the tape's gradients
+    and, per name, the (size, 2) losses at +h and -h of each scalar: a
+    non-finite loss raises `EvaluationError`; the relative error is |g_ad
+    - g_fd| / max(|g_ad|, |g_fd|, 1e-8), inf if g_ad is not finite, and
+    `worst` names the first scalar of the largest."""
+    per_param = {}
+    worst, worst_scalar = 0.0, None
+    for name, grad in analytic.items():
+        if not np.isfinite(losses[name]).all():
+            raise EvaluationError("non-finite loss at a perturbed point")
+        ad_flat = grad.reshape(-1)
+        param_worst = 0.0
+        for i, (f_plus, f_minus) in enumerate(losses[name].tolist()):
             fd = (f_plus - f_minus) / (2.0 * h)
             ad = ad_flat[i]
             rel = (abs(ad - fd) / max(abs(ad), abs(fd), REL_ERROR_FLOOR)
@@ -512,6 +538,6 @@ def check_gradients(program, params, h=1e-5, tolerance=1e-6):
                 param_worst, scalar = rel, (i, ad, fd)
         per_param[name] = param_worst
         if param_worst > worst:
-            index = tuple(int(k) for k in np.unravel_index(scalar[0], leaf.values.shape))
+            index = tuple(int(k) for k in np.unravel_index(scalar[0], grad.shape))
             worst, worst_scalar = param_worst, (name, index, float(scalar[1]), scalar[2])
     return GradCheckReport(worst, per_param, tolerance, h, worst_scalar)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import destandardize_load
-from .errors import ConfigError, DimensionError, EvaluationError, TrainingError
+from .errors import ConfigError, DimensionError, EvaluationError, TapeError, TrainingError
 from .metrics import compute_metrics
 from .model import forward, init_params
 from .params import bind, bind_constants, map_leaves, named_leaves
-from .tensor import Tape, as_tensor, fused_op
+from .tensor import Tape, _any_taped, as_tensor, fused_op
 
 # Windows per untaped forward pass.  Wider passes cost less per window, but
 # a pass's working set grows with its width: at 8 an untaped pass peaks no
@@ -77,14 +77,21 @@ def mse_loss(pred, target):
     One tape op, with the arithmetic of `sub`, `hadamard`, `total` and
     `scale` in turn and their gradients.  Only the loss is scanned: a
     non-finite difference or square makes the sum of squares non-finite.
+    A lane pass's (L, horizon, B) prediction of a matrix target has one
+    loss per lane, (L,), each that of its lane alone; it records nothing,
+    so a taped operand raises `TapeError`.
     """
     pred = as_tensor(pred)
     target = as_tensor(target)
-    if pred.values.ndim not in (1, 2) or pred.values.shape != target.values.shape:
+    shape = target.values.shape
+    lanes = pred.values.ndim == 3
+    if len(shape) not in (1, 2) or pred.values.shape[lanes:] != shape:
         raise DimensionError(
             f"loss needs equal-shape vectors or matrices, got {pred.shape} and {target.shape}")
+    if lanes and _any_taped((pred, target)):
+        raise TapeError("a lane pass records nothing: its operands must be untaped")
     diff = pred.values - target.values
-    c = 1.0 / diff.size
+    c = 1.0 / target.values.size
 
     def rule(g):
         # `hadamard(diff, diff)` gives each of its operands diff * g * c.
@@ -92,7 +99,7 @@ def mse_loss(pred, target):
         d_diff = half + half
         return d_diff, -d_diff
 
-    return fused_op((diff * diff).sum() * c, (pred, target), rule)
+    return fused_op((diff * diff).sum(axis=(1, 2) if lanes else None) * c, (pred, target), rule)
 
 
 @dataclass

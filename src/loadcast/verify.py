@@ -5,7 +5,9 @@ code with the implementation it checks: central finite differences for
 gradients, a plain-Python scalar loop for the LSTM cell that reads the
 stored weights by index, closed-form hand values for the metrics.  The
 `verify` subcommand prints one line per check and fails if any check
-fails.
+fails.  The full-model gradient check evaluates its finite-difference
+probes as lanes of untaped lane passes of `forward`, whose losses are
+bitwise those of one pass per probe.
 """
 
 from __future__ import annotations
@@ -19,12 +21,18 @@ import numpy as np
 from .data import WindowSample
 from .metrics import compute_metrics
 from .errors import LoadcastError
-from .lstm import feedforward_relu
-from .model import ModelConfig, StackedWindows, decode, encode, forward, init_params, predict
+from .model import ModelConfig, StackedWindows, forward, init_params, predict
 from .params import map_leaves, named_leaves
 from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
 from .training import mse_loss
+
+
+# Lanes per untaped pass of the full-model gradient check.  A pass's
+# working set grows with its lanes: at 64 a `loadcast verify` round peaks
+# no higher than it did with one probe per pass, and without a cap the
+# process peak rises by several megabytes.
+LANES_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -59,78 +67,49 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
 
     What depends on no parameter is computed once per report and shared by
     every pass: the window's `StackedWindows` (its stacked, shape-checked
-    arrays and its similar-day weights) and the target.  `check_gradients`
-    hands every constant probe the same mapping, perturbed in place, so the
-    parameter tree over a mapping is built once per mapping; nothing is
-    kept by a parameter array's identity.
-
-    The taped pass is `forward`.  A constant probe composes the same pass
-    from `encode`, `decode` and `forward`'s head call, taking from a cache
-    the stages its scalar cannot change.  Each stage is keyed by the bytes
-    of the leaves it depends on, in named order: the encoding by the
-    `feature_attn` and `encoder` leaves, the decoding by those and the
-    `temporal_attn` and `decoder` leaves.  A constant probe whose stage key
-    is the previous constant probe's reuses that probe's stage: the probes
-    of the temporal attention, decoder and head scalars its `Encoding`, and
-    those of the head scalars its `Decoding` too.  A stage with a sweep has
-    a second key, through its forward cell: a probe whose second key alone
-    is the previous one's hands `encode` or `decode` the previous value, so
-    the probes of a backward-cell scalar rerun only the backward direction.
-    `encode` and `decode` are pure functions of those leaves, the window
-    and the config, and nothing writes into a value they returned, so
-    every loss is bitwise that of a fresh pass.  A failing report's `worst`
-    names the scalar of the largest error with both of its derivatives.
+    arrays and its similar-day weights) and the target.  The taped pass is
+    `forward`.  Every +h and -h probe of every scalar is then one lane of
+    an untaped lane pass of `forward`, at most `LANES_PER_PASS` lanes to a
+    pass, each lane a full parameter set: the template's, with its one
+    scalar moved.  A lane's arithmetic is that of a lone pass at its
+    parameters, so every loss is bitwise a lone pass's, and
+    `check_gradients` reports them as it reports its own probes.  A failing
+    report's `worst` names the scalar of the largest error with both of
+    its derivatives.
     """
     template = init_params(config)
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
-    # The leaves the decoder states depend on, in named order: feature_attn,
-    # encoder (forward, backward), temporal_attn, decoder (forward, backward).
-    through_decoder = [name for name in arrays if not name.startswith("head.")]
-
-    def key_end(prefix):
-        """The key's length through the last leaf whose name starts with
-        `prefix`."""
-        last = max(k for k, name in enumerate(through_decoder) if name.startswith(prefix))
-        return sum(arrays[name].nbytes for name in through_decoder[:last + 1])
-
-    # Each stage's key length, and that of its forward half's key, None
-    # without a sweep.
-    ends = {"encoding": (key_end("encoder."),
-                         key_end("encoder.forward.") if config.encoder_attention else None),
-            "decoding": (key_end("decoder."),
-                         key_end("decoder.forward.") if config.decoder_attention else None)}
     windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
-    # The latest mapping, its arrays through the decoder and its tree; per
-    # stage, the key and value the latest constant probe that ran it made.
-    last = {}
-
-    def stage(name, key, run):
-        """The latest value of stage `name` if `key` holds its stage key;
-        otherwise `run(earlier)`, handed the latest value when `key` holds
-        its forward half's key."""
-        end, run_end = ends[name]
-        made = last.get(name)
-        # Every key is as long, so a key holds a stage key if it starts with it.
-        if made is None or not key.startswith(made[0]):
-            reuse = made is not None and run_end is not None and key.startswith(made[0][:run_end])
-            made = last[name] = (key[:end], run(made[1] if reuse else None))
-        return made[1]
+    # Where each block starts in the flat parameters, in named order.
+    starts = np.cumsum([values.size for values in arrays.values()])[:-1]
+    flat = np.concatenate([values.reshape(-1) for values in arrays.values()])
 
     def program(leaves):
-        if last.get("leaves") is not leaves:
-            last.update(leaves=leaves, keyed=[leaves[name].values for name in through_decoder],
-                        bound=map_leaves(template, lambda name, _leaf: leaves[name]))
-        bound = last["bound"]
-        if leaves[through_decoder[0]].tape is not None:
-            return mse_loss(forward(bound, config, windows).output, target)
-        key = b"".join([values.tobytes() for values in last["keyed"]])
-        encoding = stage("encoding", key, lambda earlier: encode(bound, config, windows, earlier))
-        decoding = stage("decoding", key,
-                         lambda earlier: decode(bound, config, encoding, windows, earlier))
-        return mse_loss(feedforward_relu(bound.head, decoding.states), target)
+        bound = map_leaves(template, lambda name, _leaf: leaves[name])
+        return mse_loss(forward(bound, config, windows).output, target)
 
-    return check_gradients(program, arrays, h=h, tolerance=tolerance)
+    def losses(points):
+        # Probe k moves flat scalar k // 2, to its +h value for even k.
+        moved = np.concatenate(list(points.values())).reshape(-1)
+        where = np.arange(moved.size) // 2
+        found = np.empty(moved.size)
+        for first in range(0, moved.size, LANES_PER_PASS):
+            part = slice(first, first + LANES_PER_PASS)
+            # Each lane a full copy: a block shared by the lanes as a
+            # broadcast view would step `np.matmul` off its per-lane BLAS
+            # products, and off a lone pass's bits.
+            lanes = np.repeat(flat[np.newaxis], len(where[part]), axis=0)
+            lanes[np.arange(len(lanes)), where[part]] = moved[part]
+            # The template was scanned as leaves, and every moved scalar by
+            # `check_gradients`.
+            found[part] = program({
+                name: Tensor(block.reshape((len(lanes),) + values.shape), scanned=True)
+                for (name, values), block in zip(arrays.items(),
+                                                 np.split(lanes, starts, axis=1))}).values
+        return dict(zip(arrays, np.split(found.reshape(-1, 2), starts)))
+
+    return check_gradients(program, arrays, h=h, tolerance=tolerance, losses=losses)
 
 
 def _sig(x):

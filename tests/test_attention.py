@@ -11,8 +11,7 @@ from loadcast.attention import (DISTANCE_EPSILON, AttentionParams,
                                 context_vector, feature_attention,
                                 similar_day_weights, temporal_attention)
 from loadcast.errors import DimensionError, EvaluationError
-from loadcast.lstm import (BiLstmParams, LstmParams, LstmState, bilstm_sequence, lstm_cell_step,
-                           lstm_sequence)
+from loadcast.lstm import BiLstmParams, LstmParams, LstmState, bilstm_sequence, lstm_cell_step
 from loadcast.params import bind, map_leaves, named_leaves
 from loadcast.tensor import (Tape, Tensor, check_gradients, concat, hadamard, reshape,
                              total)
@@ -500,46 +499,32 @@ class TestAttendedSweeps:
         assert counts == [6] * 8
 
     @pytest.mark.parametrize("kind", ["feature", "temporal"])
-    def test_fill_writes_the_fixed_rows_and_keeps_the_completed_inputs(self, kind):
+    def test_fill_writes_only_the_fixed_rows(self, kind):
         # `fill` writes only the rows that depend on no parameter (the
-        # targets, or the features) and keeps a read-only view of its block.
-        # After an untaped run that view is the block the forward direction
-        # completed, which the backward direction read: rerun alone over it,
-        # reversed, that direction's states are bitwise the run's.  A taped
-        # run keeps no view.
+        # targets, or the features), into a lone run's (steps, width, 1)
+        # block and into every lane of a 3-lane pass's (steps, 3, width, 1)
+        # block, and keeps nothing of the block.
         rng = np.random.default_rng(40)
         case = (feature_case(rng, 4, 3, 2, 2) if kind == "feature"
                 else temporal_case(rng, 4, 3, 2, 2, 2, 3, 4))
         leaves = {name: Tensor(case[name]) for name in leaf_names(case)}
-        sweep = make_sweep(case, case["attn"], leaves)
+        laned = {name: Tensor(np.stack([case[name]] * 3)) for name in leaf_names(case)}
+        attn = map_leaves(case["attn"], lambda _name, leaf: np.stack([leaf] * 3))
         n = case["features"].shape[1]
         fixed = slice(n, None) if kind == "feature" else slice(None, n)
-        block = np.full((sweep.steps, sweep.width, 1), np.nan)
-        sweep.fill(block)
-        npt.assert_array_equal(block[:, fixed, 0], case["features"] if kind == "temporal"
-                               else case["targets"][:, np.newaxis], strict=True)
-        made = np.ones(sweep.width, dtype=bool)
-        made[fixed] = False
-        assert np.isnan(block[:, made]).all()
-        assert np.shares_memory(sweep.inputs, block) and not sweep.inputs.flags.writeable
-
-        sweep = make_sweep(case, case["attn"], leaves)
-        init = column_state(leaves, "hb0", "cb0")
-        states, _ = bilstm_sequence(case["cell"], sweep, column_state(leaves, "h0", "c0"), init)
-        inputs = sweep.inputs
-        assert inputs.shape == (sweep.steps, sweep.width, 1) and not inputs.flags.writeable
-        assert np.isfinite(inputs).all()
-        if kind == "feature":
-            weighted = sweep.weights * case["features"][..., np.newaxis]
-            npt.assert_array_equal(inputs[:, :n], weighted, strict=True)
-        rerun, _ = lstm_sequence(case["cell"].backward, Tensor(inputs[::-1]), init)
-        hidden = case["cell"].hidden_size
-        npt.assert_array_equal(rerun.values[::-1], states.values[:, hidden:], strict=True)
-
-        tape = Tape()
-        sweep = make_sweep(case, bind(case["attn"], tape), leaves)
-        bilstm_sequence(bind(case["cell"], tape), sweep, column_state(leaves, "h0", "c0"), init)
-        assert sweep.inputs is None
+        expect = (case["features"] if kind == "temporal"
+                  else case["targets"][:, np.newaxis])[..., np.newaxis]
+        for sweep, lanes in ((make_sweep(case, case["attn"], leaves), ()),
+                             (make_sweep(case, attn, laned), (3,))):
+            assert sweep.lanes == (lanes[0] if lanes else None)
+            block = np.full((sweep.steps,) + lanes + (sweep.width, 1), np.nan)
+            sweep.fill(block)
+            for lane in (block[:, k] for k in range(3)) if lanes else (block,):
+                npt.assert_array_equal(lane[:, fixed], expect, strict=True)
+                made = np.ones(sweep.width, dtype=bool)
+                made[fixed] = False
+                assert np.isnan(lane[:, made]).all()
+            assert not hasattr(sweep, "inputs")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_preactivation_raises(self):

@@ -394,7 +394,8 @@ class TestTrain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "locked" in err
-        assert not (out / "checkpoint.json").exists()
+        # The holder's directory and lock file stay, and nothing else is written.
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_lock_file_that_cannot_be_opened_is_one_config_error_line(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -420,6 +421,42 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"config error: cannot lock {out / '.lock'}: {os.strerror(errno.ENOLCK)}\n")
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("step", ["open", "flock"])
+    def test_lock_that_fails_leaves_no_directory_it_made(self, tmp_path, capsys, monkeypatch,
+                                                         step):
+        # The run made a/, a/b/ and a/b/run/, and the lock file in it; a lock
+        # file that cannot be opened, or locked with ENOLCK, removes them
+        # all, innermost first, and leaves what was there before.
+        def no_locks(*_args):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        if step == "flock":
+            monkeypatch.setattr(fcntl, "flock", no_locks)
+        else:
+            monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: (
+                no_locks() if Path(path).name == ".lock" else open(path, *args, **kwargs)),
+                raising=False)
+        config = write_config(tmp_path, tmp_path / "a" / "b" / "run")
+        code = main(["train", "--config", str(config), "--synthetic"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config.name]
+
+    def test_lock_that_fails_keeps_a_directory_that_is_not_empty(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # A parent the run made, which another run wrote into meanwhile,
+        # stays, and so does what that run wrote.
+        def no_locks(_fh, _operation):
+            (tmp_path / "a" / "other").mkdir()
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        code = main(["train", "--config", str(write_config(tmp_path, tmp_path / "a" / "run")),
+                     "--synthetic"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot lock")
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["other"]
 
     @pytest.mark.parametrize("key", ["data.train_csv", "data.validation_csv", "data.holidays"])
     def test_synthetic_run_refuses_a_csv_source_key(self, tmp_path, capsys, monkeypatch, key):

@@ -35,20 +35,12 @@ def random_sample(config, seed):
 
 
 def encoding_arrays(encoding):
-    """Every array an `Encoding` holds, its feature weights and inputs
-    included."""
+    """Every array an `Encoding` holds, its feature weights included."""
     states = [encoding.terminal_forward, encoding.terminal_backward]
     return ([encoding.states.values]
             + [tensor.values for state in states if state is not None
                for tensor in (state.h, state.c)]
-            + [array for array in (encoding.feature_weights, encoding.inputs)
-               if array is not None])
-
-
-def decoding_arrays(decoding):
-    """Every array a `Decoding` holds, its inputs included."""
-    return [decoding.states.values] + [array for array in (decoding.hour_weights,
-                                                           decoding.inputs) if array is not None]
+            + ([] if encoding.feature_weights is None else [encoding.feature_weights]))
 
 
 def numpy_forward(params, config, sample):
@@ -446,193 +438,163 @@ class TestForward:
     def test_gradient_check_runs_two_passes_per_parameter_scalar(self, seed8_gate):
         # The gate's finite-difference check probes every scalar: one taped
         # pass for the analytic gradients, then +h and -h for each of the
-        # tiny model's 996 parameters.
+        # tiny model's 996 parameters, each a lane of one of 32 untaped
+        # lane passes of at most `LANES_PER_PASS` lanes.
         config, _sample = tiny_model_case()
         assert sum(leaf.size for _name, leaf in named_leaves(init_params(config))) == 996
-        assert seed8_gate.head == 1 + 2 * 996
+        assert seed8_gate.lanes.head == 1 + 2 * 996
+        assert verify.LANES_PER_PASS == 64 and seed8_gate.head == 1 + 32
 
     def test_gradient_check_computes_the_similar_day_weights_once(self, seed8_gate):
         # The window is stacked, and its similar-day weights computed, once
         # per report; every one of the 1 + 2 * 996 passes reads that value.
         assert seed8_gate.similar_day_weights == 1
-        assert seed8_gate.head == 1 + 2 * 996
+        assert seed8_gate.lanes.head == 1 + 2 * 996
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
                                                                         monkeypatch):
-        # Reference: every probe runs `forward` alone, every stage included.
-        # Seed 9 keeps every variant's head live; at seed 8 eAttention and
-        # EDBiLSTM forecast 0, and no wrongly reused stage would show.
-        config, sample = tiny_model_case(variant, seed=9)
-        template = init_params(config)
-        arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
+        # The reference runs every probe as a lone `forward`; the report
+        # runs them as lanes of its own `forward` calls, and no stage is
+        # reused.  At seed 8 eAttention and EDBiLSTM forecast 0, and seed 9
+        # keeps every variant's head live, so that a lane that read another
+        # lane's values would show.
+        passes = []
+        monkeypatch.setattr(verify, "forward", lambda *args: passes.append(args) or forward(*args))
+        for seed in (8, 9):
+            config, sample = tiny_model_case(variant, seed=seed)
+            template = init_params(config)
+            arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
 
-        def program(leaves):
-            bound = map_leaves(template, lambda name, _leaf: leaves[name])
-            return mse_loss(forward(bound, config, [sample]).output,
-                            sample.y_future[:, np.newaxis])
+            def program(leaves):
+                bound = map_leaves(template, lambda name, _leaf: leaves[name])
+                return mse_loss(forward(bound, config, [sample]).output,
+                                sample.y_future[:, np.newaxis])
 
-        expect = check_gradients(program, arrays, h=1e-5, tolerance=1e-4)
-        # The report reuses a decoding too: the head probes run only the head.
-        kept = []
-
-        def keeping(stage, arrays_of):
-            def run(*args, **kwargs):
-                value = stage(*args, **kwargs)
-                kept.append((arrays_of(value), [np.array(a) for a in arrays_of(value)]))
-                return value
-            return run
-
-        monkeypatch.setattr(verify, "encode", keeping(model.encode, encoding_arrays))
-        monkeypatch.setattr(verify, "decode", keeping(model.decode, decoding_arrays))
-        # And a sweep stage keeps the forward half of the previous one: the
-        # backward-cell probes rerun only that direction.
-        handed = {"encoder": 0, "decoder": 0}
-        rerun = model._rerun_backward
-
-        def keeping_reruns(cell, init, earlier, *args, **kwargs):
-            # The decoder steps the forecast day, the encoder the history.
-            inputs = earlier.inputs
-            handed["decoder" if len(inputs) == config.horizon else "encoder"] += 1
-            kept.append(([inputs], [np.array(inputs)]))
-            return rerun(cell, init, earlier, *args, **kwargs)
-
-        monkeypatch.setattr(model, "_rerun_backward", keeping_reruns)
-        report = verify.model_gradient_report(config, sample)
-        assert report.max_rel_error == expect.max_rel_error
-        assert report.per_param == expect.per_param
-        assert (handed["encoder"] > 0) == config.encoder_attention
-        assert (handed["decoder"] > 0) == config.decoder_attention
-        # No pass writes into an encoding, a decoding or the inputs that
-        # later probes reuse.
-        for arrays_now, copies in kept:
-            for array, copy in zip(arrays_now, copies):
-                npt.assert_array_equal(array, copy, strict=True)
+            expect = check_gradients(program, arrays, h=1e-5, tolerance=1e-4)
+            passes.clear()
+            report = verify.model_gradient_report(config, sample)
+            probes = 2 * sum(values.size for values in arrays.values())
+            assert len(passes) == 1 + -(-probes // verify.LANES_PER_PASS)
+            assert report.max_rel_error == expect.max_rel_error
+            assert report.per_param == expect.per_param
+            assert report.worst == expect.worst
 
     def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, seed8_gate):
-        # One taped pass, +h and -h for each of the 342 feature-attention
-        # and encoder scalars, then one run for the first probe after them;
-        # the other 1,308 probes reuse that encoding.
+        # Each of the 2 * 342 feature-attention and encoder probes runs its
+        # own encoder, as does every other probe: one lane per probe, the
+        # taped pass beside them, in 1 + 32 runs.
         config, _sample = tiny_model_case()
         params = init_params(config)
         encoder_side = [leaf.size for block in (params.feature_attn, params.encoder)
                         for _name, leaf in named_leaves(block)]
         assert sum(encoder_side) == 342
-        assert seed8_gate.encode == 1 + 2 * 342 + 1
+        assert seed8_gate.lanes.encode == 1 + 2 * 996 and seed8_gate.encode == 1 + 32
 
     def test_gradient_check_runs_the_decoder_once_per_decoder_side_probe(self, seed8_gate):
-        # One taped pass, +h and -h for each of the 924 scalars before the
-        # head, then one run for the first head probe; the other 143 head
-        # probes reuse that decoding.
+        # Each of the 2 * 924 probes of the scalars before the head runs
+        # its own decoder, and so does each of the 2 * 72 head probes.
         config, _sample = tiny_model_case()
         params = init_params(config)
         head = sum(leaf.size for _name, leaf in named_leaves(params.head))
-        assert head == 72 and seed8_gate.head == 1 + 2 * (924 + head)
-        assert seed8_gate.decode == 1 + 2 * 924 + 1
+        assert head == 72 and seed8_gate.lanes.head == 1 + 2 * (924 + head)
+        assert seed8_gate.lanes.decode == 1 + 2 * (924 + head) and seed8_gate.decode == 1 + 32
 
     def test_gradient_check_steps_the_feature_sweep_once_per_forward_side_probe(
             self, seed8_gate):
-        # One taped pass, +h and -h for each of the 182 feature-attention
-        # and forward encoder scalars, then one run for the first backward
-        # encoder probe; the other 319 backward encoder probes, and the
-        # first probe after them (whose encoder key differs from the last
-        # backward encoder probe's only in the backward cell), hand `encode`
-        # the previous encoding's forward run and step no sweep.
+        # Each of the 2 * 182 feature-attention and forward encoder probes
+        # steps its own feature sweep, as every other probe does, in the
+        # runs of the 1 + 32 encoder passes.
         config, _sample = tiny_model_case()
         params = init_params(config)
         forward_side = [leaf.size for block in (params.feature_attn, params.encoder.forward)
                         for _name, leaf in named_leaves(block)]
-        backward = sum(leaf.size for _name, leaf in named_leaves(params.encoder.backward))
-        assert sum(forward_side) == 182 and backward == 160
-        assert seed8_gate.feature_sweep_runs == 1 + 2 * 182 + 1 == 366
-        assert seed8_gate.encode == seed8_gate.feature_sweep_runs + 2 * backward
+        assert sum(forward_side) == 182
+        assert seed8_gate.lanes.feature_sweep_runs == 1 + 2 * 996
+        assert seed8_gate.feature_sweep_runs == seed8_gate.encode == 1 + 32
 
-    def test_gradient_check_steps_the_temporal_sweep_but_for_backward_decoder_probes(
-            self, seed8_gate):
-        # Of the 1,850 decoder runs, the 2 * 272 that follow a backward
-        # decoder probe reuse its forward run: every backward decoder probe
-        # but the first, and the first head probe, whose decoder key
-        # differs from the last backward decoder probe's only in the
-        # backward cell.  The other 1,306 step the temporal sweep.
-        config, _sample = tiny_model_case()
-        params = init_params(config)
-        backward = sum(leaf.size for _name, leaf in named_leaves(params.decoder.backward))
-        assert backward == 272 and seed8_gate.decode == 1850
-        assert seed8_gate.temporal_sweep_runs == 1850 - 2 * 272 == 1306
+    def test_gradient_check_steps_the_temporal_sweep_once_per_probe(self, seed8_gate):
+        # The backward decoder probes step the temporal sweep too: every
+        # probe is one lane of a full pass.
+        assert seed8_gate.lanes.temporal_sweep_runs == 1 + 2 * 996
+        assert seed8_gate.temporal_sweep_runs == seed8_gate.decode == 1 + 32
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_a_stage_handed_an_earlier_forward_run_is_the_full_stage(self, variant):
-        # Over 3 windows, with another backward cell on one side at a time:
-        # handed the earlier value, `encode` and `decode` give bitwise the
-        # full stage's values and leave the earlier value as it was.  A
-        # side without a sweep, or a taped earlier value, keeps no inputs and
-        # is refused.
-        config, _sample = tiny_model_case(variant)
-        windows = StackedWindows.stack(config, [random_sample(config, 80 + k) for k in range(3)])
-        params = bind_constants(init_params(config))
-        encoding = model.encode(params, config, windows)
-        decoding = model.decode(params, config, encoding, windows)
-        earlier = [(a, np.array(a)) for a in encoding_arrays(encoding) + decoding_arrays(decoding)]
-
-        def other_backward(side):
-            def step(name, leaf):
-                return Tensor(leaf.values + 0.01) if name.startswith(side) else leaf
-            return map_leaves(params, step)
-
-        changed = other_backward("encoder.backward.")
-        if config.encoder_attention:
-            full = model.encode(changed, config, windows)
-            reused = model.encode(changed, config, windows, encoding)
-            assert reused.feature_weights is encoding.feature_weights
-            assert reused.inputs is encoding.inputs and not encoding.inputs.flags.writeable
-            for value, ref in zip(encoding_arrays(reused), encoding_arrays(full), strict=True):
-                npt.assert_array_equal(value, ref, strict=True)
-            taped = model.encode(bind(init_params(config), Tape()), config, windows)
-            assert taped.inputs is None
-            with pytest.raises(ConfigError, match="earlier Encoding kept no inputs"):
-                model.encode(changed, config, windows, taped)
-        else:
-            assert encoding.inputs is None
-            with pytest.raises(ConfigError, match="earlier Encoding kept no inputs"):
-                model.encode(changed, config, windows, encoding)
-        changed = other_backward("decoder.backward.")
-        if config.decoder_attention:
-            full = model.decode(changed, config, encoding, windows)
-            reused = model.decode(changed, config, encoding, windows, decoding)
-            assert reused.inputs is decoding.inputs and not decoding.inputs.flags.writeable
-            for value, ref in zip(decoding_arrays(reused), decoding_arrays(full), strict=True):
-                npt.assert_array_equal(value, ref, strict=True)
-            # A taped decoder keeps no inputs to hand on.
-            taped = model.decode(bind(init_params(config), Tape()), config, encoding, windows)
-            assert taped.inputs is None
-            with pytest.raises(ConfigError, match="earlier Decoding kept no inputs"):
-                model.decode(changed, config, encoding, windows, taped)
-        else:
-            assert decoding.inputs is None
-            with pytest.raises(ConfigError, match="earlier Decoding kept no inputs"):
-                model.decode(changed, config, encoding, windows, decoding)
-        for array, copy in earlier:
-            npt.assert_array_equal(array, copy, strict=True)
+    def test_a_lane_pass_is_each_lone_pass(self, variant):
+        # At tiny size and at hidden 32, over 1 and 3 windows: each lane of
+        # a 3-lane pass, whose lanes move scalars of several blocks, gives
+        # bitwise the outputs, attention weights and loss of a lone
+        # untaped `forward` at that lane's parameters.
+        tiny = tiny_model_case(variant)[0]
+        for config in (tiny, dataclasses.replace(
+                tiny, days=3, day_len=6, hidden_size=32, feature_attn_size=16,
+                temporal_attn_size=16, head_size=32)):
+            template = init_params(config)
+            names = [name for name, _leaf in named_leaves(template)]
+            for count in (1, 3):
+                samples = [random_sample(config, 90 + k) for k in range(count)]
+                target = np.stack([sample.y_future for sample in samples], axis=-1)
+                sets = []
+                for lane in range(3):
+                    moved = {name: np.array(leaf) for name, leaf in named_leaves(template)}
+                    for name in names[lane::3]:
+                        moved[name].reshape(-1)[lane % moved[name].size] += 1e-3 * (lane + 1)
+                    sets.append(moved)
+                laned = map_leaves(template, lambda name, _leaf: Tensor(
+                    np.stack([moved[name] for moved in sets])))
+                lanes = forward(laned, config, samples, collect_attention=True)
+                losses = mse_loss(lanes.output, target).values
+                assert lanes.output.shape == (3, config.horizon, count)
+                for lane, moved in enumerate(sets):
+                    lone = forward(bind_constants(map_leaves(
+                        template, lambda name, _leaf: moved[name])), config, samples,
+                        collect_attention=True)
+                    assert lanes.output.values[lane].tobytes() == lone.output.values.tobytes()
+                    # The feature and hour weights; the day weights are the windows'.
+                    for traced, ref in zip(lanes.traces[:2], lone.traces[:2], strict=True):
+                        assert (traced is None) == (ref is None)
+                        if ref is not None:
+                            assert traced[:, lane].tobytes() == ref.tobytes()
+                    loss = mse_loss(lone.output, target).values
+                    assert losses[lane].tobytes() == loss.tobytes()
 
     @pytest.mark.parametrize("side", ["encoder", "decoder"])
-    def test_a_taped_stage_refuses_an_earlier_forward_half(self, side):
-        # The earlier forward half records nothing, so a stage whose
-        # forward or whose backward cell is taped refuses it, with the
-        # text the sequence engine gave when it took a forward run.
+    def test_a_taped_lane_operand_is_refused(self, side):
+        # A lane pass records nothing, so a taped leaf of either direction
+        # of either side, or of the head, is refused, and nothing but the
+        # leaves is recorded.
         config, sample = tiny_model_case("ANLF")
         windows = StackedWindows.stack(config, [sample])
-        params = bind_constants(init_params(config))
-        encoding = model.encode(params, config, windows)
-        decoding = model.decode(params, config, encoding, windows)
-        for direction in ("forward", "backward"):
-            tape, prefix = Tape(), f"{side}.{direction}."
-            taped = map_leaves(params, lambda name, leaf: (
-                tape.leaf(leaf.values) if name.startswith(prefix) else leaf))
-            with pytest.raises(TapeError, match="taped sequence op steps its own forward run"):
-                if side == "encoder":
-                    model.encode(taped, config, windows, encoding)
-                else:
-                    model.decode(taped, config, encoding, windows, decoding)
+        laned = map_leaves(init_params(config), lambda _name, leaf: np.stack([leaf] * 2))
+        for prefix in (f"{side}.forward.", f"{side}.backward.", "head."):
+            tape = Tape()
+            taped = map_leaves(laned, lambda name, leaf: (
+                tape.leaf(leaf) if name.startswith(prefix) else Tensor(leaf)))
+            with pytest.raises(TapeError, match="a lane pass records nothing"):
+                forward(taped, config, windows)
+            assert len(tape) == sum(name.startswith(prefix)
+                                    for name, _leaf in named_leaves(laned))
+
+    def test_lane_counts_that_disagree_name_their_shapes(self):
+        # Every leaf of one lane pass has the same lanes; a block, a cell
+        # or an initial state with other lanes, or none, is refused with
+        # the shapes that disagree.
+        config, sample = tiny_model_case("ANLF")
+        windows = StackedWindows.stack(config, [sample])
+
+        def lanes_of(leaf, count):
+            return Tensor(leaf if count is None else np.stack([leaf] * count))
+
+        agreeing = map_leaves(init_params(config), lambda _name, leaf: lanes_of(leaf, 2))
+        assert forward(agreeing, config, windows).output.shape == (2, config.horizon, 1)
+        # The blocks under `prefix` get `lanes` (None: no lane axis), the others 2.
+        for prefix, lanes in (("encoder.backward.", 3), ("encoder.forward.b_h", 3),
+                              ("decoder.", 3), ("temporal_attn.", 3), ("head.out", 3),
+                              ("head.", None), ("decoder.backward.", None)):
+            params = map_leaves(init_params(config), lambda name, leaf: lanes_of(
+                leaf, lanes if name.startswith(prefix) else 2))
+            with pytest.raises(DimensionError, match=r"\(2, |\(3, "):
+                forward(params, config, windows)
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):
@@ -669,15 +631,18 @@ class TestForward:
 # untaped tiny `forward` (parameters bound before), one `predict` and one
 # seed-8 `model_gradient_report`, as counted before the per-op set-up of
 # the sequence ops, sweeps, head and loss was trimmed: every array scanned
-# then is still scanned, once.  The gate's entries then fell where a
-# backward-cell probe stopped copying the forward half into a new output
-# and scanning it again: only the rerun backward half is scanned.
+# then is still scanned, once.  The gate's entries are its window and
+# target, its taped pass, its 2 * P moved scalars and 2 * P losses, and
+# per probe the entries an untaped pass of one window scans of its own
+# (363, 247, 235, 119 and 119), once per lane, with per lane pass the
+# known inputs its lanes share (0, 12, 32, 44 and 44), and 1 per block
+# from `init_params`' draws.
 SCANS = {
-    "ANLF": ((9, 370), (27, 1366), (11915, 315309)),
-    "eAttention": ((7, 258), (23, 960), (8206, 161603)),
-    "dAttention": ((8, 274), (24, 1248), (11511, 290139)),
-    "EDBiLSTM": ((6, 162), (20, 842), (7846, 141009)),
-    "EDLSTM": ((6, 162), (14, 1098), (10900, 198347)),
+    "ANLF": ((9, 370), (27, 1366), (371, 728469)),
+    "eAttention": ((7, 258), (23, 960), (249, 350841)),
+    "dAttention": ((8, 274), (24, 1248), (322, 463937)),
+    "EDBiLSTM": ((6, 162), (20, 842), (218, 166389)),
+    "EDLSTM": ((6, 162), (14, 1098), (250, 228943)),
 }
 
 

@@ -14,18 +14,17 @@ losses, the best epoch and every returned parameter leaf), and, at tiny
 size only, `model_gradient_report` (its max and each parameter's relative
 error) at seed 9 and h = 1e-4, where every variant's head is live, and at
 seed 8 and tolerance 1e-4: at h = 1e-5 as the `gate` blocks, and for ANLF
-at h = 1e-4 as the `gate-h1e-4` blocks, the gate `loadcast verify` ships.
-At both sizes, taped `bilstm_sequence` and `lstm_sequence` runs over 4
-windows of known inputs add their outputs and the gradients of every
-operand, the inputs included, which no model variant differentiates;
-one-window untaped runs of each sequence op add their states, terminal
-states and sweep weights, so that a difference on the path `predict` and
-the gate take is named by its op: `bilstm_sequence` over ANLF's feature
-sweep and then its temporal sweep, and `bilstm_sequence` and
-`lstm_sequence` over known inputs; ANLF's untaped `encode` and `decode`
-over 3 windows, each handed the earlier stage after one scalar of its
-backward cell is moved, add their values as `reuse/...` blocks, so that a
-fault in a stage's reuse is named by its stage; and a taped
+at h = 1e-4 as the `gate-h1e-4` blocks, the gate `loadcast verify` ships;
+the gate evaluates its probes as lanes of untaped lane passes, so these
+blocks hold the lane pass to the losses of a revision that ran its
+probes another way.  At both sizes, taped `bilstm_sequence` and
+`lstm_sequence` runs over 4 windows of known inputs add their outputs and
+the gradients of every operand, the inputs included, which no model
+variant differentiates; one-window untaped runs of each sequence op add
+their states, terminal states and sweep weights, so that a difference on
+the path `predict` takes is named by its op: `bilstm_sequence` over
+ANLF's feature sweep and then its temporal sweep, and `bilstm_sequence`
+and `lstm_sequence` over known inputs; and a taped
 `lstm_cell_step` at the encoder cell's shape adds its h and c and the
 gradients of its weights, both biases, x, h_prev and c_prev.  Once every
 probe has run, the untaped one-window ops run again as `.../warm` blocks,
@@ -156,37 +155,6 @@ def _untaped_blocks(size):
     return blocks
 
 
-def _reuse_blocks(size):
-    """ANLF's untaped `encode` and `decode` at `size` over 3 windows, each
-    handed the earlier stage after the first weight of its backward cell
-    is moved by 1e-3, as a gate probe of that scalar is: the encoding's
-    states, terminal h and c and feature weights, and the decoding's
-    states and hour weights, keyed `reuse/size/stage/part`, so that a
-    fault in a stage's reuse is named by its stage."""
-    from loadcast import model, params
-
-    config = _config("ANLF", size)
-    windows = model.StackedWindows.stack(config, _windows(config, 3, seed=29))
-    bound = params.bind_constants(model.init_params(config))
-    encoding = model.encode(bound, config, windows)
-    decoding = model.decode(bound, config, encoding, windows)
-    moved = {}
-    for side in ("encoder", "decoder"):
-        tree = model.init_params(config)
-        getattr(tree, side).backward.weights[0, 0] += 1e-3
-        moved[side] = params.bind_constants(tree)
-    encoded = model.encode(moved["encoder"], config, windows, encoding)
-    decoded = model.decode(moved["decoder"], config, encoding, windows, decoding)
-    parts = {"encode/states": encoded.states.values,
-             "encode/feature_weights": encoded.feature_weights,
-             "decode/states": decoded.states.values,
-             "decode/hour_weights": decoded.hour_weights}
-    for k, terminal in enumerate((encoded.terminal_forward, encoded.terminal_backward)):
-        parts[f"encode/terminal{k}/h"] = terminal.h.values
-        parts[f"encode/terminal{k}/c"] = terminal.c.values
-    return {f"reuse/{size}/{name}": values for name, values in parts.items()}
-
-
 def _cell_blocks(size):
     """A taped `lstm_cell_step` at the EDBiLSTM encoder cell's shape at
     `size`: h, c and the gradients of the weights, both biases, x, h_prev
@@ -230,8 +198,8 @@ def _train_blocks(config, key):
 
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
-    `sequence/size/op/part`, `untaped/size/op/part[/warm]`,
-    `reuse/size/stage/part` and `cell/size/part`."""
+    `sequence/size/op/part`, `untaped/size/op/part[/warm]` and
+    `cell/size/part`."""
     from loadcast import model, training, verify
     from loadcast.params import named_leaves
 
@@ -269,7 +237,6 @@ def probe():
     for size in SIZES:
         blocks.update(_sequence_blocks(size))
         blocks.update(_untaped_blocks(size))
-        blocks.update(_reuse_blocks(size))
         blocks.update(_cell_blocks(size))
     for size in SIZES:
         blocks.update((f"{name}/warm", values) for name, values in _untaped_blocks(size).items())
