@@ -34,7 +34,8 @@ and drops the `operands` the op's tape holds.  An untaped sweep then frees
 all of it but `weights`.  Untaped, a sweep also steps a lane pass: scorer
 blocks with a leading (L,) lane axis score L parameter sets at once, each
 product an `np.matmul` of the lanes' matrices, where a lone sweep keeps
-its 2-D `np.dot`.
+its 2-D `np.dot`.  The lanes read the same windows, or windows of their
+own: features, targets and day grid with a lane axis after their first.
 """
 
 from __future__ import annotations
@@ -175,10 +176,12 @@ class _ScoredSweep:
 
     A lane pass's scorer blocks carry a leading (L,) lane axis: `lanes` is
     L (None without), every step array of the store, `weights` and the
-    step's input and h_{t-1} has the lane axis after the step axis, each
-    product is an `np.matmul` of the lanes' matrices, and the arrays that
-    depend on no parameter are shared by every lane.  Such a sweep runs
-    untaped only, as `lstm._sequence` requires.
+    step's input and h_{t-1} has the lane axis after the step axis, and
+    each product is an `np.matmul` of the lanes' matrices.  The arrays that
+    depend on no parameter are shared by every lane, or, with that lane
+    axis after their step axis, each lane's own: the fixed values
+    (steps, L, rows, B) in place of (steps, rows, B), read off their
+    shape.  Such a sweep runs untaped only, as `lstm._sequence` requires.
     """
 
     def __init__(self, params, steps, rows, windows, fixed):
@@ -194,9 +197,14 @@ class _ScoredSweep:
                                  f"step rows")
         (attn_size, pre), outputs = p.shape[-2:], s.shape[-2]
         self.lanes = lanes[0] if lanes else None
-        # A shared array's view with a lane axis after its step axis, and
-        # the index of a step input's rows behind its lane axis.
-        self._spread = (slice(None), np.newaxis) if lanes else ()
+        own = fixed[1].ndim == 4
+        if own and fixed[1].shape[1:2] != lanes:
+            raise DimensionError(f"per-lane step rows {fixed[1].shape} do not fit attention "
+                                 f"blocks {p.shape}")
+        # A shared array's view with a lane axis after its step axis (a
+        # lane's own arrays have one), and the index of a step input's rows
+        # behind its lane axis.
+        self._spread = (slice(None), np.newaxis) if lanes and not own else ()
         self._lane = (slice(None),) if lanes else ()
         self._product = np.matmul if lanes else np.dot
         # Every step's joint, pre-activations and scores are row blocks of
@@ -267,19 +275,22 @@ class FeatureSweep(_ScoredSweep):
     target], (n + 1, B), one column per window: `fill` writes the target
     row of every step and `forward(t, h_prev, out)` the reweighted
     features into `out[:n]`.  `features` is (steps, n, B) and `targets`
-    is (steps, B), shared by every lane.  `operands` are `proj` and
-    `score`; `grads()` returns their gradients in that order.
+    is (steps, B), shared by every lane, or in a lane pass (steps, L, n, B)
+    and (steps, L, B), each lane's own.  `operands` are `proj` and `score`;
+    `grads()` returns their gradients in that order.
     """
 
     def __init__(self, params, features, targets):
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
-        if features.ndim != 3 or targets.shape != (features.shape[0], features.shape[2]):
+        if (features.ndim not in (3, 4)
+                or targets.shape != features.shape[:-2] + features.shape[-1:]):
             raise DimensionError(
                 f"features {features.shape} and targets {targets.shape} are not per step "
                 f"and window")
-        steps, n, windows = features.shape
-        super().__init__(params, steps, n + 1, windows, (slice(n, None), targets[:, np.newaxis]))
+        steps, (n, windows) = features.shape[0], features.shape[-2:]
+        super().__init__(params, steps, n + 1, windows,
+                         (slice(n, None), targets[..., np.newaxis, :]))
         if self._score.shape[-2] != n:
             raise DimensionError(f"feature scorer {self._score.shape} does not match "
                                  f"{n} features")
@@ -311,7 +322,8 @@ class TemporalSweep(_ScoredSweep):
     (history, B) hourly grid of similar-day weights, each day's weight over
     its hours, and `states` (history, S, B); in a lane pass `tail` and
     `states` have the scorer's lane axis in front, and `features` and
-    `day_grid` are shared.  The sweep writes [tail; features] into the
+    `day_grid` are shared or, as (steps, L, n, B) and (history, L, B),
+    each lane's own.  The sweep writes [tail; features] into the
     joint rows of its store, which are scanned with it, and keeps a
     window-major (B, S, history) copy of the states, per lane, so that the
     context of every window is one batched product; it writes none of the
@@ -327,18 +339,19 @@ class TemporalSweep(_ScoredSweep):
         day_grid = np.asarray(day_grid, dtype=np.float64)
         tail, states = as_tensor(tail), as_tensor(states)
         rows, spans = tail.values.shape, states.values.shape
-        if features.ndim != 3 or len(rows) < 2 or rows[-1] != features.shape[2]:
+        if features.ndim not in (3, 4) or len(rows) < 2 or rows[-1] != features.shape[-1]:
             raise DimensionError(f"tail {rows} and features {features.shape} are not "
                                  f"(rows, windows) and (steps, n, windows)")
-        steps, n, windows = features.shape
+        steps, (n, windows) = features.shape[0], features.shape[-2:]
         lanes = rows[:-2]
         if len(spans) != len(lanes) + 3 or spans[:-3] != lanes or spans[-1] != windows:
             raise DimensionError(f"states {spans} are not (history, width, windows) of "
                                  f"{windows} windows behind the tail's lanes {lanes}")
         history = spans[-3]
-        if day_grid.shape != (history, windows):
+        if day_grid.shape != (history,) + features.shape[1:-2] + (windows,):
             raise DimensionError(f"day grid {day_grid.shape} does not cover {history} "
-                                 f"history hours of {windows} windows")
+                                 f"history hours of {windows} windows of features "
+                                 f"{features.shape}")
         super().__init__(params, steps, rows[-2] + n, windows, (slice(None, n), features))
         if self._score.shape[:-2] != lanes:
             raise DimensionError(f"temporal scorer {self._score.shape} and tail {rows} do "
@@ -351,7 +364,10 @@ class TemporalSweep(_ScoredSweep):
         self._joint[..., self._tail.stop:, :] = features[self._spread]
         self.operands += (tail, states)
         self._states = np.ascontiguousarray(np.swapaxes(states.values, -1, -3))
-        self._day, self._n, self.width = day_grid, n, n + spans[-2]
+        # A lane's own grid, as (L, history, B), lines up with a step's
+        # weights, in memory as a shared grid does.
+        self._day = np.ascontiguousarray(np.moveaxis(day_grid, -2, 0))
+        self._n, self.width = n, n + spans[-2]
         self._context = self._lane + (slice(n, None),)
 
     def forward(self, t, h_prev, out):

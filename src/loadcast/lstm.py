@@ -21,11 +21,13 @@ reverse in that layout (`_bptt`), then forms the weight, bias and input
 gradients with one product each (`_walk`).
 
 Untaped, both ops and the head also run a lane pass, as the gradient
-gate runs its probes: L parameter sets over the same inputs, each cell,
-initial-state and head operand with a leading (L,) lane axis, as every
-view of the output has.  A run's slots are then its directions times the
-lanes, and each slot's stacked `np.matmul` product is bitwise the 2-D
-`np.dot` of a lone direction at its lane's parameters.
+gate runs its probes: L parameter sets, each cell, initial-state and head
+operand with a leading (L,) lane axis, as every view of the output has.
+The lanes read the same (steps, width, B) inputs, or known inputs of
+their own, (steps, L, width, B), as the verify checks give their drawn
+cells and seeds.  A run's slots are then its directions times the lanes,
+and each slot's stacked `np.matmul` product is bitwise the 2-D `np.dot`
+of a lone direction at its lane's parameters and inputs.
 
 A sequence op is a plan and an executor.  The plan, a `_Plan` that `_plan`
 makes once per op shape after the shape checks, lists the op's runs: over
@@ -415,7 +417,8 @@ def lstm_sequence(params, inputs, init, terminals=True):
     state, views of one tape op that computes [h_1 .. h_T; c_T] with the
     cell arithmetic per column.  Without `terminals` no terminal view is
     made, and None stands for it.  Untaped, the cell and `init` may carry
-    a lane axis (see the module docstring).
+    a lane axis, and then `inputs` may too, as (steps, L, width, B) (see
+    the module docstring).
     """
     states, views = _sequence((params,), inputs, (init,), terminals)
     return states, None if views is None else views[0]
@@ -436,8 +439,8 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
     forward c_T; backward c_T].  The sweep's `finish(taped)` ends the
     forward direction: non-finite attention intermediates raise
     `EvaluationError`, and an untaped run frees the sweep's store, keeping
-    `weights`.  Untaped, the cells, initial states and sweep may carry a
-    lane axis.
+    `weights`.  Untaped, the cells, initial states, sweep and known inputs
+    may carry a lane axis.
     """
     states, views = _sequence((params.forward, params.backward), inputs,
                               (init_forward, init_backward), terminals)
@@ -487,15 +490,17 @@ def _columns(k, d, steps, width, hidden, lanes):
 
 @functools.cache
 def _plan(fit, shape, shapes):
-    """The `_Plan` of an op over inputs of `shape`, `fit` being the H and
-    lane count of the sweep that builds them (None over known inputs) and
-    `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0,
+    """The `_Plan` of an op over inputs of `shape`, (steps, width, B) or,
+    known inputs of each lane's own, (steps, L, width, B), `fit` being the
+    H and lane count of the sweep that builds them (None over known inputs)
+    and `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0,
     made after the checks: an operand that does not fit the first cell's H
     and lanes, the inputs or the op's directions raises `DimensionError`;
     a failed key is not kept."""
-    if len(shape) != 3:
+    if len(shape) not in (3, 4):
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
-    (hidden, lanes), *other = [_direction(shapes[k:k + 5], shape)
+    run = shape[:1] + shape[-2:]
+    (hidden, lanes), *other = [_direction(shapes[k:k + 5], run)
                                for k in range(0, len(shapes), 5)]
     if other and other[0][0] != hidden:
         raise DimensionError(f"backward cell over hidden width {other[0][0]} does not fit hidden "
@@ -506,7 +511,10 @@ def _plan(fit, shape, shapes):
         raise DimensionError(f"lane counts of the cell weights {shapes[0]} and {shapes[5]} differ")
     if fit is not None and fit[1] != lanes:
         raise DimensionError(f"sweep over lanes {fit[1]} does not fit cell weights {shapes[0]}")
-    return _Plan(fit is not None, shape, hidden, len(shapes) // 5, lanes)
+    if len(shape) == 4 and shape[1] != lanes:
+        raise DimensionError(f"inputs {shape} over {shape[1]} lanes do not fit cell weights "
+                             f"{shapes[0]}")
+    return _Plan(fit is not None, run, hidden, len(shapes) // 5, lanes)
 
 
 def _sequence(cells, inputs, inits, terminals=True):
@@ -521,8 +529,10 @@ def _sequence(cells, inputs, inits, terminals=True):
     direction's weights, biases and initial state, then the inputs or the
     sweep's operands.  A one-direction op takes known inputs only; an
     untaped op's output is a constant.  In a lane pass (see the module
-    docstring) a run's slots are its directions times the lanes, and a
-    taped operand raises `TapeError`: a lane pass records nothing.
+    docstring) a run's slots are its directions times the lanes, known
+    inputs are each lane's own when they carry the lane axis and every
+    lane's otherwise, and a taped operand raises `TapeError`: a lane pass
+    records nothing.
     """
     sweep = fit = None
     if isinstance(inputs, (Tensor, np.ndarray)) or not hasattr(inputs, "forward"):
@@ -546,8 +556,11 @@ def _sequence(cells, inputs, inits, terminals=True):
     states, c_end = _parts(out, plan)
     x = None
     if sweep is None:
-        # Every lane reads the same inputs.
-        x = inputs.values if plan.lanes is None else inputs.values[:, np.newaxis]
+        # Inputs with a lane axis are each lane's own; every lane reads
+        # shared ones through a view.
+        x = inputs.values
+        if plan.lanes is not None and len(shape) == 3:
+            x = x[:, np.newaxis]
     runs = []
     for dirs, z_shape, gates, columns, c_rows in plan.runs:
         w, bias, h0, c0 = _run_arrays(operands, dirs, plan.lanes)
@@ -559,7 +572,7 @@ def _sequence(cells, inputs, inits, terminals=True):
                 z[fill] = x[order]
             else:
                 swept.fill(z[fill])
-        z[0, :, shape[1]:] = h0
+        z[0, :, shape[-2]:] = h0
         act, c_seq = _run(w, bias, z, c0, gates, swept, taped)
         if swept is not None:
             swept.finish(taped)

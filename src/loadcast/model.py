@@ -36,12 +36,15 @@ Both keep the weights their sweep kept, and `forward` alone decides
 whether its `Forecast`s carry the weights as attention traces.  `forward`
 always runs both stages and the head.
 
-Untaped, a pass may run L parameter sets as lanes over the same windows,
-as the gradient gate runs its probes: every leaf then has a leading (L,)
-lane axis in front of the shape the config gives it, which `encode` and
-`decode` read off their cells, and so does every value of the pass, the
-output (L, horizon, B) included.  Each lane's numbers are bitwise those of
-a lone pass at its parameters.
+Untaped, a pass may run L parameter sets as lanes, as the gradient gate
+runs its probes: every leaf then has a leading (L,) lane axis in front of
+the shape the config gives it, which `encode` and `decode` read off their
+cells, and so does every value of the pass, the output (L, horizon, B)
+included.  The lanes read the same windows, or windows of their own, as
+the attention check runs one seed per lane: `StackedWindows.stack` of L
+lists of B windows puts a lane axis after the first axis of each array,
+and the stages pass those on as per-lane inputs.  Each lane's numbers are
+bitwise those of a lone pass at its parameters and windows.
 
 A step's attention conditions only on states that exist before its weights
 are needed (the backward states do not exist yet), while both directions
@@ -189,8 +192,9 @@ class StackedWindows:
     B) history targets, (horizon, n_features, B) future features and, with
     decoder attention, the (days, B) similar-day weights and their
     (history_len, B) hourly grid, each day's weight over its hours, window
-    k in column k.  None of it depends on a parameter, and the arrays are
-    read-only; the grid is scanned when made."""
+    k in column k.  Windows of each lane's own have a lane axis (L,) after
+    each array's first axis.  None of it depends on a parameter, and the
+    arrays are read-only; the grid is scanned when made."""
 
     config: ModelConfig
     hist_features: np.ndarray
@@ -201,10 +205,21 @@ class StackedWindows:
 
     @classmethod
     def stack(cls, config, samples):
-        """Stack the nonempty list `samples` of windows, checking every
-        field's shape against `config`."""
+        """Stack the nonempty list `samples` of windows, or of L lists of B
+        windows each, one list per lane of a lane pass, checking every
+        field's shape against `config` (lane l's window b is window l * B +
+        b).  The similar-day weights of all L * B windows are one call,
+        whose window-major sums give each window the bits it has alone."""
         if not samples:
             raise DimensionError("a forward pass needs at least one window")
+        lanes = None
+        if isinstance(samples[0], list):
+            lanes = len(samples)
+            counts = [len(lane) if isinstance(lane, list) else None for lane in samples]
+            if 0 in counts or len(set(counts)) != 1:
+                raise DimensionError(f"per-lane window lists of lengths {counts} are not "
+                                     f"nonempty lists of one length")
+            samples = [window for lane in samples for window in lane]
         steps, width = config.history_len, config.n_features
         hist_features = _stacked(samples, "x_hist", (steps, width))
         hist_targets = _stacked(samples, "y_hist", (steps,))
@@ -216,10 +231,15 @@ class StackedWindows:
                 future_features)
             day_grid = day_weights.repeat(config.day_len, 0)
             _require_finite(day_grid)
-        for arr in (hist_features, hist_targets, future_features, day_weights, day_grid):
+        arrays = [hist_features, hist_targets, future_features, day_weights, day_grid]
+        if lanes:
+            # Window l * B + b is lane l's window b.
+            arrays = [arr if arr is None else np.ascontiguousarray(np.moveaxis(
+                arr.reshape(arr.shape[:-1] + (lanes, -1)), -2, 1)) for arr in arrays]
+        for arr in arrays:
             if arr is not None:
                 arr.flags.writeable = False
-        return cls(config, hist_features, hist_targets, future_features, day_weights, day_grid)
+        return cls(config, *arrays)
 
     @property
     def count(self):
@@ -276,14 +296,14 @@ def encode(params, config, windows):
     the feature part is reweighted first (conditioned as the module
     docstring says), and the `Encoding` keeps the sweep's weights, for
     `forward` to trace or not.  Parameters with a leading lane axis run a
-    lane pass over the same windows.
+    lane pass, over the same windows or each lane's own.
     """
     _require_config(windows, config)
     if config.encoder_attention:
         inputs = FeatureSweep(params.feature_attn, windows.hist_features, windows.hist_targets)
     else:
         inputs = Tensor(np.concatenate(
-            (windows.hist_features, windows.hist_targets[:, np.newaxis]), axis=1))
+            (windows.hist_features, windows.hist_targets[..., np.newaxis, :]), axis=-2))
     states, terminals = _recur(config, params.encoder, inputs, windows.count)
     return Encoding(states, *terminals,
                     inputs.weights if config.encoder_attention else None)
@@ -312,7 +332,8 @@ def decode(params, config, encoding, windows):
     the window's encoder states) in the forward recurrence, and both
     directions consume the same [features; context] inputs.  The head does
     not read the decoder's terminal states, so its sequence op makes none.
-    Parameters and an encoding with a leading lane axis run a lane pass.
+    Parameters and an encoding with a leading lane axis run a lane pass,
+    over the same windows or each lane's own.
     """
     _require_config(windows, config)
     init = encoding.terminal_forward, encoding.terminal_backward
@@ -371,11 +392,13 @@ def forward(params, config, samples, collect_attention=False):
     the decoder states through the head, and return the forecasts as one
     pass.
 
-    `samples` is a nonempty list of windows or a `StackedWindows` built for
-    `config`; parameters with a leading lane axis run a lane pass, whose
-    output and traces carry that axis too.  The observed future loads in
-    the samples are never read; only the histories and the future features
-    drive the output.  Only here are attention traces decided: with
+    `samples` is a nonempty list of windows, L lists of B windows (one per
+    lane), or a `StackedWindows` built for `config`; parameters with a
+    leading lane axis run a lane pass, whose output is (L, horizon, B) and
+    whose feature and hour traces carry the lane axis after their first,
+    as do the day weights of each lane's own windows.  The observed future
+    loads in the samples are never read; only the histories and the future
+    features drive the output.  Only here are attention traces decided: with
     `collect_attention` each `Forecast` carries its window's weights of
     every stage the variant has, and without it none.
     """

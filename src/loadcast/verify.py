@@ -5,9 +5,12 @@ code with the implementation it checks: central finite differences for
 gradients, a plain-Python scalar loop for the LSTM cell that reads the
 stored weights by index, closed-form hand values for the metrics.  The
 `verify` subcommand prints one line per check and fails if any check
-fails.  The full-model gradient check evaluates its finite-difference
-probes as lanes of untaped lane passes of `forward`, whose losses are
-bitwise those of one pass per probe.
+fails.  Three checks run untaped lane passes, whose lanes are bitwise
+lone runs: the full-model gradient check evaluates its finite-difference
+probes as lanes of `forward` over one shared window; the LSTM oracle check
+steps its drawn one-step cells as lanes of `lstm_sequence`, each with its
+own state and input; and the attention check runs its 100 seeds as the
+lanes of one `forward`, each with its own parameters and window.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .data import WindowSample
 from .metrics import compute_metrics
 from .errors import LoadcastError
-from .model import ModelConfig, StackedWindows, forward, init_params, predict
+from .model import ModelConfig, StackedWindows, forward, init_params
 from .params import map_leaves, named_leaves
 from .tensor import (Tensor, check_gradients, concat, hadamard, matmul, relu, sigmoid,
                      stable_softmax, tanh, total)
@@ -33,6 +36,11 @@ from .training import mse_loss
 # no higher than it did with one probe per pass, and without a cap the
 # process peak rises by several megabytes.
 LANES_PER_PASS = 64
+
+# Cells the LSTM oracle check draws before it evaluates them: each block's
+# cells of one (width, hidden) are the lanes of one lane pass, so the
+# block bounds the draws alive at once.
+ORACLE_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -199,27 +207,41 @@ def _check_softmax():
 
 
 def _check_lstm_oracle():
-    """`lstm_cell_step`, one step of one window of `lstm_sequence`, on 1000
-    random cells, then `lstm_sequence` on 50 random batches of 1-3 windows
-    over 1-4 steps: every h_t and the terminal c against the oracle
-    stepped per window.  Both run the op the model runs."""
-    from .lstm import LstmParams, LstmState, lstm_cell_step, lstm_sequence
+    """`lstm_sequence`, the op the model runs, on 1000 random one-step
+    cells, then on 50 random batches of 1-3 windows over 1-4 steps: every
+    h_t and the terminal c against the oracle stepped per window.  The
+    cells are drawn `ORACLE_BLOCK` at a time, and each block's cells of one
+    (width, hidden) step as the lanes of one untaped lane pass, each lane
+    its cell's one window with its own state and input; the batches run
+    lone."""
+    from .lstm import LstmParams, LstmState, lstm_sequence
 
     rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(1000):
-        width = int(rng.integers(1, 6))
-        hidden = int(rng.integers(1, 6))
-        params = LstmParams.random(rng, width, hidden, 1.0)
-        h_prev = rng.normal(0.0, 1.0, hidden)
-        c_prev = rng.normal(0.0, 1.0, hidden)
-        x = rng.normal(0.0, 1.0, width)
-        state = lstm_cell_step(params, LstmState(Tensor(h_prev), Tensor(c_prev)),
-                               Tensor(x))
-        h_ref, c_ref = scalar_lstm_step(params, h_prev, c_prev, x)
-        worst = max(worst,
-                    float(np.max(np.abs(state.h.values - h_ref))),
-                    float(np.max(np.abs(state.c.values - c_ref))))
+    for first in range(0, 1000, ORACLE_BLOCK):
+        groups = {}
+        for _ in range(min(ORACLE_BLOCK, 1000 - first)):
+            width = int(rng.integers(1, 6))
+            hidden = int(rng.integers(1, 6))
+            draw = (LstmParams.random(rng, width, hidden, 1.0), rng.normal(0.0, 1.0, hidden),
+                    rng.normal(0.0, 1.0, hidden), rng.normal(0.0, 1.0, width))
+            groups.setdefault((width, hidden), []).append(draw)
+        for draws in groups.values():
+            cells, h_prev, c_prev, x = zip(*draws)
+            laned = LstmParams(*(np.stack([getattr(cell, name) for cell in cells])
+                                 for name in ("weights", "b_x", "b_h")))
+            # (1, L, width, 1) inputs and (L, hidden, 1) states.
+            _, state = lstm_sequence(laned, Tensor(np.stack(x)[np.newaxis, ..., np.newaxis]),
+                                     LstmState(Tensor(np.stack(h_prev)[..., np.newaxis]),
+                                               Tensor(np.stack(c_prev)[..., np.newaxis])))
+            # Each lane's oracle h and c, filled as rows of one array: with
+            # the nested lists subtracted as they are, a process's RSS crept
+            # up round after round.
+            ref = np.empty((2,) + state.h.values.shape[:2])
+            for lane, draw in enumerate(draws):
+                ref[:, lane] = scalar_lstm_step(*draw)
+            worst = max(worst, float(np.max(np.abs(state.h.values[..., 0] - ref[0]))),
+                        float(np.max(np.abs(state.c.values[..., 0] - ref[1]))))
     sequence_worst = 0.0
     for _ in range(50):
         steps, windows, width, hidden = (int(n) for n in rng.integers(1, (5, 4, 6, 6)))
@@ -254,16 +276,33 @@ def _check_model_gradients():
 
 
 def _check_attention_normalization():
-    worst = 0.0
-    positive = True
+    """The attention weights `predict` traces, on `tiny_model_case` at
+    seeds 0-99, as the lanes of one untaped lane pass of `forward`, lane k
+    seed k's parameters and window.  The parameters are copied into lane
+    blocks one seed at a time, and each softmax row is summed on its own,
+    as a lone `predict`'s row would be: every |sum - 1| is bitwise a lone
+    `predict`'s."""
+    blocks, windows = None, []
     for seed in range(100):
         config, sample = tiny_model_case(seed=seed)
-        fc = predict(init_params(config), config, sample, collect_attention=True)
-        # One row per softmax: each feature step, each forecast hour, the days.
-        for rows in (fc.feature_weights, fc.hour_weights, fc.day_weights[np.newaxis]):
-            for row in rows:
-                worst = max(worst, abs(float(row.sum()) - 1.0))
-                positive = positive and bool(np.all(row > 0.0))
+        params = init_params(config)
+        leaves = named_leaves(params)
+        if blocks is None:
+            blocks = {name: np.empty((100,) + leaf.shape) for name, leaf in leaves}
+        for name, leaf in leaves:
+            blocks[name][seed] = leaf
+        windows.append([sample])
+    laned = map_leaves(params, lambda name, _leaf: Tensor(blocks[name]))
+    feature, hour, day = forward(laned, config, windows, collect_attention=True).traces
+    worst = 0.0
+    positive = True
+    # One contiguous row per softmax: each feature step and each forecast
+    # hour of every lane, and every lane's days.  A row sum over the last
+    # axis adds a row as the row alone is added.
+    for rows in (feature[..., 0], hour[..., 0], day[..., 0].T):
+        rows = np.ascontiguousarray(rows)
+        worst = max(worst, float(np.max(np.abs(rows.sum(axis=-1) - 1.0))))
+        positive = positive and bool(np.all(rows > 0.0))
     ok = worst <= 1e-12 and positive
     detail = f"max |sum-1| {worst:.1e}" + ("" if positive else ", non-positive weight")
     return CheckResult("attention weights normalized (100 evaluations)", ok, detail)

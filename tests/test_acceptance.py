@@ -54,10 +54,9 @@ def test_criterion_1_gradient_fidelity():
 
 
 def test_criterion_2_cell_oracle():
-    """lstm_cell_step, one step of one window of lstm_sequence, on 1000
-    random cells, and lstm_sequence on 50 random batches of 1-3 windows over
-    1-4 steps, the op the model runs, match the independent scalar-loop
-    oracle to 1e-12."""
+    """lstm_sequence, the op the model runs, on 1000 random one-step cells
+    (as the lanes of lane passes) and on 50 random batches of 1-3 windows
+    over 1-4 steps, matches the independent scalar-loop oracle to 1e-12."""
     result = _check_lstm_oracle()
     assert result.passed, result.detail
     announce(2, f"lstm cell and sequence vs scalar-loop oracle, 1000 cells, "

@@ -1359,6 +1359,65 @@ class TestVerify:
         assert not check.passed
         assert ", worst block encoder.forward.weights, scalar [" in check.detail
 
+    def test_every_check_prints_its_pinned_detail(self, seed8_gate):
+        # The six lines `loadcast verify` prints, as literals: a change to
+        # any check's numbers shows here.
+        assert [(r.name, r.passed, r.detail) for r in seed8_gate.results] == [
+            ("tensor-op gradients vs central differences", True, "max rel error 2.20e-10"),
+            ("softmax normalization and gradient", True,
+             "max |sum-1| 2.2e-16, max rel error 1.70e-10"),
+            ("lstm cell and sequence vs scalar-loop oracle (1000 cells, 50 sequences)", True,
+             "max abs diff 6.7e-16 (cell), 8.9e-16 (sequence)"),
+            ("full-model gradients vs central differences", True, "max rel error 4.40e-07"),
+            ("attention weights normalized (100 evaluations)", True, "max |sum-1| 2.2e-16"),
+            ("metric hand values", True, "max abs diff 8.9e-16"),
+        ]
+
+    def test_a_shifted_g_row_fails_both_halves_of_the_lstm_oracle(self, monkeypatch):
+        # The g gate read one row down, into the o block, in every run: the
+        # cells' lane passes and the lone sequences both leave the oracle.
+        gate_rows = loadcast.lstm._gate_rows
+
+        def shifted(hidden, windows, directions, lanes=None):
+            scale, shift, rows, product, column = gate_rows(hidden, windows, directions, lanes)
+            g = rows[2]
+            g = (g[0], slice(g[1].start + 1, g[1].stop + 1), g[2])
+            return scale, shift, rows[:2] + (g,) + rows[3:], product, column
+
+        monkeypatch.setattr(loadcast.lstm, "_gate_rows", shifted)
+        # Plans keep their rows, so the faulty ones are made afresh and
+        # dropped after.
+        loadcast.lstm._plan.cache_clear()
+        try:
+            check = loadcast.verify._check_lstm_oracle()
+        finally:
+            loadcast.lstm._plan.cache_clear()
+        assert not check.passed
+        assert check.detail == "max abs diff 2.0e+00 (cell), 3.2e+00 (sequence)"
+
+    @pytest.mark.parametrize("fault, detail", [
+        ("undivided", "max |sum-1| 6.9e+00"),
+        ("zeroed", "max |sum-1| 5.6e-01, non-positive weight")])
+    def test_a_faulty_sweep_softmax_fails_the_attention_check(self, monkeypatch, fault,
+                                                              detail):
+        # The softmax both sweeps and the similar-day weights take, with
+        # its divide skipped, or with each column's first weight zeroed.
+        softmax = loadcast.attention.softmax_values
+
+        def faulty(values, out=None):
+            if fault == "undivided":
+                axis = -2 if values.ndim > 1 else 0
+                shifted = np.subtract(values, np.max(values, axis=axis, keepdims=True), out)
+                return np.exp(shifted, shifted)
+            weights = softmax(values, out)
+            weights[..., 0, :] = 0.0
+            return weights
+
+        monkeypatch.setattr(loadcast.attention, "softmax_values", faulty)
+        check = loadcast.verify._check_attention_normalization()
+        assert check == CheckResult("attention weights normalized (100 evaluations)", False,
+                                    detail)
+
     def test_verdicts_are_plain_bools_that_serialize(self, seed8_gate):
         results = seed8_gate.results
         assert [type(r.passed) for r in results] == [bool] * len(results)

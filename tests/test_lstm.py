@@ -13,7 +13,7 @@ import pytest
 
 from loadcast import lstm
 from loadcast.data import WindowSample
-from loadcast.errors import DimensionError, EvaluationError
+from loadcast.errors import DimensionError, EvaluationError, TapeError
 from loadcast.lstm import (BiLstmParams, FeedForwardParams, LstmParams, LstmState, _activate,
                            _gate_rows, bilstm_sequence, feedforward_relu, lstm_cell_step,
                            lstm_sequence, zero_state)
@@ -1455,3 +1455,84 @@ class TestFeedForwardHead:
         with pytest.raises(DimensionError, match=r"matmul inner extents differ: "
                                                  r"\(4, 5\) @ \(2, 1\)"):
             feedforward_relu(params, Tensor(np.ones((3, 1))))
+
+
+def laned_cells(cells):
+    """Directions of one shape stacked as the lanes of a lane pass."""
+    return LstmParams(*(np.stack([getattr(cell, name) for cell in cells])
+                        for name in ("weights", "b_x", "b_h")))
+
+
+def sequence_outputs(op, cell, xs, h0, c0):
+    """The states and each terminal h and c of `op` over known inputs `xs`,
+    every direction from (h0, c0), as arrays."""
+    init = LstmState(Tensor(h0), Tensor(c0))
+    if op == "lstm":
+        states, terminal = lstm_sequence(cell, Tensor(xs), init)
+        terminals = (terminal,)
+    else:
+        states, terminals = bilstm_sequence(cell, Tensor(xs), init, init)
+    return [states.values] + [t.values for state in terminals for t in (state.h, state.c)]
+
+
+class TestPerLaneInputs:
+    """Untaped lane passes whose lanes read known inputs of their own,
+    (steps, L, width, B), as the verify checks run their draws."""
+
+    @pytest.mark.parametrize("op", ["lstm", "bilstm"])
+    def test_each_lane_is_its_lone_op(self, op):
+        # Three lanes, each with its own cell, initial state and inputs,
+        # over 1-4 steps and 1-3 windows: every lane's states and terminal
+        # states are bitwise those of the op run lone on that lane's own.
+        rng = np.random.default_rng(41)
+        lanes, width, hidden = 3, 3, 4
+        for steps in range(1, 5):
+            for windows in range(1, 4):
+                xs = rng.normal(size=(steps, lanes, width, windows))
+                h0, c0 = rng.normal(size=(2, lanes, hidden, windows))
+                if op == "lstm":
+                    cells = [LstmParams.random(rng, width, hidden, 1.0) for _ in range(lanes)]
+                    laned = laned_cells(cells)
+                else:
+                    cells = [BiLstmParams.random(rng, width, hidden, 1.0) for _ in range(lanes)]
+                    laned = BiLstmParams(laned_cells([cell.forward for cell in cells]),
+                                         laned_cells([cell.backward for cell in cells]))
+                together = sequence_outputs(op, laned, xs, h0, c0)
+                for lane, cell in enumerate(cells):
+                    lone = sequence_outputs(op, cell, xs[:, lane], h0[lane], c0[lane])
+                    for got, expect in zip(together, lone, strict=True):
+                        assert got[lane].shape == expect.shape
+                        assert got[lane].tobytes() == expect.tobytes(), (steps, windows, lane)
+
+    def test_inputs_that_do_not_fit_the_lanes_name_their_shapes(self):
+        # Inputs with a lane axis need cells with that many lanes: a lone
+        # op, or cells of another lane count, refuse them naming both.
+        rng = np.random.default_rng(42)
+        cells = [LstmParams.random(rng, 3, 4, 1.0) for _ in range(2)]
+        laned = laned_cells(cells)
+        lone_init, laned_init = zero_state(4, 1), zero_state(4, 1, (2,))
+        for cell, init, xs, message in (
+                (cells[0], lone_init, np.zeros((2, 2, 3, 1)),
+                 "inputs (2, 2, 3, 1) over 2 lanes do not fit cell weights (16, 7)"),
+                (laned, laned_init, np.zeros((2, 3, 3, 1)),
+                 "inputs (2, 3, 3, 1) over 3 lanes do not fit cell weights (2, 16, 7)")):
+            with pytest.raises(DimensionError, match=re.escape(message)):
+                lstm_sequence(cell, Tensor(xs), init)
+            with pytest.raises(DimensionError, match=re.escape(message)):
+                bilstm_sequence(BiLstmParams(cell, cell), Tensor(xs), init, init)
+        with pytest.raises(DimensionError, match=re.escape(
+                "cannot encode (1, 2, 2, 3, 1) as (steps, width, windows) inputs")):
+            lstm_sequence(laned, Tensor(np.zeros((1, 2, 2, 3, 1))), laned_init)
+
+    def test_taped_per_lane_inputs_are_refused(self):
+        # A lane pass records nothing, its inputs included.
+        rng = np.random.default_rng(43)
+        laned = laned_cells([LstmParams.random(rng, 3, 4, 1.0) for _ in range(2)])
+        init = zero_state(4, 1, (2,))
+        tape = Tape()
+        xs = tape.leaf(rng.normal(size=(2, 2, 3, 1)))
+        for run, cell, inits in ((lstm_sequence, laned, (init,)),
+                                 (bilstm_sequence, BiLstmParams(laned, laned), (init, init))):
+            with pytest.raises(TapeError, match="a lane pass records nothing"):
+                run(cell, xs, *inits)
+        assert len(tape) == 1

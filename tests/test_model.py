@@ -596,6 +596,68 @@ class TestForward:
             with pytest.raises(DimensionError, match=r"\(2, |\(3, "):
                 forward(params, config, windows)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_lanes_of_their_own_windows_are_each_lone_pass(self, variant):
+        # At tiny size and at hidden 32: three lanes, each a seed's
+        # parameters, over windows of their own.  With one window a lane,
+        # each lane is bitwise `predict` at its seed on its window, values
+        # and every trace; with two, bitwise `forward` over its windows.
+        tiny = tiny_model_case(variant)[0]
+        for config in (tiny, dataclasses.replace(
+                tiny, days=3, day_len=6, hidden_size=32, feature_attn_size=16,
+                temporal_attn_size=16, head_size=32)):
+            trees = [init_params(dataclasses.replace(config, seed=seed)) for seed in (8, 9, 10)]
+            laned = map_leaves(trees[0], lambda name, _leaf: Tensor(
+                np.stack([dict(named_leaves(tree))[name] for tree in trees])))
+            for count in (1, 2):
+                windows = [[random_sample(config, 10 * lane + k) for k in range(count)]
+                           for lane in range(3)]
+                lanes = forward(laned, config, windows, collect_attention=True)
+                assert lanes.output.shape == (3, config.horizon, count)
+                for lane, (tree, own) in enumerate(zip(trees, windows)):
+                    if count == 1:
+                        fc = predict(tree, config, own[0], collect_attention=True)
+                        lone = (fc.values, fc.feature_weights, fc.hour_weights, fc.day_weights)
+                        got = (lanes.output.values[lane, :, 0],) + tuple(
+                            None if trace is None else trace[:, lane, ..., 0]
+                            for trace in lanes.traces)
+                    else:
+                        fp = forward(bind_constants(tree), config, own, collect_attention=True)
+                        lone = (fp.output.values,) + fp.traces
+                        got = (lanes.output.values[lane],) + tuple(
+                            None if trace is None else trace[:, lane] for trace in lanes.traces)
+                    for value, expect in zip(got, lone, strict=True):
+                        assert (value is None) == (expect is None)
+                        if expect is not None:
+                            assert value.shape == expect.shape
+                            assert value.tobytes() == expect.tobytes(), (config, count, lane)
+
+    def test_windows_of_their_own_that_do_not_fit_name_their_shapes(self):
+        # Per-lane window lists must be nonempty lists of one length, every
+        # window of the config's shapes, and as many as the parameters' lanes.
+        config, sample = tiny_model_case("ANLF")
+        short = dataclasses.replace(sample, x_hist=sample.x_hist[1:])
+        for windows, message in (
+                ([[sample], [sample, sample]], r"per-lane window lists of lengths \[1, 2\]"),
+                ([[sample], []], r"per-lane window lists of lengths \[1, 0\]"),
+                ([[sample], sample], r"per-lane window lists of lengths \[1, None\]"),
+                ([[sample, sample], [sample, short]],
+                 r"window 3: x_hist \(7, 3\) does not match \(8, 3\)")):
+            with pytest.raises(DimensionError, match=message):
+                StackedWindows.stack(config, windows)
+        windows = StackedWindows.stack(config, [[sample]] * 3)
+        assert windows.hist_features.shape == (8, 3, 3, 1) and windows.count == 1
+        for variant in VARIANTS:
+            config = tiny_model_case(variant)[0]
+            windows = StackedWindows.stack(config, [[sample]] * 3)
+            # The message names the windows' (8, 3, rows, 1) step rows, and
+            # the parameters' lanes, if any.
+            for lanes, shapes in ((None, r"\(8, 3, \d, 1\)"), (2, r"\(8, 3, \d, 1\).*\(2, ")):
+                params = map_leaves(init_params(config), lambda _name, leaf: Tensor(
+                    leaf if lanes is None else np.stack([leaf] * lanes)))
+                with pytest.raises(DimensionError, match=shapes):
+                    forward(params, config, windows)
+
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ANLF"])
     def test_full_model_gradients_match_finite_differences(self, variant):
         # Seed 9 is the first seed from 8 whose ReLU head is live for every
