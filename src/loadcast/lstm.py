@@ -27,7 +27,8 @@ The lanes read the same (steps, width, B) inputs, or known inputs of
 their own, (steps, L, width, B), as the verify checks give their drawn
 cells and seeds.  A run's slots are then its directions times the lanes,
 and each slot's stacked `np.matmul` product is bitwise the 2-D `np.dot`
-of a lone direction at its lane's parameters and inputs.
+of a lone direction at its lane's parameters and inputs.  A lane pass
+runs the plan of its lone op, so nothing is kept per lane count.
 
 A sequence op is a plan and an executor.  The plan, a `_Plan` that `_plan`
 makes once per op shape after the shape checks, lists the op's runs: over
@@ -36,13 +37,14 @@ sweep, (0,), whose inputs the sweep builds from the forward h_{t-1}, then
 (1,) over them.  It holds the output's layout, its views' offsets and what
 each run reads of its shape, and depends on shapes alone.  The executor,
 `_sequence`, looks the plan up and does what depends on values or the
-call: it fills, steps and copies each run in scratch of its own, and
-makes the output and its views.  `_columns` alone reverses the backward
-direction's inputs, states and their gradients; the rule walks the runs
-last first.  A sweep
-writes step t's input inside the loop, `finish(taped)` ends its run, and
-in the reverse loop it turns the gradient on x_t into one on h_{t-1}.  An
-untaped run keeps only what its next step reads.  `lstm_cell_step` is no
+call: it fills, steps and copies each run in scratch of its own, with a
+lane pass's lane axis and gate tiles, and makes the output and its views.
+`_columns` alone reverses the backward direction's inputs, states and
+their gradients; the rule walks the runs last first.  A sweep writes step
+t's input inside the loop, `finish(taped)` ends its run, and in the
+reverse loop it turns the gradient on x_t into one on h_{t-1}.  An
+untaped run keeps only what its next step reads, and an untaped op none
+of its runs once the next has its inputs.  `lstm_cell_step` is no
 op of its own: it reshapes one window's step and state for
 `lstm_sequence` and its terminal state back, so every LSTM step runs
 through one engine.  The head, `feedforward_relu`, is one tape op of two
@@ -146,26 +148,36 @@ def lstm_cell_step(params, prev, x):
 
 
 @functools.cache
-def _gate_rows(hidden, windows, directions, lanes=None):
-    """What `_run` reads of its H, B and slots, built once per shape: the
-    one-tanh gate form's (scale, shift) as read-only (slots, 4H, B) tiles,
-    (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows, a run's
-    slots being its `directions` times its `lanes` (1 without a lane
-    axis); the index of each gate's block and of the block the gate
-    product writes, which is also the slot index of the sweep's operands;
-    that product (`np.dot` over one direction without lanes, `np.matmul`
-    over stacked slots); and the weights' (4H, 1) or (slots, 4H, 1) scale,
-    a view of the scale tile.  With weights and summed bias scaled
-    (exactly, as halving is), `_activate` maps the pre-activations through
-    sigma(x) = 1/2 + tanh(x/2)/2 and tanh(x) in one pass."""
-    scale = np.full((directions * (lanes or 1), 4 * hidden, windows), 0.5)
+def _gate_rows(hidden, windows, directions):
+    """What `_run` reads of its H, B and directions, built once per shape:
+    the one-tanh gate form's (scale, shift) as read-only (directions, 4H,
+    B) tiles, (1/2, 1/2) on the i, f and o rows and (1, 0) on the g rows;
+    the index of each gate's block and of the block the gate product
+    writes, which is also the slot index of the sweep's operands; that
+    product (`np.dot` over one direction, `np.matmul` over stacked slots);
+    and the weights' (4H, 1) or (directions, 4H, 1) scale, a view of the
+    scale tile.  With weights and summed bias scaled (exactly, as halving
+    is), `_activate` maps the pre-activations through sigma(x) = 1/2 +
+    tanh(x/2)/2 and tanh(x) in one pass.  A lane pass reads `_lane_rows` of
+    its run's entry."""
+    scale = np.full((directions, 4 * hidden, windows), 0.5)
     scale[..., 2 * hidden:3 * hidden, :] = 1.0
     shift = 1.0 - scale
     scale.flags.writeable = shift.flags.writeable = False
-    lone = directions == 1 and lanes is None
+    lone = directions == 1
     rows = tuple((Ellipsis, slice(k * hidden, (k + 1) * hidden), slice(None)) for k in range(4))
     return (scale, shift, rows + (0 if lone else slice(None),), np.dot if lone else np.matmul,
             scale[0 if lone else Ellipsis, :, :1])
+
+
+def _lane_rows(gates, lanes):
+    """The `_gate_rows` entry of a lane pass's run from its lone run's
+    `gates`: the tiles repeated per lane into (slots, 4H, B), so that the
+    step loop reads same-shape tiles, and the slots read stacked.  Built
+    per call from the kept lone tiles, as nothing is kept per lane count."""
+    scale, shift, rows = gates[:3]
+    scale, shift = scale.repeat(lanes, 0), shift.repeat(lanes, 0)
+    return scale, shift, rows[:4] + (slice(None),), np.matmul, scale[..., :1]
 
 
 def _activate(pre, scale, shift, out):
@@ -350,15 +362,16 @@ def _run_arrays(operands, dirs, lanes):
     return w, b_x + b_h, h0, c0
 
 
-def _parts(flat, plan):
+def _parts(flat, plan, lanes=None):
     """A flat [states; c_T of each direction] array of an op of `plan`, one
-    such row per lane of a lane pass, as its (steps, D * H, B) states and
-    (D, H, B) terminal cells; with lanes, views with the lane axis second,
-    (steps, L, D * H, B) and (D, L, H, B), as a run's slots lay them out."""
+    such row per lane of a lane pass over `lanes` (None without), as its
+    (steps, D * H, B) states and (D, H, B) terminal cells; with lanes,
+    views with the lane axis second, (steps, L, D * H, B) and (D, L, H, B),
+    as a run's slots lay them out."""
     (states, cells), end = plan.layout, plan.end
-    if plan.lanes is None:
+    if lanes is None:
         return flat[:end].reshape(states), flat[end:].reshape(cells)
-    rows = flat.reshape(plan.lanes, -1)
+    rows = flat.reshape(lanes, -1)
     return (rows[:, :end].reshape((-1,) + states).swapaxes(0, 1),
             rows[:, end:].reshape((-1,) + cells).swapaxes(0, 1))
 
@@ -389,20 +402,20 @@ def _walk(run, grad_h, dc, d_x):
     return grads
 
 
-def _views(joined, plan, terminals):
+def _views(joined, plan, terminals, lanes=None):
     """The states of an op's output and, with `terminals`, each direction's
     terminal state, at the `plan`'s offsets (None stands for the terminal
     states without): `segment`s of a taped output, a tensor, or the
     constants `segment` makes of an untaped one, the scanned flat array,
-    each with a leading lane axis in a lane pass."""
+    each with a leading lane axis in a lane pass over `lanes`."""
 
     def view(start, stop, shape):
         if isinstance(joined, Tensor):
             return segment(joined, start, stop, shape)
-        if plan.lanes is None:
+        if lanes is None:
             return Tensor(joined[start:stop].reshape(shape), scanned=True)
-        lanes = joined.reshape(plan.lanes, -1)[:, start:stop]
-        return Tensor(lanes.reshape((plan.lanes,) + shape), scanned=True)
+        rows = joined.reshape(lanes, -1)[:, start:stop]
+        return Tensor(rows.reshape((lanes,) + shape), scanned=True)
 
     states, cells = plan.views
     if not terminals:
@@ -449,42 +462,41 @@ def bilstm_sequence(params, inputs, init_forward, init_backward, terminals=True)
 
 class _Plan:
     """What a sequence op decides from its shapes and whether a sweep
-    builds its inputs (`swept`), read only: its `lanes` (None without a
-    lane axis), the `_parts` shapes of one lane's flat output split at
-    `end`, the output's `size` over every lane, the `_views` offsets, and
-    the runs, each its directions, the shape of the `z` it makes, its
-    `_gate_rows` entry, each direction's `_columns` and its `c_end` rows.
-    It holds no array but `_gate_rows`' tiles and views of them."""
+    builds its inputs (`swept`), read only and the same for every lane
+    count: the `_parts` shapes of one lane's flat output split at `end`,
+    that output's `size`, the `_views` offsets, and the runs, each its
+    directions, the shape of the `z` it makes (a lane pass puts its lane
+    axis after the direction axis), its `_gate_rows` entry, each
+    direction's `_columns` and its `c_end` rows.  It holds no array but
+    `_gate_rows`' tiles and views of them."""
 
-    __slots__ = ("lanes", "layout", "end", "size", "views", "runs")
+    __slots__ = ("layout", "end", "size", "views", "runs")
 
-    def __init__(self, swept, shape, hidden, count, lanes=None):
+    def __init__(self, swept, shape, hidden, count):
         steps, width, windows = shape
         block, span = hidden * windows, count * hidden * windows
-        self.lanes = lanes
-        self.end, self.size = steps * span, (steps + 1) * span * (lanes or 1)
+        self.end, self.size = steps * span, (steps + 1) * span
         self.layout = (steps, count * hidden, windows), (count, hidden, windows)
         starts = ((self.end - span, self.end), (block, self.end + block))[:count]
         self.views = ((0, self.end, self.layout[0]), tuple(
             tuple((k, k + block, (hidden, windows)) for k in pair) for pair in starts))
         picks = ((0,), (1,)) if swept else (tuple(range(count)),)
-        self.runs = tuple((dirs, (steps + 1, len(dirs) * (lanes or 1), width + hidden, windows),
-                           _gate_rows(hidden, windows, len(dirs), lanes),
-                           tuple(_columns(k, d, steps, width, hidden, lanes)
-                                 for k, d in enumerate(dirs)),
+        self.runs = tuple((dirs, (steps + 1, len(dirs), width + hidden, windows),
+                           _gate_rows(hidden, windows, len(dirs)),
+                           tuple(_columns(k, d, steps, width, hidden) for k, d in enumerate(dirs)),
                            slice(dirs[0], dirs[-1] + 1))
                           for dirs in picks)
 
 
-def _columns(k, d, steps, width, hidden, lanes):
+def _columns(k, d, steps, width, hidden):
     """Direction d's indices, the k-th of its run: k, its inputs' block of
-    `z` (over its slots: its index k, or its L lanes), its order over
+    `z` (its direction k, with every lane of a lane pass), its order over
     known inputs and over its input and state gradients, its states' block
     of `z` in op order, and its columns of the states."""
-    slots = k if lanes is None else slice(k * lanes, (k + 1) * lanes)
-    return (k, (slice(None, steps), slots, slice(None, width)),
+    return (k, (slice(None, steps), k, Ellipsis, slice(None, width), slice(None)),
             slice(None, None, -1 if d else 1),
-            (slice(-1, 0, -1) if d else slice(1, None), slots, slice(width, None)),
+            (slice(-1, 0, -1) if d else slice(1, None), k, Ellipsis, slice(width, None),
+             slice(None)),
             (Ellipsis, slice(d * hidden, (d + 1) * hidden), slice(None)))
 
 
@@ -496,7 +508,8 @@ def _plan(fit, shape, shapes):
     and `shapes` those of each direction's weights, b_x, b_h, h_0 and c_0,
     made after the checks: an operand that does not fit the first cell's H
     and lanes, the inputs or the op's directions raises `DimensionError`;
-    a failed key is not kept."""
+    a failed key is not kept.  A lane pass plans as its lone op does
+    (`_lone_key`), so no key holds a lane count."""
     if len(shape) not in (3, 4):
         raise DimensionError(f"cannot encode {shape} as (steps, width, windows) inputs")
     run = shape[:1] + shape[-2:]
@@ -514,7 +527,23 @@ def _plan(fit, shape, shapes):
     if len(shape) == 4 and shape[1] != lanes:
         raise DimensionError(f"inputs {shape} over {shape[1]} lanes do not fit cell weights "
                              f"{shapes[0]}")
-    return _Plan(fit is not None, run, hidden, len(shapes) // 5, lanes)
+    return _Plan(fit is not None, run, hidden, len(shapes) // 5)
+
+
+def _lone_key(fit, shape, shapes):
+    """The lane count of a lane pass, whose cell weights of `shapes` are
+    3-D, and the `_plan` key of its lone op: the sweep's H, the inputs'
+    (steps, width, B) and each operand's shape without the lane axis.
+    Operands whose lanes disagree raise the `DimensionError` of `_plan`'s
+    checks over the full key, which keep no plan."""
+    lanes = shapes[0][:1]
+    if (len(shape) in (3, 4) and shape[1:-2] in ((), lanes)
+            and (fit is None or fit[1:] == lanes) and all(s[:1] == lanes for s in shapes)
+            and all(len(w) == 3 for w in shapes[::5])):
+        return lanes[0], (fit and (fit[0], None), shape[:1] + shape[-2:],
+                          tuple([s[1:] for s in shapes]))
+    _plan.__wrapped__(fit, shape, shapes)
+    raise AssertionError(f"lane shapes {shapes} passed the checks but not `_lone_key`")
 
 
 def _sequence(cells, inputs, inits, terminals=True):
@@ -529,7 +558,9 @@ def _sequence(cells, inputs, inits, terminals=True):
     direction's weights, biases and initial state, then the inputs or the
     sweep's operands.  A one-direction op takes known inputs only; an
     untaped op's output is a constant.  In a lane pass (see the module
-    docstring) a run's slots are its directions times the lanes, known
+    docstring), whose key `_lone_key` strips of its lane axis, a run's
+    slots are its directions times the lanes, its `z` holds a lane axis
+    after the direction axis and its gate tiles are `_lane_rows`; known
     inputs are each lane's own when they carry the lane axis and every
     lane's otherwise, and a taped operand raises `TapeError`: a lane pass
     records nothing.
@@ -549,41 +580,50 @@ def _sequence(cells, inputs, inits, terminals=True):
     shapes = tuple([t.values.shape for t in operands])
     operands += (inputs,) if sweep is None else sweep.operands
     taped = _any_taped(operands)
-    plan = _plan(fit, shape, shapes)
-    if taped and plan.lanes is not None:
-        raise TapeError("a lane pass records nothing: its operands must be untaped")
-    out = np.empty(plan.size)
-    states, c_end = _parts(out, plan)
+    lanes = None
+    if len(shapes[0]) == 3:
+        lanes, key = _lone_key(fit, shape, shapes)
+        plan = _plan(*key)
+        if taped:
+            raise TapeError("a lane pass records nothing: its operands must be untaped")
+    else:
+        plan = _plan(fit, shape, shapes)
+    out = np.empty(plan.size * (lanes or 1))
+    states, c_end = _parts(out, plan, lanes)
     x = None
     if sweep is None:
         # Inputs with a lane axis are each lane's own; every lane reads
         # shared ones through a view.
         x = inputs.values
-        if plan.lanes is not None and len(shape) == 3:
+        if lanes is not None and len(shape) == 3:
             x = x[:, np.newaxis]
     runs = []
     for dirs, z_shape, gates, columns, c_rows in plan.runs:
-        w, bias, h0, c0 = _run_arrays(operands, dirs, plan.lanes)
+        w, bias, h0, c0 = _run_arrays(operands, dirs, lanes)
         # A sweep builds the first run's inputs, which the next run reads.
         swept = sweep if x is None else None
-        z = np.empty(z_shape)
+        slots = z = np.empty(z_shape if lanes is None else z_shape[:2] + (lanes,) + z_shape[2:])
+        if lanes is not None:
+            # The run's slots are its directions times the lanes.
+            slots, gates = z.reshape((z_shape[0], -1) + z_shape[2:]), _lane_rows(gates, lanes)
         for _k, fill, order, _made, _cols in columns:
             if swept is None:
                 z[fill] = x[order]
             else:
                 swept.fill(z[fill])
-        z[0, :, shape[-2]:] = h0
-        act, c_seq = _run(w, bias, z, c0, gates, swept, taped)
+        slots[0, :, shape[-2]:] = h0
+        act, c_seq = _run(w, bias, slots, c0, gates, swept, taped)
         if swept is not None:
             swept.finish(taped)
             x = z[columns[0][1]]
         for _k, _fill, _order, made, cols in columns:
             states[cols] = z[made]
         c_end[c_rows] = c_seq[shape[0] % len(c_seq)].reshape(c_end[c_rows].shape)
-        runs.append((dirs, columns, w, z, act, c_seq, swept))
+        if taped:
+            runs.append((dirs, columns, w, z, act, c_seq, swept))
     if not taped:
         _require_finite(out)
-        return _views(out, plan, terminals)
+        return _views(out, plan, terminals, lanes)
     # Decided here, so that the rule keeps no reference to the inputs.
     reads_x = sweep is not None or inputs.tape is not None
 

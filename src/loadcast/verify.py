@@ -7,10 +7,11 @@ stored weights by index, closed-form hand values for the metrics.  The
 `verify` subcommand prints one line per check and fails if any check
 fails.  Three checks run untaped lane passes, whose lanes are bitwise
 lone runs: the full-model gradient check evaluates its finite-difference
-probes as lanes of `forward` over one shared window; the LSTM oracle check
-steps its drawn one-step cells as lanes of `lstm_sequence`, each with its
-own state and input; and the attention check runs its 100 seeds as the
-lanes of one `forward`, each with its own parameters and window.
+probes as lanes of `forward` over one shared window, each pass copying
+per lane only the blocks it moves; the LSTM oracle check steps its drawn
+one-step cells as lanes of `lstm_sequence`, each with its own state and
+input; and the attention check runs its 100 seeds as the lanes of two
+`forward` passes, each lane with its own parameters and window.
 """
 
 from __future__ import annotations
@@ -32,15 +33,20 @@ from .training import mse_loss
 
 
 # Lanes per untaped pass of the full-model gradient check.  A pass's
-# working set grows with its lanes: at 64 a `loadcast verify` round peaks
-# no higher than it did with one probe per pass, and without a cap the
-# process peak rises by several megabytes.
+# working set grows with its lanes, as each lane copies the blocks the pass
+# moves and each LSTM run scales its weights into a per-lane copy: at 64
+# the check's traced peak is about 0.83 MB, against 0.10 MB with one probe
+# per pass, and fewer lanes would pay the fixed cost of more passes.
 LANES_PER_PASS = 64
 
 # Cells the LSTM oracle check draws before it evaluates them: each block's
 # cells of one (width, hidden) are the lanes of one lane pass, so the
 # block bounds the draws alive at once.
 ORACLE_BLOCK = 250
+
+# Seeds per lane pass of the attention check, which runs 100: two passes
+# of 50 peak about half as high as one of 100, at the same per-row sums.
+ATTENTION_LANES = 50
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,14 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     arrays and its similar-day weights) and the target.  The taped pass is
     `forward`.  Every +h and -h probe of every scalar is then one lane of
     an untaped lane pass of `forward`, at most `LANES_PER_PASS` lanes to a
-    pass, each lane a full parameter set: the template's, with its one
-    scalar moved.  A lane's arithmetic is that of a lone pass at its
+    pass, each lane the template's parameters with its one scalar moved.
+    Only the blocks a pass moves are per-lane copies.  The blocks it does
+    not move are made once per report and lane count: an LSTM block as one
+    stride-0 view shared by the lanes, which keeps its bits because
+    `lstm._run` copies the weights when it scales them and sums the biases
+    first, and a scorer or head block, which `np.matmul` reads stacked, as
+    per-lane copies, since nothing promises a stride-0 operand the bits of
+    per-lane products.  A lane's arithmetic is that of a lone pass at its
     parameters, so every loss is bitwise a lone pass's, and
     `check_gradients` reports them as it reports its own probes.  A failing
     report's `worst` names the scalar of the largest error with both of
@@ -89,13 +101,41 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
     arrays = {name: np.array(leaf) for name, leaf in named_leaves(template)}
     windows = StackedWindows.stack(config, [sample])
     target = Tensor(sample.y_future[:, np.newaxis])
-    # Where each block starts in the flat parameters, in named order.
-    starts = np.cumsum([values.size for values in arrays.values()])[:-1]
+    recurrent = {f"{stage}.{name}" for stage in ("encoder", "decoder")
+                 for name, _leaf in named_leaves(getattr(template, stage))}
+    # Where each block starts and ends in the flat parameters, in named order.
+    bounds = np.cumsum([0] + [values.size for values in arrays.values()])
     flat = np.concatenate([values.reshape(-1) for values in arrays.values()])
+    names = list(arrays)
 
     def program(leaves):
         bound = map_leaves(template, lambda name, _leaf: leaves[name])
         return mse_loss(forward(bound, config, windows).output, target)
+
+    shared = {}
+
+    def lanes_of(where, moved):
+        # The leaves of one pass whose lane k moves flat scalar where[k] to
+        # moved[k].  The blocks it does not move are made once per lane
+        # count; the template was scanned as leaves.
+        lanes = len(where)
+        if lanes not in shared:
+            shared.clear()
+            shared[lanes] = {
+                name: Tensor(np.broadcast_to(values, (lanes,) + values.shape)
+                             if name in recurrent else np.repeat(values[np.newaxis], lanes, 0),
+                             scanned=True)
+                for name, values in arrays.items()}
+        leaves = dict(shared[lanes])
+        # The blocks from the first moved scalar's to the last's, each a
+        # per-lane copy; every moved scalar was scanned by `check_gradients`.
+        lo, hi = np.searchsorted(bounds, where[[0, -1]], side="right") - 1
+        span = np.repeat(flat[np.newaxis, bounds[lo]:bounds[hi + 1]], lanes, axis=0)
+        span[np.arange(lanes), where - bounds[lo]] = moved
+        for name, block in zip(names[lo:hi + 1],
+                               np.split(span, bounds[lo + 1:hi + 1] - bounds[lo], axis=1)):
+            leaves[name] = Tensor(block.reshape((lanes,) + arrays[name].shape), scanned=True)
+        return leaves
 
     def losses(points):
         # Probe k moves flat scalar k // 2, to its +h value for even k.
@@ -104,18 +144,8 @@ def model_gradient_report(config, sample, h=1e-5, tolerance=1e-4):
         found = np.empty(moved.size)
         for first in range(0, moved.size, LANES_PER_PASS):
             part = slice(first, first + LANES_PER_PASS)
-            # Each lane a full copy: a block shared by the lanes as a
-            # broadcast view would step `np.matmul` off its per-lane BLAS
-            # products, and off a lone pass's bits.
-            lanes = np.repeat(flat[np.newaxis], len(where[part]), axis=0)
-            lanes[np.arange(len(lanes)), where[part]] = moved[part]
-            # The template was scanned as leaves, and every moved scalar by
-            # `check_gradients`.
-            found[part] = program({
-                name: Tensor(block.reshape((len(lanes),) + values.shape), scanned=True)
-                for (name, values), block in zip(arrays.items(),
-                                                 np.split(lanes, starts, axis=1))}).values
-        return dict(zip(arrays, np.split(found.reshape(-1, 2), starts)))
+            found[part] = program(lanes_of(where[part], moved[part])).values
+        return dict(zip(arrays, np.split(found.reshape(-1, 2), bounds[1:-1])))
 
     return check_gradients(program, arrays, h=h, tolerance=tolerance, losses=losses)
 
@@ -277,32 +307,35 @@ def _check_model_gradients():
 
 def _check_attention_normalization():
     """The attention weights `predict` traces, on `tiny_model_case` at
-    seeds 0-99, as the lanes of one untaped lane pass of `forward`, lane k
-    seed k's parameters and window.  The parameters are copied into lane
-    blocks one seed at a time, and each softmax row is summed on its own,
-    as a lone `predict`'s row would be: every |sum - 1| is bitwise a lone
-    `predict`'s."""
-    blocks, windows = None, []
-    for seed in range(100):
-        config, sample = tiny_model_case(seed=seed)
-        params = init_params(config)
-        leaves = named_leaves(params)
-        if blocks is None:
-            blocks = {name: np.empty((100,) + leaf.shape) for name, leaf in leaves}
-        for name, leaf in leaves:
-            blocks[name][seed] = leaf
-        windows.append([sample])
-    laned = map_leaves(params, lambda name, _leaf: Tensor(blocks[name]))
-    feature, hour, day = forward(laned, config, windows, collect_attention=True).traces
+    seeds 0-99, as the lanes of untaped lane passes of `forward`,
+    `ATTENTION_LANES` seeds to a pass, lane k of a pass its k-th seed's
+    parameters and window.  The parameters are copied into lane blocks one
+    seed at a time, the blocks reused from pass to pass, and each softmax
+    row is summed on its own, as a lone `predict`'s row would be: every
+    |sum - 1| is bitwise a lone `predict`'s."""
+    blocks = None
     worst = 0.0
     positive = True
-    # One contiguous row per softmax: each feature step and each forecast
-    # hour of every lane, and every lane's days.  A row sum over the last
-    # axis adds a row as the row alone is added.
-    for rows in (feature[..., 0], hour[..., 0], day[..., 0].T):
-        rows = np.ascontiguousarray(rows)
-        worst = max(worst, float(np.max(np.abs(rows.sum(axis=-1) - 1.0))))
-        positive = positive and bool(np.all(rows > 0.0))
+    for first in range(0, 100, ATTENTION_LANES):
+        windows = []
+        for lane, seed in enumerate(range(first, first + ATTENTION_LANES)):
+            config, sample = tiny_model_case(seed=seed)
+            params = init_params(config)
+            leaves = named_leaves(params)
+            if blocks is None:
+                blocks = {name: np.empty((ATTENTION_LANES,) + leaf.shape) for name, leaf in leaves}
+            for name, leaf in leaves:
+                blocks[name][lane] = leaf
+            windows.append([sample])
+        laned = map_leaves(params, lambda name, _leaf: Tensor(blocks[name]))
+        feature, hour, day = forward(laned, config, windows, collect_attention=True).traces
+        # One contiguous row per softmax: each feature step and each
+        # forecast hour of every lane, and every lane's days.  A row sum
+        # over the last axis adds a row as the row alone is added.
+        for rows in (feature[..., 0], hour[..., 0], day[..., 0].T):
+            rows = np.ascontiguousarray(rows)
+            worst = max(worst, float(np.max(np.abs(rows.sum(axis=-1) - 1.0))))
+            positive = positive and bool(np.all(rows > 0.0))
     ok = worst <= 1e-12 and positive
     detail = f"max |sum-1| {worst:.1e}" + ("" if positive else ", non-positive weight")
     return CheckResult("attention weights normalized (100 evaluations)", ok, detail)

@@ -1378,8 +1378,8 @@ class TestVerify:
         # cells' lane passes and the lone sequences both leave the oracle.
         gate_rows = loadcast.lstm._gate_rows
 
-        def shifted(hidden, windows, directions, lanes=None):
-            scale, shift, rows, product, column = gate_rows(hidden, windows, directions, lanes)
+        def shifted(hidden, windows, directions):
+            scale, shift, rows, product, column = gate_rows(hidden, windows, directions)
             g = rows[2]
             g = (g[0], slice(g[1].start + 1, g[1].stop + 1), g[2])
             return scale, shift, rows[:2] + (g,) + rows[3:], product, column

@@ -882,25 +882,23 @@ class TestPlans:
             for array in arrays:
                 root = array if array.base is None else array.base
                 assert root.base is None and not root.flags.writeable
-                # A tile's slots are a run's directions, or those times its lanes.
-                (slots, rows, windows), hidden = root.shape, root.shape[1] // 4
-                entries = [_gate_rows(hidden, windows, slots, None)] + [
-                    _gate_rows(hidden, windows, d, slots // d) for d in (1, 2) if slots % d == 0]
-                assert any(root is tile for entry in entries for tile in entry[:2])
+                # A tile's slots are a run's directions: no plan is kept per
+                # lane count, and neither is a tile.
+                (directions, rows, windows), hidden = root.shape, root.shape[1] // 4
+                assert any(root is tile for tile in _gate_rows(hidden, windows, directions)[:2])
         # A plan depends on shapes alone, so a taped and an untaped op of
-        # one shape share it, and a lane pass's ops share the plans of their
-        # lane count.  The gates run their taped pass lone and their 2 * P
-        # probes as lanes of 64, then of the rest: ANLF (P = 996, 8 lanes
-        # last) its encoder and decoder ops over a sweep at each of those
-        # (6); eAttention (702, 60 last) its decoder ops over known inputs
-        # lone and at 64, and both at 60 (4); dAttention (974, 28 last) its
-        # encoder ops over known inputs lone and at 64, and both at 28 (4);
-        # EDBiLSTM (680, 16 last) its ops at 16 (2), the others being
-        # eAttention's and dAttention's; EDLSTM (936, 16 last) its
-        # one-direction encoder and decoder ops at each (6).  Training: the
-        # encoder and decoder ops of the taped 4- and 2-window batches and
-        # of the untaped 6- and 3-window scoring passes (8).
-        assert counts == [22, 8]
+        # one shape share it, and a lane pass's ops, at any lane count,
+        # share the plans of their lone ops.  The gates run their taped pass
+        # lone and their probes as lanes: ANLF its encoder and decoder ops
+        # over a sweep (2); eAttention its encoder's sweep, ANLF's shape,
+        # and its decoder's op over known inputs (1); dAttention its
+        # encoder's op over known inputs and ANLF's decoder sweep (1);
+        # EDBiLSTM eAttention's decoder shape and dAttention's encoder
+        # shape (0); EDLSTM its one-direction encoder and decoder ops (2).
+        # Training: the encoder and decoder ops of the taped 4- and
+        # 2-window batches and of the untaped 6- and 3-window scoring
+        # passes (8).
+        assert counts == [6, 8]
 
 
 def broadcast_run(w, bias, z, c0, sweep=None, history=True):

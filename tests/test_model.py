@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from datetime import datetime
 
@@ -9,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadcast import model, verify
+from loadcast import lstm, model, tensor, verify
 from loadcast.attention import similar_day_weights
 from loadcast.data import WindowSample
 from loadcast.errors import ConfigError, DimensionError, TapeError
@@ -452,15 +453,38 @@ class TestForward:
         assert seed8_gate.lanes.head == 1 + 2 * 996
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_gradient_check_with_a_reused_encoding_is_the_check_without(self, variant,
-                                                                        monkeypatch):
+    def test_gradient_check_lanes_are_bitwise_lone_probes(self, variant, monkeypatch):
         # The reference runs every probe as a lone `forward`; the report
-        # runs them as lanes of its own `forward` calls, and no stage is
-        # reused.  At seed 8 eAttention and EDBiLSTM forecast 0, and seed 9
-        # keeps every variant's head live, so that a lane that read another
-        # lane's values would show.
-        passes = []
-        monkeypatch.setattr(verify, "forward", lambda *args: passes.append(args) or forward(*args))
+        # runs them as lanes of its own `forward` calls, each pass with the
+        # LSTM blocks it does not move shared by its lanes as one stride-0
+        # view.  Every lane's loss is bitwise its lone probe's, and so is
+        # the report.  At seed 8 eAttention and EDBiLSTM forecast 0, and
+        # seed 9 keeps every variant's head live, so that a lane that read
+        # another lane's values would show.
+        passes, shared, lone, laned = [], [], [], []
+        recurrent = ("encoder.", "decoder.")
+
+        def recorded(bound, config, windows):
+            passes.append(bound)
+            # In a lane pass, an LSTM block whose lanes are all equal is unmoved.
+            for name, leaf in named_leaves(bound) if model._lanes(bound.encoder) else ():
+                if name.startswith(recurrent) and np.all(leaf.values == leaf.values[:1]):
+                    assert leaf.values.strides[0] == 0, name
+                    shared.append(name)
+            return forward(bound, config, windows)
+
+        def lone_losses(program, params, points):
+            lone.append(probe_losses(program, params, points))
+            return lone[-1]
+
+        def lane_losses(program, arrays, h, tolerance, losses):
+            return check_gradients(program, arrays, h=h, tolerance=tolerance,
+                                   losses=lambda points: laned.append(losses(points)) or laned[-1])
+
+        probe_losses = tensor._probe_losses
+        monkeypatch.setattr(verify, "forward", recorded)
+        monkeypatch.setattr(tensor, "_probe_losses", lone_losses)
+        monkeypatch.setattr(verify, "check_gradients", lane_losses)
         for seed in (8, 9):
             config, sample = tiny_model_case(variant, seed=seed)
             template = init_params(config)
@@ -479,6 +503,11 @@ class TestForward:
             assert report.max_rel_error == expect.max_rel_error
             assert report.per_param == expect.per_param
             assert report.worst == expect.worst
+            assert list(laned[-1]) == list(lone[-1]) == list(arrays)
+            for name in arrays:
+                assert laned[-1][name].tobytes() == lone[-1][name].tobytes(), name
+        # Every LSTM block is shared by the lanes of some pass.
+        assert {name for name in arrays if name.startswith(recurrent)} <= set(shared)
 
     def test_gradient_check_runs_the_encoder_once_per_encoder_side_probe(self, seed8_gate):
         # Each of the 2 * 342 feature-attention and encoder probes runs its
@@ -734,3 +763,42 @@ class TestScans:
             counts.append(tuple(seen))
         for (calls, entries), (most_calls, expected) in zip(counts, SCANS[variant]):
             assert entries == expected and calls <= most_calls, (counts, SCANS[variant])
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of `fn`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerifyFootprint:
+    """Coarse bounds on what the verify checks' lane passes hold: each
+    check's traced peak, with a quarter or more of headroom over its
+    reading, and the shape caches a round leaves."""
+
+    # Readings 0.83 MB (gate) and 0.87 MB (attention check), after a round
+    # has made every plan; before lanes shared their unmoved blocks and
+    # the attention check ran two passes of 50 lanes they were 1.15 and
+    # 1.57 MB.
+    @pytest.mark.parametrize("check, bound", [
+        (lambda: verify.model_gradient_report(*tiny_model_case(), h=1e-4), 1.05e6),
+        (verify._check_attention_normalization, 1.1e6)], ids=["gate", "attention"])
+    def test_a_check_peaks_under_its_bound(self, check, bound):
+        check()
+        assert traced_peak(check) <= bound
+
+    def test_a_round_keeps_no_plan_or_tile_per_lane_count(self):
+        # The round's lone op shapes: the oracle check's cells and
+        # sequences, and ANLF's encoder and decoder sweeps, which the gate's
+        # and the attention check's lane passes share with their lone ops.
+        lstm._plan.cache_clear()
+        lstm._gate_rows.cache_clear()
+        sizes = []
+        for _ in range(2):
+            verify.run_all_checks()
+            sizes.append((lstm._plan.cache_info().currsize, lstm._gate_rows.cache_info().currsize))
+        assert sizes[0] == sizes[1] and sizes[0][0] <= 73 and sizes[0][1] <= 15

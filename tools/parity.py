@@ -26,10 +26,13 @@ the path `predict` takes is named by its op: `bilstm_sequence` over
 ANLF's feature sweep and then its temporal sweep, and `bilstm_sequence`
 and `lstm_sequence` over known inputs; and a taped
 `lstm_cell_step` at the encoder cell's shape adds its h and c and the
-gradients of its weights, both biases, x, h_prev and c_prev.  Once every
-probe has run, the untaped one-window ops run again as `.../warm` blocks,
-over the shape plans the probes left behind, so that a plan that does not
-fit a later op of its shape is named by that op.  Each block prints as
+gradients of its weights, both biases, x, h_prev and c_prev.  Each result
+of `verify.run_all_checks()` adds its pass flag and the numbers of its
+detail line, as `loadcast verify` prints them, so a change to what verify
+prints is named by its check.  Once every probe has run, the untaped
+one-window ops run again as `.../warm` blocks, over the shape plans the
+probes left behind, so that a plan that does not fit a later op of its
+shape is named by that op.  Each block prints as
 bitwise or with its largest difference relative to the block's largest
 magnitude; the exit status is 1 on any difference, 2 with one line on
 stderr when REV cannot be archived or a probe run fails, else 0.
@@ -40,6 +43,7 @@ meant to be the parent of a change that keeps them.
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -51,6 +55,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ("hidden32", "tiny")
+# A number in a verify detail line, not the 1 of "|sum-1|".
+NUMBER = re.compile(r"(?<![\w|-])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
 
 # The probe functions import the package themselves: they run in a
 # subprocess whose path holds the tree under test, and the comparing
@@ -198,8 +204,8 @@ def _train_blocks(config, key):
 
 def probe():
     """Every probe's arrays, keyed `variant/size/probe[/part]`,
-    `sequence/size/op/part`, `untaped/size/op/part[/warm]` and
-    `cell/size/part`."""
+    `sequence/size/op/part`, `untaped/size/op/part[/warm]`, `cell/size/part`
+    and `verify/k/part`."""
     from loadcast import model, training, verify
     from loadcast.params import named_leaves
 
@@ -238,6 +244,9 @@ def probe():
         blocks.update(_sequence_blocks(size))
         blocks.update(_untaped_blocks(size))
         blocks.update(_cell_blocks(size))
+    for k, result in enumerate(verify.run_all_checks()):
+        blocks[f"verify/{k}/passed"] = np.array(result.passed)
+        blocks[f"verify/{k}/detail"] = np.array([float(n) for n in NUMBER.findall(result.detail)])
     for size in SIZES:
         blocks.update((f"{name}/warm", values) for name, values in _untaped_blocks(size).items())
     return blocks
