@@ -61,20 +61,26 @@ class AttentionParams:
     The stage builds the joint column: feature attention reads [forward
     h_{t-1}; features; target] and scores each feature, temporal attention
     reads [decoder h_{t-1}; encoder backward h_T; features] and scores each
-    history hour.  `model.init_params` sizes both from the config.
+    history hour.  `model.parameter_shapes` sizes both from the config.
     """
 
     proj: np.ndarray
     score: np.ndarray
 
+    @staticmethod
+    def shapes(joint_width, outputs, attn_size):
+        """Each field's shape, in field order."""
+        return {"proj": (attn_size, joint_width), "score": (outputs, attn_size)}
+
     @classmethod
     def random(cls, rng, joint_width, outputs, attn_size, bound):
-        return cls(proj=rng.uniform(-bound, bound, (attn_size, joint_width)),
-                   score=rng.uniform(-bound, bound, (outputs, attn_size)))
+        return cls(**{field: rng.uniform(-bound, bound, shape)
+                      for field, shape in cls.shapes(joint_width, outputs, attn_size).items()})
 
     @classmethod
     def zeros(cls, joint_width, outputs, attn_size):
-        return cls(proj=np.zeros((attn_size, joint_width)), score=np.zeros((outputs, attn_size)))
+        return cls(**{field: np.zeros(shape)
+                      for field, shape in cls.shapes(joint_width, outputs, attn_size).items()})
 
 
 def feature_attention(params, state, features, target):

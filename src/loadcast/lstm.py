@@ -85,18 +85,21 @@ class LstmParams:
     def input_size(self):
         return self.weights.shape[1] - self.hidden_size
 
+    @staticmethod
+    def shapes(input_size, hidden_size):
+        """Each field's shape, in field order."""
+        rows = 4 * hidden_size
+        return {"weights": (rows, input_size + hidden_size), "b_x": (rows,), "b_h": (rows,)}
+
     @classmethod
     def random(cls, rng, input_size, hidden_size, bound):
-        rows = 4 * hidden_size
-        return cls(weights=rng.uniform(-bound, bound, (rows, input_size + hidden_size)),
-                   b_x=rng.uniform(-bound, bound, rows),
-                   b_h=rng.uniform(-bound, bound, rows))
+        return cls(**{field: rng.uniform(-bound, bound, shape)
+                      for field, shape in cls.shapes(input_size, hidden_size).items()})
 
     @classmethod
     def zeros(cls, input_size, hidden_size):
-        rows = 4 * hidden_size
-        return cls(weights=np.zeros((rows, input_size + hidden_size)),
-                   b_x=np.zeros(rows), b_h=np.zeros(rows))
+        return cls(**{field: np.zeros(shape)
+                      for field, shape in cls.shapes(input_size, hidden_size).items()})
 
 
 @dataclass
@@ -646,10 +649,15 @@ class FeedForwardParams:
     hidden: np.ndarray
     out: np.ndarray
 
+    @staticmethod
+    def shapes(input_width, head_size, output_width):
+        """Each field's shape, in field order."""
+        return {"hidden": (head_size, input_width), "out": (output_width, head_size)}
+
     @classmethod
     def random(cls, rng, input_width, head_size, output_width, bound):
-        return cls(hidden=rng.uniform(-bound, bound, (head_size, input_width)),
-                   out=rng.uniform(-bound, bound, (output_width, head_size)))
+        return cls(**{field: rng.uniform(-bound, bound, shape) for field, shape
+                      in cls.shapes(input_width, head_size, output_width).items()})
 
 
 def feedforward_relu(params, stacked):

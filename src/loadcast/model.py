@@ -58,7 +58,7 @@ initial state, the encoder's terminal backward hidden state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,38 +151,73 @@ class ModelParams:
     head: FeedForwardParams
 
 
-def _cell(config, rng, input_width, bound):
-    """The encoder's or decoder's cell over `input_width` inputs: a BiLSTM of
-    hidden-size directions, or EDLSTM's one direction of the state width."""
-    if config.bidirectional:
-        return BiLstmParams.random(rng, input_width, config.hidden_size, bound)
-    return LstmParams.random(rng, input_width, config.state_width, bound)
+def parameter_shapes(config):
+    """Every parameter's dotted name and shape under `config`, in
+    `named_leaves` order, which is also `init_params`' draw order.  No
+    array is built, so a config's sizes can be compared before anything
+    is allocated for them.
+
+    Feature attention's joint is [forward h_{t-1}; features; target], one
+    score per feature; temporal attention's is [decoder h_{t-1}; encoder
+    backward h_T; features], one score per history hour.  The encoder's
+    and decoder's cell is a BiLSTM of hidden-size directions, or EDLSTM's
+    one direction of the state width.
+    """
+    shapes = {}
+
+    def add(prefix, block):
+        shapes.update((f"{prefix}.{field}", shape) for field, shape in block.items())
+
+    def cell(prefix, input_width):
+        if config.bidirectional:
+            for direction in ("forward", "backward"):
+                add(f"{prefix}.{direction}", LstmParams.shapes(input_width, config.hidden_size))
+        else:
+            add(prefix, LstmParams.shapes(input_width, config.state_width))
+
+    if config.encoder_attention:
+        add("feature_attn", AttentionParams.shapes(
+            config.hidden_size + config.encoder_input_width, config.n_features,
+            config.feature_attn_size))
+    cell("encoder", config.encoder_input_width)
+    if config.decoder_attention:
+        add("temporal_attn", AttentionParams.shapes(
+            config.state_width + config.n_features, config.history_len,
+            config.temporal_attn_size))
+    cell("decoder", config.decoder_input_width)
+    add("head", FeedForwardParams.shapes(config.horizon * config.state_width,
+                                         config.head_size, config.horizon))
+    return shapes
+
+
+def build_params(config, leaf):
+    """The `ModelParams` of `config` whose leaf `name` is `leaf(name,
+    shape)`, called in `parameter_shapes` order."""
+    arrays = {name: leaf(name, shape) for name, shape in parameter_shapes(config).items()}
+
+    def block(cls, prefix):
+        return cls(**{field.name: arrays[f"{prefix}.{field.name}"]
+                      for field in fields(cls)})
+
+    def attention(prefix):
+        return block(AttentionParams, prefix) if f"{prefix}.proj" in arrays else None
+
+    def cell(prefix):
+        if config.bidirectional:
+            return BiLstmParams(block(LstmParams, f"{prefix}.forward"),
+                                block(LstmParams, f"{prefix}.backward"))
+        return block(LstmParams, prefix)
+
+    return ModelParams(attention("feature_attn"), cell("encoder"), attention("temporal_attn"),
+                       cell("decoder"), block(FeedForwardParams, "head"))
 
 
 def init_params(config):
     """Fresh parameters, uniform in [-1/sqrt(hidden), +1/sqrt(hidden)],
-    deterministic in config.seed.  Feature attention's joint is [forward
-    h_{t-1}; features; target], one score per feature; temporal attention's
-    is [decoder h_{t-1}; encoder backward h_T; features], one score per
-    history hour."""
+    deterministic in config.seed, drawn in `parameter_shapes` order."""
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.hidden_size)
-
-    feature_attn = None
-    if config.encoder_attention:
-        feature_attn = AttentionParams.random(
-            rng, config.hidden_size + config.encoder_input_width, config.n_features,
-            config.feature_attn_size, bound)
-    encoder = _cell(config, rng, config.encoder_input_width, bound)
-    temporal_attn = None
-    if config.decoder_attention:
-        temporal_attn = AttentionParams.random(
-            rng, config.state_width + config.n_features, config.history_len,
-            config.temporal_attn_size, bound)
-    decoder = _cell(config, rng, config.decoder_input_width, bound)
-    head = FeedForwardParams.random(rng, config.horizon * config.state_width,
-                                    config.head_size, config.horizon, bound)
-    return ModelParams(feature_attn, encoder, temporal_attn, decoder, head)
+    return build_params(config, lambda _name, shape: rng.uniform(-bound, bound, shape))
 
 
 @dataclass(frozen=True, eq=False)

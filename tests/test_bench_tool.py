@@ -1,9 +1,11 @@
-"""`tools/bench.py compare`, driven with a fake `perfbench/run.py` in each
-exported tree: its medians and IQRs, the alternating order, and its exit
-statuses.  No real benchmark runs."""
+"""`tools/bench.py write` and `compare`, driven with a fake
+`perfbench/run.py` in each exported tree: the file `write` writes, the
+medians and IQRs, `compare`'s alternating order, and the exit statuses.
+No real benchmark runs."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,51 @@ def test_a_revision_that_cannot_be_archived_exits_2(bench, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("bench: cannot archive no-such-rev: ")
+
+
+def test_write_records_each_metric_of_each_workload(bench, monkeypatch, capsys, tmp_path):
+    # The root the file goes to, with the benchmark's own BENCHMARK.json.
+    root = tmp_path / "root"
+    root.mkdir()
+    shutil.copy(BENCH.parent.parent / "BENCHMARK.json", root)
+    monkeypatch.setattr(bench, "ROOT", root)
+    peaks = (42.0, 42.4, 41.8, 42.2, 50.0)
+    fake_trees(bench, monkeypatch, {"change": [result(p, cost=1.0 + p / 100) for p in peaks]})
+    monkeypatch.setattr(bench.tempfile, "TemporaryDirectory", lambda: _Kept(tmp_path))
+    assert bench.main(["write", "7", "--seeds", "1-5", "--seconds", "2"]) == 0
+    out, err = capsys.readouterr()
+    path = root / "BENCH_7.json"
+    assert out == f"{path}\n"
+    assert err.splitlines()[0] == ("train-anlf seed 1: setup_s 0.2, run_cost_per_op 1.42, "
+                                   "peak_rss_mb 42")
+    # Every workload runs at each seed, `--trace 0`, in the exported tree.
+    workloads = ["train-anlf", "train-edbilstm", "forecast-anlf", "verify"]
+    assert (tmp_path / "order.log").read_text().splitlines() == [
+        f"change {workload} {seed} 2.0 0" for workload in workloads for seed in range(1, 6)]
+    doc = json.loads(path.read_text())
+    assert doc.keys() == {"bench", "tree", "head", "seeds", "seconds", "workloads",
+                          "environment", "lines"}
+    assert (doc["bench"], doc["tree"], doc["seeds"], doc["seconds"]) == (
+        7, "SNAPSHOT", [1, 2, 3, 4, 5], 2.0)
+    assert doc["workloads"].keys() == set(workloads)
+    # Peak median 42.2, quartiles 42.0 and 42.4, whatever the outlier.
+    assert doc["workloads"]["verify"]["peak_rss_mb"] == {
+        "median": 42.2, "iqr": pytest.approx(0.4), "values": list(peaks)}
+    assert doc["workloads"]["forecast-anlf"]["setup_s"] == {
+        "median": 0.2, "iqr": 0.0, "values": [0.2] * 5}
+    assert {"python", "numpy", "blas_config", "blas_threads", "nproc"} <= doc["environment"].keys()
+    assert doc["lines"] == {"src": 0, "tests": 0}
+
+
+@pytest.mark.parametrize("reading", ["crash", result(40.0, correct=False),
+                                     result(40.0, failed=1)],
+                         ids=["crash", "incorrect", "failed-operation"])
+def test_write_exits_2_and_writes_nothing_on_a_bad_run(bench, monkeypatch, capsys, tmp_path,
+                                                       reading):
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    shutil.copy(BENCH.parent.parent / "BENCHMARK.json", tmp_path)
+    fake_trees(bench, monkeypatch, {"change": [result(40.0), reading]})
+    assert bench.main(["write", "7", "--seeds", "1-2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith("bench: train-anlf at seed 2 in change: ")
+    assert not (tmp_path / "BENCH_7.json").exists()

@@ -10,7 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadcast.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+from loadcast import checkpoint
+from loadcast.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION, SLICE_CHARS,
                                  load_checkpoint, save_checkpoint)
 from loadcast.data import HolidayCalendar, StandardizationStats
 from loadcast.errors import ConfigError
@@ -20,6 +21,9 @@ from loadcast.verify import tiny_model_case
 
 TINY = ModelConfig(days=2, day_len=4, n_features=3, hidden_size=4,
                    feature_attn_size=2, temporal_attn_size=2, head_size=2)
+# The default size, whose head's hidden block holds 49,152 values.
+DEFAULT = ModelConfig(days=7, day_len=24, n_features=45, hidden_size=32,
+                      feature_attn_size=16, temporal_attn_size=16, head_size=32)
 # The pipeline state every checkpoint carries.
 STATS = StandardizationStats(load_mean=951.25, load_std=183.0625, temperature_mean=10.5,
                              temperature_std=6.333333333333333)
@@ -117,10 +121,8 @@ class TestRoundTrip:
 
 class TestStreaming:
     def test_save_holds_pieces_of_an_entry_not_the_file(self, tmp_path):
-        # At the default size the head's hidden block holds 49,152 values,
-        # so entries span many writes.
-        config = ModelConfig(days=7, day_len=24, n_features=45, hidden_size=32,
-                             feature_attn_size=16, temporal_attn_size=16, head_size=32)
+        # At the default size entries span many writes.
+        config = DEFAULT
         params = init_params(config)
         texts = [json.dumps({"name": name, "shape": list(leaf.shape),
                              "values": leaf.reshape(-1).tolist()})
@@ -138,6 +140,35 @@ class TestStreaming:
         assert lines == texts
         assert peak < 2 * largest
         assert peak < path.stat().st_size / 2
+
+    @pytest.mark.parametrize("head_size", [32, 256], ids=["default", "wide-head"])
+    @pytest.mark.parametrize("layout", ["save", "one-line-version-1"])
+    def test_load_holds_slices_of_an_entry_not_the_file(self, tmp_path, layout, head_size):
+        # perfbench serves the one-line version-1 layout.  At the default
+        # size a load read 0.79 MB (save) and 0.83 MB (one line) above the
+        # arrays' 0.91 MB, where a load of the whole text read 6.1 MB in
+        # all.  The wide head's 3.1 MB hidden block shows that an entry is
+        # read into its array, not gathered and then copied.
+        config = dataclasses.replace(DEFAULT, head_size=head_size)
+        params = init_params(config)
+        path = tmp_path / "checkpoint.json"
+        if layout == "save":
+            save_checkpoint(path, config, params, STATS, CALENDAR)
+        else:
+            dead = np.random.default_rng(5).normal(size=(config.feature_attn_size,
+                                                         config.hidden_size))
+            path.write_text(json.dumps(v1_document(config, params, dead)) + "\n")
+        arrays = sum(leaf.nbytes for _, leaf in named_leaves(params))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = dict(named_leaves(loaded.params))
+        for name, arr in named_leaves(params):
+            npt.assert_array_equal(stored[name], arr)
+        assert peak < arrays + 10 * SLICE_CHARS
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -198,6 +229,84 @@ class TestVersion1:
         assert named in str(exc.value)
 
 
+class TestLayout:
+    @pytest.mark.parametrize("slice_chars", [SLICE_CHARS, 40], ids=["default", "40-chars"])
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_layout_loads_the_same_arrays(self, tmp_path, monkeypatch, variant, version,
+                                                slice_chars):
+        # At 40 characters a slice holds one or two values, or none of a
+        # long one, which is then read whole.
+        monkeypatch.setattr(checkpoint, "SLICE_CHARS", slice_chars)
+        config, _sample = tiny_model_case(variant)
+        params = init_params(config)
+        texts = {}
+        if version == 1:
+            dead = np.random.default_rng(5).normal(size=(config.feature_attn_size,
+                                                         config.hidden_size))
+            doc = v1_document(config, params, dead)
+        else:
+            save_checkpoint(tmp_path / "saved.json", config, params, STATS, CALENDAR)
+            texts["save"] = (tmp_path / "saved.json").read_text()
+            doc = json.loads(texts["save"])
+        texts["one-line"] = json.dumps(doc)
+        texts["indent-2"] = json.dumps(doc, indent=2)
+        texts["params-first"] = json.dumps(
+            {"params": doc["params"], **{k: v for k, v in doc.items() if k != "params"}})
+        for layout, text in texts.items():
+            path = tmp_path / f"{layout}.json"
+            path.write_text(text)
+            loaded = load_checkpoint(path)
+            assert loaded.config == config and loaded.stats == STATS
+            stored = dict(named_leaves(loaded.params))
+            assert stored.keys() == dict(named_leaves(params)).keys()
+            for name, arr in named_leaves(params):
+                assert stored[name].dtype == np.float64
+                npt.assert_array_equal(stored[name], arr, err_msg=f"{layout}: {name}")
+
+    def test_a_read_may_cut_any_token(self, tmp_path, monkeypatch):
+        # Reads of 1 to 64 characters cut the document at each character of
+        # its head in turn, among them those of a top-level number, which
+        # `json` reads as a shorter number when cut after its "e" or "e-".
+        stats = dataclasses.replace(STATS, load_std=1e-05, temperature_std=2.5e+300)
+        params = init_params(TINY)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, TINY, params, stats, CALENDAR)
+        path.write_text(json.dumps({"note": -2.5e-300, **json.loads(path.read_text())}))
+        for slice_chars in range(1, 65):
+            monkeypatch.setattr(checkpoint, "SLICE_CHARS", slice_chars)
+            loaded = load_checkpoint(path)
+            assert loaded.stats == stats and loaded.config == TINY
+            stored = dict(named_leaves(loaded.params))
+            for name, arr in named_leaves(params):
+                npt.assert_array_equal(stored[name], arr)
+
+    @pytest.mark.parametrize("fault", ["byte-order-mark", "trailing-data",
+                                       "invalid-utf-8-in-values"])
+    def test_a_document_json_cannot_read_keeps_its_message(self, tmp_path, monkeypatch, fault):
+        # The message places the fault in the file, as a read of the whole
+        # file does, though the load reads 40 characters at a time.
+        monkeypatch.setattr(checkpoint, "SLICE_CHARS", 40)
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        raw = path.read_bytes()
+        at = raw.index(b'"head.out"')
+        at = raw.index(b"]", raw.index(b'"values"', at)) - 2
+        raw = {"byte-order-mark": b"\xef\xbb\xbf" + raw, "trailing-data": raw + b"{}\n",
+               "invalid-utf-8-in-values": raw[:at] + b"\xff" + raw[at + 1:]}[fault]
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        lines = raw.count(b"\n")
+        detail = {"byte-order-mark": "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                     "line 1 column 1 (char 0)",
+                  "trailing-data": f"Extra data: line {lines} column 1 "
+                                   f"(char {len(raw) - 3})",
+                  "invalid-utf-8-in-values": f"'utf-8' codec can't decode byte 0xff in "
+                                             f"position {at}: invalid start byte"}[fault]
+        assert str(exc.value) == f"{path}: not a readable checkpoint: {detail}"
+
+
 def _entry(doc, name):
     return doc["params"][_index(doc, name)]
 
@@ -216,6 +325,17 @@ class TestRejection:
         path.write_text("not json {")
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"format": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)")],
+        ids=["nested-too-deep", "integer-too-long"])
+    def test_json_beyond_the_decoder_limits(self, tmp_path, text, detail):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: not a readable checkpoint: {detail}")
 
     def test_foreign_document(self, tmp_path):
         path = tmp_path / "other.json"
@@ -340,6 +460,26 @@ class TestRejection:
         with pytest.raises(ConfigError) as exc:
             load_checkpoint(path)
         assert key in str(exc.value) and repr(value) in str(exc.value)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-over"])
+    def test_values_that_do_not_fill_the_shape(self, tmp_path, monkeypatch, extra):
+        # The load allocates the head's hidden block up front and reads it
+        # 60 characters at a time; a count off by one either way is today's
+        # reshape refusal.
+        monkeypatch.setattr(checkpoint, "SLICE_CHARS", 60)
+        path = tmp_path / "checkpoint.json"
+        write_tiny(path)
+        doc = json.loads(path.read_text())
+        index = _index(doc, "head.hidden")
+        entry = doc["params"][index]
+        entry["values"] = entry["values"][:extra] if extra < 0 else entry["values"] + [0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as reshape:
+            np.zeros(len(entry["values"])).reshape(entry["shape"])
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: params entry {index} (name 'head.hidden') is "
+                                  f"malformed: ValueError: {reshape.value}")
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["params"][0].pop("name"),
